@@ -19,7 +19,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond 2^31."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -61,9 +61,6 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         raise InputError(f"cannot coerce {x!r} into the rational field")
-
-    def from_fraction(self, fr: Fraction) -> Fraction:
-        return fr
 
     def sqrt(self, a: Fraction):
         """Exact square root, or None when a is not a square."""
@@ -363,9 +360,6 @@ class QuadExtElt:
         if not n:
             raise ZeroDivisionError("inverse of 0 in quadratic extension")
         return QuadExtElt(self.a / n, -self.b / n, self.field)
-
-    def conjugate(self) -> "QuadExtElt":
-        return QuadExtElt(self.a, -self.b, self.field)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

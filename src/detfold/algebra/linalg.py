@@ -5,6 +5,51 @@ from __future__ import annotations
 from ..errors import InputError
 
 
+def _echelon(rows: list[list], ncols: int, field):
+    """Gauss-Jordan elimination shared by the routines below.
+
+    Returns the reduced rows, the (row, column) of each pivot in order, and
+    the product of the pivots signed by the row swaps (the determinant when
+    the matrix is square of full rank).
+    """
+    m = [[field.coerce(c) for c in row] for row in rows]
+    det = field.one()
+    pivots: list[tuple[int, int]] = []
+    for col in range(ncols):
+        prow = len(pivots)
+        if prow == len(m):
+            break
+        sel = next((r for r in range(prow, len(m)) if m[r][col]), None)
+        if sel is None:
+            continue
+        if sel != prow:
+            m[prow], m[sel] = m[sel], m[prow]
+            det = -det
+        pv = m[prow][col]
+        det = det * pv
+        m[prow] = [c / pv for c in m[prow]]
+        for r in range(len(m)):
+            if r != prow and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[prow])]
+        pivots.append((prow, col))
+    return m, pivots, det
+
+
+def _kernel_basis(m: list[list], pivots: list, ncols: int, field) -> list[list]:
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for r, pc in pivots:
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
 def kernel_rank_det(rows: list[list], field) -> tuple[int, object, list[list]]:
     """Rank, determinant and reduced-echelon kernel basis of a square matrix.
 
@@ -14,96 +59,22 @@ def kernel_rank_det(rows: list[list], field) -> tuple[int, object, list[list]]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InputError("kernel_rank_det expects a square matrix")
-    m = [[field.coerce(c) for c in row] for row in rows]
-    det = field.one()
-    pivots: list[tuple[int, int]] = []
-    prow = 0
-    for col in range(n):
-        sel = next((r for r in range(prow, n) if m[r][col]), None)
-        if sel is None:
-            continue
-        if sel != prow:
-            m[prow], m[sel] = m[sel], m[prow]
-            det = -det
-        pv = m[prow][col]
-        det = det * pv
-        m[prow] = [c / pv for c in m[prow]]
-        for r in range(n):
-            if r != prow and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[prow])]
-        pivots.append((prow, col))
-        prow += 1
+    m, pivots, det = _echelon(rows, n, field)
     rank = len(pivots)
-    if rank < n:
-        det = field.zero()
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [field.zero()] * n
-        v[fc] = field.one()
-        for (r, pc) in pivots:
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return rank, det, basis
+    return rank, det if rank == n else field.zero(), _kernel_basis(m, pivots, n, field)
 
 
 def matrix_rank(rows: list[list], field) -> int:
     """Rank of an arbitrary (possibly rectangular) matrix."""
-    m = [[field.coerce(c) for c in row] for row in rows]
-    if not m:
+    if not rows:
         return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        sel = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        pv = m[rank][col]
-        m[rank] = [c / pv for c in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return len(_echelon(rows, len(rows[0]), field)[1])
 
 
 def nullspace(rows: list[list], ncols: int, field) -> list[list]:
     """Deterministic basis of the right kernel of a rectangular matrix."""
-    m = [[field.coerce(c) for c in row] for row in rows]
-    pivots: list[tuple[int, int]] = []
-    prow = 0
-    for col in range(ncols):
-        sel = next((r for r in range(prow, len(m)) if m[r][col]), None)
-        if sel is None:
-            continue
-        m[prow], m[sel] = m[sel], m[prow]
-        pv = m[prow][col]
-        m[prow] = [c / pv for c in m[prow]]
-        for r in range(len(m)):
-            if r != prow and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == len(m):
-            break
-    pivot_cols = [c for _, c in pivots]
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for (r, pc) in pivots:
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    m, pivots, _det = _echelon(rows, ncols, field)
+    return _kernel_basis(m, pivots, ncols, field)
 
 
 def int_det_bareiss(rows: list[list[int]]) -> int:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from ..errors import InputError
-from .fields import is_prime
+from .fields import QQ, is_prime
 
 
 def trim(p: list) -> list:
@@ -35,10 +35,6 @@ def add(p: list, q: list, field) -> list:
     return trim(out)
 
 
-def neg(p: list) -> list:
-    return [-c for c in p]
-
-
 def mul(p: list, q: list, field) -> list:
     if not p or not q:
         return []
@@ -50,10 +46,6 @@ def mul(p: list, q: list, field) -> list:
             if b:
                 out[i + j] = out[i + j] + a * b
     return trim(out)
-
-
-def scale(p: list, c) -> list:
-    return trim([a * c for a in p])
 
 
 def divmod_poly(p: list, d: list, field) -> tuple[list, list]:
@@ -122,16 +114,6 @@ def eval_poly(p: list, x, field):
     for c in reversed(p):
         total = total * x + c
     return total
-
-
-def roots_fq(p: list, field) -> list:
-    """All roots of p over F_q by exhaustive scan (q is small here)."""
-    found = []
-    for v in range(field.q):
-        x = field.from_int(v)
-        if not eval_poly(p, x, field):
-            found.append(x)
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +261,9 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int, bo
     for cand in sorted(survivors):
         if deg(work) <= 0:
             break
-        while deg(work) > 0 and not eval_poly(work, cand, _QFIELD):
+        while deg(work) > 0 and not eval_poly(work, cand, QQ):
             divisor = [-cand, Fraction(1)]
-            work, rem = divmod_poly(work, divisor, _QFIELD)
+            work, rem = divmod_poly(work, divisor, QQ)
             if rem:
                 raise InputError("root division left a remainder")
             roots[cand] = roots.get(cand, 0) + 1
@@ -296,18 +278,3 @@ def _eval_mod(ints: list[int], a: int, b: int, p: int) -> int:
         total = (total * a + c * bp) % p
         bp = bp * b % p
     return total
-
-
-class _RationalFieldShim:
-    # minimal field handle for the helpers above when working with Fractions
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-
-_QFIELD = _RationalFieldShim()

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import MultiPoly, PrimeField, VARS_X, resultant, unipoly
-from .detrep import SymDetRep, derived_equations, gram_rank_kernel
+from .detrep import DerivedEquations, SymDetRep, derived_equations, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
-from .points import ProjPoint, sorted_points
+from .points import ProjPoint, p2_reps, sorted_points
 
 _LOCAL_VARS = ("e1", "e2")
 
@@ -78,12 +79,8 @@ def plane_solutions(polys: list[MultiPoly], field) -> PlaneSolutions:
 
 def _plane_solutions_fq(polys, field) -> PlaneSolutions:
     pts = []
-    q = field.q
-    one = field.one()
-    reps = [(one, field.from_int(b), field.from_int(c)) for b in range(q) for c in range(q)]
-    reps += [(field.zero(), one, field.from_int(c)) for c in range(q)]
-    reps.append((field.zero(), field.zero(), one))
-    for coords in reps:
+    for rep in p2_reps(field.q):
+        coords = tuple(field.from_int(c) for c in rep)
         if all(not p.evaluate(coords) for p in polys):
             pts.append(ProjPoint(field, coords, "x"))
     return PlaneSolutions(sorted_points(pts), True, 0)
@@ -426,18 +423,16 @@ class SingClassification:
 
 
 def classify_singularities(
-    rep: SymDetRep, field, components=None, derived=None
+    rep: SymDetRep, derived: DerivedEquations, components=None
 ) -> SingClassification:
-    """Locate Sing(C), certify nodality, and split into the rank/D strata."""
-    if derived is None:
-        derived = derived_equations(rep)
-    work_rep = rep
+    """Locate Sing(C), certify nodality, and split into the rank/D strata.
+
+    rep and its derived equations lie over the working field; the optional
+    factorization of the sextic is mapped into that field.
+    """
+    field = rep.field
     sextic = derived.sextic
     d_cubic = derived.d_cubic
-    if rep.field != field:
-        work_rep = _reduce_rep(rep, field)
-        sextic = sextic.map_field(field)
-        d_cubic = d_cubic.map_field(field)
     if components is not None:
         components = [c if c.field == field else c.map_field(field) for c in components]
     curve = PlaneCurve(sextic, tuple(components) if components is not None else None)
@@ -447,7 +442,7 @@ def classify_singularities(
     for p in scan.points:
         if not is_node(sextic, p):
             raise Rejection(f"singular point {p} is not a node; the sextic is not nodal")
-        _gram, rank, _det, _basis = gram_rank_kernel(work_rep, p)
+        _gram, rank, _det, _basis = gram_rank_kernel(rep, p)
         if rank == 4:
             raise ConsistencyError(f"full-rank fiber at claimed singular point {p}")
         on_d = not d_cubic.evaluate(p.coords)
@@ -476,14 +471,12 @@ def classify_singularities(
     )
 
 
-def _certify_s_c(components, d_cubic, field) -> bool:
+def _certify_s_c(comps, dc, field) -> bool:
     """True when every potentially-missing singular point provably lies on D.
 
     Sufficient condition per intersection pair / internal locus: one involved
     component divides the cubic D, so its whole zero set is on D.
     """
-    comps = [c if c.field == field else c.map_field(field) for c in components]
-    dc = d_cubic
     divides = [dc.is_zero or dc.try_divide(c) is not None for c in comps]
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
@@ -499,23 +492,26 @@ def _certify_s_c(components, d_cubic, field) -> bool:
     return True
 
 
-def _reduce_rep(rep: SymDetRep, field) -> SymDetRep:
-    from .detrep import validate_rep
+@dataclass
+class AnalysisContext:
+    """One representation over one working field, shared by every stage of an
+    analysis: the rep reduced to the field and its derived equations, plus
+    the singularity classification, computed on first use and kept."""
 
-    entries = [[rep.entry(i, j).map_field(field) for j in range(4)] for i in range(4)]
-    return validate_rep(entries, field)
+    rep: SymDetRep
+    derived: DerivedEquations
+    components: list | None = None
+
+    @property
+    def field(self):
+        return self.rep.field
+
+    @cached_property
+    def classification(self) -> SingClassification:
+        return classify_singularities(self.rep, self.derived, self.components)
 
 
-def component_genera(config: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """(degree, geometric genus) per component from (degree, node count)."""
-    out = []
-    for d, nodes in config:
-        g = (d - 1) * (d - 2) // 2 - nodes
-        if g < 0:
-            raise Rejection(f"degree-{d} component cannot carry {nodes} nodes")
-        out.append((d, g))
-    return out
-
-
-def all_components_rational(config: list[tuple[int, int]]) -> bool:
-    return all(g == 0 for _, g in component_genera(config))
+def analysis_context(rep: SymDetRep, field=None, components=None) -> AnalysisContext:
+    """Reduce rep to field (default: its own) and derive its equations once."""
+    work = reduce_rep(rep, rep.field if field is None else field)
+    return AnalysisContext(work, derived_equations(work), components)

@@ -35,9 +35,6 @@ class SymDetRep:
     def linear_block(self) -> list[list[MultiPoly]]:
         return [[self.entries[i][j] for j in range(3)] for i in range(3)]
 
-    def quadric_column(self) -> list[MultiPoly]:
-        return [self.entries[i][3] for i in range(3)]
-
     def cubic_corner(self) -> MultiPoly:
         return self.entries[3][3]
 
@@ -71,6 +68,15 @@ def validate_rep(entries, field) -> SymDetRep:
     if det.is_zero:
         raise Rejection("determinant vanishes identically; the discriminant sextic is not a curve")
     return SymDetRep(field=field, entries=tuple(tuple(row) for row in entries))
+
+
+def reduce_rep(rep: SymDetRep, field) -> SymDetRep:
+    """The representation over `field`: rep itself when it already lies there,
+    otherwise its entries mapped into `field` and validated again."""
+    if rep.field == field:
+        return rep
+    entries = [[rep.entry(i, j).map_field(field) for j in range(4)] for i in range(4)]
+    return validate_rep(entries, field)
 
 
 @dataclass(frozen=True)
@@ -114,25 +120,35 @@ def _check_fourfold_shape(F: MultiPoly, rep: SymDetRep) -> None:
         raise ConsistencyError("fourfold equation does not restrict to the corner cubic on u=0")
 
 
-def fiber_gram(rep: SymDetRep, p: ProjPoint) -> list[list]:
-    """Gram matrix of the fiber quadric Q_p in coordinates (u1,u2,u3,t)."""
+def gram_rank_kernel(rep: SymDetRep, p: ProjPoint):
+    """Gram matrix of the fiber quadric Q_p in coordinates (u1,u2,u3,t), with
+    its rank, determinant and kernel basis."""
     if p.space != "x":
         raise Rejection("fiber points live in the plane of the discriminant curve")
     vals = p.coords
     gram = [[rep.entry(i, j).evaluate(vals) for j in range(4)] for i in range(4)]
-    rank, _det, _ = kernel_rank_det(gram, rep.field)
+    rank, det, basis = kernel_rank_det(gram, rep.field)
     if rank <= 1:
         raise Rejection(
             f"fiber Gram matrix at {p} has rank {rank} <= 1; "
             "not a valid determinantal representation"
         )
-    return gram
-
-
-def gram_rank_kernel(rep: SymDetRep, p: ProjPoint):
-    gram = fiber_gram(rep, p)
-    rank, det, basis = kernel_rank_det(gram, rep.field)
     return gram, rank, det, basis
+
+
+def vanishes_on_plane(F: MultiPoly, basis: list, field) -> bool:
+    """True when F (in x1..x3, u1..u3) vanishes on the plane of P^5 spanned
+    by three vectors, checked by substituting their general combination."""
+    svars = ("s1", "s2", "s3")
+    s = [MultiPoly.variable(field, svars, v) for v in svars]
+    mapping = {}
+    for k, xv in enumerate(VARS_XU):
+        expr = MultiPoly.zero(field, svars)
+        for t, vec in enumerate(basis):
+            if vec[k]:
+                expr = expr + s[t].scale(vec[k])
+        mapping[xv] = expr
+    return F.substitute(mapping, target=MultiPoly.zero(field, svars)).is_zero
 
 
 def embed_fiber_vector(p: ProjPoint, vec, field) -> ProjPoint:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import MultiPoly, PrimeField, QQ, VARS_X, parse_poly, poly_matrix_det
 from .algebra.unipoly import is_squarefree
 from .curves import is_reduced_curve
-from .detrep import SymDetRep, derived_equations, validate_rep
+from .detrep import SymDetRep, derived_equations, validate_rep, vanishes_on_plane
 from .errors import InputError, Rejection
 
 EXAMPLE_NAMES = (
@@ -268,22 +268,13 @@ def _build_prop44(params: dict) -> NamedExample:
 
 
 def _verify_section_plane(rep: SymDetRep, rows) -> None:
-    der = derived_equations(rep)
-    F = der.fourfold
-    svars = ("s1", "s2", "s3")
+    # the plane is spanned by e_{x_j} + sum_i a_ij e_{u_i}, j = 1, 2, 3
     fld = rep.field
-    target = MultiPoly.zero(fld, svars)
-    s = [MultiPoly.variable(fld, svars, v) for v in svars]
-    mapping = {}
-    for j, xv in enumerate(("x1", "x2", "x3")):
-        mapping[xv] = s[j]
-    for i, uv in enumerate(("u1", "u2", "u3")):
-        expr = MultiPoly.zero(fld, svars)
-        for j in range(3):
-            if rows[i][j]:
-                expr = expr + s[j].scale(rows[i][j])
-        mapping[uv] = expr
-    if not F.substitute(mapping, target=target).is_zero:
+    basis = [
+        [fld.one() if k == j else fld.zero() for k in range(3)] + [rows[i][j] for i in range(3)]
+        for j in range(3)
+    ]
+    if not vanishes_on_plane(derived_equations(rep).fourfold, basis, fld):
         raise Rejection("section plane is not contained in the fourfold")
 
 

@@ -9,28 +9,19 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import (
-    MultiPoly,
-    PrimeField,
-    QQ,
-    QuadExt,
-    VARS_X,
-    VARS_XU,
-    kernel_rank_det,
-    matrix_rank,
-    nullspace,
-)
-from .curves import SingClassification, bivar_gcd, classify_singularities, plane_solutions
+from .algebra import MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, matrix_rank, nullspace
+from .curves import AnalysisContext, SingClassification, analysis_context, bivar_gcd, plane_solutions
 from .detrep import (
     SymDetRep,
     derived_equations,
     embed_fiber_vector,
     gram_rank_kernel,
     p3_forms,
+    reduce_rep,
+    vanishes_on_plane,
 )
 from .errors import ConsistencyError, InputError, Rejection
-from .points import ProjPoint, sorted_points
-
+from .points import ProjPoint, p2_reps, sorted_points
 
 
 @dataclass(frozen=True)
@@ -74,12 +65,6 @@ class Plane:
     def basis(self) -> list:
         return nullspace([list(f) for f in self.forms], 6, self.field)
 
-    def contains_point(self, pt: ProjPoint) -> bool:
-        return all(
-            not sum((c * x for c, x in zip(f, pt.coords)), self.field.zero())
-            for f in self.forms
-        )
-
 
 @dataclass(frozen=True)
 class PlanePair:
@@ -90,13 +75,14 @@ class PlanePair:
     degenerate: bool = False  # one member is the projection plane P itself
 
 
-def split_rank2_fiber(rep: SymDetRep, p: ProjPoint, derived=None) -> PlanePair:
+def split_rank2_fiber(ctx: AnalysisContext, p: ProjPoint) -> PlanePair:
     """Write the rank-2 fiber quadric over p as a product of two planes.
 
     Splits over the base field when the reduced binary form's discriminant is
     a square, otherwise over the quadratic extension by that discriminant.
     Both planes are verified to lie on the fourfold by substitution.
     """
+    rep = ctx.rep
     base = rep.field
     gram, rank, _det, _kern = gram_rank_kernel(rep, p)
     if rank != 2:
@@ -152,7 +138,7 @@ def split_rank2_fiber(rep: SymDetRep, p: ProjPoint, derived=None) -> PlanePair:
         disc=None if sq is not None else disc,
         degenerate=(conic_rank == 0),
     )
-    _verify_pair(rep, pair, derived)
+    _verify_pair(pair, ctx.derived.fourfold)
     return pair
 
 
@@ -178,10 +164,7 @@ def _plane_from_fiber_form(p: ProjPoint, lin4, fld) -> Plane:
     return Plane(forms=tuple(forms), field=fld)
 
 
-def _verify_pair(rep: SymDetRep, pair: PlanePair, derived=None) -> None:
-    if derived is None:
-        derived = derived_equations(rep)
-    F = derived.fourfold
+def _verify_pair(pair: PlanePair, F: MultiPoly) -> None:
     fld = pair.field
     for plane in pair.planes:
         if _is_plane_p(plane, fld) and not pair.degenerate:
@@ -189,7 +172,7 @@ def _verify_pair(rep: SymDetRep, pair: PlanePair, derived=None) -> None:
         basis = plane.basis()
         if len(basis) != 3:
             raise ConsistencyError("plane forms are not independent")
-        if not _poly_vanishes_on_span(F, basis, fld):
+        if not vanishes_on_plane(F, basis, fld):
             raise ConsistencyError(f"claimed plane over {pair.point} is not inside the fourfold")
     rows = [list(f) for f in pair.planes[0].forms] + [list(f) for f in pair.planes[1].forms]
     if matrix_rank(rows, fld) != 4:
@@ -202,20 +185,6 @@ def _is_plane_p(plane: Plane, fld) -> bool:
         [fld.one() if i == k else fld.zero() for i in range(6)] for k in range(3)
     ]
     return matrix_rank(rows, fld) == 3
-
-
-def _poly_vanishes_on_span(F: MultiPoly, basis: list, fld) -> bool:
-    svars = ("s1", "s2", "s3")
-    target = MultiPoly.zero(fld, svars)
-    s = [MultiPoly.variable(fld, svars, v) for v in svars]
-    mapping = {}
-    for k, xv in enumerate(VARS_XU):
-        expr = MultiPoly.zero(fld, svars)
-        for t, vec in enumerate(basis):
-            if vec[k]:
-                expr = expr + s[t].scale(vec[k])
-        mapping[xv] = expr
-    return F.substitute(mapping, target=target).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +215,12 @@ def net_conics(rep: SymDetRep) -> list[MultiPoly]:
     return out
 
 
-def base_locus(rep: SymDetRep, field=None, derived=None):
+def base_locus(ctx: AnalysisContext):
     """Common zeros in P of the net of conics; at most 3 points for valid input."""
-    if field is None:
-        field = rep.field
-    work = rep if rep.field == field else _reduce(rep, field)
-    if derived is None:
-        derived = derived_equations(work)
-    if derived.d_cubic.is_zero:
+    field = ctx.field
+    if ctx.derived.d_cubic.is_zero:
         raise Rejection("the cubic D vanishes identically; the net of conics is degenerate")
-    conics = [c for c in net_conics(work) if not c.is_zero]
+    conics = [c for c in net_conics(ctx.rep) if not c.is_zero]
     if len(conics) < 2:
         raise Rejection("net of conics is degenerate: base locus is not finite")
     g = _relabel_u_to_x(conics[0], field)
@@ -293,13 +258,6 @@ def _relabel_u_to_x(p: MultiPoly, field) -> MultiPoly:
     return MultiPoly(field, VARS_X, dict(p.terms))
 
 
-def _reduce(rep: SymDetRep, field) -> SymDetRep:
-    from .detrep import validate_rep
-
-    entries = [[rep.entry(i, j).map_field(field) for j in range(4)] for i in range(4)]
-    return validate_rep(entries, field)
-
-
 # ---------------------------------------------------------------------------
 # Assembly and verification of Sing(X)
 # ---------------------------------------------------------------------------
@@ -310,7 +268,6 @@ class SingularLocusX:
     cone_vertices: list
     base_points: list  # embedded in P^5 (points of the plane P)
     all_double: bool
-    zero_dimensional: bool
     smooth: bool
     bounds_ok: bool
     base_complete: bool
@@ -321,15 +278,9 @@ class SingularLocusX:
         return sorted_points(self.cone_vertices + self.base_points)
 
 
-def singular_locus_X(
-    rep: SymDetRep, field=None, components=None, classification=None
-) -> SingularLocusX:
-    if field is None:
-        field = rep.field
-    work = rep if rep.field == field else _reduce(rep, field)
-    derived = derived_equations(work)
-    if classification is None:
-        classification = classify_singularities(work, field, components=components, derived=derived)
+def singular_locus_X(ctx: AnalysisContext) -> SingularLocusX:
+    field = ctx.field
+    classification = ctx.classification
     vertices = []
     for record in classification.records:
         if record.on_d:
@@ -338,16 +289,16 @@ def singular_locus_X(
             raise ConsistencyError(
                 f"point {record.point} off D must have a rank-3 fiber, found {record.rank}"
             )
-        rpt = fiber_analysis(work, record.point)
+        rpt = fiber_analysis(ctx.rep, record.point)
         vertex = rpt.singular_locus[0]
         if rpt.vertex_in_p:
             raise ConsistencyError(f"cone vertex over {record.point} sits inside P")
         vertices.append(vertex)
-    bpts, b_complete = base_locus(work, field, derived=derived)
+    bpts, b_complete = base_locus(ctx)
     embedded_b = [
         ProjPoint(field, (field.zero(),) * 3 + p.coords, "p5") for p in bpts
     ]
-    F = derived.fourfold
+    F = ctx.derived.fourfold
     grads = {v: F.diff(v) for v in VARS_XU}
     all_double = True
     for pt in vertices + embedded_b:
@@ -370,7 +321,6 @@ def singular_locus_X(
         cone_vertices=sorted_points(vertices),
         base_points=sorted_points(embedded_b),
         all_double=all_double,
-        zero_dimensional=True,
         smooth=smooth,
         bounds_ok=bounds_ok,
         base_complete=b_complete,
@@ -410,9 +360,7 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     if q**5 > 10**9:
         raise InputError(f"enumeration budget exceeded: {q}^5 > 10^9")
     gf = PrimeField(q)
-    work = rep if (isinstance(rep.field, PrimeField) and rep.field.q == q) else _reduce(rep, gf)
-    derived = derived_equations(work)
-    F = derived.fourfold
+    F = derived_equations(reduce_rep(rep, gf)).fourfold
     polys = [F] + [F.diff(v) for v in VARS_XU]
     int_polys = [[(c.v, e) for e, c in p.terms.items()] for p in polys]
 
@@ -421,7 +369,7 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     # stratum x = 0 (the plane P): F and the u-partials vanish identically
     # there, so only the three x-partials constrain, evaluated on u-points.
     xparts = [ip for ip in int_polys[1:4]]
-    for ucoords in _p2_reps(q):
+    for ucoords in p2_reps(q):
         ok = True
         for terms in xparts:
             acc = 0
@@ -436,8 +384,8 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
             found.append((0, 0, 0) + ucoords)
 
     # strata with x != 0: canonical reps have leading x-coordinate 1, u free
-    mons, grids = _u_grid(q)
-    for xc in _p2_reps(q):
+    grids = _u_grid(q)
+    for xc in p2_reps(q):
         uforms = []
         for terms in int_polys:
             coeffs: dict = {}
@@ -465,13 +413,6 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     return sorted_points(pts)
 
 
-def _p2_reps(q: int) -> list[tuple[int, int, int]]:
-    reps = [(1, b, c) for b in range(q) for c in range(q)]
-    reps += [(0, 1, c) for c in range(q)]
-    reps.append((0, 0, 1))
-    return reps
-
-
 _U_GRID_CACHE: dict = {}
 
 
@@ -488,19 +429,13 @@ def _u_grid(q: int):
             for e3 in range(3):
                 if e1 + e2 + e3 <= 2:
                     grids[(e1, e2, e3)] = (u1**e1 * u2**e2 * u3**e3) % q
-    mons = list(grids)
-    _U_GRID_CACHE[q] = (mons, grids)
-    return mons, grids
+    _U_GRID_CACHE[q] = grids
+    return grids
 
 
 def assembly_points_mod_q(rep: SymDetRep, q: int, components=None) -> list[ProjPoint]:
     """Sing(X)(F_q) assembled from the rank stratification, for oracle comparison."""
-    gf = PrimeField(q)
-    comps = None
-    if components is not None:
-        comps = [c.map_field(gf) if c.field != gf else c for c in components]
-    locus = singular_locus_X(rep, gf, components=comps)
-    return locus.points
+    return singular_locus_X(analysis_context(rep, PrimeField(q), components)).points
 
 
 def oracle_matches_assembly(rep: SymDetRep, q: int, components=None) -> tuple[bool, list, list]:
@@ -520,26 +455,16 @@ def oracle_matches_assembly(rep: SymDetRep, q: int, components=None) -> tuple[bo
 
 @dataclass
 class CouplesReport:
-    pairs: list
-    within_ok: bool  # each couple meets itself in a line
+    pairs: list  # each couple meets itself in a line, checked by _verify_pair
     cross_ok: bool  # planes from distinct couples meet in single points
     cross_points: dict  # (i, j, a, b) -> ProjPoint for base-field computable meets
     notes: list = dc_field(default_factory=list)
 
 
-def couples_and_intersections(
-    rep: SymDetRep, field=None, components=None, classification=None
-) -> CouplesReport:
-    if field is None:
-        field = rep.field
-    work = rep if rep.field == field else _reduce(rep, field)
-    derived = derived_equations(work)
-    if classification is None:
-        classification = classify_singularities(work, field, components=components, derived=derived)
-    pts = sorted_points(classification.s_theta)
-    pairs = [split_rank2_fiber(work, p, derived=derived) for p in pts]
+def couples_and_intersections(ctx: AnalysisContext) -> CouplesReport:
+    pts = sorted_points(ctx.classification.s_theta)
+    pairs = [split_rank2_fiber(ctx, p) for p in pts]
     notes = []
-    within_ok = True  # verified inside split_rank2_fiber
     cross_ok = True
     cross_points = {}
     for i in range(len(pairs)):
@@ -548,7 +473,7 @@ def couples_and_intersections(
         for j in range(i + 1, len(pairs)):
             if pairs[j].degenerate:
                 continue
-            ok, extracted = _cross_check(work, pairs[i], pairs[j], field)
+            ok, extracted = _cross_check(ctx.rep, pairs[i], pairs[j], ctx.field)
             if not ok:
                 cross_ok = False
             for key, pt in extracted.items():
@@ -564,7 +489,6 @@ def couples_and_intersections(
         )
     return CouplesReport(
         pairs=pairs,
-        within_ok=within_ok,
         cross_ok=cross_ok,
         cross_points=cross_points,
         notes=notes,

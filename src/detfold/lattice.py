@@ -11,7 +11,6 @@ certifies rank m+2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import QQ, int_det_bareiss, matrix_rank
 from .errors import Rejection
@@ -21,7 +20,6 @@ PLANE_SELF = 3  # P.P and P_{i,j}.P_{i,j}
 PLANE_VS_P = -1  # P_{i,j}.P
 WITHIN_COUPLE = -1  # P_{i,1}.P_{i,2}
 ACROSS_COUPLES = 1  # P_{i,k}.P_{j,h}, i != j
-QUADRIC_VS_P = -2  # Q.P
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ def ns2_gram(m: int) -> Ns2Report:
             else:
                 gram[i][j] = ACROSS_COUPLES
     det = int_det_bareiss(gram)
-    rank = matrix_rank([[Fraction(c) for c in row] for row in gram], QQ)
+    rank = n if det else matrix_rank(gram, QQ)
     return Ns2Report(
         m=m,
         class_count=2 * m + 1,

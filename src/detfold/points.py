@@ -59,3 +59,11 @@ def sorted_points(points) -> list[ProjPoint]:
 def format_points(points) -> str:
     pts = sorted_points(points)
     return "; ".join(str(p) for p in pts) if pts else "-"
+
+
+def p2_reps(q: int) -> list[tuple[int, int, int]]:
+    """The q^2+q+1 canonical representatives of P^2(F_q), as residue triples."""
+    reps = [(1, b, c) for b in range(q) for c in range(q)]
+    reps += [(0, 1, c) for c in range(q)]
+    reps.append((0, 0, 1))
+    return reps

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .curves import classify_singularities
-from .detrep import SymDetRep, derived_equations
+from .curves import analysis_context
+from .detrep import SymDetRep
 from .fourfold import couples_and_intersections, singular_locus_X
 from .lattice import ns2_gram
 from .points import format_points
@@ -31,7 +31,6 @@ class AnalysisReport:
     bounds_ok: bool
     all_double: bool
     couples_count: int
-    couples_within_ok: bool
     couples_cross_ok: bool
     couples_ext_count: int
     ns2_m: int
@@ -41,35 +40,37 @@ class AnalysisReport:
     ns2_rank_lower_bound: int
     notes: list = dc_field(default_factory=list)
 
-    def flat_lines(self) -> list[str]:
-        rows = [
+    def _rows(self) -> list[tuple[str, object]]:
+        """(key, value) pairs in report order, shared by both output forms."""
+        return [
             ("field", self.field_name),
             ("sextic", self.sextic),
             ("d_cubic", self.d_cubic),
             ("fourfold", self.fourfold),
             ("sing_c_count", len(self.sing_c)),
-            ("sing_c_complete", _b(self.sing_c_complete)),
+            ("sing_c_complete", self.sing_c_complete),
             ("sing_c_unresolved", self.sing_c_unresolved),
-            ("sing_c", format_points(self.sing_c)),
+            ("sing_c", self.sing_c),
             ("s_theta_count", len(self.s_theta)),
-            ("s_theta", format_points(self.s_theta)),
+            ("s_theta", self.s_theta),
             ("s_theta_tilde_count", len(self.s_theta_tilde)),
-            ("s_theta_tilde", format_points(self.s_theta_tilde)),
+            ("s_theta_tilde", self.s_theta_tilde),
             ("s_theta_tilde_criterion", "sing(C) meet {d_cubic = 0}"),
             ("s_c_count", len(self.s_c)),
-            ("s_c", format_points(self.s_c)),
-            ("s_c_certified", _b(self.s_c_certified)),
+            ("s_c", self.s_c),
+            ("s_c_certified", self.s_c_certified),
             ("b_count", len(self.b_points)),
-            ("b_points", format_points(self.b_points)),
-            ("b_complete", _b(self.b_complete)),
+            ("b_points", self.b_points),
+            ("b_complete", self.b_complete),
             ("sing_x_count", len(self.sing_x)),
-            ("sing_x", format_points(self.sing_x)),
-            ("smooth", _b(self.smooth)),
-            ("bounds_ok", _b(self.bounds_ok)),
-            ("all_double", _b(self.all_double)),
+            ("sing_x", self.sing_x),
+            ("smooth", self.smooth),
+            ("bounds_ok", self.bounds_ok),
+            ("all_double", self.all_double),
             ("couples", self.couples_count),
-            ("couples_within_ok", _b(self.couples_within_ok)),
-            ("couples_cross_ok", _b(self.couples_cross_ok)),
+            # constant: split_rank2_fiber raises unless each couple meets in a line
+            ("couples_within_ok", True),
+            ("couples_cross_ok", self.couples_cross_ok),
             ("couples_needing_extension", self.couples_ext_count),
             ("ns2_m", self.ns2_m),
             ("ns2_class_count", self.ns2_class_count),
@@ -77,88 +78,45 @@ class AnalysisReport:
             ("ns2_rank", self.ns2_rank),
             ("ns2_rank_lower_bound", self.ns2_rank_lower_bound),
         ]
-        out = [f"{k} = {v}" for k, v in rows]
-        for note in self.notes:
-            out.append(f"note = {note}")
-        return out
+
+    def flat_lines(self) -> list[str]:
+        out = [f"{k} = {_flat(v)}" for k, v in self._rows()]
+        return out + [f"note = {note}" for note in self.notes]
 
     def to_json_dict(self) -> dict:
-        return {
-            "field": self.field_name,
-            "sextic": self.sextic,
-            "d_cubic": self.d_cubic,
-            "fourfold": self.fourfold,
-            "sing_c_count": len(self.sing_c),
-            "sing_c_complete": self.sing_c_complete,
-            "sing_c_unresolved": self.sing_c_unresolved,
-            "sing_c": [str(p) for p in self.sing_c],
-            "s_theta_count": len(self.s_theta),
-            "s_theta": [str(p) for p in self.s_theta],
-            "s_theta_tilde_count": len(self.s_theta_tilde),
-            "s_theta_tilde": [str(p) for p in self.s_theta_tilde],
-            "s_c_count": len(self.s_c),
-            "s_c": [str(p) for p in self.s_c],
-            "s_c_certified": self.s_c_certified,
-            "b_count": len(self.b_points),
-            "b_points": [str(p) for p in self.b_points],
-            "b_complete": self.b_complete,
-            "sing_x_count": len(self.sing_x),
-            "sing_x": [str(p) for p in self.sing_x],
-            "smooth": self.smooth,
-            "bounds_ok": self.bounds_ok,
-            "all_double": self.all_double,
-            "couples": self.couples_count,
-            "couples_within_ok": self.couples_within_ok,
-            "couples_cross_ok": self.couples_cross_ok,
-            "couples_needing_extension": self.couples_ext_count,
-            "ns2_m": self.ns2_m,
-            "ns2_class_count": self.ns2_class_count,
-            "ns2_det": self.ns2_det,
-            "ns2_rank": self.ns2_rank,
-            "ns2_rank_lower_bound": self.ns2_rank_lower_bound,
-            "notes": list(self.notes),
-        }
+        out = {k: [str(p) for p in v] if isinstance(v, list) else v for k, v in self._rows()}
+        out["notes"] = list(self.notes)
+        return out
 
 
-def _b(v: bool) -> str:
-    return "true" if v else "false"
+def _flat(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, list):
+        return format_points(v)
+    return str(v)
 
 
-def analyze(rep: SymDetRep, field=None, components=None, with_couples: bool = True) -> AnalysisReport:
-    """Run the whole pipeline over the requested field."""
-    if field is None:
-        field = rep.field
-    classification = classify_singularities(rep, field, components=components)
-    locus = singular_locus_X(rep, field, components=components, classification=classification)
-    couples_count = 0
-    within_ok = cross_ok = True
-    ext_count = 0
-    couple_notes: list = []
-    if with_couples:
-        report = couples_and_intersections(rep, field, classification=classification)
-        couples_count = len(report.pairs)
-        within_ok = report.within_ok
-        cross_ok = report.cross_ok
-        ext_count = sum(1 for p in report.pairs if p.disc is not None)
-        couple_notes = report.notes
+def analyze(rep: SymDetRep, field=None, components=None) -> AnalysisReport:
+    """Run the whole pipeline over the requested field (default: the rep's own)."""
+    ctx = analysis_context(rep, field, components)
+    classification = ctx.classification
+    locus = singular_locus_X(ctx)
+    couples = couples_and_intersections(ctx)
     m = len(classification.s_theta)
     if m >= 1:
         ns2 = ns2_gram(m)
         ns2_vals = (ns2.m, ns2.class_count, ns2.det, ns2.rank, ns2.rank_lower_bound)
     else:
         ns2_vals = (0, 1, 0, 0, 2)
-    derived = derived_equations(rep)
-    sextic = derived.sextic if rep.field == field else derived.sextic.map_field(field)
-    d_cubic = derived.d_cubic if rep.field == field else derived.d_cubic.map_field(field)
-    fourfold = derived.fourfold if rep.field == field else derived.fourfold.map_field(field)
-    notes = list(classification.notes) + couple_notes
+    notes = list(classification.notes) + couples.notes
     if not classification.complete:
         notes.append("counts over this field are lower bounds; run a finite-field analysis for completeness")
     return AnalysisReport(
-        field_name=field.name,
-        sextic=str(sextic),
-        d_cubic=str(d_cubic),
-        fourfold=str(fourfold),
+        field_name=ctx.field.name,
+        sextic=str(ctx.derived.sextic),
+        d_cubic=str(ctx.derived.d_cubic),
+        fourfold=str(ctx.derived.fourfold),
         sing_c=classification.sing_c,
         sing_c_complete=classification.complete,
         sing_c_unresolved=classification.unresolved,
@@ -172,10 +130,9 @@ def analyze(rep: SymDetRep, field=None, components=None, with_couples: bool = Tr
         smooth=locus.smooth,
         bounds_ok=locus.bounds_ok,
         all_double=locus.all_double,
-        couples_count=couples_count,
-        couples_within_ok=within_ok,
-        couples_cross_ok=cross_ok,
-        couples_ext_count=ext_count,
+        couples_count=len(couples.pairs),
+        couples_cross_ok=couples.cross_ok,
+        couples_ext_count=sum(1 for p in couples.pairs if p.disc is not None),
         ns2_m=ns2_vals[0],
         ns2_class_count=ns2_vals[1],
         ns2_det=ns2_vals[2],

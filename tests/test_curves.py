@@ -5,20 +5,18 @@ import pytest
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
 from detfold.curves import (
     PlaneCurve,
-    all_components_rational,
+    analysis_context,
     bivar_gcd,
-    classify_singularities,
-    component_genera,
     is_node,
     is_reduced_curve,
     plane_solutions,
     singular_points,
 )
-from detfold.detrep import gram_rank_kernel
-from detfold.curves import _reduce_rep
+from detfold.detrep import gram_rank_kernel, reduce_rep
 from detfold.errors import Rejection
 from detfold.examples import build_example
 from detfold.points import ProjPoint
+from detfold.spin import config_predicates, geometric_genus
 
 
 def _p(s, f=QQ):
@@ -102,7 +100,7 @@ class TestIsNode:
 class TestClassification:
     def test_ex42ii(self):
         ex = build_example("ex42ii")
-        cl = classify_singularities(ex.rep, QQ, components=ex.components)
+        cl = analysis_context(ex.rep, QQ, ex.components).classification
         assert len(cl.sing_c) == 15
         assert len(cl.s_theta) == 12 and len(cl.s_theta_tilde) == 12
         s_c = {p.coords for p in cl.s_c}
@@ -111,14 +109,14 @@ class TestClassification:
 
     def test_prop44_over_f13(self):
         ex = build_example("prop44")
-        cl = classify_singularities(ex.rep, PrimeField(13), components=ex.components)
+        cl = analysis_context(ex.rep, PrimeField(13), ex.components).classification
         assert len(cl.sing_c) == 12
         assert cl.s_theta == cl.sing_c and cl.s_theta_tilde == cl.sing_c
         assert cl.s_c == [] and cl.complete
 
     def test_rmk31_node_in_tilde_minus_theta(self):
         ex = build_example("rmk31")
-        cl = classify_singularities(ex.rep, QQ, components=ex.components)
+        cl = analysis_context(ex.rep, QQ, ex.components).classification
         rec = next(r for r in cl.records if r.point.coords == ProjPoint(QQ, (0, 0, 1), "x").coords)
         assert rec.rank == 3 and rec.on_d
 
@@ -127,7 +125,7 @@ class TestClassification:
             ex = build_example(name)
             for q in (None, 7, 13):
                 field = QQ if q is None else PrimeField(q)
-                cl = classify_singularities(ex.rep, field, components=ex.components)
+                cl = analysis_context(ex.rep, field, ex.components).classification
                 assert set(p.coords for p in cl.s_theta) <= set(p.coords for p in cl.s_theta_tilde)
 
     def test_cuspidal_rejected(self):
@@ -143,12 +141,12 @@ class TestClassification:
         ]
         rep = validate_rep(cusp_block, QQ)
         with pytest.raises(Rejection, match="node"):
-            classify_singularities(rep, QQ)
+            analysis_context(rep, QQ).classification
 
     def test_bezout_count_for_general_position_unions(self):
         # six lines in general position: 15 = C(6,2) pairwise intersections
         ex = build_example("ex42ii")
-        cl = classify_singularities(ex.rep, QQ, components=ex.components)
+        cl = analysis_context(ex.rep, QQ, ex.components).classification
         degrees = [c.degree() for c in ex.components]
         expected = sum(
             degrees[i] * degrees[j]
@@ -164,7 +162,7 @@ class TestRankStratification:
         gf = PrimeField(q)
         for name in ("ex42ii", "prop44", "rmk31"):
             ex = build_example(name)
-            rep = _reduce_rep(ex.rep, gf)
+            rep = reduce_rep(ex.rep, gf)
             from detfold.detrep import derived_equations
 
             der = derived_equations(rep)
@@ -189,17 +187,17 @@ class TestRankStratification:
 
 class TestComponentGenera:
     def test_examples(self):
-        assert component_genera([(1, 0)]) == [(1, 0)]
-        assert component_genera([(3, 0)]) == [(3, 1)]
-        assert component_genera([(5, 5)]) == [(5, 1)]
+        assert geometric_genus(1, 0) == 0
+        assert geometric_genus(3, 0) == 1
+        assert geometric_genus(5, 5) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(Rejection):
-            component_genera([(2, 1)])
+            geometric_genus(2, 1)
 
     def test_all_rational(self):
-        assert all_components_rational([(1, 0)] * 6)
-        assert not all_components_rational([(3, 0), (3, 1)])
+        assert config_predicates([(1, 0)] * 6).all_components_rational
+        assert not config_predicates([(3, 0), (3, 1)]).all_components_rational
 
 
 class TestReducedness:

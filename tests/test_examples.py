@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,10 @@ from detfold.algebra import QQ, PrimeField, VARS_X, field_from_name, resultant
 from detfold.curves import PlaneCurve, singular_points
 from detfold.errors import InputError, Rejection, ToolError
 from detfold.examples import EXAMPLE_NAMES, build_example
+from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _smoothness_certificate(fa):
@@ -49,6 +54,19 @@ def _smoothness_certificate(fa):
     return cert if cert else None
 
 
+def _assert_golden(report, stem):
+    """Byte comparison with tests/golden/<stem>.{flat,json}, the flat and
+    --json forms the CLI prints, plus key parity between the two forms."""
+    flat = report.flat_lines()
+    data = report.to_json_dict()
+    assert "\n".join(flat) + "\n" == (GOLDEN / f"{stem}.flat").read_text(), stem
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / f"{stem}.json").read_text(), stem
+    flat_keys = [line.split(" = ", 1)[0] for line in flat]
+    assert [k for k in flat_keys if k != "note"] == [k for k in data if k != "notes"]
+    assert flat_keys.count("note") == len(data["notes"])
+
+
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_expected_highlights_reproduce(name):
     ex = build_example(name)
@@ -58,6 +76,9 @@ def test_expected_highlights_reproduce(name):
         actual = report.to_json_dict()
         for key, (want, _source) in table.items():
             assert actual[key] == want, f"{name} over {field_name}: {key}"
+        _assert_golden(report, f"{name}.{field_name.replace(':', '')}")
+    # the emitted file over its own field, without a factorization: the CLI path
+    _assert_golden(analyze(parse_rep_file(write_rep_file(ex.rep))), f"{name}.file")
 
 
 def test_unknown_example_rejected():
@@ -137,7 +158,7 @@ class TestEx42iValidation:
         # holds for any accepted cubic, singular or not
         for f in ("x1^3 + x2^3 + x3^3", "x1^3 + 2*x2^3 + 3*x3^3 + x1*x2*x3"):
             ex = build_example("ex42i", {"f": f})
-            rpt = analyze(ex.rep, QQ, components=ex.components, with_couples=False)
+            rpt = analyze(ex.rep, QQ, components=ex.components)
             if rpt.s_c_certified:
                 assert len(rpt.sing_x) == len(rpt.s_c) + 3
 

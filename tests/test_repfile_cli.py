@@ -138,6 +138,8 @@ class TestCli:
     def test_usage_error(self):
         rc, _ = run_cli("analyze")
         assert rc == 3
+        rc, out = run_cli("spin", "--config", "lines=6", "--k", "-1")
+        assert rc == 3 and "--k" in out
 
     def test_missing_file(self):
         rc, out = run_cli("analyze", "/nonexistent/file.rep")
