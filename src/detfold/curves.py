@@ -13,7 +13,7 @@ from functools import cached_property
 from .algebra import MultiPoly, PrimeField, VARS_X, resultant, unipoly
 from .detrep import DerivedEquations, SymDetRep, derived_equations, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
-from .points import ProjPoint, p2_reps, sorted_points
+from .points import P2_SCAN_BUDGET, ProjPoint, p2_reps, sorted_points
 
 _LOCAL_VARS = ("e1", "e2")
 
@@ -78,8 +78,11 @@ def plane_solutions(polys: list[MultiPoly], field) -> PlaneSolutions:
 
 
 def _plane_solutions_fq(polys, field) -> PlaneSolutions:
+    q = field.q
+    if q * q + q + 1 > P2_SCAN_BUDGET:
+        raise InputError(f"scan budget exceeded: P^2(F_{q}) has {q * q + q + 1} points > {P2_SCAN_BUDGET}")
     pts = []
-    for rep in p2_reps(field.q):
+    for rep in p2_reps(q):
         coords = tuple(field.from_int(c) for c in rep)
         if all(not p.evaluate(coords) for p in polys):
             pts.append(ProjPoint(field, coords, "x"))
@@ -394,6 +397,8 @@ class SingRecord:
     rank: int
     on_d: bool
     node_certified: bool
+    gram: tuple  # Gram matrix of the fiber quadric over point (gram_rank_kernel)
+    kernel: tuple  # its kernel basis, one vector per free column
 
 
 @dataclass
@@ -442,7 +447,7 @@ def classify_singularities(
     for p in scan.points:
         if not is_node(sextic, p):
             raise Rejection(f"singular point {p} is not a node; the sextic is not nodal")
-        _gram, rank, _det, _basis = gram_rank_kernel(rep, p)
+        gram, rank, _det, kernel = gram_rank_kernel(rep, p)
         if rank == 4:
             raise ConsistencyError(f"full-rank fiber at claimed singular point {p}")
         on_d = not d_cubic.evaluate(p.coords)
@@ -450,7 +455,8 @@ def classify_singularities(
             raise ConsistencyError(
                 f"rank-2 fiber at {p} must lie on the cubic D (minors all vanish)"
             )
-        records.append(SingRecord(point=p, rank=rank, on_d=on_d, node_certified=True))
+        records.append(SingRecord(point=p, rank=rank, on_d=on_d, node_certified=True,
+                                  gram=tuple(map(tuple, gram)), kernel=tuple(map(tuple, kernel))))
 
     s_c_certified = scan.complete
     notes = []

@@ -6,8 +6,7 @@ planes, and an exhaustive finite-field oracle for independent verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
+from itertools import product
 
 from .algebra import MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, matrix_rank, nullspace
 from .curves import AnalysisContext, SingClassification, analysis_context, bivar_gcd, plane_solutions
@@ -21,7 +20,7 @@ from .detrep import (
     vanishes_on_plane,
 )
 from .errors import ConsistencyError, InputError, Rejection
-from .points import ProjPoint, p2_reps, sorted_points
+from .points import ORACLE_BUDGET, ProjPoint, p2_reps, sorted_points
 
 
 @dataclass(frozen=True)
@@ -75,18 +74,19 @@ class PlanePair:
     degenerate: bool = False  # one member is the projection plane P itself
 
 
-def split_rank2_fiber(ctx: AnalysisContext, p: ProjPoint) -> PlanePair:
+def split_rank2_fiber(ctx: AnalysisContext, p: ProjPoint, gram=None) -> PlanePair:
     """Write the rank-2 fiber quadric over p as a product of two planes.
 
     Splits over the base field when the reduced binary form's discriminant is
     a square, otherwise over the quadratic extension by that discriminant.
-    Both planes are verified to lie on the fourfold by substitution.
+    Both planes are verified to lie on the fourfold by substitution.  `gram`
+    is the fiber's Gram matrix when the classification already holds it.
     """
-    rep = ctx.rep
-    base = rep.field
-    gram, rank, _det, _kern = gram_rank_kernel(rep, p)
-    if rank != 2:
-        raise Rejection(f"fiber at {p} has rank {rank}, not 2; no couple of planes there")
+    base = ctx.field
+    if gram is None:
+        gram, rank, _det, _kern = gram_rank_kernel(ctx.rep, p)
+        if rank != 2:
+            raise Rejection(f"fiber at {p} has rank {rank}, not 2; no couple of planes there")
 
     idx = _nonsingular_principal_pair(gram, base)
     i, j = idx
@@ -289,9 +289,8 @@ def singular_locus_X(ctx: AnalysisContext) -> SingularLocusX:
             raise ConsistencyError(
                 f"point {record.point} off D must have a rank-3 fiber, found {record.rank}"
             )
-        rpt = fiber_analysis(ctx.rep, record.point)
-        vertex = rpt.singular_locus[0]
-        if rpt.vertex_in_p:
+        vertex = embed_fiber_vector(record.point, record.kernel[0], field)
+        if not any(vertex.coords[:3]):
             raise ConsistencyError(f"cone vertex over {record.point} sits inside P")
         vertices.append(vertex)
     bpts, b_complete = base_locus(ctx)
@@ -354,83 +353,111 @@ def _has_nonzero_quadratic_part(F: MultiPoly, pt: ProjPoint, field) -> bool:
 def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     """All points of P^5(F_q) where the fourfold and its six partials vanish.
 
-    Scans the (q^6-1)/(q-1) canonical representatives exactly once, stratified
-    by x-part; returns canonically sorted points.
+    Works stratum by stratum in the x-part.  On x = 0 (the plane P) every
+    point of P^2(F_q) in u is tested.  Over each other x-point the three
+    u-partials of F are affine-linear in u, so they are solved mod q and only
+    their q^(3-rank) solutions are tested.  Uses F and its partials alone,
+    never the fiber theory the assembly rests on.  Returns canonically sorted
+    points.
     """
-    if q**5 > 10**9:
+    if q**5 > ORACLE_BUDGET:
         raise InputError(f"enumeration budget exceeded: {q}^5 > 10^9")
     gf = PrimeField(q)
     F = derived_equations(reduce_rep(rep, gf)).fourfold
-    polys = [F] + [F.diff(v) for v in VARS_XU]
-    int_polys = [[(c.v, e) for e, c in p.terms.items()] for p in polys]
+    # F, its x-partials, then its u-partials, each as
+    # {u-exponent: [(coefficient, x-exponent), ...]} over the integers
+    polys = []
+    for p in [F] + [F.diff(v) for v in VARS_XU]:
+        split: dict = {}
+        for e, c in p.terms.items():
+            split.setdefault(e[3:], []).append((c.v, e[:3]))
+        polys.append(split)
+    if any(sum(eu) > 1 for p in polys[4:] for eu in p):
+        raise ConsistencyError("a u-partial of the fourfold is not affine-linear in u")
+    x_exps = {e for p in polys for terms in p.values() for _c, e in terms}
 
-    found: list[tuple] = []
+    def at_x(xc):
+        # each polynomial with x fixed at xc, as {u-exponent: nonzero residue}
+        x1, x2, x3 = xc
+        mono = {e: x1 ** e[0] * x2 ** e[1] * x3 ** e[2] for e in x_exps}
+        out = []
+        for p in polys:
+            fixed = {}
+            for eu, terms in p.items():
+                acc = 0
+                for c, e in terms:
+                    acc += c * mono[e]
+                if acc % q:
+                    fixed[eu] = acc % q
+            out.append(fixed)
+        return out
 
-    # stratum x = 0 (the plane P): F and the u-partials vanish identically
-    # there, so only the three x-partials constrain, evaluated on u-points.
-    xparts = [ip for ip in int_polys[1:4]]
-    for ucoords in p2_reps(q):
-        ok = True
-        for terms in xparts:
+    def all_vanish(fixed, u):
+        u1, u2, u3 = u
+        for p in fixed:
             acc = 0
-            for c, e in terms:
-                if e[0] or e[1] or e[2]:
-                    continue
-                acc += c * pow(ucoords[0], e[3], q) * pow(ucoords[1], e[4], q) * pow(ucoords[2], e[5], q)
+            for e, c in p.items():
+                acc += c * u1 ** e[0] * u2 ** e[1] * u3 ** e[2]
             if acc % q:
-                ok = False
-                break
-        if ok:
-            found.append((0, 0, 0) + ucoords)
+                return False
+        return True
 
-    # strata with x != 0: canonical reps have leading x-coordinate 1, u free
-    grids = _u_grid(q)
+    on_p = at_x((0, 0, 0))
+    found = [(0, 0, 0) + u for u in p2_reps(q) if all_vanish(on_p, u)]
     for xc in p2_reps(q):
-        uforms = []
-        for terms in int_polys:
-            coeffs: dict = {}
-            for c, e in terms:
-                v = c * pow(xc[0], e[0], q) * pow(xc[1], e[1], q) * pow(xc[2], e[2], q) % q
-                if v:
-                    key = e[3:]
-                    coeffs[key] = (coeffs.get(key, 0) + v) % q
-            uforms.append({k: v for k, v in coeffs.items() if v})
-        idx = np.arange(q**3)
-        for uf in uforms:
-            if idx.size == 0:
-                break
-            vals = np.zeros(idx.size, dtype=np.int64)
-            for key, v in uf.items():
-                vals += v * grids[key][idx]
-            idx = idx[(vals % q) == 0]
-        for flat in idx:
-            u3 = int(flat) % q
-            u2 = (int(flat) // q) % q
-            u1 = int(flat) // (q * q)
-            found.append(tuple(xc) + (u1, u2, u3))
+        fixed = at_x(xc)
+        rows = [[p.get(e, 0) for e in _U_UNITS] + [p.get((0, 0, 0), 0)] for p in fixed[4:]]
+        solved = _solve_affine_mod(rows, q)
+        if solved is None:
+            continue
+        base, kernel = solved
+        for ts in product(range(q), repeat=len(kernel)):
+            u = tuple((base[i] + sum(t * v[i] for t, v in zip(ts, kernel))) % q for i in range(3))
+            if all_vanish(fixed, u):
+                found.append(xc + u)
 
     pts = [ProjPoint(gf, [gf.from_int(c) for c in coords], "p5") for coords in found]
     return sorted_points(pts)
 
 
-_U_GRID_CACHE: dict = {}
+_U_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _u_grid(q: int):
-    if q in _U_GRID_CACHE:
-        return _U_GRID_CACHE[q]
-    rng = np.arange(q, dtype=np.int64)
-    u1 = np.repeat(rng, q * q)
-    u2 = np.tile(np.repeat(rng, q), q)
-    u3 = np.tile(rng, q * q)
-    grids = {}
-    for e1 in range(3):
-        for e2 in range(3):
-            for e3 in range(3):
-                if e1 + e2 + e3 <= 2:
-                    grids[(e1, e2, e3)] = (u1**e1 * u2**e2 * u3**e3) % q
-    _U_GRID_CACHE[q] = grids
-    return grids
+def _solve_affine_mod(rows: list[list[int]], q: int):
+    """Solutions u of A u + b = 0 (mod q) for rows [A | b], by Gauss-Jordan.
+
+    Returns None when the system is inconsistent, else (u0, kernel): one
+    solution and a basis of the kernel of A, one vector per free column.
+    """
+    n = len(rows[0]) - 1
+    m = [[v % q for v in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = pow(m[r][col], -1, q)
+        m[r] = [v * inv % q for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(v - f * w) % q for v, w in zip(m[i], m[r])]
+        pivots.append(col)
+    if any(row[n] for row in m[len(pivots):]):
+        return None
+    u0 = [0] * n
+    for r, col in enumerate(pivots):
+        u0[col] = -m[r][n] % q
+    kernel = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[free] = 1
+        for r, col in enumerate(pivots):
+            v[col] = -m[r][free] % q
+        kernel.append(v)
+    return u0, kernel
 
 
 def assembly_points_mod_q(rep: SymDetRep, q: int, components=None) -> list[ProjPoint]:
@@ -462,8 +489,9 @@ class CouplesReport:
 
 
 def couples_and_intersections(ctx: AnalysisContext) -> CouplesReport:
-    pts = sorted_points(ctx.classification.s_theta)
-    pairs = [split_rank2_fiber(ctx, p) for p in pts]
+    rank2 = [r for r in ctx.classification.records if r.rank == 2]
+    rank2.sort(key=lambda r: r.point.sort_key())
+    pairs = [split_rank2_fiber(ctx, r.point, r.gram) for r in rank2]
     notes = []
     cross_ok = True
     cross_points = {}

@@ -61,9 +61,18 @@ def format_points(points) -> str:
     return "; ".join(str(p) for p in pts) if pts else "-"
 
 
-def p2_reps(q: int) -> list[tuple[int, int, int]]:
-    """The q^2+q+1 canonical representatives of P^2(F_q), as residue triples."""
-    reps = [(1, b, c) for b in range(q) for c in range(q)]
-    reps += [(0, 1, c) for c in range(q)]
-    reps.append((0, 0, 1))
-    return reps
+# Budgets of the exhaustive F_q scans.  Over budget a scan raises InputError
+# (exit 3) before it starts.
+P2_SCAN_BUDGET = 10**6  # points of P^2(F_q) one plane-solution scan visits: q <= 997
+ORACLE_BUDGET = 10**9  # q^5 for the fourfold oracle: q <= 61
+
+
+def p2_reps(q: int):
+    """The q^2+q+1 canonical representatives of P^2(F_q), as residue triples,
+    generated one at a time."""
+    for b in range(q):
+        for c in range(q):
+            yield (1, b, c)
+    for c in range(q):
+        yield (0, 1, c)
+    yield (0, 0, 1)

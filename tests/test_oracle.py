@@ -1,0 +1,134 @@
+"""The finite-field oracle against a plain exhaustive scan of P^5(F_q).
+
+`reference_scan` tests every canonical representative of P^5(F_q) against F
+and its six partials, stratum by stratum in the x-part, without solving
+anything.  `brute_force_oracle` solves the u-partials per stratum instead;
+the two must return the same points.
+"""
+
+from dataclasses import replace
+from itertools import product
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import detfold.fourfold as fourfold
+from detfold.algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
+from detfold.detrep import derived_equations, reduce_rep, validate_rep
+from detfold.errors import ConsistencyError, Rejection
+from detfold.examples import EXAMPLE_NAMES, build_example
+from detfold.fourfold import brute_force_oracle
+from detfold.points import ProjPoint, p2_reps, sorted_points
+
+
+def reference_scan(rep, q):
+    """Every point of P^5(F_q) where F and its six partials vanish, found by
+    evaluating them at all (q^6-1)/(q-1) canonical representatives."""
+    gf = PrimeField(q)
+    F = derived_equations(reduce_rep(rep, gf)).fourfold
+    # fewest terms first: the cheapest filters shrink the candidates soonest
+    polys = sorted([F] + [F.diff(v) for v in VARS_XU], key=lambda p: len(p.terms))
+    cube = list(product(range(q), repeat=3))
+    found = []
+    for x in [(0, 0, 0)] + list(p2_reps(q)):
+        us = list(p2_reps(q)) if x == (0, 0, 0) else cube
+        for p in polys:
+            at_x: dict = {}  # u-exponent -> coefficient once x is substituted
+            for e, c in p.terms.items():
+                key = e[3:]
+                at_x[key] = at_x.get(key, 0) + c.v * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]
+            vals = [0] * len(us)
+            for (a, b, d), c in at_x.items():
+                if c % q:
+                    vals = [v + c * u1**a * u2**b * u3**d for v, (u1, u2, u3) in zip(vals, us)]
+            us = [u for u, v in zip(us, vals) if v % q == 0]
+        found += [x + u for u in us]
+    return sorted_points(ProjPoint(gf, [gf.from_int(c) for c in pt], "p5") for pt in found)
+
+
+def test_named_examples_match_reference():
+    for name in EXAMPLE_NAMES:
+        ex = build_example(name)
+        for q in ex.compatible_primes:
+            assert brute_force_oracle(ex.rep, q) == reference_scan(ex.rep, q), f"{name} mod {q}"
+
+
+def test_low_rank_strata_match_reference(monkeypatch):
+    # conic block diag(x1, x2, x3): rank 1 over the coordinate points, rank 2
+    # on the coordinate lines, so the u-systems have q and q^2 solutions
+    gf = PrimeField(7)
+    entries = [
+        ["x1", "0", "0", "0"],
+        ["0", "x2", "0", "x2*x3"],
+        ["0", "0", "x3", "x1^2"],
+        ["0", "x2*x3", "x1^2", "x1*x2*x3"],
+    ]
+    rep = validate_rep([[parse_poly(s, VARS_X, gf) for s in row] for row in entries], gf)
+    # per x-stratum: None for an inconsistent system, else its kernel dimension
+    sizes = []
+    solve = fourfold._solve_affine_mod
+
+    def recording(rows, q):
+        out = solve(rows, q)
+        sizes.append(None if out is None else len(out[1]))
+        return out
+
+    monkeypatch.setattr(fourfold, "_solve_affine_mod", recording)
+    got = brute_force_oracle(rep, 7)
+    assert {None, 0, 1, 2} <= set(sizes)
+    assert got == reference_scan(rep, 7)
+    assert got  # the scan finds singular points, not just agreement on none
+
+
+def test_solver_solutions():
+    q = 7
+    # u1 + 2 u2 + 3 = 0 twice, u3 free: a plane of solutions
+    u0, kernel = fourfold._solve_affine_mod([[1, 2, 0, 3], [2, 4, 0, 6], [0, 0, 0, 0]], q)
+    assert len(kernel) == 2
+    for t1, t2 in product(range(q), repeat=2):
+        u = [(a + t1 * b + t2 * c) % q for a, b, c in zip(u0, *kernel)]
+        assert (u[0] + 2 * u[1] + 3) % q == 0
+    assert fourfold._solve_affine_mod([[1, 0, 0, 1], [1, 0, 0, 2], [0, 0, 0, 0]], q) is None
+    u0, kernel = fourfold._solve_affine_mod([[0, 0, 0, 0]] * 3, q)
+    assert u0 == [0, 0, 0] and kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_nonlinear_u_partial_rejected(monkeypatch):
+    # the oracle reads F as given: a u-partial of u-degree 2 is refused
+    def with_u1_cubed(rep):
+        d = derived_equations(rep)
+        u1 = MultiPoly.variable(rep.field, VARS_XU, "u1")
+        return replace(d, fourfold=d.fourfold + u1 * u1 * u1)
+
+    monkeypatch.setattr(fourfold, "derived_equations", with_u1_cubed)
+    with pytest.raises(ConsistencyError, match="affine-linear"):
+        brute_force_oracle(build_example("ex42i").rep, 7)
+
+
+def _forms(draw, field, degree):
+    mons = [e for e in product(range(degree + 1), repeat=3) if sum(e) == degree]
+    coeffs = draw(st.lists(st.integers(0, field.q - 1), min_size=len(mons), max_size=len(mons)))
+    return MultiPoly(field, VARS_X, {e: field.from_int(c) for e, c in zip(mons, coeffs)})
+
+
+@st.composite
+def random_reps(draw, field):
+    """A symmetric 4x4 matrix over field with the (1,1,1;2;3) degree profile;
+    matrices validate_rep rejects are dropped."""
+    m = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            degree = 3 if i == j == 3 else 2 if j == 3 else 1
+            m[i][j] = m[j][i] = _forms(draw, field, degree)
+    try:
+        return validate_rep(m, field)
+    except Rejection:
+        assume(False)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_reps_match_reference(q, data):
+    rep = data.draw(random_reps(PrimeField(q)))
+    assert brute_force_oracle(rep, q) == reference_scan(rep, q)

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,6 +147,25 @@ class TestCli:
     def test_missing_file(self):
         rc, out = run_cli("analyze", "/nonexistent/file.rep")
         assert rc == 3
+
+    def test_scan_budget_exit_code(self, tmp_path, monkeypatch):
+        import detfold.curves as curves
+
+        def no_scan(q):
+            raise AssertionError(f"P^2(F_{q}) scanned over budget")
+
+        run_cli("example", "prop44", "--emit", str(tmp_path / "p.rep"))
+        monkeypatch.setattr(curves, "p2_reps", no_scan)
+        rc, out = run_cli("analyze", str(tmp_path / "p.rep"), "--field", "fp:1009")
+        assert rc == 3 and "scan budget exceeded" in out
+
+    def test_cli_import_leaves_numpy_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "import sys, detfold.cli; print('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
     def test_oracle_mismatch_exit_code(self, tmp_path, monkeypatch):
         import detfold.cli as cli_mod
