@@ -13,7 +13,7 @@ from functools import cached_property
 from .algebra import MultiPoly, PrimeField, VARS_X, resultant, unipoly
 from .detrep import DerivedEquations, SymDetRep, derived_equations, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
-from .points import P2_SCAN_BUDGET, ProjPoint, p2_reps, sorted_points
+from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
 
 _LOCAL_VARS = ("e1", "e2")
 
@@ -78,14 +78,34 @@ def plane_solutions(polys: list[MultiPoly], field) -> PlaneSolutions:
 
 
 def _plane_solutions_fq(polys, field) -> PlaneSolutions:
+    """Exhaustive scan of P^2(F_q) in plain integers, one line at a time: on
+    the line (a : b : t) each polynomial becomes a univariate in t, evaluated
+    by Horner only at the t where every earlier polynomial vanished."""
     q = field.q
     if q * q + q + 1 > P2_SCAN_BUDGET:
         raise InputError(f"scan budget exceeded: P^2(F_{q}) has {q * q + q + 1} points > {P2_SCAN_BUDGET}")
-    pts = []
-    for rep in p2_reps(q):
-        coords = tuple(field.from_int(c) for c in rep)
-        if all(not p.evaluate(coords) for p in polys):
-            pts.append(ProjPoint(field, coords, "x"))
+    systems = [[(c.v, e) for e, c in p.terms.items()] for p in polys]
+    found = []
+    for (a, b), ts in p2_lines(q):
+        alive = ts
+        for pairs in systems:
+            deg = max(k for _, (_, _, k) in pairs)
+            uni = [0] * (deg + 1)  # coefficients of t^deg, ..., t^0
+            for c, (i, j, k) in pairs:
+                uni[deg - k] += c * a**i * b**j
+            uni = [c % q for c in uni]
+            left = []
+            for t in alive:
+                v = 0
+                for c in uni:
+                    v = (v * t + c) % q
+                if not v:
+                    left.append(t)
+            alive = left
+            if not alive:
+                break
+        found += [(a, b, t) for t in alive]
+    pts = [ProjPoint(field, tuple(field.from_int(c) for c in rep), "x") for rep in found]
     return PlaneSolutions(sorted_points(pts), True, 0)
 
 

@@ -23,32 +23,6 @@ from .errors import ConsistencyError, InputError, Rejection
 from .points import ORACLE_BUDGET, ProjPoint, p2_reps, sorted_points
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    point: ProjPoint
-    rank: int
-    kind: str  # smooth-quadric | cone | plane-pair
-    singular_locus: tuple  # () / (vertex,) / (line point, line point)
-    conic_rank: int
-    vertex_in_p: bool | None
-    line_in_p: bool | None
-
-
-def fiber_analysis(rep: SymDetRep, p: ProjPoint) -> FiberReport:
-    field = rep.field
-    gram, rank, _det, kernel = gram_rank_kernel(rep, p)
-    conic_rank = matrix_rank([row[:3] for row in gram[:3]], field)
-    if rank == 4:
-        return FiberReport(p, 4, "smooth-quadric", (), conic_rank, None, None)
-    if rank == 3:
-        vertex = embed_fiber_vector(p, kernel[0], field)
-        in_p = not any(vertex.coords[:3])
-        return FiberReport(p, 3, "cone", (vertex,), conic_rank, in_p, None)
-    pts = tuple(embed_fiber_vector(p, v, field) for v in kernel)
-    line_in_p = all(not any(pt.coords[:3]) for pt in pts)
-    return FiberReport(p, 2, "plane-pair", pts, conic_rank, None, line_in_p)
-
-
 # ---------------------------------------------------------------------------
 # Splitting a rank-2 fiber into its couple of planes
 # ---------------------------------------------------------------------------

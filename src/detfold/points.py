@@ -67,12 +67,19 @@ P2_SCAN_BUDGET = 10**6  # points of P^2(F_q) one plane-solution scan visits: q <
 ORACLE_BUDGET = 10**9  # q^5 for the fourfold oracle: q <= 61
 
 
+def p2_lines(q: int):
+    """P^2(F_q) one line at a time: pairs ((a, b), ts) whose points are the
+    canonical representatives (a : b : t), t in ts.  The lines are (1 : b : t)
+    for each b, then (0 : 1 : t), then the single point (0 : 0 : 1)."""
+    for b in range(q):
+        yield (1, b), range(q)
+    yield (0, 1), range(q)
+    yield (0, 0), (1,)
+
+
 def p2_reps(q: int):
     """The q^2+q+1 canonical representatives of P^2(F_q), as residue triples,
     generated one at a time."""
-    for b in range(q):
-        for c in range(q):
-            yield (1, b, c)
-    for c in range(q):
-        yield (0, 1, c)
-    yield (0, 0, 1)
+    for (a, b), ts in p2_lines(q):
+        for t in ts:
+            yield (a, b, t)

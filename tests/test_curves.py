@@ -1,6 +1,7 @@
-import random
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
 from detfold.curves import (
@@ -15,7 +16,7 @@ from detfold.curves import (
 from detfold.detrep import gram_rank_kernel, reduce_rep
 from detfold.errors import Rejection
 from detfold.examples import build_example
-from detfold.points import ProjPoint
+from detfold.points import ProjPoint, p2_reps, sorted_points
 from detfold.spin import config_predicates, geometric_genus
 
 
@@ -78,6 +79,112 @@ class TestSingularPoints:
                 assert reduced <= {p.coords for p in ff.points}
                 if factored.complete:
                     assert reduced == {p.coords for p in ff.points}
+
+
+def reference_solutions(polys, field):
+    """Common zeros of polys at every canonical representative of P^2(F_q),
+    each point tested through MultiPoly.evaluate."""
+    pts = []
+    for rep in p2_reps(field.q):
+        coords = tuple(field.from_int(c) for c in rep)
+        if all(not p.evaluate(coords) for p in polys):
+            pts.append(ProjPoint(field, coords, "x"))
+    return sorted_points(pts)
+
+
+def _form(draw, field, degree):
+    mons = [e for e in product(range(degree + 1), repeat=3) if sum(e) == degree]
+    coeffs = draw(st.lists(st.integers(0, field.q - 1), min_size=len(mons), max_size=len(mons)))
+    return MultiPoly(field, VARS_X, {e: field.from_int(c) for e, c in zip(mons, coeffs)})
+
+
+def _var(field, name, power=1):
+    return MultiPoly.variable(field, VARS_X, name) ** power
+
+
+@st.composite
+def random_systems(draw, field):
+    """One to three random forms of degrees 1 to 4."""
+    return [_form(draw, field, draw(st.integers(1, 4))) for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def systems_on_x1_line(draw, field):
+    """x1^m and x1*g + l*h with l a linear form in x2, x3: the zeros lie on the
+    line x1 = 0, at the roots of l*h there."""
+    m, d = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    c2, c3 = draw(st.integers(0, field.q - 1)), draw(st.integers(0, field.q - 1))
+    l = _var(field, "x2") * c2 + _var(field, "x3") * c3
+    f = _var(field, "x1") * _form(draw, field, d - 1) + l * _form(draw, field, d - 1)
+    return [_var(field, "x1", m), f]
+
+
+@st.composite
+def systems_at_001(draw, field):
+    """x1^m, x2^n and a form f: the only possible zero is (0:0:1), a zero
+    exactly when f has no x3^d term."""
+    d = draw(st.integers(1, 4))
+    f = _form(draw, field, d)
+    if draw(st.booleans()):
+        f = MultiPoly(field, VARS_X, {e: c for e, c in f.terms.items() if e != (0, 0, d)})
+    return [_var(field, "x1", draw(st.integers(1, 3))), _var(field, "x2", draw(st.integers(1, 3))), f]
+
+
+@st.composite
+def systems_on_a_line(draw, field):
+    """Multiples l*g of one linear form l: the whole line l = 0 is a zero."""
+    line = draw(st.sampled_from(["x1", "x3", "random"]))
+    l = _form(draw, field, 1) if line == "random" else _var(field, line)
+    assume(not l.is_zero)
+    return [l * _form(draw, field, draw(st.integers(0, 3))) for _ in range(draw(st.integers(1, 3)))]
+
+
+SYSTEMS = {
+    "random": random_systems,
+    "x1-line": systems_on_x1_line,
+    "point-001": systems_at_001,
+    "whole-line": systems_on_a_line,
+}
+
+
+class TestScanKernel:
+    """The plain-integer scan of P^2(F_q) against MultiPoly.evaluate."""
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    @pytest.mark.parametrize("q", [5, 7, 11])
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_scan(self, q, kind, data):
+        field = PrimeField(q)
+        polys = data.draw(SYSTEMS[kind](field))
+        assume(any(not p.is_zero for p in polys))
+        got = plane_solutions(polys, field)
+        assert got.complete and got.unresolved == 0
+        assert got.points == reference_solutions(polys, field)
+        if kind in ("x1-line", "point-001"):
+            assert all(not p.coords[0] for p in got.points)
+        if kind == "point-001":
+            assert len(got.points) <= 1
+        if kind == "whole-line":
+            assert len(got.points) >= q + 1
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_p2_reps_cover_the_plane(self, q):
+        # the enumeration both scans walk: each point of P^2(F_q) once, canonically scaled
+        field = PrimeField(q)
+        reps = list(p2_reps(q))
+        assert len(set(reps)) == len(reps) == q * q + q + 1
+        assert all(tuple(c.v for c in ProjPoint(field, r, "x").coords) == r for r in reps)
+        every = {ProjPoint(field, v, "x") for v in product(range(q), repeat=3) if any(v)}
+        assert every == {ProjPoint(field, r, "x") for r in reps}
+
+    def test_known_zeros_on_x1_line_and_at_001(self):
+        gf = PrimeField(7)
+        x1, x2, x3 = (_var(gf, v) for v in VARS_X)
+        on_x1 = plane_solutions([x1 * x1, x1 * x3 + (x2 - x3 * 3) * x2], gf).points
+        assert [p.coords for p in on_x1] == [ProjPoint(gf, c, "x").coords for c in ((0, 0, 1), (0, 3, 1))]
+        at_001 = plane_solutions([x1, x2 * x2, x1 * x3 + x2 * x2], gf).points
+        assert [p.coords for p in at_001] == [ProjPoint(gf, (0, 0, 1), "x").coords]
 
 
 class TestIsNode:
@@ -170,10 +277,7 @@ class TestRankStratification:
                 p.coords
                 for p in singular_points(PlaneCurve(der.sextic), gf).points
             }
-            reps = [(1, b, c) for b in range(q) for c in range(q)]
-            reps += [(0, 1, c) for c in range(q)]
-            reps.append((0, 0, 1))
-            for coords in reps:
+            for coords in p2_reps(q):
                 pt = ProjPoint(gf, coords, "x")
                 _, rank, _, _ = gram_rank_kernel(rep, pt)
                 on_curve = not der.sextic.evaluate(pt.coords)

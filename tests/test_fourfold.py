@@ -9,7 +9,6 @@ from detfold.fourfold import (
     base_locus,
     brute_force_oracle,
     couples_and_intersections,
-    fiber_analysis,
     oracle_matches_assembly,
     singular_locus_X,
     split_rank2_fiber,
@@ -19,32 +18,6 @@ from detfold.points import ProjPoint
 
 def _p(s, f=QQ):
     return parse_poly(s, VARS_X, f)
-
-
-class TestFiberAnalysis:
-    def test_cone_fiber(self):
-        ex = build_example("ex42ii")
-        rpt = fiber_analysis(ex.rep, ProjPoint(QQ, (1, -2, 1), "x"))
-        assert rpt.rank == 3 and rpt.kind == "cone"
-        assert rpt.singular_locus[0] == ProjPoint(QQ, (1, -2, 1, 0, 0, 0), "p5")
-        assert rpt.vertex_in_p is False
-        assert rpt.conic_rank == 3
-
-    def test_plane_pair_fiber(self):
-        ex = build_example("prop44")
-        rpt = fiber_analysis(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))
-        assert rpt.rank == 2 and rpt.kind == "plane-pair"
-        pts = {p.coords for p in rpt.singular_locus}
-        assert pts == {
-            ProjPoint(QQ, (0, 0, 0, 1, 0, 0), "p5").coords,
-            ProjPoint(QQ, (0, 0, 0, 0, 1, 0), "p5").coords,
-        }
-        assert rpt.line_in_p is True
-
-    def test_smooth_fiber(self):
-        ex = build_example("prop44")
-        rpt = fiber_analysis(ex.rep, ProjPoint(QQ, (1, 1, 1), "x"))
-        assert rpt.rank == 4 and rpt.singular_locus == ()
 
 
 class TestSplit:

@@ -155,7 +155,7 @@ class TestCli:
             raise AssertionError(f"P^2(F_{q}) scanned over budget")
 
         run_cli("example", "prop44", "--emit", str(tmp_path / "p.rep"))
-        monkeypatch.setattr(curves, "p2_reps", no_scan)
+        monkeypatch.setattr(curves, "p2_lines", no_scan)
         rc, out = run_cli("analyze", str(tmp_path / "p.rep"), "--field", "fp:1009")
         assert rc == 3 and "scan budget exceeded" in out
 
