@@ -117,12 +117,8 @@ def _cmd_spin(args, out) -> int:
         f"all_components_rational = {'true' if preds.all_components_rational else 'false'}",
         f"realizes_max_candidate = {'true' if preds.realizes_max_candidate else 'false'}",
     ]
-    total = sum(d for d, _ in config)
-    if total == 6:
-        g10 = theta_counts(10)
-        lines.append(f"theta_total = {g10[0]}")
-        lines.append(f"theta_even = {g10[1]}")
-        lines.append(f"theta_odd = {g10[2]}")
+    total, even, odd = theta_counts(10)
+    lines += [f"theta_total = {total}", f"theta_even = {even}", f"theta_odd = {odd}"]
     if args.k is not None:
         if args.k < 0:
             raise InputError(f"--k must be a nonnegative subset size, got {args.k}")

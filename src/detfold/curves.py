@@ -15,9 +15,6 @@ from .detrep import DerivedEquations, SymDetRep, derived_equations, gram_rank_ke
 from .errors import ConsistencyError, InputError, Rejection
 from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
 
-_LOCAL_VARS = ("e1", "e2")
-
-
 @dataclass(frozen=True)
 class PlaneCurve:
     poly: MultiPoly
@@ -373,37 +370,30 @@ def _singular_points_factored(curve: PlaneCurve, field) -> PlaneSolutions:
     return PlaneSolutions(sorted_points(pts), complete, unresolved)
 
 
-def local_quadratic_form(h: MultiPoly, p: ProjPoint):
-    """(value, gradient-part, (A,B,C)) of h at p in the chart of its leading 1."""
-    field = h.field
-    k = next(i for i, c in enumerate(p.coords) if c)
-    others = [i for i in range(3) if i != k]
-    e1 = MultiPoly.variable(field, _LOCAL_VARS, "e1")
-    e2 = MultiPoly.variable(field, _LOCAL_VARS, "e2")
-    target = MultiPoly.zero(field, _LOCAL_VARS)
-    mapping = {VARS_X[k]: field.one()}
-    mapping[VARS_X[others[0]]] = MultiPoly.constant(field, _LOCAL_VARS, p.coords[others[0]]) + e1
-    mapping[VARS_X[others[1]]] = MultiPoly.constant(field, _LOCAL_VARS, p.coords[others[1]]) + e2
-    local = h.substitute(mapping, target=target)
-    val = local.terms.get((0, 0), field.zero())
-    lin = [local.terms.get((1, 0), field.zero()), local.terms.get((0, 1), field.zero())]
-    quad = (
-        local.terms.get((2, 0), field.zero()),
-        local.terms.get((1, 1), field.zero()),
-        local.terms.get((0, 2), field.zero()),
-    )
-    return val, lin, quad
+def node_partials(h: MultiPoly) -> tuple:
+    """The gradient of h and its Hessian entries h_ij (i <= j), keyed by (i, j),
+    derived once for node tests at many points."""
+    grad = [h.diff(v) for v in VARS_X]
+    hess = {(i, j): grad[i].diff(VARS_X[j]) for i in range(3) for j in range(i, 3)}
+    return grad, hess
 
 
-def is_node(curve: PlaneCurve | MultiPoly, p: ProjPoint) -> bool:
-    """True iff the curve has an ordinary double point (node) at p."""
+def is_node(curve: PlaneCurve | MultiPoly, p: ProjPoint, partials=None) -> bool:
+    """True iff the curve has an ordinary double point (node) at p.
+
+    In the chart where p's leading coordinate x_k is 1, the quadratic part of
+    h at p is half the Hessian block on the two other coordinates i, j, so p
+    is a node exactly when h_ij^2 - h_ii h_jj != 0 there (char != 2).
+    `partials` is `node_partials(h)` when the caller tests many points.
+    """
     h = curve.poly if isinstance(curve, PlaneCurve) else curve
-    val, lin, quad = local_quadratic_form(h, p)
-    if val or any(lin):
+    grad, hess = partials or node_partials(h)
+    if h.evaluate(p.coords) or any(g.evaluate(p.coords) for g in grad):
         raise Rejection(f"point {p} is not a singular point of the curve")
-    a, b, c = quad
-    disc = b * b - a * c * h.field.from_int(4)
-    return bool(disc)
+    k = next(i for i, c in enumerate(p.coords) if c)
+    i, j = (m for m in range(3) if m != k)
+    hii, hij, hjj = (hess[key].evaluate(p.coords) for key in ((i, i), (i, j), (j, j)))
+    return bool(hij * hij - hii * hjj)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +454,9 @@ def classify_singularities(
     scan = singular_points(curve, field)
 
     records = []
+    partials = node_partials(sextic)
     for p in scan.points:
-        if not is_node(sextic, p):
+        if not is_node(sextic, p, partials):
             raise Rejection(f"singular point {p} is not a node; the sextic is not nodal")
         gram, rank, _det, kernel = gram_rank_kernel(rep, p)
         if rank == 4:

@@ -6,9 +6,10 @@ planes, and an exhaustive finite-field oracle for independent verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import product
 
-from .algebra import MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, matrix_rank, nullspace
+from .algebra import MultiPoly, PrimeField, QuadExt, QuadExtElt, VARS_X, VARS_XU, matrix_rank, nullspace
 from .curves import AnalysisContext, SingClassification, analysis_context, bivar_gcd, plane_solutions
 from .detrep import (
     SymDetRep,
@@ -37,6 +38,18 @@ class Plane:
 
     def basis(self) -> list:
         return nullspace([list(f) for f in self.forms], 6, self.field)
+
+    @cached_property
+    def u_line(self) -> list:
+        """The u-part of the third form, scaled to lead with 1: inside P the
+        plane is the line u_line . u = 0.  Its entries lie in the base field
+        whenever they can (as for a double line split over an extension)."""
+        line = self.forms[2][3:]
+        lead = next(c for c in line if c)
+        line = [c / lead for c in line]
+        if isinstance(self.field, QuadExt) and not any(c.b for c in line):
+            line = [c.a for c in line]
+        return line
 
 
 @dataclass(frozen=True)
@@ -141,7 +154,7 @@ def _plane_from_fiber_form(p: ProjPoint, lin4, fld) -> Plane:
 def _verify_pair(pair: PlanePair, F: MultiPoly) -> None:
     fld = pair.field
     for plane in pair.planes:
-        if _is_plane_p(plane, fld) and not pair.degenerate:
+        if _is_plane_p(plane) and not pair.degenerate:
             raise ConsistencyError(f"fiber plane over {pair.point} coincides with the plane P")
         basis = plane.basis()
         if len(basis) != 3:
@@ -153,12 +166,10 @@ def _verify_pair(pair: PlanePair, F: MultiPoly) -> None:
         raise ConsistencyError("planes of a couple must meet along a line")
 
 
-def _is_plane_p(plane: Plane, fld) -> bool:
-    # P = {x1=x2=x3=0}: its forms span exactly the first three coordinates
-    rows = [list(f) for f in plane.forms] + [
-        [fld.one() if i == k else fld.zero() for i in range(6)] for k in range(3)
-    ]
-    return matrix_rank(rows, fld) == 3
+def _is_plane_p(plane: Plane) -> bool:
+    # the two forms from p3_forms have no u-part, so the plane is
+    # P = {x1=x2=x3=0} exactly when the third form has none either
+    return not any(plane.forms[2][3:])
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +284,7 @@ def singular_locus_X(ctx: AnalysisContext) -> SingularLocusX:
     ]
     F = ctx.derived.fourfold
     grads = {v: F.diff(v) for v in VARS_XU}
+    hessian = [grads[v].diff(w) for n, v in enumerate(VARS_XU) for w in VARS_XU[n:]]
     all_double = True
     for pt in vertices + embedded_b:
         if F.evaluate(pt.coords):
@@ -280,7 +292,11 @@ def singular_locus_X(ctx: AnalysisContext) -> SingularLocusX:
         for v, g in grads.items():
             if g.evaluate(pt.coords):
                 raise ConsistencyError(f"assembled point {pt} is not singular (dF/d{v} != 0)")
-        if not _has_nonzero_quadratic_part(F, pt, field):
+        # the quadratic part of F in the chart of pt's leading coordinate x_k
+        # is half the Hessian block off row and column k; Euler's relation
+        # H(pt) pt = 2 grad F(pt) = 0 makes that block zero exactly when the
+        # whole Hessian is (char != 2)
+        if not any(h.evaluate(pt.coords) for h in hessian):
             all_double = False
     n_sc = len(classification.s_c)
     n_sing = len(vertices) + len(embedded_b)
@@ -299,24 +315,6 @@ def singular_locus_X(ctx: AnalysisContext) -> SingularLocusX:
         base_complete=b_complete,
         classification=classification,
     )
-
-
-def _has_nonzero_quadratic_part(F: MultiPoly, pt: ProjPoint, field) -> bool:
-    k = next(i for i, c in enumerate(pt.coords) if c)
-    evars = tuple(f"e{i}" for i in range(1, 6))
-    target = MultiPoly.zero(field, evars)
-    mapping = {}
-    t = 0
-    for i, xv in enumerate(VARS_XU):
-        if i == k:
-            mapping[xv] = field.one()
-        else:
-            mapping[xv] = MultiPoly.constant(field, evars, pt.coords[i]) + MultiPoly.variable(
-                field, evars, evars[t]
-            )
-            t += 1
-    local = F.substitute(mapping, target=target)
-    return any(sum(e) == 2 and c for e, c in local.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +473,7 @@ def couples_and_intersections(ctx: AnalysisContext) -> CouplesReport:
         for j in range(i + 1, len(pairs)):
             if pairs[j].degenerate:
                 continue
-            ok, extracted = _cross_check(ctx.rep, pairs[i], pairs[j], ctx.field)
+            ok, extracted = _cross_check(pairs[i], pairs[j])
             if not ok:
                 cross_ok = False
             for key, pt in extracted.items():
@@ -497,44 +495,42 @@ def couples_and_intersections(ctx: AnalysisContext) -> CouplesReport:
     )
 
 
-def _cross_check(rep: SymDetRep, pa: PlanePair, pb: PlanePair, field):
+def _cross_check(pa: PlanePair, pb: PlanePair):
     """Planes from distinct couples must meet in exactly one point.
 
-    Both cross planes sit inside spans of P with distinct base points, which
-    intersect exactly in P; so the meets are controlled by the restricted
-    conics u^T G(p) u, and zero-dimensionality is exactly 'no shared linear
-    factor' of those two conics.  When both couples are base-field split the
-    points themselves are extracted by linear algebra.
+    The x-forms of a plane over p cut out span(P, p), and the spans over two
+    distinct points meet exactly in P.  Inside P a plane is the line
+    l . u = 0 of its `u_line` l, so two cross planes meet in the single point
+    (0:0:0 : la x lb) exactly when that cross product is nonzero.  The
+    points are recorded when both couples split over one field.
     """
-    conic_a = _restricted_conic(rep, pa.point)
-    conic_b = _restricted_conic(rep, pb.point)
-    g = _conic_common_factor(conic_a, conic_b, field)
-    ok = g.degree() == 0
+    ok = True
     extracted = {}
-    if pa.field == pb.field:
-        for ia, plane_a in enumerate(pa.planes):
-            for ib, plane_b in enumerate(pb.planes):
-                rows = [list(f) for f in plane_a.forms] + [list(f) for f in plane_b.forms]
-                ns = nullspace(rows, 6, pa.field)
-                if len(ns) != 1:
-                    ok = False
-                    continue
-                extracted[(ia, ib)] = ProjPoint(pa.field, ns[0], "p5")
+    for ia, plane_a in enumerate(pa.planes):
+        for ib, plane_b in enumerate(pb.planes):
+            lines = _common_field(plane_a.u_line, plane_b.u_line)
+            if lines is None:
+                continue  # irrational lines over different fields never coincide
+            (a1, a2, a3), (b1, b2, b3) = lines
+            meet = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+            if not any(meet):
+                ok = False
+            elif pa.field == pb.field:
+                zero = pa.field.zero()
+                extracted[(ia, ib)] = ProjPoint(pa.field, (zero, zero, zero) + meet, "p5")
     return ok, extracted
 
 
-def _restricted_conic(rep: SymDetRep, p: ProjPoint) -> MultiPoly:
-    field = rep.field
-    uvars = ("u1", "u2", "u3")
-    terms: dict = {}
-    for i in range(3):
-        for j in range(3):
-            v = rep.entry(i, j).evaluate(p.coords)
-            if not v:
-                continue
-            e = [0, 0, 0]
-            e[i] += 1
-            e[j] += 1
-            key = tuple(e)
-            terms[key] = terms.get(key, field.zero()) + v
-    return MultiPoly(field, uvars, {e: c for e, c in terms.items() if c})
+def _common_field(la: list, lb: list):
+    """Two u-lines over one field, or None when they lie in quadratic
+    extensions of Q that are not one field.  A base-field line needs no
+    map: extension arithmetic takes base scalars as they are.  Q(sqrt db)
+    maps into Q(sqrt da) by sqrt db = r sqrt da whenever r = sqrt(db/da)
+    exists; over F_q it always does."""
+    fa, fb = (line[0].field if isinstance(line[0], QuadExtElt) else None for line in (la, lb))
+    if fa is None or fb is None or fa == fb:
+        return la, lb
+    r = fa.base.sqrt(fb.d / fa.d)
+    if r is None:
+        return None
+    return la, [QuadExtElt(c.a, c.b * r, fa) for c in lb]

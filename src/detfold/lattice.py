@@ -13,13 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import QQ, int_det_bareiss, matrix_rank
-from .errors import Rejection
+from .errors import InputError, Rejection
 
 # pairwise products underlying the Gram pattern
 PLANE_SELF = 3  # P.P and P_{i,j}.P_{i,j}
 PLANE_VS_P = -1  # P_{i,j}.P
 WITHIN_COUPLE = -1  # P_{i,1}.P_{i,2}
 ACROSS_COUPLES = 1  # P_{i,k}.P_{j,h}, i != j
+
+# couples lie over nodes of a reduced nodal plane sextic, which has at most 15
+MAX_COUPLES = 15
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,8 @@ def ns2_gram(m: int) -> Ns2Report:
     """Intersection matrix for m couples of planes plus the plane P."""
     if m < 1:
         raise Rejection("need at least one couple of planes")
+    if m > MAX_COUPLES:
+        raise InputError(f"{m} couples: a nodal plane sextic has at most {MAX_COUPLES} nodes")
     n = m + 2
     gram = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import Rejection
+from .errors import InputError, Rejection
 
 Config = list[tuple[int, int]]
 
@@ -50,32 +50,31 @@ def geometric_genus(d: int, nodes: int) -> int:
     return g
 
 
-def build_dual_graph(config: Config, general_position: bool = True) -> DualGraph:
-    """Dual graph of a nodal configuration; cross multiplicities are Bezout
-    numbers when general_position is set.  Genus bookkeeping
+def build_dual_graph(config: Config) -> DualGraph:
+    """Dual graph of a nodal plane sextic in general position: cross
+    multiplicities are Bezout numbers.  Genus bookkeeping
     sum(geometric genera) + total nodes - (components - 1) must give the
-    arithmetic genus of the full curve (10 for a sextic)."""
+    arithmetic genus 10 of a sextic; other total degrees raise InputError
+    before any work, since subset searches grow as C(nodes, k)."""
     if not config:
         raise Rejection("empty configuration")
+    total_degree = sum(d for d, _ in config)
+    if total_degree != 6:
+        raise InputError(f"configuration has total degree {total_degree}; only plane sextics are supported")
     for d, n in config:
         geometric_genus(d, n)  # validates the node count
     cross = []
-    if general_position:
-        for i in range(len(config)):
-            for j in range(i + 1, len(config)):
-                cross.append(((i, j), config[i][0] * config[j][0]))
+    for i in range(len(config)):
+        for j in range(i + 1, len(config)):
+            cross.append(((i, j), config[i][0] * config[j][0]))
     g = DualGraph(
         vertices=tuple(config),
         cross_edges=tuple(cross),
         loops=tuple(n for _, n in config),
     )
-    total_degree = sum(d for d, _ in config)
-    if total_degree == 6:
-        pa = sum(geometric_genus(d, n) for d, n in config) + g.total_edges() - (len(config) - 1)
-        if pa != 10:
-            raise Rejection(
-                f"genus bookkeeping failed: expected arithmetic genus 10, got {pa}"
-            )
+    pa = sum(geometric_genus(d, n) for d, n in config) + g.total_edges() - (len(config) - 1)
+    if pa != 10:
+        raise Rejection(f"genus bookkeeping failed: expected arithmetic genus 10, got {pa}")
     return g
 
 
@@ -301,8 +300,6 @@ _KIND_DEGREES = {
 
 
 def parse_config(text: str) -> Config:
-    from .errors import InputError
-
     out: Config = []
     for chunk in text.split(","):
         chunk = chunk.strip()

@@ -199,6 +199,16 @@ class TestIsNode:
     def test_two_lines(self):
         assert is_node(_p("x1*x2"), ProjPoint(QQ, (0, 0, 1), "x"))
 
+    def test_other_charts(self):
+        # the Hessian block is taken on the two coordinates other than the
+        # point's leading one
+        assert is_node(_p("x1*x2*x3 + x2^3 + x3^3"), ProjPoint(QQ, (1, 0, 0), "x"))
+        assert not is_node(_p("x2^2*x1 - x3^3"), ProjPoint(QQ, (1, 0, 0), "x"))
+        assert is_node(_p("x1^2*x2 - x3^2*x2 + x1^3"), ProjPoint(QQ, (0, 1, 0), "x"))
+        # (x1 + x2)^2 + x1^3 is a cusp: h12^2 = h11*h22 with h12 != 0
+        assert not is_node(_p("x1^2*x3 + 2*x1*x2*x3 + x2^2*x3 + x1^3"), ProjPoint(QQ, (0, 0, 1), "x"))
+        assert is_node(_p("x1^2*x3 - x2^2*x3 + x1^3"), ProjPoint(QQ, (0, 0, 1), "x"))
+
     def test_smooth_point_raises(self):
         with pytest.raises(Rejection, match="not a singular point"):
             is_node(_p("x1*x2"), ProjPoint(QQ, (1, 1, 1), "x"))

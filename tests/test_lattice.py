@@ -1,6 +1,6 @@
 import pytest
 
-from detfold.errors import Rejection
+from detfold.errors import InputError, Rejection
 from detfold.lattice import ns2_gram
 
 
@@ -52,3 +52,9 @@ def test_pattern():
 def test_m_below_one_rejected():
     with pytest.raises(Rejection):
         ns2_gram(0)
+
+
+def test_m_above_fifteen_rejected():
+    assert ns2_gram(15).rank == 17
+    with pytest.raises(InputError, match="at most 15"):
+        ns2_gram(16)

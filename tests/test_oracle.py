@@ -3,7 +3,8 @@
 `reference_scan` tests every canonical representative of P^5(F_q) against F
 and its six partials, stratum by stratum in the x-part, without solving
 anything.  `brute_force_oracle` solves the u-partials per stratum instead;
-the two must return the same points.
+the two must return the same points.  On random reps the oracle must also
+agree with the singular locus assembled from the structure theory.
 """
 
 from dataclasses import replace
@@ -17,7 +18,7 @@ from detfold.algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
 from detfold.detrep import derived_equations, reduce_rep, validate_rep
 from detfold.errors import ConsistencyError, Rejection
 from detfold.examples import EXAMPLE_NAMES, build_example
-from detfold.fourfold import brute_force_oracle
+from detfold.fourfold import brute_force_oracle, oracle_matches_assembly
 from detfold.points import ProjPoint, p2_reps, sorted_points
 
 
@@ -132,3 +133,19 @@ def random_reps(draw, field):
 def test_random_reps_match_reference(q, data):
     rep = data.draw(random_reps(PrimeField(q)))
     assert brute_force_oracle(rep, q) == reference_scan(rep, q)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_random_reps_oracle_matches_assembly(q, data):
+    # the paper's description of Sing(X) (a cone vertex over each point of
+    # s_c, plus the base points of the net) against the exhaustive oracle.
+    # analyze rejects a rep exactly when the assembly does: the stages after
+    # it (couples, lattice) raise no Rejection
+    rep = data.draw(random_reps(PrimeField(q)))
+    try:
+        ok, oracle, assembled = oracle_matches_assembly(rep, q)
+    except Rejection:
+        assume(False)
+    assert ok, (oracle, assembled)

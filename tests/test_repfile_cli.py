@@ -159,6 +159,26 @@ class TestCli:
         rc, out = run_cli("analyze", str(tmp_path / "p.rep"), "--field", "fp:1009")
         assert rc == 3 and "scan budget exceeded" in out
 
+    def test_spin_degree_limit_exit_code(self, monkeypatch):
+        import detfold.spin as spin
+
+        def no_walk(*args):
+            raise AssertionError("node subsets walked for a non-sextic")
+
+        monkeypatch.setattr(spin, "combinations", no_walk)
+        rc, out = run_cli("spin", "--config", "lines=20", "--k", "3")
+        assert rc == 3 and "total degree 20" in out
+
+    def test_lattice_couples_limit_exit_code(self, monkeypatch):
+        import detfold.lattice as lattice
+
+        def no_det(gram):
+            raise AssertionError(f"{len(gram)}x{len(gram)} determinant taken over the limit")
+
+        monkeypatch.setattr(lattice, "int_det_bareiss", no_det)
+        rc, out = run_cli("lattice", "--couples", "16")
+        assert rc == 3 and "at most 15" in out
+
     def test_cli_import_leaves_numpy_out(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = "import sys, detfold.cli; print('numpy' in sys.modules)"

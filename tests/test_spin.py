@@ -73,6 +73,12 @@ class TestDualGraph:
         with pytest.raises(Rejection):
             build_dual_graph([(3, 2), (3, 0)])  # cubic cannot have 2 nodes
 
+    def test_non_sextic_rejected(self):
+        with pytest.raises(InputError, match="total degree 5"):
+            build_dual_graph([(1, 0)] * 5)
+        with pytest.raises(InputError, match="total degree 20"):
+            build_dual_graph([(1, 0)] * 20)
+
     def test_genus_bookkeeping_identity(self):
         # for general-position sextic configurations the bookkeeping gives 10
         from detfold.spin import geometric_genus
