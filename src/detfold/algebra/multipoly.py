@@ -7,9 +7,12 @@ so output is deterministic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from ..errors import DegenerateResultant, InputError
+from ..errors import ConsistencyError, DegenerateResultant, InputError
+from .fields import QQ, PrimeField
+from .linalg import int_det_bareiss
 
 VARS_X = ("x1", "x2", "x3")
 VARS_XU = ("x1", "x2", "x3", "u1", "u2", "u3")
@@ -303,57 +306,95 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of f and g with respect to var.
 
     The result is a polynomial free of var; it vanishes identically iff f and
-    g share a factor involving var.  Computed fraction-free (Bareiss), so all
-    intermediate divisions are exact.
+    g share a factor involving var.  Computed in plain integers by evaluation
+    and interpolation (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 6): over Q the denominators are cleared first, over F_q the residues
+    are lifted and the result is reduced mod q at the end.  The variables
+    other than var are packed into one, t, by Kronecker substitution with
+    base D+1, D = deg f * deg g, which bounds every exponent of the
+    resultant.  The Sylvester determinant at the formal degrees is taken at
+    t = 0..N, N the t-degree bound, and the Newton form, scaled by N!, is
+    expanded and divided by N! exactly.
     """
     if f.is_zero or g.is_zero:
         raise InputError("resultant of the zero polynomial")
     m, n = f.degree_in(var), g.degree_in(var)
     if m <= 0 or n <= 0:
         raise DegenerateResultant(f"input free of {var}: degrees ({m}, {n})")
-    fc = f.coeffs_in(var)
-    gc = g.coeffs_in(var)
-    size = m + n
-    zero = MultiPoly.zero(f.field, f.vars)
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(fc)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(gc)):
-            row[i + k] = c
-        rows.append(row)
-    return _bareiss_det(rows)
+    f._check(g)
+    field, vars = f.field, f.vars
+    if field == QQ:
+        (fi, sf), (gi, sg) = _cleared(f), _cleared(g)
+        scale = sf**n * sg**m
+    elif isinstance(field, PrimeField):
+        fi, gi = ({e: c.v for e, c in p.terms.items()} for p in (f, g))
+    else:
+        raise InputError(f"resultant needs coefficients in Q or F_q, not {field!r}")
+    iv = vars.index(var)
+    others = [j for j in range(len(vars)) if j != iv and any(e[j] for e in (*fi, *gi))]
+    base = f.degree() * g.degree() + 1
+    top = (base - 1) * base ** (len(others) - 1) if others else 0
+    weights = [(j, base**k) for k, j in enumerate(others)]
+    fc, gc = (_kronecker(p, d, iv, weights, top) for p, d in ((fi, m), (gi, n)))
+    values = []
+    for t in range(top + 1):
+        fv, gv = ([_horner(c, t) for c in reversed(cs)] for cs in (fc, gc))
+        rows = [[0] * i + fv + [0] * (n - 1 - i) for i in range(n)]
+        rows += [[0] * i + gv + [0] * (m - 1 - i) for i in range(m)]
+        values.append(int_det_bareiss(rows))
+    coeffs = _interpolate(values)
+    terms = {}
+    for texp, c in enumerate(coeffs):
+        if c:
+            e = [0] * len(vars)
+            for j in others:
+                texp, e[j] = divmod(texp, base)
+            terms[tuple(e)] = Fraction(c, scale) if field == QQ else field.from_int(c)
+    return MultiPoly(field, vars, terms)
 
 
-def _bareiss_det(mat: list) -> MultiPoly:
-    """Fraction-free determinant over a polynomial ring."""
-    n = len(mat)
-    if n == 0:
-        raise InputError("empty matrix")
-    field, vars = mat[0][0].field, mat[0][0].vars
-    one = MultiPoly.constant(field, vars, 1)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if pivot_row is None:
-                return MultiPoly.zero(field, vars)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q = num.try_divide(prev)
-                if q is None:
-                    raise InputError("fraction-free elimination failed (non-exact division)")
-                m[i][j] = q
-            m[i][k] = MultiPoly.zero(field, vars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+def _cleared(p: MultiPoly) -> tuple[dict, int]:
+    """Integer terms of den * p, and den, the lcm of p's denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {e: int(c * den) for e, c in p.terms.items()}, den
+
+
+def _kronecker(terms: dict, d: int, iv: int, weights: list, top: int) -> list:
+    """Dense t-coefficient lists of the coefficients of var^0..var^d."""
+    out = [[0] * (top + 1) for _ in range(d + 1)]
+    for e, c in terms.items():
+        out[e[iv]][sum(e[j] * w for j, w in weights)] += c
+    return out
+
+
+def _horner(coeffs: list, t: int) -> int:
+    v = 0
+    for c in reversed(coeffs):
+        v = v * t + c
+    return v
+
+
+def _interpolate(values: list) -> list:
+    """Integer coefficients, ascending, of the polynomial of degree < len(values)
+    taking values[t] at t = 0, 1, ...: forward differences give the Newton form,
+    scaled by N! to stay integral, then one exact division by N!."""
+    top = len(values) - 1
+    diffs = list(values)
+    for k in range(1, top + 1):
+        for j in range(top, k - 1, -1):
+            diffs[j] -= diffs[j - 1]
+    fact = math.factorial(top)
+    poly: list = []
+    for k in range(top, -1, -1):
+        # poly <- poly * (t - k) + diffs[k] * N!/k!
+        poly = [0] + poly
+        for j in range(len(poly) - 1):
+            poly[j] -= k * poly[j + 1]
+        poly[0] += diffs[k] * (fact // math.factorial(k))
+    out = []
+    for c in poly:
+        q, r = divmod(c, fact)
+        if r:
+            raise ConsistencyError("resultant interpolation left a remainder")
+        out.append(q)
+    return out

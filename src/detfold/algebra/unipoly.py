@@ -2,8 +2,7 @@
 
 Polynomials are lists of coefficients in ascending degree with no trailing
 zeros.  Includes gcd / squarefree machinery and complete rational-root
-extraction (trial division plus Pollard rho for the endpoint coefficients,
-with an explicit incompleteness flag if factoring ever gives up).
+extraction by p-adic lifting.
 """
 
 from __future__ import annotations
@@ -23,29 +22,6 @@ def trim(p: list) -> list:
 
 def deg(p: list) -> int:
     return len(p) - 1
-
-
-def add(p: list, q: list, field) -> list:
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else field.zero()
-        b = q[i] if i < len(q) else field.zero()
-        out.append(a + b)
-    return trim(out)
-
-
-def mul(p: list, q: list, field) -> list:
-    if not p or not q:
-        return []
-    out = [field.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return trim(out)
 
 
 def divmod_poly(p: list, d: list, field) -> tuple[list, list]:
@@ -109,172 +85,96 @@ def is_squarefree(p: list, field) -> bool:
     return deg(g) <= 0
 
 
-def eval_poly(p: list, x, field):
-    total = field.zero()
-    for c in reversed(p):
-        total = total * x + c
-    return total
-
-
 # ---------------------------------------------------------------------------
-# Integer factoring support for rational roots
+# Rational roots by p-adic lifting (Loos 1983)
 # ---------------------------------------------------------------------------
 
-_TRIAL_BOUND = 100_000
-_RHO_BUDGET = 200_000
 
-
-def _pollard_rho(n: int, rng_c: int = 1) -> int | None:
-    if n % 2 == 0:
-        return 2
-    x, y, d = 2, 2, 1
-    c = rng_c
-    count = 0
-    while d == 1:
-        x = (x * x + c) % n
-        y = (y * y + c) % n
-        y = (y * y + c) % n
-        d = math.gcd(abs(x - y), n)
-        count += 1
-        if count > _RHO_BUDGET:
-            return None
-    return d if d != n else None
-
-
-def factorize(n: int) -> dict[int, int] | None:
-    """Prime factorization of n > 0, or None when the budget runs out."""
-    if n <= 0:
-        raise InputError("factorize expects a positive integer")
-    factors: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 7
-    while d * d <= n and d <= _TRIAL_BOUND:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        root = math.isqrt(m)
-        if root * root == m:
-            stack.extend([root, root])
-            continue
-        split = None
-        for c in (1, 2, 3, 5, 7):
-            split = _pollard_rho(m, c)
-            if split:
-                break
-        if split is None:
-            return None
-        stack.extend([split, m // split])
-    return factors
-
-
-def _divisors(factors: dict[int, int], cap: int = 200_000) -> list[int] | None:
-    divs = [1]
-    for p, e in factors.items():
-        cur = list(divs)
-        pk = 1
-        new = []
-        for _ in range(e):
-            pk *= p
-            new.extend(d * pk for d in cur)
-        divs.extend(new)
-        if len(divs) > cap:
-            return None
-    return sorted(divs)
-
-
-def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int, bool]:
+def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
     """Rational roots with multiplicities of a nonzero polynomial over Q.
 
-    Returns (roots, cofactor_degree, complete) where cofactor_degree is the
-    degree of the part with no rational roots.  complete is False only when
-    the endpoint coefficients could not be factored within budget, in which
-    case only roots of small height are reported.
+    Returns (roots, cofactor_degree), cofactor_degree being the degree of the
+    part with no rational roots; the roots are always all found.  Loos,
+    "Computing rational zeros of integral polynomials by p-adic expansion"
+    (SIAM J. Comput. 12, 1983): every rational root a/b of the squarefree part
+    s = s_d t^d + ... + s_0, in integers, has a | s_0 and b | s_d.  Take the
+    smallest odd prime p dividing neither s_0 nor s_d at which every root of s
+    mod p is simple (any p not dividing the discriminant will do), find those
+    roots by evaluation, Newton-lift each one until p^k > 2 |s_0| |s_d|,
+    reconstruct a/b with |a| <= |s_0| and 0 < b <= |s_d|, and count how often
+    b t - a divides the polynomial exactly.
     """
     p = trim([Fraction(c) for c in coeffs])
     if not p:
         raise InputError("rational_roots of the zero polynomial")
     roots: dict[Fraction, int] = {}
-    # strip powers of t (root zero)
     z = 0
-    while p and not p[0]:
+    while not p[0]:
         p.pop(0)
         z += 1
     if z:
         roots[Fraction(0)] = z
     if deg(p) <= 0:
-        return roots, 0, True
-    # clear denominators to a primitive integer polynomial
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-
-    a0, an = abs(ints[0]), abs(ints[-1])
-    f0, fn = factorize(a0), factorize(an)
-    complete = f0 is not None and fn is not None
-    if complete:
-        nums = _divisors(f0)
-        dens = _divisors(fn)
-        if nums is None or dens is None:
-            complete = False
-    if not complete:
-        nums = list(range(1, 1001))
-        dens = list(range(1, 101))
-
-    candidates = set()
-    for b in dens:
-        for a in nums:
-            if math.gcd(a, b) == 1:
-                candidates.add(Fraction(a, b))
-                candidates.add(Fraction(-a, b))
-
-    # cheap modular prune before exact evaluation
-    p1, p2 = 2_147_483_647, 998_244_353
-    ints1 = [c % p1 for c in ints]
-    ints2 = [c % p2 for c in ints]
-    survivors = []
-    for cand in candidates:
-        a, b = cand.numerator, cand.denominator
-        if a % p1 == 0 or b % p1 == 0 or a % p2 == 0 or b % p2 == 0:
-            survivors.append(cand)
-            continue
-        if _eval_mod(ints1, a, b, p1) == 0 and _eval_mod(ints2, a, b, p2) == 0:
-            survivors.append(cand)
-
-    work = p
-    for cand in sorted(survivors):
-        if deg(work) <= 0:
-            break
-        while deg(work) > 0 and not eval_poly(work, cand, QQ):
-            divisor = [-cand, Fraction(1)]
-            work, rem = divmod_poly(work, divisor, QQ)
-            if rem:
-                raise InputError("root division left a remainder")
+        return roots, 0
+    s = _integral(squarefree_part(p, QQ))
+    ds = [i * c for i, c in enumerate(s)][1:]
+    a_bound, b_bound = abs(s[0]), abs(s[-1])
+    prime = 3
+    while True:
+        if s[0] % prime and s[-1] % prime:
+            zeros = [r for r in range(prime) if not _horner_mod(s, r, prime)]
+            if all(_horner_mod(ds, r, prime) for r in zeros):
+                break
+        prime += 2
+        while not is_prime(prime):
+            prime += 2
+    work = _integral(p)
+    for r in zeros:
+        mod = prime
+        while mod <= 2 * a_bound * b_bound:
+            mod *= mod
+            r = (r - _horner_mod(s, r, mod) * pow(_horner_mod(ds, r, mod), -1, mod)) % mod
+        cand = _reconstruct(r, mod, a_bound, b_bound)
+        while cand is not None and (quo := _divide_linear(work, cand)) is not None:
+            work = quo
             roots[cand] = roots.get(cand, 0) + 1
-    return roots, deg(work), complete
+    return roots, deg(work)
 
 
-def _eval_mod(ints: list[int], a: int, b: int, p: int) -> int:
-    """f(a/b) * b^deg mod p via Horner on the homogenized form."""
-    total = 0
-    bp = 1
-    for c in reversed(ints):
-        total = (total * a + c * bp) % p
-        bp = bp * b % p
-    return total
+def _integral(p: list[Fraction]) -> list[int]:
+    den = math.lcm(*(c.denominator for c in p))
+    return [int(c * den) for c in p]
+
+
+def _horner_mod(s: list[int], x: int, mod: int) -> int:
+    v = 0
+    for c in reversed(s):
+        v = (v * x + c) % mod
+    return v
+
+
+def _reconstruct(r: int, mod: int, a_bound: int, b_bound: int) -> Fraction | None:
+    """The a/b with a = b*r mod mod, |a| <= a_bound and 0 < b <= b_bound, if any
+    (unique when mod > 2 a_bound b_bound): the extended Euclidean remainder
+    sequence of (mod, r), stopped at the first remainder <= a_bound (MCA 5.26)."""
+    r0, t0, r1, t1 = mod, 0, r, 1
+    while r1 > a_bound:
+        q = r0 // r1
+        r0, t0, r1, t1 = r1, t1, r0 - q * r1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    return Fraction(r1, t1) if 0 < t1 <= b_bound else None
+
+
+def _divide_linear(c: list[int], root: Fraction) -> list[int] | None:
+    """c / (b t - a) for root = a/b, in integers (Gauss's lemma), or None when
+    root is not a root of c."""
+    a, b = root.numerator, root.denominator
+    quo = [0] * (len(c) - 1)
+    carry = 0  # c_k + a q_k, which b must divide
+    for k in range(len(c) - 1, 0, -1):
+        quo[k - 1], rem = divmod(c[k] + carry, b)
+        if rem:
+            return None
+        carry = a * quo[k - 1]
+    return quo if c[0] + carry == 0 else None

@@ -51,8 +51,11 @@ def _proportional(a: MultiPoly, b: MultiPoly) -> bool:
 @dataclass
 class PlaneSolutions:
     points: list
-    complete: bool
-    unresolved: int  # total degree of eliminant factors without rational roots
+    unresolved: int = 0  # total degree of eliminant factors without rational roots
+
+    @property
+    def complete(self) -> bool:
+        return not self.unresolved
 
 
 def plane_solutions(polys: list[MultiPoly], field) -> PlaneSolutions:
@@ -60,7 +63,7 @@ def plane_solutions(polys: list[MultiPoly], field) -> PlaneSolutions:
 
     Over a prime field the scan is exhaustive and always complete.  Over the
     rationals, resultant elimination finds every rational solution; genuinely
-    irrational solutions are tallied in `unresolved` and flip `complete`.
+    irrational solutions are tallied in `unresolved`, which flips `complete`.
     A positive-dimensional solution set raises Rejection.
     """
     polys = [p for p in polys if not p.is_zero]
@@ -68,7 +71,7 @@ def plane_solutions(polys: list[MultiPoly], field) -> PlaneSolutions:
         raise Rejection("empty system: solution set is the whole plane")
     for p in polys:
         if p.degree() == 0:
-            return PlaneSolutions([], True, 0)
+            return PlaneSolutions([])
     if isinstance(field, PrimeField):
         return _plane_solutions_fq(polys, field)
     return _plane_solutions_qq(polys, field)
@@ -103,7 +106,7 @@ def _plane_solutions_fq(polys, field) -> PlaneSolutions:
                 break
         found += [(a, b, t) for t in alive]
     pts = [ProjPoint(field, tuple(field.from_int(c) for c in rep), "x") for rep in found]
-    return PlaneSolutions(sorted_points(pts), True, 0)
+    return PlaneSolutions(sorted_points(pts))
 
 
 def _to_unicoeffs(p: MultiPoly, var: str) -> list:
@@ -118,7 +121,6 @@ def _to_unicoeffs(p: MultiPoly, var: str) -> list:
 
 def _plane_solutions_qq(polys, field) -> PlaneSolutions:
     pts: set = set()
-    complete = True
     unresolved = 0
 
     # chart x3 = 1
@@ -129,7 +131,6 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
     if not any(p.degree() == 0 for p in aff):
         got = _affine_chart_solutions(aff, polys, field)
         pts.update(got.points)
-        complete = complete and got.complete
         unresolved += got.unresolved
 
     # line x3 = 0
@@ -147,21 +148,18 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
         for u in uni[1:]:
             g = unipoly.gcd_poly(g, u, field)
         if unipoly.deg(g) > 0:
-            roots, cof, comp = unipoly.rational_roots([Fraction(c) for c in g])
+            roots, cof = unipoly.rational_roots([Fraction(c) for c in g])
             unresolved += cof
-            complete = complete and comp and cof == 0
             for r in roots:
                 cand = (field.coerce(r), one, zero)
                 if all(not p.evaluate(cand) for p in polys):
                     pts.add(ProjPoint(field, cand, "x"))
-    return PlaneSolutions(sorted_points(pts), complete, unresolved)
+    return PlaneSolutions(sorted_points(pts), unresolved)
 
 
 def _affine_chart_solutions(aff, originals, field) -> PlaneSolutions:
     """Rational solutions of a bivariate system in the chart x3 = 1."""
     pts = []
-    complete = True
-    unresolved = 0
     with_x2 = [p for p in aff if p.involves("x2")]
     without = [p for p in aff if not p.involves("x2")]
 
@@ -189,11 +187,9 @@ def _affine_chart_solutions(aff, originals, field) -> PlaneSolutions:
     if unipoly.deg(g) < 0 or (unipoly.deg(g) == 0):
         if unipoly.deg(g) < 0:
             raise Rejection("elimination degenerated: identically zero eliminant")
-        return PlaneSolutions([], True, 0)
+        return PlaneSolutions([])
 
-    roots, cof, comp = unipoly.rational_roots([Fraction(c) for c in g])
-    unresolved += cof
-    complete = comp and cof == 0
+    roots, unresolved = unipoly.rational_roots([Fraction(c) for c in g])
     one = field.one()
     for a in sorted(roots):
         av = field.coerce(a)
@@ -213,14 +209,13 @@ def _affine_chart_solutions(aff, originals, field) -> PlaneSolutions:
             raise Rejection("solution set contains a vertical line (positive-dimensional)")
         if unipoly.deg(h) == 0:
             continue
-        broots, bcof, bcomp = unipoly.rational_roots([Fraction(c) for c in h])
+        broots, bcof = unipoly.rational_roots([Fraction(c) for c in h])
         unresolved += bcof
-        complete = complete and bcomp and bcof == 0
         for b in sorted(broots):
             cand = (av, field.coerce(b), one)
             if all(not p.evaluate(cand) for p in originals):
                 pts.append(ProjPoint(field, cand, "x"))
-    return PlaneSolutions(pts, complete, unresolved)
+    return PlaneSolutions(pts, unresolved)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +345,11 @@ def singular_points(curve: PlaneCurve, field) -> PlaneSolutions:
 def _singular_points_factored(curve: PlaneCurve, field) -> PlaneSolutions:
     comps = [c if c.field == field else c.map_field(field) for c in curve.components]
     pts: set = set()
-    complete = True
     unresolved = 0
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             sol = plane_solutions([comps[i], comps[j]], field)
             pts.update(sol.points)
-            complete = complete and sol.complete
             unresolved += sol.unresolved
         ci = comps[i]
         grads = [ci.diff(v) for v in VARS_X]
@@ -365,9 +358,8 @@ def _singular_points_factored(curve: PlaneCurve, field) -> PlaneSolutions:
                 continue  # smooth linear form, no internal singular points
         sol = plane_solutions([ci] + [g for g in grads], field)
         pts.update(sol.points)
-        complete = complete and sol.complete
         unresolved += sol.unresolved
-    return PlaneSolutions(sorted_points(pts), complete, unresolved)
+    return PlaneSolutions(sorted_points(pts), unresolved)
 
 
 def node_partials(h: MultiPoly) -> tuple:
@@ -498,13 +490,13 @@ def _certify_s_c(comps, dc, field) -> bool:
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             sol = plane_solutions([comps[i], comps[j]], field)
-            if (not sol.complete or sol.unresolved) and not (divides[i] or divides[j]):
+            if sol.unresolved and not (divides[i] or divides[j]):
                 return False
         grads = [comps[i].diff(v) for v in VARS_X]
         if all(g.is_zero or g.degree() == 0 for g in grads) and any(not g.is_zero for g in grads):
             continue
         sol = plane_solutions([comps[i]] + grads, field)
-        if (not sol.complete or sol.unresolved) and not divides[i]:
+        if sol.unresolved and not divides[i]:
             return False
     return True
 

@@ -438,8 +438,9 @@ def assembly_points_mod_q(rep: SymDetRep, q: int, components=None) -> list[ProjP
 
 
 def oracle_matches_assembly(rep: SymDetRep, q: int, components=None) -> tuple[bool, list, list]:
-    oracle = brute_force_oracle(rep, q)
+    # the assembly first: a rep it rejects raises before the oracle's scan
     assembled = assembly_points_mod_q(rep, q, components=components)
+    oracle = brute_force_oracle(rep, q)
     return (
         {p.coords for p in oracle} == {p.coords for p in assembled},
         oracle,

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import pytest
@@ -79,6 +80,43 @@ class TestSingularPoints:
                 assert reduced <= {p.coords for p in ff.points}
                 if factored.complete:
                     assert reduced == {p.coords for p in ff.points}
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(lines=st.lists(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=3, max_size=3), min_size=3, max_size=3))
+    def test_elimination_nodes_reduce_into_the_scan(self, lines):
+        # ex42ii members: six lines in general position, so 15 rational nodes
+        # (nonzero coefficients keep l4, l5, l6 off the coordinate points).
+        # Without its factorization the sextic goes through resultant
+        # elimination over Q; every node must be found, and its primitive
+        # integer representative, on which h and its partials vanish over Z,
+        # must reduce to a singular point of the exhaustive scan mod p
+        from detfold.detrep import derived_equations
+
+        params = {k: " + ".join(f"{c}*x{i + 1}" for i, c in enumerate(l)) for k, l in zip(("l4", "l5", "l6"), lines)}
+        try:
+            ex = build_example("ex42ii", params)
+        except Rejection:
+            assume(False)
+        h = derived_equations(ex.rep).sextic
+        scan = singular_points(PlaneCurve(h), QQ)
+        coeffs = [[ln.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for ln in ex.components]
+        nodes = {
+            ProjPoint(QQ, (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]), "x")
+            for i, a in enumerate(coeffs)
+            for b in coeffs[i + 1 :]
+        }
+        assert len(nodes) == 15 and set(scan.points) == nodes and scan.complete
+        for q in (7, 11, 13):
+            gf = PrimeField(q)
+            try:
+                ff = singular_points(PlaneCurve(h.map_field(gf)), gf)
+            except Rejection:
+                continue  # h mod q is not reduced
+            for node in nodes:
+                den = math.lcm(*(c.denominator for c in node.coords))
+                ints = [int(c * den) for c in node.coords]
+                g = math.gcd(*ints)
+                assert ProjPoint(gf, [c // g for c in ints], "x") in ff.points
 
 
 def reference_solutions(polys, field):

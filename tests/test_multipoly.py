@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from detfold.algebra import (
     QQ,
     MultiPoly,
     PrimeField,
+    QuadExt,
     VARS_X,
     VARS_XU,
     parse_poly,
@@ -126,6 +128,35 @@ class TestEvalDiff:
         assert bool(f.evaluate(p.coords)) == bool(f.evaluate((2, 2, 2)))
 
 
+def _reference_resultant(f, g, var):
+    """Sylvester determinant over the polynomial ring, fraction-free (Bareiss):
+    the reference for the evaluation/interpolation resultant."""
+    m, n = f.degree_in(var), g.degree_in(var)
+    zero = MultiPoly.zero(f.field, f.vars)
+    rows = []
+    for p, copies in ((f, n), (g, m)):
+        lead_first = list(reversed(p.coeffs_in(var)))
+        for i in range(copies):
+            rows.append([zero] * i + lead_first + [zero] * (copies - 1 - i))
+    size = m + n
+    sign, prev = 1, MultiPoly.constant(f.field, f.vars, 1)
+    for k in range(size - 1):
+        if rows[k][k].is_zero:
+            sel = next((i for i in range(k + 1, size) if not rows[i][k].is_zero), None)
+            if sel is None:
+                return zero
+            rows[k], rows[sel] = rows[sel], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                q = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]).try_divide(prev)
+                assert q is not None, "non-exact Bareiss division"
+                rows[i][j] = q
+            rows[i][k] = zero
+        prev = rows[k][k]
+    return -rows[-1][-1] if sign < 0 else rows[-1][-1]
+
+
 class TestResultant:
     def test_common_factor_gives_zero(self):
         f = parse_poly("x1^2 - x2^2", VARS_X, QQ)
@@ -177,6 +208,48 @@ class TestResultant:
             if not r.is_zero:
                 hits += 1
         assert hits > 0  # generic pairs are coprime
+
+    def test_field_without_integer_lift_rejected(self):
+        fld = QuadExt(QQ, 2)
+        f = MultiPoly(fld, VARS_X, {(1, 0, 0): fld.one(), (0, 1, 0): fld.root()})
+        with pytest.raises(InputError):
+            resultant(f, f, "x1")
+
+    @pytest.mark.parametrize("case", ["qq", "f13", "homogeneous", "lead_vanishes"])
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_equals_polynomial_ring_bareiss(self, case, data):
+        # qq: non-integer rational coefficients, bivariate as in an affine chart;
+        # f13: the same over F_13; homogeneous: trivariate forms, so two
+        # variables remain; lead_vanishes: the leading coefficient of f in x2
+        # is x1 - k for a node k of the interpolation, so the Sylvester matrix
+        # there keeps its formal size with a zero leading entry
+        field = PrimeField(13) if case == "f13" else QQ
+        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+        var = "x1" if case == "homogeneous" else "x2"
+        f = data.draw(_polys(field, coeffs, case == "homogeneous"))
+        g = data.draw(_polys(field, coeffs, case == "homogeneous"))
+        assume(f.involves(var) and g.involves(var))
+        if case == "lead_vanishes":
+            top = f.degree_in("x2") + 1
+            k = data.draw(st.integers(0, max(top + 1, f.degree()) * g.degree()))
+            lead = MultiPoly.variable(QQ, VARS_X, "x1") - MultiPoly.constant(QQ, VARS_X, k)
+            f = lead * MultiPoly.variable(QQ, VARS_X, "x2") ** top + f
+        assert resultant(f, g, var) == _reference_resultant(f, g, var)
+
+
+@st.composite
+def _polys(draw, field, coeffs, homogeneous):
+    """Up to five terms of degree at most 3 in (x1, x2), or of degree exactly
+    2 or 3 in (x1, x2, x3) when homogeneous."""
+    degree = draw(st.integers(2, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.integers(0, degree))
+        b = draw(st.integers(0, degree - a))
+        e = (a, b, degree - a - b) if homogeneous else (a, b, 0)
+        terms[e] = field.coerce(draw(coeffs))
+    return MultiPoly(field, VARS_X, terms)
 
 
 class TestMisc:

@@ -149,3 +149,14 @@ def test_random_reps_oracle_matches_assembly(q, data):
     except Rejection:
         assume(False)
     assert ok, (oracle, assembled)
+
+
+def test_assembly_rejection_raised_before_the_oracle(monkeypatch):
+    # ex42ii mod 5 has a singular point that is not a node; the assembly
+    # rejects it, so the oracle's scan must not be paid for
+    def oracle_not_expected(rep, q):
+        raise AssertionError("oracle ran before the assembly rejected")
+
+    monkeypatch.setattr(fourfold, "brute_force_oracle", oracle_not_expected)
+    with pytest.raises(Rejection, match="not a node"):
+        oracle_matches_assembly(build_example("ex42ii").rep, 5)

@@ -1,36 +1,37 @@
 import random
+import time
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from detfold.algebra import QQ
 from detfold.algebra.unipoly import (
     divmod_poly,
-    factorize,
     gcd_poly,
     is_squarefree,
     rational_roots,
     squarefree_part,
+    trim,
 )
 
 
 def test_rational_roots_examples():
-    roots, cof, complete = rational_roots([0, -1, 0, 1])  # t^3 - t
+    roots, cof = rational_roots([0, -1, 0, 1])  # t^3 - t
     assert roots == {Fraction(-1): 1, Fraction(0): 1, Fraction(1): 1}
-    assert cof == 0 and complete
+    assert cof == 0
 
-    roots, cof, complete = rational_roots([1, 0, 1])  # t^2 + 1
-    assert roots == {} and cof == 2 and complete
+    roots, cof = rational_roots([1, 0, 1])  # t^2 + 1
+    assert roots == {} and cof == 2
 
-    roots, cof, complete = rational_roots([1, 0, 0, 1])  # t^3 + 1
-    assert roots == {Fraction(-1): 1} and cof == 2 and complete
+    roots, cof = rational_roots([1, 0, 0, 1])  # t^3 + 1
+    assert roots == {Fraction(-1): 1} and cof == 2
 
 
 def test_rational_roots_multiplicity_and_fractions():
     # (2t - 1)^2 (t + 3) = 4t^3 + 8t^2 - 11t + 3
-    roots, cof, complete = rational_roots([Fraction(c) for c in (3, -11, 8, 4)])
+    roots, cof = rational_roots([Fraction(c) for c in (3, -11, 8, 4)])
     assert roots == {Fraction(1, 2): 2, Fraction(-3): 1}
-    assert cof == 0 and complete
+    assert cof == 0
 
 
 def test_rational_roots_random_planted():
@@ -44,19 +45,12 @@ def test_rational_roots_random_planted():
                 new[i + 1] += c
                 new[i] += c * (-r)
             poly = new
-        roots, cof, complete = rational_roots(poly)
-        assert complete and cof == 0
+        roots, cof = rational_roots(poly)
+        assert cof == 0
         expect: dict = {}
         for r in planted:
             expect[r] = expect.get(r, 0) + 1
         assert roots == expect
-
-
-def test_factorize():
-    assert factorize(12) == {2: 2, 3: 1}
-    assert factorize(97) == {97: 1}
-    big = 2147483647 * 65537
-    assert factorize(big) == {65537: 1, 2147483647: 1}
 
 
 def test_gcd_and_squarefree():
@@ -65,7 +59,7 @@ def test_gcd_and_squarefree():
     p = [Fraction(2), Fraction(-3), Fraction(0), Fraction(1)]
     assert not is_squarefree(p, f)
     sf = squarefree_part(p, f)
-    roots, cof, complete = rational_roots(sf)
+    roots, cof = rational_roots(sf)
     assert set(roots) == {Fraction(1), Fraction(-2)}
     assert all(m == 1 for m in roots.values())
 
@@ -84,7 +78,93 @@ def test_divmod_property():
         while not any(d):
             d = [Fraction(rng.randrange(-9, 10)) for _ in range(rng.randrange(1, 4))]
         q, r = divmod_poly(p, d, f)
-        from detfold.algebra.unipoly import add, mul, trim
-
-        assert trim(add(mul(q, d, f), r, f)) == trim(list(p))
+        assert _add(_mul(q, d), r) == trim(list(p))
         assert len(r) < len(trim(list(d))) or not r
+
+
+def _mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return trim(out)
+
+
+def _add(p, q):
+    n = max(len(p), len(q))
+    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+
+
+def _planted(roots, cofactor):
+    """cofactor times the product of (t - r) over roots, ascending."""
+    poly = [Fraction(c) for c in cofactor]
+    for r in roots:
+        poly = _mul(poly, [-r, Fraction(1)])
+    return poly
+
+
+def _assert_fast_and_complete(coeffs, expect_roots, expect_cof):
+    start = time.perf_counter()
+    roots, cof = rational_roots(coeffs)
+    assert time.perf_counter() - start < 1.0
+    assert roots == expect_roots and cof == expect_cof
+
+
+def test_rational_roots_primorial_end_coefficients():
+    # n + t^2 + n t^3 with n the product of the first 12 primes: candidates
+    # a/b from the divisors of both end coefficients number 4096^2
+    n = 1
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        n *= p
+    _assert_fast_and_complete([n, 0, 1, n], {}, 3)
+    # with planted roots whose numerators and denominators divide n
+    poly = _planted([Fraction(7 * 37, 11 * 13), Fraction(-2 * 31, 29)], [n, 0, 1, n])
+    _assert_fast_and_complete(poly, {Fraction(259, 143): 1, Fraction(-62, 29): 1}, 3)
+
+
+def test_rational_roots_unfactorable_constant():
+    # a0 = 3 * (2^61 - 1) * (2^89 - 1) has two prime factors beyond the reach
+    # of trial division and Pollard rho; the planted roots -(2^61 - 1) and 3
+    # have numerators dividing the new constant term
+    a0 = 3 * (2**61 - 1) * (2**89 - 1)
+    _assert_fast_and_complete([a0, 0, 1, 1], {}, 3)
+    mersenne = Fraction(-(2**61 - 1))
+    poly = _planted([mersenne, Fraction(3)], [a0, 0, 1, 1])
+    _assert_fast_and_complete(poly, {mersenne: 1, Fraction(3): 1}, 3)
+
+
+def _small_reference_roots(coeffs):
+    """Roots with multiplicities of a small integer polynomial, by trying every
+    a/b with a dividing the lowest nonzero and b the leading coefficient."""
+    poly = trim([Fraction(c) for c in coeffs])
+    roots: dict = {}
+    ends = [abs(int(c)) for c in (next(c for c in poly if c), poly[-1])]
+    divisors = [[d for d in range(1, e + 1) if e % d == 0] for e in ends]
+    candidates = {Fraction(0)} | {Fraction(sign * a, b) for a in divisors[0] for b in divisors[1] for sign in (1, -1)}
+    for r in candidates:
+        while len(poly) > 1:
+            quo, rem = divmod_poly(poly, [-r, Fraction(1)], QQ)
+            if rem:
+                break
+            poly = quo
+            roots[r] = roots.get(r, 0) + 1
+    return roots
+
+
+_fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    planted=st.lists(_fractions, min_size=1, max_size=6),
+    cofactor=st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(lambda c: c[-1] != 0),
+)
+def test_rational_roots_planted_property(planted, cofactor):
+    # the planted roots of large height plus the cofactor's own roots, each
+    # with its multiplicity; the degree left over has no rational root
+    expect = _small_reference_roots(cofactor)
+    for r in planted:
+        expect[r] = expect.get(r, 0) + 1
+    roots, cof = rational_roots(_planted(planted, cofactor))
+    assert roots == expect
+    assert cof == len(planted) + len(cofactor) - 1 - sum(expect.values())
