@@ -172,33 +172,20 @@ class MultiPoly:
             total = total + t
         return total
 
-    def substitute(self, mapping: dict, target: "MultiPoly | None" = None) -> "MultiPoly":
-        """Substitute polynomials (or scalars) for variables.
-
-        mapping: var name -> MultiPoly over the target ring, or a scalar.
-        Unmapped variables must exist in the target ring.
-        """
-        if target is None:
-            tfield, tvars = self.field, self.vars
-        else:
-            tfield, tvars = target.field, target.vars
-        subs = []
-        for v in self.vars:
-            if v in mapping:
-                m = mapping[v]
-                if not isinstance(m, MultiPoly):
-                    m = MultiPoly.constant(tfield, tvars, m)
-                subs.append(m)
-            else:
-                subs.append(MultiPoly.variable(tfield, tvars, v))
-        out = MultiPoly.zero(tfield, tvars)
+    def substitute(self, mapping: dict) -> "MultiPoly":
+        """Substitute scalars for variables (var name -> scalar of this field
+        or coercible); the result lies in the same ring."""
+        subs = [(self.vars.index(v), self.field.coerce(c)) for v, c in mapping.items()]
+        out: dict = {}
         for e, c in self.terms.items():
-            t = MultiPoly.constant(tfield, tvars, tfield.coerce(c))
-            for sub, k in zip(subs, e):
-                if k:
-                    t = t * sub**k
-            out = out + t
-        return out
+            e = list(e)
+            for i, s in subs:
+                if e[i]:
+                    c = c * s ** e[i]
+                    e[i] = 0
+            e = tuple(e)
+            out[e] = out.get(e, self.field.zero()) + c
+        return MultiPoly(self.field, self.vars, out)
 
     def map_field(self, field) -> "MultiPoly":
         """Move coefficients into another field via coercion (e.g. reduce mod q)."""

@@ -52,6 +52,8 @@ def _proportional(a: MultiPoly, b: MultiPoly) -> bool:
 class PlaneSolutions:
     points: list
     unresolved: int = 0  # total degree of eliminant factors without rational roots
+    # component indices of each factored system that left solutions unresolved
+    unresolved_in: list = dc_field(default_factory=list)
 
     @property
     def complete(self) -> bool:
@@ -343,23 +345,24 @@ def singular_points(curve: PlaneCurve, field) -> PlaneSolutions:
 
 
 def _singular_points_factored(curve: PlaneCurve, field) -> PlaneSolutions:
+    """The meets of each pair of components and the singular points of each
+    component; `unresolved_in` records which of these systems left
+    solutions unresolved, by their component indices."""
     comps = [c if c.field == field else c.map_field(field) for c in curve.components]
     pts: set = set()
     unresolved = 0
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            sol = plane_solutions([comps[i], comps[j]], field)
+    unresolved_in = []
+    for i, ci in enumerate(comps):
+        systems = [((i, j), [ci, comps[j]]) for j in range(i + 1, len(comps))]
+        if ci.degree() != 1:  # a line has no singular points of its own
+            systems.append(((i,), [ci] + [ci.diff(v) for v in VARS_X]))
+        for idx, system in systems:
+            sol = plane_solutions(system, field)
             pts.update(sol.points)
             unresolved += sol.unresolved
-        ci = comps[i]
-        grads = [ci.diff(v) for v in VARS_X]
-        if all(g.is_zero or g.degree() == 0 for g in grads):
-            if any(not g.is_zero for g in grads):
-                continue  # smooth linear form, no internal singular points
-        sol = plane_solutions([ci] + [g for g in grads], field)
-        pts.update(sol.points)
-        unresolved += sol.unresolved
-    return PlaneSolutions(sorted_points(pts), unresolved)
+            if sol.unresolved:
+                unresolved_in.append(idx)
+    return PlaneSolutions(sorted_points(pts), unresolved, unresolved_in)
 
 
 def node_partials(h: MultiPoly) -> tuple:
@@ -464,7 +467,7 @@ def classify_singularities(
     s_c_certified = scan.complete
     notes = []
     if not scan.complete and components is not None:
-        s_c_certified = _certify_s_c(components, d_cubic, field)
+        s_c_certified = _certify_s_c(scan.unresolved_in, components, d_cubic)
         if s_c_certified:
             notes.append("unlisted singular points certified to lie on D by divisibility")
     if not scan.complete:
@@ -480,25 +483,16 @@ def classify_singularities(
     )
 
 
-def _certify_s_c(comps, dc, field) -> bool:
+def _certify_s_c(unresolved_in, comps, dc) -> bool:
     """True when every potentially-missing singular point provably lies on D.
 
-    Sufficient condition per intersection pair / internal locus: one involved
-    component divides the cubic D, so its whole zero set is on D.
+    Sufficient condition per factored system that left solutions unresolved
+    (a pair of components or one component's internal locus, given by its
+    component indices): one involved component divides the cubic D, so its
+    whole zero set is on D.
     """
     divides = [dc.is_zero or dc.try_divide(c) is not None for c in comps]
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            sol = plane_solutions([comps[i], comps[j]], field)
-            if sol.unresolved and not (divides[i] or divides[j]):
-                return False
-        grads = [comps[i].diff(v) for v in VARS_X]
-        if all(g.is_zero or g.degree() == 0 for g in grads) and any(not g.is_zero for g in grads):
-            continue
-        sol = plane_solutions([comps[i]] + grads, field)
-        if sol.unresolved and not divides[i]:
-            return False
-    return True
+    return all(any(divides[i] for i in idx) for idx in unresolved_in)
 
 
 @dataclass

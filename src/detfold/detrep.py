@@ -136,19 +136,20 @@ def gram_rank_kernel(rep: SymDetRep, p: ProjPoint):
     return gram, rank, det, basis
 
 
-def vanishes_on_plane(F: MultiPoly, basis: list, field) -> bool:
-    """True when F (in x1..x3, u1..u3) vanishes on the plane of P^5 spanned
-    by three vectors, checked by substituting their general combination."""
-    svars = ("s1", "s2", "s3")
-    s = [MultiPoly.variable(field, svars, v) for v in svars]
-    mapping = {}
-    for k, xv in enumerate(VARS_XU):
-        expr = MultiPoly.zero(field, svars)
-        for t, vec in enumerate(basis):
-            if vec[k]:
-                expr = expr + s[t].scale(vec[k])
-        mapping[xv] = expr
-    return F.substitute(mapping, target=MultiPoly.zero(field, svars)).is_zero
+def vanishes_on_plane(F: MultiPoly, basis: list) -> bool:
+    """True when the cubic form F (in x1..x3, u1..u3) vanishes on the plane
+    of P^5 spanned by three vectors b1, b2, b3, checked at the ten points
+    i b1 + j b2 + k b3 with i + j + k = 3.  Exact when 2 and 3 are
+    invertible: as a polynomial in (i, j), with k = 3 - i - j, F on the plane
+    has degree 3 and the four distinct roots i = 0..3 on the line j = 0, so j
+    divides it, and the quotient vanishes at the six points with j >= 1,
+    where the same argument runs one degree lower."""
+    for i in range(4):
+        for j in range(4 - i):
+            k = 3 - i - j
+            if F.evaluate([i * a + j * b + k * c for a, b, c in zip(*basis)]):
+                return False
+    return True
 
 
 def embed_fiber_vector(p: ProjPoint, vec, field) -> ProjPoint:

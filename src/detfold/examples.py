@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import MultiPoly, PrimeField, QQ, VARS_X, parse_poly, poly_matrix_det
 from .algebra.unipoly import is_squarefree
-from .curves import is_reduced_curve
+from .curves import _to_unicoeffs, is_reduced_curve
 from .detrep import SymDetRep, derived_equations, validate_rep, vanishes_on_plane
 from .errors import InputError, Rejection
 
@@ -65,11 +65,8 @@ def _line_meets_cubic_transversally(f: MultiPoly, line_var: int, fld) -> None:
                 f"on the line {name}=0; intersection points must avoid the nodes"
             )
     # binary form in the remaining variables -> univariate squarefree test
-    main = VARS_X[others[0]]
     uni = restricted.substitute({VARS_X[others[1]]: 1})
-    coeffs = [fld.zero()] * (uni.degree_in(main) + 1)
-    for e, c in uni.terms.items():
-        coeffs[e[others[0]]] = c
+    coeffs = _to_unicoeffs(uni, VARS_X[others[0]])
     if len(coeffs) < 2 or not is_squarefree(coeffs, fld):
         raise Rejection(
             f"cubic is tangent to the line {name}=0 (or misses it); "
@@ -274,7 +271,7 @@ def _verify_section_plane(rep: SymDetRep, rows) -> None:
         [fld.one() if k == j else fld.zero() for k in range(3)] + [rows[i][j] for i in range(3)]
         for j in range(3)
     ]
-    if not vanishes_on_plane(derived_equations(rep).fourfold, basis, fld):
+    if not vanishes_on_plane(derived_equations(rep).fourfold, basis):
         raise Rejection("section plane is not contained in the fourfold")
 
 

@@ -7,19 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
-from .algebra import MultiPoly, PrimeField, QuadExt, QuadExtElt, VARS_X, VARS_XU, matrix_rank, nullspace
-from .curves import AnalysisContext, SingClassification, analysis_context, bivar_gcd, plane_solutions
-from .detrep import (
-    SymDetRep,
-    derived_equations,
-    embed_fiber_vector,
-    gram_rank_kernel,
-    p3_forms,
-    reduce_rep,
-    vanishes_on_plane,
-)
+from .algebra import MultiPoly, PrimeField, QuadExt, QuadExtElt, VARS_X, VARS_XU, matrix_rank
+from .curves import AnalysisContext, SingClassification, analysis_context, plane_solutions
+from .detrep import SymDetRep, derived_equations, embed_fiber_vector, gram_rank_kernel, p3_forms, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
 from .points import ORACLE_BUDGET, ProjPoint, p2_reps, sorted_points
 
@@ -35,9 +27,6 @@ class Plane:
 
     forms: tuple  # 3 rows of 6 scalars
     field: object
-
-    def basis(self) -> list:
-        return nullspace([list(f) for f in self.forms], 6, self.field)
 
     @cached_property
     def u_line(self) -> list:
@@ -66,7 +55,7 @@ def split_rank2_fiber(ctx: AnalysisContext, p: ProjPoint, gram=None) -> PlanePai
 
     Splits over the base field when the reduced binary form's discriminant is
     a square, otherwise over the quadratic extension by that discriminant.
-    Both planes are verified to lie on the fourfold by substitution.  `gram`
+    Both planes are verified to lie on the fourfold by `_verify_pair`.  `gram`
     is the fiber's Gram matrix when the classification already holds it.
     """
     base = ctx.field
@@ -152,24 +141,59 @@ def _plane_from_fiber_form(p: ProjPoint, lin4, fld) -> Plane:
 
 
 def _verify_pair(pair: PlanePair, F: MultiPoly) -> None:
-    fld = pair.field
+    """Both planes of a couple lie on the fourfold and meet in a line.
+
+    The planes lie in span(P, p), the points (t p, u), where F(t p, u) =
+    t Q(u, t) because F vanishes on P.  A plane other than P is the
+    hyperplane a . u + b t = 0 of this span, restricted from its third form,
+    and lies on the fourfold exactly when the quadratic form Q vanishes on it:
+    at a basis w1, w2, w3 with t = 1 and at their pairwise sums, that is
+    (char != 2) when its polar form B(wi, wj) vanishes for i <= j.  Two such
+    planes meet in a line exactly when their forms have rank 2.
+    """
+    p, fld = pair.point, pair.field
+    polar = _fiber_polar_matrix(F, p)
+    fiber_forms = []
     for plane in pair.planes:
-        if _is_plane_p(plane) and not pair.degenerate:
-            raise ConsistencyError(f"fiber plane over {pair.point} coincides with the plane P")
-        basis = plane.basis()
-        if len(basis) != 3:
-            raise ConsistencyError("plane forms are not independent")
-        if not vanishes_on_plane(F, basis, fld):
-            raise ConsistencyError(f"claimed plane over {pair.point} is not inside the fourfold")
-    rows = [list(f) for f in pair.planes[0].forms] + [list(f) for f in pair.planes[1].forms]
-    if matrix_rank(rows, fld) != 4:
+        # the two x-forms vanish on span(P, p); the third gives (a, b)
+        third = plane.forms[2]
+        a = list(third[3:])
+        b = sum((c * x for c, x in zip(third[:3], p.coords)), fld.zero())
+        fiber_forms.append(a + [b])
+        if not any(a):
+            if not pair.degenerate:
+                raise ConsistencyError(f"fiber plane over {p} coincides with the plane P")
+            continue  # P itself lies on the fourfold
+        m = next(i for i, c in enumerate(a) if c)
+        basis = []
+        for ones in ((), *((i,) for i in range(3) if i != m)):
+            w = [fld.one() if i in ones else fld.zero() for i in range(3)] + [fld.one()]
+            w[m] = -sum((a[i] for i in ones), b) / a[m]
+            basis.append(w)
+        images = [[sum((r[j] * w[j] for j in range(4) if w[j]), fld.zero()) for r in polar] for w in basis]
+        for i, j in combinations_with_replacement(range(3), 2):
+            if sum((x * y for x, y in zip(basis[i], images[j])), fld.zero()):
+                raise ConsistencyError(f"claimed plane over {p} is not inside the fourfold")
+    fa, fb = fiber_forms
+    if not any(fa[i] * fb[j] - fa[j] * fb[i] for i, j in combinations(range(4), 2)):
         raise ConsistencyError("planes of a couple must meet along a line")
 
 
-def _is_plane_p(plane: Plane) -> bool:
-    # the two forms from p3_forms have no u-part, so the plane is
-    # P = {x1=x2=x3=0} exactly when the third form has none either
-    return not any(plane.forms[2][3:])
+def _fiber_polar_matrix(F: MultiPoly, p: ProjPoint) -> list:
+    """The 4x4 symmetric matrix of 2 B, B the polar form of Q with
+    F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t); read off F at
+    p in the base field."""
+    zero = p.field.zero()
+    polar = [[zero] * 4 for _ in range(4)]
+    for e, c in F.terms.items():
+        for x, k in zip(p.coords, e[:3]):
+            if k:
+                c = c * x**k
+        # the u-t monomial of this term is z_i z_j; a square gets c twice
+        i, j = (n for n, k in enumerate(e[3:] + (2 - sum(e[3:]),)) for _ in range(k))
+        polar[i][j] = polar[i][j] + c
+        polar[j][i] = polar[j][i] + c
+    return polar
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +202,20 @@ def _is_plane_p(plane: Plane) -> bool:
 
 
 def net_conics(rep: SymDetRep) -> list[MultiPoly]:
-    """The three conics u^T G(e_k) u spanning the net, as polynomials in u."""
+    """The three conics u^T G(e_k) u spanning the net, with u1, u2, u3 named
+    x1, x2, x3 so that `plane_solutions` takes them."""
     field = rep.field
-    uvars = ("u1", "u2", "u3")
     out = []
-    for k, xv in enumerate(VARS_X):
+    for k in range(3):
+        unit = tuple(int(t == k) for t in range(3))
         terms: dict = {}
         for i in range(3):
             for j in range(3):
-                cof = rep.entry(i, j).terms.get(
-                    tuple(1 if t == k else 0 for t in range(3))
-                )
-                if cof is None or not cof:
-                    continue
-                e = [0, 0, 0]
-                e[i] += 1
-                e[j] += 1
-                key = tuple(e)
-                terms[key] = terms.get(key, field.zero()) + cof
-        out.append(MultiPoly(field, uvars, {e: c for e, c in terms.items() if c}))
+                cof = rep.entry(i, j).terms.get(unit)
+                if cof:
+                    e = tuple((t == i) + (t == j) for t in range(3))
+                    terms[e] = terms.get(e, field.zero()) + cof
+        out.append(MultiPoly(field, VARS_X, terms))
     return out
 
 
@@ -208,15 +227,12 @@ def base_locus(ctx: AnalysisContext):
     conics = [c for c in net_conics(ctx.rep) if not c.is_zero]
     if len(conics) < 2:
         raise Rejection("net of conics is degenerate: base locus is not finite")
-    g = _relabel_u_to_x(conics[0], field)
-    for c in conics[1:]:
-        g = _conic_common_factor(g, c, field)
-        if g.degree() == 0:
-            break
-    if g.degree() != 0:
+    # D != 0, so not every conic of the net is singular and the conics share
+    # no line; they share a component only when all are multiples of one conic
+    monos = sorted({e for c in conics for e in c.terms})
+    if matrix_rank([[c.terms.get(e, field.zero()) for e in monos] for c in conics], field) < 2:
         raise Rejection("net of conics shares a component: base locus is one-dimensional")
-    relabeled = [_relabel_u_to_x(c, field) for c in conics]
-    sol = plane_solutions(relabeled, field)
+    sol = plane_solutions(conics, field)
     pts = [ProjPoint(field, p.coords, "u") for p in sol.points]
     if len(pts) > 3:
         raise Rejection(
@@ -225,22 +241,6 @@ def base_locus(ctx: AnalysisContext):
     if len(pts) == 3 and matrix_rank([list(p.coords) for p in pts], field) != 3:
         raise Rejection("three collinear base points; not a valid associated pair")
     return pts, sol.complete
-
-
-def _conic_common_factor(a: MultiPoly, b: MultiPoly, field) -> MultiPoly:
-    ax = _relabel_u_to_x(a, field)
-    bx = _relabel_u_to_x(b, field)
-    # common factor must show up in some affine chart or be x3 itself
-    g = bivar_gcd(ax.substitute({"x3": 1}), bx.substitute({"x3": 1}))
-    if g.degree() == 0:
-        x3 = MultiPoly.variable(field, VARS_X, "x3")
-        if x3.divides(ax) and x3.divides(bx):
-            return x3
-    return g
-
-
-def _relabel_u_to_x(p: MultiPoly, field) -> MultiPoly:
-    return MultiPoly(field, VARS_X, dict(p.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +330,14 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     u-partials of F are affine-linear in u, so they are solved mod q and only
     their q^(3-rank) solutions are tested.  Uses F and its partials alone,
     never the fiber theory the assembly rests on.  Returns canonically sorted
-    points.
+    points.  The points of P, the strata and the candidates together may not
+    exceed ORACLE_BUDGET: the first two are counted before any work, each
+    stratum's candidates as they accrue.
     """
-    if q**5 > ORACLE_BUDGET:
-        raise InputError(f"enumeration budget exceeded: {q}^5 > 10^9")
+    tested = 2 * (q * q + q + 1)
+    over_budget = f"enumeration budget exceeded: the oracle over F_{q} tests more than {ORACLE_BUDGET} points"
+    if tested > ORACLE_BUDGET:
+        raise InputError(over_budget)
     gf = PrimeField(q)
     F = derived_equations(reduce_rep(rep, gf)).fourfold
     # F, its x-partials, then its u-partials, each as
@@ -383,6 +387,9 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
         if solved is None:
             continue
         base, kernel = solved
+        tested += q ** len(kernel)
+        if tested > ORACLE_BUDGET:
+            raise InputError(over_budget)
         for ts in product(range(q), repeat=len(kernel)):
             u = tuple((base[i] + sum(t * v[i] for t, v in zip(ts, kernel))) % q for i in range(3))
             if all_vanish(fixed, u):

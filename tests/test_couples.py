@@ -1,28 +1,59 @@
-"""Cross meets of couples of planes: the u-line test against the conic gcd.
+"""Couples of planes: the checks at the point against polynomial references.
 
 `fourfold._cross_check` decides whether two planes from distinct couples
 meet in one point by the cross product of their u-lines inside P.
 `reference_cross_check` is the former check: the gcd of the two restricted
 conics u^T G(p) u, and a 6-column nullspace per plane pair whenever both
 couples split over one field.  The two must agree on the verdict and on the
-points.
+points.  `_conic_common_factor`, the former shared-component test of the
+base locus, is the reference for its rank test too.
+
+`fourfold._verify_pair` checks each plane of a couple by six values of the
+fiber quadric; it must refuse perturbed planes, and on random reps every
+F_q-point of a base-field couple plane must lie on the fourfold.
 """
 
+import io
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, nullspace
-from detfold.curves import analysis_context
+from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, nullspace, parse_poly
+from detfold.cli import main as cli_main
+from detfold.curves import analysis_context, bivar_gcd
+from detfold.detrep import validate_rep
+from detfold.errors import ConsistencyError, Rejection
 from detfold.examples import build_example
 from detfold.fourfold import (
     Plane,
     PlanePair,
-    _conic_common_factor,
     _cross_check,
+    _verify_pair,
+    base_locus,
     couples_and_intersections,
+    net_conics,
+    split_rank2_fiber,
 )
-from detfold.points import ProjPoint
+from detfold.points import ProjPoint, p2_reps
+from detfold.repfile import parse_rep_file
+from test_oracle import random_reps
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _conic_common_factor(a, b, field):
+    """Common factor of two conics: their bivariate gcd in the chart x3 = 1,
+    or x3 when it divides both."""
+    ax, bx = (MultiPoly(field, VARS_X, dict(c.terms)) for c in (a, b))
+    g = bivar_gcd(ax.substitute({"x3": 1}), bx.substitute({"x3": 1}))
+    if g.degree() == 0:
+        x3 = MultiPoly.variable(field, VARS_X, "x3")
+        if x3.divides(ax) and x3.divides(bx):
+            return x3
+    return g
 
 
 def _restricted_conic(rep, p):
@@ -152,3 +183,183 @@ def test_line_test_matches_reference(name, params, field):
             cross_ok = cross_ok and ok
             cross_points.update({(i, j) + key: pt for key, pt in points.items()})
     assert (rpt.cross_ok, rpt.cross_points) == (cross_ok, cross_points)
+
+
+# ---------------------------------------------------------------------------
+# The plane check of a couple
+# ---------------------------------------------------------------------------
+
+
+def _with_third(pair, third):
+    """The pair with its first plane's third form replaced."""
+    plane = pair.planes[0]
+    bad = replace(plane, forms=plane.forms[:2] + (tuple(third),))
+    return replace(pair, planes=(bad, pair.planes[1]))
+
+
+def _conjugate_split_rep():
+    # diag(x1, x2, x3, f) with f(0,0,1) = 1: over (0:0:1) the fiber form is
+    # u3^2 + t^2, which splits over Q(i) only
+    z = MultiPoly.zero(QQ, VARS_X)
+    x1, x2, x3 = (MultiPoly.variable(QQ, VARS_X, v) for v in VARS_X)
+    f = parse_poly("x1^3 + x2^3 + x3^3", VARS_X, QQ)
+    return validate_rep([[x1, z, z, z], [z, x2, z, z], [z, z, x3, z], [z, z, z, f]], QQ)
+
+
+_COUPLES = {
+    "Q": lambda: (analysis_context(build_example("prop44").rep), (0, 0, 1)),
+    "F_13": lambda: (analysis_context(build_example("prop44").rep, PrimeField(13)), (0, 1, 0)),
+    "Q(i)": lambda: (analysis_context(_conjugate_split_rep()), (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("which", list(_COUPLES))
+def test_perturbed_plane_refused(which):
+    ctx, point = _COUPLES[which]()
+    pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, point, "x"))
+    assert (pair.disc is not None) == (which == "Q(i)")
+    F = ctx.derived.fourfold
+    _verify_pair(pair, F)  # the split itself passes
+    third = pair.planes[0].forms[2]
+    one, zero = pair.field.one(), pair.field.zero()
+    # the t-part sits at the point's leading coordinate, then the u-part
+    for index in (point.index(1), 3, 4, 5):
+        moved = list(third)
+        moved[index] = moved[index] + one
+        with pytest.raises(ConsistencyError, match="not inside the fourfold"):
+            _verify_pair(_with_third(pair, moved), F)
+    with pytest.raises(ConsistencyError, match="coincides with the plane P"):
+        _verify_pair(_with_third(pair, list(third[:3]) + [zero] * 3), F)
+    with pytest.raises(ConsistencyError, match="meet along a line"):
+        _verify_pair(_with_third(pair, pair.planes[1].forms[2]), F)
+
+
+def test_plane_with_isotropic_basis_refused():
+    # prop44 mod 13 over (1:0:0): Q vanishes at the three basis points of the
+    # plane u1 + 2 u3 + 12 t = 0 but not on the plane, so the pairwise sums
+    # (the off-diagonal polar values) are needed to refuse it
+    ctx = analysis_context(build_example("prop44").rep, PrimeField(13))
+    pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, (1, 0, 0), "x"))
+    third = [ctx.field.from_int(c) for c in (12, 0, 0, 1, 0, 2)]
+    with pytest.raises(ConsistencyError, match="not inside the fourfold"):
+        _verify_pair(_with_third(pair, third), ctx.derived.fourfold)
+
+
+_DEGENERATE_COUPLE = """field rational
+vars x1 x2 x3
+row 0: x1, 0, 0, x3^2
+row 1: 0, x2, 0, 0
+row 2: 0, 0, x1+x2, 0
+row 3: x3^2, 0, 0, x1^3+2*x2^3+3*x1*x2*x3
+"""
+
+
+@pytest.mark.parametrize("field,rc", [(None, 0), ("fp:31", 0), ("fp:37", 1)])
+def test_degenerate_couple_reports(tmp_path, field, rc):
+    # over (0:0:1) the conic block vanishes: one plane of the couple is P
+    path = tmp_path / "degenerate.rep"
+    path.write_text(_DEGENERATE_COUPLE)
+    stem = "degenerate_couple." + (field or "rational").replace(":", "")
+    for flag, ext in (([], "flat"), (["--json"], "json")):
+        buf = io.StringIO()
+        args = ["analyze", str(path)] + (["--field", field] if field else []) + flag
+        assert cli_main(args, out=buf) == rc
+        assert buf.getvalue() == (GOLDEN / f"{stem}.{ext}").read_text(), (stem, ext)
+
+
+def test_degenerate_couple_has_p_as_a_plane():
+    ctx = analysis_context(parse_rep_file(_DEGENERATE_COUPLE), PrimeField(31))
+    pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, (0, 0, 1), "x"))
+    assert pair.degenerate
+    assert [not any(plane.forms[2][3:]) for plane in pair.planes].count(True) == 1
+    _verify_pair(pair, ctx.derived.fourfold)
+
+
+@st.composite
+def reps_with_a_rank2_fiber(draw, field):
+    """Random reps whose fiber over (0:0:1) has rank 2: the x3-power
+    coefficients of the entries, which are the matrix at (0:0:1), are
+    replaced by a v v^T + b w w^T."""
+    rep = draw(random_reps(field))
+    q = field.q
+    v, w = (draw(st.lists(st.integers(0, q - 1), min_size=4, max_size=4)) for _ in range(2))
+    a, b = (draw(st.integers(1, q - 1)) for _ in range(2))
+    entries = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            e = rep.entry(i, j)
+            top = (0, 0, 3 if i == j == 3 else 2 if 3 in (i, j) else 1)
+            terms = dict(e.terms)
+            terms[top] = field.from_int(a * v[i] * v[j] + b * w[i] * w[j])
+            row.append(MultiPoly(field, VARS_X, terms))
+        entries.append(row)
+    try:
+        return validate_rep(entries, field)
+    except Rejection:
+        assume(False)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_base_field_couple_planes_lie_on_the_fourfold(q, data):
+    # exhaustive over the plane: a nonzero plane cubic has at most 3q + 1 of
+    # its q^2 + q + 1 points
+    field = PrimeField(q)
+    ctx = analysis_context(data.draw(reps_with_a_rank2_fiber(field)))
+    try:
+        pairs = couples_and_intersections(ctx).pairs
+    except Rejection:
+        assume(False)
+    F = ctx.derived.fourfold
+    for pair in pairs:
+        if pair.disc is not None:
+            continue
+        for plane in pair.planes:
+            basis = nullspace([list(f) for f in plane.forms], 6, field)
+            assert len(basis) == 3
+            for c in p2_reps(q):
+                point = [sum(k * b[i] for k, b in zip(c, basis)) for i in range(6)]
+                assert not F.evaluate(point), (pair.point, plane.forms)
+
+
+# ---------------------------------------------------------------------------
+# The shared-component test of the base locus
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_base_locus_share_test_matches_gcd(q, data):
+    # random nets, and nets l(x) S with one symmetric S, whose conics are
+    # all multiples of one
+    field = PrimeField(q)
+    rep = data.draw(random_reps(field))
+    if data.draw(st.booleans()):
+        l = [field.from_int(c) for c in data.draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=3))]
+        s = data.draw(st.lists(st.integers(0, q - 1), min_size=6, max_size=6))
+        sym = [[s[0], s[1], s[2]], [s[1], s[3], s[4]], [s[2], s[4], s[5]]]
+        entries = [list(row) for row in rep.entries]
+        for i in range(3):
+            for j in range(3):
+                entries[i][j] = MultiPoly(
+                    field, VARS_X, {tuple(int(t == k) for t in range(3)): l[k] * sym[i][j] for k in range(3)}
+                )
+        try:
+            rep = validate_rep(entries, field)
+        except Rejection:
+            assume(False)
+    ctx = analysis_context(rep)
+    conics = [c for c in net_conics(rep) if not c.is_zero]
+    assume(not ctx.derived.d_cubic.is_zero and len(conics) >= 2)
+    g = conics[0]
+    for c in conics[1:]:
+        g = _conic_common_factor(g, c, field)
+    try:
+        base_locus(ctx)
+        shares = False
+    except Rejection as e:
+        shares = "shares a component" in str(e)
+    assert shares == (g.degree() > 0)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
 from detfold.curves import (
     PlaneCurve,
+    _certify_s_c,
     analysis_context,
     bivar_gcd,
     is_node,
@@ -36,6 +37,18 @@ class TestSingularPoints:
         pts = {p.coords for p in scan.points}
         for raw in ((0, 0, 1), (1, -2, 1), (1, 1, -2), (-5, 1, 1)):
             assert ProjPoint(QQ, raw, "x").coords in pts
+
+    def test_factored_systems_left_unresolved_are_recorded(self):
+        # x3 = 0 meets the smooth conic in the two points x1^2 = 2 x2^2; every
+        # other system of the three components is rational or empty
+        comps = (_p("x3"), _p("x1^2 - 2*x2^2 + x2*x3"), _p("x1"))
+        h = comps[0] * comps[1] * comps[2]
+        scan = singular_points(PlaneCurve(h, comps), QQ)
+        assert (scan.unresolved, scan.unresolved_in) == (2, [(0, 1)])
+        # s_c is certified when a component of each such system divides D;
+        # x1 divides x1^3 but takes no part in the system (0, 1)
+        assert _certify_s_c(scan.unresolved_in, list(comps), _p("x2*x3^2"))
+        assert not _certify_s_c(scan.unresolved_in, list(comps), _p("x1^3"))
 
     def test_nodal_cubic_rational_mode(self):
         c = PlaneCurve(_p("x2^2*x3 - x1^3 + x1^2*x3"))

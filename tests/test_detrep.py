@@ -2,17 +2,20 @@ import random
 
 import pytest
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, nullspace, parse_poly
+from detfold.curves import analysis_context
 from detfold.detrep import (
     derived_equations,
     embed_fiber_vector,
     gram_rank_kernel,
     reduce_rep,
     validate_rep,
+    vanishes_on_plane,
 )
 from detfold.errors import Rejection
 from detfold.examples import build_example
-from detfold.points import ProjPoint
+from detfold.fourfold import couples_and_intersections
+from detfold.points import ProjPoint, p2_reps
 
 
 def _p(s, f=QQ):
@@ -160,3 +163,56 @@ class TestFiberGram:
         p = ProjPoint(QQ, (1, -2, 1), "x")
         v = embed_fiber_vector(p, (0, 0, 0, 1), QQ)
         assert v == ProjPoint(QQ, (1, -2, 1, 0, 0, 0), "p5")
+
+
+class TestVanishesOnPlane:
+    # the prop44 section plane u = x, spanned by e_xj + e_uj
+    SECTION = [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]]
+
+    def test_agrees_with_exhaustive_scan(self):
+        # over F_13 a nonzero plane cubic has at most 3*13 + 1 of the 183
+        # points of its plane, so testing every point is exact
+        gf = PrimeField(13)
+        ex = build_example("prop44")
+        ctx = analysis_context(ex.rep, gf, ex.components)
+        F = ctx.derived.fourfold
+        on_x = [self.SECTION, [[0, 0, 0] + row for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]]
+        for pair in couples_and_intersections(ctx).pairs:
+            if pair.disc is None:
+                on_x += [nullspace([list(f) for f in plane.forms], 6, gf) for plane in pair.planes]
+        rng = random.Random(11)
+        planes = list(on_x)
+        for basis in on_x:
+            moved = [list(v) for v in basis]
+            moved[rng.randrange(3)][rng.randrange(6)] += rng.randrange(1, 13)
+            planes.append(moved)
+        verdicts = []
+        for basis in planes:
+            basis = [[gf.coerce(c) for c in v] for v in basis]
+            exhaustive = all(
+                not F.evaluate([sum(k * v[i] for k, v in zip(c, basis)) for i in range(6)]) for c in p2_reps(13)
+            )
+            assert vanishes_on_plane(F, basis) == exhaustive
+            verdicts.append(exhaustive)
+        assert verdicts[: len(on_x)] == [True] * len(on_x) and False in verdicts
+
+    def test_each_of_the_ten_points_counts(self):
+        # on the plane x-space, spanned by e_x1, e_x2, e_x3, the cubic
+        # prod_{a < i0} (3 x1 - a s) prod_{b < j0} (3 x2 - b s) prod_{c < k0} (3 x3 - c s),
+        # s = x1 + x2 + x3, vanishes at every point i + j + k = 3 but (i0, j0, k0)
+        xs = [MultiPoly.variable(QQ, VARS_XU, v) for v in VARS_X]
+        s = xs[0] + xs[1] + xs[2]
+        basis = [[1 if i == j else 0 for i in range(6)] for j in range(3)]
+        for point in ((i, j, 3 - i - j) for i in range(4) for j in range(4 - i)):
+            F = MultiPoly.constant(QQ, VARS_XU, 1)
+            for x, top in zip(xs, point):
+                for a in range(top):
+                    F = F * (x.scale(3) - s.scale(a))
+            assert not vanishes_on_plane(F, basis), point
+
+    def test_section_plane_over_q(self):
+        F = derived_equations(build_example("prop44").rep).fourfold
+        assert vanishes_on_plane(F, self.SECTION)
+        moved = [row[:] for row in self.SECTION]
+        moved[2][3] = 1  # u1 = x1 + x3 on the third vector
+        assert not vanishes_on_plane(F, moved)

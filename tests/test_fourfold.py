@@ -1,9 +1,11 @@
+from itertools import product
+
 import pytest
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, nullspace, parse_poly
 from detfold.curves import analysis_context
 from detfold.detrep import derived_equations, validate_rep
-from detfold.errors import Rejection
+from detfold.errors import InputError, Rejection
 from detfold.examples import build_example
 from detfold.fourfold import (
     base_locus,
@@ -40,7 +42,7 @@ class TestSplit:
         assert pair.disc is None
         for plane in pair.planes:
             # u2 = +-x2 on each plane
-            basis = plane.basis()
+            basis = nullspace([list(f) for f in plane.forms], 6, QQ)
             assert len(basis) == 3
 
     def test_conjugate_split(self):
@@ -72,7 +74,7 @@ class TestSplit:
         pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
         F = derived_equations(ex.rep).fourfold
         for plane in pair.planes:
-            for vec in plane.basis():
+            for vec in nullspace([list(f) for f in plane.forms], 6, QQ):
                 assert not F.evaluate(vec)
 
 
@@ -122,6 +124,18 @@ class TestBaseLocus:
             QQ,
         )
         with pytest.raises(Rejection, match="not finite"):
+            base_locus(analysis_context(rep))
+
+    def test_shared_component_rejected(self):
+        # D = (x1 + x2)^3 is nonzero, and the net's two nonzero conics are
+        # both u1^2 + u2^2 + u3^2
+        z = MultiPoly.zero(QQ, VARS_X)
+        l = _p("x1 + x2")
+        rep = validate_rep(
+            [[l, z, z, z], [z, l, z, z], [z, z, l, z], [z, z, z, _p("x1^3 + x2^3 + x3^3")]],
+            QQ,
+        )
+        with pytest.raises(Rejection, match="net of conics shares a component: base locus is one-dimensional"):
             base_locus(analysis_context(rep))
 
 
@@ -182,9 +196,30 @@ class TestOracle:
         }
 
     def test_budget(self):
+        # 2 (q^2 + q + 1) > ORACLE_BUDGET at q = 227: refused before any work
         ex = build_example("prop44")
-        with pytest.raises(Exception, match="budget"):
-            brute_force_oracle(ex.rep, 101)
+        with pytest.raises(InputError, match="budget"):
+            brute_force_oracle(ex.rep, 227)
+
+    def test_budget_counts_candidates(self, monkeypatch):
+        # diag(x1, x1, x1, x2^3 + x3^3): every stratum with x1 = 0 has rank 0,
+        # and its q^3 candidates are refused before any is tested
+        import detfold.fourfold as fourfold
+
+        def no_cube(*args, repeat=1):
+            if repeat == 3:
+                raise AssertionError("a rank-0 stratum enumerated over budget")
+            return product(*args, repeat=repeat)
+
+        z = MultiPoly.zero(QQ, VARS_X)
+        x1 = _p("x1")
+        rep = validate_rep([[x1, z, z, z], [z, x1, z, z], [z, z, x1, z], [z, z, z, _p("x2^3 + x3^3")]], QQ)
+        # at q = 13 they fit, 2 * 183 + 169 + 14 * 13^3 <= 10^5: the 14 points
+        # of u1^2 + u2^2 + u3^2 = 0 in P, and (1:0:0:0:0:0)
+        assert len(brute_force_oracle(rep, 13)) == 15
+        monkeypatch.setattr(fourfold, "product", no_cube)
+        with pytest.raises(InputError, match="budget"):
+            brute_force_oracle(rep, 61)
 
     def test_matches_assembly_all_examples(self):
         for name in ("ex42i", "ex42ii", "prop44", "rmk31"):

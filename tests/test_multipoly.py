@@ -121,6 +121,22 @@ class TestEvalDiff:
                 lhs = lhs + MultiPoly.variable(QQ, VARS_X, v) * f.diff(v)
             assert lhs == f.scale(d)
 
+    def test_substitute_scalars(self):
+        f = parse_poly("x1^2*x3 - 3*x2^3 + x1*x2*x3", VARS_X, QQ)
+        g = f.substitute({"x3": Fraction(1, 2), "x1": 2})
+        assert g.terms == {(0, 0, 0): 2, (0, 3, 0): -3, (0, 1, 0): 1}
+        rng = random.Random(5)
+        for field in (QQ, PrimeField(13)):
+            for _ in range(20):
+                f = _random_homogeneous(rng, field, rng.randrange(1, 6))
+                point = [field.coerce(rng.randrange(-4, 5)) for _ in VARS_X]
+                part = f.substitute({"x2": point[1]})
+                assert not part.involves("x2")
+                assert part.evaluate(point) == f.evaluate(point)
+                assert f.substitute(dict(zip(VARS_X, point))).terms == (
+                    {(0, 0, 0): f.evaluate(point)} if f.evaluate(point) else {}
+                )
+
     def test_zero_nonzero_verdict_representative_independent(self):
         f = parse_poly("x1^2*x3 - x2^3", VARS_X, QQ)
         p = ProjPoint(QQ, (2, 2, 2), "x")

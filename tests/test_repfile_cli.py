@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,23 @@ class TestCli:
         monkeypatch.setattr(curves, "p2_lines", no_scan)
         rc, out = run_cli("analyze", str(tmp_path / "p.rep"), "--field", "fp:1009")
         assert rc == 3 and "scan budget exceeded" in out
+
+    def test_oracle_budget_exit_code(self, tmp_path, monkeypatch):
+        # the strata with x1 = 0 have rank 0 and q^3 candidates each
+        import detfold.fourfold as fourfold
+
+        def no_cube(*args, repeat=1):
+            if repeat == 3:
+                raise AssertionError("a rank-0 stratum enumerated over budget")
+            return product(*args, repeat=repeat)
+
+        (tmp_path / "r.rep").write_text(
+            "field rational\nvars x1 x2 x3\n"
+            "row 0: x1, 0, 0, 0\nrow 1: 0, x1, 0, 0\nrow 2: 0, 0, x1, 0\nrow 3: 0, 0, 0, x2^3 + x3^3\n"
+        )
+        monkeypatch.setattr(fourfold, "product", no_cube)
+        rc, out = run_cli("oracle", str(tmp_path / "r.rep"), "--prime", "61")
+        assert rc == 3 and "enumeration budget exceeded" in out
 
     def test_spin_degree_limit_exit_code(self, monkeypatch):
         import detfold.spin as spin
