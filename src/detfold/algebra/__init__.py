@@ -1,5 +1,5 @@
 from .fields import QQ, FpElt, PrimeField, QuadExt, QuadExtElt, RationalField, field_from_name, is_prime
-from .linalg import int_det_bareiss, kernel_rank_det, matrix_rank, nullspace
+from .linalg import int_det_bareiss, kernel_rank_det, matrix_rank
 from .multipoly import VARS_X, VARS_XU, MultiPoly, poly_matrix_det, resultant
 from .parser import PolyParseError, parse_poly
 from . import unipoly
@@ -16,7 +16,6 @@ __all__ = [
     "int_det_bareiss",
     "kernel_rank_det",
     "matrix_rank",
-    "nullspace",
     "VARS_X",
     "VARS_XU",
     "MultiPoly",

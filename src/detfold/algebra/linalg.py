@@ -71,12 +71,6 @@ def matrix_rank(rows: list[list], field) -> int:
     return len(_echelon(rows, len(rows[0]), field)[1])
 
 
-def nullspace(rows: list[list], ncols: int, field) -> list[list]:
-    """Deterministic basis of the right kernel of a rectangular matrix."""
-    m, pivots, _det = _echelon(rows, ncols, field)
-    return _kernel_basis(m, pivots, ncols, field)
-
-
 def int_det_bareiss(rows: list[list[int]]) -> int:
     """Exact determinant of an integer matrix (Bareiss, fraction-free)."""
     n = len(rows)

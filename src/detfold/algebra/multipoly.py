@@ -222,21 +222,6 @@ class MultiPoly:
             rem = rem - qterm * divisor
         return out
 
-    def divides(self, other: "MultiPoly") -> bool:
-        return other.try_divide(self) is not None
-
-    # -- univariate views ----------------------------------------------------
-
-    def coeffs_in(self, var: str) -> list:
-        """Coefficients (as MultiPoly in the same ring) of powers of var, ascending."""
-        i = self.vars.index(var)
-        d = self.degree_in(var)
-        buckets: list[dict] = [dict() for _ in range(max(d, 0) + 1)]
-        for e, c in self.terms.items():
-            ne = e[:i] + (0,) + e[i + 1 :]
-            buckets[e[i]][ne] = c
-        return [MultiPoly(self.field, self.vars, b) for b in buckets]
-
     # -- printing --------------------------------------------------------
 
     def __str__(self) -> str:

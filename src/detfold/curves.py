@@ -225,103 +225,48 @@ def _affine_chart_solutions(aff, originals, field) -> PlaneSolutions:
 # ---------------------------------------------------------------------------
 
 
-def _bivar_content_pp(p: MultiPoly, main: str, aux: str):
-    """Content (univariate in aux) and primitive part of p seen in (main)."""
-    coeffs = p.coeffs_in(main)
-    uni = [_to_unicoeffs(c, aux) for c in coeffs]
-    field = p.field
-    cont: list = []
-    for u in uni:
-        if u:
-            cont = unipoly.gcd_poly(cont, u, field) if cont else unipoly.monic(list(u))
-    return cont, uni
-
-
-def _uni_to_poly(u: list, var: str, field) -> MultiPoly:
-    vars = VARS_X
-    idx = vars.index(var)
-    terms = {}
-    for k, c in enumerate(u):
-        if c:
-            e = [0, 0, 0]
-            e[idx] = k
-            terms[tuple(e)] = c
-    return MultiPoly(field, vars, terms)
-
-
-def bivar_gcd(f: MultiPoly, g: MultiPoly, main: str = "x1", aux: str = "x2") -> MultiPoly:
-    """GCD of two bivariate polynomials (x3-free) via a primitive PRS."""
-    field = f.field
-    if f.is_zero:
-        return g
-    if g.is_zero:
-        return f
-    if not f.involves(main) and not g.involves(main):
-        a = unipoly.gcd_poly(_to_unicoeffs(f, aux), _to_unicoeffs(g, aux), field)
-        return _uni_to_poly(a, aux, field)
-    if not f.involves(main) or not g.involves(main):
-        free, other = (f, g) if not f.involves(main) else (g, f)
-        cont, _ = _bivar_content_pp(other, main, aux)
-        a = unipoly.gcd_poly(_to_unicoeffs(free, aux), cont, field)
-        return _uni_to_poly(a, aux, field)
-
-    cf, _ = _bivar_content_pp(f, main, aux)
-    cg, _ = _bivar_content_pp(g, main, aux)
-    ccont = unipoly.gcd_poly(cf, cg, field)
-
-    a, b = f, g
-    if a.degree_in(main) < b.degree_in(main):
-        a, b = b, a
-    a = _primitive_in(a, main, aux)
-    b = _primitive_in(b, main, aux)
-    while not b.is_zero and b.involves(main):
-        r = _pseudo_rem(a, b, main)
-        a, b = b, _primitive_in(r, main, aux) if not r.is_zero else r
-    if b.is_zero:
-        gc = a
-    elif not b.involves(main):
-        # a nonzero remainder free of main kills any main-dependent common part
-        gc = MultiPoly.constant(field, f.vars, 1)
-    else:
-        gc = b
-    return gc * _uni_to_poly(ccont if ccont else [field.one()], aux, field)
-
-
-def _primitive_in(p: MultiPoly, main: str, aux: str) -> MultiPoly:
-    cont, _ = _bivar_content_pp(p, main, aux)
-    if unipoly.deg(cont) <= 0:
-        return p
-    q = p.try_divide(_uni_to_poly(cont, aux, p.field))
-    if q is None:
-        raise ConsistencyError("content division failed")
-    return q
-
-
-def _pseudo_rem(f: MultiPoly, g: MultiPoly, main: str) -> MultiPoly:
-    df, dg = f.degree_in(main), g.degree_in(main)
-    lead_g = g.coeffs_in(main)[dg]
-    r = f
-    while not r.is_zero and r.degree_in(main) >= dg:
-        dr = r.degree_in(main)
-        lead_r = r.coeffs_in(main)[dr]
-        shift = MultiPoly.variable(r.field, r.vars, main) ** (dr - dg)
-        r = r * lead_g - g * shift * lead_r
-    return r
-
-
 def is_reduced_curve(h: MultiPoly) -> bool:
-    """Squarefree test for a plane curve equation (any field, char > degree)."""
+    """Squarefree test for a plane curve form h over Q or F_q, deg h < 3 char.
+
+    A square factor g^2 of h is found by the variables g involves.  When g is
+    free of x_k, g^2 divides the content of h as a polynomial in x_k, taken
+    as a univariate gcd in x_i with x_j = 1, (i, j) = (k+1, k+2) cyclically;
+    the cyclic choice keeps every coordinate square in one of the three
+    contents.  When g involves all three variables, for every k it is a
+    factor of h and h_k involving x_k, so the resultant in x_k vanishes in a
+    chart x_w = 1, w != k.  For squarefree h, the k-th resultant vanishes
+    only through an irreducible factor with zero k-th partial, of degree at
+    least char in x_k.  By Euler's relation no factor involving x_a and x_b
+    has both partials zero, so all three resultants vanish only when
+    deg h >= 3 char.  Below that bound, which every sextic over Q or F_q with
+    q odd meets, the test is exact; at or above it InputError is raised.
+    """
     if h.is_zero:
         return False
-    ex3 = min(e[2] for e in h.terms)
-    if ex3 >= 2:
-        return False
-    chart = h.substitute({"x3": 1})
-    if chart.degree() == 0:
-        return True  # h = c * x3^(0 or 1)
-    g1 = bivar_gcd(chart, chart.diff("x1"))
-    g2 = bivar_gcd(g1, chart.diff("x2"))
-    return g2.degree() == 0
+    field = h.field
+    if field.char and h.degree() >= 3 * field.char:
+        raise InputError(f"squarefree test needs degree < 3 * {field.char}, got {h.degree()}")
+    for k in range(3):
+        i = (k + 1) % 3
+        coeffs: dict = {}
+        for e, c in h.terms.items():
+            coeffs.setdefault(e[k], {})[e[i]] = c
+        content: list = []
+        for row in coeffs.values():
+            u = [row.get(a, field.zero()) for a in range(max(row) + 1)]
+            content = unipoly.gcd_poly(content, u, field)
+        if not unipoly.is_squarefree(content, field):
+            return False
+    for k, xk in enumerate(VARS_X):
+        chart = h.substitute({VARS_X[(k + 1) % 3]: 1})
+        dk = chart.diff(xk)
+        if dk.is_zero:
+            if not chart.involves(xk):
+                return True  # h is free of x_k
+            continue  # h_k = 0: h itself is the shared factor
+        if not dk.involves(xk) or not resultant(chart, dk, xk).is_zero:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import combinations
 
-from .algebra import MultiPoly, PrimeField, QQ, VARS_X, parse_poly, poly_matrix_det
+from .algebra import MultiPoly, PrimeField, QQ, VARS_X, matrix_rank, parse_poly, poly_matrix_det
 from .algebra.unipoly import is_squarefree
 from .curves import _to_unicoeffs, is_reduced_curve
 from .detrep import SymDetRep, derived_equations, validate_rep, vanishes_on_plane
@@ -152,16 +153,9 @@ def _build_ex42ii(params: dict) -> NamedExample:
         if ln.is_zero or ln.degree() != 1:
             raise Rejection("every component of this example must be a line")
     # general position: six distinct lines, no three concurrent
-    import itertools
-
-    for a, b, c in itertools.combinations(all_lines, 3):
+    for a, b, c in combinations(all_lines, 3):
         rows = [[p.terms.get(tuple(1 if i == k else 0 for i in range(3)), fld.zero()) for k in range(3)] for p in (a, b, c)]
-        det = (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-        if not det:
+        if matrix_rank(rows, fld) < 3:
             raise Rejection("three of the six lines are concurrent; not in general position")
     z = _zero()
     corner = lines[0] * lines[1] * lines[2]

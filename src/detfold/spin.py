@@ -82,12 +82,13 @@ def graph_stats(g: DualGraph) -> tuple[bool, int]:
     """(every vertex has even degree, first Betti number E - V + #components)."""
     degs = g.degrees()
     is_even = all(d % 2 == 0 for d in degs)
-    ncomp = _component_count(g, removed=frozenset())
-    b1 = g.total_edges() - len(g.vertices) + ncomp
+    b1 = g.total_edges() - len(g.vertices) + len(_residual_pieces(g, frozenset()))
     return is_even, b1
 
 
-def _component_count(g: DualGraph, removed: frozenset) -> int:
+def _residual_pieces(g: DualGraph, removed: frozenset) -> list[list[int]]:
+    """Vertex lists of the connected pieces that the cross edges not in
+    removed leave, ordered by their first vertex (union-find)."""
     parent = list(range(len(g.vertices)))
 
     def find(a):
@@ -99,10 +100,11 @@ def _component_count(g: DualGraph, removed: frozenset) -> int:
     for inst in g.edge_instances():
         kind, i, j, _k = inst
         if kind == "cross" and inst not in removed:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return len({find(v) for v in range(len(g.vertices))})
+            parent[find(i)] = find(j)
+    pieces: dict = {}
+    for v in range(len(g.vertices)):
+        pieces.setdefault(find(v), []).append(v)
+    return list(pieces.values())
 
 
 def theta_counts(genus: int) -> tuple[int, int, int]:
@@ -141,31 +143,11 @@ def _analyze_subset(g: DualGraph, subset: tuple) -> SpinSubsetReport:
         (d - 1) * (d - 2) // 2 - removed_loops[i] for i, (d, _n) in enumerate(g.vertices)
     )
     # connected pieces of the residual graph and their arithmetic genera
-    parent = list(range(len(g.vertices)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    cross_count: dict = {}
-    for inst in g.edge_instances():
-        kind, i, j, _k = inst
-        if inst in removed or kind != "cross":
-            continue
-        cross_count[(i, j)] = cross_count.get((i, j), 0) + 1
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    comps: dict = {}
-    for v in range(len(g.vertices)):
-        comps.setdefault(find(v), []).append(v)
+    kept = [inst[1] for inst in g.edge_instances() if inst[0] == "cross" and inst not in removed]
     comp_genera = []
     odd_choices = []
-    for verts in comps.values():
-        vset = set(verts)
-        edges = sum(m for (i, j), m in cross_count.items() if i in vset)
+    for verts in _residual_pieces(g, removed):
+        edges = sum(1 for i in kept if i in verts)
         pa = sum(vertex_genera[v] for v in verts) + edges - len(verts) + 1
         comp_genera.append(pa)
         odd_choices.append(theta_counts(pa)[2] if pa >= 0 else 0)

@@ -1,0 +1,120 @@
+"""Polynomial-ring references for checks that detfold makes by values at
+points or by integer resultants.
+
+`reference_is_reduced` is the former squarefree test of a plane curve: the
+gcd of the chart x3 = 1 with its two partials, by a bivariate primitive PRS
+(`bivar_gcd`), plus a check that x3^2 does not divide the form.  Over a
+perfect field it is exact in every characteristic: an irreducible factor of a
+squarefree affine curve dividing both partials would have both partials
+zero, hence be a p-th power.  `nullspace` and `coeffs_in` are the kernel
+basis and the coefficient view the former plane and resultant checks used.
+"""
+
+from detfold.algebra import VARS_X, MultiPoly, unipoly
+from detfold.algebra.linalg import _echelon, _kernel_basis
+from detfold.curves import _to_unicoeffs
+
+
+def nullspace(rows, ncols, field):
+    """Deterministic basis of the right kernel of a rectangular matrix."""
+    m, pivots, _det = _echelon(rows, ncols, field)
+    return _kernel_basis(m, pivots, ncols, field)
+
+
+def coeffs_in(p, var):
+    """Coefficients (as MultiPoly in the same ring) of powers of var, ascending."""
+    i = p.vars.index(var)
+    buckets = [dict() for _ in range(max(p.degree_in(var), 0) + 1)]
+    for e, c in p.terms.items():
+        buckets[e[i]][e[:i] + (0,) + e[i + 1 :]] = c
+    return [MultiPoly(p.field, p.vars, b) for b in buckets]
+
+
+def _bivar_content_pp(p, main, aux):
+    """Content (univariate in aux) of p seen as a polynomial in main."""
+    cont = []
+    for c in coeffs_in(p, main):
+        u = _to_unicoeffs(c, aux)
+        if u:
+            cont = unipoly.gcd_poly(cont, u, p.field) if cont else unipoly.monic(list(u))
+    return cont
+
+
+def _uni_to_poly(u, var, field):
+    idx = VARS_X.index(var)
+    terms = {}
+    for k, c in enumerate(u):
+        if c:
+            e = [0, 0, 0]
+            e[idx] = k
+            terms[tuple(e)] = c
+    return MultiPoly(field, VARS_X, terms)
+
+
+def _primitive_in(p, main, aux):
+    cont = _bivar_content_pp(p, main, aux)
+    if unipoly.deg(cont) <= 0:
+        return p
+    q = p.try_divide(_uni_to_poly(cont, aux, p.field))
+    assert q is not None, "content division failed"
+    return q
+
+
+def _pseudo_rem(f, g, main):
+    dg = g.degree_in(main)
+    lead_g = coeffs_in(g, main)[dg]
+    r = f
+    while not r.is_zero and r.degree_in(main) >= dg:
+        dr = r.degree_in(main)
+        lead_r = coeffs_in(r, main)[dr]
+        shift = MultiPoly.variable(r.field, r.vars, main) ** (dr - dg)
+        r = r * lead_g - g * shift * lead_r
+    return r
+
+
+def bivar_gcd(f, g, main="x1", aux="x2"):
+    """GCD of two bivariate polynomials (x3-free) via a primitive PRS."""
+    field = f.field
+    if f.is_zero:
+        return g
+    if g.is_zero:
+        return f
+    if not f.involves(main) and not g.involves(main):
+        a = unipoly.gcd_poly(_to_unicoeffs(f, aux), _to_unicoeffs(g, aux), field)
+        return _uni_to_poly(a, aux, field)
+    if not f.involves(main) or not g.involves(main):
+        free, other = (f, g) if not f.involves(main) else (g, f)
+        a = unipoly.gcd_poly(_to_unicoeffs(free, aux), _bivar_content_pp(other, main, aux), field)
+        return _uni_to_poly(a, aux, field)
+
+    ccont = unipoly.gcd_poly(_bivar_content_pp(f, main, aux), _bivar_content_pp(g, main, aux), field)
+    a, b = f, g
+    if a.degree_in(main) < b.degree_in(main):
+        a, b = b, a
+    a = _primitive_in(a, main, aux)
+    b = _primitive_in(b, main, aux)
+    while not b.is_zero and b.involves(main):
+        r = _pseudo_rem(a, b, main)
+        a, b = b, _primitive_in(r, main, aux) if not r.is_zero else r
+    if b.is_zero:
+        gc = a
+    elif not b.involves(main):
+        # a nonzero remainder free of main kills any main-dependent common part
+        gc = MultiPoly.constant(field, f.vars, 1)
+    else:
+        gc = b
+    return gc * _uni_to_poly(ccont if ccont else [field.one()], aux, field)
+
+
+def reference_is_reduced(h):
+    """Squarefree test of a plane curve form by the PRS gcd with its partials."""
+    if h.is_zero:
+        return False
+    if min(e[2] for e in h.terms) >= 2:
+        return False
+    chart = h.substitute({"x3": 1})
+    if chart.degree() == 0:
+        return True  # h = c * x3^(0 or 1)
+    g1 = bivar_gcd(chart, chart.diff("x1"))
+    g2 = bivar_gcd(g1, chart.diff("x2"))
+    return g2.degree() == 0

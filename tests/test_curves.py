@@ -9,17 +9,17 @@ from detfold.curves import (
     PlaneCurve,
     _certify_s_c,
     analysis_context,
-    bivar_gcd,
     is_node,
     is_reduced_curve,
     plane_solutions,
     singular_points,
 )
 from detfold.detrep import gram_rank_kernel, reduce_rep
-from detfold.errors import Rejection
+from detfold.errors import InputError, Rejection
 from detfold.examples import build_example
 from detfold.points import ProjPoint, p2_reps, sorted_points
 from detfold.spin import config_predicates, geometric_genus
+from reference import bivar_gcd, reference_is_reduced
 
 
 def _p(s, f=QQ):
@@ -365,6 +365,50 @@ class TestComponentGenera:
         assert not config_predicates([(3, 0), (3, 1)]).all_components_rational
 
 
+def _form_in(draw, field, degree, vars=(0, 1, 2)):
+    """A random form of the given degree in the listed variables, coefficients -3..3."""
+    mons = [e for e in product(range(degree + 1), repeat=3)
+            if sum(e) == degree and all(e[v] == 0 for v in range(3) if v not in vars)]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(mons), max_size=len(mons)))
+    return MultiPoly(field, VARS_X, {e: field.from_int(c) for e, c in zip(mons, coeffs)})
+
+
+@st.composite
+def square_times_cofactor(draw, field):
+    """g^2 times a cofactor, g a form in one, two or three variables; degree 4 to 6."""
+    vars = draw(st.sampled_from([(0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2)]))
+    dg = draw(st.integers(1, 2))
+    g = _form_in(draw, field, dg, vars)
+    assume(not g.is_zero)
+    return g * g * _form_in(draw, field, draw(st.integers(max(0, 4 - 2 * dg), 6 - 2 * dg)))
+
+
+@st.composite
+def p_power_products(draw, field):
+    """Products of factors c x_k^p + (a form of degree p in the other two
+    variables), squared when the product is one cubic, otherwise times a
+    random cofactor; degree at most 6."""
+    p = field.char
+    h = MultiPoly.constant(field, VARS_X, 1)
+    for _ in range(draw(st.integers(1, 6 // p))):
+        k = draw(st.integers(0, 2))
+        c = field.from_int(draw(st.integers(1, p - 1)))
+        xk = MultiPoly.variable(field, VARS_X, VARS_X[k]) ** p
+        h = h * (xk * c + _form_in(draw, field, p, [v for v in range(3) if v != k]))
+    if h.degree() * 2 <= 6 and draw(st.booleans()):
+        return h * h
+    return h * _form_in(draw, field, draw(st.integers(max(0, 4 - h.degree()), 6 - h.degree())))
+
+
+@st.composite
+def random_curve(draw, field):
+    """A plain random quartic, quintic or sextic."""
+    return _form_in(draw, field, draw(st.integers(4, 6)))
+
+
+REDUCEDNESS_DRAWS = {"square": square_times_cofactor, "p-power": p_power_products, "random": random_curve}
+
+
 class TestReducedness:
     def test_square_factor_detected(self):
         assert not is_reduced_curve(_p("x1^2*x2^4"))
@@ -377,3 +421,41 @@ class TestReducedness:
         b = _p("x1^2 + 2*x1*x2 + x2^2")
         g = bivar_gcd(a, b)
         assert g.try_divide(_p("x1 + x2")) is not None and g.degree() == 1
+
+    @pytest.mark.parametrize("g", ["x1", "x2", "x3", "x1 + x2", "x2 - x3", "x1 + 2*x3", "x1^2 + x2^2"])
+    def test_square_of_a_form_missing_a_variable(self, g):
+        # each is caught by one content only: not all three resultants vanish here
+        h = _p(g) ** 2 * _p("x1^2 + x2^2 + x3^2 + x1*x2")
+        assert not is_reduced_curve(h) and not reference_is_reduced(h)
+        assert is_reduced_curve(_p(g) * _p("x1^2 + x2^2 + x3^2 + x1*x2"))
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (1, 2), (2, 0)])
+    def test_two_cubics_with_vanishing_partials_over_f3(self, a, b):
+        # x_a and x_b occur only as cubes in one factor each, so the resultants
+        # in x_a and x_b vanish although the product is reduced
+        f3 = PrimeField(3)
+        h = MultiPoly.constant(f3, VARS_X, 1)
+        for k in (a, b):
+            x, y, z = (VARS_X[(k + m) % 3] for m in range(3))
+            h = h * _p(f"{x}^3 + {y}^2*{z} + {y}*{z}^2", f3)
+        assert is_reduced_curve(h) and reference_is_reduced(h)
+        assert not is_reduced_curve(_p("x1^3 + x2^2*x3 + x2*x3^2", f3) ** 2)
+
+    def test_degree_bound(self):
+        with pytest.raises(InputError, match="degree < 3"):
+            is_reduced_curve(_p("x1^9 + x2^9 + x3^8*x1", PrimeField(3)))
+        assert is_reduced_curve(_p("x1^9 + x2^9 + x3^8*x1"))
+
+    @pytest.mark.parametrize("field, kind", [
+        (field, kind) for field in (QQ, PrimeField(3), PrimeField(5), PrimeField(7))
+        for kind in REDUCEDNESS_DRAWS if kind != "p-power" or field.char in (3, 5)
+    ], ids=lambda v: getattr(v, "name", v))
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_prs_reference(self, field, kind, data):
+        h = data.draw(REDUCEDNESS_DRAWS[kind](field))
+        assume(not h.is_zero)
+        assert is_reduced_curve(h) == reference_is_reduced(h)
+        if kind == "square":
+            assert not is_reduced_curve(h)
+

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, nullspace, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
 from detfold.curves import analysis_context
 from detfold.detrep import (
     derived_equations,
@@ -16,6 +16,7 @@ from detfold.errors import Rejection
 from detfold.examples import build_example
 from detfold.fourfold import couples_and_intersections
 from detfold.points import ProjPoint, p2_reps
+from reference import nullspace
 
 
 def _p(s, f=QQ):

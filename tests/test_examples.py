@@ -11,6 +11,7 @@ from detfold.errors import InputError, Rejection, ToolError
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
+from reference import coeffs_in
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,7 +28,7 @@ def _smoothness_certificate(fa):
         return None
     cert = 1
     for p in g:
-        lead = p.coeffs_in("x1")[p.degree_in("x1")]
+        lead = coeffs_in(p, "x1")[p.degree_in("x1")]
         if len(lead.terms) != 1 or (0, 0, 0) not in lead.terms:
             return None
         cert *= int(lead.terms[(0, 0, 0)])
@@ -39,7 +40,7 @@ def _smoothness_certificate(fa):
     for r in (r1, r2):
         if r.is_zero or not r.involves("x2"):
             return None
-        lead = r.coeffs_in("x2")[r.degree_in("x2")]
+        lead = coeffs_in(r, "x2")[r.degree_in("x2")]
         if len(lead.terms) != 1:
             return None
         cert *= int(Fraction(next(iter(lead.terms.values()))))
@@ -161,6 +162,13 @@ class TestEx42iValidation:
             rpt = analyze(ex.rep, QQ, components=ex.components)
             if rpt.s_c_certified:
                 assert len(rpt.sing_x) == len(rpt.s_c) + 3
+
+
+# x1, x2 and x1 + x2 meet at (0:0:1); l6 = l4 + l5 passes through the meet of l4 and l5
+@pytest.mark.parametrize("params", [{"l4": "x1 + x2"}, {"l6": "2*x1 + 3*x2 + 4*x3"}])
+def test_ex42ii_concurrent_lines_rejected(params):
+    with pytest.raises(Rejection, match="concurrent; not in general position"):
+        build_example("ex42ii", params)
 
 
 class TestEx43Fermat:

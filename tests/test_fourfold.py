@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, nullspace, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, parse_poly
 from detfold.curves import analysis_context
 from detfold.detrep import derived_equations, validate_rep
 from detfold.errors import InputError, Rejection
@@ -16,6 +16,7 @@ from detfold.fourfold import (
     split_rank2_fiber,
 )
 from detfold.points import ProjPoint
+from reference import nullspace
 
 
 def _p(s, f=QQ):

@@ -17,6 +17,7 @@ from detfold.algebra import (
 from detfold.algebra.parser import PolyParseError
 from detfold.errors import DegenerateResultant, InputError
 from detfold.points import ProjPoint
+from reference import coeffs_in
 
 
 class TestParser:
@@ -151,7 +152,7 @@ def _reference_resultant(f, g, var):
     zero = MultiPoly.zero(f.field, f.vars)
     rows = []
     for p, copies in ((f, n), (g, m)):
-        lead_first = list(reversed(p.coeffs_in(var)))
+        lead_first = list(reversed(coeffs_in(p, var)))
         for i in range(copies):
             rows.append([zero] * i + lead_first + [zero] * (copies - 1 - i))
     size = m + n
