@@ -317,9 +317,14 @@ class QuadExtElt:
         return QuadExtElt(o.a - self.a, o.b - self.b, self.field)
 
     def __mul__(self, other):
+        if not isinstance(other, QuadExtElt):
+            # a base scalar c: (a + b r) c takes two products
+            try:
+                c = self.field.base.coerce(other)
+            except (InputError, Rejection):
+                return NotImplemented
+            return QuadExtElt(self.a * c, self.b * c, self.field)
         o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
         d = self.field.d
         return QuadExtElt(
             self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, self.field

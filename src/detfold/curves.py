@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import MultiPoly, PrimeField, VARS_X, resultant, unipoly
-from .detrep import DerivedEquations, SymDetRep, derived_equations, gram_rank_kernel, reduce_rep
+from .detrep import SymDetRep, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
 from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
 
@@ -274,13 +274,14 @@ def is_reduced_curve(h: MultiPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def singular_points(curve: PlaneCurve, field) -> PlaneSolutions:
-    """Singular points of a reduced plane curve over the given field."""
-    h = curve.poly if curve.poly.field == field else curve.poly.map_field(field)
+def singular_points(curve: PlaneCurve) -> PlaneSolutions:
+    """Singular points of a reduced plane curve over its own field."""
+    h = curve.poly
+    field = h.field
     if not is_reduced_curve(h):
         raise Rejection("curve is not reduced (square factor detected)")
     if curve.components is not None and not isinstance(field, PrimeField):
-        return _singular_points_factored(curve, field)
+        return _singular_points_factored(curve.components, field)
     grads = [h.diff(v) for v in VARS_X]
     sol = plane_solutions([h] + grads, field)
     for p in sol.points:
@@ -289,11 +290,10 @@ def singular_points(curve: PlaneCurve, field) -> PlaneSolutions:
     return sol
 
 
-def _singular_points_factored(curve: PlaneCurve, field) -> PlaneSolutions:
+def _singular_points_factored(comps, field) -> PlaneSolutions:
     """The meets of each pair of components and the singular points of each
     component; `unresolved_in` records which of these systems left
     solutions unresolved, by their component indices."""
-    comps = [c if c.field == field else c.map_field(field) for c in curve.components]
     pts: set = set()
     unresolved = 0
     unresolved_in = []
@@ -318,7 +318,7 @@ def node_partials(h: MultiPoly) -> tuple:
     return grad, hess
 
 
-def is_node(curve: PlaneCurve | MultiPoly, p: ProjPoint, partials=None) -> bool:
+def is_node(h: MultiPoly, p: ProjPoint, partials=None) -> bool:
     """True iff the curve has an ordinary double point (node) at p.
 
     In the chart where p's leading coordinate x_k is 1, the quadratic part of
@@ -326,7 +326,6 @@ def is_node(curve: PlaneCurve | MultiPoly, p: ProjPoint, partials=None) -> bool:
     is a node exactly when h_ij^2 - h_ii h_jj != 0 there (char != 2).
     `partials` is `node_partials(h)` when the caller tests many points.
     """
-    h = curve.poly if isinstance(curve, PlaneCurve) else curve
     grad, hess = partials or node_partials(h)
     if h.evaluate(p.coords) or any(g.evaluate(p.coords) for g in grad):
         raise Rejection(f"point {p} is not a singular point of the curve")
@@ -346,14 +345,12 @@ class SingRecord:
     point: ProjPoint
     rank: int
     on_d: bool
-    node_certified: bool
     gram: tuple  # Gram matrix of the fiber quadric over point (gram_rank_kernel)
     kernel: tuple  # its kernel basis, one vector per free column
 
 
 @dataclass
 class SingClassification:
-    field: object
     records: list
     complete: bool
     unresolved: int
@@ -377,21 +374,19 @@ class SingClassification:
         return [r.point for r in self.records if not r.on_d]
 
 
-def classify_singularities(
-    rep: SymDetRep, derived: DerivedEquations, components=None
-) -> SingClassification:
+def classify_singularities(rep: SymDetRep, components=None) -> SingClassification:
     """Locate Sing(C), certify nodality, and split into the rank/D strata.
 
-    rep and its derived equations lie over the working field; the optional
-    factorization of the sextic is mapped into that field.
+    rep lies over the working field; the optional factorization of its
+    sextic is mapped into that field.
     """
     field = rep.field
-    sextic = derived.sextic
-    d_cubic = derived.d_cubic
+    sextic = rep.sextic
+    d_cubic = rep.d_cubic
     if components is not None:
         components = [c if c.field == field else c.map_field(field) for c in components]
     curve = PlaneCurve(sextic, tuple(components) if components is not None else None)
-    scan = singular_points(curve, field)
+    scan = singular_points(curve)
 
     records = []
     partials = node_partials(sextic)
@@ -406,7 +401,7 @@ def classify_singularities(
             raise ConsistencyError(
                 f"rank-2 fiber at {p} must lie on the cubic D (minors all vanish)"
             )
-        records.append(SingRecord(point=p, rank=rank, on_d=on_d, node_certified=True,
+        records.append(SingRecord(point=p, rank=rank, on_d=on_d,
                                   gram=tuple(map(tuple, gram)), kernel=tuple(map(tuple, kernel))))
 
     s_c_certified = scan.complete
@@ -419,7 +414,6 @@ def classify_singularities(
         notes.append(f"singular-point list incomplete over {field.name}: "
                      f"{scan.unresolved} solutions live in extensions")
     return SingClassification(
-        field=field,
         records=records,
         complete=scan.complete,
         unresolved=scan.unresolved,
@@ -443,11 +437,10 @@ def _certify_s_c(unresolved_in, comps, dc) -> bool:
 @dataclass
 class AnalysisContext:
     """One representation over one working field, shared by every stage of an
-    analysis: the rep reduced to the field and its derived equations, plus
+    analysis: the rep reduced to the field, which keeps its equations, and
     the singularity classification, computed on first use and kept."""
 
     rep: SymDetRep
-    derived: DerivedEquations
     components: list | None = None
 
     @property
@@ -456,10 +449,9 @@ class AnalysisContext:
 
     @cached_property
     def classification(self) -> SingClassification:
-        return classify_singularities(self.rep, self.derived, self.components)
+        return classify_singularities(self.rep, self.components)
 
 
 def analysis_context(rep: SymDetRep, field=None, components=None) -> AnalysisContext:
-    """Reduce rep to field (default: its own) and derive its equations once."""
-    work = reduce_rep(rep, rep.field if field is None else field)
-    return AnalysisContext(work, derived_equations(work), components)
+    """Reduce rep to field (default: its own) once for every stage."""
+    return AnalysisContext(reduce_rep(rep, rep.field if field is None else field), components)

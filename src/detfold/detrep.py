@@ -10,6 +10,7 @@ by (u:t) -> (t*a, t*b, t*c, u1, u2, u3) over p = (a:b:c).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import MultiPoly, VARS_X, VARS_XU, kernel_rank_det, poly_matrix_det
 from .errors import ConsistencyError, Rejection
@@ -38,6 +39,36 @@ class SymDetRep:
     def cubic_corner(self) -> MultiPoly:
         return self.entries[3][3]
 
+    @cached_property
+    def sextic(self) -> MultiPoly:
+        """det M, degree 6 in x; expanded once, by `validate_rep`."""
+        return poly_matrix_det([list(row) for row in self.entries])
+
+    @cached_property
+    def d_cubic(self) -> MultiPoly:
+        """The cubic D, det of the linear 3x3 block."""
+        return poly_matrix_det(self.linear_block())
+
+    @cached_property
+    def fourfold(self) -> MultiPoly:
+        """F = u^T L u + 2 q . u + f in x and u, from the linear block L, the
+        quadrics q of the last column and the corner cubic f."""
+        field = self.field
+        F = MultiPoly.zero(field, VARS_XU)
+        u = [MultiPoly.variable(field, VARS_XU, n) for n in ("u1", "u2", "u3")]
+        for i in range(3):
+            for j in range(3):
+                lij = _lift_x(self.entry(i, j), field)
+                if not lij.is_zero:
+                    F = F + lij * u[i] * u[j]
+        for k in range(3):
+            qk = _lift_x(self.entry(k, 3), field)
+            if not qk.is_zero:
+                F = F + qk.scale(2) * u[k]
+        F = F + _lift_x(self.cubic_corner(), field)
+        _check_fourfold_shape(F, self)
+        return F
+
 
 def validate_rep(entries, field) -> SymDetRep:
     """Check symmetry, the (1,1,1;2;3) degree profile, and det != 0."""
@@ -64,10 +95,10 @@ def validate_rep(entries, field) -> SymDetRep:
                 raise Rejection(
                     f"matrix is not symmetric: entry ({i+1},{j+1}) differs from ({j+1},{i+1})"
                 )
-    det = poly_matrix_det([list(row) for row in entries])
-    if det.is_zero:
+    rep = SymDetRep(field=field, entries=tuple(tuple(row) for row in entries))
+    if rep.sextic.is_zero:
         raise Rejection("determinant vanishes identically; the discriminant sextic is not a curve")
-    return SymDetRep(field=field, entries=tuple(tuple(row) for row in entries))
+    return rep
 
 
 def reduce_rep(rep: SymDetRep, field) -> SymDetRep:
@@ -77,33 +108,6 @@ def reduce_rep(rep: SymDetRep, field) -> SymDetRep:
         return rep
     entries = [[rep.entry(i, j).map_field(field) for j in range(4)] for i in range(4)]
     return validate_rep(entries, field)
-
-
-@dataclass(frozen=True)
-class DerivedEquations:
-    sextic: MultiPoly  # det M, degree 6 in x
-    d_cubic: MultiPoly  # det of the linear 3x3 block, degree 3 in x
-    fourfold: MultiPoly  # F, degree 3 in x,u
-
-
-def derived_equations(rep: SymDetRep) -> DerivedEquations:
-    sextic = poly_matrix_det([list(row) for row in rep.entries])
-    d_cubic = poly_matrix_det(rep.linear_block())
-    field = rep.field
-    F = MultiPoly.zero(field, VARS_XU)
-    u = [MultiPoly.variable(field, VARS_XU, n) for n in ("u1", "u2", "u3")]
-    for i in range(3):
-        for j in range(3):
-            lij = _lift_x(rep.entry(i, j), field)
-            if not lij.is_zero:
-                F = F + lij * u[i] * u[j]
-    for k in range(3):
-        qk = _lift_x(rep.entry(k, 3), field)
-        if not qk.is_zero:
-            F = F + qk.scale(2) * u[k]
-    F = F + _lift_x(rep.cubic_corner(), field)
-    _check_fourfold_shape(F, rep)
-    return DerivedEquations(sextic=sextic, d_cubic=d_cubic, fourfold=F)
 
 
 def _lift_x(p: MultiPoly, field) -> MultiPoly:

@@ -17,7 +17,7 @@ from itertools import combinations
 from .algebra import MultiPoly, PrimeField, QQ, VARS_X, matrix_rank, parse_poly, poly_matrix_det
 from .algebra.unipoly import is_squarefree
 from .curves import _to_unicoeffs, is_reduced_curve
-from .detrep import SymDetRep, derived_equations, validate_rep, vanishes_on_plane
+from .detrep import SymDetRep, validate_rep, vanishes_on_plane
 from .errors import InputError, Rejection
 
 EXAMPLE_NAMES = (
@@ -203,7 +203,7 @@ def _build_prop44(params: dict) -> NamedExample:
     # transversally away from its vertices
     from .curves import PlaneCurve, singular_points
 
-    scan = singular_points(PlaneCurve(f_a), fld)
+    scan = singular_points(PlaneCurve(f_a))
     if scan.points:
         raise Rejection(f"the cubic built from A is singular at {scan.points[0]}")
     if not scan.complete:
@@ -265,7 +265,7 @@ def _verify_section_plane(rep: SymDetRep, rows) -> None:
         [fld.one() if k == j else fld.zero() for k in range(3)] + [rows[i][j] for i in range(3)]
         for j in range(3)
     ]
-    if not vanishes_on_plane(derived_equations(rep).fourfold, basis):
+    if not vanishes_on_plane(rep.fourfold, basis):
         raise Rejection("section plane is not contained in the fourfold")
 
 
@@ -431,8 +431,7 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
         fld,
     )
     quartic = x1**4 + x2**4 + x3**4
-    sextic = derived_equations(rep).sextic
-    if sextic != x1 * (x1 + x2) * quartic:
+    if rep.sextic != x1 * (x1 + x2) * quartic:
         raise Rejection(
             "root selection failed: the determinant is not the product of the "
             "two lines and the diagonal quartic"
@@ -483,7 +482,7 @@ def _build_rmk31(params: dict) -> NamedExample:
         fld,
     )
     nodal_cubic = _p("x2^2*x3 - x1^3 - x1^2*x3")
-    assert derived_equations(rep).d_cubic == nodal_cubic
+    assert rep.d_cubic == nodal_cubic
     expected = {
         "rational": {
             "b_count": (1, "derived"),

@@ -11,7 +11,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .algebra import MultiPoly, PrimeField, QuadExt, QuadExtElt, VARS_X, VARS_XU, matrix_rank
 from .curves import AnalysisContext, SingClassification, analysis_context, plane_solutions
-from .detrep import SymDetRep, derived_equations, embed_fiber_vector, gram_rank_kernel, p3_forms, reduce_rep
+from .detrep import SymDetRep, embed_fiber_vector, gram_rank_kernel, p3_forms, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
 from .points import ORACLE_BUDGET, ProjPoint, p2_reps, sorted_points
 
@@ -114,7 +114,7 @@ def split_rank2_fiber(ctx: AnalysisContext, p: ProjPoint, gram=None) -> PlanePai
         disc=None if sq is not None else disc,
         degenerate=(conic_rank == 0),
     )
-    _verify_pair(pair, ctx.derived.fourfold)
+    _verify_pair(pair, ctx.rep.fourfold)
     return pair
 
 
@@ -222,7 +222,7 @@ def net_conics(rep: SymDetRep) -> list[MultiPoly]:
 def base_locus(ctx: AnalysisContext):
     """Common zeros in P of the net of conics; at most 3 points for valid input."""
     field = ctx.field
-    if ctx.derived.d_cubic.is_zero:
+    if ctx.rep.d_cubic.is_zero:
         raise Rejection("the cubic D vanishes identically; the net of conics is degenerate")
     conics = [c for c in net_conics(ctx.rep) if not c.is_zero]
     if len(conics) < 2:
@@ -282,7 +282,7 @@ def singular_locus_X(ctx: AnalysisContext) -> SingularLocusX:
     embedded_b = [
         ProjPoint(field, (field.zero(),) * 3 + p.coords, "p5") for p in bpts
     ]
-    F = ctx.derived.fourfold
+    F = ctx.rep.fourfold
     grads = {v: F.diff(v) for v in VARS_XU}
     hessian = [grads[v].diff(w) for n, v in enumerate(VARS_XU) for w in VARS_XU[n:]]
     all_double = True
@@ -339,7 +339,7 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     if tested > ORACLE_BUDGET:
         raise InputError(over_budget)
     gf = PrimeField(q)
-    F = derived_equations(reduce_rep(rep, gf)).fourfold
+    F = reduce_rep(rep, gf).fourfold
     # F, its x-partials, then its u-partials, each as
     # {u-exponent: [(coefficient, x-exponent), ...]} over the integers
     polys = []

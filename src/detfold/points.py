@@ -34,9 +34,6 @@ class ProjPoint:
     def sort_key(self):
         return tuple(self.field.sort_key(c) for c in self.coords)
 
-    def map_field(self, field) -> "ProjPoint":
-        return ProjPoint(field, [field.coerce(c) for c in self.coords], self.space)
-
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented

@@ -215,7 +215,7 @@ def test_criterion_8_lattice_suite():
 def test_criterion_9_rank_stratification():
     t0 = time.time()
     from detfold.curves import PlaneCurve, singular_points
-    from detfold.detrep import derived_equations, gram_rank_kernel, reduce_rep
+    from detfold.detrep import gram_rank_kernel, reduce_rep
 
     checked = 0
     for name in EXAMPLE_NAMES:
@@ -223,8 +223,7 @@ def test_criterion_9_rank_stratification():
         for q in ex.compatible_primes:
             gf = PrimeField(q)
             rep = reduce_rep(ex.rep, gf)
-            der = derived_equations(rep)
-            sing = {p.coords for p in singular_points(PlaneCurve(der.sextic), gf).points}
+            sing = {p.coords for p in singular_points(PlaneCurve(rep.sextic)).points}
             reps = [(1, b, c) for b in range(q) for c in range(q)]
             reps += [(0, 1, c) for c in range(q)]
             reps.append((0, 0, 1))
@@ -232,7 +231,7 @@ def test_criterion_9_rank_stratification():
                 pt = ProjPoint(gf, coords, "x")
                 _, rank, _, _ = gram_rank_kernel(rep, pt)
                 assert rank >= 2
-                if der.sextic.evaluate(pt.coords):
+                if rep.sextic.evaluate(pt.coords):
                     assert rank == 4
                 elif pt.coords in sing:
                     assert rank in (2, 3)

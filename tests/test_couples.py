@@ -219,7 +219,7 @@ def test_perturbed_plane_refused(which):
     ctx, point = _COUPLES[which]()
     pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, point, "x"))
     assert (pair.disc is not None) == (which == "Q(i)")
-    F = ctx.derived.fourfold
+    F = ctx.rep.fourfold
     _verify_pair(pair, F)  # the split itself passes
     third = pair.planes[0].forms[2]
     one, zero = pair.field.one(), pair.field.zero()
@@ -243,7 +243,7 @@ def test_plane_with_isotropic_basis_refused():
     pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, (1, 0, 0), "x"))
     third = [ctx.field.from_int(c) for c in (12, 0, 0, 1, 0, 2)]
     with pytest.raises(ConsistencyError, match="not inside the fourfold"):
-        _verify_pair(_with_third(pair, third), ctx.derived.fourfold)
+        _verify_pair(_with_third(pair, third), ctx.rep.fourfold)
 
 
 _DEGENERATE_COUPLE = """field rational
@@ -273,7 +273,7 @@ def test_degenerate_couple_has_p_as_a_plane():
     pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, (0, 0, 1), "x"))
     assert pair.degenerate
     assert [not any(plane.forms[2][3:]) for plane in pair.planes].count(True) == 1
-    _verify_pair(pair, ctx.derived.fourfold)
+    _verify_pair(pair, ctx.rep.fourfold)
 
 
 @st.composite
@@ -313,7 +313,7 @@ def test_base_field_couple_planes_lie_on_the_fourfold(q, data):
         pairs = couples_and_intersections(ctx).pairs
     except Rejection:
         assume(False)
-    F = ctx.derived.fourfold
+    F = ctx.rep.fourfold
     for pair in pairs:
         if pair.disc is not None:
             continue
@@ -354,7 +354,7 @@ def test_base_locus_share_test_matches_gcd(q, data):
             assume(False)
     ctx = analysis_context(rep)
     conics = [c for c in net_conics(rep) if not c.is_zero]
-    assume(not ctx.derived.d_cubic.is_zero and len(conics) >= 2)
+    assume(not ctx.rep.d_cubic.is_zero and len(conics) >= 2)
     g = conics[0]
     for c in conics[1:]:
         g = _conic_common_factor(g, c, field)

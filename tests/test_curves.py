@@ -29,10 +29,8 @@ def _p(s, f=QQ):
 class TestSingularPoints:
     def test_six_lines(self):
         ex = build_example("ex42ii")
-        from detfold.detrep import derived_equations
-
-        sextic = derived_equations(ex.rep).sextic
-        scan = singular_points(PlaneCurve(sextic, tuple(ex.components)), QQ)
+        sextic = ex.rep.sextic
+        scan = singular_points(PlaneCurve(sextic, tuple(ex.components)))
         assert len(scan.points) == 15 and scan.complete
         pts = {p.coords for p in scan.points}
         for raw in ((0, 0, 1), (1, -2, 1), (1, 1, -2), (-5, 1, 1)):
@@ -43,7 +41,7 @@ class TestSingularPoints:
         # other system of the three components is rational or empty
         comps = (_p("x3"), _p("x1^2 - 2*x2^2 + x2*x3"), _p("x1"))
         h = comps[0] * comps[1] * comps[2]
-        scan = singular_points(PlaneCurve(h, comps), QQ)
+        scan = singular_points(PlaneCurve(h, comps))
         assert (scan.unresolved, scan.unresolved_in) == (2, [(0, 1)])
         # s_c is certified when a component of each such system divides D;
         # x1 divides x1^3 but takes no part in the system (0, 1)
@@ -52,22 +50,20 @@ class TestSingularPoints:
 
     def test_nodal_cubic_rational_mode(self):
         c = PlaneCurve(_p("x2^2*x3 - x1^3 + x1^2*x3"))
-        scan = singular_points(c, QQ)
+        scan = singular_points(c)
         assert [p.coords for p in scan.points] == [ProjPoint(QQ, (0, 0, 1), "x").coords]
         assert scan.complete
 
     def test_smooth_fermat_sextic_exhaustive(self):
         gf = PrimeField(7)
         c = PlaneCurve(parse_poly("x1^6 + x2^6 + x3^6", VARS_X, gf))
-        scan = singular_points(c, gf)
+        scan = singular_points(c)
         assert scan.points == [] and scan.complete
 
     def test_gradient_vanishes_on_returned_points(self):
         ex = build_example("ex42ii")
-        from detfold.detrep import derived_equations
-
-        h = derived_equations(ex.rep).sextic
-        scan = singular_points(PlaneCurve(h, tuple(ex.components)), QQ)
+        h = ex.rep.sextic
+        scan = singular_points(PlaneCurve(h, tuple(ex.components)))
         for p in scan.points:
             assert not h.evaluate(p.coords)
             for v in VARS_X:
@@ -75,21 +71,17 @@ class TestSingularPoints:
 
     def test_non_reduced_rejected(self):
         with pytest.raises(Rejection, match="reduced"):
-            singular_points(PlaneCurve(_p("x1^2*x2^2*x3^2")), QQ)
+            singular_points(PlaneCurve(_p("x1^2*x2^2*x3^2")))
 
     def test_factored_and_exhaustive_agree_mod_q(self):
         for name in ("ex42ii", "prop44"):
             ex = build_example(name)
-            from detfold.detrep import derived_equations
-
-            h = derived_equations(ex.rep).sextic
+            h = ex.rep.sextic
             for q in (7, 11, 13):
                 gf = PrimeField(q)
-                ff = singular_points(PlaneCurve(h.map_field(gf)), gf)
-                factored = singular_points(
-                    PlaneCurve(h, tuple(ex.components)), QQ
-                )
-                reduced = {p.map_field(gf).coords for p in factored.points}
+                ff = singular_points(PlaneCurve(h.map_field(gf)))
+                factored = singular_points(PlaneCurve(h, tuple(ex.components)))
+                reduced = {ProjPoint(gf, p.coords, "x").coords for p in factored.points}
                 assert reduced <= {p.coords for p in ff.points}
                 if factored.complete:
                     assert reduced == {p.coords for p in ff.points}
@@ -103,15 +95,13 @@ class TestSingularPoints:
         # elimination over Q; every node must be found, and its primitive
         # integer representative, on which h and its partials vanish over Z,
         # must reduce to a singular point of the exhaustive scan mod p
-        from detfold.detrep import derived_equations
-
         params = {k: " + ".join(f"{c}*x{i + 1}" for i, c in enumerate(l)) for k, l in zip(("l4", "l5", "l6"), lines)}
         try:
             ex = build_example("ex42ii", params)
         except Rejection:
             assume(False)
-        h = derived_equations(ex.rep).sextic
-        scan = singular_points(PlaneCurve(h), QQ)
+        h = ex.rep.sextic
+        scan = singular_points(PlaneCurve(h))
         coeffs = [[ln.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for ln in ex.components]
         nodes = {
             ProjPoint(QQ, (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]), "x")
@@ -122,7 +112,7 @@ class TestSingularPoints:
         for q in (7, 11, 13):
             gf = PrimeField(q)
             try:
-                ff = singular_points(PlaneCurve(h.map_field(gf)), gf)
+                ff = singular_points(PlaneCurve(h.map_field(gf)))
             except Rejection:
                 continue  # h mod q is not reduced
             for node in nodes:
@@ -331,17 +321,14 @@ class TestRankStratification:
         for name in ("ex42ii", "prop44", "rmk31"):
             ex = build_example(name)
             rep = reduce_rep(ex.rep, gf)
-            from detfold.detrep import derived_equations
-
-            der = derived_equations(rep)
             sing = {
                 p.coords
-                for p in singular_points(PlaneCurve(der.sextic), gf).points
+                for p in singular_points(PlaneCurve(rep.sextic)).points
             }
             for coords in p2_reps(q):
                 pt = ProjPoint(gf, coords, "x")
                 _, rank, _, _ = gram_rank_kernel(rep, pt)
-                on_curve = not der.sextic.evaluate(pt.coords)
+                on_curve = not rep.sextic.evaluate(pt.coords)
                 if not on_curve:
                     assert rank == 4
                 elif pt.coords in sing:

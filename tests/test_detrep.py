@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+import detfold.detrep as detrep
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
 from detfold.curves import analysis_context
 from detfold.detrep import (
-    derived_equations,
     embed_fiber_vector,
     gram_rank_kernel,
     reduce_rep,
@@ -14,8 +14,10 @@ from detfold.detrep import (
 )
 from detfold.errors import Rejection
 from detfold.examples import build_example
-from detfold.fourfold import couples_and_intersections
+from detfold.fourfold import brute_force_oracle, couples_and_intersections
 from detfold.points import ProjPoint, p2_reps
+from detfold.repfile import parse_rep_file, write_rep_file
+from detfold.report import analyze
 from reference import nullspace
 
 
@@ -63,51 +65,82 @@ class TestValidate:
 class TestDerived:
     def test_ex42ii_equations(self):
         ex = build_example("ex42ii")
-        der = derived_equations(ex.rep)
         l4, l5, l6 = (_p(t) for t in ("x1 + x2 + x3", "x1 + 2*x2 + 3*x3", "x1 + 3*x2 + 2*x3"))
-        assert der.sextic == _p("x1") * _p("x2") * _p("x3") * l4 * l5 * l6
-        assert der.d_cubic == _p("x1*x2*x3")
+        assert ex.rep.sextic == _p("x1") * _p("x2") * _p("x3") * l4 * l5 * l6
+        assert ex.rep.d_cubic == _p("x1*x2*x3")
         from detfold.algebra import VARS_XU
 
         F = parse_poly("x1*u1^2 + x2*u2^2 + x3*u3^2", VARS_XU, QQ)
         corner = l4 * l5 * l6
         lifted = MultiPoly(QQ, VARS_XU, {e + (0, 0, 0): c for e, c in corner.terms.items()})
-        assert der.fourfold == F + lifted
+        assert ex.rep.fourfold == F + lifted
 
     def test_ex42i_equations(self):
         ex = build_example("ex42i")
-        der = derived_equations(ex.rep)
         f = _p("x1^3 + x2^3 + x3^3")
-        assert der.sextic == (_p("x1*x2*x3") * f).scale(2)
-        assert der.d_cubic == _p("2*x1*x2*x3")
+        assert ex.rep.sextic == (_p("x1*x2*x3") * f).scale(2)
+        assert ex.rep.d_cubic == _p("2*x1*x2*x3")
         from detfold.algebra import VARS_XU
 
         expected = parse_poly(
             "2*x1*u1*u2 + 2*x2*u1*u3 + 2*x3*u2*u3 + x1^3 + x2^3 + x3^3", VARS_XU, QQ
         )
-        assert der.fourfold == expected
+        assert ex.rep.fourfold == expected
 
     def test_prop44_equations(self):
         ex = build_example("prop44")
-        der = derived_equations(ex.rep)
         f = _p("x1^3 + x2^3 + x3^3")
-        assert der.sextic == -(_p("x1*x2*x3") * f)
-        assert der.d_cubic == _p("x1*x2*x3")
+        assert ex.rep.sextic == -(_p("x1*x2*x3") * f)
+        assert ex.rep.d_cubic == _p("x1*x2*x3")
         from detfold.algebra import VARS_XU
 
         expected = parse_poly(
             "x1*u1^2 + x2*u2^2 + x3*u3^2 - x1^3 - x2^3 - x3^3", VARS_XU, QQ
         )
-        assert der.fourfold == expected
+        assert ex.rep.fourfold == expected
 
     def test_plane_and_corner_restrictions(self):
         for name in ("ex42i", "ex42ii", "prop44", "rmk31"):
             ex = build_example(name)
-            der = derived_equations(ex.rep)
-            for e in der.fourfold.terms:
+            for e in ex.rep.fourfold.terms:
                 assert e[0] + e[1] + e[2] > 0  # vanishes on the plane x=0
-            corner = {e[:3]: c for e, c in der.fourfold.terms.items() if sum(e[3:]) == 0}
+            corner = {e[:3]: c for e, c in ex.rep.fourfold.terms.items() if sum(e[3:]) == 0}
             assert corner == ex.rep.cubic_corner().terms
+
+
+class TestDeterminantOnce:
+    """Each rep and field expands its 4x4 determinant once, at validation,
+    and keeps it; D is a 3x3 determinant, built only when read."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes = []
+        det = detrep.poly_matrix_det
+
+        def counting(rows):
+            sizes.append(len(rows))
+            return det(rows)
+
+        monkeypatch.setattr(detrep, "poly_matrix_det", counting)
+        return sizes
+
+    def test_analyze_own_field(self, sizes):
+        text = write_rep_file(build_example("ex42ii").rep)
+        sizes.clear()
+        analyze(parse_rep_file(text))
+        assert sizes.count(4) == 1
+
+    def test_analyze_reduced_field(self, sizes):
+        rep = build_example("ex42ii").rep
+        sizes.clear()
+        analyze(rep, PrimeField(13))
+        assert sizes.count(4) == 1
+
+    def test_oracle_builds_no_d(self, sizes):
+        rep = build_example("ex42ii").rep
+        sizes.clear()
+        brute_force_oracle(rep, 13)
+        assert sizes == [4]
 
 
 class TestFiberGram:
@@ -132,8 +165,7 @@ class TestFiberGram:
         gf = PrimeField(11)
         for name in ("ex42ii", "prop44"):
             ex = build_example(name)
-            der = derived_equations(ex.rep)
-            sext = der.sextic.map_field(gf)
+            sext = ex.rep.sextic.map_field(gf)
             for _ in range(100):
                 coords = tuple(gf.from_int(rng.randrange(11)) for _ in range(3))
                 if not any(coords):
@@ -144,7 +176,6 @@ class TestFiberGram:
 
     def test_conic_block_matches_d_cubic(self):
         ex = build_example("ex42ii")
-        der = derived_equations(ex.rep)
         rng = random.Random(8)
         for _ in range(20):
             coords = tuple(rng.randrange(-5, 6) for _ in range(3))
@@ -158,7 +189,7 @@ class TestFiberGram:
                 - block[0][1] * (block[1][0] * block[2][2] - block[1][2] * block[2][0])
                 + block[0][2] * (block[1][0] * block[2][1] - block[1][1] * block[2][0])
             )
-            assert det3 == der.d_cubic.evaluate(p.coords)
+            assert det3 == ex.rep.d_cubic.evaluate(p.coords)
 
     def test_embed_fiber_vector(self):
         p = ProjPoint(QQ, (1, -2, 1), "x")
@@ -176,7 +207,7 @@ class TestVanishesOnPlane:
         gf = PrimeField(13)
         ex = build_example("prop44")
         ctx = analysis_context(ex.rep, gf, ex.components)
-        F = ctx.derived.fourfold
+        F = ctx.rep.fourfold
         on_x = [self.SECTION, [[0, 0, 0] + row for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]]
         for pair in couples_and_intersections(ctx).pairs:
             if pair.disc is None:
@@ -212,7 +243,7 @@ class TestVanishesOnPlane:
             assert not vanishes_on_plane(F, basis), point
 
     def test_section_plane_over_q(self):
-        F = derived_equations(build_example("prop44").rep).fourfold
+        F = build_example("prop44").rep.fourfold
         assert vanishes_on_plane(F, self.SECTION)
         moved = [row[:] for row in self.SECTION]
         moved[2][3] = 1  # u1 = x1 + x3 on the third vector

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from detfold.algebra import QQ, PrimeField, QuadExt, is_prime
+from detfold.algebra import QQ, PrimeField, QuadExt, QuadExtElt, is_prime
 from detfold.errors import InputError, Rejection
 
 
@@ -95,6 +95,19 @@ def test_quadratic_extension_fp():
     for v in range(1, 13):
         s = ext.sqrt(ext.coerce(gf.from_int(v)))
         assert s is not None and s * s == ext.coerce(gf.from_int(v))
+
+
+@pytest.mark.parametrize("base", [QQ, PrimeField(13)])
+def test_quadratic_extension_base_scalar_product(base):
+    # a base scalar multiplies both coordinates; the result equals the
+    # product with the scalar coerced into the extension
+    ext = QuadExt(base, 2)
+    x = QuadExtElt(base.coerce(Fraction(3, 4)), base.coerce(-5), ext)
+    scalars = [0, 7, Fraction(-2, 3)] + ([base.from_int(6)] if base.char else [])
+    for c in scalars:
+        assert x * c == c * x == x * ext.coerce(c)
+    with pytest.raises(InputError, match="mixed quadratic extensions"):
+        x * QuadExt(base, 5).root()
 
 
 def test_fp_fraction_coercion():

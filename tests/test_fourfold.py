@@ -4,7 +4,7 @@ import pytest
 
 from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, parse_poly
 from detfold.curves import analysis_context
-from detfold.detrep import derived_equations, validate_rep
+from detfold.detrep import validate_rep
 from detfold.errors import InputError, Rejection
 from detfold.examples import build_example
 from detfold.fourfold import (
@@ -73,7 +73,7 @@ class TestSplit:
         # verified internally by split_rank2_fiber; re-check one plane by hand
         ex = build_example("prop44")
         pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
-        F = derived_equations(ex.rep).fourfold
+        F = ex.rep.fourfold
         for plane in pair.planes:
             for vec in nullspace([list(f) for f in plane.forms], 6, QQ):
                 assert not F.evaluate(vec)

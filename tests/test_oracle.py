@@ -7,7 +7,6 @@ the two must return the same points.  On random reps the oracle must also
 agree with the singular locus assembled from the structure theory.
 """
 
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import detfold.fourfold as fourfold
 from detfold.algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
-from detfold.detrep import derived_equations, reduce_rep, validate_rep
+from detfold.detrep import SymDetRep, reduce_rep, validate_rep
 from detfold.errors import ConsistencyError, Rejection
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.fourfold import brute_force_oracle, oracle_matches_assembly
@@ -26,7 +25,7 @@ def reference_scan(rep, q):
     """Every point of P^5(F_q) where F and its six partials vanish, found by
     evaluating them at all (q^6-1)/(q-1) canonical representatives."""
     gf = PrimeField(q)
-    F = derived_equations(reduce_rep(rep, gf)).fourfold
+    F = reduce_rep(rep, gf).fourfold
     # fewest terms first: the cheapest filters shrink the candidates soonest
     polys = sorted([F] + [F.diff(v) for v in VARS_XU], key=lambda p: len(p.terms))
     cube = list(product(range(q), repeat=3))
@@ -96,14 +95,16 @@ def test_solver_solutions():
 
 def test_nonlinear_u_partial_rejected(monkeypatch):
     # the oracle reads F as given: a u-partial of u-degree 2 is refused
-    def with_u1_cubed(rep):
-        d = derived_equations(rep)
-        u1 = MultiPoly.variable(rep.field, VARS_XU, "u1")
-        return replace(d, fourfold=d.fourfold + u1 * u1 * u1)
+    rep = build_example("ex42i").rep
+    fourfold_of = SymDetRep.fourfold.func
 
-    monkeypatch.setattr(fourfold, "derived_equations", with_u1_cubed)
+    def with_u1_cubed(rep):
+        u1 = MultiPoly.variable(rep.field, VARS_XU, "u1")
+        return fourfold_of(rep) + u1 * u1 * u1
+
+    monkeypatch.setattr(SymDetRep, "fourfold", property(with_u1_cubed))
     with pytest.raises(ConsistencyError, match="affine-linear"):
-        brute_force_oracle(build_example("ex42i").rep, 7)
+        brute_force_oracle(rep, 7)
 
 
 def _forms(draw, field, degree):
