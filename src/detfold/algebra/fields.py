@@ -347,18 +347,6 @@ class QuadExtElt:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def inverse(self) -> "QuadExtElt":
         # norm a^2 - d b^2 is nonzero for nonzero elements since d is a non-square
         n = self.a * self.a - self.field.d * self.b * self.b
@@ -400,9 +388,6 @@ class QuadExt:
     def one(self) -> QuadExtElt:
         return QuadExtElt(self.base.one(), self.base.zero(), self)
 
-    def from_int(self, n: int) -> QuadExtElt:
-        return QuadExtElt(self.base.from_int(n), self.base.zero(), self)
-
     def root(self) -> QuadExtElt:
         return QuadExtElt(self.base.zero(), self.base.one(), self)
 
@@ -412,27 +397,6 @@ class QuadExt:
                 raise InputError("element of a different quadratic extension")
             return x
         return QuadExtElt(self.base.coerce(x), self.base.zero(), self)
-
-    def sqrt(self, a: QuadExtElt):
-        # Only needed for base-field values that became squares up here.
-        if not a.b:
-            r = self.base.sqrt(a.a)
-            if r is not None:
-                return self.coerce(r)
-            if isinstance(self.base, PrimeField):
-                # a = (x*sqrt(d))^2 with x^2 = a/d; always solvable in F_q(sqrt d)
-                x = self.base.sqrt(a.a / self.d)
-                if x is not None:
-                    return QuadExtElt(self.base.zero(), x, self)
-        return None
-
-    def sort_key(self, a: QuadExtElt):
-        return self.base.sort_key(a.a) + self.base.sort_key(a.b)
-
-    def format(self, a: QuadExtElt) -> str:
-        if not a.b:
-            return self.base.format(a.a)
-        return f"{self.base.format(a.a)}+{self.base.format(a.b)}*sqrt({self.base.format(self.d)})"
 
     def __eq__(self, other):
         return isinstance(other, QuadExt) and other.base == self.base and other.d == self.d

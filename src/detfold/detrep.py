@@ -162,22 +162,3 @@ def embed_fiber_vector(p: ProjPoint, vec, field) -> ProjPoint:
     a, b, c = p.coords
     return ProjPoint(field, (t * a, t * b, t * c, u1, u2, u3), "p5")
 
-
-def p3_forms(p: ProjPoint, field) -> list[list]:
-    """Two linear forms on P^5 cutting out the span of P and p."""
-    a, b, c = p.coords
-    zero, one = field.zero(), field.one()
-    if a:
-        return [
-            [b, -a, zero, zero, zero, zero],
-            [c, zero, -a, zero, zero, zero],
-        ]
-    if b:
-        return [
-            [one, zero, zero, zero, zero, zero],
-            [zero, c, -b, zero, zero, zero],
-        ]
-    return [
-        [one, zero, zero, zero, zero, zero],
-        [zero, one, zero, zero, zero, zero],
-    ]

@@ -184,7 +184,7 @@ def _build_prop44(params: dict) -> NamedExample:
     fld = QQ
     a = params.get("A", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     if isinstance(a, str):
-        vals = [Fraction(part) for part in a.split(",")]
+        vals = [_number("prop44", "A", part, Fraction) for part in a.split(",")]
         if len(vals) != 9:
             raise InputError("parameter A needs nine comma-separated entries")
         a = (tuple(vals[0:3]), tuple(vals[3:6]), tuple(vals[6:9]))
@@ -399,7 +399,7 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
 def _build_ex43_fermat(params: dict) -> NamedExample:
     q = params.get("q", 17)
     if isinstance(q, str):
-        q = int(q)
+        q = _number("ex43_fermat", "q", q, int)
     if q % 8 != 1:
         raise Rejection(
             f"this example needs a prime with q = 1 (mod 8) so that fourth and "
@@ -528,18 +528,36 @@ def _canon(text: str) -> str:
     return str(_p(text))
 
 
+# each example's builder and the parameter keys it reads
 _BUILDERS = {
-    "ex42i": _build_ex42i,
-    "ex42ii": _build_ex42ii,
-    "ex43_quartic_two_lines": _build_ex43_quartic,
-    "ex43_quintic_line": _build_ex43_quintic,
-    "ex43_fermat": _build_ex43_fermat,
-    "rmk31": _build_rmk31,
-    "prop44": _build_prop44,
+    "ex42i": (_build_ex42i, ("f",)),
+    "ex42ii": (_build_ex42ii, ("l4", "l5", "l6")),
+    "ex43_quartic_two_lines": (_build_ex43_quartic, tuple(_EX43_QUARTIC_DEFAULTS)),
+    "ex43_quintic_line": (_build_ex43_quintic, tuple(_EX43_QUINTIC_DEFAULTS)),
+    "ex43_fermat": (_build_ex43_fermat, ("q",)),
+    "rmk31": (_build_rmk31, ("f",)),
+    "prop44": (_build_prop44, ("A",)),
 }
+
+
+def _accepted(name: str) -> str:
+    return f"{name} accepts {', '.join(_BUILDERS[name][1])}"
+
+
+def _number(name: str, key: str, text: str, kind):
+    """The numeric value of parameter `key`; a malformed one is a usage error."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"malformed value {text!r} for parameter {key}; {_accepted(name)}") from None
 
 
 def build_example(name: str, params: dict | None = None) -> NamedExample:
     if name not in _BUILDERS:
         raise InputError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
-    return _BUILDERS[name](params or {})
+    builder, keys = _BUILDERS[name]
+    params = params or {}
+    unknown = [k for k in params if k not in keys]
+    if unknown:
+        raise InputError(f"unknown parameter {unknown[0]!r}; {_accepted(name)}")
+    return builder(params)

@@ -11,7 +11,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .algebra import MultiPoly, PrimeField, QuadExt, QuadExtElt, VARS_X, VARS_XU, matrix_rank
 from .curves import AnalysisContext, SingClassification, analysis_context, plane_solutions
-from .detrep import SymDetRep, embed_fiber_vector, gram_rank_kernel, p3_forms, reduce_rep
+from .detrep import SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
 from .points import ORACLE_BUDGET, ProjPoint, p2_reps, sorted_points
 
@@ -23,17 +23,19 @@ from .points import ORACLE_BUDGET, ProjPoint, p2_reps, sorted_points
 
 @dataclass(frozen=True)
 class Plane:
-    """Projective 2-plane in P^5 given by three independent linear forms."""
+    """A plane of a couple over p: the hyperplane a . u + b t = 0 of the
+    fiber 3-space span(P, p), the points (t p, u), given by its fiber form
+    (a1, a2, a3, b)."""
 
-    forms: tuple  # 3 rows of 6 scalars
+    form: tuple  # 4 scalars over `field`
     field: object
 
     @cached_property
     def u_line(self) -> list:
-        """The u-part of the third form, scaled to lead with 1: inside P the
-        plane is the line u_line . u = 0.  Its entries lie in the base field
-        whenever they can (as for a double line split over an extension)."""
-        line = self.forms[2][3:]
+        """(a1, a2, a3) scaled to lead with 1: inside P the plane is the line
+        u_line . u = 0.  Its entries lie in the base field whenever they can
+        (as for a double line split over an extension)."""
+        line = self.form[:3]
         lead = next(c for c in line if c)
         line = [c / lead for c in line]
         if isinstance(self.field, QuadExt) and not any(c.b for c in line):
@@ -91,25 +93,22 @@ def split_rank2_fiber(ctx: AnalysisContext, p: ProjPoint, gram=None) -> PlanePai
     # factor a z1^2 + 2b z1 z2 + c z2^2 into two linear forms in (z1, z2)
     av, bv, cv = lift(a), lift(b), lift(c)
     if av:
-        f1 = ([fld.one(), (bv - s) / av], av)
-        f2 = ([fld.one(), (bv + s) / av], fld.one())
+        factors = ([fld.one(), (bv - s) / av], [fld.one(), (bv + s) / av])
     elif cv:
-        f1 = ([(bv - s) / cv, fld.one()], cv)
-        f2 = ([(bv + s) / cv, fld.one()], fld.one())
+        factors = ([(bv - s) / cv, fld.one()], [(bv + s) / cv, fld.one()])
     else:
-        f1 = ([fld.one(), fld.zero()], bv + bv)
-        f2 = ([fld.zero(), fld.one()], fld.one())
-    planes = []
-    for coeffs, _scale in (f1, f2):
-        # linear form on (u1,u2,u3,t): coeffs[0]*L_i + coeffs[1]*L_j
-        lin4 = [coeffs[0] * lift(li[k]) + coeffs[1] * lift(lj[k]) for k in range(4)]
-        planes.append(_plane_from_fiber_form(p, lin4, fld))
+        factors = ([fld.one(), fld.zero()], [fld.zero(), fld.one()])
+    # each factor c1 L_i + c2 L_j is the fiber form of one plane
+    planes = tuple(
+        Plane(form=tuple(c1 * lift(li[k]) + c2 * lift(lj[k]) for k in range(4)), field=fld)
+        for c1, c2 in factors
+    )
     # with an identically-zero conic block the fiber quadric contains P
     # itself; flag the pair instead of treating it as an internal error
     conic_rank = matrix_rank([row[:3] for row in gram[:3]], base)
     pair = PlanePair(
         point=p,
-        planes=tuple(planes),
+        planes=planes,
         field=fld,
         disc=None if sq is not None else disc,
         degenerate=(conic_rank == 0),
@@ -127,39 +126,20 @@ def _nonsingular_principal_pair(gram, field):
     raise ConsistencyError("rank-2 symmetric matrix without invertible principal 2x2 block")
 
 
-def _plane_from_fiber_form(p: ProjPoint, lin4, fld) -> Plane:
-    """Extend [alpha.u, beta*t] on the fiber 3-space to a plane in P^5."""
-    base_forms = p3_forms(p, p.field)
-    k = next(i for i, c in enumerate(p.coords) if c)
-    zero = fld.zero()
-    third = [zero] * 6
-    third[3], third[4], third[5] = lin4[0], lin4[1], lin4[2]
-    third[k] = third[k] + lin4[3]  # t equals x_k on the canonical fiber chart
-    forms = [tuple(fld.coerce(c) for c in f) for f in base_forms]
-    forms.append(tuple(third))
-    return Plane(forms=tuple(forms), field=fld)
-
-
 def _verify_pair(pair: PlanePair, F: MultiPoly) -> None:
     """Both planes of a couple lie on the fourfold and meet in a line.
 
     The planes lie in span(P, p), the points (t p, u), where F(t p, u) =
-    t Q(u, t) because F vanishes on P.  A plane other than P is the
-    hyperplane a . u + b t = 0 of this span, restricted from its third form,
-    and lies on the fourfold exactly when the quadratic form Q vanishes on it:
-    at a basis w1, w2, w3 with t = 1 and at their pairwise sums, that is
-    (char != 2) when its polar form B(wi, wj) vanishes for i <= j.  Two such
-    planes meet in a line exactly when their forms have rank 2.
+    t Q(u, t) because F vanishes on P.  A plane other than P, of fiber form
+    (a, b), lies on the fourfold exactly when the quadratic form Q vanishes
+    on it: at a basis w1, w2, w3 with t = 1 and at their pairwise sums, that
+    is (char != 2) when its polar form B(wi, wj) vanishes for i <= j.  Two
+    such planes meet in a line exactly when their forms have rank 2.
     """
     p, fld = pair.point, pair.field
     polar = _fiber_polar_matrix(F, p)
-    fiber_forms = []
     for plane in pair.planes:
-        # the two x-forms vanish on span(P, p); the third gives (a, b)
-        third = plane.forms[2]
-        a = list(third[3:])
-        b = sum((c * x for c, x in zip(third[:3], p.coords)), fld.zero())
-        fiber_forms.append(a + [b])
+        a, b = plane.form[:3], plane.form[3]
         if not any(a):
             if not pair.degenerate:
                 raise ConsistencyError(f"fiber plane over {p} coincides with the plane P")
@@ -174,7 +154,7 @@ def _verify_pair(pair: PlanePair, F: MultiPoly) -> None:
         for i, j in combinations_with_replacement(range(3), 2):
             if sum((x * y for x, y in zip(basis[i], images[j])), fld.zero()):
                 raise ConsistencyError(f"claimed plane over {p} is not inside the fourfold")
-    fa, fb = fiber_forms
+    fa, fb = (plane.form for plane in pair.planes)
     if not any(fa[i] * fb[j] - fa[j] * fb[i] for i, j in combinations(range(4), 2)):
         raise ConsistencyError("planes of a couple must meet along a line")
 
@@ -254,7 +234,6 @@ class SingularLocusX:
     base_points: list  # embedded in P^5 (points of the plane P)
     all_double: bool
     smooth: bool
-    bounds_ok: bool
     base_complete: bool
     classification: SingClassification
 
@@ -298,20 +277,12 @@ def singular_locus_X(ctx: AnalysisContext) -> SingularLocusX:
         # whole Hessian is (char != 2)
         if not any(h.evaluate(pt.coords) for h in hessian):
             all_double = False
-    n_sc = len(classification.s_c)
-    n_sing = len(vertices) + len(embedded_b)
-    bounds_ok = n_sc <= n_sing <= n_sc + 3 and len(bpts) <= 3
-    smooth = (
-        n_sing == 0
-        and classification.s_c_certified
-        and b_complete
-    )
+    smooth = not vertices and not embedded_b and classification.s_c_certified and b_complete
     return SingularLocusX(
         cone_vertices=sorted_points(vertices),
         base_points=sorted_points(embedded_b),
         all_double=all_double,
         smooth=smooth,
-        bounds_ok=bounds_ok,
         base_complete=b_complete,
         classification=classification,
     )
@@ -464,7 +435,6 @@ def oracle_matches_assembly(rep: SymDetRep, q: int, components=None) -> tuple[bo
 class CouplesReport:
     pairs: list  # each couple meets itself in a line, checked by _verify_pair
     cross_ok: bool  # planes from distinct couples meet in single points
-    cross_points: dict  # (i, j, a, b) -> ProjPoint for base-field computable meets
     notes: list = dc_field(default_factory=list)
 
 
@@ -472,61 +442,38 @@ def couples_and_intersections(ctx: AnalysisContext) -> CouplesReport:
     rank2 = [r for r in ctx.classification.records if r.rank == 2]
     rank2.sort(key=lambda r: r.point.sort_key())
     pairs = [split_rank2_fiber(ctx, r.point, r.gram) for r in rank2]
+    live = [pr for pr in pairs if not pr.degenerate]
+    cross_ok = all(_cross_check(pa, pb) for pa, pb in combinations(live, 2))
     notes = []
-    cross_ok = True
-    cross_points = {}
-    for i in range(len(pairs)):
-        if pairs[i].degenerate:
-            continue
-        for j in range(i + 1, len(pairs)):
-            if pairs[j].degenerate:
-                continue
-            ok, extracted = _cross_check(pairs[i], pairs[j])
-            if not ok:
-                cross_ok = False
-            for key, pt in extracted.items():
-                cross_points[(i, j) + key] = pt
     if any(pr.disc is not None for pr in pairs):
         notes.append("some couples split only over a quadratic extension")
-    n_degen = sum(1 for pr in pairs if pr.degenerate)
+    n_degen = len(pairs) - len(live)
     if n_degen:
         notes.append(
             f"{n_degen} rank-2 fiber(s) have an identically-zero conic block: "
             "the fiber quadric contains the projection plane P itself and is "
             "excluded from cross-intersection checks"
         )
-    return CouplesReport(
-        pairs=pairs,
-        cross_ok=cross_ok,
-        cross_points=cross_points,
-        notes=notes,
-    )
+    return CouplesReport(pairs=pairs, cross_ok=cross_ok, notes=notes)
 
 
-def _cross_check(pa: PlanePair, pb: PlanePair):
+def _cross_check(pa: PlanePair, pb: PlanePair) -> bool:
     """Planes from distinct couples must meet in exactly one point.
 
-    The x-forms of a plane over p cut out span(P, p), and the spans over two
-    distinct points meet exactly in P.  Inside P a plane is the line
-    l . u = 0 of its `u_line` l, so two cross planes meet in the single point
-    (0:0:0 : la x lb) exactly when that cross product is nonzero.  The
-    points are recorded when both couples split over one field.
+    The planes over two distinct points lie in span(P, p) and span(P, p'),
+    which meet exactly in P.  Inside P a plane is the line l . u = 0 of its
+    `u_line` l, so two cross planes meet in the single point
+    (0:0:0 : la x lb) exactly when that cross product is nonzero.
     """
-    ok = True
-    extracted = {}
-    for ia, plane_a in enumerate(pa.planes):
-        for ib, plane_b in enumerate(pb.planes):
+    for plane_a in pa.planes:
+        for plane_b in pb.planes:
             lines = _common_field(plane_a.u_line, plane_b.u_line)
             if lines is None:
                 continue  # irrational lines over different fields never coincide
             (a1, a2, a3), (b1, b2, b3) = lines
-            meet = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-            if not any(meet):
-                ok = False
-            elif pa.field == pb.field:
-                zero = pa.field.zero()
-                extracted[(ia, ib)] = ProjPoint(pa.field, (zero, zero, zero) + meet, "p5")
-    return ok, extracted
+            if not any((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)):
+                return False
+    return True
 
 
 def _common_field(la: list, lb: list):

@@ -69,7 +69,9 @@ def analyze(rep: SymDetRep, field=None, components=None) -> AnalysisReport:
         ("sing_x_count", len(locus.points)),
         ("sing_x", locus.points),
         ("smooth", locus.smooth),
-        ("bounds_ok", locus.bounds_ok),
+        # constant: each point of s_c yields one cone vertex or
+        # singular_locus_X raises, and base_locus rejects more than 3 points
+        ("bounds_ok", True),
         ("all_double", locus.all_double),
         ("couples", len(couples.pairs)),
         # constant: split_rank2_fiber raises unless each couple meets in a line

@@ -8,6 +8,8 @@ perfect field it is exact in every characteristic: an irreducible factor of a
 squarefree affine curve dividing both partials would have both partials
 zero, hence be a p-th power.  `nullspace` and `coeffs_in` are the kernel
 basis and the coefficient view the former plane and resultant checks used.
+`plane_span` turns a couple plane, stored by its fiber form, back into three
+vectors of P^5 for checks by values of F.
 """
 
 from detfold.algebra import VARS_X, MultiPoly, unipoly
@@ -19,6 +21,14 @@ def nullspace(rows, ncols, field):
     """Deterministic basis of the right kernel of a rectangular matrix."""
     m, pivots, _det = _echelon(rows, ncols, field)
     return _kernel_basis(m, pivots, ncols, field)
+
+
+def plane_span(point, form, field):
+    """Three vectors spanning the plane of fiber form (a1, a2, a3, b) over
+    the point p: the kernel of a . u + b t on (u1, u2, u3, t), embedded in
+    P^5 by (u, t) -> (t p, u)."""
+    p = [field.coerce(c) for c in point.coords]
+    return [[t * c for c in p] + u for *u, t in nullspace([list(form)], 4, field)]
 
 
 def coeffs_in(p, var):

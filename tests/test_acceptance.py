@@ -7,6 +7,7 @@ holds; any assertion failure marks the criterion failed.
 import io
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,7 @@ from detfold.fourfold import (
 from detfold.lattice import ns2_gram
 from detfold.points import ProjPoint
 from detfold.spin import build_dual_graph, graph_stats, spin_subsets, theta_counts
+from reference import plane_span
 
 
 def _passline(n, label, t0):
@@ -164,13 +166,16 @@ def test_criterion_6_couples_suite():
     rpt = couples_and_intersections(analysis_context(ex.rep, gf, ex.components))
     assert len(rpt.pairs) == 12
     assert all(not pr.degenerate for pr in rpt.pairs)
-    for pr in rpt.pairs:
-        rows = [list(f) for f in pr.planes[0].forms] + [list(f) for f in pr.planes[1].forms]
-        assert matrix_rank(rows, pr.field) == 4  # a projective line
+    spans = [[plane_span(pr.point, plane.form, pr.field) for plane in pr.planes] for pr in rpt.pairs]
+    for a, b in spans:
+        assert matrix_rank(a + b, gf) == 4  # a projective line
     assert rpt.cross_ok
-    assert len(rpt.cross_points) == (12 * 11 // 2) * 4
-    for pt in rpt.cross_points.values():
-        assert pt is not None
+    # all couples split over F_13: each of the 66 * 4 cross plane pairs meets in one point
+    assert all(pr.disc is None for pr in rpt.pairs)
+    for sa, sb in combinations(spans, 2):
+        for a in sa:
+            for b in sb:
+                assert matrix_rank(a + b, gf) == 5
     _passline(6, "prop44 couples and intersections", t0)
 
 

@@ -3,25 +3,27 @@
 `fourfold._cross_check` decides whether two planes from distinct couples
 meet in one point by the cross product of their u-lines inside P.
 `reference_cross_check` is the former check: the gcd of the two restricted
-conics u^T G(p) u, and a 6-column nullspace per plane pair whenever both
-couples split over one field.  The two must agree on the verdict and on the
-points.  `_conic_common_factor`, the former shared-component test of the
-base locus, is the reference for its rank test too.
+conics u^T G(p) u, and, whenever both couples split over one field, rank 5
+for the six vectors spanning each pair of planes in P^5.  The two must agree
+on the verdict, on the named family members and on random reps.
+`_conic_common_factor`, the former shared-component test of the base locus,
+is the reference for its rank test too.
 
 `fourfold._verify_pair` checks each plane of a couple by six values of the
-fiber quadric; it must refuse perturbed planes, and on random reps every
+fiber quadric; it must refuse perturbed fiber forms, and on random reps every
 F_q-point of a base-field couple plane must lie on the fourfold.
 """
 
 import io
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, matrix_rank, parse_poly
 from detfold.cli import main as cli_main
 from detfold.curves import analysis_context
 from detfold.detrep import validate_rep
@@ -39,7 +41,7 @@ from detfold.fourfold import (
 )
 from detfold.points import ProjPoint, p2_reps
 from detfold.repfile import parse_rep_file
-from reference import bivar_gcd, nullspace
+from reference import bivar_gcd, plane_span
 from test_oracle import random_reps
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,21 +76,15 @@ def _restricted_conic(rep, p):
 
 def reference_cross_check(rep, pa, pb, field):
     """The conic gcd decides the verdict; when both couples split over one
-    field, each plane pair must also meet in a 1-dimensional nullspace, which
-    gives its point."""
+    field, each plane pair must also span a P^4, that is meet in one point."""
     g = _conic_common_factor(_restricted_conic(rep, pa.point), _restricted_conic(rep, pb.point), field)
     ok = g.degree() == 0
-    extracted = {}
     if pa.field == pb.field:
-        for ia, plane_a in enumerate(pa.planes):
-            for ib, plane_b in enumerate(pb.planes):
-                rows = [list(f) for f in plane_a.forms] + [list(f) for f in plane_b.forms]
-                ns = nullspace(rows, 6, pa.field)
-                if len(ns) != 1:
-                    ok = False
-                    continue
-                extracted[(ia, ib)] = ProjPoint(pa.field, ns[0], "p5")
-    return ok, extracted
+        for plane_a in pa.planes:
+            for plane_b in pb.planes:
+                span = plane_span(pa.point, plane_a.form, pa.field) + plane_span(pb.point, plane_b.form, pa.field)
+                ok = ok and matrix_rank(span, pa.field) == 5
+    return ok
 
 
 def _pair(base, point, lines, disc=None):
@@ -96,16 +92,10 @@ def _pair(base, point, lines, disc=None):
     a line are base-field scalars or (a, b) for a + b*sqrt(disc)."""
     fld = base if disc is None else QuadExt(base, disc)
     p = ProjPoint(base, point, "x")
-    zero = fld.zero()
     planes = []
     for line in lines:
         u = [fld.coerce(c) if not isinstance(c, tuple) else c[0] * fld.one() + c[1] * fld.root() for c in line]
-        forms = (
-            (fld.one(), zero, zero, zero, zero, zero),
-            (zero, fld.one(), zero, zero, zero, zero),
-            (zero, zero, zero, *u),
-        )
-        planes.append(Plane(forms=forms, field=fld))
+        planes.append(Plane(form=(*u, fld.zero()), field=fld))
     return PlanePair(point=p, planes=tuple(planes), field=fld, disc=disc)
 
 
@@ -115,46 +105,46 @@ class TestLineBranches:
         # u1 = 0 twice; a base-field couple over another point contains it
         pa = _pair(QQ, (0, 0, 1), [(2, 0, 0), (1, 0, 0)], disc=Fraction(2))
         pb = _pair(QQ, (0, 1, 0), [(1, 0, 0), (0, 1, 0)])
-        ok, points = _cross_check(pa, pb)
-        assert not ok and points == {}
+        assert not _cross_check(pa, pb)
         # Q(sqrt 2) and Q(sqrt 3) are not one field, but both couples hold
         # the rational line u1 = 0
         pc = _pair(QQ, (0, 1, 0), [(1, 0, 0), (3, 0, 0)], disc=Fraction(3))
-        assert not _cross_check(pa, pc)[0]
+        assert not _cross_check(pa, pc)
 
     def test_fq_couples_over_different_discs_share_a_line(self):
         gf = PrimeField(7)
         # sqrt 5 = 2 sqrt 3 in F_49, so 4 sqrt 5 = sqrt 3 there
         pa = _pair(gf, (0, 0, 1), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=3)
         pb = _pair(gf, (0, 1, 0), [(1, (0, 4), 0), (1, (0, -4), 0)], disc=5)
-        assert not _cross_check(pa, pb)[0]
+        assert not _cross_check(pa, pb)
         # lines 1 + sqrt 5 . u2 are not a rescaling of 1 + sqrt 3 . u2
         pc = _pair(gf, (0, 1, 0), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=5)
-        assert _cross_check(pa, pc)[0]
+        assert _cross_check(pa, pc)
 
     def test_q_sqrt2_and_sqrt8_lines_that_are_one_line(self):
         # sqrt 8 = 2 sqrt 2, so u1 + (sqrt 8 / 2) u2 = u1 + sqrt 2 u2
         pa = _pair(QQ, (0, 0, 1), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=Fraction(2))
         half = Fraction(1, 2)
         pb = _pair(QQ, (0, 1, 0), [(1, (0, half), 0), (1, (0, -half), 0)], disc=Fraction(8))
-        assert not _cross_check(pa, pb)[0]
+        assert not _cross_check(pa, pb)
 
     def test_irrational_lines_over_sqrt2_and_sqrt3_meet_in_points(self):
         pa = _pair(QQ, (0, 0, 1), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=Fraction(2))
         pb = _pair(QQ, (0, 1, 0), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=Fraction(3))
-        ok, points = _cross_check(pa, pb)
-        assert ok and points == {}  # no common field, so no point recorded
+        assert _cross_check(pa, pb)
 
     def test_base_line_against_extension_line(self):
-        # u1 = 0 against u1 + sqrt 2 u2 = 0: the meet (0:0:0 : 0:0:1) is
-        # computed in Q(sqrt 2) but recorded only for one field of splitting
+        # u1 = 0 against u1 + sqrt 2 u2 = 0: both planes hold the meet
+        # (0:0:0 : 0:0:1), whether the base couple is split over Q or Q(sqrt 2)
         pa = _pair(QQ, (0, 0, 1), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=Fraction(2))
         pb = _pair(QQ, (0, 1, 0), [(1, 0, 0), (0, 1, 0)])
-        assert _cross_check(pa, pb) == (True, {})
+        assert _cross_check(pa, pb)
         pc = _pair(QQ, (0, 1, 0), [(1, 0, 0), (0, 1, 0)], disc=Fraction(2))
-        ok, points = _cross_check(pa, pc)
-        assert ok and len(points) == 4
-        assert points[(0, 0)] == ProjPoint(pa.field, (0, 0, 0, 0, 0, 1), "p5")
+        assert _cross_check(pa, pc)
+        meet = [0, 0, 0, 0, 0, 1]
+        for pair in (pa, pc):
+            span = plane_span(pair.point, pair.planes[0].form, pa.field)
+            assert matrix_rank(span + [meet], pa.field) == 3
 
 
 # prop44 members (the matrix A) and ex42ii members (the lines l4, l5, l6),
@@ -175,15 +165,11 @@ def test_line_test_matches_reference(name, params, field):
     rpt = couples_and_intersections(ctx)
     assert rpt.pairs and not any(pr.degenerate for pr in rpt.pairs)
     cross_ok = True
-    cross_points = {}
-    for i, pa in enumerate(rpt.pairs):
-        for j in range(i + 1, len(rpt.pairs)):
-            pb = rpt.pairs[j]
-            ok, points = reference_cross_check(ctx.rep, pa, pb, field)
-            assert _cross_check(pa, pb) == (ok, points), (pa.point, pb.point)
-            cross_ok = cross_ok and ok
-            cross_points.update({(i, j) + key: pt for key, pt in points.items()})
-    assert (rpt.cross_ok, rpt.cross_points) == (cross_ok, cross_points)
+    for pa, pb in combinations(rpt.pairs, 2):
+        ok = reference_cross_check(ctx.rep, pa, pb, field)
+        assert _cross_check(pa, pb) == ok, (pa.point, pb.point)
+        cross_ok = cross_ok and ok
+    assert rpt.cross_ok == cross_ok
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +177,9 @@ def test_line_test_matches_reference(name, params, field):
 # ---------------------------------------------------------------------------
 
 
-def _with_third(pair, third):
-    """The pair with its first plane's third form replaced."""
-    plane = pair.planes[0]
-    bad = replace(plane, forms=plane.forms[:2] + (tuple(third),))
+def _with_form(pair, form):
+    """The pair with its first plane's fiber form replaced."""
+    bad = replace(pair.planes[0], form=tuple(form))
     return replace(pair, planes=(bad, pair.planes[1]))
 
 
@@ -221,18 +206,18 @@ def test_perturbed_plane_refused(which):
     assert (pair.disc is not None) == (which == "Q(i)")
     F = ctx.rep.fourfold
     _verify_pair(pair, F)  # the split itself passes
-    third = pair.planes[0].forms[2]
+    form = pair.planes[0].form
     one, zero = pair.field.one(), pair.field.zero()
-    # the t-part sits at the point's leading coordinate, then the u-part
-    for index in (point.index(1), 3, 4, 5):
-        moved = list(third)
+    # the u-part (a1, a2, a3), then the t-part b
+    for index in range(4):
+        moved = list(form)
         moved[index] = moved[index] + one
         with pytest.raises(ConsistencyError, match="not inside the fourfold"):
-            _verify_pair(_with_third(pair, moved), F)
+            _verify_pair(_with_form(pair, moved), F)
     with pytest.raises(ConsistencyError, match="coincides with the plane P"):
-        _verify_pair(_with_third(pair, list(third[:3]) + [zero] * 3), F)
+        _verify_pair(_with_form(pair, [zero] * 3 + [form[3]]), F)
     with pytest.raises(ConsistencyError, match="meet along a line"):
-        _verify_pair(_with_third(pair, pair.planes[1].forms[2]), F)
+        _verify_pair(_with_form(pair, pair.planes[1].form), F)
 
 
 def test_plane_with_isotropic_basis_refused():
@@ -241,9 +226,9 @@ def test_plane_with_isotropic_basis_refused():
     # (the off-diagonal polar values) are needed to refuse it
     ctx = analysis_context(build_example("prop44").rep, PrimeField(13))
     pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, (1, 0, 0), "x"))
-    third = [ctx.field.from_int(c) for c in (12, 0, 0, 1, 0, 2)]
+    form = [ctx.field.from_int(c) for c in (1, 0, 2, 12)]
     with pytest.raises(ConsistencyError, match="not inside the fourfold"):
-        _verify_pair(_with_third(pair, third), ctx.rep.fourfold)
+        _verify_pair(_with_form(pair, form), ctx.rep.fourfold)
 
 
 _DEGENERATE_COUPLE = """field rational
@@ -272,29 +257,40 @@ def test_degenerate_couple_has_p_as_a_plane():
     ctx = analysis_context(parse_rep_file(_DEGENERATE_COUPLE), PrimeField(31))
     pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, (0, 0, 1), "x"))
     assert pair.degenerate
-    assert [not any(plane.forms[2][3:]) for plane in pair.planes].count(True) == 1
+    assert [not any(plane.form[:3]) for plane in pair.planes].count(True) == 1
     _verify_pair(pair, ctx.rep.fourfold)
 
 
 @st.composite
-def reps_with_a_rank2_fiber(draw, field):
+def reps_with_a_rank2_fiber(draw, field, second=False):
     """Random reps whose fiber over (0:0:1) has rank 2: the x3-power
     coefficients of the entries, which are the matrix at (0:0:1), are
-    replaced by a v v^T + b w w^T."""
+    replaced by a v v^T + b w w^T.  With `second` the fiber over (0:1:0),
+    through the x2-power coefficients, has rank 2 as well; about half of
+    those draws keep the u-parts of v and w and the scalars a, b there, so
+    that the two couples share their lines in P."""
     rep = draw(random_reps(field))
     q = field.q
-    v, w = (draw(st.lists(st.integers(0, q - 1), min_size=4, max_size=4)) for _ in range(2))
+    vec = st.lists(st.integers(0, q - 1), min_size=4, max_size=4)
+    v, w = (draw(vec) for _ in range(2))
     a, b = (draw(st.integers(1, q - 1)) for _ in range(2))
-    entries = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            e = rep.entry(i, j)
-            top = (0, 0, 3 if i == j == 3 else 2 if 3 in (i, j) else 1)
-            terms = dict(e.terms)
-            terms[top] = field.from_int(a * v[i] * v[j] + b * w[i] * w[j])
-            row.append(MultiPoly(field, VARS_X, terms))
-        entries.append(row)
+    fibers = [(2, v, w, a, b)]
+    if second:
+        if draw(st.booleans()):
+            v, w = (x[:3] + [draw(st.integers(0, q - 1))] for x in (v, w))
+        else:
+            v, w = (draw(vec) for _ in range(2))
+            a, b = (draw(st.integers(1, q - 1)) for _ in range(2))
+        fibers.append((1, v, w, a, b))
+    entries = [list(row) for row in rep.entries]
+    for k, v, w, a, b in fibers:
+        for i in range(4):
+            for j in range(4):
+                top = [0, 0, 0]
+                top[k] = 3 if i == j == 3 else 2 if 3 in (i, j) else 1
+                terms = dict(entries[i][j].terms)
+                terms[tuple(top)] = field.from_int(a * v[i] * v[j] + b * w[i] * w[j])
+                entries[i][j] = MultiPoly(field, VARS_X, terms)
     try:
         return validate_rep(entries, field)
     except Rejection:
@@ -318,11 +314,26 @@ def test_base_field_couple_planes_lie_on_the_fourfold(q, data):
         if pair.disc is not None:
             continue
         for plane in pair.planes:
-            basis = nullspace([list(f) for f in plane.forms], 6, field)
+            basis = plane_span(pair.point, plane.form, field)
             assert len(basis) == 3
             for c in p2_reps(q):
                 point = [sum(k * b[i] for k, b in zip(c, basis)) for i in range(6)]
-                assert not F.evaluate(point), (pair.point, plane.forms)
+                assert not F.evaluate(point), (pair.point, plane.form)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_cross_verdict_matches_reference_on_random_reps(q, data):
+    field = PrimeField(q)
+    ctx = analysis_context(data.draw(reps_with_a_rank2_fiber(field, second=True)))
+    try:
+        rpt = couples_and_intersections(ctx)
+    except Rejection:
+        assume(False)
+    live = [pr for pr in rpt.pairs if not pr.degenerate]
+    ok = all(reference_cross_check(ctx.rep, pa, pb, field) for pa, pb in combinations(live, 2))
+    assert rpt.cross_ok == ok
 
 
 # ---------------------------------------------------------------------------

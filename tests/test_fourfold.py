@@ -1,8 +1,8 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, matrix_rank, parse_poly
 from detfold.curves import analysis_context
 from detfold.detrep import validate_rep
 from detfold.errors import InputError, Rejection
@@ -16,7 +16,7 @@ from detfold.fourfold import (
     split_rank2_fiber,
 )
 from detfold.points import ProjPoint
-from reference import nullspace
+from reference import plane_span
 
 
 def _p(s, f=QQ):
@@ -28,14 +28,9 @@ class TestSplit:
         ex = build_example("prop44")
         pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
         assert pair.disc is None
-        normals = set()
-        for plane in pair.planes:
-            third = plane.forms[2]
-            normals.add(tuple(str(c) for c in third))
-        assert normals == {
-            ("0", "0", "1", "0", "0", "1"),
-            ("0", "0", "-1", "0", "0", "1"),
-        }
+        # the fiber forms (a1, a2, a3, b): the planes u3 = +-t
+        forms = {tuple(str(c) for c in plane.form) for plane in pair.planes}
+        assert forms == {("0", "0", "1", "1"), ("0", "0", "1", "-1")}
 
     def test_prop44_split_010(self):
         ex = build_example("prop44")
@@ -43,7 +38,7 @@ class TestSplit:
         assert pair.disc is None
         for plane in pair.planes:
             # u2 = +-x2 on each plane
-            basis = nullspace([list(f) for f in plane.forms], 6, QQ)
+            basis = plane_span(pair.point, plane.form, QQ)
             assert len(basis) == 3
 
     def test_conjugate_split(self):
@@ -75,7 +70,7 @@ class TestSplit:
         pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
         F = ex.rep.fourfold
         for plane in pair.planes:
-            for vec in nullspace([list(f) for f in plane.forms], 6, QQ):
+            for vec in plane_span(pair.point, plane.form, QQ):
                 assert not F.evaluate(vec)
 
 
@@ -150,7 +145,7 @@ class TestSingularLocus:
         }
         assert locus.base_points == []
         assert len(locus.points) == len(locus.classification.s_c) == 3
-        assert locus.all_double and locus.bounds_ok
+        assert locus.all_double
 
     def test_ex42i_base_only(self):
         ex = build_example("ex42i")
@@ -236,23 +231,31 @@ class TestCouples:
         rpt = couples_and_intersections(analysis_context(ex.rep, PrimeField(13), ex.components))
         assert len(rpt.pairs) == 12
         assert rpt.cross_ok
-        # 66 couple pairs, 4 plane pairs each, every meet extracted as a point
-        assert len(rpt.cross_points) == 66 * 4
+        # all 12 couples split over F_13, and each of the 66 * 4 cross plane
+        # pairs spans a P^4 of P^5, so meets in one point
+        assert all(pr.disc is None for pr in rpt.pairs)
+        for pa, pb in combinations(rpt.pairs, 2):
+            for plane_a in pa.planes:
+                for plane_b in pb.planes:
+                    span = plane_span(pa.point, plane_a.form, pa.field) + plane_span(pb.point, plane_b.form, pa.field)
+                    assert matrix_rank(span, pa.field) == 5
 
     def test_prop44_pinned_cross_point(self):
         ex = build_example("prop44")
         rpt = couples_and_intersections(analysis_context(ex.rep, QQ, ex.components))
-        idx = {str(pr.point): i for i, pr in enumerate(rpt.pairs)}
-        i, j = sorted((idx["(0:0:1)"], idx["(0:1:0)"]))
-        pts = {v.coords for k, v in rpt.cross_points.items() if k[:2] == (i, j)}
-        assert pts == {ProjPoint(QQ, (0, 0, 0, 1, 0, 0), "p5").coords}
+        pairs = {str(pr.point): pr for pr in rpt.pairs}
+        pts = set()
+        for plane_a in pairs["(0:0:1)"].planes:
+            for plane_b in pairs["(0:1:0)"].planes:
+                (a1, a2, a3), (b1, b2, b3) = plane_a.u_line, plane_b.u_line
+                meet = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+                pts.add(ProjPoint(QQ, (0, 0, 0) + meet, "p5"))
+        assert pts == {ProjPoint(QQ, (0, 0, 0, 1, 0, 0), "p5")}
 
     def test_within_couple_line(self):
-        from detfold.algebra import matrix_rank
-
         ex = build_example("prop44")
         pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
-        rows = [list(f) for f in pair.planes[0].forms] + [list(f) for f in pair.planes[1].forms]
+        rows = [v for plane in pair.planes for v in plane_span(pair.point, plane.form, QQ)]
         assert matrix_rank(rows, QQ) == 4  # intersection is a projective line
 
     def test_ex42ii_cross_checks_over_q(self):

@@ -145,6 +145,20 @@ class TestCli:
         rc, out = run_cli("spin", "--config", "lines=6", "--k", "-1")
         assert rc == 3 and "--k" in out
 
+    @pytest.mark.parametrize(
+        "name,param,accepted",
+        [
+            ("ex42i", "F=x1^3 + x2^3 + x3^3", "ex42i accepts f"),
+            ("ex43_fermat", "q=abc", "ex43_fermat accepts q"),
+            ("prop44", "A=a,0,0,0,1,0,0,0,1", "prop44 accepts A"),
+            ("prop44", "A=1/0,0,0,0,1,0,0,0,1", "prop44 accepts A"),
+        ],
+        ids=["unknown-key", "int-value", "rational-value", "zero-denominator"],
+    )
+    def test_bad_example_param_exit_code(self, name, param, accepted):
+        rc, out = run_cli("example", name, "--param", param)
+        assert rc == 3 and out.startswith("error: ") and accepted in out
+
     def test_missing_file(self):
         rc, out = run_cli("analyze", "/nonexistent/file.rep")
         assert rc == 3
