@@ -298,12 +298,14 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
 
     Works stratum by stratum in the x-part.  On x = 0 (the plane P) every
     point of P^2(F_q) in u is tested.  Over each other x-point the three
-    u-partials of F are affine-linear in u, so they are solved mod q and only
-    their q^(3-rank) solutions are tested.  Uses F and its partials alone,
-    never the fiber theory the assembly rests on.  Returns canonically sorted
-    points.  The points of P, the strata and the candidates together may not
-    exceed ORACLE_BUDGET: the first two are counted before any work, each
-    stratum's candidates as they accrue.
+    u-partials of F are affine-linear in u and are solved mod q, by Cramer's
+    rule where their 3x3 block is invertible.  On the solutions u0 + sum
+    t_j k_j, F is a polynomial of degree <= 2 in t; only its zeros among the
+    q^(3-rank) values of t are tested against F and all six partials.  Uses
+    F and its partials alone, never the fiber theory the assembly rests on.
+    Returns canonically sorted points.  The points of P, the strata and the
+    candidates together may not exceed ORACLE_BUDGET: the first two are
+    counted before any work, each stratum's candidates as they accrue.
     """
     tested = 2 * (q * q + q + 1)
     over_budget = f"enumeration budget exceeded: the oracle over F_{q} tests more than {ORACLE_BUDGET} points"
@@ -311,32 +313,29 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
         raise InputError(over_budget)
     gf = PrimeField(q)
     F = reduce_rep(rep, gf).fourfold
-    # F, its x-partials, then its u-partials, each as
-    # {u-exponent: [(coefficient, x-exponent), ...]} over the integers
-    polys = []
+    # F, its x-partials, then its u-partials, each as {u-exponent:
+    # [(coefficient, index of the x-exponent in x_index), ...]} over the integers
+    polys, x_index = [], {}
     for p in [F] + [F.diff(v) for v in VARS_XU]:
         split: dict = {}
         for e, c in p.terms.items():
-            split.setdefault(e[3:], []).append((c.v, e[:3]))
+            split.setdefault(e[3:], []).append((c.v, x_index.setdefault(e[:3], len(x_index))))
         polys.append(split)
     if any(sum(eu) > 1 for p in polys[4:] for eu in p):
         raise ConsistencyError("a u-partial of the fourfold is not affine-linear in u")
-    x_exps = {e for p in polys for terms in p.values() for _c, e in terms}
+    # the u-partials as rows [A | b], and each u-monomial of F (of degree
+    # <= 2) as the product of two of u1, u2, u3, 1
+    u_rows = [{e: p.get(e, []) for e in _U_UNITS + ((0, 0, 0),)} for p in polys[4:]]
+    factors = [([i for i in range(3) for _ in range(eu[i])] + [3, 3])[:2] for eu in polys[0]]
 
-    def at_x(xc):
-        # each polynomial with x fixed at xc, as {u-exponent: nonzero residue}
-        x1, x2, x3 = xc
-        mono = {e: x1 ** e[0] * x2 ** e[1] * x3 ** e[2] for e in x_exps}
+    def values(p, mono):
+        # the u-coefficients of p with x fixed, mod q
         out = []
-        for p in polys:
-            fixed = {}
-            for eu, terms in p.items():
-                acc = 0
-                for c, e in terms:
-                    acc += c * mono[e]
-                if acc % q:
-                    fixed[eu] = acc % q
-            out.append(fixed)
+        for terms in p.values():
+            acc = 0
+            for c, i in terms:
+                acc += c * mono[i]
+            out.append(acc % q)
         return out
 
     def all_vanish(fixed, u):
@@ -349,20 +348,38 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
                 return False
         return True
 
-    on_p = at_x((0, 0, 0))
+    on_p = [dict(zip(p, values(p, [int(not any(e)) for e in x_index]))) for p in polys]
     found = [(0, 0, 0) + u for u in p2_reps(q) if all_vanish(on_p, u)]
     for xc in p2_reps(q):
-        fixed = at_x(xc)
-        rows = [[p.get(e, 0) for e in _U_UNITS] + [p.get((0, 0, 0), 0)] for p in fixed[4:]]
-        solved = _solve_affine_mod(rows, q)
+        p1, p2, p3 = ([1, x, x * x, x * x * x] for x in xc)  # F is a cubic
+        mono = [p1[a] * p2[b] * p3[d] for a, b, d in x_index]
+        solved = _solve_affine_mod([values(p, mono) for p in u_rows], q)
         if solved is None:
             continue
         base, kernel = solved
         tested += q ** len(kernel)
         if tested > ORACLE_BUDGET:
             raise InputError(over_budget)
+        # the solutions are u = sum T_s cols[s][:3] with T = (1, t_1, ..., t_k),
+        # and on them F is the sum of c T_s T_r over its terms (s, r, c)
+        cols = [base + [1]] + [v + [0] for v in kernel]
+        f_x = list(zip(factors, values(polys[0], mono)))
+        terms = []
+        for s, col_s in enumerate(cols):
+            for r, col_r in enumerate(cols):
+                c = sum([w * col_s[i] * col_r[j] for (i, j), w in f_x]) % q
+                if c:
+                    terms.append((s, r, c))
+        fixed = []
         for ts in product(range(q), repeat=len(kernel)):
-            u = tuple((base[i] + sum(t * v[i] for t, v in zip(ts, kernel))) % q for i in range(3))
+            t = (1,) + ts
+            val = 0
+            for s, r, c in terms:
+                val += c * t[s] * t[r]
+            if val % q:
+                continue
+            u = tuple(sum(a * col[i] for a, col in zip(t, cols)) % q for i in range(3))
+            fixed = fixed or [dict(zip(p, values(p, mono))) for p in polys]
             if all_vanish(fixed, u):
                 found.append(xc + u)
 
@@ -373,13 +390,27 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
 _U_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def _solve_affine_mod(rows: list[list[int]], q: int):
-    """Solutions u of A u + b = 0 (mod q) for rows [A | b], by Gauss-Jordan.
+    """Solutions u of A u + b = 0 (mod q) for rows [A | b].
 
     Returns None when the system is inconsistent, else (u0, kernel): one
-    solution and a basis of the kernel of A, one vector per free column.
+    solution and a basis of the kernel of A, one vector per free column.  An
+    invertible 3x3 A is solved by Cramer's rule, u0 = -adj(A) b / det A, with
+    the cross products of A's rows as the columns of adj(A); any other A by
+    Gauss-Jordan.
     """
     n = len(rows[0]) - 1
+    if len(rows) == n == 3:
+        r1, r2, r3 = rows
+        c23, c31, c12 = _cross(r2, r3), _cross(r3, r1), _cross(r1, r2)
+        det = (r1[0] * c23[0] + r1[1] * c23[1] + r1[2] * c23[2]) % q
+        if det:
+            s = -pow(det, -1, q)
+            return [s * (r1[3] * a + r2[3] * b + r3[3] * c) % q for a, b, c in zip(c23, c31, c12)], []
     m = [[v % q for v in row] for row in rows]
     pivots = []
     for col in range(n):
@@ -470,8 +501,7 @@ def _cross_check(pa: PlanePair, pb: PlanePair) -> bool:
             lines = _common_field(plane_a.u_line, plane_b.u_line)
             if lines is None:
                 continue  # irrational lines over different fields never coincide
-            (a1, a2, a3), (b1, b2, b3) = lines
-            if not any((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)):
+            if not any(_cross(*lines)):
                 return False
     return True
 

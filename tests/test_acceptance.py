@@ -9,12 +9,9 @@ import random
 import time
 from itertools import combinations
 
-import pytest
-
-from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, matrix_rank, parse_poly
+from detfold.algebra import QQ, PrimeField, VARS_X, matrix_rank
 from detfold.cli import main as cli_main
 from detfold.curves import analysis_context
-from detfold.detrep import validate_rep
 from detfold.errors import Rejection, ToolError
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.fourfold import (

@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, VARS_XU, matrix_rank, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, matrix_rank, parse_poly
 from detfold.curves import analysis_context
 from detfold.detrep import validate_rep
 from detfold.errors import InputError, Rejection

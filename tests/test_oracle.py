@@ -93,6 +93,36 @@ def test_solver_solutions():
     assert u0 == [0, 0, 0] and kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(q=st.sampled_from([3, 5, 7]), rank=st.integers(0, 3), data=st.data())
+def test_solver_matches_enumeration(q, rank, data):
+    # rows [A | b] that are combinations of `rank` drawn rows, so every rank
+    # from 0 to 3 occurs; redrawing one b entry makes many of them inconsistent
+    residues = st.integers(0, q - 1)
+    gens = [data.draw(st.lists(residues, min_size=4, max_size=4)) for _ in range(rank)]
+    rows = []
+    for _ in range(3):
+        coeffs = data.draw(st.lists(residues, min_size=rank, max_size=rank))
+        rows.append([sum(c * g[i] for c, g in zip(coeffs, gens)) % q for i in range(4)])
+    if data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, 2))][3] = data.draw(residues)
+    solutions = {
+        u
+        for u in product(range(q), repeat=3)
+        if all((sum(a * x for a, x in zip(row, u)) + row[3]) % q == 0 for row in rows)
+    }
+    solved = fourfold._solve_affine_mod(rows, q)
+    if solved is None:
+        assert not solutions
+        return
+    u0, kernel = solved
+    spanned = [
+        tuple((u0[i] + sum(t * v[i] for t, v in zip(ts, kernel))) % q for i in range(3))
+        for ts in product(range(q), repeat=len(kernel))
+    ]
+    assert len(set(spanned)) == len(spanned) and set(spanned) == solutions
+
+
 def test_nonlinear_u_partial_rejected(monkeypatch):
     # the oracle reads F as given: a u-partial of u-degree 2 is refused
     rep = build_example("ex42i").rep
@@ -128,7 +158,7 @@ def random_reps(draw, field):
         assume(False)
 
 
-@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("q", [3, 5, 7])
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_random_reps_match_reference(q, data):
