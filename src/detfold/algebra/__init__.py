@@ -1,4 +1,4 @@
-from .fields import QQ, FpElt, PrimeField, QuadExt, QuadExtElt, RationalField, field_from_name, is_prime
+from .fields import QQ, FpElt, PrimeField, RationalField, field_from_name, is_prime
 from .linalg import int_det_bareiss, kernel_rank_det, matrix_rank
 from .multipoly import VARS_X, VARS_XU, MultiPoly, poly_matrix_det, resultant
 from .parser import PolyParseError, parse_poly
@@ -8,8 +8,6 @@ __all__ = [
     "QQ",
     "FpElt",
     "PrimeField",
-    "QuadExt",
-    "QuadExtElt",
     "RationalField",
     "field_from_name",
     "is_prime",

@@ -1,9 +1,9 @@
-"""Exact scalar fields: rationals, prime fields F_q, quadratic extensions.
+"""Exact scalar fields: rationals and prime fields F_q.
 
 Rationals are plain ``fractions.Fraction`` (always reduced, positive
-denominator).  Prime-field and extension elements are small wrapper objects
-supporting the usual operators, so polynomial and matrix code is generic in
-the field.  No floating point anywhere.
+denominator).  Prime-field elements are small wrapper objects supporting the
+usual operators, so polynomial and matrix code is generic in the field.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -274,138 +274,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-class QuadExtElt:
-    """a + b*sqrt(d) over a base field in which d is not a square."""
-
-    __slots__ = ("a", "b", "field")
-
-    def __init__(self, a, b, field: "QuadExt"):
-        self.a = a
-        self.b = b
-        self.field = field
-
-    def _lift(self, other):
-        if isinstance(other, QuadExtElt):
-            if other.field is not self.field and other.field != self.field:
-                raise InputError("mixed quadratic extensions")
-            return other
-        try:
-            return self.field.coerce(other)
-        except (InputError, Rejection):
-            return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExtElt(self.a + o.a, self.b + o.b, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExtElt(self.a - o.a, self.b - o.b, self.field)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExtElt(o.a - self.a, o.b - self.b, self.field)
-
-    def __mul__(self, other):
-        if not isinstance(other, QuadExtElt):
-            # a base scalar c: (a + b r) c takes two products
-            try:
-                c = self.field.base.coerce(other)
-            except (InputError, Rejection):
-                return NotImplemented
-            return QuadExtElt(self.a * c, self.b * c, self.field)
-        o = self._lift(other)
-        d = self.field.d
-        return QuadExtElt(
-            self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, self.field
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QuadExtElt(-self.a, -self.b, self.field)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def inverse(self) -> "QuadExtElt":
-        # norm a^2 - d b^2 is nonzero for nonzero elements since d is a non-square
-        n = self.a * self.a - self.field.d * self.b * self.b
-        if not n:
-            raise ZeroDivisionError("inverse of 0 in quadratic extension")
-        return QuadExtElt(self.a / n, -self.b / n, self.field)
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b, "quadext"))
-
-    def __repr__(self):
-        return f"({self.a}+{self.b}*r{self.field.d})"
-
-
-class QuadExt:
-    """Quadratic extension base(sqrt(d)) adjoined on demand."""
-
-    def __init__(self, base, d):
-        d = base.coerce(d)
-        if base.sqrt(d) is not None:
-            raise InputError(f"{d} is a square in the base field; extension is trivial")
-        self.base = base
-        self.d = d
-        self.char = base.char
-        self.name = f"{base.name}(sqrt {base.format(d)})"
-
-    def zero(self) -> QuadExtElt:
-        return QuadExtElt(self.base.zero(), self.base.zero(), self)
-
-    def one(self) -> QuadExtElt:
-        return QuadExtElt(self.base.one(), self.base.zero(), self)
-
-    def root(self) -> QuadExtElt:
-        return QuadExtElt(self.base.zero(), self.base.one(), self)
-
-    def coerce(self, x):
-        if isinstance(x, QuadExtElt):
-            if x.field != self:
-                raise InputError("element of a different quadratic extension")
-            return x
-        return QuadExtElt(self.base.coerce(x), self.base.zero(), self)
-
-    def __eq__(self, other):
-        return isinstance(other, QuadExt) and other.base == self.base and other.d == self.d
-
-    def __hash__(self):
-        return hash(("quad-ext", self.base, "d"))
-
-    def __repr__(self):
-        return self.name
 
 
 def field_from_name(name: str):

@@ -6,10 +6,9 @@ planes, and an exhaustive finite-field oracle for independent verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
-from .algebra import MultiPoly, PrimeField, QuadExt, QuadExtElt, VARS_X, VARS_XU, matrix_rank
+from .algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, matrix_rank
 from .curves import AnalysisContext, SingClassification, analysis_context, plane_solutions
 from .detrep import SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
@@ -22,102 +21,67 @@ from .points import ORACLE_BUDGET, ProjPoint, p2_reps, sorted_points
 
 
 @dataclass(frozen=True)
-class Plane:
-    """A plane of a couple over p: the hyperplane a . u + b t = 0 of the
-    fiber 3-space span(P, p), the points (t p, u), given by its fiber form
-    (a1, a2, a3, b)."""
-
-    form: tuple  # 4 scalars over `field`
-    field: object
-
-    @cached_property
-    def u_line(self) -> list:
-        """(a1, a2, a3) scaled to lead with 1: inside P the plane is the line
-        u_line . u = 0.  Its entries lie in the base field whenever they can
-        (as for a double line split over an extension)."""
-        line = self.form[:3]
-        lead = next(c for c in line if c)
-        line = [c / lead for c in line]
-        if isinstance(self.field, QuadExt) and not any(c.b for c in line):
-            line = [c.a for c in line]
-        return line
-
-
-@dataclass(frozen=True)
 class PlanePair:
+    """The couple of planes over p: the hyperplanes (alpha +- s beta) . (u, t)
+    = 0 of the fiber 3-space span(P, p), the points (t p, u), with s^2 =
+    disc.  alpha, beta and disc lie in the base field; root is s when disc
+    is a square there, else None and the planes are conjugate over the
+    quadratic extension by sqrt(disc)."""
+
     point: ProjPoint
-    planes: tuple  # two Plane values over `field`
-    field: object  # base field or quadratic extension
-    disc: object | None  # adjoined non-square, None for a base-field split
+    alpha: tuple
+    beta: tuple
+    disc: object
+    root: object | None
     degenerate: bool = False  # one member is the projection plane P itself
 
 
 def split_rank2_fiber(ctx: AnalysisContext, p: ProjPoint, gram=None) -> PlanePair:
     """Write the rank-2 fiber quadric over p as a product of two planes.
 
-    Splits over the base field when the reduced binary form's discriminant is
-    a square, otherwise over the quadratic extension by that discriminant.
-    Both planes are verified to lie on the fourfold by `_verify_pair`.  `gram`
-    is the fiber's Gram matrix when the classification already holds it.
+    The planes split over the base field when the reduced binary form's
+    discriminant is a square, otherwise over the quadratic extension by that
+    discriminant; either way the couple is kept as base-field data.  It is
+    verified to lie on the fourfold by `_verify_pair`.  `gram` is the fiber's
+    Gram matrix when the classification already holds it.
     """
-    base = ctx.field
     if gram is None:
         gram, rank, _det, _kern = gram_rank_kernel(ctx.rep, p)
         if rank != 2:
             raise Rejection(f"fiber at {p} has rank {rank}, not 2; no couple of planes there")
 
-    idx = _nonsingular_principal_pair(gram, base)
-    i, j = idx
-    a2 = [[gram[i][i], gram[i][j]], [gram[j][i], gram[j][j]]]
-    det2 = a2[0][0] * a2[1][1] - a2[0][1] * a2[1][0]
-    inv = [
-        [a2[1][1] / det2, -a2[0][1] / det2],
-        [-a2[1][0] / det2, a2[0][0] / det2],
-    ]
-    # Q(v) = L(v)^T A2^{-1} L(v) with L = rows i,j of the Gram matrix
-    li = list(gram[i])
-    lj = list(gram[j])
-    a = inv[0][0]
-    b = inv[0][1]
-    c = inv[1][1]
+    i, j = _nonsingular_principal_pair(gram)
+    # Q(v) = L(v)^T A2^{-1} L(v) with L = rows i, j of the Gram matrix and
+    # A2^{-1} = [[a, b], [b, c]], so Q = a z1^2 + 2b z1 z2 + c z2^2 in z = L v
+    det2 = gram[i][i] * gram[j][j] - gram[i][j] * gram[j][i]
+    a, b, c = gram[j][j] / det2, -gram[i][j] / det2, gram[i][i] / det2
+    li, lj = gram[i], gram[j]
+    if not a:  # z1 and z2 change roles
+        a, c, li, lj = c, a, lj, li
     disc = b * b - a * c
-    sq = base.sqrt(disc)
-    if sq is not None:
-        fld = base
-        s = sq
-        lift = lambda v: v
+    if a:
+        # a Q = (a z1 + b z2)^2 - disc z2^2
+        alpha = tuple(x + b / a * y for x, y in zip(li, lj))
+        beta = tuple(-y / a for y in lj)
     else:
-        fld = QuadExt(base, disc)
-        s = fld.root()
-        lift = fld.coerce
-    # factor a z1^2 + 2b z1 z2 + c z2^2 into two linear forms in (z1, z2)
-    av, bv, cv = lift(a), lift(b), lift(c)
-    if av:
-        factors = ([fld.one(), (bv - s) / av], [fld.one(), (bv + s) / av])
-    elif cv:
-        factors = ([(bv - s) / cv, fld.one()], [(bv + s) / cv, fld.one()])
-    else:
-        factors = ([fld.one(), fld.zero()], [fld.zero(), fld.one()])
-    # each factor c1 L_i + c2 L_j is the fiber form of one plane
-    planes = tuple(
-        Plane(form=tuple(c1 * lift(li[k]) + c2 * lift(lj[k]) for k in range(4)), field=fld)
-        for c1, c2 in factors
-    )
+        # Q = 2b z1 z2 and disc = b^2: alpha +- b beta are z1 and z2
+        alpha = tuple((x + y) / 2 for x, y in zip(li, lj))
+        beta = tuple((x - y) / (2 * b) for x, y in zip(li, lj))
     # with an identically-zero conic block the fiber quadric contains P
     # itself; flag the pair instead of treating it as an internal error
-    conic_rank = matrix_rank([row[:3] for row in gram[:3]], base)
     pair = PlanePair(
         point=p,
-        planes=planes,
-        field=fld,
-        disc=None if sq is not None else disc,
-        degenerate=(conic_rank == 0),
+        alpha=alpha,
+        beta=beta,
+        disc=disc,
+        root=ctx.field.sqrt(disc),
+        degenerate=not any(x for row in gram[:3] for x in row[:3]),
     )
     _verify_pair(pair, ctx.rep.fourfold)
     return pair
 
 
-def _nonsingular_principal_pair(gram, field):
+def _nonsingular_principal_pair(gram):
     for i in range(4):
         for j in range(i + 1, 4):
             d = gram[i][i] * gram[j][j] - gram[i][j] * gram[j][i]
@@ -130,33 +94,21 @@ def _verify_pair(pair: PlanePair, F: MultiPoly) -> None:
     """Both planes of a couple lie on the fourfold and meet in a line.
 
     The planes lie in span(P, p), the points (t p, u), where F(t p, u) =
-    t Q(u, t) because F vanishes on P.  A plane other than P, of fiber form
-    (a, b), lies on the fourfold exactly when the quadratic form Q vanishes
-    on it: at a basis w1, w2, w3 with t = 1 and at their pairwise sums, that
-    is (char != 2) when its polar form B(wi, wj) vanishes for i <= j.  Two
-    such planes meet in a line exactly when their forms have rank 2.
+    t Q(u, t) because F vanishes on P.  With v = (u, t) their product is
+    (alpha . v)^2 - disc (beta . v)^2, so both lie on the fourfold when Q is
+    a nonzero multiple of it: when the polar matrix of Q, read off F at p,
+    is a nonzero multiple of 2 (alpha alpha^T - disc beta beta^T).  The two
+    planes are distinct, so meet in a line, exactly when disc != 0 and
+    alpha, beta are independent.
     """
-    p, fld = pair.point, pair.field
-    polar = _fiber_polar_matrix(F, p)
-    for plane in pair.planes:
-        a, b = plane.form[:3], plane.form[3]
-        if not any(a):
-            if not pair.degenerate:
-                raise ConsistencyError(f"fiber plane over {p} coincides with the plane P")
-            continue  # P itself lies on the fourfold
-        m = next(i for i, c in enumerate(a) if c)
-        basis = []
-        for ones in ((), *((i,) for i in range(3) if i != m)):
-            w = [fld.one() if i in ones else fld.zero() for i in range(3)] + [fld.one()]
-            w[m] = -sum((a[i] for i in ones), b) / a[m]
-            basis.append(w)
-        images = [[sum((r[j] * w[j] for j in range(4) if w[j]), fld.zero()) for r in polar] for w in basis]
-        for i, j in combinations_with_replacement(range(3), 2):
-            if sum((x * y for x, y in zip(basis[i], images[j])), fld.zero()):
-                raise ConsistencyError(f"claimed plane over {p} is not inside the fourfold")
-    fa, fb = (plane.form for plane in pair.planes)
-    if not any(fa[i] * fb[j] - fa[j] * fb[i] for i, j in combinations(range(4), 2)):
+    p, alpha, beta, disc = pair.point, pair.alpha, pair.beta, pair.disc
+    if not disc or matrix_rank([list(alpha), list(beta)], p.field) < 2:
         raise ConsistencyError("planes of a couple must meet along a line")
+    polar = _fiber_polar_matrix(F, p)
+    planes = [[x * y - disc * z * w for y, w in zip(alpha, beta)] for x, z in zip(alpha, beta)]
+    lead, pivot = next((polar[k][l], planes[k][l]) for k in range(4) for l in range(4) if planes[k][l])
+    if not lead or any(polar[k][l] * pivot != planes[k][l] * lead for k in range(4) for l in range(4)):
+        raise ConsistencyError(f"claimed plane over {p} is not inside the fourfold")
 
 
 def _fiber_polar_matrix(F: MultiPoly, p: ProjPoint) -> list:
@@ -299,10 +251,12 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     Works stratum by stratum in the x-part.  On x = 0 (the plane P) every
     point of P^2(F_q) in u is tested.  Over each other x-point the three
     u-partials of F are affine-linear in u and are solved mod q, by Cramer's
-    rule where their 3x3 block is invertible.  On the solutions u0 + sum
-    t_j k_j, F is a polynomial of degree <= 2 in t; only its zeros among the
-    q^(3-rank) values of t are tested against F and all six partials.  Uses
-    F and its partials alone, never the fiber theory the assembly rests on.
+    rule where their 3x3 block is invertible.  F has u-degree <= 2 and its
+    u-gradient vanishes on the solutions u0 + span(kernel), so (q odd) F is
+    the constant F(x, u0) there: a stratum is skipped when that is nonzero,
+    and otherwise each of its q^(3-rank) candidates is tested against F and
+    all six partials.  Uses F and its partials alone, never the fiber theory
+    the assembly rests on.
     Returns canonically sorted points.  The points of P, the strata and the
     candidates together may not exceed ORACLE_BUDGET: the first two are
     counted before any work, each stratum's candidates as they accrue.
@@ -323,10 +277,10 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
         polys.append(split)
     if any(sum(eu) > 1 for p in polys[4:] for eu in p):
         raise ConsistencyError("a u-partial of the fourfold is not affine-linear in u")
-    # the u-partials as rows [A | b], and each u-monomial of F (of degree
-    # <= 2) as the product of two of u1, u2, u3, 1
+    if any(sum(eu) > 2 for eu in polys[0]):
+        raise ConsistencyError("the fourfold has a term of u-degree above 2")
+    # the u-partials as rows [A | b]
     u_rows = [{e: p.get(e, []) for e in _U_UNITS + ((0, 0, 0),)} for p in polys[4:]]
-    factors = [([i for i in range(3) for _ in range(eu[i])] + [3, 3])[:2] for eu in polys[0]]
 
     def values(p, mono):
         # the u-coefficients of p with x fixed, mod q
@@ -360,26 +314,12 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
         tested += q ** len(kernel)
         if tested > ORACLE_BUDGET:
             raise InputError(over_budget)
-        # the solutions are u = sum T_s cols[s][:3] with T = (1, t_1, ..., t_k),
-        # and on them F is the sum of c T_s T_r over its terms (s, r, c)
-        cols = [base + [1]] + [v + [0] for v in kernel]
-        f_x = list(zip(factors, values(polys[0], mono)))
-        terms = []
-        for s, col_s in enumerate(cols):
-            for r, col_r in enumerate(cols):
-                c = sum([w * col_s[i] * col_r[j] for (i, j), w in f_x]) % q
-                if c:
-                    terms.append((s, r, c))
-        fixed = []
+        fixed = [dict(zip(polys[0], values(polys[0], mono)))]
+        if not all_vanish(fixed, base):
+            continue
+        fixed += [dict(zip(p, values(p, mono))) for p in polys[1:]]
         for ts in product(range(q), repeat=len(kernel)):
-            t = (1,) + ts
-            val = 0
-            for s, r, c in terms:
-                val += c * t[s] * t[r]
-            if val % q:
-                continue
-            u = tuple(sum(a * col[i] for a, col in zip(t, cols)) % q for i in range(3))
-            fixed = fixed or [dict(zip(p, values(p, mono))) for p in polys]
+            u = tuple((b + sum(t * k[i] for t, k in zip(ts, kernel))) % q for i, b in enumerate(base))
             if all_vanish(fixed, u):
                 found.append(xc + u)
 
@@ -441,14 +381,14 @@ def _solve_affine_mod(rows: list[list[int]], q: int):
     return u0, kernel
 
 
-def assembly_points_mod_q(rep: SymDetRep, q: int, components=None) -> list[ProjPoint]:
+def assembly_points_mod_q(rep: SymDetRep, q: int) -> list[ProjPoint]:
     """Sing(X)(F_q) assembled from the rank stratification, for oracle comparison."""
-    return singular_locus_X(analysis_context(rep, PrimeField(q), components)).points
+    return singular_locus_X(analysis_context(rep, PrimeField(q))).points
 
 
-def oracle_matches_assembly(rep: SymDetRep, q: int, components=None) -> tuple[bool, list, list]:
+def oracle_matches_assembly(rep: SymDetRep, q: int) -> tuple[bool, list, list]:
     # the assembly first: a rep it rejects raises before the oracle's scan
-    assembled = assembly_points_mod_q(rep, q, components=components)
+    assembled = assembly_points_mod_q(rep, q)
     oracle = brute_force_oracle(rep, q)
     return (
         {p.coords for p in oracle} == {p.coords for p in assembled},
@@ -474,9 +414,8 @@ def couples_and_intersections(ctx: AnalysisContext) -> CouplesReport:
     rank2.sort(key=lambda r: r.point.sort_key())
     pairs = [split_rank2_fiber(ctx, r.point, r.gram) for r in rank2]
     live = [pr for pr in pairs if not pr.degenerate]
-    cross_ok = all(_cross_check(pa, pb) for pa, pb in combinations(live, 2))
     notes = []
-    if any(pr.disc is not None for pr in pairs):
+    if any(pr.root is None for pr in pairs):
         notes.append("some couples split only over a quadratic extension")
     n_degen = len(pairs) - len(live)
     if n_degen:
@@ -485,37 +424,43 @@ def couples_and_intersections(ctx: AnalysisContext) -> CouplesReport:
             "the fiber quadric contains the projection plane P itself and is "
             "excluded from cross-intersection checks"
         )
-    return CouplesReport(pairs=pairs, cross_ok=cross_ok, notes=notes)
+    return CouplesReport(pairs=pairs, cross_ok=_cross_ok(live), notes=notes)
 
 
-def _cross_check(pa: PlanePair, pb: PlanePair) -> bool:
-    """Planes from distinct couples must meet in exactly one point.
+def _cross_ok(pairs: list) -> bool:
+    """Planes from distinct couples meet in single points.
 
     The planes over two distinct points lie in span(P, p) and span(P, p'),
-    which meet exactly in P.  Inside P a plane is the line l . u = 0 of its
-    `u_line` l, so two cross planes meet in the single point
-    (0:0:0 : la x lb) exactly when that cross product is nonzero.
+    which meet exactly in P.  Inside P a plane is the line of its form's
+    u-part, and two cross planes meet in one point unless those lines
+    coincide.  So no key of `_line_keys` may occur for two couples.
     """
-    for plane_a in pa.planes:
-        for plane_b in pb.planes:
-            lines = _common_field(plane_a.u_line, plane_b.u_line)
-            if lines is None:
-                continue  # irrational lines over different fields never coincide
-            if not any(_cross(*lines)):
-                return False
+    seen: set = set()
+    for pair in pairs:
+        keys = _line_keys(pair)
+        if not seen.isdisjoint(keys):
+            return False
+        seen |= keys
     return True
 
 
-def _common_field(la: list, lb: list):
-    """Two u-lines over one field, or None when they lie in quadratic
-    extensions of Q that are not one field.  A base-field line needs no
-    map: extension arithmetic takes base scalars as they are.  Q(sqrt db)
-    maps into Q(sqrt da) by sqrt db = r sqrt da whenever r = sqrt(db/da)
-    exists; over F_q it always does."""
-    fa, fb = (line[0].field if isinstance(line[0], QuadExtElt) else None for line in (la, lb))
-    if fa is None or fb is None or fa == fb:
-        return la, lb
-    r = fa.base.sqrt(fb.d / fa.d)
-    if r is None:
-        return None
-    return la, [QuadExtElt(c.a, c.b * r, fa) for c in lb]
+def _line_keys(pair: PlanePair) -> set:
+    """Keys of a couple's lines inside P: two couples share a line exactly
+    when they share a key.  A line over the base field, normalized to lead
+    with 1, is its own key: the one line when alpha and beta have dependent
+    u-parts, both lines of a base-field split otherwise.  Two conjugate lines
+    share one key, their normalized product: a couple holding one of them
+    holds the other too, since a quadratic extension holding the lines of
+    both couples has a single conjugation."""
+    au, bu = pair.alpha[:3], pair.beta[:3]
+    if not any(_cross(au, bu)):
+        return {_normalized(au if any(au) else bu)}
+    if pair.root is not None:
+        return {_normalized([x + s * y for x, y in zip(au, bu)]) for s in (pair.root, -pair.root)}
+    entries = combinations_with_replacement(range(3), 2)
+    return {_normalized([au[i] * au[j] - pair.disc * bu[i] * bu[j] for i, j in entries])}
+
+
+def _normalized(v) -> tuple:
+    lead = next(c for c in v if c)
+    return tuple(c / lead for c in v)

@@ -77,7 +77,7 @@ def analyze(rep: SymDetRep, field=None, components=None) -> AnalysisReport:
         # constant: split_rank2_fiber raises unless each couple meets in a line
         ("couples_within_ok", True),
         ("couples_cross_ok", couples.cross_ok),
-        ("couples_needing_extension", sum(1 for p in couples.pairs if p.disc is not None)),
+        ("couples_needing_extension", sum(1 for p in couples.pairs if p.root is None)),
         ("ns2_m", ns2.m),
         ("ns2_class_count", ns2.class_count),
         ("ns2_det", ns2.det),

@@ -8,7 +8,8 @@ perfect field it is exact in every characteristic: an irreducible factor of a
 squarefree affine curve dividing both partials would have both partials
 zero, hence be a p-th power.  `nullspace` and `coeffs_in` are the kernel
 basis and the coefficient view the former plane and resultant checks used.
-`plane_span` turns a couple plane, stored by its fiber form, back into three
+`plane_forms` gives the two fiber forms alpha +- root beta of a couple split
+over the base field, and `plane_span` turns a fiber form back into three
 vectors of P^5 for checks by values of F.
 """
 
@@ -21,6 +22,12 @@ def nullspace(rows, ncols, field):
     """Deterministic basis of the right kernel of a rectangular matrix."""
     m, pivots, _det = _echelon(rows, ncols, field)
     return _kernel_basis(m, pivots, ncols, field)
+
+
+def plane_forms(pair):
+    """The fiber forms (a1, a2, a3, b) of the two planes of a couple split
+    over the base field."""
+    return [[a + s * b for a, b in zip(pair.alpha, pair.beta)] for s in (pair.root, -pair.root)]
 
 
 def plane_span(point, form, field):

@@ -22,7 +22,7 @@ from detfold.fourfold import (
 from detfold.lattice import ns2_gram
 from detfold.points import ProjPoint
 from detfold.spin import build_dual_graph, graph_stats, spin_subsets, theta_counts
-from reference import plane_span
+from reference import plane_forms, plane_span
 
 
 def _passline(n, label, t0):
@@ -66,7 +66,7 @@ def test_criterion_3_prop44_smooth():
     locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
     assert locus.smooth and locus.points == []
     for q in (13, 7):
-        ok, oracle, assembled = oracle_matches_assembly(ex.rep, q, components=ex.components)
+        ok, oracle, assembled = oracle_matches_assembly(ex.rep, q)
         assert ok and oracle == [] and assembled == []
         cl = analysis_context(ex.rep, PrimeField(q), ex.components).classification
         assert len(cl.s_theta) == 12
@@ -83,7 +83,7 @@ def test_criterion_4_oracle_equivalence():
     for name in EXAMPLE_NAMES:
         ex = build_example(name)
         for q in ex.compatible_primes:
-            ok, _oracle, _asm = oracle_matches_assembly(ex.rep, q, components=ex.components)
+            ok, _oracle, _asm = oracle_matches_assembly(ex.rep, q)
             assert ok, f"{name} mod {q}"
             runs += 1
     assert runs >= 15
@@ -149,7 +149,7 @@ def test_criterion_5_bound_suite():
         assert locus.all_double
         analyzed += 1
         if idx % 10 == 0:
-            ok, _, _ = oracle_matches_assembly(ex.rep, used_q, components=ex.components)
+            ok, _, _ = oracle_matches_assembly(ex.rep, used_q)
             assert ok
             oracle_checked += 1
     assert analyzed == 70 and oracle_checked == 7
@@ -163,12 +163,12 @@ def test_criterion_6_couples_suite():
     rpt = couples_and_intersections(analysis_context(ex.rep, gf, ex.components))
     assert len(rpt.pairs) == 12
     assert all(not pr.degenerate for pr in rpt.pairs)
-    spans = [[plane_span(pr.point, plane.form, pr.field) for plane in pr.planes] for pr in rpt.pairs]
+    spans = [[plane_span(pr.point, form, gf) for form in plane_forms(pr)] for pr in rpt.pairs]
     for a, b in spans:
         assert matrix_rank(a + b, gf) == 4  # a projective line
     assert rpt.cross_ok
     # all couples split over F_13: each of the 66 * 4 cross plane pairs meets in one point
-    assert all(pr.disc is None for pr in rpt.pairs)
+    assert all(pr.root is not None for pr in rpt.pairs)
     for sa, sb in combinations(spans, 2):
         for a in sa:
             for b in sb:

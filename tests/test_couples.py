@@ -1,47 +1,49 @@
 """Couples of planes: the checks at the point against polynomial references.
 
-`fourfold._cross_check` decides whether two planes from distinct couples
-meet in one point by the cross product of their u-lines inside P.
-`reference_cross_check` is the former check: the gcd of the two restricted
-conics u^T G(p) u, and, whenever both couples split over one field, rank 5
-for the six vectors spanning each pair of planes in P^5.  The two must agree
-on the verdict, on the named family members and on random reps.
-`_conic_common_factor`, the former shared-component test of the base locus,
-is the reference for its rank test too.
+`fourfold._cross_ok` decides whether planes from distinct couples meet in
+single points by comparing keys of their lines inside P: each rational line,
+and the conic of a pair of conjugate lines.  `reference_cross_check` is the
+former check: the gcd of the two restricted conics u^T G(p) u, and, whenever
+both couples split over the base field, rank 5 for the six vectors spanning
+each pair of planes in P^5.  The two must agree on the verdict, on the named
+family members and on random reps.  `_conic_common_factor`, the former
+shared-component test of the base locus, is the reference for its rank test
+too.
 
-`fourfold._verify_pair` checks each plane of a couple by six values of the
-fiber quadric; it must refuse perturbed fiber forms, and on random reps every
-F_q-point of a base-field couple plane must lie on the fourfold.
+`fourfold._verify_pair` checks a couple (alpha, beta, disc) against the
+polar matrix of the fiber quadric; it must refuse perturbed alpha and beta,
+and on random reps F must be a nonzero multiple of
+t ((alpha . v)^2 - disc (beta . v)^2) on the whole fiber span, for couples
+split over the base field and over its quadratic extension alike.
 """
 
 import io
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, matrix_rank, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, matrix_rank, parse_poly
 from detfold.cli import main as cli_main
 from detfold.curves import analysis_context
 from detfold.detrep import validate_rep
 from detfold.errors import ConsistencyError, Rejection
 from detfold.examples import build_example
 from detfold.fourfold import (
-    Plane,
     PlanePair,
-    _cross_check,
+    _cross_ok,
     _verify_pair,
     base_locus,
     couples_and_intersections,
     net_conics,
     split_rank2_fiber,
 )
-from detfold.points import ProjPoint, p2_reps
+from detfold.points import ProjPoint
 from detfold.repfile import parse_rep_file
-from reference import bivar_gcd, plane_span
+from reference import bivar_gcd, plane_forms, plane_span
 from test_oracle import random_reps
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,76 +77,140 @@ def _restricted_conic(rep, p):
 
 
 def reference_cross_check(rep, pa, pb, field):
-    """The conic gcd decides the verdict; when both couples split over one
-    field, each plane pair must also span a P^4, that is meet in one point."""
+    """The conic gcd decides the verdict; when both couples split over the
+    base field, each plane pair must also span a P^4, that is meet in one
+    point."""
     g = _conic_common_factor(_restricted_conic(rep, pa.point), _restricted_conic(rep, pb.point), field)
     ok = g.degree() == 0
-    if pa.field == pb.field:
-        for plane_a in pa.planes:
-            for plane_b in pb.planes:
-                span = plane_span(pa.point, plane_a.form, pa.field) + plane_span(pb.point, plane_b.form, pa.field)
-                ok = ok and matrix_rank(span, pa.field) == 5
+    if pa.root is not None and pb.root is not None:
+        for form_a in plane_forms(pa):
+            for form_b in plane_forms(pb):
+                span = plane_span(pa.point, form_a, field) + plane_span(pb.point, form_b, field)
+                ok = ok and matrix_rank(span, field) == 5
     return ok
 
 
-def _pair(base, point, lines, disc=None):
-    """A couple over `point` whose planes have the given u-lines; entries of
-    a line are base-field scalars or (a, b) for a + b*sqrt(disc)."""
-    fld = base if disc is None else QuadExt(base, disc)
-    p = ProjPoint(base, point, "x")
-    planes = []
-    for line in lines:
-        u = [fld.coerce(c) if not isinstance(c, tuple) else c[0] * fld.one() + c[1] * fld.root() for c in line]
-        planes.append(Plane(form=(*u, fld.zero()), field=fld))
-    return PlanePair(point=p, planes=tuple(planes), field=fld, disc=disc)
+def _pair(base, point, alpha, beta, disc):
+    """The couple over `point` with the planes (alpha +- sqrt(disc) beta) . (u, t) = 0."""
+    disc = base.coerce(disc)
+    return PlanePair(
+        point=ProjPoint(base, point, "x"),
+        alpha=tuple(map(base.coerce, alpha)),
+        beta=tuple(map(base.coerce, beta)),
+        disc=disc,
+        root=base.sqrt(disc),
+    )
 
 
 class TestLineBranches:
     def test_rational_double_line_over_extension_meets_base_couple(self):
-        # a double-line couple split over Q(sqrt 2) has the rational line
-        # u1 = 0 twice; a base-field couple over another point contains it
-        pa = _pair(QQ, (0, 0, 1), [(2, 0, 0), (1, 0, 0)], disc=Fraction(2))
-        pb = _pair(QQ, (0, 1, 0), [(1, 0, 0), (0, 1, 0)])
-        assert not _cross_check(pa, pb)
+        # (1 +- sqrt 2) u1 +- sqrt 2 t = 0 split over Q(sqrt 2) has the
+        # rational line u1 = 0 twice; a base-field couple over another point,
+        # with the lines u1 = 0 and u2 = 0, contains it
+        pa = _pair(QQ, (0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1), 2)
+        pb = _pair(QQ, (0, 1, 0), (1, 1, 0, 0), (1, -1, 0, 0), 1)
+        assert not _cross_ok([pa, pb])
         # Q(sqrt 2) and Q(sqrt 3) are not one field, but both couples hold
         # the rational line u1 = 0
-        pc = _pair(QQ, (0, 1, 0), [(1, 0, 0), (3, 0, 0)], disc=Fraction(3))
-        assert not _cross_check(pa, pc)
+        pc = _pair(QQ, (0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 1), 3)
+        assert not _cross_ok([pa, pc])
 
     def test_fq_couples_over_different_discs_share_a_line(self):
         gf = PrimeField(7)
-        # sqrt 5 = 2 sqrt 3 in F_49, so 4 sqrt 5 = sqrt 3 there
-        pa = _pair(gf, (0, 0, 1), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=3)
-        pb = _pair(gf, (0, 1, 0), [(1, (0, 4), 0), (1, (0, -4), 0)], disc=5)
-        assert not _cross_check(pa, pb)
-        # lines 1 + sqrt 5 . u2 are not a rescaling of 1 + sqrt 3 . u2
-        pc = _pair(gf, (0, 1, 0), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=5)
-        assert _cross_check(pa, pc)
+        # sqrt 5 = 2 sqrt 3 in F_49, so 4 sqrt 5 = sqrt 3 there: the lines
+        # u1 +- sqrt 3 u2 = 0 and u1 +- 4 sqrt 5 u2 = 0 are one pair
+        pa = _pair(gf, (0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), 3)
+        pb = _pair(gf, (0, 1, 0), (1, 0, 0, 0), (0, 4, 0, 0), 5)
+        assert not _cross_ok([pa, pb])
+        # lines u1 +- sqrt 5 u2 = 0 are not a rescaling of u1 +- sqrt 3 u2 = 0
+        pc = _pair(gf, (0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), 5)
+        assert _cross_ok([pa, pc])
 
     def test_q_sqrt2_and_sqrt8_lines_that_are_one_line(self):
         # sqrt 8 = 2 sqrt 2, so u1 + (sqrt 8 / 2) u2 = u1 + sqrt 2 u2
-        pa = _pair(QQ, (0, 0, 1), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=Fraction(2))
-        half = Fraction(1, 2)
-        pb = _pair(QQ, (0, 1, 0), [(1, (0, half), 0), (1, (0, -half), 0)], disc=Fraction(8))
-        assert not _cross_check(pa, pb)
+        pa = _pair(QQ, (0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), 2)
+        pb = _pair(QQ, (0, 1, 0), (1, 0, 0, 0), (0, Fraction(1, 2), 0, 0), 8)
+        assert not _cross_ok([pa, pb])
 
     def test_irrational_lines_over_sqrt2_and_sqrt3_meet_in_points(self):
-        pa = _pair(QQ, (0, 0, 1), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=Fraction(2))
-        pb = _pair(QQ, (0, 1, 0), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=Fraction(3))
-        assert _cross_check(pa, pb)
+        pa = _pair(QQ, (0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), 2)
+        pb = _pair(QQ, (0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), 3)
+        assert _cross_ok([pa, pb])
 
     def test_base_line_against_extension_line(self):
-        # u1 = 0 against u1 + sqrt 2 u2 = 0: both planes hold the meet
-        # (0:0:0 : 0:0:1), whether the base couple is split over Q or Q(sqrt 2)
-        pa = _pair(QQ, (0, 0, 1), [(1, (0, 1), 0), (1, (0, -1), 0)], disc=Fraction(2))
-        pb = _pair(QQ, (0, 1, 0), [(1, 0, 0), (0, 1, 0)])
-        assert _cross_check(pa, pb)
-        pc = _pair(QQ, (0, 1, 0), [(1, 0, 0), (0, 1, 0)], disc=Fraction(2))
-        assert _cross_check(pa, pc)
+        # u1 +- sqrt 2 u2 = 0 against the lines u1 = 0 and u2 = 0 of a base
+        # couple: the planes u1 = 0 and u1 + sqrt 2 u2 = 0 both hold the meet
+        # (0:0:0 : 0:0:1)
+        pa = _pair(QQ, (0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), 2)
+        pb = _pair(QQ, (0, 1, 0), (1, 1, 0, 0), (1, -1, 0, 0), 1)
+        assert _cross_ok([pa, pb])
         meet = [0, 0, 0, 0, 0, 1]
-        for pair in (pa, pc):
-            span = plane_span(pair.point, pair.planes[0].form, pa.field)
-            assert matrix_rank(span + [meet], pa.field) == 3
+        for vec in (pa.alpha, pa.beta):
+            assert not sum(c * m for c, m in zip(vec[:3], meet[3:]))
+        span = plane_span(pb.point, plane_forms(pb)[0], QQ)
+        assert matrix_rank(span + [meet], QQ) == 3
+
+
+def test_cross_verdict_covers_every_pair_of_couples():
+    # the first and the third couple share the line u1 = 0, with a couple
+    # between them that shares nothing
+    pa = _pair(QQ, (0, 0, 1), (1, 1, 0, 0), (1, -1, 0, 0), 1)
+    pb = _pair(QQ, (0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), 2)
+    pc = _pair(QQ, (1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0), 1)
+    assert _cross_ok([pa, pb]) and _cross_ok([pb, pc])
+    assert not _cross_ok([pa, pb, pc])
+
+
+def _lines_over_fq2(pair, q, n):
+    """The u-lines alpha_u +- s beta_u of a couple over F_q, s^2 = disc, with
+    entries (a, b) = a + b sqrt(n) of F_q^2 for a fixed non-square n."""
+    root = pair.root.v if pair.root is not None else None
+    s = (root, 0) if root is not None else (0, next(k for k in range(1, q) if k * k * n % q == pair.disc.v))
+    return [
+        [((a.v + sign * s[0] * b.v) % q, sign * s[1] * b.v % q) for a, b in zip(pair.alpha[:3], pair.beta[:3])]
+        for sign in (1, -1)
+    ]
+
+
+def _same_line(la, lb, q, n):
+    """The cross product of two lines over F_q^2 vanishes."""
+    def mul(x, y):
+        return (x[0] * y[0] + n * x[1] * y[1]) % q, (x[0] * y[1] + x[1] * y[0]) % q
+
+    return all(mul(la[i], lb[j]) == mul(la[j], lb[i]) for i, j in combinations(range(3), 2))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_line_keys_match_lines_over_fq2(q, data):
+    # the verdict of the keys against the lines themselves, computed in F_q^2;
+    # the second couple is fresh, or has the first one's lines written with
+    # alpha scaled by c and disc by k^2, or shares one line of a base split
+    gf = PrimeField(q)
+    n = next(v for v in range(2, q) if gf.sqrt(gf.from_int(v)) is None)
+    vec = st.lists(st.integers(0, q - 1), min_size=4, max_size=4)
+    unit = st.integers(1, q - 1)
+    alpha, beta, disc = data.draw(vec), data.draw(vec), data.draw(unit)
+    first = _pair(gf, (0, 0, 1), alpha, beta, disc)
+    how = data.draw(st.sampled_from(["fresh", "rewritten", "one line"]))
+    if how == "rewritten":
+        c, k = data.draw(unit), data.draw(unit)
+        second = (
+            [c * a for a in alpha],
+            [c * b * pow(k, -1, q) for b in beta],
+            disc * k * k,
+        )
+    elif how == "one line" and first.root is not None:
+        line, other = plane_forms(first)[0], [gf.from_int(c) for c in data.draw(vec)]
+        second = ([(x + y) / 2 for x, y in zip(line, other)], [(x - y) / 2 for x, y in zip(line, other)], 1)
+    else:
+        second = (data.draw(vec), data.draw(vec), data.draw(unit))
+    pairs = [first, _pair(gf, (0, 1, 0), *second)]
+    lines = [_lines_over_fq2(pr, q, n) for pr in pairs]
+    assume(all(any(c != (0, 0) for c in line) for two in lines for line in two))  # no plane is P
+    shared = any(_same_line(la, lb, q, n) for la in lines[0] for lb in lines[1])
+    assert _cross_ok(pairs) == (not shared)
 
 
 # prop44 members (the matrix A) and ex42ii members (the lines l4, l5, l6),
@@ -167,7 +233,7 @@ def test_line_test_matches_reference(name, params, field):
     cross_ok = True
     for pa, pb in combinations(rpt.pairs, 2):
         ok = reference_cross_check(ctx.rep, pa, pb, field)
-        assert _cross_check(pa, pb) == ok, (pa.point, pb.point)
+        assert _cross_ok([pa, pb]) == ok, (pa.point, pb.point)
         cross_ok = cross_ok and ok
     assert rpt.cross_ok == cross_ok
 
@@ -175,12 +241,6 @@ def test_line_test_matches_reference(name, params, field):
 # ---------------------------------------------------------------------------
 # The plane check of a couple
 # ---------------------------------------------------------------------------
-
-
-def _with_form(pair, form):
-    """The pair with its first plane's fiber form replaced."""
-    bad = replace(pair.planes[0], form=tuple(form))
-    return replace(pair, planes=(bad, pair.planes[1]))
 
 
 def _conjugate_split_rep():
@@ -199,53 +259,60 @@ _COUPLES = {
 }
 
 
+def _with_forms(pair, first, second):
+    """The base-field couple with the fiber forms first = alpha + root beta
+    and second = alpha - root beta."""
+    alpha = tuple((x + y) / 2 for x, y in zip(first, second))
+    beta = tuple((x - y) / (2 * pair.root) for x, y in zip(first, second))
+    return replace(pair, alpha=alpha, beta=beta)
+
+
 @pytest.mark.parametrize("which", list(_COUPLES))
 def test_perturbed_plane_refused(which):
     ctx, point = _COUPLES[which]()
     pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, point, "x"))
-    assert (pair.disc is not None) == (which == "Q(i)")
+    assert (pair.root is None) == (which == "Q(i)")
     F = ctx.rep.fourfold
     _verify_pair(pair, F)  # the split itself passes
-    form = pair.planes[0].form
-    one, zero = pair.field.one(), pair.field.zero()
-    # the u-part (a1, a2, a3), then the t-part b
-    for index in range(4):
-        moved = list(form)
-        moved[index] = moved[index] + one
+    # each entry of alpha, then of beta: the u-part, then the t-part; a move
+    # that leaves alpha and beta dependent fails the line test instead
+    for name in ("alpha", "beta"):
+        for index in range(4):
+            vec = list(getattr(pair, name))
+            vec[index] = vec[index] + ctx.field.one()
+            moved = replace(pair, **{name: tuple(vec)})
+            dependent = matrix_rank([list(moved.alpha), list(moved.beta)], ctx.field) < 2
+            message = "meet along a line" if dependent else "not inside the fourfold"
+            with pytest.raises(ConsistencyError, match=message):
+                _verify_pair(moved, F)
+    if pair.root is not None:
+        # the first plane replaced by P, t = 0: its product with the second
+        # plane is not the fiber quadric (conjugate planes are P together)
+        first, second = plane_forms(pair)
         with pytest.raises(ConsistencyError, match="not inside the fourfold"):
-            _verify_pair(_with_form(pair, moved), F)
-    with pytest.raises(ConsistencyError, match="coincides with the plane P"):
-        _verify_pair(_with_form(pair, [zero] * 3 + [form[3]]), F)
+            _verify_pair(_with_forms(pair, [0, 0, 0, first[3]], second), F)
     with pytest.raises(ConsistencyError, match="meet along a line"):
-        _verify_pair(_with_form(pair, pair.planes[1].form), F)
+        _verify_pair(replace(pair, beta=pair.alpha), F)
+    with pytest.raises(ConsistencyError, match="meet along a line"):
+        _verify_pair(replace(pair, disc=ctx.field.zero()), F)
 
 
 def test_plane_with_isotropic_basis_refused():
     # prop44 mod 13 over (1:0:0): Q vanishes at the three basis points of the
-    # plane u1 + 2 u3 + 12 t = 0 but not on the plane, so the pairwise sums
-    # (the off-diagonal polar values) are needed to refuse it
+    # plane u1 + 2 u3 + 12 t = 0 with t = 1 but not on the plane; the couple
+    # of that plane and a true plane of the fiber is refused
     ctx = analysis_context(build_example("prop44").rep, PrimeField(13))
     pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, (1, 0, 0), "x"))
-    form = [ctx.field.from_int(c) for c in (1, 0, 2, 12)]
+    bad = [ctx.field.from_int(c) for c in (1, 0, 2, 12)]
     with pytest.raises(ConsistencyError, match="not inside the fourfold"):
-        _verify_pair(_with_form(pair, form), ctx.rep.fourfold)
-
-
-_DEGENERATE_COUPLE = """field rational
-vars x1 x2 x3
-row 0: x1, 0, 0, x3^2
-row 1: 0, x2, 0, 0
-row 2: 0, 0, x1+x2, 0
-row 3: x3^2, 0, 0, x1^3+2*x2^3+3*x1*x2*x3
-"""
+        _verify_pair(_with_forms(pair, bad, plane_forms(pair)[1]), ctx.rep.fourfold)
 
 
 @pytest.mark.parametrize("field,rc", [(None, 0), ("fp:31", 0), ("fp:37", 1)])
-def test_degenerate_couple_reports(tmp_path, field, rc):
+def test_degenerate_couple_reports(field, rc):
     # over (0:0:1) the conic block vanishes: one plane of the couple is P
-    path = tmp_path / "degenerate.rep"
-    path.write_text(_DEGENERATE_COUPLE)
     stem = "degenerate_couple." + (field or "rational").replace(":", "")
+    path = GOLDEN / "degenerate_couple.rep"
     for flag, ext in (([], "flat"), (["--json"], "json")):
         buf = io.StringIO()
         args = ["analyze", str(path)] + (["--field", field] if field else []) + flag
@@ -254,10 +321,11 @@ def test_degenerate_couple_reports(tmp_path, field, rc):
 
 
 def test_degenerate_couple_has_p_as_a_plane():
-    ctx = analysis_context(parse_rep_file(_DEGENERATE_COUPLE), PrimeField(31))
+    rep = parse_rep_file((GOLDEN / "degenerate_couple.rep").read_text())
+    ctx = analysis_context(rep, PrimeField(31))
     pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, (0, 0, 1), "x"))
-    assert pair.degenerate
-    assert [not any(plane.form[:3]) for plane in pair.planes].count(True) == 1
+    assert pair.degenerate and pair.root is not None
+    assert [not any(form[:3]) for form in plane_forms(pair)].count(True) == 1
     _verify_pair(pair, ctx.rep.fourfold)
 
 
@@ -300,25 +368,36 @@ def reps_with_a_rank2_fiber(draw, field, second=False):
 @pytest.mark.parametrize("q", [5, 7])
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(data=st.data())
-def test_base_field_couple_planes_lie_on_the_fourfold(q, data):
-    # exhaustive over the plane: a nonzero plane cubic has at most 3q + 1 of
-    # its q^2 + q + 1 points
+def test_couple_planes_lie_on_the_fourfold(q, data):
+    # F(t p, u) = lambda t ((alpha . v)^2 - disc (beta . v)^2) for one
+    # lambda != 0 at every v = (u, t) in F_q^4.  Both sides have degree <= 3
+    # < q in each variable, so they agree as polynomials, and both planes
+    # (alpha +- sqrt(disc) beta) . v = 0 lie on the fourfold, whether they
+    # split over F_q or over F_q^2
     field = PrimeField(q)
     ctx = analysis_context(data.draw(reps_with_a_rank2_fiber(field)))
     try:
         pairs = couples_and_intersections(ctx).pairs
     except Rejection:
         assume(False)
-    F = ctx.rep.fourfold
+    terms = [(e, c.v) for e, c in ctx.rep.fourfold.terms.items()]
     for pair in pairs:
-        if pair.disc is not None:
-            continue
-        for plane in pair.planes:
-            basis = plane_span(pair.point, plane.form, field)
-            assert len(basis) == 3
-            for c in p2_reps(q):
-                point = [sum(k * b[i] for k, b in zip(c, basis)) for i in range(6)]
-                assert not F.evaluate(point), (pair.point, plane.form)
+        p = [c.v for c in pair.point.coords]
+        alpha, beta = ([c.v for c in vec] for vec in (pair.alpha, pair.beta))
+        values = []
+        for v in product(range(q), repeat=4):
+            *u, t = v
+            coords = [t * c for c in p] + u
+            lhs = 0
+            for e, c in terms:
+                for x, k in zip(coords, e):
+                    c *= x**k
+                lhs += c
+            a, b = (sum(x * y for x, y in zip(vec, v)) for vec in (alpha, beta))
+            values.append((lhs % q, t * (a * a - pair.disc.v * b * b) % q))
+        lead, pivot = next((lhs, rhs) for lhs, rhs in values if rhs)
+        assert lead, pair.point
+        assert all(lhs * pivot % q == rhs * lead % q for lhs, rhs in values), pair.point
 
 
 @pytest.mark.parametrize("q", [5, 7])

@@ -18,7 +18,7 @@ from detfold.fourfold import brute_force_oracle, couples_and_intersections
 from detfold.points import ProjPoint, p2_reps
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import plane_span
+from reference import plane_forms, plane_span
 
 
 def _p(s, f=QQ):
@@ -210,8 +210,8 @@ class TestVanishesOnPlane:
         F = ctx.rep.fourfold
         on_x = [self.SECTION, [[0, 0, 0] + row for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]]
         for pair in couples_and_intersections(ctx).pairs:
-            if pair.disc is None:
-                on_x += [plane_span(pair.point, plane.form, gf) for plane in pair.planes]
+            if pair.root is not None:
+                on_x += [plane_span(pair.point, form, gf) for form in plane_forms(pair)]
         rng = random.Random(11)
         planes = list(on_x)
         for basis in on_x:

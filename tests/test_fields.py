@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from detfold.algebra import QQ, PrimeField, QuadExt, QuadExtElt, is_prime
+from detfold.algebra import QQ, PrimeField, is_prime
 from detfold.errors import InputError, Rejection
 
 
@@ -68,49 +68,6 @@ def test_rational_sqrt():
     assert QQ.sqrt(Fraction(2)) is None
     assert QQ.sqrt(Fraction(-1)) is None
     assert QQ.sqrt(Fraction(0)) == 0
-
-
-def test_quadratic_extension_rational():
-    ext = QuadExt(QQ, Fraction(2))
-    r = ext.root()
-    assert r * r == ext.coerce(2)
-    a = ext.coerce(Fraction(3, 2)) + r
-    inv = a.inverse()
-    assert a * inv == ext.one()
-    with pytest.raises(InputError):
-        QuadExt(QQ, Fraction(4))  # a square: no extension needed
-
-
-def test_quadratic_extension_fp():
-    gf = PrimeField(13)
-    d = gf.from_int(2)
-    assert gf.sqrt(d) is None
-    ext = QuadExt(gf, d)
-    rng = random.Random(5)
-    for _ in range(100):
-        a = ext.coerce(gf.from_int(rng.randrange(13))) + ext.root() * gf.from_int(rng.randrange(13))
-        if a:
-            assert a * a.inverse() == ext.one()
-    # any base element becomes a square in the quadratic extension: a
-    # non-square v is d times a square x^2, so v = (x sqrt d)^2
-    for v in range(1, 13):
-        a = gf.from_int(v)
-        x = gf.sqrt(a)
-        s = ext.coerce(x) if x is not None else ext.root() * gf.sqrt(a / d)
-        assert s * s == ext.coerce(a)
-
-
-@pytest.mark.parametrize("base", [QQ, PrimeField(13)])
-def test_quadratic_extension_base_scalar_product(base):
-    # a base scalar multiplies both coordinates; the result equals the
-    # product with the scalar coerced into the extension
-    ext = QuadExt(base, 2)
-    x = QuadExtElt(base.coerce(Fraction(3, 4)), base.coerce(-5), ext)
-    scalars = [0, 7, Fraction(-2, 3)] + ([base.from_int(6)] if base.char else [])
-    for c in scalars:
-        assert x * c == c * x == x * ext.coerce(c)
-    with pytest.raises(InputError, match="mixed quadratic extensions"):
-        x * QuadExt(base, 5).root()
 
 
 def test_fp_fraction_coercion():

@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, QuadExt, VARS_X, matrix_rank, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, matrix_rank, parse_poly
 from detfold.curves import analysis_context
 from detfold.detrep import validate_rep
 from detfold.errors import InputError, Rejection
@@ -16,7 +16,7 @@ from detfold.fourfold import (
     split_rank2_fiber,
 )
 from detfold.points import ProjPoint
-from reference import plane_span
+from reference import plane_forms, plane_span
 
 
 def _p(s, f=QQ):
@@ -27,18 +27,18 @@ class TestSplit:
     def test_prop44_split_001(self):
         ex = build_example("prop44")
         pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
-        assert pair.disc is None
+        assert pair.root is not None
         # the fiber forms (a1, a2, a3, b): the planes u3 = +-t
-        forms = {tuple(str(c) for c in plane.form) for plane in pair.planes}
+        forms = {tuple(str(c) for c in form) for form in plane_forms(pair)}
         assert forms == {("0", "0", "1", "1"), ("0", "0", "1", "-1")}
 
     def test_prop44_split_010(self):
         ex = build_example("prop44")
         pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 1, 0), "x"))
-        assert pair.disc is None
-        for plane in pair.planes:
+        assert pair.root is not None
+        for form in plane_forms(pair):
             # u2 = +-x2 on each plane
-            basis = plane_span(pair.point, plane.form, QQ)
+            basis = plane_span(pair.point, form, QQ)
             assert len(basis) == 3
 
     def test_conjugate_split(self):
@@ -54,10 +54,9 @@ class TestSplit:
             QQ,
         )
         pair = split_rank2_fiber(analysis_context(rep), ProjPoint(QQ, (0, 0, 1), "x"))
-        assert pair.disc is not None
+        assert pair.root is None
         ratio = pair.disc / QQ.coerce(-1)
         assert QQ.sqrt(ratio) is not None  # discriminant is -1 up to a square
-        assert isinstance(pair.field, QuadExt)
 
     def test_split_requires_rank_2(self):
         ex = build_example("prop44")
@@ -69,8 +68,8 @@ class TestSplit:
         ex = build_example("prop44")
         pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
         F = ex.rep.fourfold
-        for plane in pair.planes:
-            for vec in plane_span(pair.point, plane.form, QQ):
+        for form in plane_forms(pair):
+            for vec in plane_span(pair.point, form, QQ):
                 assert not F.evaluate(vec)
 
 
@@ -221,7 +220,7 @@ class TestOracle:
         for name in ("ex42i", "ex42ii", "prop44", "rmk31"):
             ex = build_example(name)
             for q in (7, 13):
-                ok, _, _ = oracle_matches_assembly(ex.rep, q, components=ex.components)
+                ok, _, _ = oracle_matches_assembly(ex.rep, q)
                 assert ok, f"{name} mod {q}"
 
 
@@ -233,21 +232,22 @@ class TestCouples:
         assert rpt.cross_ok
         # all 12 couples split over F_13, and each of the 66 * 4 cross plane
         # pairs spans a P^4 of P^5, so meets in one point
-        assert all(pr.disc is None for pr in rpt.pairs)
+        assert all(pr.root is not None for pr in rpt.pairs)
+        gf = PrimeField(13)
         for pa, pb in combinations(rpt.pairs, 2):
-            for plane_a in pa.planes:
-                for plane_b in pb.planes:
-                    span = plane_span(pa.point, plane_a.form, pa.field) + plane_span(pb.point, plane_b.form, pa.field)
-                    assert matrix_rank(span, pa.field) == 5
+            for form_a in plane_forms(pa):
+                for form_b in plane_forms(pb):
+                    span = plane_span(pa.point, form_a, gf) + plane_span(pb.point, form_b, gf)
+                    assert matrix_rank(span, gf) == 5
 
     def test_prop44_pinned_cross_point(self):
         ex = build_example("prop44")
         rpt = couples_and_intersections(analysis_context(ex.rep, QQ, ex.components))
         pairs = {str(pr.point): pr for pr in rpt.pairs}
         pts = set()
-        for plane_a in pairs["(0:0:1)"].planes:
-            for plane_b in pairs["(0:1:0)"].planes:
-                (a1, a2, a3), (b1, b2, b3) = plane_a.u_line, plane_b.u_line
+        for form_a in plane_forms(pairs["(0:0:1)"]):
+            for form_b in plane_forms(pairs["(0:1:0)"]):
+                (a1, a2, a3), (b1, b2, b3) = form_a[:3], form_b[:3]
                 meet = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
                 pts.add(ProjPoint(QQ, (0, 0, 0) + meet, "p5"))
         assert pts == {ProjPoint(QQ, (0, 0, 0, 1, 0, 0), "p5")}
@@ -255,7 +255,7 @@ class TestCouples:
     def test_within_couple_line(self):
         ex = build_example("prop44")
         pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
-        rows = [v for plane in pair.planes for v in plane_span(pair.point, plane.form, QQ)]
+        rows = [v for form in plane_forms(pair) for v in plane_span(pair.point, form, QQ)]
         assert matrix_rank(rows, QQ) == 4  # intersection is a projective line
 
     def test_ex42ii_cross_checks_over_q(self):
@@ -263,4 +263,4 @@ class TestCouples:
         rpt = couples_and_intersections(analysis_context(ex.rep, QQ, ex.components))
         assert len(rpt.pairs) == 12
         assert rpt.cross_ok
-        assert any(pr.disc is not None for pr in rpt.pairs)
+        assert any(pr.root is None for pr in rpt.pairs)

@@ -135,6 +135,10 @@ def test_nonlinear_u_partial_rejected(monkeypatch):
     monkeypatch.setattr(SymDetRep, "fourfold", property(with_u1_cubed))
     with pytest.raises(ConsistencyError, match="affine-linear"):
         brute_force_oracle(rep, 7)
+    # mod 3 the u-partials of u1^3 vanish and stay affine-linear, but F would
+    # no longer be constant on the solved strata: the term itself is refused
+    with pytest.raises(ConsistencyError, match="u-degree above 2"):
+        brute_force_oracle(rep, 3)
 
 
 def _forms(draw, field, degree):
