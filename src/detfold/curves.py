@@ -7,10 +7,10 @@ sextic by fiber rank and membership in the auxiliary cubic D.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
-from .algebra import MultiPoly, PrimeField, VARS_X, resultant, unipoly
+from .algebra import QQ, MultiPoly, PrimeField, VARS_X, resultant, unipoly
 from .detrep import SymDetRep, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
 from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
@@ -121,9 +121,29 @@ def _to_unicoeffs(p: MultiPoly, var: str) -> list:
     return unipoly.trim(out)
 
 
+def _common_roots(unis: list) -> tuple[dict, int]:
+    """Rational roots, with multiplicities, of the gcd of nonzero univariates
+    over Q, and the degree of the gcd's part without rational roots."""
+    g = unis[0]
+    for u in unis[1:]:
+        g = unipoly.gcd_poly(g, u, QQ)
+    if unipoly.deg(g) == 0:
+        return {}, 0
+    return unipoly.rational_roots(g)
+
+
 def _plane_solutions_qq(polys, field) -> PlaneSolutions:
+    """Rational solutions: in the chart x3 = 1 the roots of the eliminants in
+    x1, then over each root the roots in x2 of the fibre; on the line x3 = 0
+    the point (1:0:0) and the roots in x1 in the chart x2 = 1.  Each candidate
+    is tested against every polynomial."""
     pts: set = set()
     unresolved = 0
+    one, zero = field.one(), field.zero()
+
+    def keep(cand):
+        if all(not p.evaluate(cand) for p in polys):
+            pts.add(ProjPoint(field, cand, "x"))
 
     # chart x3 = 1
     aff = [p.substitute({"x3": 1}) for p in polys]
@@ -131,9 +151,31 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
     if not aff:
         raise Rejection("system vanishes identically on a chart (positive-dimensional)")
     if not any(p.degree() == 0 for p in aff):
-        got = _affine_chart_solutions(aff, polys, field)
-        pts.update(got.points)
-        unresolved += got.unresolved
+        with_x2 = [p for p in aff if p.involves("x2")]
+        elim = [_to_unicoeffs(p, "x1") for p in aff if not p.involves("x2")]
+        for f, g in combinations(with_x2, 2):
+            if len(elim) >= 3:
+                break
+            r = resultant(f, g, "x2")
+            if not r.is_zero:
+                elim.append(_to_unicoeffs(r, "x1"))
+        if not elim:
+            raise Rejection(
+                "elimination degenerated: every eliminant vanished "
+                "(curve not reduced or solution set positive-dimensional)"
+            )
+        roots, cof = _common_roots(elim)
+        unresolved += cof
+        for a in roots:
+            # the polynomials free of x2 are eliminants and vanish at a
+            fibre = [_to_unicoeffs(p.substitute({"x1": a}), "x2") for p in aff]
+            fibre = [u for u in fibre if u]
+            if not fibre:
+                raise Rejection("solution set contains a vertical line (positive-dimensional)")
+            broots, cof = _common_roots(fibre)
+            unresolved += cof
+            for b in broots:
+                keep((a, b, one))
 
     # line x3 = 0
     line = [p.substitute({"x3": 0}) for p in polys]
@@ -141,83 +183,12 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
     if not line:
         raise Rejection("system vanishes identically on the line x3=0 (positive-dimensional)")
     if not any(p.degree() == 0 for p in line):
-        one, zero = field.one(), field.zero()
-        if all(not p.evaluate((one, zero, zero)) for p in polys):
-            pts.add(ProjPoint(field, (one, zero, zero), "x"))
-        uni = [_to_unicoeffs(p.substitute({"x2": 1}), "x1") for p in line]
-        uni = [u for u in uni if u]
-        g = uni[0]
-        for u in uni[1:]:
-            g = unipoly.gcd_poly(g, u, field)
-        if unipoly.deg(g) > 0:
-            roots, cof = unipoly.rational_roots([Fraction(c) for c in g])
-            unresolved += cof
-            for r in roots:
-                cand = (field.coerce(r), one, zero)
-                if all(not p.evaluate(cand) for p in polys):
-                    pts.add(ProjPoint(field, cand, "x"))
+        keep((one, zero, zero))
+        roots, cof = _common_roots([_to_unicoeffs(p.substitute({"x2": 1}), "x1") for p in line])
+        unresolved += cof
+        for r in roots:
+            keep((r, one, zero))
     return PlaneSolutions(sorted_points(pts), unresolved)
-
-
-def _affine_chart_solutions(aff, originals, field) -> PlaneSolutions:
-    """Rational solutions of a bivariate system in the chart x3 = 1."""
-    pts = []
-    with_x2 = [p for p in aff if p.involves("x2")]
-    without = [p for p in aff if not p.involves("x2")]
-
-    elim: list[list] = []
-    for p in without:
-        elim.append(_to_unicoeffs(p, "x1"))
-    if len(with_x2) >= 2:
-        for i in range(len(with_x2)):
-            if len(elim) >= 3:
-                break
-            for j in range(i + 1, len(with_x2)):
-                r = resultant(with_x2[i], with_x2[j], "x2")
-                if not r.is_zero:
-                    elim.append(_to_unicoeffs(r, "x1"))
-                    if len(elim) >= 3:
-                        break
-    if not elim:
-        raise Rejection(
-            "elimination degenerated: every eliminant vanished "
-            "(curve not reduced or solution set positive-dimensional)"
-        )
-    g = elim[0]
-    for u in elim[1:]:
-        g = unipoly.gcd_poly(g, u, field)
-    if unipoly.deg(g) < 0 or (unipoly.deg(g) == 0):
-        if unipoly.deg(g) < 0:
-            raise Rejection("elimination degenerated: identically zero eliminant")
-        return PlaneSolutions([])
-
-    roots, unresolved = unipoly.rational_roots([Fraction(c) for c in g])
-    one = field.one()
-    for a in sorted(roots):
-        av = field.coerce(a)
-        if not with_x2:
-            raise Rejection("solution set contains a vertical line (positive-dimensional)")
-        specials = []
-        for p in with_x2:
-            u = _to_unicoeffs(p.substitute({"x1": av}), "x2")
-            if u:
-                specials.append(u)
-        if not specials:
-            raise Rejection("solution set contains a vertical line (positive-dimensional)")
-        h = specials[0]
-        for u in specials[1:]:
-            h = unipoly.gcd_poly(h, u, field)
-        if unipoly.deg(h) < 0:
-            raise Rejection("solution set contains a vertical line (positive-dimensional)")
-        if unipoly.deg(h) == 0:
-            continue
-        broots, bcof = unipoly.rational_roots([Fraction(c) for c in h])
-        unresolved += bcof
-        for b in sorted(broots):
-            cand = (av, field.coerce(b), one)
-            if all(not p.evaluate(cand) for p in originals):
-                pts.append(ProjPoint(field, cand, "x"))
-    return PlaneSolutions(pts, unresolved)
 
 
 # ---------------------------------------------------------------------------

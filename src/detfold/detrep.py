@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import MultiPoly, VARS_X, VARS_XU, kernel_rank_det, poly_matrix_det
-from .errors import ConsistencyError, Rejection
+from .errors import ConsistencyError, InputError, Rejection
 from .points import ProjPoint
 
 # degree required of entry (i, j); zero entries are allowed anywhere
@@ -106,6 +106,8 @@ def reduce_rep(rep: SymDetRep, field) -> SymDetRep:
     otherwise its entries mapped into `field` and validated again."""
     if rep.field == field:
         return rep
+    if rep.field.char:
+        raise InputError(f"a representation over {rep.field.name} can only be analysed over {rep.field.name}")
     entries = [[rep.entry(i, j).map_field(field) for j in range(4)] for i in range(4)]
     return validate_rep(entries, field)
 

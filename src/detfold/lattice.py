@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import QQ, int_det_bareiss, matrix_rank
+from .algebra import int_det_bareiss
 from .errors import InputError, Rejection
 
 # pairwise products underlying the Gram pattern
@@ -54,12 +54,11 @@ def ns2_gram(m: int) -> Ns2Report:
             else:
                 gram[i][j] = ACROSS_COUPLES
     det = int_det_bareiss(gram)
-    rank = n if det else matrix_rank(gram, QQ)
     return Ns2Report(
         m=m,
         class_count=2 * m + 1,
         gram=tuple(tuple(row) for row in gram),
         det=det,
-        rank=rank,
+        rank=n,
         rank_lower_bound=m + 2,
     )

@@ -123,7 +123,6 @@ class SpinSubsetReport:
     residual_even: bool
     vertex_genera: tuple  # arithmetic genus of each component curve after blow-ups
     component_genera: tuple  # arithmetic genus of each connected residual piece
-    odd_theta_choices: tuple  # odd theta count per connected residual piece
     admits_odd_theta: bool
 
 
@@ -157,7 +156,6 @@ def _analyze_subset(g: DualGraph, subset: tuple) -> SpinSubsetReport:
         residual_even=residual_even,
         vertex_genera=vertex_genera,
         component_genera=tuple(comp_genera),
-        odd_theta_choices=tuple(odd_choices),
         admits_odd_theta=admits,
     )
 
@@ -184,8 +182,6 @@ def spin_subsets(g: DualGraph, k: int, enumerate_all: bool = False) -> list[Spin
 # ---------------------------------------------------------------------------
 # Configuration predicates
 # ---------------------------------------------------------------------------
-
-_TEN_COUPLE_SHAPES = "abcdefgh"
 
 
 def in_ten_couples_list(config: Config) -> bool:

@@ -122,6 +122,58 @@ class TestSingularPoints:
                 assert ProjPoint(gf, [c // g for c in ints], "x") in ff.points
 
 
+@st.composite
+def line_coeffs(draw):
+    """A line's coefficients in [-3, 3]; a coordinate line one time in five."""
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, 2))
+        return tuple(int(k == i) for k in range(3))
+    return draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
+
+
+def _line(coeffs):
+    return MultiPoly(QQ, VARS_X, {tuple(int(k == i) for k in range(3)): c for i, c in enumerate(coeffs)})
+
+
+def _product(lines):
+    out = MultiPoly.constant(QQ, VARS_X, 1)
+    for ln in lines:
+        out = out * _line(ln)
+    return out
+
+
+class TestRationalSolver:
+    @pytest.mark.parametrize(
+        "system,message",
+        [
+            (["x3*x1", "x3*x2"], "vanishes identically on the line x3=0"),
+            (["x1*x2", "x2*x3"], "every eliminant vanished"),
+            # x1 = x3 is a common line: the fibre over x1 = 1 has no nonzero
+            # polynomial, with and without a polynomial involving x2
+            (["x1 - x3", "x1*x2 - x2*x3"], "vertical line"),
+            (["x1 - x3", "x1^2 - x3^2"], "vertical line"),
+            (["x1*x3 - x3^2", "x1^2 - x3^2"], "vertical line"),
+        ],
+    )
+    def test_positive_dimensional_rejections(self, system, message):
+        with pytest.raises(Rejection, match=message):
+            plane_solutions([_p(s) for s in system], QQ)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(f=st.lists(line_coeffs(), min_size=1, max_size=3), g=st.lists(line_coeffs(), min_size=1, max_size=3))
+    def test_line_arrangements_solved_exactly(self, f, g):
+        # two products of rational lines with no common line meet exactly in
+        # the pairwise meets a x b, all rational; this reaches several points
+        # over one x1 and points on x3 = 0
+        def cross(a, b):
+            return tuple(a[(k + 1) % 3] * b[(k + 2) % 3] - a[(k + 2) % 3] * b[(k + 1) % 3] for k in range(3))
+
+        assume(all(any(cross(a, b)) for a in f for b in g))
+        sol = plane_solutions([_product(f), _product(g)], QQ)
+        assert set(sol.points) == {ProjPoint(QQ, cross(a, b), "x") for a in f for b in g}
+        assert sol.unresolved == 0
+
+
 def reference_solutions(polys, field):
     """Common zeros of polys at every canonical representative of P^2(F_q),
     each point tested through MultiPoly.evaluate."""

@@ -163,6 +163,17 @@ class TestCli:
         rc, out = run_cli("analyze", "/nonexistent/file.rep")
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [("analyze", "--field", "fp:3"), ("analyze", "--field", "rational"), ("oracle", "--prime", "3")],
+        ids=["analyze-fp3", "analyze-rational", "oracle-3"],
+    )
+    def test_foreign_field_exit_code(self, tmp_path, args):
+        rep = str(tmp_path / "f.rep")
+        run_cli("example", "ex43_fermat", "--emit", rep)
+        rc, out = run_cli(args[0], rep, *args[1:])
+        assert rc == 3 and "a representation over fp:17 can only be analysed over fp:17" in out
+
     def test_scan_budget_exit_code(self, tmp_path, monkeypatch):
         import detfold.curves as curves
 
