@@ -83,7 +83,7 @@ def _cmd_example(args, out) -> int:
     failures = 0
     for field_name in sorted(ex.expected):
         field = field_from_name(field_name)
-        report = analyze(ex.rep, field, components=ex.components)
+        report = analyze(ex.rep, field)
         actual = report.to_json_dict()
         for key, (want, source) in sorted(ex.expected[field_name].items()):
             got = actual[key]

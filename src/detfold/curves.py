@@ -7,41 +7,12 @@ sextic by fiber rank and membership in the auxiliary cubic D.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from itertools import combinations
 
 from .algebra import QQ, MultiPoly, PrimeField, VARS_X, resultant, unipoly
-from .detrep import SymDetRep, gram_rank_kernel, reduce_rep
+from .detrep import SymDetRep, gram_rank_kernel
 from .errors import ConsistencyError, InputError, Rejection
 from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
-
-@dataclass(frozen=True)
-class PlaneCurve:
-    poly: MultiPoly
-    components: tuple | None = None  # optional factorization, multiplicity 1 each
-
-    def __post_init__(self):
-        if self.components is not None:
-            prod = MultiPoly.constant(self.poly.field, self.poly.vars, 1)
-            for c in self.components:
-                prod = prod * c
-            if not _proportional(prod, self.poly):
-                raise Rejection("component product does not equal the curve equation")
-            for i, a in enumerate(self.components):
-                for b in self.components[i + 1 :]:
-                    if _proportional(a, b):
-                        raise Rejection("repeated component; curve is not reduced")
-
-
-def _proportional(a: MultiPoly, b: MultiPoly) -> bool:
-    if a.is_zero or b.is_zero:
-        return a.is_zero and b.is_zero
-    ea, ca = a.lead()
-    eb, cb = b.lead()
-    if ea != eb:
-        return False
-    return a.scale(cb / ca) == b
-
 
 # ---------------------------------------------------------------------------
 # Solving small homogeneous systems on the projective plane
@@ -148,8 +119,6 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
     # chart x3 = 1
     aff = [p.substitute({"x3": 1}) for p in polys]
     aff = [p for p in aff if not p.is_zero]
-    if not aff:
-        raise Rejection("system vanishes identically on a chart (positive-dimensional)")
     if not any(p.degree() == 0 for p in aff):
         with_x2 = [p for p in aff if p.involves("x2")]
         elim = [_to_unicoeffs(p, "x1") for p in aff if not p.involves("x2")]
@@ -245,14 +214,15 @@ def is_reduced_curve(h: MultiPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def singular_points(curve: PlaneCurve) -> PlaneSolutions:
-    """Singular points of a reduced plane curve over its own field."""
-    h = curve.poly
+def singular_points(h: MultiPoly, components: tuple | None = None) -> PlaneSolutions:
+    """Singular points of a reduced plane curve h over its own field; given a
+    factorization of h, validated by the caller, one system of components at
+    a time."""
     field = h.field
     if not is_reduced_curve(h):
         raise Rejection("curve is not reduced (square factor detected)")
-    if curve.components is not None and not isinstance(field, PrimeField):
-        return _singular_points_factored(curve.components, field)
+    if components is not None:
+        return _singular_points_factored(components, field)
     grads = [h.diff(v) for v in VARS_X]
     sol = plane_solutions([h] + grads, field)
     for p in sol.points:
@@ -345,19 +315,13 @@ class SingClassification:
         return [r.point for r in self.records if not r.on_d]
 
 
-def classify_singularities(rep: SymDetRep, components=None) -> SingClassification:
-    """Locate Sing(C), certify nodality, and split into the rank/D strata.
-
-    rep lies over the working field; the optional factorization of its
-    sextic is mapped into that field.
-    """
+def classify_singularities(rep: SymDetRep) -> SingClassification:
+    """Locate Sing(C), certify nodality, and split into the rank/D strata,
+    over the rep's field and with the factorization it carries, if any."""
     field = rep.field
     sextic = rep.sextic
     d_cubic = rep.d_cubic
-    if components is not None:
-        components = [c if c.field == field else c.map_field(field) for c in components]
-    curve = PlaneCurve(sextic, tuple(components) if components is not None else None)
-    scan = singular_points(curve)
+    scan = singular_points(sextic, rep.components)
 
     records = []
     partials = node_partials(sextic)
@@ -377,8 +341,8 @@ def classify_singularities(rep: SymDetRep, components=None) -> SingClassificatio
 
     s_c_certified = scan.complete
     notes = []
-    if not scan.complete and components is not None:
-        s_c_certified = _certify_s_c(scan.unresolved_in, components, d_cubic)
+    if not scan.complete and rep.components is not None:
+        s_c_certified = _certify_s_c(scan.unresolved_in, rep.components, d_cubic)
         if s_c_certified:
             notes.append("unlisted singular points certified to lie on D by divisibility")
     if not scan.complete:
@@ -403,26 +367,3 @@ def _certify_s_c(unresolved_in, comps, dc) -> bool:
     """
     divides = [dc.is_zero or dc.try_divide(c) is not None for c in comps]
     return all(any(divides[i] for i in idx) for idx in unresolved_in)
-
-
-@dataclass
-class AnalysisContext:
-    """One representation over one working field, shared by every stage of an
-    analysis: the rep reduced to the field, which keeps its equations, and
-    the singularity classification, computed on first use and kept."""
-
-    rep: SymDetRep
-    components: list | None = None
-
-    @property
-    def field(self):
-        return self.rep.field
-
-    @cached_property
-    def classification(self) -> SingClassification:
-        return classify_singularities(self.rep, self.components)
-
-
-def analysis_context(rep: SymDetRep, field=None, components=None) -> AnalysisContext:
-    """Reduce rep to field (default: its own) once for every stage."""
-    return AnalysisContext(reduce_rep(rep, rep.field if field is None else field), components)

@@ -9,7 +9,7 @@ by (u:t) -> (t*a, t*b, t*c, u1, u2, u3) over p = (a:b:c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .algebra import MultiPoly, VARS_X, VARS_XU, kernel_rank_det, poly_matrix_det
@@ -29,6 +29,8 @@ def _expected_degree(i: int, j: int) -> int:
 class SymDetRep:
     field: object
     entries: tuple  # 4x4 tuple of tuples of MultiPoly in x1,x2,x3
+    # factorization of the sextic, multiplicity 1 each; set by validate_rep
+    components: tuple | None = dc_field(default=None, compare=False)
 
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i][j]
@@ -69,9 +71,18 @@ class SymDetRep:
         _check_fourfold_shape(F, self)
         return F
 
+    @cached_property
+    def classification(self):
+        """The singularity classification of the sextic over the rep's field."""
+        from .curves import classify_singularities
 
-def validate_rep(entries, field) -> SymDetRep:
-    """Check symmetry, the (1,1,1;2;3) degree profile, and det != 0."""
+        return classify_singularities(self)
+
+
+def validate_rep(entries, field, components: tuple | list | None = None) -> SymDetRep:
+    """Check symmetry, the (1,1,1;2;3) degree profile, and det != 0; a
+    factorization of the sextic, when given, must multiply out to it up to
+    a scalar and have no two proportional components."""
     if len(entries) != 4 or any(len(r) != 4 for r in entries):
         raise Rejection("matrix must be 4x4")
     for i in range(4):
@@ -95,15 +106,38 @@ def validate_rep(entries, field) -> SymDetRep:
                 raise Rejection(
                     f"matrix is not symmetric: entry ({i+1},{j+1}) differs from ({j+1},{i+1})"
                 )
-    rep = SymDetRep(field=field, entries=tuple(tuple(row) for row in entries))
+    if components is not None:
+        components = tuple(components)
+    rep = SymDetRep(field, tuple(tuple(row) for row in entries), components)
     if rep.sextic.is_zero:
         raise Rejection("determinant vanishes identically; the discriminant sextic is not a curve")
+    if components is not None:
+        prod = MultiPoly.constant(field, VARS_X, 1)
+        for c in components:
+            prod = prod * c
+        if not _proportional(prod, rep.sextic):
+            raise Rejection("component product does not equal the curve equation")
+        for i, a in enumerate(components):
+            for b in components[i + 1 :]:
+                if _proportional(a, b):
+                    raise Rejection("repeated component; curve is not reduced")
     return rep
+
+
+def _proportional(a: MultiPoly, b: MultiPoly) -> bool:
+    if a.is_zero or b.is_zero:
+        return a.is_zero and b.is_zero
+    ea, ca = a.lead()
+    eb, cb = b.lead()
+    if ea != eb:
+        return False
+    return a.scale(cb / ca) == b
 
 
 def reduce_rep(rep: SymDetRep, field) -> SymDetRep:
     """The representation over `field`: rep itself when it already lies there,
-    otherwise its entries mapped into `field` and validated again."""
+    otherwise its entries mapped into `field` and validated again.  The
+    factorization stays behind: the scan over F_q is complete without it."""
     if rep.field == field:
         return rep
     if rep.field.char:

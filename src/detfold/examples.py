@@ -1,11 +1,12 @@
 """Named example representations with verified expected outcomes.
 
 Each builder assembles a specific determinantal matrix, validates the side
-conditions its construction needs, and bundles the component factorization
-of its sextic plus an expected-highlights table (per field) used as golden
-fixtures.  Expected values marked "reference" restate published claims;
-"derived" values were computed here and confirmed by the exhaustive
-finite-field oracle at every compatible prime.
+conditions its construction needs and, over Q, the component factorization
+of its sextic, which the representation carries, and bundles an
+expected-highlights table (per field) used as golden fixtures.  Expected
+values marked "reference" restate published claims; "derived" values were
+computed here and confirmed by the exhaustive finite-field oracle at every
+compatible prime.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 
 from .algebra import MultiPoly, PrimeField, QQ, VARS_X, matrix_rank, parse_poly, poly_matrix_det
 from .algebra.unipoly import is_squarefree
-from .curves import _to_unicoeffs, is_reduced_curve
+from .curves import _to_unicoeffs, is_reduced_curve, singular_points
 from .detrep import SymDetRep, validate_rep, vanishes_on_plane
 from .errors import InputError, Rejection
 
@@ -35,7 +36,6 @@ EXAMPLE_NAMES = (
 class NamedExample:
     name: str
     rep: SymDetRep
-    components: list
     params: dict
     compatible_primes: tuple
     expected: dict  # field name -> {key: (value, source)}
@@ -80,10 +80,12 @@ def _line_meets_cubic_transversally(f: MultiPoly, line_var: int, fld) -> None:
 # ---------------------------------------------------------------------------
 
 
+_EX42I_DEFAULT = "x1^3 + x2^3 + x3^3"
+
+
 def _build_ex42i(params: dict) -> NamedExample:
     fld = QQ
-    f = params.get("f")
-    f = _p(f) if isinstance(f, str) else (f or _p("x1^3 + x2^3 + x3^3"))
+    f = _p(params.get("f", _EX42I_DEFAULT))
     if f.is_zero or f.degree() != 3:
         raise Rejection("parameter f must be a nonzero cubic")
     for i in range(3):
@@ -91,7 +93,7 @@ def _build_ex42i(params: dict) -> NamedExample:
     z = _zero()
     x1, x2, x3 = _p("x1"), _p("x2"), _p("x3")
     rep = validate_rep(
-        [[z, x1, x2, z], [x1, z, x3, z], [x2, x3, z, z], [z, z, z, f]], fld
+        [[z, x1, x2, z], [x1, z, x3, z], [x2, x3, z, z], [z, z, z, f]], fld, [x1, x2, x3, f]
     )
     expected = {
         "rational": {
@@ -120,10 +122,11 @@ def _build_ex42i(params: dict) -> NamedExample:
             "smooth": (False, "reference"),
         },
     }
+    if str(f) != _canon(_EX42I_DEFAULT):
+        expected = {}  # pinned highlights are for the default cubic only
     return NamedExample(
         name="ex42i",
         rep=rep,
-        components=[x1, x2, x3, f],
         params={"f": str(f)},
         compatible_primes=(7, 11, 13),
         expected=expected,
@@ -143,10 +146,7 @@ _EX42II_DEFAULTS = ("x1 + x2 + x3", "x1 + 2*x2 + 3*x3", "x1 + 3*x2 + 2*x3")
 
 def _build_ex42ii(params: dict) -> NamedExample:
     fld = QQ
-    lines = []
-    for key, default in zip(("l4", "l5", "l6"), _EX42II_DEFAULTS):
-        v = params.get(key, default)
-        lines.append(_p(v) if isinstance(v, str) else v)
+    lines = [_p(params.get(key, default)) for key, default in zip(("l4", "l5", "l6"), _EX42II_DEFAULTS)]
     x1, x2, x3 = _p("x1"), _p("x2"), _p("x3")
     all_lines = [x1, x2, x3] + lines
     for ln in all_lines:
@@ -159,7 +159,7 @@ def _build_ex42ii(params: dict) -> NamedExample:
             raise Rejection("three of the six lines are concurrent; not in general position")
     z = _zero()
     corner = lines[0] * lines[1] * lines[2]
-    rep = validate_rep([[x1, z, z, z], [z, x2, z, z], [z, z, x3, z], [z, z, z, corner]], fld)
+    rep = validate_rep([[x1, z, z, z], [z, x2, z, z], [z, z, x3, z], [z, z, z, corner]], fld, all_lines)
     counts = {
         "sing_c_count": (15, "derived"),
         "s_theta_count": (12, "reference"),
@@ -173,7 +173,6 @@ def _build_ex42ii(params: dict) -> NamedExample:
     return NamedExample(
         name="ex42ii",
         rep=rep,
-        components=all_lines,
         params={"l4": str(lines[0]), "l5": str(lines[1]), "l6": str(lines[2])},
         compatible_primes=(7, 11, 13),
         expected=expected,
@@ -182,13 +181,11 @@ def _build_ex42ii(params: dict) -> NamedExample:
 
 def _build_prop44(params: dict) -> NamedExample:
     fld = QQ
-    a = params.get("A", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    if isinstance(a, str):
-        vals = [_number("prop44", "A", part, Fraction) for part in a.split(",")]
-        if len(vals) != 9:
-            raise InputError("parameter A needs nine comma-separated entries")
-        a = (tuple(vals[0:3]), tuple(vals[3:6]), tuple(vals[6:9]))
-    rows = [[fld.coerce(c) for c in row] for row in a]
+    a = params.get("A", "1,0,0,0,1,0,0,0,1")
+    vals = [_number("prop44", "A", part, Fraction) for part in a.split(",")]
+    if len(vals) != 9:
+        raise InputError("parameter A needs nine comma-separated entries")
+    rows = [vals[0:3], vals[3:6], vals[6:9]]
     x = [_p(v) for v in VARS_X]
     f_a = _zero()
     for i in range(3):
@@ -201,9 +198,7 @@ def _build_prop44(params: dict) -> NamedExample:
         raise Rejection("the cubic built from A vanishes identically")
     # membership: the cubic must be smooth and meet the coordinate triangle
     # transversally away from its vertices
-    from .curves import PlaneCurve, singular_points
-
-    scan = singular_points(PlaneCurve(f_a))
+    scan = singular_points(f_a)
     if scan.points:
         raise Rejection(f"the cubic built from A is singular at {scan.points[0]}")
     if not scan.complete:
@@ -211,7 +206,7 @@ def _build_prop44(params: dict) -> NamedExample:
     for i in range(3):
         _line_meets_cubic_transversally(f_a, i, fld)
     z = _zero()
-    rep = validate_rep([[x[0], z, z, z], [z, x[1], z, z], [z, z, x[2], z], [z, z, z, -f_a]], fld)
+    rep = validate_rep([[x[0], z, z, z], [z, x[1], z, z], [z, z, x[2], z], [z, z, z, -f_a]], fld, x + [-f_a])
     # section plane u_i = sum_j a_ij x_j lies on the fourfold identically
     section = [
         tuple([-rows[i][j] for j in range(3)] + [1 if t == i else 0 for t in range(3)])
@@ -250,7 +245,6 @@ def _build_prop44(params: dict) -> NamedExample:
     return NamedExample(
         name="prop44",
         rep=rep,
-        components=[x[0], x[1], x[2], -f_a],
         params={"A": ",".join(str(c) for row in rows for c in row)},
         compatible_primes=(7, 11, 13),
         expected=expected,
@@ -280,14 +274,13 @@ _EX43_QUARTIC_DEFAULTS = {
 
 def _build_ex43_quartic(params: dict) -> NamedExample:
     fld = QQ
-    vals = {k: _p(params.get(k, v)) if isinstance(params.get(k, v), str) else params.get(k, v)
-            for k, v in _EX43_QUARTIC_DEFAULTS.items()}
+    vals = {k: _p(params.get(k, v)) for k, v in _EX43_QUARTIC_DEFAULTS.items()}
     l1, l2, l11, q1, f = vals["l1"], vals["l2"], vals["l11"], vals["q1"], vals["f"]
     quartic = l11 * f - q1 * q1
     if quartic.is_zero or not is_reduced_curve(quartic):
         raise Rejection("the 2x2 block does not define a reduced quartic")
     z = _zero()
-    rep = validate_rep([[l1, z, z, z], [z, l2, z, z], [z, z, l11, q1], [z, z, q1, f]], fld)
+    rep = validate_rep([[l1, z, z, z], [z, l2, z, z], [z, z, l11, q1], [z, z, q1, f]], fld, [l1, l2, quartic])
     expected = {}
     if all(str(vals[k]) == _canon(v) for k, v in _EX43_QUARTIC_DEFAULTS.items()):
         expected = {
@@ -318,7 +311,6 @@ def _build_ex43_quartic(params: dict) -> NamedExample:
     return NamedExample(
         name="ex43_quartic_two_lines",
         rep=rep,
-        components=[l1, l2, quartic],
         params={k: str(v) for k, v in vals.items()},
         compatible_primes=(7, 11, 13),
         expected=expected,
@@ -339,8 +331,7 @@ _EX43_QUINTIC_DEFAULTS = {
 
 def _build_ex43_quintic(params: dict) -> NamedExample:
     fld = QQ
-    vals = {k: _p(params.get(k, v)) if isinstance(params.get(k, v), str) else params.get(k, v)
-            for k, v in _EX43_QUINTIC_DEFAULTS.items()}
+    vals = {k: _p(params.get(k, v)) for k, v in _EX43_QUINTIC_DEFAULTS.items()}
     l1 = vals["l1"]
     block = [
         [vals["l11"], vals["l12"], vals["q1"]],
@@ -359,6 +350,7 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
             [z, vals["q1"], vals["q2"], vals["f"]],
         ],
         fld,
+        [l1, quintic],
     )
     expected = {}
     if all(str(vals[k]) == _canon(v) for k, v in _EX43_QUINTIC_DEFAULTS.items()):
@@ -388,7 +380,6 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
     return NamedExample(
         name="ex43_quintic_line",
         rep=rep,
-        components=[l1, quintic],
         params={k: str(v) for k, v in vals.items()},
         compatible_primes=(7, 11, 13),
         expected=expected,
@@ -397,9 +388,7 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
 
 
 def _build_ex43_fermat(params: dict) -> NamedExample:
-    q = params.get("q", 17)
-    if isinstance(q, str):
-        q = _number("ex43_fermat", "q", q, int)
+    q = _number("ex43_fermat", "q", params.get("q", "17"), int)
     if q % 8 != 1:
         raise Rejection(
             f"this example needs a prime with q = 1 (mod 8) so that fourth and "
@@ -452,7 +441,6 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
     return NamedExample(
         name="ex43_fermat",
         rep=rep,
-        components=[x1, x1 + x2, quartic],
         params={"q": str(q)},
         compatible_primes=(q,),
         expected=expected,
@@ -466,12 +454,12 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
 
 def _build_rmk31(params: dict) -> NamedExample:
     fld = QQ
-    f = params.get("f", "x1^3 + 2*x2^3 + 3*x3^3")
-    f = _p(f) if isinstance(f, str) else f
+    f = _p(params.get("f", "x1^3 + 2*x2^3 + 3*x3^3"))
     if f.is_zero or f.degree() != 3:
         raise Rejection("parameter f must be a nonzero cubic")
     z = _zero()
     x1, x2, x3 = _p("x1"), _p("x2"), _p("x3")
+    nodal_cubic = _p("x2^2*x3 - x1^3 - x1^2*x3")
     rep = validate_rep(
         [
             [z, x1, x2, z],
@@ -480,8 +468,8 @@ def _build_rmk31(params: dict) -> NamedExample:
             [z, z, z, f],
         ],
         fld,
+        [nodal_cubic, f],
     )
-    nodal_cubic = _p("x2^2*x3 - x1^3 - x1^2*x3")
     assert rep.d_cubic == nodal_cubic
     expected = {
         "rational": {
@@ -510,7 +498,6 @@ def _build_rmk31(params: dict) -> NamedExample:
     return NamedExample(
         name="rmk31",
         rep=rep,
-        components=[nodal_cubic, f],
         params={"f": str(f)},
         compatible_primes=(7, 11, 13),
         expected=expected,

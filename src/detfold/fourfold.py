@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement, product
 
 from .algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, matrix_rank
-from .curves import AnalysisContext, SingClassification, analysis_context, plane_solutions
+from .curves import plane_solutions
 from .detrep import SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
 from .points import ORACLE_BUDGET, ProjPoint, p2_reps, sorted_points
@@ -36,7 +36,7 @@ class PlanePair:
     degenerate: bool = False  # one member is the projection plane P itself
 
 
-def split_rank2_fiber(ctx: AnalysisContext, p: ProjPoint, gram=None) -> PlanePair:
+def split_rank2_fiber(rep: SymDetRep, p: ProjPoint, gram=None) -> PlanePair:
     """Write the rank-2 fiber quadric over p as a product of two planes.
 
     The planes split over the base field when the reduced binary form's
@@ -46,7 +46,7 @@ def split_rank2_fiber(ctx: AnalysisContext, p: ProjPoint, gram=None) -> PlanePai
     Gram matrix when the classification already holds it.
     """
     if gram is None:
-        gram, rank, _det, _kern = gram_rank_kernel(ctx.rep, p)
+        gram, rank, _det, _kern = gram_rank_kernel(rep, p)
         if rank != 2:
             raise Rejection(f"fiber at {p} has rank {rank}, not 2; no couple of planes there")
 
@@ -74,10 +74,10 @@ def split_rank2_fiber(ctx: AnalysisContext, p: ProjPoint, gram=None) -> PlanePai
         alpha=alpha,
         beta=beta,
         disc=disc,
-        root=ctx.field.sqrt(disc),
+        root=rep.field.sqrt(disc),
         degenerate=not any(x for row in gram[:3] for x in row[:3]),
     )
-    _verify_pair(pair, ctx.rep.fourfold)
+    _verify_pair(pair, rep.fourfold)
     return pair
 
 
@@ -151,12 +151,12 @@ def net_conics(rep: SymDetRep) -> list[MultiPoly]:
     return out
 
 
-def base_locus(ctx: AnalysisContext):
+def base_locus(rep: SymDetRep):
     """Common zeros in P of the net of conics; at most 3 points for valid input."""
-    field = ctx.field
-    if ctx.rep.d_cubic.is_zero:
+    field = rep.field
+    if rep.d_cubic.is_zero:
         raise Rejection("the cubic D vanishes identically; the net of conics is degenerate")
-    conics = [c for c in net_conics(ctx.rep) if not c.is_zero]
+    conics = [c for c in net_conics(rep) if not c.is_zero]
     if len(conics) < 2:
         raise Rejection("net of conics is degenerate: base locus is not finite")
     # D != 0, so not every conic of the net is singular and the conics share
@@ -187,16 +187,17 @@ class SingularLocusX:
     all_double: bool
     smooth: bool
     base_complete: bool
-    classification: SingClassification
 
     @property
     def points(self) -> list:
         return sorted_points(self.cone_vertices + self.base_points)
 
 
-def singular_locus_X(ctx: AnalysisContext) -> SingularLocusX:
-    field = ctx.field
-    classification = ctx.classification
+def singular_locus_X(rep: SymDetRep) -> SingularLocusX:
+    """Sing(X) of the fourfold over the rep's field, assembled from the cone
+    vertices over s_c and the base points of the net of conics."""
+    field = rep.field
+    classification = rep.classification
     vertices = []
     for record in classification.records:
         if record.on_d:
@@ -209,11 +210,11 @@ def singular_locus_X(ctx: AnalysisContext) -> SingularLocusX:
         if not any(vertex.coords[:3]):
             raise ConsistencyError(f"cone vertex over {record.point} sits inside P")
         vertices.append(vertex)
-    bpts, b_complete = base_locus(ctx)
+    bpts, b_complete = base_locus(rep)
     embedded_b = [
         ProjPoint(field, (field.zero(),) * 3 + p.coords, "p5") for p in bpts
     ]
-    F = ctx.rep.fourfold
+    F = rep.fourfold
     grads = {v: F.diff(v) for v in VARS_XU}
     hessian = [grads[v].diff(w) for n, v in enumerate(VARS_XU) for w in VARS_XU[n:]]
     all_double = True
@@ -236,7 +237,6 @@ def singular_locus_X(ctx: AnalysisContext) -> SingularLocusX:
         all_double=all_double,
         smooth=smooth,
         base_complete=b_complete,
-        classification=classification,
     )
 
 
@@ -383,7 +383,7 @@ def _solve_affine_mod(rows: list[list[int]], q: int):
 
 def assembly_points_mod_q(rep: SymDetRep, q: int) -> list[ProjPoint]:
     """Sing(X)(F_q) assembled from the rank stratification, for oracle comparison."""
-    return singular_locus_X(analysis_context(rep, PrimeField(q))).points
+    return singular_locus_X(reduce_rep(rep, PrimeField(q))).points
 
 
 def oracle_matches_assembly(rep: SymDetRep, q: int) -> tuple[bool, list, list]:
@@ -409,10 +409,10 @@ class CouplesReport:
     notes: list = dc_field(default_factory=list)
 
 
-def couples_and_intersections(ctx: AnalysisContext) -> CouplesReport:
-    rank2 = [r for r in ctx.classification.records if r.rank == 2]
+def couples_and_intersections(rep: SymDetRep) -> CouplesReport:
+    rank2 = [r for r in rep.classification.records if r.rank == 2]
     rank2.sort(key=lambda r: r.point.sort_key())
-    pairs = [split_rank2_fiber(ctx, r.point, r.gram) for r in rank2]
+    pairs = [split_rank2_fiber(rep, r.point, r.gram) for r in rank2]
     live = [pr for pr in pairs if not pr.degenerate]
     notes = []
     if any(pr.root is None for pr in pairs):

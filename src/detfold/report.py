@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import analysis_context
-from .detrep import SymDetRep
+from .detrep import SymDetRep, reduce_rep
 from .fourfold import couples_and_intersections, singular_locus_X
 from .lattice import Ns2Report, ns2_gram
 from .points import format_points
@@ -34,20 +33,19 @@ def _flat(v) -> str:
     return str(v)
 
 
-def analyze(rep: SymDetRep, field=None, components=None) -> AnalysisReport:
+def analyze(rep: SymDetRep, field=None) -> AnalysisReport:
     """Run the whole pipeline over the requested field (default: the rep's own)."""
-    ctx = analysis_context(rep, field, components)
-    classification = ctx.classification
-    locus = singular_locus_X(ctx)
-    couples = couples_and_intersections(ctx)
+    rep = reduce_rep(rep, rep.field if field is None else field)
+    classification = rep.classification
+    locus = singular_locus_X(rep)
+    couples = couples_and_intersections(rep)
     m = len(classification.s_theta)
     ns2 = ns2_gram(m) if m else Ns2Report(m=0, class_count=1, gram=(), det=0, rank=0, rank_lower_bound=2)
     notes = list(classification.notes) + couples.notes
     if not classification.complete:
         notes.append("counts over this field are lower bounds; run a finite-field analysis for completeness")
-    rep = ctx.rep
     rows = [
-        ("field", ctx.field.name),
+        ("field", rep.field.name),
         ("sextic", str(rep.sextic)),
         ("d_cubic", str(rep.d_cubic)),
         ("fourfold", str(rep.fourfold)),

@@ -11,7 +11,7 @@ from itertools import combinations
 
 from detfold.algebra import QQ, PrimeField, VARS_X, matrix_rank
 from detfold.cli import main as cli_main
-from detfold.curves import analysis_context
+from detfold.detrep import reduce_rep
 from detfold.errors import Rejection, ToolError
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.fourfold import (
@@ -32,24 +32,24 @@ def _passline(n, label, t0):
 def test_criterion_1_ex42i_base_locus():
     t0 = time.time()
     ex = build_example("ex42i")
-    locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
+    locus = singular_locus_X(ex.rep)
     expected_b = {
         ProjPoint(QQ, t, "p5").coords
         for t in ((0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
     }
     assert {p.coords for p in locus.base_points} == expected_b
     assert locus.base_complete
-    assert locus.classification.s_c_certified
-    assert len(locus.points) == len(locus.classification.s_c) + 3
+    assert ex.rep.classification.s_c_certified
+    assert len(locus.points) == len(ex.rep.classification.s_c) + 3
     _passline(1, "ex42i base locus and count identity", t0)
 
 
 def test_criterion_2_ex42ii_cone_vertices():
     t0 = time.time()
     ex = build_example("ex42ii")
-    locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
+    locus = singular_locus_X(ex.rep)
     assert locus.base_points == []
-    cl = locus.classification
+    cl = ex.rep.classification
     assert len(cl.s_theta_tilde) == 12 and len(cl.sing_c) == 15
     expected = {
         ProjPoint(QQ, t, "p5").coords
@@ -63,12 +63,12 @@ def test_criterion_2_ex42ii_cone_vertices():
 def test_criterion_3_prop44_smooth():
     t0 = time.time()
     ex = build_example("prop44")
-    locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
+    locus = singular_locus_X(ex.rep)
     assert locus.smooth and locus.points == []
     for q in (13, 7):
         ok, oracle, assembled = oracle_matches_assembly(ex.rep, q)
         assert ok and oracle == [] and assembled == []
-        cl = analysis_context(ex.rep, PrimeField(q), ex.components).classification
+        cl = reduce_rep(ex.rep, PrimeField(q)).classification
         assert len(cl.s_theta) == 12
     rpt = ns2_gram(12)
     assert rpt.class_count == 25
@@ -135,13 +135,14 @@ def test_criterion_5_bound_suite():
         used_q = None
         for q in (7, 11, 13, 17, 19, 23):
             try:
-                locus = singular_locus_X(analysis_context(ex.rep, PrimeField(q), ex.components))
+                rep = reduce_rep(ex.rep, PrimeField(q))
+                locus = singular_locus_X(rep)
                 used_q = q
                 break
             except Rejection:
                 continue
         assert locus is not None, f"no compatible prime for {ex.params}"
-        cl = locus.classification
+        cl = rep.classification
         n_sc = len(cl.s_c)
         n_sing = len(locus.points)
         assert n_sc <= n_sing <= n_sc + 3
@@ -160,7 +161,7 @@ def test_criterion_6_couples_suite():
     t0 = time.time()
     ex = build_example("prop44")
     gf = PrimeField(13)
-    rpt = couples_and_intersections(analysis_context(ex.rep, gf, ex.components))
+    rpt = couples_and_intersections(reduce_rep(ex.rep, gf))
     assert len(rpt.pairs) == 12
     assert all(not pr.degenerate for pr in rpt.pairs)
     spans = [[plane_span(pr.point, form, gf) for form in plane_forms(pr)] for pr in rpt.pairs]
@@ -216,8 +217,8 @@ def test_criterion_8_lattice_suite():
 
 def test_criterion_9_rank_stratification():
     t0 = time.time()
-    from detfold.curves import PlaneCurve, singular_points
-    from detfold.detrep import gram_rank_kernel, reduce_rep
+    from detfold.curves import singular_points
+    from detfold.detrep import gram_rank_kernel
 
     checked = 0
     for name in EXAMPLE_NAMES:
@@ -225,7 +226,7 @@ def test_criterion_9_rank_stratification():
         for q in ex.compatible_primes:
             gf = PrimeField(q)
             rep = reduce_rep(ex.rep, gf)
-            sing = {p.coords for p in singular_points(PlaneCurve(rep.sextic)).points}
+            sing = {p.coords for p in singular_points(rep.sextic).points}
             reps = [(1, b, c) for b in range(q) for c in range(q)]
             reps += [(0, 1, c) for c in range(q)]
             reps.append((0, 0, 1))

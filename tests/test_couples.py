@@ -28,8 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, matrix_rank, parse_poly
 from detfold.cli import main as cli_main
-from detfold.curves import analysis_context
-from detfold.detrep import validate_rep
+from detfold.detrep import reduce_rep, validate_rep
 from detfold.errors import ConsistencyError, Rejection
 from detfold.examples import build_example
 from detfold.fourfold import (
@@ -227,12 +226,12 @@ _MEMBERS = [
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(11), PrimeField(13)], ids=str)
 def test_line_test_matches_reference(name, params, field):
     ex = build_example(name, params)
-    ctx = analysis_context(ex.rep, field, ex.components)
-    rpt = couples_and_intersections(ctx)
+    rep = reduce_rep(ex.rep, field)
+    rpt = couples_and_intersections(rep)
     assert rpt.pairs and not any(pr.degenerate for pr in rpt.pairs)
     cross_ok = True
     for pa, pb in combinations(rpt.pairs, 2):
-        ok = reference_cross_check(ctx.rep, pa, pb, field)
+        ok = reference_cross_check(rep, pa, pb, field)
         assert _cross_ok([pa, pb]) == ok, (pa.point, pb.point)
         cross_ok = cross_ok and ok
     assert rpt.cross_ok == cross_ok
@@ -253,9 +252,9 @@ def _conjugate_split_rep():
 
 
 _COUPLES = {
-    "Q": lambda: (analysis_context(build_example("prop44").rep), (0, 0, 1)),
-    "F_13": lambda: (analysis_context(build_example("prop44").rep, PrimeField(13)), (0, 1, 0)),
-    "Q(i)": lambda: (analysis_context(_conjugate_split_rep()), (0, 0, 1)),
+    "Q": lambda: (build_example("prop44").rep, (0, 0, 1)),
+    "F_13": lambda: (reduce_rep(build_example("prop44").rep, PrimeField(13)), (0, 1, 0)),
+    "Q(i)": lambda: (_conjugate_split_rep(), (0, 0, 1)),
 }
 
 
@@ -269,19 +268,19 @@ def _with_forms(pair, first, second):
 
 @pytest.mark.parametrize("which", list(_COUPLES))
 def test_perturbed_plane_refused(which):
-    ctx, point = _COUPLES[which]()
-    pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, point, "x"))
+    rep, point = _COUPLES[which]()
+    pair = split_rank2_fiber(rep, ProjPoint(rep.field, point, "x"))
     assert (pair.root is None) == (which == "Q(i)")
-    F = ctx.rep.fourfold
+    F = rep.fourfold
     _verify_pair(pair, F)  # the split itself passes
     # each entry of alpha, then of beta: the u-part, then the t-part; a move
     # that leaves alpha and beta dependent fails the line test instead
     for name in ("alpha", "beta"):
         for index in range(4):
             vec = list(getattr(pair, name))
-            vec[index] = vec[index] + ctx.field.one()
+            vec[index] = vec[index] + rep.field.one()
             moved = replace(pair, **{name: tuple(vec)})
-            dependent = matrix_rank([list(moved.alpha), list(moved.beta)], ctx.field) < 2
+            dependent = matrix_rank([list(moved.alpha), list(moved.beta)], rep.field) < 2
             message = "meet along a line" if dependent else "not inside the fourfold"
             with pytest.raises(ConsistencyError, match=message):
                 _verify_pair(moved, F)
@@ -294,18 +293,18 @@ def test_perturbed_plane_refused(which):
     with pytest.raises(ConsistencyError, match="meet along a line"):
         _verify_pair(replace(pair, beta=pair.alpha), F)
     with pytest.raises(ConsistencyError, match="meet along a line"):
-        _verify_pair(replace(pair, disc=ctx.field.zero()), F)
+        _verify_pair(replace(pair, disc=rep.field.zero()), F)
 
 
 def test_plane_with_isotropic_basis_refused():
     # prop44 mod 13 over (1:0:0): Q vanishes at the three basis points of the
     # plane u1 + 2 u3 + 12 t = 0 with t = 1 but not on the plane; the couple
     # of that plane and a true plane of the fiber is refused
-    ctx = analysis_context(build_example("prop44").rep, PrimeField(13))
-    pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, (1, 0, 0), "x"))
-    bad = [ctx.field.from_int(c) for c in (1, 0, 2, 12)]
+    rep = reduce_rep(build_example("prop44").rep, PrimeField(13))
+    pair = split_rank2_fiber(rep, ProjPoint(rep.field, (1, 0, 0), "x"))
+    bad = [rep.field.from_int(c) for c in (1, 0, 2, 12)]
     with pytest.raises(ConsistencyError, match="not inside the fourfold"):
-        _verify_pair(_with_forms(pair, bad, plane_forms(pair)[1]), ctx.rep.fourfold)
+        _verify_pair(_with_forms(pair, bad, plane_forms(pair)[1]), rep.fourfold)
 
 
 @pytest.mark.parametrize("field,rc", [(None, 0), ("fp:31", 0), ("fp:37", 1)])
@@ -322,11 +321,11 @@ def test_degenerate_couple_reports(field, rc):
 
 def test_degenerate_couple_has_p_as_a_plane():
     rep = parse_rep_file((GOLDEN / "degenerate_couple.rep").read_text())
-    ctx = analysis_context(rep, PrimeField(31))
-    pair = split_rank2_fiber(ctx, ProjPoint(ctx.field, (0, 0, 1), "x"))
+    rep = reduce_rep(rep, PrimeField(31))
+    pair = split_rank2_fiber(rep, ProjPoint(rep.field, (0, 0, 1), "x"))
     assert pair.degenerate and pair.root is not None
     assert [not any(form[:3]) for form in plane_forms(pair)].count(True) == 1
-    _verify_pair(pair, ctx.rep.fourfold)
+    _verify_pair(pair, rep.fourfold)
 
 
 @st.composite
@@ -375,12 +374,12 @@ def test_couple_planes_lie_on_the_fourfold(q, data):
     # (alpha +- sqrt(disc) beta) . v = 0 lie on the fourfold, whether they
     # split over F_q or over F_q^2
     field = PrimeField(q)
-    ctx = analysis_context(data.draw(reps_with_a_rank2_fiber(field)))
+    rep = data.draw(reps_with_a_rank2_fiber(field))
     try:
-        pairs = couples_and_intersections(ctx).pairs
+        pairs = couples_and_intersections(rep).pairs
     except Rejection:
         assume(False)
-    terms = [(e, c.v) for e, c in ctx.rep.fourfold.terms.items()]
+    terms = [(e, c.v) for e, c in rep.fourfold.terms.items()]
     for pair in pairs:
         p = [c.v for c in pair.point.coords]
         alpha, beta = ([c.v for c in vec] for vec in (pair.alpha, pair.beta))
@@ -405,13 +404,13 @@ def test_couple_planes_lie_on_the_fourfold(q, data):
 @given(data=st.data())
 def test_cross_verdict_matches_reference_on_random_reps(q, data):
     field = PrimeField(q)
-    ctx = analysis_context(data.draw(reps_with_a_rank2_fiber(field, second=True)))
+    rep = data.draw(reps_with_a_rank2_fiber(field, second=True))
     try:
-        rpt = couples_and_intersections(ctx)
+        rpt = couples_and_intersections(rep)
     except Rejection:
         assume(False)
     live = [pr for pr in rpt.pairs if not pr.degenerate]
-    ok = all(reference_cross_check(ctx.rep, pa, pb, field) for pa, pb in combinations(live, 2))
+    ok = all(reference_cross_check(rep, pa, pb, field) for pa, pb in combinations(live, 2))
     assert rpt.cross_ok == ok
 
 
@@ -442,14 +441,13 @@ def test_base_locus_share_test_matches_gcd(q, data):
             rep = validate_rep(entries, field)
         except Rejection:
             assume(False)
-    ctx = analysis_context(rep)
     conics = [c for c in net_conics(rep) if not c.is_zero]
-    assume(not ctx.rep.d_cubic.is_zero and len(conics) >= 2)
+    assume(not rep.d_cubic.is_zero and len(conics) >= 2)
     g = conics[0]
     for c in conics[1:]:
         g = _conic_common_factor(g, c, field)
     try:
-        base_locus(ctx)
+        base_locus(rep)
         shares = False
     except Rejection as e:
         shares = "shares a component" in str(e)

@@ -6,9 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
 from detfold.curves import (
-    PlaneCurve,
     _certify_s_c,
-    analysis_context,
     is_node,
     is_reduced_curve,
     plane_solutions,
@@ -30,7 +28,7 @@ class TestSingularPoints:
     def test_six_lines(self):
         ex = build_example("ex42ii")
         sextic = ex.rep.sextic
-        scan = singular_points(PlaneCurve(sextic, tuple(ex.components)))
+        scan = singular_points(sextic, ex.rep.components)
         assert len(scan.points) == 15 and scan.complete
         pts = {p.coords for p in scan.points}
         for raw in ((0, 0, 1), (1, -2, 1), (1, 1, -2), (-5, 1, 1)):
@@ -41,7 +39,7 @@ class TestSingularPoints:
         # other system of the three components is rational or empty
         comps = (_p("x3"), _p("x1^2 - 2*x2^2 + x2*x3"), _p("x1"))
         h = comps[0] * comps[1] * comps[2]
-        scan = singular_points(PlaneCurve(h, comps))
+        scan = singular_points(h, comps)
         assert (scan.unresolved, scan.unresolved_in) == (2, [(0, 1)])
         # s_c is certified when a component of each such system divides D;
         # x1 divides x1^3 but takes no part in the system (0, 1)
@@ -49,21 +47,19 @@ class TestSingularPoints:
         assert not _certify_s_c(scan.unresolved_in, list(comps), _p("x1^3"))
 
     def test_nodal_cubic_rational_mode(self):
-        c = PlaneCurve(_p("x2^2*x3 - x1^3 + x1^2*x3"))
-        scan = singular_points(c)
+        scan = singular_points(_p("x2^2*x3 - x1^3 + x1^2*x3"))
         assert [p.coords for p in scan.points] == [ProjPoint(QQ, (0, 0, 1), "x").coords]
         assert scan.complete
 
     def test_smooth_fermat_sextic_exhaustive(self):
         gf = PrimeField(7)
-        c = PlaneCurve(parse_poly("x1^6 + x2^6 + x3^6", VARS_X, gf))
-        scan = singular_points(c)
+        scan = singular_points(parse_poly("x1^6 + x2^6 + x3^6", VARS_X, gf))
         assert scan.points == [] and scan.complete
 
     def test_gradient_vanishes_on_returned_points(self):
         ex = build_example("ex42ii")
         h = ex.rep.sextic
-        scan = singular_points(PlaneCurve(h, tuple(ex.components)))
+        scan = singular_points(h, ex.rep.components)
         for p in scan.points:
             assert not h.evaluate(p.coords)
             for v in VARS_X:
@@ -71,7 +67,7 @@ class TestSingularPoints:
 
     def test_non_reduced_rejected(self):
         with pytest.raises(Rejection, match="reduced"):
-            singular_points(PlaneCurve(_p("x1^2*x2^2*x3^2")))
+            singular_points(_p("x1^2*x2^2*x3^2"))
 
     def test_factored_and_exhaustive_agree_mod_q(self):
         for name in ("ex42ii", "prop44"):
@@ -79,8 +75,8 @@ class TestSingularPoints:
             h = ex.rep.sextic
             for q in (7, 11, 13):
                 gf = PrimeField(q)
-                ff = singular_points(PlaneCurve(h.map_field(gf)))
-                factored = singular_points(PlaneCurve(h, tuple(ex.components)))
+                ff = singular_points(h.map_field(gf))
+                factored = singular_points(h, ex.rep.components)
                 reduced = {ProjPoint(gf, p.coords, "x").coords for p in factored.points}
                 assert reduced <= {p.coords for p in ff.points}
                 if factored.complete:
@@ -101,8 +97,8 @@ class TestSingularPoints:
         except Rejection:
             assume(False)
         h = ex.rep.sextic
-        scan = singular_points(PlaneCurve(h))
-        coeffs = [[ln.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for ln in ex.components]
+        scan = singular_points(h)
+        coeffs = [[ln.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for ln in ex.rep.components]
         nodes = {
             ProjPoint(QQ, (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]), "x")
             for i, a in enumerate(coeffs)
@@ -112,7 +108,7 @@ class TestSingularPoints:
         for q in (7, 11, 13):
             gf = PrimeField(q)
             try:
-                ff = singular_points(PlaneCurve(h.map_field(gf)))
+                ff = singular_points(h.map_field(gf))
             except Rejection:
                 continue  # h mod q is not reduced
             for node in nodes:
@@ -310,7 +306,7 @@ class TestIsNode:
 class TestClassification:
     def test_ex42ii(self):
         ex = build_example("ex42ii")
-        cl = analysis_context(ex.rep, QQ, ex.components).classification
+        cl = ex.rep.classification
         assert len(cl.sing_c) == 15
         assert len(cl.s_theta) == 12 and len(cl.s_theta_tilde) == 12
         s_c = {p.coords for p in cl.s_c}
@@ -319,14 +315,14 @@ class TestClassification:
 
     def test_prop44_over_f13(self):
         ex = build_example("prop44")
-        cl = analysis_context(ex.rep, PrimeField(13), ex.components).classification
+        cl = reduce_rep(ex.rep, PrimeField(13)).classification
         assert len(cl.sing_c) == 12
         assert cl.s_theta == cl.sing_c and cl.s_theta_tilde == cl.sing_c
         assert cl.s_c == [] and cl.complete
 
     def test_rmk31_node_in_tilde_minus_theta(self):
         ex = build_example("rmk31")
-        cl = analysis_context(ex.rep, QQ, ex.components).classification
+        cl = ex.rep.classification
         rec = next(r for r in cl.records if r.point.coords == ProjPoint(QQ, (0, 0, 1), "x").coords)
         assert rec.rank == 3 and rec.on_d
 
@@ -335,7 +331,7 @@ class TestClassification:
             ex = build_example(name)
             for q in (None, 7, 13):
                 field = QQ if q is None else PrimeField(q)
-                cl = analysis_context(ex.rep, field, ex.components).classification
+                cl = reduce_rep(ex.rep, field).classification
                 assert set(p.coords for p in cl.s_theta) <= set(p.coords for p in cl.s_theta_tilde)
 
     def test_cuspidal_rejected(self):
@@ -351,13 +347,13 @@ class TestClassification:
         ]
         rep = validate_rep(cusp_block, QQ)
         with pytest.raises(Rejection, match="node"):
-            analysis_context(rep, QQ).classification
+            rep.classification
 
     def test_bezout_count_for_general_position_unions(self):
         # six lines in general position: 15 = C(6,2) pairwise intersections
         ex = build_example("ex42ii")
-        cl = analysis_context(ex.rep, QQ, ex.components).classification
-        degrees = [c.degree() for c in ex.components]
+        cl = ex.rep.classification
+        degrees = [c.degree() for c in ex.rep.components]
         expected = sum(
             degrees[i] * degrees[j]
             for i in range(len(degrees))
@@ -375,7 +371,7 @@ class TestRankStratification:
             rep = reduce_rep(ex.rep, gf)
             sing = {
                 p.coords
-                for p in singular_points(PlaneCurve(rep.sextic)).points
+                for p in singular_points(rep.sextic).points
             }
             for coords in p2_reps(q):
                 pt = ProjPoint(gf, coords, "x")

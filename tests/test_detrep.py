@@ -4,7 +4,6 @@ import pytest
 
 import detfold.detrep as detrep
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
-from detfold.curves import analysis_context
 from detfold.detrep import (
     embed_fiber_vector,
     gram_rank_kernel,
@@ -60,6 +59,20 @@ class TestValidate:
         bad2 = _diag(_p("x1"), _p("x2"), _p("x3"), _p("x1"))
         with pytest.raises(Rejection, match="degree"):
             validate_rep(bad2, QQ)
+
+    @pytest.mark.parametrize(
+        "components,message",
+        [
+            (["x1", "x2", "x3"], "component product does not equal the curve equation"),
+            (["x1", "-2*x1", "x2", "x3", "x2^2 + x3^2"], "repeated component; curve is not reduced"),
+        ],
+        ids=["wrong-product", "repeated-line"],
+    )
+    def test_factorization_rejected(self, components, message):
+        # the sextic is x1^2 x2 x3 (x2^2 + x3^2)
+        m = _diag(_p("x1"), _p("x2"), _p("x3"), _p("x1*x2^2 + x1*x3^2"))
+        with pytest.raises(Rejection, match=message):
+            validate_rep(m, QQ, [_p(c) for c in components])
 
 
 class TestDerived:
@@ -206,10 +219,10 @@ class TestVanishesOnPlane:
         # points of its plane, so testing every point is exact
         gf = PrimeField(13)
         ex = build_example("prop44")
-        ctx = analysis_context(ex.rep, gf, ex.components)
-        F = ctx.rep.fourfold
+        rep = reduce_rep(ex.rep, gf)
+        F = rep.fourfold
         on_x = [self.SECTION, [[0, 0, 0] + row for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]]
-        for pair in couples_and_intersections(ctx).pairs:
+        for pair in couples_and_intersections(rep).pairs:
             if pair.root is not None:
                 on_x += [plane_span(pair.point, form, gf) for form in plane_forms(pair)]
         rng = random.Random(11)

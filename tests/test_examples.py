@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from detfold.algebra import QQ, PrimeField, VARS_X, field_from_name, resultant
-from detfold.curves import PlaneCurve, singular_points
+from detfold.curves import singular_points
 from detfold.errors import InputError, Rejection, ToolError
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.repfile import parse_rep_file, write_rep_file
@@ -73,7 +73,7 @@ def test_expected_highlights_reproduce(name):
     ex = build_example(name)
     for field_name, table in ex.expected.items():
         field = field_from_name(field_name)
-        report = analyze(ex.rep, field, components=ex.components)
+        report = analyze(ex.rep, field)
         actual = report.to_json_dict()
         for key, (want, _source) in table.items():
             assert actual[key] == want, f"{name} over {field_name}: {key}"
@@ -118,7 +118,7 @@ class TestProp44Membership:
             except Rejection:
                 continue
             checked += 1
-            fa = (-1) * ex.components[3]
+            fa = (-1) * ex.rep.components[3]
             cert = _smoothness_certificate(fa)
             if cert is None:
                 continue
@@ -126,7 +126,7 @@ class TestProp44Membership:
                 if cert % q == 0:
                     continue
                 gf = PrimeField(q)
-                scan = singular_points(PlaneCurve(fa.map_field(gf)))
+                scan = singular_points(fa.map_field(gf))
                 assert scan.points == [], f"A={spec} mod {q}"
                 valid_prime_checks += 1
         assert checked == 50
@@ -142,7 +142,7 @@ class TestProp44Membership:
 class TestEx42iValidation:
     def test_default_accepted(self):
         ex = build_example("ex42i")
-        assert len(ex.components) == 4
+        assert len(ex.rep.components) == 4
 
     def test_cubic_through_node_rejected(self):
         # x1^3 + x2^3 vanishes at the coordinate point (0:0:1)
@@ -159,7 +159,7 @@ class TestEx42iValidation:
         # holds for any accepted cubic, singular or not
         for f in ("x1^3 + x2^3 + x3^3", "x1^3 + 2*x2^3 + 3*x3^3 + x1*x2*x3"):
             ex = build_example("ex42i", {"f": f})
-            rpt = analyze(ex.rep, QQ, components=ex.components).to_json_dict()
+            rpt = analyze(ex.rep, QQ).to_json_dict()
             if rpt["s_c_certified"]:
                 assert rpt["sing_x_count"] == rpt["s_c_count"] + 3
 

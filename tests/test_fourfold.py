@@ -3,8 +3,7 @@ from itertools import combinations, product
 import pytest
 
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, matrix_rank, parse_poly
-from detfold.curves import analysis_context
-from detfold.detrep import validate_rep
+from detfold.detrep import reduce_rep, validate_rep
 from detfold.errors import InputError, Rejection
 from detfold.examples import build_example
 from detfold.fourfold import (
@@ -26,7 +25,7 @@ def _p(s, f=QQ):
 class TestSplit:
     def test_prop44_split_001(self):
         ex = build_example("prop44")
-        pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
+        pair = split_rank2_fiber(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))
         assert pair.root is not None
         # the fiber forms (a1, a2, a3, b): the planes u3 = +-t
         forms = {tuple(str(c) for c in form) for form in plane_forms(pair)}
@@ -34,7 +33,7 @@ class TestSplit:
 
     def test_prop44_split_010(self):
         ex = build_example("prop44")
-        pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 1, 0), "x"))
+        pair = split_rank2_fiber(ex.rep, ProjPoint(QQ, (0, 1, 0), "x"))
         assert pair.root is not None
         for form in plane_forms(pair):
             # u2 = +-x2 on each plane
@@ -53,7 +52,7 @@ class TestSplit:
             ],
             QQ,
         )
-        pair = split_rank2_fiber(analysis_context(rep), ProjPoint(QQ, (0, 0, 1), "x"))
+        pair = split_rank2_fiber(rep, ProjPoint(QQ, (0, 0, 1), "x"))
         assert pair.root is None
         ratio = pair.disc / QQ.coerce(-1)
         assert QQ.sqrt(ratio) is not None  # discriminant is -1 up to a square
@@ -61,12 +60,12 @@ class TestSplit:
     def test_split_requires_rank_2(self):
         ex = build_example("prop44")
         with pytest.raises(Rejection, match="rank"):
-            split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (1, 1, 1), "x"))
+            split_rank2_fiber(ex.rep, ProjPoint(QQ, (1, 1, 1), "x"))
 
     def test_planes_lie_on_fourfold(self):
         # verified internally by split_rank2_fiber; re-check one plane by hand
         ex = build_example("prop44")
-        pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
+        pair = split_rank2_fiber(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))
         F = ex.rep.fourfold
         for form in plane_forms(pair):
             for vec in plane_span(pair.point, form, QQ):
@@ -76,7 +75,7 @@ class TestSplit:
 class TestBaseLocus:
     def test_ex42i_three_points(self):
         ex = build_example("ex42i")
-        pts, complete = base_locus(analysis_context(ex.rep))
+        pts, complete = base_locus(ex.rep)
         assert complete
         assert {p.coords for p in pts} == {
             ProjPoint(QQ, (1, 0, 0), "u").coords,
@@ -86,12 +85,12 @@ class TestBaseLocus:
 
     def test_ex42ii_empty(self):
         ex = build_example("ex42ii")
-        pts, complete = base_locus(analysis_context(ex.rep))
+        pts, complete = base_locus(ex.rep)
         assert pts == [] and complete
 
     def test_prop44_empty(self):
         ex = build_example("prop44")
-        pts, complete = base_locus(analysis_context(ex.rep))
+        pts, complete = base_locus(ex.rep)
         assert pts == [] and complete
 
     def test_degenerate_net_rejected(self):
@@ -107,7 +106,7 @@ class TestBaseLocus:
             QQ,
         )
         with pytest.raises(Rejection, match="degenerate"):
-            base_locus(analysis_context(rep))
+            base_locus(rep)
         # D = x1^3 is nonzero, but the net spans a single conic
         rep = validate_rep(
             [
@@ -119,7 +118,7 @@ class TestBaseLocus:
             QQ,
         )
         with pytest.raises(Rejection, match="not finite"):
-            base_locus(analysis_context(rep))
+            base_locus(rep)
 
     def test_shared_component_rejected(self):
         # D = (x1 + x2)^3 is nonzero, and the net's two nonzero conics are
@@ -131,37 +130,37 @@ class TestBaseLocus:
             QQ,
         )
         with pytest.raises(Rejection, match="net of conics shares a component: base locus is one-dimensional"):
-            base_locus(analysis_context(rep))
+            base_locus(rep)
 
 
 class TestSingularLocus:
     def test_ex42ii_three_vertices(self):
         ex = build_example("ex42ii")
-        locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
+        locus = singular_locus_X(ex.rep)
         assert {p.coords for p in locus.points} == {
             ProjPoint(QQ, t, "p5").coords
             for t in ((1, -2, 1, 0, 0, 0), (1, 1, -2, 0, 0, 0), (-5, 1, 1, 0, 0, 0))
         }
         assert locus.base_points == []
-        assert len(locus.points) == len(locus.classification.s_c) == 3
+        assert len(locus.points) == len(ex.rep.classification.s_c) == 3
         assert locus.all_double
 
     def test_ex42i_base_only(self):
         ex = build_example("ex42i")
-        locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
+        locus = singular_locus_X(ex.rep)
         assert len(locus.points) == 3 and locus.cone_vertices == []
-        assert len(locus.classification.s_c) == 0
-        assert len(locus.points) == len(locus.classification.s_c) + 3
+        assert len(ex.rep.classification.s_c) == 0
+        assert len(locus.points) == len(ex.rep.classification.s_c) + 3
 
     def test_prop44_smooth(self):
         ex = build_example("prop44")
-        locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
+        locus = singular_locus_X(ex.rep)
         assert locus.points == [] and locus.smooth
 
     def test_vertices_never_in_plane(self):
         for name in ("ex42ii", "ex43_quartic_two_lines", "ex43_quintic_line"):
             ex = build_example(name)
-            locus = singular_locus_X(analysis_context(ex.rep, QQ, ex.components))
+            locus = singular_locus_X(ex.rep)
             for v in locus.cone_vertices:
                 assert any(v.coords[:3])
 
@@ -227,7 +226,7 @@ class TestOracle:
 class TestCouples:
     def test_prop44_couples_f13(self):
         ex = build_example("prop44")
-        rpt = couples_and_intersections(analysis_context(ex.rep, PrimeField(13), ex.components))
+        rpt = couples_and_intersections(reduce_rep(ex.rep, PrimeField(13)))
         assert len(rpt.pairs) == 12
         assert rpt.cross_ok
         # all 12 couples split over F_13, and each of the 66 * 4 cross plane
@@ -242,7 +241,7 @@ class TestCouples:
 
     def test_prop44_pinned_cross_point(self):
         ex = build_example("prop44")
-        rpt = couples_and_intersections(analysis_context(ex.rep, QQ, ex.components))
+        rpt = couples_and_intersections(ex.rep)
         pairs = {str(pr.point): pr for pr in rpt.pairs}
         pts = set()
         for form_a in plane_forms(pairs["(0:0:1)"]):
@@ -254,13 +253,13 @@ class TestCouples:
 
     def test_within_couple_line(self):
         ex = build_example("prop44")
-        pair = split_rank2_fiber(analysis_context(ex.rep), ProjPoint(QQ, (0, 0, 1), "x"))
+        pair = split_rank2_fiber(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))
         rows = [v for form in plane_forms(pair) for v in plane_span(pair.point, form, QQ)]
         assert matrix_rank(rows, QQ) == 4  # intersection is a projective line
 
     def test_ex42ii_cross_checks_over_q(self):
         ex = build_example("ex42ii")
-        rpt = couples_and_intersections(analysis_context(ex.rep, QQ, ex.components))
+        rpt = couples_and_intersections(ex.rep)
         assert len(rpt.pairs) == 12
         assert rpt.cross_ok
         assert any(pr.root is None for pr in rpt.pairs)

@@ -95,6 +95,11 @@ class TestCli:
         assert rc == 0
         assert "all_expected_reproduced = true" in out
 
+    def test_example_with_a_non_default_cubic(self):
+        # the pinned F_q point counts belong to the default cubic alone
+        rc, out = run_cli("example", "ex42i", "--param", "f=x1^3 + 2*x2^3 + 3*x3^3 + x1*x2*x3")
+        assert rc == 0 and "all_expected_reproduced = true" in out
+
     def test_spin_command(self):
         rc, out = run_cli("spin", "--config", "lines=6", "--k", "10")
         assert rc == 0
