@@ -141,10 +141,10 @@ class _Parser:
         raise PolyParseError(f"expected a factor, found {text!r}" if text else "unexpected end of input", pos)
 
 
-def parse_poly(text: str, vars: tuple, field, homogeneous: bool = True) -> MultiPoly:
-    """Parse text into a polynomial; reject non-homogeneous input by default."""
+def parse_poly(text: str, vars: tuple, field) -> MultiPoly:
+    """Parse text into a polynomial; reject one whose terms differ in degree."""
     p = _Parser(text, vars, field).parse()
-    if homogeneous and not p.is_homogeneous():
+    if not p.is_homogeneous():
         degs = sorted({sum(e) for e in p.terms})
         raise InputError(f"polynomial is not homogeneous (term degrees {degs}): {text!r}")
     return p

@@ -3,7 +3,8 @@
 Each builder assembles a specific determinantal matrix, validates the side
 conditions its construction needs and, over Q, the component factorization
 of its sextic, which the representation carries, and bundles an
-expected-highlights table (per field) used as golden fixtures.  Expected
+expected-highlights table (per field) used as golden fixtures; the table
+applies to the example's default parameters only.  Expected
 values marked "reference" restate published claims; "derived" values were
 computed here and confirmed by the exhaustive finite-field oracle at every
 compatible prime.
@@ -80,12 +81,9 @@ def _line_meets_cubic_transversally(f: MultiPoly, line_var: int, fld) -> None:
 # ---------------------------------------------------------------------------
 
 
-_EX42I_DEFAULT = "x1^3 + x2^3 + x3^3"
-
-
 def _build_ex42i(params: dict) -> NamedExample:
     fld = QQ
-    f = _p(params.get("f", _EX42I_DEFAULT))
+    f = _p(params["f"])
     if f.is_zero or f.degree() != 3:
         raise Rejection("parameter f must be a nonzero cubic")
     for i in range(3):
@@ -95,41 +93,31 @@ def _build_ex42i(params: dict) -> NamedExample:
     rep = validate_rep(
         [[z, x1, x2, z], [x1, z, x3, z], [x2, x3, z, z], [z, z, z, f]], fld, [x1, x2, x3, f]
     )
-    expected = {
-        "rational": {
-            "s_c_count": (0, "derived"),
-            "b_count": (3, "reference"),
-            "sing_x_count": (3, "reference"),
-            "smooth": (False, "reference"),
-            "s_c_certified": (True, "derived"),
-        },
-        "fp:7": {
-            "sing_c_count": (12, "derived"),
-            "s_theta_count": (9, "derived"),
-            "s_theta_tilde_count": (12, "derived"),
-            "s_c_count": (0, "derived"),
-            "b_count": (3, "reference"),
-            "sing_x_count": (3, "reference"),
-            "smooth": (False, "reference"),
-        },
-        "fp:13": {
-            "sing_c_count": (12, "derived"),
-            "s_theta_count": (9, "derived"),
-            "s_theta_tilde_count": (12, "derived"),
-            "s_c_count": (0, "derived"),
-            "b_count": (3, "reference"),
-            "sing_x_count": (3, "reference"),
-            "smooth": (False, "reference"),
-        },
+    counts = {
+        "sing_c_count": (12, "derived"),
+        "s_theta_count": (9, "derived"),
+        "s_theta_tilde_count": (12, "derived"),
+        "s_c_count": (0, "derived"),
+        "b_count": (3, "reference"),
+        "sing_x_count": (3, "reference"),
+        "smooth": (False, "reference"),
     }
-    if str(f) != _canon(_EX42I_DEFAULT):
-        expected = {}  # pinned highlights are for the default cubic only
     return NamedExample(
         name="ex42i",
         rep=rep,
         params={"f": str(f)},
         compatible_primes=(7, 11, 13),
-        expected=expected,
+        expected={
+            "rational": {
+                "s_c_count": (0, "derived"),
+                "b_count": (3, "reference"),
+                "sing_x_count": (3, "reference"),
+                "smooth": (False, "reference"),
+                "s_c_certified": (True, "derived"),
+            },
+            "fp:7": counts,
+            "fp:13": counts,
+        },
         notes=[
             "every singular point of the sextic lies on the cubic D, so the "
             "fourfold's singular locus is exactly the three base points",
@@ -141,12 +129,9 @@ def _build_ex42i(params: dict) -> NamedExample:
     )
 
 
-_EX42II_DEFAULTS = ("x1 + x2 + x3", "x1 + 2*x2 + 3*x3", "x1 + 3*x2 + 2*x3")
-
-
 def _build_ex42ii(params: dict) -> NamedExample:
     fld = QQ
-    lines = [_p(params.get(key, default)) for key, default in zip(("l4", "l5", "l6"), _EX42II_DEFAULTS)]
+    lines = [_p(params[key]) for key in ("l4", "l5", "l6")]
     x1, x2, x3 = _p("x1"), _p("x2"), _p("x3")
     all_lines = [x1, x2, x3] + lines
     for ln in all_lines:
@@ -169,20 +154,18 @@ def _build_ex42ii(params: dict) -> NamedExample:
         "sing_x_count": (3, "reference"),
         "smooth": (False, "reference"),
     }
-    expected = {"rational": dict(counts), "fp:7": dict(counts), "fp:11": dict(counts), "fp:13": dict(counts)}
     return NamedExample(
         name="ex42ii",
         rep=rep,
         params={"l4": str(lines[0]), "l5": str(lines[1]), "l6": str(lines[2])},
         compatible_primes=(7, 11, 13),
-        expected=expected,
+        expected=dict.fromkeys(("rational", "fp:7", "fp:11", "fp:13"), counts),
     )
 
 
 def _build_prop44(params: dict) -> NamedExample:
     fld = QQ
-    a = params.get("A", "1,0,0,0,1,0,0,0,1")
-    vals = [_number("prop44", "A", part, Fraction) for part in a.split(",")]
+    vals = [_number("prop44", "A", part, Fraction) for part in params["A"].split(",")]
     if len(vals) != 9:
         raise InputError("parameter A needs nine comma-separated entries")
     rows = [vals[0:3], vals[3:6], vals[6:9]]
@@ -213,41 +196,31 @@ def _build_prop44(params: dict) -> NamedExample:
         for i in range(3)
     ]
     _verify_section_plane(rep, rows)
-    expected = {
-        "rational": {
-            "s_c_count": (0, "derived"),
-            "b_count": (0, "reference"),
-            "sing_x_count": (0, "reference"),
-            "smooth": (True, "reference"),
-            "s_c_certified": (True, "derived"),
-        },
-        "fp:7": {
-            "sing_c_count": (12, "derived"),
-            "s_theta_count": (12, "reference"),
-            "s_theta_tilde_count": (12, "reference"),
-            "s_c_count": (0, "derived"),
-            "b_count": (0, "reference"),
-            "sing_x_count": (0, "reference"),
-            "smooth": (True, "reference"),
-        },
-        "fp:13": {
-            "sing_c_count": (12, "derived"),
-            "s_theta_count": (12, "reference"),
-            "s_theta_tilde_count": (12, "reference"),
-            "s_c_count": (0, "derived"),
-            "b_count": (0, "reference"),
-            "sing_x_count": (0, "reference"),
-            "smooth": (True, "reference"),
-        },
+    counts = {
+        "sing_c_count": (12, "derived"),
+        "s_theta_count": (12, "reference"),
+        "s_theta_tilde_count": (12, "reference"),
+        "s_c_count": (0, "derived"),
+        "b_count": (0, "reference"),
+        "sing_x_count": (0, "reference"),
+        "smooth": (True, "reference"),
     }
-    if rows != [[fld.one() if i == j else fld.zero() for j in range(3)] for i in range(3)]:
-        expected = {}  # pinned highlights are for the identity member only
     return NamedExample(
         name="prop44",
         rep=rep,
         params={"A": ",".join(str(c) for row in rows for c in row)},
         compatible_primes=(7, 11, 13),
-        expected=expected,
+        expected={
+            "rational": {
+                "s_c_count": (0, "derived"),
+                "b_count": (0, "reference"),
+                "sing_x_count": (0, "reference"),
+                "smooth": (True, "reference"),
+                "s_c_certified": (True, "derived"),
+            },
+            "fp:7": counts,
+            "fp:13": counts,
+        },
         extra={"section_plane_forms": section, "ns2_couples": 12, "ns2_classes": 25},
     )
 
@@ -263,27 +236,21 @@ def _verify_section_plane(rep: SymDetRep, rows) -> None:
         raise Rejection("section plane is not contained in the fourfold")
 
 
-_EX43_QUARTIC_DEFAULTS = {
-    "l1": "x1 + x2",
-    "l2": "x1 + x3",
-    "l11": "x1",
-    "q1": "x2*x3",
-    "f": "2*x2^3 + 2*x3^3 - 3*x1*x2*x3 + x1^2*x2 - x2^2*x3",
-}
-
-
 def _build_ex43_quartic(params: dict) -> NamedExample:
     fld = QQ
-    vals = {k: _p(params.get(k, v)) for k, v in _EX43_QUARTIC_DEFAULTS.items()}
+    vals = {k: _p(v) for k, v in params.items()}
     l1, l2, l11, q1, f = vals["l1"], vals["l2"], vals["l11"], vals["q1"], vals["f"]
     quartic = l11 * f - q1 * q1
     if quartic.is_zero or not is_reduced_curve(quartic):
         raise Rejection("the 2x2 block does not define a reduced quartic")
     z = _zero()
     rep = validate_rep([[l1, z, z, z], [z, l2, z, z], [z, z, l11, q1], [z, z, q1, f]], fld, [l1, l2, quartic])
-    expected = {}
-    if all(str(vals[k]) == _canon(v) for k, v in _EX43_QUARTIC_DEFAULTS.items()):
-        expected = {
+    return NamedExample(
+        name="ex43_quartic_two_lines",
+        rep=rep,
+        params={k: str(v) for k, v in vals.items()},
+        compatible_primes=(7, 11, 13),
+        expected={
             "rational": {
                 "s_c_count": (1, "derived"),
                 "sing_x_count": (1, "derived"),
@@ -307,31 +274,14 @@ def _build_ex43_quartic(params: dict) -> NamedExample:
                 "b_count": (0, "derived"),
                 "smooth": (False, "reference"),
             },
-        }
-    return NamedExample(
-        name="ex43_quartic_two_lines",
-        rep=rep,
-        params={k: str(v) for k, v in vals.items()},
-        compatible_primes=(7, 11, 13),
-        expected=expected,
+        },
         notes=["the quartic carries one rational node off D, so the fourfold is singular"],
     )
 
 
-_EX43_QUINTIC_DEFAULTS = {
-    "l1": "x2 + x3",
-    "l11": "x1",
-    "l12": "x2",
-    "l22": "x1 + x3",
-    "q1": "x1*x2 - x3^2",
-    "q2": "x1*x3 - x2^2",
-    "f": "-2*x1^3 + 2*x1^2*x2 - 2*x2^3 + 2*x1*x2*x3 + x2^2*x3 - x3^3",
-}
-
-
 def _build_ex43_quintic(params: dict) -> NamedExample:
     fld = QQ
-    vals = {k: _p(params.get(k, v)) for k, v in _EX43_QUINTIC_DEFAULTS.items()}
+    vals = {k: _p(v) for k, v in params.items()}
     l1 = vals["l1"]
     block = [
         [vals["l11"], vals["l12"], vals["q1"]],
@@ -352,9 +302,19 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
         fld,
         [l1, quintic],
     )
-    expected = {}
-    if all(str(vals[k]) == _canon(v) for k, v in _EX43_QUINTIC_DEFAULTS.items()):
-        expected = {
+    counts = {
+        "sing_c_count": (3, "derived"),
+        "s_theta_count": (2, "derived"),
+        "s_c_count": (1, "derived"),
+        "sing_x_count": (1, "derived"),
+        "b_count": (0, "derived"),
+    }
+    return NamedExample(
+        name="ex43_quintic_line",
+        rep=rep,
+        params={k: str(v) for k, v in vals.items()},
+        compatible_primes=(7, 11, 13),
+        expected={
             "rational": {
                 "s_c_count": (1, "derived"),
                 "sing_x_count": (1, "derived"),
@@ -362,47 +322,26 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
                 "smooth": (False, "reference"),
                 "s_c_certified": (True, "derived"),
             },
-            "fp:7": {
-                "sing_c_count": (3, "derived"),
-                "s_theta_count": (2, "derived"),
-                "s_c_count": (1, "derived"),
-                "sing_x_count": (1, "derived"),
-                "b_count": (0, "derived"),
-            },
-            "fp:13": {
-                "sing_c_count": (3, "derived"),
-                "s_theta_count": (2, "derived"),
-                "s_c_count": (1, "derived"),
-                "sing_x_count": (1, "derived"),
-                "b_count": (0, "derived"),
-            },
-        }
-    return NamedExample(
-        name="ex43_quintic_line",
-        rep=rep,
-        params={k: str(v) for k, v in vals.items()},
-        compatible_primes=(7, 11, 13),
-        expected=expected,
+            "fp:7": counts,
+            "fp:13": counts,
+        },
         notes=["the quintic carries one rational node off D, so the fourfold is singular"],
     )
 
 
 def _build_ex43_fermat(params: dict) -> NamedExample:
-    q = _number("ex43_fermat", "q", params.get("q", "17"), int)
+    q = _number("ex43_fermat", "q", params["q"], int)
     if q % 8 != 1:
         raise Rejection(
             f"this example needs a prime with q = 1 (mod 8) so that fourth and "
             f"eighth roots of -1 exist; got {q}"
         )
     fld = PrimeField(q)
-    omega = None
-    for c in range(2, q):
-        e = fld.from_int(c)
-        if e**4 == fld.from_int(-1):
-            omega = e
-            break
-    if omega is None:
-        raise Rejection(f"no eighth root of unity found in F_{q}")
+    # w = n^((q-1)/8) for a non-residue n has w^4 = -1; the four roots of
+    # x^4 = -1 are its odd powers, and omega is the least of them
+    n = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
+    w = pow(n, (q - 1) // 8, q)
+    omega = fld.from_int(min(pow(w, k, q) for k in (1, 3, 5, 7)))
     i_elt = omega * omega
     x1 = MultiPoly.variable(fld, VARS_X, "x1")
     x2 = MultiPoly.variable(fld, VARS_X, "x2")
@@ -425,9 +364,12 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
             "root selection failed: the determinant is not the product of the "
             "two lines and the diagonal quartic"
         )
-    expected = {}
-    if q == 17:
-        expected = {
+    return NamedExample(
+        name="ex43_fermat",
+        rep=rep,
+        params={"q": str(q)},
+        compatible_primes=(q,),
+        expected={
             "fp:17": {
                 "sing_c_count": (5, "derived"),
                 "s_theta_count": (5, "derived"),
@@ -437,13 +379,7 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
                 "sing_x_count": (0, "derived"),
                 "smooth": (True, "derived"),
             }
-        }
-    return NamedExample(
-        name="ex43_fermat",
-        rep=rep,
-        params={"q": str(q)},
-        compatible_primes=(q,),
-        expected=expected,
+        },
         extra={"omega": omega.v, "i": i_elt.v},
         notes=[
             "the eighth root is chosen so that omega^2 equals the fourth root i; "
@@ -454,7 +390,7 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
 
 def _build_rmk31(params: dict) -> NamedExample:
     fld = QQ
-    f = _p(params.get("f", "x1^3 + 2*x2^3 + 3*x3^3"))
+    f = _p(params["f"])
     if f.is_zero or f.degree() != 3:
         raise Rejection("parameter f must be a nonzero cubic")
     z = _zero()
@@ -501,7 +437,6 @@ def _build_rmk31(params: dict) -> NamedExample:
         params={"f": str(f)},
         compatible_primes=(7, 11, 13),
         expected=expected,
-        extra={"node": (0, 0, 1)},
         notes=[
             "the matrix block is used exactly as printed in the source example; "
             "its determinant is x2^2*x3 - x1^3 - x1^2*x3, which differs from the "
@@ -511,19 +446,36 @@ def _build_rmk31(params: dict) -> NamedExample:
     )
 
 
-def _canon(text: str) -> str:
-    return str(_p(text))
-
-
-# each example's builder and the parameter keys it reads
+# each example's builder and its default parameters, written exactly as the
+# builder echoes them in NamedExample.params
 _BUILDERS = {
-    "ex42i": (_build_ex42i, ("f",)),
-    "ex42ii": (_build_ex42ii, ("l4", "l5", "l6")),
-    "ex43_quartic_two_lines": (_build_ex43_quartic, tuple(_EX43_QUARTIC_DEFAULTS)),
-    "ex43_quintic_line": (_build_ex43_quintic, tuple(_EX43_QUINTIC_DEFAULTS)),
-    "ex43_fermat": (_build_ex43_fermat, ("q",)),
-    "rmk31": (_build_rmk31, ("f",)),
-    "prop44": (_build_prop44, ("A",)),
+    "ex42i": (_build_ex42i, {"f": "x1^3 + x2^3 + x3^3"}),
+    "ex42ii": (_build_ex42ii, {"l4": "x1 + x2 + x3", "l5": "x1 + 2*x2 + 3*x3", "l6": "x1 + 3*x2 + 2*x3"}),
+    "ex43_quartic_two_lines": (
+        _build_ex43_quartic,
+        {
+            "l1": "x1 + x2",
+            "l2": "x1 + x3",
+            "l11": "x1",
+            "q1": "x2*x3",
+            "f": "x1^2*x2 + 2*x2^3 - 3*x1*x2*x3 - x2^2*x3 + 2*x3^3",
+        },
+    ),
+    "ex43_quintic_line": (
+        _build_ex43_quintic,
+        {
+            "l1": "x2 + x3",
+            "l11": "x1",
+            "l12": "x2",
+            "l22": "x1 + x3",
+            "q1": "x1*x2 - x3^2",
+            "q2": "-x2^2 + x1*x3",
+            "f": "-2*x1^3 + 2*x1^2*x2 - 2*x2^3 + 2*x1*x2*x3 + x2^2*x3 - x3^3",
+        },
+    ),
+    "ex43_fermat": (_build_ex43_fermat, {"q": "17"}),
+    "rmk31": (_build_rmk31, {"f": "x1^3 + 2*x2^3 + 3*x3^3"}),
+    "prop44": (_build_prop44, {"A": "1,0,0,0,1,0,0,0,1"}),
 }
 
 
@@ -542,9 +494,12 @@ def _number(name: str, key: str, text: str, kind):
 def build_example(name: str, params: dict | None = None) -> NamedExample:
     if name not in _BUILDERS:
         raise InputError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
-    builder, keys = _BUILDERS[name]
+    builder, defaults = _BUILDERS[name]
     params = params or {}
-    unknown = [k for k in params if k not in keys]
+    unknown = [k for k in params if k not in defaults]
     if unknown:
         raise InputError(f"unknown parameter {unknown[0]!r}; {_accepted(name)}")
-    return builder(params)
+    ex = builder({**defaults, **params})
+    if ex.params != defaults:
+        ex.expected = {}  # the pinned highlights belong to the default member alone
+    return ex

@@ -1,11 +1,13 @@
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from detfold.algebra import QQ, PrimeField, VARS_X, field_from_name, resultant
+from detfold.algebra.fields import is_prime
 from detfold.curves import singular_points
 from detfold.errors import InputError, Rejection, ToolError
 from detfold.examples import EXAMPLE_NAMES, build_example
@@ -80,6 +82,14 @@ def test_expected_highlights_reproduce(name):
         _assert_golden(report, f"{name}.{field_name.replace(':', '')}")
     # the emitted file over its own field, without a factorization: the CLI path
     _assert_golden(analyze(parse_rep_file(write_rep_file(ex.rep))), f"{name}.file")
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_default_params_echo_the_defaults(name):
+    # rebuilding from the echoed parameters keeps the pinned highlights
+    ex = build_example(name)
+    assert ex.expected
+    assert build_example(name, ex.params).expected == ex.expected
 
 
 def test_unknown_example_rejected():
@@ -186,6 +196,18 @@ class TestEx43Fermat:
     def test_alternative_prime(self):
         ex = build_example("ex43_fermat", {"q": "41"})
         assert ex.compatible_primes == (41,)
+
+    @pytest.mark.parametrize("q", [q for q in range(17, 2000, 8) if is_prime(q)])
+    def test_omega_is_the_least_eighth_root(self, q):
+        ex = build_example("ex43_fermat", {"q": str(q)})
+        assert ex.extra["omega"] == next(c for c in range(2, q) if pow(c, 4, q) == q - 1)
+
+    def test_prime_near_the_field_limit_builds_quickly(self):
+        q = 2147483497  # a prime below 2^31 with q = 1 (mod 8)
+        t0 = time.perf_counter()
+        ex = build_example("ex43_fermat", {"q": str(q)})
+        assert time.perf_counter() - t0 < 1.0
+        assert pow(ex.extra["omega"], 4, q) == q - 1
 
 
 class TestRmk31:

@@ -95,9 +95,19 @@ class TestCli:
         assert rc == 0
         assert "all_expected_reproduced = true" in out
 
-    def test_example_with_a_non_default_cubic(self):
-        # the pinned F_q point counts belong to the default cubic alone
-        rc, out = run_cli("example", "ex42i", "--param", "f=x1^3 + 2*x2^3 + 3*x3^3 + x1*x2*x3")
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("ex42i", "f=x1^3 + 2*x2^3 + 3*x3^3 + x1*x2*x3"),
+            ("rmk31", "f=x1^3 + 2*x2^3 + 5*x3^3"),
+            # general position over Q, but x1, l4 and l6 meet in one point mod 11
+            ("ex42ii", "l4=x1 + x2 + 8*x3"),
+        ],
+        ids=["ex42i", "rmk31", "ex42ii"],
+    )
+    def test_example_with_a_non_default_cubic(self, name, param):
+        # the pinned highlights belong to the default member alone
+        rc, out = run_cli("example", name, "--param", param)
         assert rc == 0 and "all_expected_reproduced = true" in out
 
     def test_spin_command(self):
