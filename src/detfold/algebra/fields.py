@@ -8,6 +8,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from ..errors import InputError, Rejection
@@ -16,7 +17,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 2^31."""
+    """Miller-Rabin on the primes to 37, deterministic below 3.3 * 10^24."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -38,6 +39,18 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+_WORD_PRIMES = [2**61 - 1]
+
+
+def word_primes():
+    """The primes below 2^61, descending from 2^61 - 1: the moduli of the
+    modular gcd and resultant, generated once and kept."""
+    for i in itertools.count():
+        if i == len(_WORD_PRIMES):
+            _WORD_PRIMES.append(next(n for n in range(_WORD_PRIMES[-1] - 2, 2, -2) if is_prime(n)))
+        yield _WORD_PRIMES[i]
 
 
 class RationalField:

@@ -7,12 +7,13 @@ so output is deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-from ..errors import ConsistencyError, DegenerateResultant, InputError
-from .fields import QQ, PrimeField
-from .linalg import int_det_bareiss
+from ..errors import DegenerateResultant, InputError
+from .fields import QQ, PrimeField, word_primes
+from .unipoly import crt, horner_mod, interpolate_mod, resultant_mod, symmetric, trim
 
 VARS_X = ("x1", "x2", "x3")
 VARS_XU = ("x1", "x2", "x3", "u1", "u2", "u3")
@@ -157,20 +158,30 @@ class MultiPoly:
         return MultiPoly(self.field, self.vars, {e: c for e, c in out.items() if c})
 
     def evaluate(self, values) -> object:
-        """Value at a coordinate tuple (scalars of this field or coercible)."""
+        """Value at a coordinate tuple (scalars of this field or coercible), in
+        plain integers: over Q the point and the coefficients are cleared of
+        denominators and the sum, homogenized by powers of the point's
+        denominator, is divided once; over F_q the sum is of residues."""
         if len(values) != len(self.vars):
             raise InputError(
                 f"dimension mismatch: {len(self.vars)} variables, {len(values)} coordinates"
             )
-        vals = [self.field.coerce(v) for v in values]
-        total = self.field.zero()
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(vals, e):
-                for _ in range(k):
-                    t = t * v
-            total = total + t
-        return total
+        field = self.field
+        vals = [field.coerce(v) for v in values]
+        terms, scale = _cleared(self)
+        if field == QQ:
+            den = math.lcm(*(v.denominator for v in vals))
+            xs = [v.numerator * (den // v.denominator) for v in vals]
+        else:
+            den, xs = 1, [v.v for v in vals]
+        top = self.degree() or 0
+        total = 0
+        for e, c in terms.items():
+            for x, k in zip(xs, e):
+                if k:
+                    c *= x**k
+            total += c * den ** (top - sum(e)) if den != 1 else c
+        return Fraction(total, scale * den**top) if field == QQ else field.from_int(total)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Substitute scalars for variables (var name -> scalar of this field
@@ -278,15 +289,17 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of f and g with respect to var.
 
     The result is a polynomial free of var; it vanishes identically iff f and
-    g share a factor involving var.  Computed in plain integers by evaluation
-    and interpolation (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 6): over Q the denominators are cleared first, over F_q the residues
+    g share a factor involving var.  Computed in plain integers by evaluation,
+    interpolation and CRT (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 5-6): over Q the denominators are cleared first, over F_q the residues
     are lifted and the result is reduced mod q at the end.  The variables
     other than var are packed into one, t, by Kronecker substitution with
     base D+1, D = deg f * deg g, which bounds every exponent of the
-    resultant.  The Sylvester determinant at the formal degrees is taken at
-    t = 0..N, N the t-degree bound, and the Newton form, scaled by N!, is
-    expanded and divided by N! exactly.
+    resultant.  Mod each word prime, the Sylvester determinant at the formal
+    degrees is taken at t = 0..N, N the t-degree bound, by `resultant_mod`,
+    and interpolated.  Primes are added until their product exceeds twice
+    |f|_1^n |g|_1^m (1-norms of the integer coefficients, m and n the degrees
+    in var), the row-sum bound on every coefficient of the determinant.
     """
     if f.is_zero or g.is_zero:
         raise InputError("resultant of the zero polynomial")
@@ -295,28 +308,29 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         raise DegenerateResultant(f"input free of {var}: degrees ({m}, {n})")
     f._check(g)
     field, vars = f.field, f.vars
-    if field == QQ:
-        (fi, sf), (gi, sg) = _cleared(f), _cleared(g)
-        scale = sf**n * sg**m
-    elif isinstance(field, PrimeField):
-        fi, gi = ({e: c.v for e, c in p.terms.items()} for p in (f, g))
-    else:
-        raise InputError(f"resultant needs coefficients in Q or F_q, not {field!r}")
+    (fi, sf), (gi, sg) = _cleared(f), _cleared(g)
+    scale = sf**n * sg**m
     iv = vars.index(var)
     others = [j for j in range(len(vars)) if j != iv and any(e[j] for e in (*fi, *gi))]
     base = f.degree() * g.degree() + 1
     top = (base - 1) * base ** (len(others) - 1) if others else 0
     weights = [(j, base**k) for k, j in enumerate(others)]
     fc, gc = (_kronecker(p, d, iv, weights, top) for p, d in ((fi, m), (gi, n)))
-    values = []
-    for t in range(top + 1):
-        fv, gv = ([_horner(c, t) for c in reversed(cs)] for cs in (fc, gc))
-        rows = [[0] * i + fv + [0] * (n - 1 - i) for i in range(n)]
-        rows += [[0] * i + gv + [0] * (m - 1 - i) for i in range(m)]
-        values.append(int_det_bareiss(rows))
-    coeffs = _interpolate(values)
+    bound = 2 * sum(map(abs, fi.values())) ** n * sum(map(abs, gi.values())) ** m
+    coeffs, mod = [], 1
+    for prime in word_primes():
+        values = [
+            resultant_mod(*([horner_mod(c, t, prime) for c in cs] for cs in (fc, gc)), prime)
+            for t in range(top + 1)
+        ]
+        image = interpolate_mod(values, prime)
+        coeffs = crt(coeffs, mod, image, prime) if coeffs else image
+        mod *= prime
+        if mod > bound:
+            break
     terms = {}
     for texp, c in enumerate(coeffs):
+        c = symmetric(c, mod)
         if c:
             e = [0] * len(vars)
             for j in others:
@@ -326,47 +340,21 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
 
 
 def _cleared(p: MultiPoly) -> tuple[dict, int]:
-    """Integer terms of den * p, and den, the lcm of p's denominators."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return {e: int(c * den) for e, c in p.terms.items()}, den
+    """Integer terms of den * p and den: over Q den is the lcm of p's
+    denominators, over F_q the terms are the residues and den is 1."""
+    if isinstance(p.field, PrimeField):
+        return {e: c.v for e, c in p.terms.items()}, 1
+    if p.field != QQ:
+        raise InputError(f"no integer lift of coefficients in {p.field!r}")
+    # pairwise, not by a star-call: evaluate runs this at every point, and a
+    # tuple of all the denominators per call raised peak memory by 0.5 MB
+    den = functools.reduce(math.lcm, (c.denominator for c in p.terms.values()), 1)
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
 
 
 def _kronecker(terms: dict, d: int, iv: int, weights: list, top: int) -> list:
-    """Dense t-coefficient lists of the coefficients of var^0..var^d."""
+    """Trimmed t-coefficient lists of the coefficients of var^0..var^d."""
     out = [[0] * (top + 1) for _ in range(d + 1)]
     for e, c in terms.items():
         out[e[iv]][sum(e[j] * w for j, w in weights)] += c
-    return out
-
-
-def _horner(coeffs: list, t: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = v * t + c
-    return v
-
-
-def _interpolate(values: list) -> list:
-    """Integer coefficients, ascending, of the polynomial of degree < len(values)
-    taking values[t] at t = 0, 1, ...: forward differences give the Newton form,
-    scaled by N! to stay integral, then one exact division by N!."""
-    top = len(values) - 1
-    diffs = list(values)
-    for k in range(1, top + 1):
-        for j in range(top, k - 1, -1):
-            diffs[j] -= diffs[j - 1]
-    fact = math.factorial(top)
-    poly: list = []
-    for k in range(top, -1, -1):
-        # poly <- poly * (t - k) + diffs[k] * N!/k!
-        poly = [0] + poly
-        for j in range(len(poly) - 1):
-            poly[j] -= k * poly[j + 1]
-        poly[0] += diffs[k] * (fact // math.factorial(k))
-    out = []
-    for c in poly:
-        q, r = divmod(c, fact)
-        if r:
-            raise ConsistencyError("resultant interpolation left a remainder")
-        out.append(q)
-    return out
+    return [trim(cs) for cs in out]

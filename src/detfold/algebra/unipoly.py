@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from ..errors import InputError
-from .fields import QQ, is_prime
+from .fields import QQ, is_prime, word_primes
 
 
 def trim(p: list) -> list:
@@ -54,11 +54,122 @@ def monic(p: list) -> list:
 
 
 def gcd_poly(p: list, q: list, field) -> list:
-    a, b = trim(list(p)), trim(list(q))
+    """Monic gcd, in plain integers.  Over F_q: Euclid on residues.  Over Q:
+    Brown's modular method (J. ACM 18, 1971; MCA ch. 6) on the primitive
+    integer parts a, b, with lead = gcd(lc a, lc b).  The monic gcds mod
+    word primes not dividing lead, scaled by lead, are combined by CRT into
+    the symmetric range; an image of higher degree than the lowest seen comes
+    from an unlucky prime and is skipped, one of lower degree restarts the
+    CRT.  The primitive candidate is the gcd once it divides a and b exactly."""
+    if field != QQ:
+        a, b = ([field.coerce(c).v for c in x] for x in (p, q))
+        return [field.from_int(c) for c in _gcd_mod(a, b, field.q)]
+    a, b = _integral(p), _integral(q)
+    if not a or not b:
+        return monic([Fraction(c) for c in a or b])
+    lead = math.gcd(a[-1], b[-1])
+    acc, mod = [], 1
+    for prime in word_primes():
+        if not lead % prime:
+            continue
+        image = [lead * c % prime for c in _gcd_mod(a, b, prime)]
+        if len(image) == 1:
+            return [Fraction(1)]
+        if acc and len(image) > len(acc):
+            continue
+        acc, mod = (crt(acc, mod, image, prime), mod * prime) if len(image) == len(acc) else (image, prime)
+        cand = _integral([symmetric(c, mod) for c in acc])
+        if _divides(cand, a) and _divides(cand, b):
+            return monic([Fraction(c) for c in cand])
+
+
+def _gcd_mod(a: list[int], b: list[int], mod: int) -> list[int]:
+    """Monic gcd mod a prime of integer coefficient lists, by Euclid."""
+    a, b = (trim([c % mod for c in x]) for x in (a, b))
     while b:
-        _, r = divmod_poly(a, b, field)
-        a, b = b, r
-    return monic(a)
+        a, b = b, _rem_mod(a, b, mod)
+    if not a:
+        return a
+    inv = pow(a[-1], -1, mod)
+    return [c * inv % mod for c in a]
+
+
+def _rem_mod(a: list[int], b: list[int], mod: int) -> list[int]:
+    """Remainder of a by b mod a prime; both reduced, b with nonzero lead."""
+    r, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, mod)
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k] * inv % mod
+        if c:
+            r[k - db : k] = [(x - c * y) % mod for x, y in zip(r[k - db : k], b)]
+    return trim(r[:db])
+
+
+def resultant_mod(a: list[int], b: list[int], mod: int) -> int:
+    """Res_{m,n}(a, b) mod a prime, for residue lists of formal degrees
+    m = len(a) - 1 and n = len(b) - 1, by Euclid (MCA ch. 6).  A zero formal
+    lead drops a degree: Res_{m,n} = (-1)^n b_n Res_{m-1,n} when a_m = 0, and
+    a_m Res_{m,n-1} when b_n = 0.  Otherwise, after a swap to m >= n (sign
+    (-1)^{mn}), Res_{n,m}(b, a) = b_n^{m-k} Res_{n,k}(b, r) for the remainder
+    r of a mod b, of degree k."""
+    res = 1
+    while True:
+        m, n = len(a) - 1, len(b) - 1
+        if not m or not n:
+            return res * pow(a[0], n, mod) * pow(b[0], m, mod) % mod
+        if not a[-1]:
+            res, a = res * b[-1] * (-1) ** n % mod, a[:-1]
+        elif not b[-1]:
+            res, b = res * a[-1] % mod, b[:-1]
+        else:
+            if m < n:
+                a, b, m, n, res = b, a, n, m, res * (-1) ** (m * n)
+            r = _rem_mod(a, b, mod)
+            if not r:
+                return 0
+            res = res * (-1) ** (m * n) * pow(b[-1], m - len(r) + 1, mod) % mod
+            a, b = b, r
+
+
+def interpolate_mod(values: list[int], mod: int) -> list[int]:
+    """Coefficients mod a prime, ascending, of the polynomial of degree
+    < len(values) taking values[t] at t = 0, 1, ...: divided differences,
+    each a difference over k at the k-th step, then the Newton form."""
+    diffs = list(values)
+    for k in range(1, len(diffs)):
+        inv = pow(k, -1, mod)
+        for j in range(len(diffs) - 1, k - 1, -1):
+            diffs[j] = (diffs[j] - diffs[j - 1]) * inv % mod
+    poly: list = []
+    for k in range(len(diffs) - 1, -1, -1):
+        # poly <- poly * (t - k) + diffs[k]
+        poly = [0] + poly
+        for j in range(len(poly) - 1):
+            poly[j] = (poly[j] - k * poly[j + 1]) % mod
+        poly[0] = (poly[0] + diffs[k]) % mod
+    return poly
+
+
+def crt(acc: list[int], mod: int, image: list[int], prime: int) -> list[int]:
+    """Residues mod mod * prime agreeing with acc mod mod and image mod prime."""
+    inv = pow(mod, -1, prime)
+    return [a + mod * ((b - a) * inv % prime) for a, b in zip(acc, image)]
+
+
+def symmetric(c: int, mod: int) -> int:
+    """The representative of c mod mod in (-mod/2, mod/2]."""
+    return c - mod if 2 * c > mod else c
+
+
+def _divides(d: list[int], a: list[int]) -> bool:
+    """True when d divides a in Z[t], by exact long division."""
+    r = list(a)
+    for k in range(len(r) - len(d), -1, -1):
+        c, rem = divmod(r[k + len(d) - 1], d[-1])
+        if rem:
+            return False
+        r[k : k + len(d)] = [x - c * y for x, y in zip(r[k : k + len(d)], d)]
+    return not any(r)
 
 
 def derivative(p: list, field) -> list:
@@ -122,8 +233,8 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
     prime = 3
     while True:
         if s[0] % prime and s[-1] % prime:
-            zeros = [r for r in range(prime) if not _horner_mod(s, r, prime)]
-            if all(_horner_mod(ds, r, prime) for r in zeros):
+            zeros = [r for r in range(prime) if not horner_mod(s, r, prime)]
+            if all(horner_mod(ds, r, prime) for r in zeros):
                 break
         prime += 2
         while not is_prime(prime):
@@ -133,7 +244,7 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
         mod = prime
         while mod <= 2 * a_bound * b_bound:
             mod *= mod
-            r = (r - _horner_mod(s, r, mod) * pow(_horner_mod(ds, r, mod), -1, mod)) % mod
+            r = (r - horner_mod(s, r, mod) * pow(horner_mod(ds, r, mod), -1, mod)) % mod
         cand = _reconstruct(r, mod, a_bound, b_bound)
         while cand is not None and (quo := _divide_linear(work, cand)) is not None:
             work = quo
@@ -141,12 +252,16 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
     return roots, deg(work)
 
 
-def _integral(p: list[Fraction]) -> list[int]:
+def _integral(p: list) -> list[int]:
+    """The primitive integer multiple of a rational polynomial, trimmed."""
+    p = trim([Fraction(c) for c in p])
     den = math.lcm(*(c.denominator for c in p))
-    return [int(c * den) for c in p]
+    c = [int(k * den) for k in p]
+    g = math.gcd(*c)
+    return [k // g for k in c]
 
 
-def _horner_mod(s: list[int], x: int, mod: int) -> int:
+def horner_mod(s: list[int], x: int, mod: int) -> int:
     v = 0
     for c in reversed(s):
         v = (v * x + c) % mod

@@ -8,6 +8,7 @@ Subcommands: analyze, oracle, example, spin, lattice.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -150,7 +151,9 @@ def _cmd_lattice(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="detfold",
         description="Exact analysis of cubic fourfolds built from symmetric "

@@ -10,12 +10,88 @@ zero, hence be a p-th power.  `nullspace` and `coeffs_in` are the kernel
 basis and the coefficient view the former plane and resultant checks used.
 `plane_forms` gives the two fiber forms alpha +- root beta of a couple split
 over the base field, and `plane_span` turns a fiber form back into three
-vectors of P^5 for checks by values of F.
+vectors of P^5 for checks by values of F.  `dense_rep` draws a seeded
+(1,1,1;2;3) representation over Q with every coefficient nonzero in
+general, the input on which rational elimination is hardest.
+
+`euclid_gcd`, `term_evaluate` and `bareiss_resultant` are the former field
+arithmetic kernels that the integer ones replaced: Euclid on field elements,
+the value at a point summed term by term, and the Sylvester determinant by
+fraction-free elimination over the polynomial ring.
 """
 
-from detfold.algebra import VARS_X, MultiPoly, unipoly
+import random
+
+from detfold.algebra import QQ, VARS_X, MultiPoly, unipoly
 from detfold.algebra.linalg import _echelon, _kernel_basis
 from detfold.curves import _to_unicoeffs
+from detfold.detrep import _expected_degree, validate_rep
+
+
+def dense_rep(seed, height):
+    """A symmetric (1,1,1;2;3) rep over Q whose upper-triangle entries carry
+    every monomial of their degree, each coefficient drawn uniformly from
+    [-height, height] by random.Random(seed), entry by entry in row order."""
+    rng = random.Random(seed)
+    rows = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            d = _expected_degree(i, j)
+            terms = {(a, b, d - a - b): QQ.from_int(rng.randint(-height, height))
+                     for a in range(d, -1, -1) for b in range(d - a, -1, -1)}
+            rows[i][j] = rows[j][i] = MultiPoly(QQ, VARS_X, terms)
+    return validate_rep(rows, QQ)
+
+
+def euclid_gcd(p, q, field):
+    """Monic gcd of two univariates by Euclid on field elements."""
+    a, b = unipoly.trim(list(p)), unipoly.trim(list(q))
+    while b:
+        _, r = unipoly.divmod_poly(a, b, field)
+        a, b = b, r
+    return unipoly.monic(a)
+
+
+def term_evaluate(f, values):
+    """Value of f at a point, one field product at a time."""
+    vals = [f.field.coerce(v) for v in values]
+    total = f.field.zero()
+    for e, c in f.terms.items():
+        t = c
+        for v, k in zip(vals, e):
+            for _ in range(k):
+                t = t * v
+        total = total + t
+    return total
+
+
+def bareiss_resultant(f, g, var):
+    """Sylvester determinant of f and g in var over the polynomial ring,
+    fraction-free (Bareiss)."""
+    m, n = f.degree_in(var), g.degree_in(var)
+    zero = MultiPoly.zero(f.field, f.vars)
+    rows = []
+    for p, copies in ((f, n), (g, m)):
+        lead_first = list(reversed(coeffs_in(p, var)))
+        for i in range(copies):
+            rows.append([zero] * i + lead_first + [zero] * (copies - 1 - i))
+    size = m + n
+    sign, prev = 1, MultiPoly.constant(f.field, f.vars, 1)
+    for k in range(size - 1):
+        if rows[k][k].is_zero:
+            sel = next((i for i in range(k + 1, size) if not rows[i][k].is_zero), None)
+            if sel is None:
+                return zero
+            rows[k], rows[sel] = rows[sel], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                q = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]).try_divide(prev)
+                assert q is not None, "non-exact Bareiss division"
+                rows[i][j] = q
+            rows[i][k] = zero
+        prev = rows[k][k]
+    return -rows[-1][-1] if sign < 0 else rows[-1][-1]
 
 
 def nullspace(rows, ncols, field):

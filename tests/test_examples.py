@@ -13,7 +13,7 @@ from detfold.errors import InputError, Rejection, ToolError
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import coeffs_in
+from reference import coeffs_in, dense_rep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,6 +82,20 @@ def test_expected_highlights_reproduce(name):
         _assert_golden(report, f"{name}.{field_name.replace(':', '')}")
     # the emitted file over its own field, without a factorization: the CLI path
     _assert_golden(analyze(parse_rep_file(write_rep_file(ex.rep))), f"{name}.file")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dense_rational_rep_within_five_seconds(seed):
+    # every coefficient uniform in [-1000, 1000]: each resultant and gcd of
+    # the rational elimination meets coefficients of many digits; seed 0 is
+    # the committed file and its goldens
+    text = write_rep_file(dense_rep(seed, 1000))
+    start = time.perf_counter()
+    report = analyze(parse_rep_file(text))
+    assert time.perf_counter() - start < 5.0
+    if seed == 0:
+        assert text == (GOLDEN / "dense_h1000.rep").read_text()
+        _assert_golden(report, "dense_h1000.rational")
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)

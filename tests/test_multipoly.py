@@ -16,7 +16,7 @@ from detfold.algebra import (
 from detfold.algebra.parser import PolyParseError
 from detfold.errors import DegenerateResultant, InputError
 from detfold.points import ProjPoint
-from reference import coeffs_in
+from reference import bareiss_resultant, term_evaluate
 
 
 class TestParser:
@@ -143,34 +143,21 @@ class TestEvalDiff:
         assert p.coords == (1, 1, 1)
         assert bool(f.evaluate(p.coords)) == bool(f.evaluate((2, 2, 2)))
 
-
-def _reference_resultant(f, g, var):
-    """Sylvester determinant over the polynomial ring, fraction-free (Bareiss):
-    the reference for the evaluation/interpolation resultant."""
-    m, n = f.degree_in(var), g.degree_in(var)
-    zero = MultiPoly.zero(f.field, f.vars)
-    rows = []
-    for p, copies in ((f, n), (g, m)):
-        lead_first = list(reversed(coeffs_in(p, var)))
-        for i in range(copies):
-            rows.append([zero] * i + lead_first + [zero] * (copies - 1 - i))
-    size = m + n
-    sign, prev = 1, MultiPoly.constant(f.field, f.vars, 1)
-    for k in range(size - 1):
-        if rows[k][k].is_zero:
-            sel = next((i for i in range(k + 1, size) if not rows[i][k].is_zero), None)
-            if sel is None:
-                return zero
-            rows[k], rows[sel] = rows[sel], rows[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                q = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]).try_divide(prev)
-                assert q is not None, "non-exact Bareiss division"
-                rows[i][j] = q
-            rows[i][k] = zero
-        prev = rows[k][k]
-    return -rows[-1][-1] if sign < 0 else rows[-1][-1]
+    @pytest.mark.parametrize("field", [QQ, PrimeField(13), PrimeField(2**31 - 1)], ids=["qq", "f13", "f2^31-1"])
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_evaluate_equals_term_loop(self, field, data):
+        # non-homogeneous polynomials in three or six variables, with
+        # denominators in the coefficients and in the point over Q, and
+        # residues up to q - 1 over F_q
+        vars = data.draw(st.sampled_from([VARS_X, VARS_XU]))
+        big = 2**31 if field == QQ else field.q
+        coeffs = st.builds(Fraction, st.integers(-big, big), st.integers(1, 50) if field == QQ else st.just(1))
+        exps = st.tuples(*[st.integers(0, 4)] * len(vars)).filter(lambda e: sum(e) <= 6)
+        terms = data.draw(st.dictionaries(exps, coeffs.map(field.coerce), max_size=8))
+        f = MultiPoly(field, vars, terms)
+        point = data.draw(st.tuples(*[coeffs] * len(vars)))
+        assert f.evaluate(point) == term_evaluate(f, point)
 
 
 class TestResultant:
@@ -232,7 +219,7 @@ class TestResultant:
         with pytest.raises(InputError):
             resultant(f, f, "x1")
 
-    @pytest.mark.parametrize("case", ["qq", "f13", "homogeneous", "lead_vanishes"])
+    @pytest.mark.parametrize("case", ["qq", "f13", "homogeneous", "lead_vanishes", "big"])
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(data=st.data())
     def test_equals_polynomial_ring_bareiss(self, case, data):
@@ -240,9 +227,12 @@ class TestResultant:
         # f13: the same over F_13; homogeneous: trivariate forms, so two
         # variables remain; lead_vanishes: the leading coefficient of f in x2
         # is x1 - k for a node k of the interpolation, so the Sylvester matrix
-        # there keeps its formal size with a zero leading entry
+        # there keeps its formal size with a zero leading entry, as first and
+        # as second argument; big: numerators up to 10^40, so the CRT
+        # combines several primes
         field = PrimeField(13) if case == "f13" else QQ
-        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+        height = 10**40 if case == "big" else 6
+        coeffs = st.builds(Fraction, st.integers(-height, height), st.integers(1, 4))
         var = "x1" if case == "homogeneous" else "x2"
         f = data.draw(_polys(field, coeffs, case == "homogeneous"))
         g = data.draw(_polys(field, coeffs, case == "homogeneous"))
@@ -252,7 +242,8 @@ class TestResultant:
             k = data.draw(st.integers(0, max(top + 1, f.degree()) * g.degree()))
             lead = MultiPoly.variable(QQ, VARS_X, "x1") - MultiPoly.constant(QQ, VARS_X, k)
             f = lead * MultiPoly.variable(QQ, VARS_X, "x2") ** top + f
-        assert resultant(f, g, var) == _reference_resultant(f, g, var)
+            assert resultant(g, f, var) == bareiss_resultant(g, f, var)
+        assert resultant(f, g, var) == bareiss_resultant(f, g, var)
 
 
 @st.composite

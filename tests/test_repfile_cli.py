@@ -237,6 +237,32 @@ class TestCli:
         rc, out = run_cli("lattice", "--couples", "16")
         assert rc == 3 and "at most 15" in out
 
+    def test_one_process_prints_what_fresh_processes_print(self, tmp_path, capsys):
+        # the parser is built once per process and reused, across a usage
+        # error and a repeated --param, with the same output and exit code
+        rep = tmp_path / "a.rep"
+        rep.write_text(write_rep_file(build_example("ex42ii").rep))
+        param = "f=x1^3 + 2*x2^3 + 3*x3^3 + x1*x2*x3"
+        calls = [
+            ("analyze", str(rep)),
+            ("analyze",),
+            ("example", "ex42i", "--param", param),
+            ("example", "ex42i", "--param", param),
+            ("analyze", str(rep)),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        codes = []
+        for args in calls:
+            capsys.readouterr()
+            rc, out = run_cli(*args)
+            err = capsys.readouterr().err
+            fresh = subprocess.run(
+                [sys.executable, "-m", "detfold.cli", *args], env=env, capture_output=True, text=True
+            )
+            assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), args
+            codes.append(rc)
+        assert codes == [0, 3, 0, 0, 0]
+
     def test_cli_import_leaves_numpy_out(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = "import sys, detfold.cli; print('numpy' in sys.modules)"

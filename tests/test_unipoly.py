@@ -2,17 +2,22 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
-from detfold.algebra import QQ
+from detfold.algebra import QQ, PrimeField
+from detfold.algebra.fields import word_primes
 from detfold.algebra.unipoly import (
     divmod_poly,
     gcd_poly,
     is_squarefree,
+    monic,
     rational_roots,
     squarefree_part,
     trim,
 )
+from reference import euclid_gcd
 
 
 def test_rational_roots_examples():
@@ -168,3 +173,55 @@ def test_rational_roots_planted_property(planted, cofactor):
     roots, cof = rational_roots(_planted(planted, cofactor))
     assert roots == expect
     assert cof == len(planted) + len(cofactor) - 1 - sum(expect.values())
+
+
+_rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
+_huge = st.integers(-(2**140), 2**140).map(Fraction)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    common=st.lists(st.one_of(_rationals, _huge), min_size=1, max_size=4),
+    a=st.lists(_rationals, min_size=1, max_size=5),
+    b=st.lists(_rationals, min_size=1, max_size=5),
+)
+def test_gcd_over_q_equals_euclid(common, a, b):
+    # a planted common factor whose coefficients may exceed 2^130, so the
+    # scaled images need several 61-bit primes before the candidate divides
+    p, q = _mul(common, a), _mul(common, b)
+    g = gcd_poly(p, q, QQ)
+    assert g == euclid_gcd(p, q, QQ)
+    if p and q:
+        assert not divmod_poly(g, monic(trim(list(common))), QQ)[1]
+
+
+@pytest.mark.parametrize("prime", [3, 13, 2**31 - 1])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gcd_over_fp_equals_euclid(prime, data):
+    field = PrimeField(prime)
+    elts = st.integers(0, prime - 1).map(field.from_int)
+    common, a, b = (data.draw(st.lists(elts, min_size=1, max_size=n)) for n in (4, 5, 5))
+    p, q = (_mul(common, x) for x in (a, b))
+    assert gcd_poly(p, q, field) == euclid_gcd(p, q, field)
+
+
+def test_gcd_over_q_past_a_bad_and_an_unlucky_prime():
+    big = next(word_primes())
+    # the leading coefficients are multiples of the first prime, which is skipped
+    p = _mul([Fraction(3), Fraction(big)], [Fraction(1), Fraction(2 * big)])
+    q = _mul([Fraction(3), Fraction(big)], [Fraction(5), Fraction(big)])
+    assert gcd_poly(p, q, QQ) == euclid_gcd(p, q, QQ) == [Fraction(3, big), Fraction(1)]
+    # (t + 2)(t - 1) and (t + 2)(t - 1 - big) share t - 1 mod the first prime
+    # only: its image has degree 2, the next prime's degree 1 restarts the CRT
+    p = _mul([Fraction(2), Fraction(1)], [Fraction(-1), Fraction(1)])
+    q = _mul([Fraction(2), Fraction(1)], [Fraction(-1 - big), Fraction(1)])
+    assert gcd_poly(p, q, QQ) == [Fraction(2), Fraction(1)]
+    assert gcd_poly([Fraction(-1), Fraction(1)], [Fraction(-1 - big), Fraction(1)], QQ) == [Fraction(1)]
+    # t + 2^100 needs two primes; the second prime of the source is unlucky
+    # for the cofactors t - 1 and t - 1 - second, so its image is skipped
+    second = next(p for i, p in enumerate(word_primes()) if i == 1)
+    common = [Fraction(2**100), Fraction(1)]
+    p = _mul(common, [Fraction(-1), Fraction(1)])
+    q = _mul(common, [Fraction(-1 - second), Fraction(1)])
+    assert gcd_poly(p, q, QQ) == common
