@@ -1,6 +1,6 @@
 from .fields import QQ, FpElt, PrimeField, RationalField, field_from_name, is_prime
 from .linalg import int_det_bareiss, kernel_rank_det, matrix_rank
-from .multipoly import VARS_X, VARS_XU, MultiPoly, poly_matrix_det, resultant
+from .multipoly import VARS_X, VARS_XU, MultiPoly, poly_matrix_det, resultant, resultant_vanishes
 from .parser import PolyParseError, parse_poly
 from . import unipoly
 
@@ -19,6 +19,7 @@ __all__ = [
     "MultiPoly",
     "poly_matrix_det",
     "resultant",
+    "resultant_vanishes",
     "PolyParseError",
     "parse_poly",
     "unipoly",

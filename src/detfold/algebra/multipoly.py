@@ -291,52 +291,72 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     The result is a polynomial free of var; it vanishes identically iff f and
     g share a factor involving var.  Computed in plain integers by evaluation,
     interpolation and CRT (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 5-6): over Q the denominators are cleared first, over F_q the residues
-    are lifted and the result is reduced mod q at the end.  The variables
-    other than var are packed into one, t, by Kronecker substitution with
-    base D+1, D = deg f * deg g, which bounds every exponent of the
-    resultant.  Mod each word prime, the Sylvester determinant at the formal
-    degrees is taken at t = 0..N, N the t-degree bound, by `resultant_mod`,
-    and interpolated.  Primes are added until their product exceeds twice
-    |f|_1^n |g|_1^m (1-norms of the integer coefficients, m and n the degrees
-    in var), the row-sum bound on every coefficient of the determinant.
+    ch. 5-6) from the packed inputs of `_packed`: mod each word prime, the
+    Sylvester determinant at the formal degrees is taken at t = 0..N, N the
+    t-degree bound, by `resultant_mod`, and interpolated.  Primes are added
+    until their product exceeds twice |f|_1^n |g|_1^m (1-norms of the integer
+    coefficients, m and n the degrees in var), the row-sum bound on every
+    coefficient of the determinant.
     """
+    fc, gc, top, scale, others, base = _packed(f, g, var)
+    n1, n2 = (sum(abs(c) for cs in p for c in cs) for p in (fc, gc))
+    bound = 2 * n1 ** (len(gc) - 1) * n2 ** (len(fc) - 1)
+    coeffs, mod = [], 1
+    for prime in word_primes():
+        image = interpolate_mod([_packed_value(fc, gc, t, prime) for t in range(top + 1)], prime)
+        coeffs = crt(coeffs, mod, image, prime) if coeffs else image
+        mod *= prime
+        if mod > bound:
+            break
+    field, terms = f.field, {}
+    for texp, c in enumerate(coeffs):
+        c = symmetric(c, mod)
+        if c:
+            e = [0] * len(f.vars)
+            for j in others:
+                texp, e[j] = divmod(texp, base)
+            terms[tuple(e)] = Fraction(c, scale) if field == QQ else field.from_int(c)
+    return MultiPoly(field, f.vars, terms)
+
+
+def resultant_vanishes(f: MultiPoly, g: MultiPoly, var: str) -> bool:
+    """resultant(f, g, var).is_zero, from values of the packed determinant
+    mod q over F_q, mod the first word prime over Q, at t = 0, 1, ... for at
+    most min(N + 1, prime) points: a nonzero value proves the resultant
+    nonzero, and over F_q with q > N all-zero values prove it zero."""
+    fc, gc, top, *_ = _packed(f, g, var)
+    prime = f.field.q if isinstance(f.field, PrimeField) else next(word_primes())
+    if any(_packed_value(fc, gc, t, prime) for t in range(min(top + 1, prime))):
+        return False
+    return (isinstance(f.field, PrimeField) and prime > top) or resultant(f, g, var).is_zero
+
+
+def _packed(f: MultiPoly, g: MultiPoly, var: str):
+    """(fc, gc, N, scale, others, base): the t-coefficient lists of the
+    coefficients of var^0..var^m in f and var^0..var^n in g, cleared by
+    `_cleared`, with the variables at the indices `others` packed into t by
+    Kronecker substitution with base D+1, D = deg f * deg g, which bounds
+    every exponent of the resultant; its t-degree bound N; and the divisor
+    of the cleared resultant."""
     if f.is_zero or g.is_zero:
         raise InputError("resultant of the zero polynomial")
     m, n = f.degree_in(var), g.degree_in(var)
     if m <= 0 or n <= 0:
         raise DegenerateResultant(f"input free of {var}: degrees ({m}, {n})")
     f._check(g)
-    field, vars = f.field, f.vars
     (fi, sf), (gi, sg) = _cleared(f), _cleared(g)
-    scale = sf**n * sg**m
-    iv = vars.index(var)
-    others = [j for j in range(len(vars)) if j != iv and any(e[j] for e in (*fi, *gi))]
+    iv = f.vars.index(var)
+    others = [j for j in range(len(f.vars)) if j != iv and any(e[j] for e in (*fi, *gi))]
     base = f.degree() * g.degree() + 1
     top = (base - 1) * base ** (len(others) - 1) if others else 0
     weights = [(j, base**k) for k, j in enumerate(others)]
     fc, gc = (_kronecker(p, d, iv, weights, top) for p, d in ((fi, m), (gi, n)))
-    bound = 2 * sum(map(abs, fi.values())) ** n * sum(map(abs, gi.values())) ** m
-    coeffs, mod = [], 1
-    for prime in word_primes():
-        values = [
-            resultant_mod(*([horner_mod(c, t, prime) for c in cs] for cs in (fc, gc)), prime)
-            for t in range(top + 1)
-        ]
-        image = interpolate_mod(values, prime)
-        coeffs = crt(coeffs, mod, image, prime) if coeffs else image
-        mod *= prime
-        if mod > bound:
-            break
-    terms = {}
-    for texp, c in enumerate(coeffs):
-        c = symmetric(c, mod)
-        if c:
-            e = [0] * len(vars)
-            for j in others:
-                texp, e[j] = divmod(texp, base)
-            terms[tuple(e)] = Fraction(c, scale) if field == QQ else field.from_int(c)
-    return MultiPoly(field, vars, terms)
+    return fc, gc, top, sf**n * sg**m, others, base
+
+
+def _packed_value(fc: list, gc: list, t: int, prime: int) -> int:
+    """The packed Sylvester determinant at the formal degrees, at t, mod prime."""
+    return resultant_mod(*([horner_mod(c, t, prime) for c in cs] for cs in (fc, gc)), prime)
 
 
 def _cleared(p: MultiPoly) -> tuple[dict, int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .algebra import QQ, MultiPoly, PrimeField, VARS_X, resultant, unipoly
+from .algebra import QQ, MultiPoly, PrimeField, VARS_X, resultant, resultant_vanishes, unipoly
 from .detrep import SymDetRep, gram_rank_kernel
 from .errors import ConsistencyError, InputError, Rejection
 from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
@@ -204,7 +204,7 @@ def is_reduced_curve(h: MultiPoly) -> bool:
             if not chart.involves(xk):
                 return True  # h is free of x_k
             continue  # h_k = 0: h itself is the shared factor
-        if not dk.involves(xk) or not resultant(chart, dk, xk).is_zero:
+        if not dk.involves(xk) or not resultant_vanishes(chart, dk, xk):
             return True
     return False
 

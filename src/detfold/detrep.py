@@ -161,12 +161,13 @@ def _check_fourfold_shape(F: MultiPoly, rep: SymDetRep) -> None:
 
 
 def gram_rank_kernel(rep: SymDetRep, p: ProjPoint):
-    """Gram matrix of the fiber quadric Q_p in coordinates (u1,u2,u3,t), with
-    its rank, determinant and kernel basis."""
+    """Gram matrix of the fiber quadric Q_p in coordinates (u1,u2,u3,t), read
+    off the symmetric rep on and above the diagonal, with rank, det and kernel."""
     if p.space != "x":
         raise Rejection("fiber points live in the plane of the discriminant curve")
     vals = p.coords
-    gram = [[rep.entry(i, j).evaluate(vals) for j in range(4)] for i in range(4)]
+    upper = {(i, j): rep.entry(i, j).evaluate(vals) for i in range(4) for j in range(i, 4)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
     rank, det, basis = kernel_rank_det(gram, rep.field)
     if rank <= 1:
         raise Rejection(

@@ -9,10 +9,11 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement, product
 
 from .algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, matrix_rank
+from .algebra.unipoly import horner_mod, trim
 from .curves import plane_solutions
 from .detrep import SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
-from .points import ORACLE_BUDGET, ProjPoint, p2_reps, sorted_points
+from .points import ORACLE_BUDGET, ProjPoint, p2_lines, p2_reps, sorted_points
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +251,18 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
 
     Works stratum by stratum in the x-part.  On x = 0 (the plane P) every
     point of P^2(F_q) in u is tested.  Over each other x-point the three
-    u-partials of F are affine-linear in u and are solved mod q, by Cramer's
-    rule where their 3x3 block is invertible.  F has u-degree <= 2 and its
-    u-gradient vanishes on the solutions u0 + span(kernel), so (q odd) F is
-    the constant F(x, u0) there: a stratum is skipped when that is nonzero,
-    and otherwise each of its q^(3-rank) candidates is tested against F and
-    all six partials.  Uses F and its partials alone, never the fiber theory
-    the assembly rests on.
-    Returns canonically sorted points.  The points of P, the strata and the
-    candidates together may not exceed ORACLE_BUDGET: the first two are
-    counted before any work, each stratum's candidates as they accrue.
+    u-partials of F are affine-linear in u, rows [A | b] with F = f + b.u +
+    u.Au/2; per line (a : b : t) of strata, `_pencil` gives Delta = det A,
+    N = -adj(A) b and Phi = 2 Delta f + b.N in t.  Where Delta(t) != 0 the
+    one solution u0 = N(t)/Delta(t) has Phi(t) = 2 Delta(t) F(x, u0); where
+    Delta(t) = 0 the rows are solved by Gauss-Jordan, and F is the constant
+    F(x, u0) on u0 + span(kernel), where its u-gradient vanishes.  So (q odd)
+    a stratum is skipped when F(x, u0) != 0, else its q^(3-rank) candidates
+    are tested against F and all six partials.  Uses F and its partials
+    alone, never the fiber theory the assembly rests on.  Returns canonically
+    sorted points.  The points of P, the strata and the candidates together
+    may not exceed ORACLE_BUDGET: the first two are counted before any work,
+    each stratum's candidates as they accrue.
     """
     tested = 2 * (q * q + q + 1)
     over_budget = f"enumeration budget exceeded: the oracle over F_{q} tests more than {ORACLE_BUDGET} points"
@@ -279,18 +282,11 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
         raise ConsistencyError("a u-partial of the fourfold is not affine-linear in u")
     if any(sum(eu) > 2 for eu in polys[0]):
         raise ConsistencyError("the fourfold has a term of u-degree above 2")
-    # the u-partials as rows [A | b]
-    u_rows = [{e: p.get(e, []) for e in _U_UNITS + ((0, 0, 0),)} for p in polys[4:]]
+    u_rows = [[p.get(e, []) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))] for p in polys[4:]]  # [A | b]
 
     def values(p, mono):
         # the u-coefficients of p with x fixed, mod q
-        out = []
-        for terms in p.values():
-            acc = 0
-            for c, i in terms:
-                acc += c * mono[i]
-            out.append(acc % q)
-        return out
+        return [sum(c * mono[i] for c, i in terms) % q for terms in p.values()]
 
     def all_vanish(fixed, u):
         u1, u2, u3 = u
@@ -302,32 +298,73 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
                 return False
         return True
 
-    on_p = [dict(zip(p, values(p, [int(not any(e)) for e in x_index]))) for p in polys]
+    on_p = [{e: c for e, c in zip(p, values(p, [int(not any(e)) for e in x_index])) if c} for p in polys]
+    on_p = [p for p in on_p if p]
     found = [(0, 0, 0) + u for u in p2_reps(q) if all_vanish(on_p, u)]
-    for xc in p2_reps(q):
-        p1, p2, p3 = ([1, x, x * x, x * x * x] for x in xc)  # F is a cubic
-        mono = [p1[a] * p2[b] * p3[d] for a, b, d in x_index]
-        solved = _solve_affine_mod([values(p, mono) for p in u_rows], q)
-        if solved is None:
-            continue
-        base, kernel = solved
-        tested += q ** len(kernel)
+
+    def on_line(terms, at):
+        # ascending t-coefficients, mod q, of sum c x^e on the line (a : b : t)
+        out = [0] * 4  # F is a cubic
+        for c, i in terms:
+            w, k = at[i]
+            out[k] += c * w
+        return trim([c % q for c in out])
+
+    for (a, b), ts in p2_lines(q):
+        at = [(a**i * b**j, k) for i, j, k in x_index]
+        rows = [[on_line(terms, at) for terms in row] for row in u_rows]
+        delta, phi, *num = _pencil(rows, on_line(polys[0].get((0, 0, 0), []), at), q)
+        for t in ts:
+            det = horner_mod(delta, t, q)
+            if det and horner_mod(phi, t, q):
+                tested += 1
+                continue
+            if det:
+                solved = [horner_mod(n, t, q) * pow(det, -1, q) % q for n in num], []
+            else:
+                solved = _solve_affine_mod([[horner_mod(e, t, q) for e in row] for row in rows], q)
+            if solved is None:
+                continue
+            base, kernel = solved
+            tested += q ** len(kernel)
+            if tested > ORACLE_BUDGET:
+                raise InputError(over_budget)
+            mono = [w * t**k for w, k in at]
+            fixed = [dict(zip(polys[0], values(polys[0], mono)))]
+            if not all_vanish(fixed, base):
+                continue
+            fixed += [dict(zip(p, values(p, mono))) for p in polys[1:]]
+            for ks in product(range(q), repeat=len(kernel)):
+                u = tuple((c + sum(s * k[i] for s, k in zip(ks, kernel))) % q for i, c in enumerate(base))
+                if all_vanish(fixed, u):
+                    found.append((a, b, t) + u)
         if tested > ORACLE_BUDGET:
             raise InputError(over_budget)
-        fixed = [dict(zip(polys[0], values(polys[0], mono)))]
-        if not all_vanish(fixed, base):
-            continue
-        fixed += [dict(zip(p, values(p, mono))) for p in polys[1:]]
-        for ts in product(range(q), repeat=len(kernel)):
-            u = tuple((b + sum(t * k[i] for t, k in zip(ts, kernel))) % q for i, b in enumerate(base))
-            if all_vanish(fixed, u):
-                found.append(xc + u)
 
     pts = [ProjPoint(gf, [gf.from_int(c) for c in coords], "p5") for coords in found]
     return sorted_points(pts)
 
 
-_U_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+def _pencil(rows: list, f: list, q: int) -> list:
+    """[Delta, Phi, N1, N2, N3] as residue lists mod q: Delta = det A, N =
+    -adj(A) b and Phi = 2 Delta f + b.N for rows [A | b] and f of ascending
+    residue lists of degree <= 3 in t.  Each list is packed as its value at
+    t = 2^k, so the cross products (the columns of adj(A)) and all after them
+    are integer arithmetic; every coefficient of Phi is below 30 (4q)^4 <
+    2^(k-1) in absolute value, so the results unpack as digits in [-2^(k-1), 2^(k-1))."""
+    k, out = 4 * q.bit_length() + 16, []
+    r1, r2, r3 = ([sum(c << (k * i) for i, c in enumerate(e)) for e in row] for row in rows)
+    c23, c31, c12 = _cross(r2, r3), _cross(r3, r1), _cross(r1, r2)
+    delta = sum(a * c for a, c in zip(r1, c23))
+    num = [-(r1[3] * x + r2[3] * y + r3[3] * z) for x, y, z in zip(c23, c31, c12)]
+    phi = 2 * delta * sum(c << (k * i) for i, c in enumerate(f)) + sum(r[3] * n for r, n in zip((r1, r2, r3), num))
+    for v in (delta, phi, *num):
+        digits = []
+        while v:
+            v, c = divmod(v + (1 << (k - 1)), 1 << k)
+            digits.append((c - (1 << (k - 1))) % q)
+        out.append(trim(digits))
+    return out
 
 
 def _cross(a, b):
@@ -338,19 +375,10 @@ def _solve_affine_mod(rows: list[list[int]], q: int):
     """Solutions u of A u + b = 0 (mod q) for rows [A | b].
 
     Returns None when the system is inconsistent, else (u0, kernel): one
-    solution and a basis of the kernel of A, one vector per free column.  An
-    invertible 3x3 A is solved by Cramer's rule, u0 = -adj(A) b / det A, with
-    the cross products of A's rows as the columns of adj(A); any other A by
+    solution and a basis of the kernel of A, one vector per free column, by
     Gauss-Jordan.
     """
     n = len(rows[0]) - 1
-    if len(rows) == n == 3:
-        r1, r2, r3 = rows
-        c23, c31, c12 = _cross(r2, r3), _cross(r3, r1), _cross(r1, r2)
-        det = (r1[0] * c23[0] + r1[1] * c23[1] + r1[2] * c23[2]) % q
-        if det:
-            s = -pow(det, -1, q)
-            return [s * (r1[3] * a + r2[3] * b + r3[3] * c) % q for a, b, c in zip(c23, c31, c12)], []
     m = [[v % q for v in row] for row in rows]
     pivots = []
     for col in range(n):

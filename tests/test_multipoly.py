@@ -12,6 +12,7 @@ from detfold.algebra import (
     VARS_XU,
     parse_poly,
     resultant,
+    resultant_vanishes,
 )
 from detfold.algebra.parser import PolyParseError
 from detfold.errors import DegenerateResultant, InputError
@@ -244,6 +245,36 @@ class TestResultant:
             f = lead * MultiPoly.variable(QQ, VARS_X, "x2") ** top + f
             assert resultant(g, f, var) == bareiss_resultant(g, f, var)
         assert resultant(f, g, var) == bareiss_resultant(f, g, var)
+
+
+    @pytest.mark.parametrize("q", [None, 3, 5, 7], ids=["qq", "f3", "f5", "f7"])
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_vanishing_test_equals_resultant(self, q, data):
+        # over F_3, F_5 and F_7 the t-degree bound is at least q for most
+        # draws, so the all-zero values there leave the verdict to the
+        # resultant; a planted linear factor in var makes it vanish
+        field = PrimeField(q) if q else QQ
+        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)) if q is None else st.integers(-6, 6)
+        homogeneous = data.draw(st.booleans())
+        var = "x1" if homogeneous else "x2"
+        f = data.draw(_polys(field, coeffs, homogeneous))
+        g = data.draw(_polys(field, coeffs, homogeneous))
+        if data.draw(st.booleans()):
+            c = [field.coerce(data.draw(coeffs)) for _ in range(3)]
+            common = MultiPoly(field, VARS_X, {(1, 0, 0): c[0], (0, 1, 0): c[1], (0, 0, 1): c[2] if homogeneous else 0})
+            f, g = common * f, common * g
+        assume(f.involves(var) and g.involves(var))
+        assert resultant_vanishes(f, g, var) == resultant(f, g, var).is_zero
+
+    def test_vanishing_test_falls_back_when_the_word_prime_divides(self):
+        # Res_x2(x2 + p x1, x2) = -p x1 is zero mod p = 2^61 - 1 at every t
+        # but not over Q, so the values mod p cannot decide
+        p = 2**61 - 1
+        f = parse_poly(f"x2 + {p}*x1", VARS_X, QQ)
+        g = parse_poly("x2", VARS_X, QQ)
+        assert resultant(f, g, "x2") == parse_poly(f"{-p}*x1", VARS_X, QQ)
+        assert not resultant_vanishes(f, g, "x2")
 
 
 @st.composite

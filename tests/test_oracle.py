@@ -2,23 +2,30 @@
 
 `reference_scan` tests every canonical representative of P^5(F_q) against F
 and its six partials, stratum by stratum in the x-part, without solving
-anything.  `brute_force_oracle` solves the u-partials per stratum instead;
-the two must return the same points.  On random reps the oracle must also
+anything.  `brute_force_oracle` solves the u-partials instead, once per line
+of strata where their determinant is nonzero and per stratum where it is
+zero; the two must return the same points.  On random reps the oracle must also
 agree with the singular locus assembled from the structure theory.
 """
 
+import io
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import detfold.fourfold as fourfold
 from detfold.algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
+from detfold.algebra.unipoly import horner_mod
+from detfold.cli import main
 from detfold.detrep import SymDetRep, reduce_rep, validate_rep
 from detfold.errors import ConsistencyError, Rejection
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.fourfold import brute_force_oracle, oracle_matches_assembly
-from detfold.points import ProjPoint, p2_reps, sorted_points
+from detfold.points import ProjPoint, p2_lines, p2_reps, sorted_points
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def reference_scan(rep, q):
@@ -64,17 +71,28 @@ def test_low_rank_strata_match_reference(monkeypatch):
         ["0", "x2*x3", "x1^2", "x1*x2*x3"],
     ]
     rep = validate_rep([[parse_poly(s, VARS_X, gf) for s in row] for row in entries], gf)
-    # per x-stratum: None for an inconsistent system, else its kernel dimension
-    sizes = []
-    solve = fourfold._solve_affine_mod
+    # per x-stratum: None for an inconsistent system, else its kernel
+    # dimension.  Full-rank strata, Delta(t) != 0 on their line's pencil,
+    # never reach _solve_affine_mod, so each line's Delta is recorded too
+    sizes, deltas = [], []
+    pencil, solve = fourfold._pencil, fourfold._solve_affine_mod
 
-    def recording(rows, q):
+    def recording_pencil(rows, f, q):
+        out = pencil(rows, f, q)
+        deltas.append(out[0])
+        return out
+
+    def recording_solve(rows, q):
         out = solve(rows, q)
         sizes.append(None if out is None else len(out[1]))
         return out
 
-    monkeypatch.setattr(fourfold, "_solve_affine_mod", recording)
+    monkeypatch.setattr(fourfold, "_pencil", recording_pencil)
+    monkeypatch.setattr(fourfold, "_solve_affine_mod", recording_solve)
     got = brute_force_oracle(rep, 7)
+    for delta, (_, ts) in zip(deltas, p2_lines(7), strict=True):
+        sizes += [0 for t in ts if horner_mod(delta, t, 7)]
+    assert len(sizes) == 7 * 7 + 7 + 1  # each stratum x != 0 exactly once
     assert {None, 0, 1, 2} <= set(sizes)
     assert got == reference_scan(rep, 7)
     assert got  # the scan finds singular points, not just agreement on none
@@ -170,6 +188,42 @@ def test_random_reps_match_reference(q, data):
     assert brute_force_oracle(rep, q) == reference_scan(rep, q)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_pencil_matches_each_stratum(q, data):
+    # on every line (a : b : t), Delta(t) is det A of the stratum's rows
+    # [A | b], read off F by evaluation alone, and where it is nonzero
+    # Phi(t) = 2 Delta(t) F(x, u0) and N(t) = Delta(t) u0, u0 the solution
+    rep = data.draw(random_reps(PrimeField(q)))
+    F = rep.fourfold
+    grads = [F.diff(v) for v in VARS_XU[3:]]
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+
+    def on_line(p, a, b, u_exp):
+        out = [0] * 4
+        for e, c in p.terms.items():
+            if e[3:] == u_exp:
+                out[e[2]] += c.v * a ** e[0] * b ** e[1]
+        return out
+
+    for (a, b), ts in p2_lines(q):
+        rows = [[on_line(g, a, b, e) for e in units] for g in grads]
+        delta, phi, *num = fourfold._pencil(rows, on_line(F, a, b, (0, 0, 0)), q)
+        for t in ts:
+            x = (a, b, t)
+            at0 = [g.evaluate(x + (0, 0, 0)).v for g in grads]
+            A = [[g.evaluate(x + e).v - c for e in units[:3]] for g, c in zip(grads, at0)]
+            det = sum(A[0][i] * A[1][(i + 1) % 3] * A[2][(i + 2) % 3] for i in range(3))
+            det -= sum(A[0][i] * A[1][(i + 2) % 3] * A[2][(i + 1) % 3] for i in range(3))
+            assert horner_mod(delta, t, q) == det % q
+            if det % q:
+                u0, kernel = fourfold._solve_affine_mod([row + [c] for row, c in zip(A, at0)], q)
+                assert kernel == []
+                assert horner_mod(phi, t, q) == 2 * det * F.evaluate(x + tuple(u0)).v % q
+                assert [horner_mod(n, t, q) for n in num] == [det * u % q for u in u0]
+
+
 @pytest.mark.parametrize("q", [5, 7, 11])
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(data=st.data())
@@ -195,3 +249,13 @@ def test_assembly_rejection_raised_before_the_oracle(monkeypatch):
     monkeypatch.setattr(fourfold, "brute_force_oracle", oracle_not_expected)
     with pytest.raises(Rejection, match="not a node"):
         oracle_matches_assembly(build_example("ex42ii").rep, 5)
+
+
+@pytest.mark.parametrize("name", ["ex42i", "ex42ii", "ex43_quartic_two_lines", "ex43_quintic_line", "rmk31", "prop44"])
+def test_oracle_cli_matches_golden(name, tmp_path):
+    # `oracle FILE --prime 29` on the emitted file, byte for byte
+    rep = tmp_path / f"{name}.rep"
+    assert main(["example", name, "--emit", str(rep)], out=io.StringIO()) == 0
+    out = io.StringIO()
+    assert main(["oracle", str(rep), "--prime", "29"], out=out) == 0
+    assert out.getvalue() == (GOLDEN / f"{name}.oracle29.flat").read_text()

@@ -12,6 +12,7 @@ from detfold.cli import main
 from detfold.errors import InputError
 from detfold.examples import build_example
 from detfold.repfile import parse_rep_file, write_rep_file
+from reference import dense_rep
 
 
 def run_cli(*args):
@@ -216,6 +217,18 @@ class TestCli:
         monkeypatch.setattr(fourfold, "product", no_cube)
         rc, out = run_cli("oracle", str(tmp_path / "r.rep"), "--prime", "61")
         assert rc == 3 and "enumeration budget exceeded" in out
+
+    @pytest.mark.parametrize("prime, rc", [(157, 0), (163, 3)])
+    def test_oracle_budget_boundary_rmk31(self, tmp_path, prime, rc):
+        # a full-rank stratum counts once against the budget, skipped or
+        # not; with them rmk31 tests 98,913 points at 157 and passes 10^5 at 163
+        run_cli("example", "rmk31", "--emit", str(tmp_path / "r.rep"))
+        assert run_cli("oracle", str(tmp_path / "r.rep"), "--prime", str(prime))[0] == rc
+
+    @pytest.mark.parametrize("prime, rc", [(181, 0), (191, 3)])
+    def test_oracle_budget_boundary_dense_rep(self, tmp_path, prime, rc):
+        (tmp_path / "d.rep").write_text(write_rep_file(dense_rep(1, 3)))
+        assert run_cli("oracle", str(tmp_path / "d.rep"), "--prime", str(prime))[0] == rc
 
     def test_spin_degree_limit_exit_code(self, monkeypatch):
         import detfold.spin as spin
