@@ -133,7 +133,7 @@ class FpElt:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is FpElt and other.field is self.field else self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         return FpElt(self.v + o.v, self.field)
@@ -141,7 +141,7 @@ class FpElt:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is FpElt and other.field is self.field else self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         return FpElt(self.v - o.v, self.field)
@@ -153,7 +153,7 @@ class FpElt:
         return FpElt(o.v - self.v, self.field)
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is FpElt and other.field is self.field else self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         return FpElt(self.v * o.v, self.field)
@@ -164,7 +164,7 @@ class FpElt:
         return FpElt(-self.v, self.field)
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is FpElt and other.field is self.field else self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         return self * o.inverse()

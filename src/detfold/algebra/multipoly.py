@@ -20,7 +20,7 @@ VARS_XU = ("x1", "x2", "x3", "u1", "u2", "u3")
 
 
 class MultiPoly:
-    __slots__ = ("field", "vars", "terms")
+    __slots__ = ("field", "vars", "terms", "_ints")  # _ints: evaluate's cache
 
     def __init__(self, field, vars: tuple, terms: dict):
         self.field = field
@@ -146,16 +146,10 @@ class MultiPoly:
     # -- calculus and evaluation ----------------------------------------------
 
     def diff(self, var: str) -> "MultiPoly":
+        # distinct terms have distinct derivatives; zero ones are dropped by __init__
         i = self.vars.index(var)
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            nc = c * self.field.from_int(e[i])
-            if nc:
-                out[ne] = out.get(ne, self.field.zero()) + nc
-        return MultiPoly(self.field, self.vars, {e: c for e, c in out.items() if c})
+        out = {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]}
+        return MultiPoly(self.field, self.vars, out)
 
     def evaluate(self, values) -> object:
         """Value at a coordinate tuple (scalars of this field or coercible), in
@@ -168,20 +162,24 @@ class MultiPoly:
             )
         field = self.field
         vals = [field.coerce(v) for v in values]
-        terms, scale = _cleared(self)
-        if field == QQ:
+        try:
+            terms, scale, top = self._ints
+        except AttributeError:
+            cleared, scale = _cleared(self)
+            top = self.degree() or 0
+            terms = [(tuple((i, k) for i, k in enumerate(e) if k), c, top - sum(e)) for e, c in cleared.items()]
+            self._ints = terms, scale, top
+        if field.char:
+            den, xs = 1, [v.v for v in vals]
+        else:
             den = math.lcm(*(v.denominator for v in vals))
             xs = [v.numerator * (den // v.denominator) for v in vals]
-        else:
-            den, xs = 1, [v.v for v in vals]
-        top = self.degree() or 0
         total = 0
-        for e, c in terms.items():
-            for x, k in zip(xs, e):
-                if k:
-                    c *= x**k
-            total += c * den ** (top - sum(e)) if den != 1 else c
-        return Fraction(total, scale * den**top) if field == QQ else field.from_int(total)
+        for powers, c, gap in terms:
+            for i, k in powers:
+                c *= xs[i] ** k
+            total += c * den**gap if den != 1 else c
+        return field.from_int(total) if field.char else Fraction(total, scale * den**top)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Substitute scalars for variables (var name -> scalar of this field
@@ -366,8 +364,7 @@ def _cleared(p: MultiPoly) -> tuple[dict, int]:
         return {e: c.v for e, c in p.terms.items()}, 1
     if p.field != QQ:
         raise InputError(f"no integer lift of coefficients in {p.field!r}")
-    # pairwise, not by a star-call: evaluate runs this at every point, and a
-    # tuple of all the denominators per call raised peak memory by 0.5 MB
+    # pairwise, not by a star-call, which would build a tuple of all the denominators
     den = functools.reduce(math.lcm, (c.denominator for c in p.terms.values()), 1)
     return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
 

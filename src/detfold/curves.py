@@ -6,6 +6,7 @@ sextic by fiber rank and membership in the auxiliary cubic D.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
@@ -51,35 +52,61 @@ def plane_solutions(polys: list[MultiPoly], field) -> PlaneSolutions:
 
 
 def _plane_solutions_fq(polys, field) -> PlaneSolutions:
-    """Exhaustive scan of P^2(F_q) in plain integers, one line at a time: on
-    the line (a : b : t) each polynomial becomes a univariate in t, evaluated
-    by Horner only at the t where every earlier polynomial vanished."""
+    """Exhaustive scan of P^2(F_q) in plain integers, one line at a time: a
+    polynomial's values on a line are one integer combination of its packed
+    forms (`_pack_lines`), and a later polynomial is combined only while some
+    t of the line is alive."""
     q = field.q
     if q * q + q + 1 > P2_SCAN_BUDGET:
         raise InputError(f"scan budget exceeded: P^2(F_{q}) has {q * q + q + 1} points > {P2_SCAN_BUDGET}")
-    systems = [[(c.v, e) for e, c in p.terms.items()] for p in polys]
+    d = max(p.degree() for p in polys)
+    w = 32 if (d + 1) ** 2 * (q - 1) ** 3 < 2**32 else 64
+    systems = [_pack_lines(p, q, w) for p in polys]
     found = []
     for (a, b), ts in p2_lines(q):
         alive = ts
-        for pairs in systems:
-            deg = max(k for _, (_, _, k) in pairs)
-            uni = [0] * (deg + 1)  # coefficients of t^deg, ..., t^0
-            for c, (i, j, k) in pairs:
-                uni[deg - k] += c * a**i * b**j
-            uni = [c % q for c in uni]
-            left = []
-            for t in alive:
-                v = 0
-                for c in uni:
-                    v = (v * t + c) % q
-                if not v:
-                    left.append(t)
-            alive = left
+        for packed in systems:
+            lanes = _line_lanes(packed[a], b, q, w)
+            alive = [t for t in alive if not lanes[t] % q]
             if not alive:
                 break
         found += [(a, b, t) for t in alive]
     pts = [ProjPoint(field, tuple(field.from_int(c) for c in rep), "x") for rep in found]
     return PlaneSolutions(sorted_points(pts))
+
+
+def _pack_lines(p: MultiPoly, q: int, w: int) -> tuple:
+    """p on the lines (a : b : t), a = 0 and a = 1: lists of (j, P_j) with
+    p(a, b, t) = sum_j b^j P_j(t), P_j packed by residue coefficients as its
+    values at t = 0..q-1 in lanes of w bits (Kronecker substitution).  A lane
+    of a combination holds at most (d+1)^2 (q-1)^3, d = deg p, below 2^w."""
+    cols = _power_columns(q, w, p.degree() + 1)
+    out = ({}, {})
+    for (i, j, k), c in p.terms.items():
+        for part in out[bool(i):]:
+            part.setdefault(j, [0] * len(cols))[k] += c.v
+    return tuple([(j, sum(c % q * col for c, col in zip(row, cols))) for j, row in part.items()] for part in out)
+
+
+def _line_lanes(packed: list, b: int, q: int, w: int):
+    """The lanes t = 0..q-1, congruent mod q to the values on the line
+    (a : b : t), of the forms `_pack_lines` packed for a."""
+    v = sum(pow(b, j, q) * P for j, P in packed)
+    return memoryview(v.to_bytes(q * w // 8, sys.byteorder)).cast("I" if w == 32 else "Q")
+
+
+_POWER_COLUMNS: dict = {}  # (q, w) -> [column k for k = 0, 1, ...]
+
+
+def _power_columns(q: int, w: int, n: int) -> list:
+    """The first n power columns: t^k mod q for t = 0..q-1, consecutive lanes
+    of w bits of one integer in the machine's byte order (on a little-endian
+    machine sum_t (t^k mod q) 2^(w t)); made once per (q, w) and kept."""
+    cols = _POWER_COLUMNS.setdefault((q, w), [])
+    while len(cols) < n:
+        lanes = b"".join(pow(t, len(cols), q).to_bytes(w // 8, sys.byteorder) for t in range(q))
+        cols.append(int.from_bytes(lanes, sys.byteorder))
+    return cols
 
 
 def _to_unicoeffs(p: MultiPoly, var: str) -> list:

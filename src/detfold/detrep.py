@@ -31,6 +31,8 @@ class SymDetRep:
     entries: tuple  # 4x4 tuple of tuples of MultiPoly in x1,x2,x3
     # factorization of the sextic, multiplicity 1 each; set by validate_rep
     components: tuple | None = dc_field(default=None, compare=False)
+    # field -> this rep reduced into it, kept by reduce_rep
+    reductions: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i][j]
@@ -70,6 +72,17 @@ class SymDetRep:
         F = F + _lift_x(self.cubic_corner(), field)
         _check_fourfold_shape(F, self)
         return F
+
+    @cached_property
+    def fiber_forms(self) -> dict:
+        """F's forms in x of the u-t monomials z_i z_j, keyed by (i, j), i <= j,
+        z = (u1, u2, u3, t), a square's form doubled: with F(t p, u) = t Q(u, t),
+        the polar matrix of Q at p holds the forms' values at p."""
+        forms: dict = {}
+        for e, c in self.fourfold.terms.items():
+            i, j = (n for n, k in enumerate(e[3:] + (2 - sum(e[3:]),)) for _ in range(k))
+            forms.setdefault((i, j), {})[e[:3]] = c + c if i == j else c
+        return {ij: MultiPoly(self.field, VARS_X, terms) for ij, terms in forms.items()}
 
     @cached_property
     def classification(self):
@@ -136,14 +149,16 @@ def _proportional(a: MultiPoly, b: MultiPoly) -> bool:
 
 def reduce_rep(rep: SymDetRep, field) -> SymDetRep:
     """The representation over `field`: rep itself when it already lies there,
-    otherwise its entries mapped into `field` and validated again.  The
-    factorization stays behind: the scan over F_q is complete without it."""
+    otherwise its entries mapped into `field` and validated again, once per
+    field.  The factorization stays behind: the F_q scan needs none."""
     if rep.field == field:
         return rep
     if rep.field.char:
         raise InputError(f"a representation over {rep.field.name} can only be analysed over {rep.field.name}")
-    entries = [[rep.entry(i, j).map_field(field) for j in range(4)] for i in range(4)]
-    return validate_rep(entries, field)
+    if field not in rep.reductions:
+        entries = [[rep.entry(i, j).map_field(field) for j in range(4)] for i in range(4)]
+        rep.reductions[field] = validate_rep(entries, field)
+    return rep.reductions[field]
 
 
 def _lift_x(p: MultiPoly, field) -> MultiPoly:

@@ -13,7 +13,7 @@ from .algebra.unipoly import horner_mod, trim
 from .curves import plane_solutions
 from .detrep import SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
-from .points import ORACLE_BUDGET, ProjPoint, p2_lines, p2_reps, sorted_points
+from .points import ORACLE_BUDGET, ProjPoint, p2_lines, sorted_points
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def split_rank2_fiber(rep: SymDetRep, p: ProjPoint, gram=None) -> PlanePair:
         root=rep.field.sqrt(disc),
         degenerate=not any(x for row in gram[:3] for x in row[:3]),
     )
-    _verify_pair(pair, rep.fourfold)
+    _verify_pair(pair, rep)
     return pair
 
 
@@ -91,7 +91,7 @@ def _nonsingular_principal_pair(gram):
     raise ConsistencyError("rank-2 symmetric matrix without invertible principal 2x2 block")
 
 
-def _verify_pair(pair: PlanePair, F: MultiPoly) -> None:
+def _verify_pair(pair: PlanePair, rep: SymDetRep) -> None:
     """Both planes of a couple lie on the fourfold and meet in a line.
 
     The planes lie in span(P, p), the points (t p, u), where F(t p, u) =
@@ -105,28 +105,21 @@ def _verify_pair(pair: PlanePair, F: MultiPoly) -> None:
     p, alpha, beta, disc = pair.point, pair.alpha, pair.beta, pair.disc
     if not disc or matrix_rank([list(alpha), list(beta)], p.field) < 2:
         raise ConsistencyError("planes of a couple must meet along a line")
-    polar = _fiber_polar_matrix(F, p)
-    planes = [[x * y - disc * z * w for y, w in zip(alpha, beta)] for x, z in zip(alpha, beta)]
-    lead, pivot = next((polar[k][l], planes[k][l]) for k in range(4) for l in range(4) if planes[k][l])
-    if not lead or any(polar[k][l] * pivot != planes[k][l] * lead for k in range(4) for l in range(4)):
+    polar = _fiber_polar_matrix(rep, p)
+    upper = [(k, l) for k in range(4) for l in range(k, 4)]  # both matrices are symmetric
+    planes = {(k, l): alpha[k] * alpha[l] - disc * beta[k] * beta[l] for k, l in upper}
+    lead, pivot = next((polar[k][l], planes[k, l]) for k, l in upper if planes[k, l])
+    if not lead or any(polar[k][l] * pivot != planes[k, l] * lead for k, l in upper):
         raise ConsistencyError(f"claimed plane over {p} is not inside the fourfold")
 
 
-def _fiber_polar_matrix(F: MultiPoly, p: ProjPoint) -> list:
+def _fiber_polar_matrix(rep: SymDetRep, p: ProjPoint) -> list:
     """The 4x4 symmetric matrix of 2 B, B the polar form of Q with
-    F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t); read off F at
-    p in the base field."""
+    F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t): the forms of
+    `SymDetRep.fiber_forms` at p, in the base field."""
+    vals = {ij: form.evaluate(p.coords) for ij, form in rep.fiber_forms.items()}
     zero = p.field.zero()
-    polar = [[zero] * 4 for _ in range(4)]
-    for e, c in F.terms.items():
-        for x, k in zip(p.coords, e[:3]):
-            if k:
-                c = c * x**k
-        # the u-t monomial of this term is z_i z_j; a square gets c twice
-        i, j = (n for n, k in enumerate(e[3:] + (2 - sum(e[3:]),)) for _ in range(k))
-        polar[i][j] = polar[i][j] + c
-        polar[j][i] = polar[j][i] + c
-    return polar
+    return [[vals.get((min(i, j), max(i, j)), zero) for j in range(4)] for i in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +209,10 @@ def singular_locus_X(rep: SymDetRep) -> SingularLocusX:
         ProjPoint(field, (field.zero(),) * 3 + p.coords, "p5") for p in bpts
     ]
     F = rep.fourfold
-    grads = {v: F.diff(v) for v in VARS_XU}
-    hessian = [grads[v].diff(w) for n, v in enumerate(VARS_XU) for w in VARS_XU[n:]]
     all_double = True
+    if vertices or embedded_b:
+        grads = {v: F.diff(v) for v in VARS_XU}
+        hessian = [grads[v].diff(w) for n, v in enumerate(VARS_XU) for w in VARS_XU[n:]]
     for pt in vertices + embedded_b:
         if F.evaluate(pt.coords):
             raise ConsistencyError(f"assembled point {pt} does not lie on the fourfold")
@@ -250,10 +244,11 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     """All points of P^5(F_q) where the fourfold and its six partials vanish.
 
     Works stratum by stratum in the x-part.  On x = 0 (the plane P) every
-    point of P^2(F_q) in u is tested.  Over each other x-point the three
-    u-partials of F are affine-linear in u, rows [A | b] with F = f + b.u +
-    u.Au/2; per line (a : b : t) of strata, `_pencil` gives Delta = det A,
-    N = -adj(A) b and Phi = 2 Delta f + b.N in t.  Where Delta(t) != 0 the
+    point of P^2(F_q) in u is tested, on one line (a : b : t) of u at a time
+    by Horner in t.  Over each other x-point the three u-partials of F are
+    affine-linear in u, rows [A | b] with F = f + b.u + u.Au/2; per line
+    (a : b : t) of strata, `_pencil` gives Delta = det A, N = -adj(A) b and
+    Phi = 2 Delta f + b.N in t.  Where Delta(t) != 0 the
     one solution u0 = N(t)/Delta(t) has Phi(t) = 2 Delta(t) F(x, u0); where
     Delta(t) = 0 the rows are solved by Gauss-Jordan, and F is the constant
     F(x, u0) on u0 + span(kernel), where its u-gradient vanishes.  So (q odd)
@@ -298,10 +293,6 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
                 return False
         return True
 
-    on_p = [{e: c for e, c in zip(p, values(p, [int(not any(e)) for e in x_index])) if c} for p in polys]
-    on_p = [p for p in on_p if p]
-    found = [(0, 0, 0) + u for u in p2_reps(q) if all_vanish(on_p, u)]
-
     def on_line(terms, at):
         # ascending t-coefficients, mod q, of sum c x^e on the line (a : b : t)
         out = [0] * 4  # F is a cubic
@@ -309,6 +300,14 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
             w, k = at[i]
             out[k] += c * w
         return trim([c % q for c in out])
+
+    on_p = [[(c, e) for e, c in zip(p, values(p, [int(not any(e)) for e in x_index])) if c] for p in polys]
+    on_p = [p for p in on_p if p]
+    found = []
+    for (a, b), ts in p2_lines(q):
+        at = {e: (a ** e[0] * b ** e[1], e[2]) for p in on_p for _, e in p}
+        forms = [on_line(p, at) for p in on_p]
+        found += [(0, 0, 0, a, b, t) for t in ts if not any(horner_mod(s, t, q) for s in forms)]
 
     for (a, b), ts in p2_lines(q):
         at = [(a**i * b**j, k) for i, j, k in x_index]

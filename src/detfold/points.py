@@ -73,11 +73,3 @@ def p2_lines(q: int):
         yield (1, b), range(q)
     yield (0, 1), range(q)
     yield (0, 0), (1,)
-
-
-def p2_reps(q: int):
-    """The q^2+q+1 canonical representatives of P^2(F_q), as residue triples,
-    generated one at a time."""
-    for (a, b), ts in p2_lines(q):
-        for t in ts:
-            yield (a, b, t)

@@ -12,12 +12,15 @@ basis and the coefficient view the former plane and resultant checks used.
 over the base field, and `plane_span` turns a fiber form back into three
 vectors of P^5 for checks by values of F.  `dense_rep` draws a seeded
 (1,1,1;2;3) representation over Q with every coefficient nonzero in
-general, the input on which rational elimination is hardest.
+general, the input on which rational elimination is hardest.  `p2_reps`
+walks P^2(F_q) point by point for the exhaustive references.
 
 `euclid_gcd`, `term_evaluate` and `bareiss_resultant` are the former field
 arithmetic kernels that the integer ones replaced: Euclid on field elements,
 the value at a point summed term by term, and the Sylvester determinant by
-fraction-free elimination over the polynomial ring.
+fraction-free elimination over the polynomial ring.  `term_polar_matrix` is
+the former read of a fiber's polar matrix, term by term off F, which the
+cached forms of `SymDetRep.fiber_forms` replaced.
 """
 
 import random
@@ -26,6 +29,7 @@ from detfold.algebra import QQ, VARS_X, MultiPoly, unipoly
 from detfold.algebra.linalg import _echelon, _kernel_basis
 from detfold.curves import _to_unicoeffs
 from detfold.detrep import _expected_degree, validate_rep
+from detfold.points import p2_lines
 
 
 def dense_rep(seed, height):
@@ -41,6 +45,14 @@ def dense_rep(seed, height):
                      for a in range(d, -1, -1) for b in range(d - a, -1, -1)}
             rows[i][j] = rows[j][i] = MultiPoly(QQ, VARS_X, terms)
     return validate_rep(rows, QQ)
+
+
+def p2_reps(q):
+    """The q^2+q+1 canonical representatives of P^2(F_q), as residue triples,
+    generated one at a time."""
+    for (a, b), ts in p2_lines(q):
+        for t in ts:
+            yield (a, b, t)
 
 
 def euclid_gcd(p, q, field):
@@ -63,6 +75,23 @@ def term_evaluate(f, values):
                 t = t * v
         total = total + t
     return total
+
+
+def term_polar_matrix(F, p):
+    """The 4x4 symmetric matrix of 2 B, B the polar form of Q with
+    F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t); read off F at
+    p in the base field."""
+    zero = p.field.zero()
+    polar = [[zero] * 4 for _ in range(4)]
+    for e, c in F.terms.items():
+        for x, k in zip(p.coords, e[:3]):
+            if k:
+                c = c * x**k
+        # the u-t monomial of this term is z_i z_j; a square gets c twice
+        i, j = (n for n, k in enumerate(e[3:] + (2 - sum(e[3:]),)) for _ in range(k))
+        polar[i][j] = polar[i][j] + c
+        polar[j][i] = polar[j][i] + c
+    return polar
 
 
 def bareiss_resultant(f, g, var):

@@ -34,6 +34,7 @@ from detfold.examples import build_example
 from detfold.fourfold import (
     PlanePair,
     _cross_ok,
+    _fiber_polar_matrix,
     _verify_pair,
     base_locus,
     couples_and_intersections,
@@ -42,7 +43,7 @@ from detfold.fourfold import (
 )
 from detfold.points import ProjPoint
 from detfold.repfile import parse_rep_file
-from reference import bivar_gcd, plane_forms, plane_span
+from reference import bivar_gcd, dense_rep, plane_forms, plane_span, term_polar_matrix
 from test_oracle import random_reps
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -271,8 +272,7 @@ def test_perturbed_plane_refused(which):
     rep, point = _COUPLES[which]()
     pair = split_rank2_fiber(rep, ProjPoint(rep.field, point, "x"))
     assert (pair.root is None) == (which == "Q(i)")
-    F = rep.fourfold
-    _verify_pair(pair, F)  # the split itself passes
+    _verify_pair(pair, rep)  # the split itself passes
     # each entry of alpha, then of beta: the u-part, then the t-part; a move
     # that leaves alpha and beta dependent fails the line test instead
     for name in ("alpha", "beta"):
@@ -283,17 +283,17 @@ def test_perturbed_plane_refused(which):
             dependent = matrix_rank([list(moved.alpha), list(moved.beta)], rep.field) < 2
             message = "meet along a line" if dependent else "not inside the fourfold"
             with pytest.raises(ConsistencyError, match=message):
-                _verify_pair(moved, F)
+                _verify_pair(moved, rep)
     if pair.root is not None:
         # the first plane replaced by P, t = 0: its product with the second
         # plane is not the fiber quadric (conjugate planes are P together)
         first, second = plane_forms(pair)
         with pytest.raises(ConsistencyError, match="not inside the fourfold"):
-            _verify_pair(_with_forms(pair, [0, 0, 0, first[3]], second), F)
+            _verify_pair(_with_forms(pair, [0, 0, 0, first[3]], second), rep)
     with pytest.raises(ConsistencyError, match="meet along a line"):
-        _verify_pair(replace(pair, beta=pair.alpha), F)
+        _verify_pair(replace(pair, beta=pair.alpha), rep)
     with pytest.raises(ConsistencyError, match="meet along a line"):
-        _verify_pair(replace(pair, disc=rep.field.zero()), F)
+        _verify_pair(replace(pair, disc=rep.field.zero()), rep)
 
 
 def test_plane_with_isotropic_basis_refused():
@@ -304,7 +304,7 @@ def test_plane_with_isotropic_basis_refused():
     pair = split_rank2_fiber(rep, ProjPoint(rep.field, (1, 0, 0), "x"))
     bad = [rep.field.from_int(c) for c in (1, 0, 2, 12)]
     with pytest.raises(ConsistencyError, match="not inside the fourfold"):
-        _verify_pair(_with_forms(pair, bad, plane_forms(pair)[1]), rep.fourfold)
+        _verify_pair(_with_forms(pair, bad, plane_forms(pair)[1]), rep)
 
 
 @pytest.mark.parametrize("field,rc", [(None, 0), ("fp:31", 0), ("fp:37", 1)])
@@ -325,7 +325,25 @@ def test_degenerate_couple_has_p_as_a_plane():
     pair = split_rank2_fiber(rep, ProjPoint(rep.field, (0, 0, 1), "x"))
     assert pair.degenerate and pair.root is not None
     assert [not any(form[:3]) for form in plane_forms(pair)].count(True) == 1
-    _verify_pair(pair, rep.fourfold)
+    _verify_pair(pair, rep)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(13)], ids=str)
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_polar_matrix_matches_term_by_term_read(field, data):
+    # the ten forms of F, grouped once per rep, read the polar matrix at any
+    # point exactly as F's terms do one at a time; over Q at points with
+    # denominators, on dense reps
+    if field == QQ:
+        rep = dense_rep(data.draw(st.integers(0, 2**16)), 5)
+        coord = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    else:
+        rep = data.draw(random_reps(field))
+        coord = st.integers(0, field.q - 1)
+    coords = data.draw(st.tuples(coord, coord, coord).filter(any))
+    point = ProjPoint(field, coords, "x")
+    assert _fiber_polar_matrix(rep, point) == term_polar_matrix(rep.fourfold, point)
 
 
 @st.composite

@@ -1,12 +1,16 @@
 import math
+import random
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
+from detfold.algebra.unipoly import horner_mod
 from detfold.curves import (
     _certify_s_c,
+    _line_lanes,
+    _pack_lines,
     is_node,
     is_reduced_curve,
     plane_solutions,
@@ -15,9 +19,10 @@ from detfold.curves import (
 from detfold.detrep import gram_rank_kernel, reduce_rep
 from detfold.errors import InputError, Rejection
 from detfold.examples import build_example
-from detfold.points import ProjPoint, p2_reps, sorted_points
+from detfold.points import ProjPoint, sorted_points
 from detfold.spin import config_predicates, geometric_genus
-from reference import bivar_gcd, reference_is_reduced
+from reference import bivar_gcd, p2_reps, reference_is_reduced
+from test_oracle import random_reps
 
 
 def _p(s, f=QQ):
@@ -193,8 +198,15 @@ def _var(field, name, power=1):
 
 @st.composite
 def random_systems(draw, field):
-    """One to three random forms of degrees 1 to 4."""
-    return [_form(draw, field, draw(st.integers(1, 4))) for _ in range(draw(st.integers(1, 3)))]
+    """One to three random forms of degrees 1 to 6."""
+    return [_form(draw, field, draw(st.integers(1, 6))) for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def rep_gradients(draw, field):
+    """The sextic h of a random representation and its three partials."""
+    h = draw(random_reps(field)).sextic
+    return [h] + [h.diff(v) for v in VARS_X]
 
 
 @st.composite
@@ -233,6 +245,7 @@ SYSTEMS = {
     "x1-line": systems_on_x1_line,
     "point-001": systems_at_001,
     "whole-line": systems_on_a_line,
+    "rep-gradient": rep_gradients,
 }
 
 
@@ -256,6 +269,46 @@ class TestScanKernel:
             assert len(got.points) <= 1
         if kind == "whole-line":
             assert len(got.points) >= q + 1
+
+    @pytest.mark.parametrize("q", [3, 443, 449, 997])
+    @settings(derandomize=True, database=None, max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_packed_lines_match_horner(self, q, data):
+        # a sextic's lanes are 32 bits wide up to q = 443 and 64 bits from
+        # q = 449; every lane is congruent to the form's value on its line,
+        # for a drawn form and for every monomial of degree <= 6 with
+        # coefficient q - 1, where several terms share a power of x2 and of x3
+        field = PrimeField(q)
+        w = 32 if q <= 443 else 64
+        drawn = _form(data.draw, field, data.draw(st.integers(1, 6)))
+        assume(not drawn.is_zero)
+        full = MultiPoly(field, VARS_X, {e: field.from_int(-1) for e in product(range(7), repeat=3) if sum(e) <= 6})
+        for form in (drawn, full):
+            packed = _pack_lines(form, q, w)
+            for a, b in ((1, data.draw(st.integers(0, q - 1))), (1, q - 1), (0, 1), (0, 0)):
+                uni = [0] * 7
+                for (i, j, k), c in form.terms.items():
+                    uni[k] += c.v * a**i * b**j
+                lanes = _line_lanes(packed[a], b, q, w)
+                assert [lanes[t] % q for t in range(q)] == [horner_mod(uni, t, q) for t in range(q)]
+
+    def test_six_lines_need_64_bit_lanes(self):
+        # six lines with large residue coefficients: at q = 997 their product
+        # takes values beyond 2^32 on some lines of the scan (lanes of 32 bits
+        # would lose 165 of its points), and its zeros are the 6 (q + 1) - 15
+        # points of the six lines, each line parametrized by two of its points
+        q = 997
+        gf = PrimeField(q)
+        rng = random.Random(0)
+        lines = [[rng.randrange(1, q) for _ in range(3)] for _ in range(6)]
+        h = MultiPoly.constant(gf, VARS_X, 1)
+        on_lines = set()
+        for a1, a2, a3 in lines:
+            h = h * MultiPoly(gf, VARS_X, {(1, 0, 0): gf.from_int(a1), (0, 1, 0): gf.from_int(a2), (0, 0, 1): gf.from_int(a3)})
+            u, v = (0, a3, -a2), (-a3, 0, a1)
+            on_lines |= {ProjPoint(gf, [s * x + t * y for x, y in zip(u, v)], "x") for s, t in [(1, t) for t in range(q)] + [(0, 1)]}
+        assert len(on_lines) == 6 * (q + 1) - 15
+        assert set(plane_solutions([h], gf).points) == on_lines
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_p2_reps_cover_the_plane(self, q):

@@ -13,11 +13,11 @@ from detfold.detrep import (
 )
 from detfold.errors import Rejection
 from detfold.examples import build_example
-from detfold.fourfold import brute_force_oracle, couples_and_intersections
-from detfold.points import ProjPoint, p2_reps
+from detfold.fourfold import brute_force_oracle, couples_and_intersections, oracle_matches_assembly
+from detfold.points import ProjPoint
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import plane_forms, plane_span
+from reference import p2_reps, plane_forms, plane_span
 
 
 def _p(s, f=QQ):
@@ -154,6 +154,13 @@ class TestDeterminantOnce:
         sizes.clear()
         brute_force_oracle(rep, 13)
         assert sizes == [4]
+
+    def test_oracle_and_assembly_share_one_reduction(self, sizes):
+        rep = build_example("ex42ii").rep
+        sizes.clear()
+        assert oracle_matches_assembly(rep, 13)[0]
+        assert sizes.count(4) == 1
+        assert reduce_rep(rep, PrimeField(13)) is reduce_rep(rep, PrimeField(13))
 
 
 class TestFiberGram:

@@ -84,6 +84,13 @@ def test_expected_highlights_reproduce(name):
     _assert_golden(analyze(parse_rep_file(write_rep_file(ex.rep))), f"{name}.file")
 
 
+def test_emitted_file_at_a_prime_with_64_bit_lanes():
+    # at q = 997 the scan packs a sextic's values on a line in 64-bit lanes
+    # (32 bits serve up to q = 443); the report is pinned byte for byte
+    rep = parse_rep_file(write_rep_file(build_example("ex42ii").rep))
+    _assert_golden(analyze(rep, PrimeField(997)), "ex42ii.fp997")
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dense_rational_rep_within_five_seconds(seed):
     # every coefficient uniform in [-1000, 1000]: each resultant and gcd of

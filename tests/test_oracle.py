@@ -9,6 +9,7 @@ agree with the singular locus assembled from the structure theory.
 """
 
 import io
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from detfold.detrep import SymDetRep, reduce_rep, validate_rep
 from detfold.errors import ConsistencyError, Rejection
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.fourfold import brute_force_oracle, oracle_matches_assembly
-from detfold.points import ProjPoint, p2_lines, p2_reps, sorted_points
+from detfold.points import ProjPoint, p2_lines, sorted_points
+from reference import p2_reps
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -238,6 +240,25 @@ def test_random_reps_oracle_matches_assembly(q, data):
     except Rejection:
         assume(False)
     assert ok, (oracle, assembled)
+
+
+def test_oracle_calls_nothing_from_curves():
+    # the oracle stays a code path apart from the scans of the assembly it checks
+    import detfold.curves as curves
+
+    called = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == curves.__file__:
+            called.append(frame.f_code.co_name)
+
+    rep = build_example("ex42ii").rep
+    sys.setprofile(watch)
+    try:
+        brute_force_oracle(rep, 13)
+    finally:
+        sys.setprofile(None)
+    assert called == []
 
 
 def test_assembly_rejection_raised_before_the_oracle(monkeypatch):
