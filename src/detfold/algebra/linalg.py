@@ -27,7 +27,8 @@ def _echelon(rows: list[list], ncols: int, field):
             det = -det
         pv = m[prow][col]
         det = det * pv
-        m[prow] = [c / pv for c in m[prow]]
+        inv = field.one() / pv
+        m[prow] = [c * inv for c in m[prow]]
         for r in range(len(m)):
             if r != prow and m[r][col]:
                 f = m[r][col]

@@ -63,7 +63,7 @@ def gcd_poly(p: list, q: list, field) -> list:
     CRT.  The primitive candidate is the gcd once it divides a and b exactly."""
     if field != QQ:
         a, b = ([field.coerce(c).v for c in x] for x in (p, q))
-        return [field.from_int(c) for c in _gcd_mod(a, b, field.q)]
+        return [field.from_int(c) for c in gcd_mod(a, b, field.q)]
     a, b = _integral(p), _integral(q)
     if not a or not b:
         return monic([Fraction(c) for c in a or b])
@@ -72,7 +72,7 @@ def gcd_poly(p: list, q: list, field) -> list:
     for prime in word_primes():
         if not lead % prime:
             continue
-        image = [lead * c % prime for c in _gcd_mod(a, b, prime)]
+        image = [lead * c % prime for c in gcd_mod(a, b, prime)]
         if len(image) == 1:
             return [Fraction(1)]
         if acc and len(image) > len(acc):
@@ -83,7 +83,7 @@ def gcd_poly(p: list, q: list, field) -> list:
             return monic([Fraction(c) for c in cand])
 
 
-def _gcd_mod(a: list[int], b: list[int], mod: int) -> list[int]:
+def gcd_mod(a: list[int], b: list[int], mod: int) -> list[int]:
     """Monic gcd mod a prime of integer coefficient lists, by Euclid."""
     a, b = (trim([c % mod for c in x]) for x in (a, b))
     while b:

@@ -5,11 +5,12 @@ planes, and an exhaustive finite-field oracle for independent verification.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement, product
 
 from .algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, matrix_rank
-from .algebra.unipoly import horner_mod, trim
+from .algebra.unipoly import gcd_mod, horner_mod, trim
 from .curves import plane_solutions
 from .detrep import SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
@@ -243,21 +244,26 @@ def singular_locus_X(rep: SymDetRep) -> SingularLocusX:
 def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     """All points of P^5(F_q) where the fourfold and its six partials vanish.
 
-    Works stratum by stratum in the x-part.  On x = 0 (the plane P) every
-    point of P^2(F_q) in u is tested, on one line (a : b : t) of u at a time
-    by Horner in t.  Over each other x-point the three u-partials of F are
-    affine-linear in u, rows [A | b] with F = f + b.u + u.Au/2; per line
-    (a : b : t) of strata, `_pencil` gives Delta = det A, N = -adj(A) b and
-    Phi = 2 Delta f + b.N in t.  Where Delta(t) != 0 the
-    one solution u0 = N(t)/Delta(t) has Phi(t) = 2 Delta(t) F(x, u0); where
-    Delta(t) = 0 the rows are solved by Gauss-Jordan, and F is the constant
-    F(x, u0) on u0 + span(kernel), where its u-gradient vanishes.  So (q odd)
-    a stratum is skipped when F(x, u0) != 0, else its q^(3-rank) candidates
-    are tested against F and all six partials.  Uses F and its partials
+    Works stratum by stratum in the x-part.  On x = 0 (the plane P) the
+    points of P^2(F_q) in u are scanned one line (a : b : t) at a time: the
+    common zeros of the conics left there are the roots in t of their gcd,
+    so a line is tested by Horner only when that gcd is nonconstant.  Over
+    each other x-point the three u-partials of F are affine-linear in u,
+    rows [A | b] with F = f + b.u + u.Au/2; per line (a : b : t) of strata,
+    `_pencil` gives Delta = det A, N = -adj(A) b and Phi = 2 Delta f + b.N in
+    t, and `_lanes` their values at every t in one integer each.  Only the t
+    with Delta(t) Phi(t) = 0 are visited.  Where Delta(t) != 0 the one
+    solution u0 = N(t)/Delta(t) has Phi(t) = 2 Delta(t) F(x, u0) = 0; where
+    Delta(t) = 0 the rows at t are solved by `_solve_singular_mod`, and F is
+    the constant F(x, u0) = f + b.u0/2 on u0 + span(kernel), where its
+    u-gradient vanishes, so (q odd) the stratum is skipped when 2f + b.u0 !=
+    0.  Every candidate left is tested against F and all six partials, each
+    fixed at x when a candidate first reaches it.  Uses F and its partials
     alone, never the fiber theory the assembly rests on.  Returns canonically
     sorted points.  The points of P, the strata and the candidates together
     may not exceed ORACLE_BUDGET: the first two are counted before any work,
-    each stratum's candidates as they accrue.
+    a stratum's candidates as they accrue, those of the strata skipped for
+    Phi(t) != 0 once per line.
     """
     tested = 2 * (q * q + q + 1)
     over_budget = f"enumeration budget exceeded: the oracle over F_{q} tests more than {ORACLE_BUDGET} points"
@@ -283,13 +289,14 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
         # the u-coefficients of p with x fixed, mod q
         return [sum(c * mono[i] for c, i in terms) % q for terms in p.values()]
 
-    def all_vanish(fixed, u):
+    def singular_at(mono, fixed, u):
+        # F and its six partials vanish at (x, u); each polynomial is fixed at
+        # x, into `fixed`, when a candidate first reaches it
         u1, u2, u3 = u
-        for p in fixed:
-            acc = 0
-            for e, c in p.items():
-                acc += c * u1 ** e[0] * u2 ** e[1] * u3 ** e[2]
-            if acc % q:
+        for n, p in enumerate(polys):
+            if n == len(fixed):
+                fixed.append(list(zip(p, values(p, mono))))
+            if sum(c * u1 ** e[0] * u2 ** e[1] * u3 ** e[2] for e, c in fixed[n]) % q:
                 return False
         return True
 
@@ -307,41 +314,66 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     for (a, b), ts in p2_lines(q):
         at = {e: (a ** e[0] * b ** e[1], e[2]) for p in on_p for _, e in p}
         forms = [on_line(p, at) for p in on_p]
-        found += [(0, 0, 0, a, b, t) for t in ts if not any(horner_mod(s, t, q) for s in forms)]
+        common = []
+        for s in forms:
+            common = gcd_mod(common, s, q)
+            if len(common) == 1:
+                break
+        else:  # the gcd is nonconstant, or zero when every form vanishes on the line
+            found += [(0, 0, 0, a, b, t) for t in ts if not any(horner_mod(s, t, q) for s in forms)]
 
     for (a, b), ts in p2_lines(q):
         at = [(a**i * b**j, k) for i, j, k in x_index]
         rows = [[on_line(terms, at) for terms in row] for row in u_rows]
-        delta, phi, *num = _pencil(rows, on_line(polys[0].get((0, 0, 0), []), at), q)
-        for t in ts:
-            det = horner_mod(delta, t, q)
-            if det and horner_mod(phi, t, q):
-                tested += 1
-                continue
+        f = on_line(polys[0].get((0, 0, 0), []), at)
+        delta, phi, *num = _pencil(rows, f, q)
+        dl, pl = _lanes(delta, q), _lanes(phi, q)
+        hits = [t for t in ts if not dl[t] * pl[t] % q]
+        tested += len(ts) - len(hits)  # full-rank strata skipped for Phi(t) != 0
+        for t in hits:
+            det = dl[t] % q
             if det:
-                solved = [horner_mod(n, t, q) * pow(det, -1, q) % q for n in num], []
+                inv = pow(det, -1, q)
+                base, kernel = [horner_mod(n, t, q) * inv % q for n in num], []
             else:
-                solved = _solve_affine_mod([[horner_mod(e, t, q) for e in row] for row in rows], q)
-            if solved is None:
-                continue
-            base, kernel = solved
+                at_t = [[horner_mod(e, t, q) for e in row] for row in rows]
+                solved = _solve_singular_mod(at_t, q)
+                if solved is None:
+                    continue
+                base, kernel = solved
             tested += q ** len(kernel)
             if tested > ORACLE_BUDGET:
                 raise InputError(over_budget)
-            mono = [w * t**k for w, k in at]
-            fixed = [dict(zip(polys[0], values(polys[0], mono)))]
-            if not all_vanish(fixed, base):
+            # 2 F(x, u0) = 2 f + b.u0, as A u0 = -b
+            if kernel and (2 * horner_mod(f, t, q) + sum(r[3] * u for r, u in zip(at_t, base))) % q:
                 continue
-            fixed += [dict(zip(p, values(p, mono))) for p in polys[1:]]
+            mono, fixed = [w * t**k for w, k in at], []
             for ks in product(range(q), repeat=len(kernel)):
                 u = tuple((c + sum(s * k[i] for s, k in zip(ks, kernel))) % q for i, c in enumerate(base))
-                if all_vanish(fixed, u):
+                if singular_at(mono, fixed, u):
                     found.append((a, b, t) + u)
         if tested > ORACLE_BUDGET:
             raise InputError(over_budget)
 
     pts = [ProjPoint(gf, [gf.from_int(c) for c in coords], "p5") for coords in found]
     return sorted_points(pts)
+
+
+_LANE_COLUMNS: dict = {}  # q -> [t^k mod q for t = 0..q-1 in 32-bit lanes, k = 0..6]
+
+
+def _lanes(s: list, q: int):
+    """The values at t = 0..q-1 of a residue list of degree <= 6, as 32-bit
+    lanes congruent to them mod q: one integer combination of the power
+    columns t^k mod q, made once per q and kept (Kronecker substitution).  A
+    lane holds at most 7 (q-1)^2, below 2^32 for every q the budget admits."""
+    cols = _LANE_COLUMNS.get(q)
+    if cols is None:
+        cols = _LANE_COLUMNS[q] = [
+            int.from_bytes(b"".join(pow(t, k, q).to_bytes(4, sys.byteorder) for t in range(q)), sys.byteorder)
+            for k in range(7)
+        ]
+    return memoryview(sum(c * col for c, col in zip(s, cols)).to_bytes(4 * q, sys.byteorder)).cast("I")
 
 
 def _pencil(rows: list, f: list, q: int) -> list:
@@ -368,6 +400,30 @@ def _pencil(rows: list, f: list, q: int) -> list:
 
 def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _solve_singular_mod(rows: list[list[int]], q: int):
+    """Solutions u of A u + b = 0 (mod q) for residue rows [A | b], A
+    symmetric with det A = 0, as `_solve_affine_mod` returns them.  When a
+    principal 2x2 minor m_k of A is nonzero, the first such k (there is one
+    when A has rank 2, since adj A = c v v^T != 0) gives the solution in
+    closed form: equations i, j by Cramer's rule with u_k = 0, consistent
+    exactly when equation k holds, and the kernel v with v_k = 1 from the
+    same minor.  Otherwise (rank <= 1) the rows go to `_solve_affine_mod`."""
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        minor = (rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]) % q
+        if minor:
+            inv = pow(minor, -1, q)
+            u0, v = [0] * 3, [0] * 3
+            v[k] = 1
+            for w, c in ((u0, 3), (v, k)):  # rows i, j of A w = -column c
+                w[i] = (rows[i][j] * rows[j][c] - rows[j][j] * rows[i][c]) * inv % q
+                w[j] = (rows[j][i] * rows[i][c] - rows[i][i] * rows[j][c]) * inv % q
+            if (rows[k][i] * u0[i] + rows[k][j] * u0[j] + rows[k][3]) % q:
+                return None
+            return u0, [v]
+    return _solve_affine_mod(rows, q)
 
 
 def _solve_affine_mod(rows: list[list[int]], q: int):

@@ -12,22 +12,24 @@ import io
 import sys
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import detfold.fourfold as fourfold
-from detfold.algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, is_prime, parse_poly
 from detfold.algebra.unipoly import horner_mod
 from detfold.cli import main
 from detfold.detrep import SymDetRep, reduce_rep, validate_rep
-from detfold.errors import ConsistencyError, Rejection
+from detfold.errors import ConsistencyError, InputError, Rejection
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.fourfold import brute_force_oracle, oracle_matches_assembly
 from detfold.points import ProjPoint, p2_lines, sorted_points
 from reference import p2_reps
 
 GOLDEN = Path(__file__).parent / "golden"
+RATIONAL_EXAMPLES = ["ex42i", "ex42ii", "ex43_quartic_two_lines", "ex43_quintic_line", "rmk31", "prop44"]
 
 
 def reference_scan(rep, q):
@@ -75,9 +77,9 @@ def test_low_rank_strata_match_reference(monkeypatch):
     rep = validate_rep([[parse_poly(s, VARS_X, gf) for s in row] for row in entries], gf)
     # per x-stratum: None for an inconsistent system, else its kernel
     # dimension.  Full-rank strata, Delta(t) != 0 on their line's pencil,
-    # never reach _solve_affine_mod, so each line's Delta is recorded too
+    # never reach _solve_singular_mod, so each line's Delta is recorded too
     sizes, deltas = [], []
-    pencil, solve = fourfold._pencil, fourfold._solve_affine_mod
+    pencil, solve = fourfold._pencil, fourfold._solve_singular_mod
 
     def recording_pencil(rows, f, q):
         out = pencil(rows, f, q)
@@ -90,7 +92,7 @@ def test_low_rank_strata_match_reference(monkeypatch):
         return out
 
     monkeypatch.setattr(fourfold, "_pencil", recording_pencil)
-    monkeypatch.setattr(fourfold, "_solve_affine_mod", recording_solve)
+    monkeypatch.setattr(fourfold, "_solve_singular_mod", recording_solve)
     got = brute_force_oracle(rep, 7)
     for delta, (_, ts) in zip(deltas, p2_lines(7), strict=True):
         sizes += [0 for t in ts if horner_mod(delta, t, 7)]
@@ -113,6 +115,25 @@ def test_solver_solutions():
     assert u0 == [0, 0, 0] and kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def assert_solves(solved, rows, q):
+    # u0 + span(kernel) is the solution set of [A | b], met once per point,
+    # and None stands exactly for an empty one
+    solutions = {
+        u
+        for u in product(range(q), repeat=3)
+        if all((sum(a * x for a, x in zip(row, u)) + row[3]) % q == 0 for row in rows)
+    }
+    if solved is None:
+        assert not solutions
+        return
+    u0, kernel = solved
+    spanned = [
+        tuple((u0[i] + sum(t * v[i] for t, v in zip(ts, kernel))) % q for i in range(3))
+        for ts in product(range(q), repeat=len(kernel))
+    ]
+    assert len(set(spanned)) == len(spanned) and set(spanned) == solutions
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(q=st.sampled_from([3, 5, 7]), rank=st.integers(0, 3), data=st.data())
 def test_solver_matches_enumeration(q, rank, data):
@@ -126,21 +147,69 @@ def test_solver_matches_enumeration(q, rank, data):
         rows.append([sum(c * g[i] for c, g in zip(coeffs, gens)) % q for i in range(4)])
     if data.draw(st.booleans()):
         rows[data.draw(st.integers(0, 2))][3] = data.draw(residues)
-    solutions = {
-        u
-        for u in product(range(q), repeat=3)
-        if all((sum(a * x for a, x in zip(row, u)) + row[3]) % q == 0 for row in rows)
-    }
-    solved = fourfold._solve_affine_mod(rows, q)
-    if solved is None:
-        assert not solutions
-        return
-    u0, kernel = solved
-    spanned = [
-        tuple((u0[i] + sum(t * v[i] for t, v in zip(ts, kernel))) % q for i in range(3))
-        for ts in product(range(q), repeat=len(kernel))
-    ]
-    assert len(set(spanned)) == len(spanned) and set(spanned) == solutions
+    assert_solves(fourfold._solve_affine_mod(rows, q), rows, q)
+
+
+@pytest.mark.parametrize("closed_form", [True, False])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(q=st.sampled_from([3, 5, 7]), data=st.data())
+def test_singular_solver_matches_enumeration(closed_form, q, data):
+    # A symmetric and singular, a sum of terms c w w^T: two of them and rank
+    # 2 for the closed form, at most one (rank 0 or 1) for the Gauss-Jordan
+    # fallback.  b = A y is consistent until one entry is redrawn
+    residues = st.integers(0, q - 1)
+    A = [[0] * 3 for _ in range(3)]
+    for _ in range(2 if closed_form else data.draw(st.integers(0, 1))):
+        c, w = data.draw(residues), data.draw(st.lists(residues, min_size=3, max_size=3))
+        A = [[(A[i][j] + c * w[i] * w[j]) % q for j in range(3)] for i in range(3)]
+    y = data.draw(st.lists(residues, min_size=3, max_size=3))
+    rows = [row + [sum(a * x for a, x in zip(row, y)) % q] for row in A]
+    if data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, 2))][3] = data.draw(residues)
+    if closed_form:  # rank 2: the kernel of A has q points
+        assume(sum(1 for u in product(range(q), repeat=3) if not any(sum(a * x for a, x in zip(r, u)) % q for r in A)) == q)
+    with mock.patch.object(fourfold, "_solve_affine_mod", wraps=fourfold._solve_affine_mod) as fallback:
+        solved = fourfold._solve_singular_mod(rows, q)
+    assert fallback.called != closed_form
+    assert_solves(solved, rows, q)
+
+
+@pytest.mark.parametrize("q", [3, 29, 223])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lanes_match_horner(q, data):
+    # every lane of a residue list of degree <= 6 is its value mod q; the
+    # list of seven q - 1 gives the largest lanes
+    s = data.draw(st.one_of(st.just([q - 1] * 7), st.lists(st.integers(0, q - 1), max_size=7)))
+    lanes = fourfold._lanes(s, q)
+    assert [lanes[t] % q for t in range(q)] == [horner_mod(s, t, q) for t in range(q)]
+
+
+# the conic block G of a rep is read on P as the three conics u^T G(e_k) u
+P_CONICS = {
+    # u1^2, 2 u1 u2, 2 u1 u3: every point of the line u1 = 0 of P
+    "shared-line": [["x1", "x2", "x3", "x1^2"], ["x2", "0", "0", "x2^2"], ["x3", "0", "0", "x3^2"]],
+    # u1^2 - u2^2, u3^2 - (u1 - u2)^2, 2 u1 u3 + 2 u2 u3: the three points
+    # (1:1:0) and (1:-1:+-2)
+    "isolated": [["x1 - x2", "x2", "x3", "x2*x3"], ["x2", "-x1 - x2", "x3", "x1^2"], ["x3", "x3", "x2", "x1*x2"]],
+}
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("kind", sorted(P_CONICS))
+def test_plane_scan_matches_reference(kind, q):
+    # the gcd of the conics on a line of P is zero on the shared line and
+    # nonconstant on the line (1 : 1 : t) through an isolated base point
+    rows = P_CONICS[kind] + [[row[3] for row in P_CONICS[kind]] + ["x1^3 + x2^3 + x3^3"]]
+    rep = validate_rep([[parse_poly(s, VARS_X, QQ) for s in row] for row in rows], QQ)
+    got = brute_force_oracle(rep, q)
+    assert got == reference_scan(rep, q)
+    on_p = {p.coords[3:] for p in got if not any(p.coords[:3])}
+    gf = PrimeField(q)
+    if kind == "shared-line":
+        assert len(on_p) == q + 1
+    else:
+        assert on_p == {tuple(gf.from_int(c) for c in u) for u in [(1, 1, 0), (1, -1, 2), (1, -1, -2)]}
 
 
 def test_nonlinear_u_partial_rejected(monkeypatch):
@@ -272,7 +341,7 @@ def test_assembly_rejection_raised_before_the_oracle(monkeypatch):
         oracle_matches_assembly(build_example("ex42ii").rep, 5)
 
 
-@pytest.mark.parametrize("name", ["ex42i", "ex42ii", "ex43_quartic_two_lines", "ex43_quintic_line", "rmk31", "prop44"])
+@pytest.mark.parametrize("name", RATIONAL_EXAMPLES)
 def test_oracle_cli_matches_golden(name, tmp_path):
     # `oracle FILE --prime 29` on the emitted file, byte for byte
     rep = tmp_path / f"{name}.rep"
@@ -280,3 +349,33 @@ def test_oracle_cli_matches_golden(name, tmp_path):
     out = io.StringIO()
     assert main(["oracle", str(rep), "--prime", "29"], out=out) == 0
     assert out.getvalue() == (GOLDEN / f"{name}.oracle29.flat").read_text()
+
+
+def test_oracle_cli_matches_golden_with_quadric_column():
+    # the named examples' columns of quadrics are zero at q = 29, so b = 0 on
+    # every stratum; this rep's is not, and its point (1:0:0:0:-1:0) has u != 0
+    out = io.StringIO()
+    assert main(["oracle", str(GOLDEN / "quadric_column.rep"), "--prime", "29"], out=out) == 0
+    assert out.getvalue() == (GOLDEN / "quadric_column.oracle29.flat").read_text()
+
+
+def test_rational_examples_within_budget_up_to_103():
+    # README, "Scan budgets": the oracle stays within ORACLE_BUDGET for every
+    # rational named example at each prime up to 103; ex42ii and prop44 pass
+    # it at 107, ex43_quartic_two_lines at 113
+    for name in RATIONAL_EXAMPLES:
+        rep = build_example(name).rep
+        for q in filter(is_prime, range(3, 104)):
+            brute_force_oracle(rep, q)
+    for name, q in [("ex42ii", 107), ("prop44", 107), ("ex43_quartic_two_lines", 113)]:
+        with pytest.raises(InputError, match="enumeration budget exceeded"):
+            brute_force_oracle(build_example(name).rep, q)
+
+
+def test_rmk31_refused_by_the_assembly_at_101(tmp_path):
+    # within the oracle's budget, but (1:32:70) is not a node of the sextic mod 101
+    rep = tmp_path / "rmk31.rep"
+    assert main(["example", "rmk31", "--emit", str(rep)], out=io.StringIO()) == 0
+    out = io.StringIO()
+    assert main(["oracle", str(rep), "--prime", "101"], out=out) == 1
+    assert "(1:32:70) is not a node" in out.getvalue()
