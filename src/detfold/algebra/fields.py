@@ -9,6 +9,7 @@ floating point anywhere.
 from __future__ import annotations
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 from ..errors import InputError, Rejection
@@ -90,7 +91,13 @@ class RationalField:
         return (a.numerator, a.denominator)
 
     def format(self, a: Fraction) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:
+            # int -> str refuses more digits than the interpreter's limit
+            # (4300 by default); Decimal converts integers of any size
+            num = str(Decimal(a.numerator))
+            return num if a.denominator == 1 else f"{num}/{Decimal(a.denominator)}"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -7,7 +7,10 @@ Grammar (whitespace-insensitive, implicit multiplication forbidden):
     factor  := rational | variable ['^' posint] | '(' expr ')'
     rational:= int ['/' posint]
 
-Errors carry the offset of the offending token.
+Errors carry the offset of the offending token.  An integer literal may have
+at most MAX_LITERAL_DIGITS digits and parentheses may nest at most
+MAX_NESTING deep, so that no input reaches the interpreter's own limits on
+integer conversion and recursion.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ class PolyParseError(InputError):
 
 
 _TOK_OPS = set("+-*/^()")
+MAX_LITERAL_DIGITS = 4000
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -43,6 +48,8 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise PolyParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", i)
             toks.append(("int", text[i:j], i))
             i = j
             continue
@@ -62,6 +69,7 @@ class _Parser:
     def __init__(self, text: str, vars: tuple, field):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open at the current token
         self.vars = vars
         self.field = field
 
@@ -106,14 +114,22 @@ class _Parser:
     def factor(self) -> MultiPoly:
         kind, text, pos = self.peek()
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.take()
+            self.depth += 1
             p = self.expr()
             self.take(")")
+            self.depth -= 1
             return p
         if kind == "-":
-            # sign folded into a literal or sub-factor
-            self.take()
-            return -self.factor()
+            # a run of signs folded into a literal or sub-factor
+            negate = False
+            while self.peek()[0] == "-":
+                self.take()
+                negate = not negate
+            p = self.factor()
+            return -p if negate else p
         if kind == "int":
             self.take()
             num = int(text)

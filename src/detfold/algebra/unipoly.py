@@ -8,6 +8,7 @@ extraction by p-adic lifting.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from ..errors import InputError
@@ -266,6 +267,27 @@ def horner_mod(s: list[int], x: int, mod: int) -> int:
     for c in reversed(s):
         v = (v * x + c) % mod
     return v
+
+
+_POWER_COLUMNS: dict = {}  # (q, w) -> [column k for k = 0, 1, ...]
+
+
+def power_columns(q: int, w: int, n: int) -> list:
+    """The first n power columns: t^k mod q for t = 0..q-1, consecutive lanes
+    of w bits of one integer in the machine's byte order; made once per (q, w)
+    and kept.  A combination of them holds in lane t its polynomial's value at
+    t (Kronecker substitution) while every lane stays below 2^w."""
+    cols = _POWER_COLUMNS.setdefault((q, w), [])
+    while len(cols) < n:
+        column = b"".join(pow(t, len(cols), q).to_bytes(w // 8, sys.byteorder) for t in range(q))
+        cols.append(int.from_bytes(column, sys.byteorder))
+    return cols
+
+
+def lanes(v: int, q: int, w: int):
+    """The lanes t = 0..q-1 of a nonnegative combination v of `power_columns`
+    of width w, 32 or 64 bits, as an array of integers."""
+    return memoryview(v.to_bytes(q * w // 8, sys.byteorder)).cast("I" if w == 32 else "Q")
 
 
 def _reconstruct(r: int, mod: int, a_bound: int, b_bound: int) -> Fraction | None:

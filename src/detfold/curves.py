@@ -6,7 +6,6 @@ sextic by fiber rank and membership in the auxiliary cubic D.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
@@ -66,8 +65,8 @@ def _plane_solutions_fq(polys, field) -> PlaneSolutions:
     for (a, b), ts in p2_lines(q):
         alive = ts
         for packed in systems:
-            lanes = _line_lanes(packed[a], b, q, w)
-            alive = [t for t in alive if not lanes[t] % q]
+            values = unipoly.lanes(sum(pow(b, j, q) * P for j, P in packed[a]), q, w)
+            alive = [t for t in alive if not values[t] % q]
             if not alive:
                 break
         found += [(a, b, t) for t in alive]
@@ -80,33 +79,12 @@ def _pack_lines(p: MultiPoly, q: int, w: int) -> tuple:
     p(a, b, t) = sum_j b^j P_j(t), P_j packed by residue coefficients as its
     values at t = 0..q-1 in lanes of w bits (Kronecker substitution).  A lane
     of a combination holds at most (d+1)^2 (q-1)^3, d = deg p, below 2^w."""
-    cols = _power_columns(q, w, p.degree() + 1)
+    cols = unipoly.power_columns(q, w, p.degree() + 1)
     out = ({}, {})
     for (i, j, k), c in p.terms.items():
         for part in out[bool(i):]:
             part.setdefault(j, [0] * len(cols))[k] += c.v
     return tuple([(j, sum(c % q * col for c, col in zip(row, cols))) for j, row in part.items()] for part in out)
-
-
-def _line_lanes(packed: list, b: int, q: int, w: int):
-    """The lanes t = 0..q-1, congruent mod q to the values on the line
-    (a : b : t), of the forms `_pack_lines` packed for a."""
-    v = sum(pow(b, j, q) * P for j, P in packed)
-    return memoryview(v.to_bytes(q * w // 8, sys.byteorder)).cast("I" if w == 32 else "Q")
-
-
-_POWER_COLUMNS: dict = {}  # (q, w) -> [column k for k = 0, 1, ...]
-
-
-def _power_columns(q: int, w: int, n: int) -> list:
-    """The first n power columns: t^k mod q for t = 0..q-1, consecutive lanes
-    of w bits of one integer in the machine's byte order (on a little-endian
-    machine sum_t (t^k mod q) 2^(w t)); made once per (q, w) and kept."""
-    cols = _POWER_COLUMNS.setdefault((q, w), [])
-    while len(cols) < n:
-        lanes = b"".join(pow(t, len(cols), q).to_bytes(w // 8, sys.byteorder) for t in range(q))
-        cols.append(int.from_bytes(lanes, sys.byteorder))
-    return cols
 
 
 def _to_unicoeffs(p: MultiPoly, var: str) -> list:

@@ -5,12 +5,11 @@ planes, and an exhaustive finite-field oracle for independent verification.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement, product
 
 from .algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, matrix_rank
-from .algebra.unipoly import gcd_mod, horner_mod, trim
+from .algebra.unipoly import gcd_mod, horner_mod, lanes, power_columns, trim
 from .curves import plane_solutions
 from .detrep import SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
@@ -251,19 +250,20 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     each other x-point the three u-partials of F are affine-linear in u,
     rows [A | b] with F = f + b.u + u.Au/2; per line (a : b : t) of strata,
     `_pencil` gives Delta = det A, N = -adj(A) b and Phi = 2 Delta f + b.N in
-    t, and `_lanes` their values at every t in one integer each.  Only the t
-    with Delta(t) Phi(t) = 0 are visited.  Where Delta(t) != 0 the one
-    solution u0 = N(t)/Delta(t) has Phi(t) = 2 Delta(t) F(x, u0) = 0; where
-    Delta(t) = 0 the rows at t are solved by `_solve_singular_mod`, and F is
-    the constant F(x, u0) = f + b.u0/2 on u0 + span(kernel), where its
-    u-gradient vanishes, so (q odd) the stratum is skipped when 2f + b.u0 !=
-    0.  Every candidate left is tested against F and all six partials, each
-    fixed at x when a candidate first reaches it.  Uses F and its partials
-    alone, never the fiber theory the assembly rests on.  Returns canonically
-    sorted points.  The points of P, the strata and the candidates together
-    may not exceed ORACLE_BUDGET: the first two are counted before any work,
-    a stratum's candidates as they accrue, those of the strata skipped for
-    Phi(t) != 0 once per line.
+    t, and the power columns t^k mod q their values at every t in one
+    integer each, in 32-bit lanes (a lane holds at most 7 (q-1)^2, below 2^32
+    for every q the budget admits).  Only the t with Delta(t) Phi(t) = 0 are
+    visited.  Where Delta(t) != 0 the one solution u0 = N(t)/Delta(t) has
+    Phi(t) = 2 Delta(t) F(x, u0) = 0; where Delta(t) = 0 the rows at t are
+    solved by `_solve_singular_mod`, and F is the constant F(x, u0) = f +
+    b.u0/2 on u0 + span(kernel), where its u-gradient vanishes, so (q odd)
+    the stratum is skipped when 2f + b.u0 != 0.  Every candidate left is
+    tested against F and all six partials, each fixed at x when a candidate
+    first reaches it.  Uses F and its partials alone, never the fiber theory
+    the assembly rests on.  Returns canonically sorted points.  The points of
+    P, the strata and the candidates together may not exceed ORACLE_BUDGET:
+    the first two are counted before any work, a stratum's candidates as they
+    accrue, those of the strata skipped for Phi(t) != 0 once per line.
     """
     tested = 2 * (q * q + q + 1)
     over_budget = f"enumeration budget exceeded: the oracle over F_{q} tests more than {ORACLE_BUDGET} points"
@@ -308,6 +308,7 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
             out[k] += c * w
         return trim([c % q for c in out])
 
+    cols = power_columns(q, 32, 7)
     on_p = [[(c, e) for e, c in zip(p, values(p, [int(not any(e)) for e in x_index])) if c] for p in polys]
     on_p = [p for p in on_p if p]
     found = []
@@ -327,7 +328,7 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
         rows = [[on_line(terms, at) for terms in row] for row in u_rows]
         f = on_line(polys[0].get((0, 0, 0), []), at)
         delta, phi, *num = _pencil(rows, f, q)
-        dl, pl = _lanes(delta, q), _lanes(phi, q)
+        dl, pl = (lanes(sum(c * col for c, col in zip(s, cols)), q, 32) for s in (delta, phi))
         hits = [t for t in ts if not dl[t] * pl[t] % q]
         tested += len(ts) - len(hits)  # full-rank strata skipped for Phi(t) != 0
         for t in hits:
@@ -359,23 +360,6 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     return sorted_points(pts)
 
 
-_LANE_COLUMNS: dict = {}  # q -> [t^k mod q for t = 0..q-1 in 32-bit lanes, k = 0..6]
-
-
-def _lanes(s: list, q: int):
-    """The values at t = 0..q-1 of a residue list of degree <= 6, as 32-bit
-    lanes congruent to them mod q: one integer combination of the power
-    columns t^k mod q, made once per q and kept (Kronecker substitution).  A
-    lane holds at most 7 (q-1)^2, below 2^32 for every q the budget admits."""
-    cols = _LANE_COLUMNS.get(q)
-    if cols is None:
-        cols = _LANE_COLUMNS[q] = [
-            int.from_bytes(b"".join(pow(t, k, q).to_bytes(4, sys.byteorder) for t in range(q)), sys.byteorder)
-            for k in range(7)
-        ]
-    return memoryview(sum(c * col for c, col in zip(s, cols)).to_bytes(4 * q, sys.byteorder)).cast("I")
-
-
 def _pencil(rows: list, f: list, q: int) -> list:
     """[Delta, Phi, N1, N2, N3] as residue lists mod q: Delta = det A, N =
     -adj(A) b and Phi = 2 Delta f + b.N for rows [A | b] and f of ascending
@@ -404,12 +388,16 @@ def _cross(a, b):
 
 def _solve_singular_mod(rows: list[list[int]], q: int):
     """Solutions u of A u + b = 0 (mod q) for residue rows [A | b], A
-    symmetric with det A = 0, as `_solve_affine_mod` returns them.  When a
-    principal 2x2 minor m_k of A is nonzero, the first such k (there is one
-    when A has rank 2, since adj A = c v v^T != 0) gives the solution in
-    closed form: equations i, j by Cramer's rule with u_k = 0, consistent
-    exactly when equation k holds, and the kernel v with v_k = 1 from the
-    same minor.  Otherwise (rank <= 1) the rows go to `_solve_affine_mod`."""
+    symmetric with det A = 0: None when there are none, else (u0, kernel), one
+    solution and a basis of the kernel of A, all in closed form.  When a
+    principal 2x2 minor m_k of A is nonzero (there is one when A has rank 2,
+    since adj A = c v v^T != 0), the first such k gives equations i, j by
+    Cramer's rule with u_k = 0, consistent exactly when equation k holds, and
+    the kernel v with v_k = 1 from the same minor.  Otherwise A has rank <= 1,
+    A = c w w^T.  A nonzero A_kk makes column k span the image: the system is
+    consistent exactly when b_i A_kk = b_k A_ik for every i, u0 = -(b_k /
+    A_kk) e_k, and the kernel is spanned by e_j - (A_kj / A_kk) e_k, j != k.
+    With every A_kk zero, A = 0 and u is free when b = 0."""
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
         minor = (rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]) % q
@@ -423,44 +411,20 @@ def _solve_singular_mod(rows: list[list[int]], q: int):
             if (rows[k][i] * u0[i] + rows[k][j] * u0[j] + rows[k][3]) % q:
                 return None
             return u0, [v]
-    return _solve_affine_mod(rows, q)
-
-
-def _solve_affine_mod(rows: list[list[int]], q: int):
-    """Solutions u of A u + b = 0 (mod q) for rows [A | b].
-
-    Returns None when the system is inconsistent, else (u0, kernel): one
-    solution and a basis of the kernel of A, one vector per free column, by
-    Gauss-Jordan.
-    """
-    n = len(rows[0]) - 1
-    m = [[v % q for v in row] for row in rows]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = pow(m[r][col], -1, q)
-        m[r] = [v * inv % q for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [(v - f * w) % q for v, w in zip(m[i], m[r])]
-        pivots.append(col)
-    if any(row[n] for row in m[len(pivots):]):
+    k = next((k for k in range(3) if rows[k][k]), None)
+    if k is None:
+        return None if any(r[3] for r in rows) else ([0] * 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    akk, bk = rows[k][k], rows[k][3]
+    if any((r[3] * akk - bk * r[k]) % q for r in rows):
         return None
-    u0 = [0] * n
-    for r, col in enumerate(pivots):
-        u0[col] = -m[r][n] % q
-    kernel = []
-    for free in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[free] = 1
-        for r, col in enumerate(pivots):
-            v[col] = -m[r][free] % q
-        kernel.append(v)
+    inv = pow(akk, -1, q)
+    u0, kernel = [0] * 3, []
+    u0[k] = -bk * inv % q
+    for j in range(3):
+        if j != k:
+            v = [0] * 3
+            v[j], v[k] = 1, -rows[k][j] * inv % q
+            kernel.append(v)
     return u0, kernel
 
 

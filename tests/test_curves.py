@@ -6,10 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
-from detfold.algebra.unipoly import horner_mod
+from detfold.algebra.unipoly import horner_mod, lanes
 from detfold.curves import (
     _certify_s_c,
-    _line_lanes,
     _pack_lines,
     is_node,
     is_reduced_curve,
@@ -289,8 +288,8 @@ class TestScanKernel:
                 uni = [0] * 7
                 for (i, j, k), c in form.terms.items():
                     uni[k] += c.v * a**i * b**j
-                lanes = _line_lanes(packed[a], b, q, w)
-                assert [lanes[t] % q for t in range(q)] == [horner_mod(uni, t, q) for t in range(q)]
+                values = lanes(sum(pow(b, j, q) * P for j, P in packed[a]), q, w)
+                assert [values[t] % q for t in range(q)] == [horner_mod(uni, t, q) for t in range(q)]
 
     def test_six_lines_need_64_bit_lanes(self):
         # six lines with large residue coefficients: at q = 997 their product

@@ -14,7 +14,7 @@ from detfold.algebra import (
     resultant,
     resultant_vanishes,
 )
-from detfold.algebra.parser import PolyParseError
+from detfold.algebra.parser import MAX_LITERAL_DIGITS, MAX_NESTING, PolyParseError
 from detfold.errors import DegenerateResultant, InputError
 from detfold.points import ProjPoint
 from reference import bareiss_resultant, term_evaluate
@@ -58,6 +58,31 @@ class TestParser:
     def test_non_homogeneous_rejected(self):
         with pytest.raises(InputError):
             parse_poly("x1 + x2*x3", VARS_X, QQ)
+
+    def test_nesting_and_literal_limits(self):
+        # parentheses nest up to MAX_NESTING deep and a literal has up to
+        # MAX_LITERAL_DIGITS digits; one more is a parse error at its token
+        n, d = MAX_NESTING, MAX_LITERAL_DIGITS
+        assert parse_poly("(" * n + "x1" + ")" * n, VARS_X, QQ) == parse_poly("x1", VARS_X, QQ)
+        assert parse_poly(" + ".join(["(x1)"] * (n + 1)), VARS_X, QQ).terms[(1, 0, 0)] == n + 1  # depth, not count
+        with pytest.raises(PolyParseError, match=f"nested deeper than {n} .at position {n}"):
+            parse_poly("(" * (n + 1) + "x1" + ")" * (n + 1), VARS_X, QQ)
+        assert parse_poly("9" * d + "*x1", VARS_X, QQ).terms[(1, 0, 0)] == 10**d - 1
+        with pytest.raises(PolyParseError, match=f"longer than {d} digits .at position 5"):
+            parse_poly("x1 + " + "9" * (d + 1) + "*x1", VARS_X, QQ)
+
+    def test_sign_runs_fold(self):
+        # a run of unary minus signs of any length folds to its parity
+        x1 = parse_poly("x1", VARS_X, QQ)
+        assert parse_poly("-" * 3000 + "x1", VARS_X, QQ) == x1
+        assert parse_poly("x2 - " + "-" * 3000 + "x1", VARS_X, QQ) == parse_poly("x2 - x1", VARS_X, QQ)
+        assert parse_poly("2*" + "-" * 3001 + "x1", VARS_X, QQ) == -2 * x1
+
+    def test_print_coefficient_past_int_str_limit(self):
+        # int -> str refuses more than 4300 digits by default; a coefficient
+        # of 5000 digits still prints, exactly
+        f = MultiPoly(QQ, VARS_X, {(1, 0, 0): Fraction(-(10**4999), 7), (0, 1, 0): Fraction(1)})
+        assert str(f) == "-1" + "0" * 4999 + "/7*x1 + x2"
 
     def test_print_parse_round_trip(self):
         rng = random.Random(7)

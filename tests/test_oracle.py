@@ -12,7 +12,6 @@ import io
 import sys
 from itertools import product
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -105,14 +104,19 @@ def test_low_rank_strata_match_reference(monkeypatch):
 def test_solver_solutions():
     q = 7
     # u1 + 2 u2 + 3 = 0 twice, u3 free: a plane of solutions
-    u0, kernel = fourfold._solve_affine_mod([[1, 2, 0, 3], [2, 4, 0, 6], [0, 0, 0, 0]], q)
+    u0, kernel = fourfold._solve_singular_mod([[1, 2, 0, 3], [2, 4, 0, 6], [0, 0, 0, 0]], q)
     assert len(kernel) == 2
     for t1, t2 in product(range(q), repeat=2):
         u = [(a + t1 * b + t2 * c) % q for a, b, c in zip(u0, *kernel)]
         assert (u[0] + 2 * u[1] + 3) % q == 0
-    assert fourfold._solve_affine_mod([[1, 0, 0, 1], [1, 0, 0, 2], [0, 0, 0, 0]], q) is None
-    u0, kernel = fourfold._solve_affine_mod([[0, 0, 0, 0]] * 3, q)
+    # the same A with b off its image, and A = 0 with b = 0 and b != 0
+    assert fourfold._solve_singular_mod([[1, 2, 0, 1], [2, 4, 0, 1], [0, 0, 0, 0]], q) is None
+    u0, kernel = fourfold._solve_singular_mod([[0, 0, 0, 0]] * 3, q)
     assert u0 == [0, 0, 0] and kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert fourfold._solve_singular_mod([[0, 0, 0, 0]] * 2 + [[0, 0, 0, 1]], q) is None
+    # 2 u3 + 4 = 0, the first two diagonal entries zero: u3 = -2, u1 and u2 free
+    u0, kernel = fourfold._solve_singular_mod([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 4]], q)
+    assert u0 == [0, 0, 5] and kernel == [[1, 0, 0], [0, 1, 0]]
 
 
 def assert_solves(solved, rows, q):
@@ -134,55 +138,31 @@ def assert_solves(solved, rows, q):
     assert len(set(spanned)) == len(spanned) and set(spanned) == solutions
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(q=st.sampled_from([3, 5, 7]), rank=st.integers(0, 3), data=st.data())
-def test_solver_matches_enumeration(q, rank, data):
-    # rows [A | b] that are combinations of `rank` drawn rows, so every rank
-    # from 0 to 3 occurs; redrawing one b entry makes many of them inconsistent
-    residues = st.integers(0, q - 1)
-    gens = [data.draw(st.lists(residues, min_size=4, max_size=4)) for _ in range(rank)]
-    rows = []
-    for _ in range(3):
-        coeffs = data.draw(st.lists(residues, min_size=rank, max_size=rank))
-        rows.append([sum(c * g[i] for c, g in zip(coeffs, gens)) % q for i in range(4)])
-    if data.draw(st.booleans()):
-        rows[data.draw(st.integers(0, 2))][3] = data.draw(residues)
-    assert_solves(fourfold._solve_affine_mod(rows, q), rows, q)
-
-
-@pytest.mark.parametrize("closed_form", [True, False])
+@pytest.mark.parametrize("rank2", [True, False])
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(q=st.sampled_from([3, 5, 7]), data=st.data())
-def test_singular_solver_matches_enumeration(closed_form, q, data):
+def test_singular_solver_matches_enumeration(rank2, q, data):
     # A symmetric and singular, a sum of terms c w w^T: two of them and rank
-    # 2 for the closed form, at most one (rank 0 or 1) for the Gauss-Jordan
-    # fallback.  b = A y is consistent until one entry is redrawn
+    # 2 (the Cramer solve of a nonzero principal minor), or at most one and
+    # rank 0 or 1 (a nonzero diagonal entry, or A = 0).  b = A y is
+    # consistent until one entry is redrawn
     residues = st.integers(0, q - 1)
     A = [[0] * 3 for _ in range(3)]
-    for _ in range(2 if closed_form else data.draw(st.integers(0, 1))):
+    for _ in range(2 if rank2 else data.draw(st.integers(0, 1))):
         c, w = data.draw(residues), data.draw(st.lists(residues, min_size=3, max_size=3))
         A = [[(A[i][j] + c * w[i] * w[j]) % q for j in range(3)] for i in range(3)]
     y = data.draw(st.lists(residues, min_size=3, max_size=3))
     rows = [row + [sum(a * x for a, x in zip(row, y)) % q] for row in A]
     if data.draw(st.booleans()):
         rows[data.draw(st.integers(0, 2))][3] = data.draw(residues)
-    if closed_form:  # rank 2: the kernel of A has q points
-        assume(sum(1 for u in product(range(q), repeat=3) if not any(sum(a * x for a, x in zip(r, u)) % q for r in A)) == q)
-    with mock.patch.object(fourfold, "_solve_affine_mod", wraps=fourfold._solve_affine_mod) as fallback:
-        solved = fourfold._solve_singular_mod(rows, q)
-    assert fallback.called != closed_form
+    # the kernel of A has q^(3 - rank) points
+    kernel_points = sum(1 for u in product(range(q), repeat=3) if not any(sum(a * x for a, x in zip(r, u)) % q for r in A))
+    if rank2:
+        assume(kernel_points == q)
+    solved = fourfold._solve_singular_mod(rows, q)
     assert_solves(solved, rows, q)
-
-
-@pytest.mark.parametrize("q", [3, 29, 223])
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(data=st.data())
-def test_lanes_match_horner(q, data):
-    # every lane of a residue list of degree <= 6 is its value mod q; the
-    # list of seven q - 1 gives the largest lanes
-    s = data.draw(st.one_of(st.just([q - 1] * 7), st.lists(st.integers(0, q - 1), max_size=7)))
-    lanes = fourfold._lanes(s, q)
-    assert [lanes[t] % q for t in range(q)] == [horner_mod(s, t, q) for t in range(q)]
+    if solved is not None:
+        assert q ** len(solved[1]) == kernel_points
 
 
 # the conic block G of a rep is read on P as the three conics u^T G(e_k) u
@@ -289,8 +269,10 @@ def test_pencil_matches_each_stratum(q, data):
             det -= sum(A[0][i] * A[1][(i + 2) % 3] * A[2][(i + 1) % 3] for i in range(3))
             assert horner_mod(delta, t, q) == det % q
             if det % q:
-                u0, kernel = fourfold._solve_affine_mod([row + [c] for row, c in zip(A, at0)], q)
-                assert kernel == []
+                u0 = next(
+                    u for u in product(range(q), repeat=3)
+                    if not any((sum(a * x for a, x in zip(row, u)) + c) % q for row, c in zip(A, at0))
+                )
                 assert horner_mod(phi, t, q) == 2 * det * F.evaluate(x + tuple(u0)).v % q
                 assert [horner_mod(n, t, q) for n in num] == [det * u % q for u in u0]
 

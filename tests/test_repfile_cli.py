@@ -155,6 +155,25 @@ class TestCli:
         rc, out = run_cli("analyze", str(bad))
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "entry, rc, message",
+        [
+            ("(" * 330 + "x1^3 + x2^3 + x3^3" + ")" * 330, 3, "error: line 6, entry 4: parentheses nested deeper than 100"),
+            ("1" * 5000 + "*x1^3 + x2^3 + x3^3", 3, "error: line 6, entry 4: integer literal longer than 4000 digits"),
+            ("-" * 3000 + "x1^3 + x2^3 + x3^3", 0, "field = fp:7\n"),
+        ],
+        ids=["deep-parentheses", "long-literal", "sign-run"],
+    )
+    def test_parser_limits_exit_code(self, tmp_path, entry, rc, message):
+        # entries that once overflowed the interpreter's recursion or
+        # int-conversion limits: a parse error naming line and entry, or, for
+        # a run of signs, folded and analysed
+        rep = tmp_path / "r.rep"
+        rep.write_text("field rational\nvars x1 x2 x3\nrow 0: x1, 0, 0, 0\nrow 1: 0, x2, 0, 0\n"
+                       f"row 2: 0, 0, x3, 0\nrow 3: 0, 0, 0, {entry}\n")
+        got = run_cli("analyze", str(rep), "--field", "fp:7")
+        assert got[0] == rc and got[1].startswith(message)
+
     def test_usage_error(self):
         rc, _ = run_cli("analyze")
         assert rc == 3

@@ -11,8 +11,11 @@ from detfold.algebra.fields import word_primes
 from detfold.algebra.unipoly import (
     divmod_poly,
     gcd_poly,
+    horner_mod,
     is_squarefree,
+    lanes,
     monic,
+    power_columns,
     rational_roots,
     squarefree_part,
     trim,
@@ -225,3 +228,16 @@ def test_gcd_over_q_past_a_bad_and_an_unlucky_prime():
     p = _mul(common, [Fraction(-1), Fraction(1)])
     q = _mul(common, [Fraction(-1 - second), Fraction(1)])
     assert gcd_poly(p, q, QQ) == common
+
+
+@pytest.mark.parametrize(("w", "q"), [(32, 3), (32, 29), (32, 223), (64, 449), (64, 997)])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lanes_match_horner(w, q, data):
+    # every lane of a combination of seven power columns is its polynomial's
+    # value mod q; coefficients up to (q - 1)^2, as when the plane scan scales
+    # residue forms by residues, give lanes up to 7 (q - 1)^3, which needs 64
+    # bits at q = 997, and the list of seven (q - 1)^2 gives the largest
+    s = data.draw(st.one_of(st.just([(q - 1) ** 2] * 7), st.lists(st.integers(0, (q - 1) ** 2), max_size=7)))
+    values = lanes(sum(c * col for c, col in zip(s, power_columns(q, w, 7))), q, w)
+    assert [values[t] % q for t in range(q)] == [horner_mod(s, t, q) for t in range(q)]
