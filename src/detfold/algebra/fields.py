@@ -47,7 +47,8 @@ _WORD_PRIMES = [2**61 - 1]
 
 def word_primes():
     """The primes below 2^61, descending from 2^61 - 1: the moduli of the
-    modular gcd and resultant, generated once and kept."""
+    modular gcd and of the resultant's vanishing test, generated once and
+    kept."""
     for i in itertools.count():
         if i == len(_WORD_PRIMES):
             _WORD_PRIMES.append(next(n for n in range(_WORD_PRIMES[-1] - 2, 2, -2) if is_prime(n)))

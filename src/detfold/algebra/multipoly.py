@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ..errors import DegenerateResultant, InputError
 from .fields import QQ, PrimeField, word_primes
-from .unipoly import crt, horner_mod, interpolate_mod, resultant_mod, symmetric, trim
+from .unipoly import horner_mod, resultant_int, resultant_mod, trim
 
 VARS_X = ("x1", "x2", "x3")
 VARS_XU = ("x1", "x2", "x3", "u1", "u2", "u3")
@@ -287,34 +287,40 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of f and g with respect to var.
 
     The result is a polynomial free of var; it vanishes identically iff f and
-    g share a factor involving var.  Computed in plain integers by evaluation,
-    interpolation and CRT (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 5-6) from the packed inputs of `_packed`: mod each word prime, the
-    Sylvester determinant at the formal degrees is taken at t = 0..N, N the
-    t-degree bound, by `resultant_mod`, and interpolated.  Primes are added
-    until their product exceeds twice |f|_1^n |g|_1^m (1-norms of the integer
-    coefficients, m and n the degrees in var), the row-sum bound on every
-    coefficient of the determinant.
+    g share a factor involving var.  Computed in one big-integer pass by
+    Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4): every packed t-coefficient list of `_packed` is taken at
+    t = 2^k, `resultant_int` runs the subresultant PRS on the two integer
+    polynomials in var, and the coefficients are read off as signed base-2^k
+    digits.  k exceeds the bit length of B = 2 |f|_1^n |g|_1^m (1-norms of the
+    integer coefficients, m and n the degrees in var), the row-sum bound on
+    every Sylvester minor, so both leads stay nonzero at 2^k, every division
+    of the PRS exact in Z[t] stays exact there, and the digits are unique.
     """
     fc, gc, top, scale, others, base = _packed(f, g, var)
     n1, n2 = (sum(abs(c) for cs in p for c in cs) for p in (fc, gc))
-    bound = 2 * n1 ** (len(gc) - 1) * n2 ** (len(fc) - 1)
-    coeffs, mod = [], 1
-    for prime in word_primes():
-        image = interpolate_mod([_packed_value(fc, gc, t, prime) for t in range(top + 1)], prime)
-        coeffs = crt(coeffs, mod, image, prime) if coeffs else image
-        mod *= prime
-        if mod > bound:
-            break
-    field, terms = f.field, {}
-    for texp, c in enumerate(coeffs):
-        c = symmetric(c, mod)
+    k = (2 * n1 ** (len(gc) - 1) * n2 ** (len(fc) - 1)).bit_length() + 1
+    r = resultant_int(*([_at_power(cs, k) for cs in p] for p in (fc, gc)))
+    field, terms, mask, half = f.field, {}, (1 << k) - 1, 1 << (k - 1)
+    for texp in range(top + 1):
+        c = r & mask
+        if c >= half:  # the digit is signed, in (-2^(k-1), 2^(k-1))
+            c -= 1 << k
+        r = (r - c) >> k
         if c:
             e = [0] * len(f.vars)
             for j in others:
                 texp, e[j] = divmod(texp, base)
             terms[tuple(e)] = Fraction(c, scale) if field == QQ else field.from_int(c)
     return MultiPoly(field, f.vars, terms)
+
+
+def _at_power(cs: list, k: int) -> int:
+    """The value of the t-coefficient list cs at t = 2^k, by Horner."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << k) + c
+    return v
 
 
 def resultant_vanishes(f: MultiPoly, g: MultiPoly, var: str) -> bool:
@@ -324,6 +330,7 @@ def resultant_vanishes(f: MultiPoly, g: MultiPoly, var: str) -> bool:
     nonzero, and over F_q with q > N all-zero values prove it zero."""
     fc, gc, top, *_ = _packed(f, g, var)
     prime = f.field.q if isinstance(f.field, PrimeField) else next(word_primes())
+    fc, gc = ([[c % prime for c in cs] for cs in p] for p in (fc, gc))
     if any(_packed_value(fc, gc, t, prime) for t in range(min(top + 1, prime))):
         return False
     return (isinstance(f.field, PrimeField) and prime > top) or resultant(f, g, var).is_zero

@@ -132,23 +132,36 @@ def resultant_mod(a: list[int], b: list[int], mod: int) -> int:
             a, b = b, r
 
 
-def interpolate_mod(values: list[int], mod: int) -> list[int]:
-    """Coefficients mod a prime, ascending, of the polynomial of degree
-    < len(values) taking values[t] at t = 0, 1, ...: divided differences,
-    each a difference over k at the k-th step, then the Newton form."""
-    diffs = list(values)
-    for k in range(1, len(diffs)):
-        inv = pow(k, -1, mod)
-        for j in range(len(diffs) - 1, k - 1, -1):
-            diffs[j] = (diffs[j] - diffs[j - 1]) * inv % mod
-    poly: list = []
-    for k in range(len(diffs) - 1, -1, -1):
-        # poly <- poly * (t - k) + diffs[k]
-        poly = [0] + poly
-        for j in range(len(poly) - 1):
-            poly[j] = (poly[j] - k * poly[j + 1]) % mod
-        poly[0] = (poly[0] + diffs[k]) % mod
-    return poly
+def resultant_int(a: list[int], b: list[int]) -> int:
+    """Res(a, b) of integer lists of degrees m, n >= 1 with nonzero leads, by
+    the subresultant PRS (Collins, J. ACM 14, 1967; Cohen, GTM 138, 3.3.7):
+    the pseudo-remainder of a by b, for a drop of d = deg a - deg b, is
+    divided exactly by g h^d, g the lead of the previous divisor and h that
+    of the previous subresultant (both 1 at first), then h <- g^d / h^(d-1);
+    each step with deg a and deg b odd flips the sign."""
+    s = 1
+    if len(a) < len(b):
+        a, b, s = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = 1
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        d = m - n
+        if m & n & 1:
+            s = -s
+        r, lb = list(a), b[-1]
+        for k in range(m, n - 1, -1):
+            c = r.pop()
+            r = [lb * x for x in r]
+            if c:
+                r[k - n : k] = [x - c * y for x, y in zip(r[k - n : k], b)]
+        if not trim(r):
+            return 0
+        div = g * h**d
+        a, b, g = b, [c // div for c in r], b[-1]
+        if d:
+            h = g**d // h ** (d - 1)
+    m = len(a) - 1
+    return s * (b[0] ** m // h ** (m - 1))
 
 
 def crt(acc: list[int], mod: int, image: list[int], prime: int) -> list[int]:

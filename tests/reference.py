@@ -18,9 +18,10 @@ walks P^2(F_q) point by point for the exhaustive references.
 `euclid_gcd`, `term_evaluate` and `bareiss_resultant` are the former field
 arithmetic kernels that the integer ones replaced: Euclid on field elements,
 the value at a point summed term by term, and the Sylvester determinant by
-fraction-free elimination over the polynomial ring.  `term_polar_matrix` is
-the former read of a fiber's polar matrix, term by term off F, which the
-cached forms of `SymDetRep.fiber_forms` replaced.
+fraction-free elimination over the polynomial ring.  `sylvester_det` is the
+same determinant for univariate integer lists, by Gauss-Jordan over Q.
+`term_polar_matrix` is the former read of a fiber's polar matrix, term by
+term off F, which the cached forms of `SymDetRep.fiber_forms` replaced.
 """
 
 import random
@@ -121,6 +122,16 @@ def bareiss_resultant(f, g, var):
             rows[i][k] = zero
         prev = rows[k][k]
     return -rows[-1][-1] if sign < 0 else rows[-1][-1]
+
+
+def sylvester_det(a, b):
+    """Sylvester determinant of ascending integer lists a and b at the
+    formal degrees len(a) - 1 and len(b) - 1."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    _, pivots, det = _echelon(rows, m + n, QQ)
+    return det if len(pivots) == m + n else 0
 
 
 def nullspace(rows, ncols, field):

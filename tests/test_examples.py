@@ -105,6 +105,15 @@ def test_dense_rational_rep_within_five_seconds(seed):
         _assert_golden(report, "dense_h1000.rational")
 
 
+def test_big_coefficient_rep_matches_goldens():
+    # diag(c x1, c x2, c x3, c x1^3 + x2^3 + x3^3) with c = 10^300: the
+    # resultants pack t at 2^k with k near 30,000 bits
+    c = 10**300
+    text = (GOLDEN / "diag_c300.rep").read_text()
+    assert f"row 3: 0, 0, 0, {c}*x1^3 + x2^3 + x3^3" in text
+    _assert_golden(analyze(parse_rep_file(text)), "diag_c300.rational")
+
+
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_default_params_echo_the_defaults(name):
     # rebuilding from the echoed parameters keeps the pinned highlights

@@ -248,23 +248,26 @@ class TestResultant:
         with pytest.raises(InputError):
             resultant(f, f, "x1")
 
-    @pytest.mark.parametrize("case", ["qq", "f13", "homogeneous", "lead_vanishes", "big"])
+    @pytest.mark.parametrize("case", ["qq", "f13", "homogeneous", "lead_vanishes", "big", "gaps", "wide"])
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(data=st.data())
     def test_equals_polynomial_ring_bareiss(self, case, data):
         # qq: non-integer rational coefficients, bivariate as in an affine chart;
         # f13: the same over F_13; homogeneous: trivariate forms, so two
         # variables remain; lead_vanishes: the leading coefficient of f in x2
-        # is x1 - k for a node k of the interpolation, so the Sylvester matrix
-        # there keeps its formal size with a zero leading entry, as first and
-        # as second argument; big: numerators up to 10^40, so the CRT
-        # combines several primes
+        # is x1 - k, zero at a small integer k, as first and as second
+        # argument; big: numerators up to 10^40, so the packing base 2^k is
+        # wide; gaps: f has only even powers of x2, so PRS steps drop two or
+        # more degrees; wide: degrees up to 6 in x2
         field = PrimeField(13) if case == "f13" else QQ
         height = 10**40 if case == "big" else 6
         coeffs = st.builds(Fraction, st.integers(-height, height), st.integers(1, 4))
         var = "x1" if case == "homogeneous" else "x2"
-        f = data.draw(_polys(field, coeffs, case == "homogeneous"))
-        g = data.draw(_polys(field, coeffs, case == "homogeneous"))
+        degrees = (4, 6) if case == "wide" else (2, 3)
+        f = data.draw(_polys(field, coeffs, case == "homogeneous", degrees))
+        g = data.draw(_polys(field, coeffs, case == "homogeneous", degrees))
+        if case == "gaps":
+            f = MultiPoly(QQ, VARS_X, {(a, 2 * b, c): v for (a, b, c), v in f.terms.items()})
         assume(f.involves(var) and g.involves(var))
         if case == "lead_vanishes":
             top = f.degree_in("x2") + 1
@@ -306,10 +309,10 @@ class TestResultant:
 
 
 @st.composite
-def _polys(draw, field, coeffs, homogeneous):
-    """Up to five terms of degree at most 3 in (x1, x2), or of degree exactly
-    2 or 3 in (x1, x2, x3) when homogeneous."""
-    degree = draw(st.integers(2, 3))
+def _polys(draw, field, coeffs, homogeneous, degrees=(2, 3)):
+    """Up to five terms of degree at most d in (x1, x2), or of degree exactly
+    d in (x1, x2, x3) when homogeneous, d drawn from the range degrees."""
+    degree = draw(st.integers(*degrees))
     terms = {}
     for _ in range(draw(st.integers(1, 5))):
         a = draw(st.integers(0, degree))

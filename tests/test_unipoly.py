@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from detfold.algebra import QQ, PrimeField
 from detfold.algebra.fields import word_primes
@@ -17,10 +17,11 @@ from detfold.algebra.unipoly import (
     monic,
     power_columns,
     rational_roots,
+    resultant_int,
     squarefree_part,
     trim,
 )
-from reference import euclid_gcd
+from reference import euclid_gcd, sylvester_det
 
 
 def test_rational_roots_examples():
@@ -241,3 +242,37 @@ def test_lanes_match_horner(w, q, data):
     s = data.draw(st.one_of(st.just([(q - 1) ** 2] * 7), st.lists(st.integers(0, (q - 1) ** 2), max_size=7)))
     values = lanes(sum(c * col for c, col in zip(s, power_columns(q, w, 7))), q, w)
     assert [values[t] % q for t in range(q)] == [horner_mod(s, t, q) for t in range(q)]
+
+
+# (t - 2) times cofactors of degrees 4 and 3: the PRS reaches the common
+# factor after several steps and then a zero remainder
+_COMMON = [-2, 1]
+_PRS_CASES = {
+    "degree_1": ([3, 2], [1, -4, 5, 0, 7]),
+    "both_odd": ([2, -1, 0, 3], [1, 4, 0, 0, 0, -2]),
+    "gaps": ([5, 0, -3, 0, 0, 0, 2], [-1, 4, 1, 3]),
+    "zero_late": ([int(c) for c in _mul(_COMMON, [5, -1, 3, 0, 1])], [int(c) for c in _mul(_COMMON, [7, 0, -1, 2])]),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRS_CASES))
+def test_resultant_int_equals_sylvester_determinant(case):
+    # each order of the arguments, so the swap to deg a >= deg b and the
+    # sign (-1)^(mn) of odd degrees are both taken
+    a, b = _PRS_CASES[case]
+    for x, y in ((a, b), (b, a)):
+        assert resultant_int(x, y) == sylvester_det(x, y)
+    assert (resultant_int(a, b) == 0) == (case == "zero_late")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_resultant_int_property(data):
+    # degrees 1..7, leads nonzero; half the draws keep only even powers in a,
+    # so steps drop two or more degrees
+    lists = [data.draw(st.lists(st.integers(-30, 30), min_size=2, max_size=8)) for _ in range(2)]
+    if data.draw(st.booleans()):
+        lists[0] = [c if i % 2 == 0 else 0 for i, c in enumerate(lists[0])]
+    a, b = (trim(x) for x in lists)
+    assume(len(a) > 1 and len(b) > 1)
+    assert resultant_int(a, b) == sylvester_det(a, b)
