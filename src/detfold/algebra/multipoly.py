@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ..errors import DegenerateResultant, InputError
 from .fields import QQ, PrimeField, word_primes
-from .unipoly import horner_mod, resultant_int, resultant_mod, trim
+from .unipoly import horner_mod, resultant_int, resultant_mod
 
 VARS_X = ("x1", "x2", "x3")
 VARS_XU = ("x1", "x2", "x3", "u1", "u2", "u3")
@@ -289,18 +289,19 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     The result is a polynomial free of var; it vanishes identically iff f and
     g share a factor involving var.  Computed in one big-integer pass by
     Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
-    Algebra, 8.4): every packed t-coefficient list of `_packed` is taken at
-    t = 2^k, `resultant_int` runs the subresultant PRS on the two integer
-    polynomials in var, and the coefficients are read off as signed base-2^k
-    digits.  k exceeds the bit length of B = 2 |f|_1^n |g|_1^m (1-norms of the
-    integer coefficients, m and n the degrees in var), the row-sum bound on
-    every Sylvester minor, so both leads stay nonzero at 2^k, every division
-    of the PRS exact in Z[t] stays exact there, and the digits are unique.
+    Algebra, 8.4): the packed terms of `_packed` of every power of var are
+    summed at t = 2^k, `resultant_int` runs the subresultant PRS on the two
+    integer polynomials in var, and the coefficients are read off as signed
+    base-2^k digits.  k exceeds the bit length of B = 2 |f|_1^n |g|_1^m
+    (1-norms of the integer coefficients, m and n the degrees in var), the
+    row-sum bound on every Sylvester minor, so both leads stay nonzero at 2^k,
+    every division of the PRS exact in Z[t] stays exact there, and the digits
+    are unique.
     """
-    fc, gc, top, scale, others, base = _packed(f, g, var)
-    n1, n2 = (sum(abs(c) for cs in p for c in cs) for p in (fc, gc))
-    k = (2 * n1 ** (len(gc) - 1) * n2 ** (len(fc) - 1)).bit_length() + 1
-    r = resultant_int(*([_at_power(cs, k) for cs in p] for p in (fc, gc)))
+    fp, gp, top, scale, others, base = _packed(f, g, var)
+    n1, n2 = (sum(abs(c) for pairs in p for _, c in pairs) for p in (fp, gp))
+    k = (2 * n1 ** (len(gp) - 1) * n2 ** (len(fp) - 1)).bit_length() + 1
+    r = resultant_int(*([sum(c << k * t for t, c in pairs) for pairs in p] for p in (fp, gp)))
     field, terms, mask, half = f.field, {}, (1 << k) - 1, 1 << (k - 1)
     for texp in range(top + 1):
         c = r & mask
@@ -315,34 +316,26 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     return MultiPoly(field, f.vars, terms)
 
 
-def _at_power(cs: list, k: int) -> int:
-    """The value of the t-coefficient list cs at t = 2^k, by Horner."""
-    v = 0
-    for c in reversed(cs):
-        v = (v << k) + c
-    return v
-
-
 def resultant_vanishes(f: MultiPoly, g: MultiPoly, var: str) -> bool:
     """resultant(f, g, var).is_zero, from values of the packed determinant
     mod q over F_q, mod the first word prime over Q, at t = 0, 1, ... for at
     most min(N + 1, prime) points: a nonzero value proves the resultant
     nonzero, and over F_q with q > N all-zero values prove it zero."""
-    fc, gc, top, *_ = _packed(f, g, var)
+    fp, gp, top, *_ = _packed(f, g, var)
     prime = f.field.q if isinstance(f.field, PrimeField) else next(word_primes())
-    fc, gc = ([[c % prime for c in cs] for cs in p] for p in (fc, gc))
+    fc, gc = ([_residues(pairs, prime) for pairs in p] for p in (fp, gp))
     if any(_packed_value(fc, gc, t, prime) for t in range(min(top + 1, prime))):
         return False
     return (isinstance(f.field, PrimeField) and prime > top) or resultant(f, g, var).is_zero
 
 
 def _packed(f: MultiPoly, g: MultiPoly, var: str):
-    """(fc, gc, N, scale, others, base): the t-coefficient lists of the
-    coefficients of var^0..var^m in f and var^0..var^n in g, cleared by
-    `_cleared`, with the variables at the indices `others` packed into t by
-    Kronecker substitution with base D+1, D = deg f * deg g, which bounds
-    every exponent of the resultant; its t-degree bound N; and the divisor
-    of the cleared resultant."""
+    """(fp, gp, N, scale, others, base): the terms of the coefficients of
+    var^0..var^m in f and var^0..var^n in g, cleared by `_cleared`, as
+    (t-exponent, integer) pairs, with the variables at the indices `others`
+    packed into t by Kronecker substitution with base D+1, D = deg f * deg g,
+    which bounds every exponent of the resultant; its t-degree bound N; and
+    the divisor of the cleared resultant."""
     if f.is_zero or g.is_zero:
         raise InputError("resultant of the zero polynomial")
     m, n = f.degree_in(var), g.degree_in(var)
@@ -355,8 +348,19 @@ def _packed(f: MultiPoly, g: MultiPoly, var: str):
     base = f.degree() * g.degree() + 1
     top = (base - 1) * base ** (len(others) - 1) if others else 0
     weights = [(j, base**k) for k, j in enumerate(others)]
-    fc, gc = (_kronecker(p, d, iv, weights, top) for p, d in ((fi, m), (gi, n)))
-    return fc, gc, top, sf**n * sg**m, others, base
+    fp, gp = ([[] for _ in range(d + 1)] for d in (m, n))
+    for terms, out in ((fi, fp), (gi, gp)):
+        for e, c in terms.items():
+            out[e[iv]].append((sum(e[j] * w for j, w in weights), c))
+    return fp, gp, top, sf**n * sg**m, others, base
+
+
+def _residues(pairs: list, prime: int) -> list:
+    """The t-coefficient list, mod prime, of packed (t-exponent, c) pairs."""
+    cs = [0] * (max((t for t, _ in pairs), default=-1) + 1)
+    for t, c in pairs:
+        cs[t] = c % prime
+    return cs
 
 
 def _packed_value(fc: list, gc: list, t: int, prime: int) -> int:
@@ -374,11 +378,3 @@ def _cleared(p: MultiPoly) -> tuple[dict, int]:
     # pairwise, not by a star-call, which would build a tuple of all the denominators
     den = functools.reduce(math.lcm, (c.denominator for c in p.terms.values()), 1)
     return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
-
-
-def _kronecker(terms: dict, d: int, iv: int, weights: list, top: int) -> list:
-    """Trimmed t-coefficient lists of the coefficients of var^0..var^d."""
-    out = [[0] * (top + 1) for _ in range(d + 1)]
-    for e, c in terms.items():
-        out[e[iv]][sum(e[j] * w for j, w in weights)] += c
-    return [trim(cs) for cs in out]

@@ -25,28 +25,6 @@ def deg(p: list) -> int:
     return len(p) - 1
 
 
-def divmod_poly(p: list, d: list, field) -> tuple[list, list]:
-    d = trim(list(d))
-    if not d:
-        raise ZeroDivisionError("univariate division by zero")
-    r = trim(list(p))
-    if len(r) < len(d):
-        return [], r
-    q = [field.zero()] * (len(r) - len(d) + 1)
-    dl = d[-1]
-    while r and len(r) >= len(d):
-        if not r[-1]:
-            r.pop()
-            continue
-        k = len(r) - len(d)
-        c = r[-1] / dl
-        q[k] = c
-        for i in range(len(d)):
-            r[k + i] = r[k + i] - c * d[i]
-        r.pop()
-    return trim(q), trim(r)
-
-
 def monic(p: list) -> list:
     if not p:
         return p
@@ -55,19 +33,25 @@ def monic(p: list) -> list:
 
 
 def gcd_poly(p: list, q: list, field) -> list:
-    """Monic gcd, in plain integers.  Over F_q: Euclid on residues.  Over Q:
-    Brown's modular method (J. ACM 18, 1971; MCA ch. 6) on the primitive
-    integer parts a, b, with lead = gcd(lc a, lc b).  The monic gcds mod
-    word primes not dividing lead, scaled by lead, are combined by CRT into
-    the symmetric range; an image of higher degree than the lowest seen comes
-    from an unlucky prime and is skipped, one of lower degree restarts the
-    CRT.  The primitive candidate is the gcd once it divides a and b exactly."""
+    """Monic gcd, in plain integers: over F_q Euclid on residues, over Q
+    `gcd_int` of the primitive integer parts."""
     if field != QQ:
         a, b = ([field.coerce(c).v for c in x] for x in (p, q))
         return [field.from_int(c) for c in gcd_mod(a, b, field.q)]
-    a, b = _integral(p), _integral(q)
+    return monic([Fraction(c) for c in gcd_int(_integral(p), _integral(q))])
+
+
+def gcd_int(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd in Z[t] of trimmed integer lists, by Brown's modular
+    method (J. ACM 18, 1971; MCA ch. 6) on the primitive parts a, b, with
+    lead = gcd(lc a, lc b).  The monic gcds mod word primes not dividing
+    lead, scaled by lead, are combined by CRT into the symmetric range; an
+    image of higher degree than the lowest seen comes from an unlucky prime
+    and is skipped, one of lower degree restarts the CRT.  The primitive part
+    of the candidate is the gcd once it divides a and b exactly."""
+    a, b = _primitive(a), _primitive(b)
     if not a or not b:
-        return monic([Fraction(c) for c in a or b])
+        return a or b
     lead = math.gcd(a[-1], b[-1])
     acc, mod = [], 1
     for prime in word_primes():
@@ -75,13 +59,13 @@ def gcd_poly(p: list, q: list, field) -> list:
             continue
         image = [lead * c % prime for c in gcd_mod(a, b, prime)]
         if len(image) == 1:
-            return [Fraction(1)]
+            return [1]
         if acc and len(image) > len(acc):
             continue
         acc, mod = (crt(acc, mod, image, prime), mod * prime) if len(image) == len(acc) else (image, prime)
-        cand = _integral([symmetric(c, mod) for c in acc])
-        if _divides(cand, a) and _divides(cand, b):
-            return monic([Fraction(c) for c in cand])
+        cand = _primitive([symmetric(c, mod) for c in acc])
+        if _quotient(a, cand) is not None and _quotient(b, cand) is not None:
+            return cand
 
 
 def gcd_mod(a: list[int], b: list[int], mod: int) -> list[int]:
@@ -175,32 +159,21 @@ def symmetric(c: int, mod: int) -> int:
     return c - mod if 2 * c > mod else c
 
 
-def _divides(d: list[int], a: list[int]) -> bool:
-    """True when d divides a in Z[t], by exact long division."""
-    r = list(a)
-    for k in range(len(r) - len(d), -1, -1):
-        c, rem = divmod(r[k + len(d) - 1], d[-1])
+def _quotient(a: list[int], d: list[int]) -> list[int] | None:
+    """a / d in Z[t] by exact long division, or None when d does not divide a
+    there; d is trimmed and nonzero."""
+    r, n = list(a), len(d)
+    quo = [0] * max(len(r) - n + 1, 0)
+    for k in range(len(r) - n, -1, -1):
+        quo[k], rem = divmod(r[k + n - 1], d[-1])
         if rem:
-            return False
-        r[k : k + len(d)] = [x - c * y for x, y in zip(r[k : k + len(d)], d)]
-    return not any(r)
+            return None
+        r[k : k + n] = [x - quo[k] * y for x, y in zip(r[k : k + n], d)]
+    return None if any(r) else quo
 
 
 def derivative(p: list, field) -> list:
     return trim([p[i] * field.from_int(i) for i in range(1, len(p))])
-
-
-def squarefree_part(p: list, field) -> list:
-    """p divided by gcd(p, p'); same roots, all simple (char 0 or char > deg)."""
-    if not p:
-        return p
-    g = gcd_poly(p, derivative(p, field), field)
-    if deg(g) <= 0:
-        return monic(list(p))
-    q, r = divmod_poly(p, g, field)
-    if r:
-        raise InputError("squarefree division not exact")
-    return monic(q)
 
 
 def is_squarefree(p: list, field) -> bool:
@@ -215,8 +188,9 @@ def is_squarefree(p: list, field) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
-    """Rational roots with multiplicities of a nonzero polynomial over Q.
+def rational_roots(coeffs: list[int]) -> tuple[dict[Fraction, int], int]:
+    """Rational roots with multiplicities of a nonzero integer polynomial (a
+    rational one is cleared of denominators first).
 
     Returns (roots, cofactor_degree), cofactor_degree being the degree of the
     part with no rational roots; the roots are always all found.  Loos,
@@ -229,19 +203,17 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
     reconstruct a/b with |a| <= |s_0| and 0 < b <= |s_d|, and count how often
     b t - a divides the polynomial exactly.
     """
-    p = trim([Fraction(c) for c in coeffs])
-    if not p:
+    work = _integral(coeffs)
+    if not work:
         raise InputError("rational_roots of the zero polynomial")
     roots: dict[Fraction, int] = {}
-    z = 0
-    while not p[0]:
-        p.pop(0)
-        z += 1
+    z = next(i for i, c in enumerate(work) if c)
     if z:
         roots[Fraction(0)] = z
-    if deg(p) <= 0:
+        work = work[z:]
+    if deg(work) <= 0:
         return roots, 0
-    s = _integral(squarefree_part(p, QQ))
+    s = _quotient(work, gcd_int(work, [i * c for i, c in enumerate(work)][1:]))
     ds = [i * c for i, c in enumerate(s)][1:]
     a_bound, b_bound = abs(s[0]), abs(s[-1])
     prime = 3
@@ -253,7 +225,6 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
         prime += 2
         while not is_prime(prime):
             prime += 2
-    work = _integral(p)
     for r in zeros:
         mod = prime
         while mod <= 2 * a_bound * b_bound:
@@ -267,12 +238,17 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
 
 
 def _integral(p: list) -> list[int]:
-    """The primitive integer multiple of a rational polynomial, trimmed."""
-    p = trim([Fraction(c) for c in p])
+    """The primitive integer multiple of a list of integers or fractions,
+    trimmed."""
+    p = trim(list(p))
     den = math.lcm(*(c.denominator for c in p))
-    c = [int(k * den) for k in p]
+    return _primitive([c.numerator * (den // c.denominator) for c in p])
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """An integer list divided by the gcd of its entries."""
     g = math.gcd(*c)
-    return [k // g for k in c]
+    return c if g == 1 else [k // g for k in c]
 
 
 def horner_mod(s: list[int], x: int, mod: int) -> int:

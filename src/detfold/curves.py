@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .algebra import QQ, MultiPoly, PrimeField, VARS_X, resultant, resultant_vanishes, unipoly
+from .algebra import MultiPoly, PrimeField, VARS_X, resultant, resultant_vanishes, unipoly
+from .algebra.multipoly import _cleared
 from .detrep import SymDetRep, gram_rank_kernel
 from .errors import ConsistencyError, InputError, Rejection
 from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
@@ -97,22 +98,46 @@ def _to_unicoeffs(p: MultiPoly, var: str) -> list:
     return unipoly.trim(out)
 
 
+def _rekeyed(terms: dict, k: int) -> dict:
+    """The terms with x_k set to 1: each exponent's k-th entry made 0, the
+    coefficients of equal exponents summed, which a form never has."""
+    out: dict = {}
+    for e, c in terms.items():
+        e = e[:k] + (0,) + e[k + 1 :]
+        out[e] = out[e] + c if e in out else c
+    return out
+
+
+def _in_x(terms: dict, v: int, n: int = 1, d: int = 1) -> list[int]:
+    """The integer list in x_v, v = 0 or 1, of d^D p at x_w = n/d, w = 1 - v,
+    D = deg_{x_w} p, for the integer terms of p, the exponent of x3 ignored:
+    each c x_v^j x_w^i contributes c n^i d^(D-i) to x_v^j."""
+    w = 1 - v
+    top = max(e[w] for e in terms)
+    out = [0] * (max(e[v] for e in terms) + 1)
+    for e, c in terms.items():
+        out[e[v]] += c * n ** e[w] * d ** (top - e[w])
+    return unipoly.trim(out)
+
+
 def _common_roots(unis: list) -> tuple[dict, int]:
-    """Rational roots, with multiplicities, of the gcd of nonzero univariates
-    over Q, and the degree of the gcd's part without rational roots."""
+    """Rational roots, with multiplicities, of the gcd of nonzero integer
+    lists, and the degree of the gcd's part without rational roots."""
     g = unis[0]
     for u in unis[1:]:
-        g = unipoly.gcd_poly(g, u, QQ)
-    if unipoly.deg(g) == 0:
+        g = unipoly.gcd_int(g, u)
+    if len(g) == 1:
         return {}, 0
     return unipoly.rational_roots(g)
 
 
 def _plane_solutions_qq(polys, field) -> PlaneSolutions:
-    """Rational solutions: in the chart x3 = 1 the roots of the eliminants in
-    x1, then over each root the roots in x2 of the fibre; on the line x3 = 0
-    the point (1:0:0) and the roots in x1 in the chart x2 = 1.  Each candidate
-    is tested against every polynomial."""
+    """Rational solutions, in integers: in the chart x3 = 1 the roots of the
+    eliminants in x1 (the polynomials free of x2 and resultants in x2, each
+    cleared of denominators), then over each root n/d the roots in x2 of the
+    fibres d^D p(n/d, x2, 1), D = deg_x1 p; on the line x3 = 0 the point
+    (1:0:0) and the roots in x1 in the chart x2 = 1.  Each candidate is
+    tested against every polynomial."""
     pts: set = set()
     unresolved = 0
     one, zero = field.one(), field.zero()
@@ -122,17 +147,17 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
             pts.add(ProjPoint(field, cand, "x"))
 
     # chart x3 = 1
-    aff = [p.substitute({"x3": 1}) for p in polys]
-    aff = [p for p in aff if not p.is_zero]
-    if not any(p.degree() == 0 for p in aff):
-        with_x2 = [p for p in aff if p.involves("x2")]
-        elim = [_to_unicoeffs(p, "x1") for p in aff if not p.involves("x2")]
+    aff = [MultiPoly(field, p.vars, _rekeyed(p.terms, 2)) for p in polys]
+    aff = [(p, _cleared(p)[0]) for p in aff if not p.is_zero]
+    if not any(p.degree() == 0 for p, _ in aff):
+        with_x2 = [p for p, _ in aff if p.involves("x2")]
+        elim = [_in_x(ints, 0) for p, ints in aff if not p.involves("x2")]
         for f, g in combinations(with_x2, 2):
             if len(elim) >= 3:
                 break
             r = resultant(f, g, "x2")
             if not r.is_zero:
-                elim.append(_to_unicoeffs(r, "x1"))
+                elim.append(_in_x(_cleared(r)[0], 0))
         if not elim:
             raise Rejection(
                 "elimination degenerated: every eliminant vanished "
@@ -142,7 +167,7 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
         unresolved += cof
         for a in roots:
             # the polynomials free of x2 are eliminants and vanish at a
-            fibre = [_to_unicoeffs(p.substitute({"x1": a}), "x2") for p in aff]
+            fibre = [_in_x(ints, 1, a.numerator, a.denominator) for _, ints in aff]
             fibre = [u for u in fibre if u]
             if not fibre:
                 raise Rejection("solution set contains a vertical line (positive-dimensional)")
@@ -152,13 +177,13 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
                 keep((a, b, one))
 
     # line x3 = 0
-    line = [p.substitute({"x3": 0}) for p in polys]
-    line = [p for p in line if not p.is_zero]
+    line = [{e: c for e, c in _cleared(p)[0].items() if not e[2]} for p in polys]
+    line = [ints for ints in line if ints]
     if not line:
         raise Rejection("system vanishes identically on the line x3=0 (positive-dimensional)")
-    if not any(p.degree() == 0 for p in line):
+    if not any(set(ints) == {(0, 0, 0)} for ints in line):
         keep((one, zero, zero))
-        roots, cof = _common_roots([_to_unicoeffs(p.substitute({"x2": 1}), "x1") for p in line])
+        roots, cof = _common_roots([_in_x(ints, 0) for ints in line])
         unresolved += cof
         for r in roots:
             keep((r, one, zero))
@@ -185,25 +210,28 @@ def is_reduced_curve(h: MultiPoly) -> bool:
     has both partials zero, so all three resultants vanish only when
     deg h >= 3 char.  Below that bound, which every sextic over Q or F_q with
     q odd meets, the test is exact; at or above it InputError is raised.
+    The contents are gcds of the cleared integer terms (`gcd_int` over Q,
+    `gcd_mod` over F_q); a content c is squarefree when gcd(c, c') is 1.
     """
     if h.is_zero:
         return False
     field = h.field
     if field.char and h.degree() >= 3 * field.char:
         raise InputError(f"squarefree test needs degree < 3 * {field.char}, got {h.degree()}")
+    ints = _cleared(h)[0]
+    gcd = (lambda a, b: unipoly.gcd_mod(a, b, field.q)) if field.char else unipoly.gcd_int
     for k in range(3):
         i = (k + 1) % 3
         coeffs: dict = {}
-        for e, c in h.terms.items():
+        for e, c in ints.items():
             coeffs.setdefault(e[k], {})[e[i]] = c
         content: list = []
         for row in coeffs.values():
-            u = [row.get(a, field.zero()) for a in range(max(row) + 1)]
-            content = unipoly.gcd_poly(content, u, field)
-        if not unipoly.is_squarefree(content, field):
+            content = gcd(content, [row.get(a, 0) for a in range(max(row) + 1)])
+        if len(gcd(content, [a * c for a, c in enumerate(content)][1:])) > 1:
             return False
     for k, xk in enumerate(VARS_X):
-        chart = h.substitute({VARS_X[(k + 1) % 3]: 1})
+        chart = MultiPoly(field, h.vars, _rekeyed(h.terms, (k + 1) % 3))
         dk = chart.diff(xk)
         if dk.is_zero:
             if not chart.involves(xk):

@@ -18,19 +18,24 @@ walks P^2(F_q) point by point for the exhaustive references.
 `euclid_gcd`, `term_evaluate` and `bareiss_resultant` are the former field
 arithmetic kernels that the integer ones replaced: Euclid on field elements,
 the value at a point summed term by term, and the Sylvester determinant by
-fraction-free elimination over the polynomial ring.  `sylvester_det` is the
+fraction-free elimination over the polynomial ring.  `divmod_poly` and
+`squarefree_part` are the long division and squarefree part on field
+elements, and `fraction_plane_solutions_qq` is the former rational plane
+solver, which took its eliminants, fibres and gcds as lists of fractions.  `sylvester_det` is the
 same determinant for univariate integer lists, by Gauss-Jordan over Q.
 `term_polar_matrix` is the former read of a fiber's polar matrix, term by
 term off F, which the cached forms of `SymDetRep.fiber_forms` replaced.
 """
 
 import random
+from itertools import combinations
 
-from detfold.algebra import QQ, VARS_X, MultiPoly, unipoly
+from detfold.algebra import QQ, VARS_X, MultiPoly, resultant, unipoly
 from detfold.algebra.linalg import _echelon, _kernel_basis
-from detfold.curves import _to_unicoeffs
+from detfold.curves import PlaneSolutions, _to_unicoeffs
 from detfold.detrep import _expected_degree, validate_rep
-from detfold.points import p2_lines
+from detfold.errors import InputError, Rejection
+from detfold.points import ProjPoint, p2_lines, sorted_points
 
 
 def dense_rep(seed, height):
@@ -60,9 +65,113 @@ def euclid_gcd(p, q, field):
     """Monic gcd of two univariates by Euclid on field elements."""
     a, b = unipoly.trim(list(p)), unipoly.trim(list(q))
     while b:
-        _, r = unipoly.divmod_poly(a, b, field)
+        _, r = divmod_poly(a, b, field)
         a, b = b, r
     return unipoly.monic(a)
+
+
+def divmod_poly(p, d, field):
+    """Quotient and remainder of univariates by long division over field."""
+    d = unipoly.trim(list(d))
+    if not d:
+        raise ZeroDivisionError("univariate division by zero")
+    r = unipoly.trim(list(p))
+    if len(r) < len(d):
+        return [], r
+    q = [field.zero()] * (len(r) - len(d) + 1)
+    dl = d[-1]
+    while r and len(r) >= len(d):
+        if not r[-1]:
+            r.pop()
+            continue
+        k = len(r) - len(d)
+        c = r[-1] / dl
+        q[k] = c
+        for i in range(len(d)):
+            r[k + i] = r[k + i] - c * d[i]
+        r.pop()
+    return unipoly.trim(q), unipoly.trim(r)
+
+
+def squarefree_part(p, field):
+    """p divided by gcd(p, p'); same roots, all simple (char 0 or char > deg)."""
+    if not p:
+        return p
+    g = unipoly.gcd_poly(p, unipoly.derivative(p, field), field)
+    if unipoly.deg(g) <= 0:
+        return unipoly.monic(list(p))
+    q, r = divmod_poly(p, g, field)
+    if r:
+        raise InputError("squarefree division not exact")
+    return unipoly.monic(q)
+
+
+def _fraction_common_roots(unis: list) -> tuple[dict, int]:
+    """Rational roots, with multiplicities, of the gcd of nonzero univariates
+    over Q, and the degree of the gcd's part without rational roots."""
+    g = unis[0]
+    for u in unis[1:]:
+        g = unipoly.gcd_poly(g, u, QQ)
+    if unipoly.deg(g) == 0:
+        return {}, 0
+    return unipoly.rational_roots(g)
+
+
+def fraction_plane_solutions_qq(polys, field) -> PlaneSolutions:
+    """Rational solutions: in the chart x3 = 1 the roots of the eliminants in
+    x1, then over each root the roots in x2 of the fibre; on the line x3 = 0
+    the point (1:0:0) and the roots in x1 in the chart x2 = 1.  Each candidate
+    is tested against every polynomial."""
+    pts: set = set()
+    unresolved = 0
+    one, zero = field.one(), field.zero()
+
+    def keep(cand):
+        if all(not p.evaluate(cand) for p in polys):
+            pts.add(ProjPoint(field, cand, "x"))
+
+    # chart x3 = 1
+    aff = [p.substitute({"x3": 1}) for p in polys]
+    aff = [p for p in aff if not p.is_zero]
+    if not any(p.degree() == 0 for p in aff):
+        with_x2 = [p for p in aff if p.involves("x2")]
+        elim = [_to_unicoeffs(p, "x1") for p in aff if not p.involves("x2")]
+        for f, g in combinations(with_x2, 2):
+            if len(elim) >= 3:
+                break
+            r = resultant(f, g, "x2")
+            if not r.is_zero:
+                elim.append(_to_unicoeffs(r, "x1"))
+        if not elim:
+            raise Rejection(
+                "elimination degenerated: every eliminant vanished "
+                "(curve not reduced or solution set positive-dimensional)"
+            )
+        roots, cof = _fraction_common_roots(elim)
+        unresolved += cof
+        for a in roots:
+            # the polynomials free of x2 are eliminants and vanish at a
+            fibre = [_to_unicoeffs(p.substitute({"x1": a}), "x2") for p in aff]
+            fibre = [u for u in fibre if u]
+            if not fibre:
+                raise Rejection("solution set contains a vertical line (positive-dimensional)")
+            broots, cof = _fraction_common_roots(fibre)
+            unresolved += cof
+            for b in broots:
+                keep((a, b, one))
+
+    # line x3 = 0
+    line = [p.substitute({"x3": 0}) for p in polys]
+    line = [p for p in line if not p.is_zero]
+    if not line:
+        raise Rejection("system vanishes identically on the line x3=0 (positive-dimensional)")
+    if not any(p.degree() == 0 for p in line):
+        keep((one, zero, zero))
+        roots, cof = _fraction_common_roots([_to_unicoeffs(p.substitute({"x2": 1}), "x1") for p in line])
+        unresolved += cof
+        for r in roots:
+            keep((r, one, zero))
+    return PlaneSolutions(sorted_points(pts), unresolved)
 
 
 def term_evaluate(f, values):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from detfold.algebra.unipoly import horner_mod, lanes
 from detfold.curves import (
     _certify_s_c,
     _pack_lines,
+    _plane_solutions_qq,
     is_node,
     is_reduced_curve,
     plane_solutions,
@@ -20,7 +22,7 @@ from detfold.errors import InputError, Rejection
 from detfold.examples import build_example
 from detfold.points import ProjPoint, sorted_points
 from detfold.spin import config_predicates, geometric_genus
-from reference import bivar_gcd, p2_reps, reference_is_reduced
+from reference import bivar_gcd, fraction_plane_solutions_qq, p2_reps, reference_is_reduced
 from test_oracle import random_reps
 
 
@@ -172,6 +174,29 @@ class TestRationalSolver:
         sol = plane_solutions([_product(f), _product(g)], QQ)
         assert set(sol.points) == {ProjPoint(QQ, cross(a, b), "x") for a in f for b in g}
         assert sol.unresolved == 0
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_integer_solver_equals_fraction_reference(self, data):
+        # 2-4 products of 1-3 lines with coefficients in [-7, 7], each scaled
+        # by a fraction and some times the conic x1^2 + x2^2 - 3 x3^2, which
+        # has no rational point: the integer solver and the former solver on
+        # fractions give the same points and unresolved degree, or the same
+        # rejection
+        polys = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            lines = data.draw(st.lists(st.tuples(*[st.integers(-7, 7)] * 3).filter(any), min_size=1, max_size=3))
+            p = _product(lines) * Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+            polys.append(p * _p("x1^2 + x2^2 - 3*x3^2") if data.draw(st.booleans()) else p)
+
+        def solve(solver):
+            try:
+                sol = solver(polys, QQ)
+            except Rejection as e:
+                return str(e)
+            return [p.coords for p in sol.points], sol.unresolved
+
+        assert solve(_plane_solutions_qq) == solve(fraction_plane_solutions_qq)
 
 
 def reference_solutions(polys, field):

@@ -114,6 +114,19 @@ def test_big_coefficient_rep_matches_goldens():
     _assert_golden(analyze(parse_rep_file(text)), "diag_c300.rational")
 
 
+def test_wide_denominators_rep_matches_goldens():
+    # ex42ii with l4 = 2 x1 + 3 x2 + 5 x3, l5 = 3 x1 - 7 x2 + 2 x3 and
+    # l6 = 5 x1 + x2 - 4 x3: its three nodes off D lie in the chart x3 = 1
+    # over the roots x1 = 17/13, 13/19 and -41/23, so their fibres are
+    # scaled by powers of d = 13, 19 and 23
+    text = (GOLDEN / "ex42ii_wide.rep").read_text()
+    assert "row 3: 0, 0, 0, 30*x1^3 - 19*x1^2*x2 - 110*x1*x2^2" in text
+    report = analyze(parse_rep_file(text))
+    flat = (GOLDEN / "ex42ii_wide.rational.flat").read_text()
+    assert "(1:11/13:19/13)" in flat and "(1:11/41:-23/41)" in flat and "s_c_count = 3\n" in flat
+    _assert_golden(report, "ex42ii_wide.rational")
+
+
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_default_params_echo_the_defaults(name):
     # rebuilding from the echoed parameters keeps the pinned highlights

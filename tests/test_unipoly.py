@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from detfold.algebra import QQ, PrimeField
 from detfold.algebra.fields import word_primes
 from detfold.algebra.unipoly import (
-    divmod_poly,
+    gcd_int,
     gcd_poly,
     horner_mod,
     is_squarefree,
@@ -18,10 +19,9 @@ from detfold.algebra.unipoly import (
     power_columns,
     rational_roots,
     resultant_int,
-    squarefree_part,
     trim,
 )
-from reference import euclid_gcd, sylvester_det
+from reference import divmod_poly, euclid_gcd, squarefree_part, sylvester_det
 
 
 def test_rational_roots_examples():
@@ -197,6 +197,34 @@ def test_gcd_over_q_equals_euclid(common, a, b):
     assert g == euclid_gcd(p, q, QQ)
     if p and q:
         assert not divmod_poly(g, monic(trim(list(common))), QQ)[1]
+
+
+_ints = st.integers(-50, 50)
+_huge_ints = st.integers(-(2**140), 2**140)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    common=st.lists(st.one_of(_ints, _huge_ints), min_size=1, max_size=4),
+    a=st.lists(_ints, min_size=1, max_size=5),
+    b=st.lists(_ints, min_size=1, max_size=5),
+    scale=st.integers(1, 12),
+)
+def test_gcd_int_equals_euclid_up_to_a_scalar(common, a, b, scale):
+    # integer products with a planted common factor, one of them scaled so
+    # that it is not primitive: the gcd is primitive, and it is Euclid's
+    # monic gcd over Q times a rational scalar
+    p, q = trim([scale * int(c) for c in _mul(common, a)]), [int(c) for c in _mul(common, b)]
+    assume(p and q)
+    g = gcd_int(p, q)
+    assert math.gcd(*g) == 1
+    assert monic([Fraction(c) for c in g]) == euclid_gcd([Fraction(c) for c in p], [Fraction(c) for c in q], QQ)
+
+
+def test_gcd_int_of_coprime_and_zero_lists():
+    assert gcd_int([-1, 1], [2, 1]) == [1]
+    assert gcd_int([], [6, -4]) == [3, -2]
+    assert gcd_int([4, 2], []) == [2, 1]
 
 
 @pytest.mark.parametrize("prime", [3, 13, 2**31 - 1])
