@@ -1,5 +1,5 @@
-from .fields import QQ, FpElt, PrimeField, RationalField, field_from_name, is_prime
-from .linalg import int_det_bareiss, kernel_rank_det, matrix_rank
+from .fields import QQ, FpElt, PrimeField, RationalField, field_from_name, is_prime, residue
+from .linalg import cross, int_rank_det, primitive
 from .multipoly import VARS_X, VARS_XU, MultiPoly, poly_matrix_det, resultant, resultant_vanishes
 from .parser import PolyParseError, parse_poly
 from . import unipoly
@@ -11,9 +11,10 @@ __all__ = [
     "RationalField",
     "field_from_name",
     "is_prime",
-    "int_det_bareiss",
-    "kernel_rank_det",
-    "matrix_rank",
+    "residue",
+    "cross",
+    "int_rank_det",
+    "primitive",
     "VARS_X",
     "VARS_XU",
     "MultiPoly",

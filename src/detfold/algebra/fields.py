@@ -55,6 +55,12 @@ def word_primes():
         yield _WORD_PRIMES[i]
 
 
+def residue(v: int, q: int) -> int:
+    """The integer v in the field of characteristic q: its residue mod q over
+    F_q, v itself over Q (q = 0)."""
+    return v % q if q else v
+
+
 class RationalField:
     """The field of exact rationals; elements are fractions.Fraction."""
 
@@ -195,6 +201,9 @@ class FpElt:
 
     def __bool__(self):
         return self.v != 0
+
+    def __int__(self):
+        return self.v
 
     def __eq__(self, other):
         if isinstance(other, FpElt):

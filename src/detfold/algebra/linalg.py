@@ -1,95 +1,49 @@
-"""Exact linear algebra over a field, plus fraction-free integer determinants."""
+"""Exact linear algebra on integer matrices and vectors, over Q or F_q."""
 
 from __future__ import annotations
 
-from ..errors import InputError
+import math
+
+from .fields import residue
 
 
-def _echelon(rows: list[list], ncols: int, field):
-    """Gauss-Jordan elimination shared by the routines below.
-
-    Returns the reduced rows, the (row, column) of each pivot in order, and
-    the product of the pivots signed by the row swaps (the determinant when
-    the matrix is square of full rank).
-    """
-    m = [[field.coerce(c) for c in row] for row in rows]
-    det = field.one()
-    pivots: list[tuple[int, int]] = []
-    for col in range(ncols):
-        prow = len(pivots)
-        if prow == len(m):
-            break
-        sel = next((r for r in range(prow, len(m)) if m[r][col]), None)
+def int_rank_det(rows: list[list[int]], q: int = 0) -> tuple[int, int]:
+    """Rank and determinant (0 unless square of full rank) of an integer
+    matrix over Q (q = 0) or over F_q, by fraction-free elimination (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22, 1968) that skips columns without a pivot.
+    Each entry after a step is a minor of the matrix, so over Q the division
+    by the previous pivot is exact; over F_q it is a product with its inverse."""
+    m = [list(r) for r in rows]
+    rank, prev, sign = 0, 1, 1
+    for col in range(len(m[0]) if m else 0):
+        sel = next((r for r in range(rank, len(m)) if residue(m[r][col], q)), None)
         if sel is None:
             continue
-        if sel != prow:
-            m[prow], m[sel] = m[sel], m[prow]
-            det = -det
-        pv = m[prow][col]
-        det = det * pv
-        inv = field.one() / pv
-        m[prow] = [c * inv for c in m[prow]]
-        for r in range(len(m)):
-            if r != prow and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[prow])]
-        pivots.append((prow, col))
-    return m, pivots, det
+        if sel != rank:
+            m[rank], m[sel], sign = m[sel], m[rank], -sign
+        top, pv = m[rank], m[rank][col]
+        inv = pow(prev, -1, q) if q else None
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(a * pv - f * b) * inv % q if q else (a * pv - f * b) // prev for a, b in zip(m[r], top)]
+        rank, prev = rank + 1, pv
+    square = bool(m) and rank == len(m) == len(m[0])
+    return rank, residue(sign * prev, q) if square else 0
 
 
-def _kernel_basis(m: list[list], pivots: list, ncols: int, field) -> list[list]:
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for r, pc in pivots:
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+def primitive(v, q: int = 0) -> tuple:
+    """The canonical multiple of a nonzero integer vector: over Q (q = 0)
+    divided by the gcd of its entries, with its first nonzero entry positive;
+    over F_q the residues scaled so that entry is 1."""
+    lead = next(c for c in v if residue(c, q))
+    if q:
+        inv = pow(lead, -1, q)
+        return tuple(c * inv % q for c in v)
+    g = math.gcd(*v) if lead > 0 else -math.gcd(*v)
+    return tuple(c // g for c in v)
 
 
-def kernel_rank_det(rows: list[list], field) -> tuple[int, object, list[list]]:
-    """Rank, determinant and reduced-echelon kernel basis of a square matrix.
-
-    The kernel basis is deterministic: one vector per free column, unit entry
-    at the free column, pivot entries back-substituted.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InputError("kernel_rank_det expects a square matrix")
-    m, pivots, det = _echelon(rows, n, field)
-    rank = len(pivots)
-    return rank, det if rank == n else field.zero(), _kernel_basis(m, pivots, n, field)
-
-
-def matrix_rank(rows: list[list], field) -> int:
-    """Rank of an arbitrary (possibly rectangular) matrix."""
-    if not rows:
-        return 0
-    return len(_echelon(rows, len(rows[0]), field)[1])
-
-
-def int_det_bareiss(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss, fraction-free)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InputError("determinant expects a square matrix")
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            sel = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if sel is None:
-                return 0
-            m[k], m[sel] = m[sel], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def cross(a, b) -> tuple:
+    """The cross product of two 3-vectors."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])

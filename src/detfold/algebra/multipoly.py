@@ -10,9 +10,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 
 from ..errors import DegenerateResultant, InputError
-from .fields import QQ, PrimeField, word_primes
+from .fields import QQ, PrimeField, residue, word_primes
 from .unipoly import horner_mod, resultant_int, resultant_mod
 
 VARS_X = ("x1", "x2", "x3")
@@ -366,6 +367,33 @@ def _residues(pairs: list, prime: int) -> list:
 def _packed_value(fc: list, gc: list, t: int, prime: int) -> int:
     """The packed Sylvester determinant at the formal degrees, at t, mod prime."""
     return resultant_mod(*([horner_mod(c, t, prime) for c in cs] for cs in (fc, gc)), prime)
+
+
+@functools.cache
+def monomials(d: int) -> tuple:
+    """The exponents of degree d in three variables, in graded-lex order."""
+    return tuple((a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1))
+
+
+def dense(terms: dict, d: int) -> tuple:
+    """A form of degree d in three variables, given by integer terms, as
+    (d, its coefficients of `monomials(d)`)."""
+    return d, [terms.get(e, 0) for e in monomials(d)]
+
+
+def form_values(forms: list, n, q: int = 0) -> list[int]:
+    """The values of `dense` forms at the integer vector n, reduced mod q over
+    F_q: each the dot product of its coefficients with the monomials of its
+    degree at n, which are computed once per degree."""
+    x, y, z = n
+    table: dict = {}
+    out = []
+    for d, coeffs in forms:
+        if d not in table:
+            table[d] = [x**a * y**b * z**c for a, b, c in monomials(d)]
+        v = sum(map(mul, coeffs, table[d]))
+        out.append(residue(v, q))
+    return out
 
 
 def _cleared(p: MultiPoly) -> tuple[dict, int]:

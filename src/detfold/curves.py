@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .algebra import MultiPoly, PrimeField, VARS_X, resultant, resultant_vanishes, unipoly
-from .algebra.multipoly import _cleared
+from .algebra import MultiPoly, PrimeField, VARS_X, residue, resultant, resultant_vanishes, unipoly
+from .algebra.multipoly import _cleared, dense, form_values
 from .detrep import SymDetRep, gram_rank_kernel
 from .errors import ConsistencyError, InputError, Rejection
 from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
@@ -284,12 +284,21 @@ def _singular_points_factored(comps, field) -> PlaneSolutions:
     return PlaneSolutions(sorted_points(pts), unresolved, unresolved_in)
 
 
-def node_partials(h: MultiPoly) -> tuple:
-    """The gradient of h and its Hessian entries h_ij (i <= j), keyed by (i, j),
-    derived once for node tests at many points."""
-    grad = [h.diff(v) for v in VARS_X]
-    hess = {(i, j): grad[i].diff(VARS_X[j]) for i in range(3) for j in range(i, 3)}
-    return grad, hess
+# the Hessian entries h_ij, i <= j, in the order of `node_partials`
+HESSIAN = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def node_partials(h: MultiPoly) -> list:
+    """h, its gradient and its Hessian entries (`HESSIAN`) as `dense` forms
+    of h's cleared integer terms, derived once for node tests at many points."""
+    terms, d = _cleared(h)[0], h.degree()
+    grad = [_partial(terms, i) for i in range(3)]
+    hess = [_partial(grad[i], j) for i, j in HESSIAN]
+    return [dense(terms, d)] + [dense(g, d - 1) for g in grad] + [dense(t, d - 2) for t in hess]
+
+
+def _partial(terms: dict, i: int) -> dict:
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
 
 
 def is_node(h: MultiPoly, p: ProjPoint, partials=None) -> bool:
@@ -297,16 +306,21 @@ def is_node(h: MultiPoly, p: ProjPoint, partials=None) -> bool:
 
     In the chart where p's leading coordinate x_k is 1, the quadratic part of
     h at p is half the Hessian block on the two other coordinates i, j, so p
-    is a node exactly when h_ij^2 - h_ii h_jj != 0 there (char != 2).
-    `partials` is `node_partials(h)` when the caller tests many points.
+    is a node exactly when h_ij^2 - h_ii h_jj != 0 there (char != 2).  The
+    forms are taken at the integer vector n = den p (`ProjPoint.ints`), where
+    one of degree e takes den^e times its value at p, so each test is
+    unchanged.  `partials` is `node_partials(h)` when the caller tests many
+    points.
     """
-    grad, hess = partials or node_partials(h)
-    if h.evaluate(p.coords) or any(g.evaluate(p.coords) for g in grad):
+    q = h.field.char
+    n = p.ints()[0]
+    value, *grad_hess = form_values(partials or node_partials(h), n, q)
+    if value or any(grad_hess[:3]):
         raise Rejection(f"point {p} is not a singular point of the curve")
-    k = next(i for i, c in enumerate(p.coords) if c)
+    hess = dict(zip(HESSIAN, grad_hess[3:]))
+    k = next(i for i, c in enumerate(n) if c)
     i, j = (m for m in range(3) if m != k)
-    hii, hij, hjj = (hess[key].evaluate(p.coords) for key in ((i, i), (i, j), (j, j)))
-    return bool(hij * hij - hii * hjj)
+    return bool(residue(hess[i, j] ** 2 - hess[i, i] * hess[j, j], q))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +333,8 @@ class SingRecord:
     point: ProjPoint
     rank: int
     on_d: bool
-    gram: tuple  # Gram matrix of the fiber quadric over point (gram_rank_kernel)
-    kernel: tuple  # its kernel basis, one vector per free column
+    gram: tuple  # integer Gram matrix of the fiber quadric over point (gram_rank_kernel)
+    kernel: tuple | None  # a kernel vector of a rank-3 fiber at point, else None
 
 
 @dataclass
@@ -358,19 +372,20 @@ def classify_singularities(rep: SymDetRep) -> SingClassification:
 
     records = []
     partials = node_partials(sextic)
+    d_form = [dense(_cleared(d_cubic)[0], 3)]
     for p in scan.points:
         if not is_node(sextic, p, partials):
             raise Rejection(f"singular point {p} is not a node; the sextic is not nodal")
-        gram, rank, _det, kernel = gram_rank_kernel(rep, p)
+        gram, rank, kernel = gram_rank_kernel(rep, p)
         if rank == 4:
             raise ConsistencyError(f"full-rank fiber at claimed singular point {p}")
-        on_d = not d_cubic.evaluate(p.coords)
+        on_d = not form_values(d_form, p.ints()[0], field.char)[0]
         if rank == 2 and not on_d:
             raise ConsistencyError(
                 f"rank-2 fiber at {p} must lie on the cubic D (minors all vanish)"
             )
         records.append(SingRecord(point=p, rank=rank, on_d=on_d,
-                                  gram=tuple(map(tuple, gram)), kernel=tuple(map(tuple, kernel))))
+                                  gram=tuple(map(tuple, gram)), kernel=kernel))
 
     s_c_certified = scan.complete
     notes = []

@@ -9,12 +9,19 @@ by (u:t) -> (t*a, t*b, t*c, u1, u2, u3) over p = (a:b:c).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from operator import mul
 
-from .algebra import MultiPoly, VARS_X, VARS_XU, kernel_rank_det, poly_matrix_det
+from .algebra import MultiPoly, VARS_X, VARS_XU, cross, int_rank_det, poly_matrix_det, primitive, residue
+from .algebra.multipoly import _cleared, dense, form_values
 from .errors import ConsistencyError, InputError, Rejection
 from .points import ProjPoint
+
+# the places (i, j), i <= j, on and above the diagonal of a symmetric 4x4 matrix
+UPPER = tuple((i, j) for i in range(4) for j in range(i, 4))
+
 
 # degree required of entry (i, j); zero entries are allowed anywhere
 def _expected_degree(i: int, j: int) -> int:
@@ -74,15 +81,27 @@ class SymDetRep:
         return F
 
     @cached_property
-    def fiber_forms(self) -> dict:
-        """F's forms in x of the u-t monomials z_i z_j, keyed by (i, j), i <= j,
-        z = (u1, u2, u3, t), a square's form doubled: with F(t p, u) = t Q(u, t),
-        the polar matrix of Q at p holds the forms' values at p."""
-        forms: dict = {}
-        for e, c in self.fourfold.terms.items():
+    def gram_forms(self) -> list:
+        """The entries at `UPPER` as `dense` forms of c M, c the lcm of their
+        denominators (their residues over F_q)."""
+        cleared = [_cleared(self.entry(i, j)) for i, j in UPPER]
+        c = math.lcm(*(den for _, den in cleared))
+        return [
+            dense({e: v * (c // den) for e, v in terms.items()}, _expected_degree(*ij))
+            for ij, (terms, den) in zip(UPPER, cleared)
+        ]
+
+    @cached_property
+    def fiber_forms(self) -> list:
+        """F's forms in x of the u-t monomials z_i z_j, (i, j) in `UPPER`,
+        z = (u1, u2, u3, t), a square's form doubled, as `dense` forms of F's
+        cleared integer terms: with F(t p, u) = t Q(u, t), their values at p
+        are the polar matrix of Q up to F's denominator."""
+        forms: dict = {ij: {} for ij in UPPER}
+        for e, c in _cleared(self.fourfold)[0].items():
             i, j = (n for n, k in enumerate(e[3:] + (2 - sum(e[3:]),)) for _ in range(k))
-            forms.setdefault((i, j), {})[e[:3]] = c + c if i == j else c
-        return {ij: MultiPoly(self.field, VARS_X, terms) for ij, terms in forms.items()}
+            forms[i, j][e[:3]] = 2 * c if i == j else c
+        return [dense(forms[ij], _expected_degree(*ij)) for ij in UPPER]
 
     @cached_property
     def classification(self):
@@ -176,20 +195,38 @@ def _check_fourfold_shape(F: MultiPoly, rep: SymDetRep) -> None:
 
 
 def gram_rank_kernel(rep: SymDetRep, p: ProjPoint):
-    """Gram matrix of the fiber quadric Q_p in coordinates (u1,u2,u3,t), read
-    off the symmetric rep on and above the diagonal, with rank, det and kernel."""
+    """Gram matrix of the fiber quadric Q_p in coordinates (u1,u2,u3,t), its
+    rank, and at rank 3 a kernel vector at p (else None).  The matrix is
+    `SymDetRep.gram_forms` at n = den p (`ProjPoint.ints`): entry (i, j) has
+    degree 1 + [i = 3] + [j = 3], so it is c den S G S for G the matrix at p
+    and S = diag(1, 1, 1, den), with G's rank and zero entries, and its
+    kernel v gives G's kernel S v, returned `primitive`."""
     if p.space != "x":
         raise Rejection("fiber points live in the plane of the discriminant curve")
-    vals = p.coords
-    upper = {(i, j): rep.entry(i, j).evaluate(vals) for i in range(4) for j in range(i, 4)}
+    q = rep.field.char
+    n, den = p.ints()
+    upper = dict(zip(UPPER, form_values(rep.gram_forms, n, q)))
     gram = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
-    rank, det, basis = kernel_rank_det(gram, rep.field)
+    rank = int_rank_det(gram, q)[0]
     if rank <= 1:
         raise Rejection(
             f"fiber Gram matrix at {p} has rank {rank} <= 1; "
             "not a valid determinantal representation"
         )
-    return gram, rank, det, basis
+    kernel = None
+    if rank == 3:
+        for k in range(4):
+            # at rank 3 the adjugate is s v v^T != 0; column k, up to sign,
+            # is the signed 3x3 minors of the rows other than k
+            rows = [row for r, row in enumerate(gram) if r != k]
+            v = []
+            for i in range(4):
+                a, b, c = ([x for m, x in enumerate(row) if m != i] for row in rows)
+                v.append((-1) ** i * sum(map(mul, a, cross(b, c))))
+            if any(residue(x, q) for x in v):
+                break
+        kernel = primitive(v[:3] + [den * v[3]], q)
+    return gram, rank, kernel
 
 
 def vanishes_on_plane(F: MultiPoly, basis: list) -> bool:
@@ -208,9 +245,10 @@ def vanishes_on_plane(F: MultiPoly, basis: list) -> bool:
     return True
 
 
-def embed_fiber_vector(p: ProjPoint, vec, field) -> ProjPoint:
-    """Send (u1,u2,u3,t) over p=(a:b:c) to (t*a : t*b : t*c : u1 : u2 : u3)."""
-    u1, u2, u3, t = (field.coerce(v) for v in vec)
-    a, b, c = p.coords
-    return ProjPoint(field, (t * a, t * b, t * c, u1, u2, u3), "p5")
-
+def embed_fiber_vector(p: ProjPoint, vec) -> tuple:
+    """The integer vector of the point (t p : u) of P^5 over p for an integer
+    fiber vector vec = (u1, u2, u3, t): (t n, den u), n = den p
+    (`ProjPoint.ints`)."""
+    n, den = p.ints()
+    *u, t = vec
+    return tuple(t * c for c in n) + tuple(den * c for c in u)

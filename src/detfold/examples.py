@@ -16,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import MultiPoly, PrimeField, QQ, VARS_X, matrix_rank, parse_poly, poly_matrix_det
+from .algebra import MultiPoly, PrimeField, QQ, VARS_X, int_rank_det, parse_poly, poly_matrix_det
+from .algebra.multipoly import _cleared
 from .algebra.unipoly import is_squarefree
 from .curves import _to_unicoeffs, is_reduced_curve, singular_points
 from .detrep import SymDetRep, validate_rep, vanishes_on_plane
@@ -139,8 +140,8 @@ def _build_ex42ii(params: dict) -> NamedExample:
             raise Rejection("every component of this example must be a line")
     # general position: six distinct lines, no three concurrent
     for a, b, c in combinations(all_lines, 3):
-        rows = [[p.terms.get(tuple(1 if i == k else 0 for i in range(3)), fld.zero()) for k in range(3)] for p in (a, b, c)]
-        if matrix_rank(rows, fld) < 3:
+        rows = [[_cleared(p)[0].get(tuple(1 if i == k else 0 for i in range(3)), 0) for k in range(3)] for p in (a, b, c)]
+        if not int_rank_det(rows)[1]:
             raise Rejection("three of the six lines are concurrent; not in general position")
     z = _zero()
     corner = lines[0] * lines[1] * lines[2]

@@ -5,13 +5,16 @@ planes, and an exhaustive finite-field oracle for independent verification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import mul
 
-from .algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, matrix_rank
+from .algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, cross, int_rank_det, primitive, residue
+from .algebra.multipoly import _cleared, form_values
 from .algebra.unipoly import gcd_mod, horner_mod, lanes, power_columns, trim
 from .curves import plane_solutions
-from .detrep import SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
+from .detrep import UPPER, SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
 from .points import ORACLE_BUDGET, ProjPoint, p2_lines, sorted_points
 
@@ -27,99 +30,92 @@ class PlanePair:
     = 0 of the fiber 3-space span(P, p), the points (t p, u), with s^2 =
     disc.  alpha, beta and disc lie in the base field; root is s when disc
     is a square there, else None and the planes are conjugate over the
-    quadratic extension by sqrt(disc)."""
+    quadratic extension by sqrt(disc).  lines holds the keys of the
+    couple's lines inside P (`_line_keys`)."""
 
     point: ProjPoint
     alpha: tuple
     beta: tuple
     disc: object
     root: object | None
+    lines: frozenset
     degenerate: bool = False  # one member is the projection plane P itself
 
 
 def split_rank2_fiber(rep: SymDetRep, p: ProjPoint, gram=None) -> PlanePair:
     """Write the rank-2 fiber quadric over p as a product of two planes.
 
-    The planes split over the base field when the reduced binary form's
-    discriminant is a square, otherwise over the quadratic extension by that
-    discriminant; either way the couple is kept as base-field data.  It is
-    verified to lie on the fourfold by `_verify_pair`.  `gram` is the fiber's
-    Gram matrix when the classification already holds it.
+    On the integer Gram matrix G of `gram_rank_kernel` at n = den p, with
+    (i, j) the first principal pair where G_ii G_jj - G_ij^2 != 0 and
+    z = (l_i . v, l_j . v) for its rows l, Q is a nonzero multiple of
+    a z1^2 + 2b z1 z2 + c z2^2, a, b, c = G_jj, -G_ij, G_ii.  So the integers
+    alpha, beta, disc = a l_i + b l_j, l_j, b^2 - ac give the planes (alpha
+    +- sqrt(disc) beta) . v = 0, or l_i + l_j, l_i - l_j, 1 when a = c = 0.
+    They split over the base field when disc is a square there, otherwise
+    over the quadratic extension by it.  `_verify_pair` and `_line_keys` work
+    on these integers; alpha and beta are then taken to p by
+    diag(den, den, den, 1) and kept as base-field data.  `gram` is G when
+    the classification already holds it.
     """
+    field, q = rep.field, rep.field.char
     if gram is None:
-        gram, rank, _det, _kern = gram_rank_kernel(rep, p)
+        gram, rank, _kernel = gram_rank_kernel(rep, p)
         if rank != 2:
             raise Rejection(f"fiber at {p} has rank {rank}, not 2; no couple of planes there")
-
-    i, j = _nonsingular_principal_pair(gram)
-    # Q(v) = L(v)^T A2^{-1} L(v) with L = rows i, j of the Gram matrix and
-    # A2^{-1} = [[a, b], [b, c]], so Q = a z1^2 + 2b z1 z2 + c z2^2 in z = L v
-    det2 = gram[i][i] * gram[j][j] - gram[i][j] * gram[j][i]
-    a, b, c = gram[j][j] / det2, -gram[i][j] / det2, gram[i][i] / det2
+    pairs = [(i, j) for i, j in combinations(range(4), 2) if residue(gram[i][i] * gram[j][j] - gram[i][j] ** 2, q)]
+    if not pairs:
+        raise ConsistencyError("rank-2 symmetric matrix without invertible principal 2x2 block")
+    i, j = pairs[0]
+    a, b, c = gram[j][j], -gram[i][j], gram[i][i]
     li, lj = gram[i], gram[j]
     if not a:  # z1 and z2 change roles
         a, c, li, lj = c, a, lj, li
-    disc = b * b - a * c
     if a:
         # a Q = (a z1 + b z2)^2 - disc z2^2
-        alpha = tuple(x + b / a * y for x, y in zip(li, lj))
-        beta = tuple(-y / a for y in lj)
+        alpha, beta, disc = [a * x + b * y for x, y in zip(li, lj)], lj, b * b - a * c
     else:
-        # Q = 2b z1 z2 and disc = b^2: alpha +- b beta are z1 and z2
-        alpha = tuple((x + y) / 2 for x, y in zip(li, lj))
-        beta = tuple((x - y) / (2 * b) for x, y in zip(li, lj))
+        # z1 z2 = ((z1 + z2)^2 - (z1 - z2)^2) / 4
+        alpha, beta, disc = [x + y for x, y in zip(li, lj)], [x - y for x, y in zip(li, lj)], 1
+    _verify_pair(rep, p, alpha, beta, disc)
+    root = field.sqrt(field.from_int(disc))
+    den = p.ints()[1]
+    at_p = [tuple(map(field.from_int, (den * v[0], den * v[1], den * v[2], v[3]))) for v in (alpha, beta)]
     # with an identically-zero conic block the fiber quadric contains P
     # itself; flag the pair instead of treating it as an internal error
-    pair = PlanePair(
+    return PlanePair(
         point=p,
-        alpha=alpha,
-        beta=beta,
-        disc=disc,
-        root=rep.field.sqrt(disc),
+        alpha=at_p[0],
+        beta=at_p[1],
+        disc=field.from_int(disc),
+        root=root,
+        lines=_line_keys(alpha[:3], beta[:3], disc, root, q),
         degenerate=not any(x for row in gram[:3] for x in row[:3]),
     )
-    _verify_pair(pair, rep)
-    return pair
 
 
-def _nonsingular_principal_pair(gram):
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = gram[i][i] * gram[j][j] - gram[i][j] * gram[j][i]
-            if d:
-                return (i, j)
-    raise ConsistencyError("rank-2 symmetric matrix without invertible principal 2x2 block")
-
-
-def _verify_pair(pair: PlanePair, rep: SymDetRep) -> None:
-    """Both planes of a couple lie on the fourfold and meet in a line.
+def _verify_pair(rep: SymDetRep, p: ProjPoint, alpha, beta, disc: int) -> None:
+    """Both planes of a couple lie on the fourfold and meet in a line, for
+    the integers alpha, beta and disc of `split_rank2_fiber` at the integer
+    vector n = den p.
 
     The planes lie in span(P, p), the points (t p, u), where F(t p, u) =
     t Q(u, t) because F vanishes on P.  With v = (u, t) their product is
     (alpha . v)^2 - disc (beta . v)^2, so both lie on the fourfold when Q is
-    a nonzero multiple of it: when the polar matrix of Q, read off F at p,
-    is a nonzero multiple of 2 (alpha alpha^T - disc beta beta^T).  The two
-    planes are distinct, so meet in a line, exactly when disc != 0 and
-    alpha, beta are independent.
+    a nonzero multiple of it: when the polar matrix of Q, read off F's forms
+    at n (`SymDetRep.fiber_forms`), is a nonzero multiple of
+    alpha alpha^T - disc beta beta^T, compared cross-multiplied.  The two
+    planes are distinct, so meet in a line, exactly when disc != 0 and some
+    2x2 minor of alpha and beta is nonzero.
     """
-    p, alpha, beta, disc = pair.point, pair.alpha, pair.beta, pair.disc
-    if not disc or matrix_rank([list(alpha), list(beta)], p.field) < 2:
+    q = rep.field.char
+    minors = (alpha[k] * beta[l] - alpha[l] * beta[k] for k, l in combinations(range(4), 2))
+    if not residue(disc, q) or not any(residue(m, q) for m in minors):
         raise ConsistencyError("planes of a couple must meet along a line")
-    polar = _fiber_polar_matrix(rep, p)
-    upper = [(k, l) for k in range(4) for l in range(k, 4)]  # both matrices are symmetric
-    planes = {(k, l): alpha[k] * alpha[l] - disc * beta[k] * beta[l] for k, l in upper}
-    lead, pivot = next((polar[k][l], planes[k, l]) for k, l in upper if planes[k, l])
-    if not lead or any(polar[k][l] * pivot != planes[k, l] * lead for k, l in upper):
+    polar = form_values(rep.fiber_forms, p.ints()[0], q)  # both matrices are symmetric: UPPER
+    planes = [residue(alpha[k] * alpha[l] - disc * beta[k] * beta[l], q) for k, l in UPPER]
+    lead, pivot = next((x, y) for x, y in zip(polar, planes) if y)
+    if not lead or any(residue(x * pivot - y * lead, q) for x, y in zip(polar, planes)):
         raise ConsistencyError(f"claimed plane over {p} is not inside the fourfold")
-
-
-def _fiber_polar_matrix(rep: SymDetRep, p: ProjPoint) -> list:
-    """The 4x4 symmetric matrix of 2 B, B the polar form of Q with
-    F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t): the forms of
-    `SymDetRep.fiber_forms` at p, in the base field."""
-    vals = {ij: form.evaluate(p.coords) for ij, form in rep.fiber_forms.items()}
-    zero = p.field.zero()
-    return [[vals.get((min(i, j), max(i, j)), zero) for j in range(4)] for i in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +151,9 @@ def base_locus(rep: SymDetRep):
         raise Rejection("net of conics is degenerate: base locus is not finite")
     # D != 0, so not every conic of the net is singular and the conics share
     # no line; they share a component only when all are multiples of one conic
-    monos = sorted({e for c in conics for e in c.terms})
-    if matrix_rank([[c.terms.get(e, field.zero()) for e in monos] for c in conics], field) < 2:
+    cleared = [_cleared(c)[0] for c in conics]
+    monos = sorted({e for terms in cleared for e in terms})
+    if int_rank_det([[terms.get(e, 0) for e in monos] for terms in cleared], field.char)[0] < 2:
         raise Rejection("net of conics shares a component: base locus is one-dimensional")
     sol = plane_solutions(conics, field)
     pts = [ProjPoint(field, p.coords, "u") for p in sol.points]
@@ -164,7 +161,7 @@ def base_locus(rep: SymDetRep):
         raise Rejection(
             f"base locus has {len(pts)} points; a valid associated pair allows at most 3"
         )
-    if len(pts) == 3 and matrix_rank([list(p.coords) for p in pts], field) != 3:
+    if len(pts) == 3 and not int_rank_det([p.ints()[0] for p in pts], field.char)[1]:
         raise Rejection("three collinear base points; not a valid associated pair")
     return pts, sol.complete
 
@@ -189,8 +186,9 @@ class SingularLocusX:
 
 def singular_locus_X(rep: SymDetRep) -> SingularLocusX:
     """Sing(X) of the fourfold over the rep's field, assembled from the cone
-    vertices over s_c and the base points of the net of conics."""
-    field = rep.field
+    vertices over s_c and the base points of the net of conics.  Each point
+    is tested on its integer vector w by `_third_derivatives`."""
+    field, q = rep.field, rep.field.char
     classification = rep.classification
     vertices = []
     for record in classification.records:
@@ -200,39 +198,53 @@ def singular_locus_X(rep: SymDetRep) -> SingularLocusX:
             raise ConsistencyError(
                 f"point {record.point} off D must have a rank-3 fiber, found {record.rank}"
             )
-        vertex = embed_fiber_vector(record.point, record.kernel[0], field)
-        if not any(vertex.coords[:3]):
+        w = embed_fiber_vector(record.point, record.kernel)
+        if not any(residue(c, q) for c in w[:3]):
             raise ConsistencyError(f"cone vertex over {record.point} sits inside P")
-        vertices.append(vertex)
+        vertices.append((ProjPoint(field, w, "p5"), w))
     bpts, b_complete = base_locus(rep)
     embedded_b = [
-        ProjPoint(field, (field.zero(),) * 3 + p.coords, "p5") for p in bpts
+        (ProjPoint(field, (field.zero(),) * 3 + p.coords, "p5"), (0, 0, 0) + p.ints()[0]) for p in bpts
     ]
-    F = rep.fourfold
     all_double = True
     if vertices or embedded_b:
-        grads = {v: F.diff(v) for v in VARS_XU}
-        hessian = [grads[v].diff(w) for n, v in enumerate(VARS_XU) for w in VARS_XU[n:]]
-    for pt in vertices + embedded_b:
-        if F.evaluate(pt.coords):
+        third = _third_derivatives(rep.fourfold)
+    for pt, w in vertices + embedded_b:
+        # Euler's relation: the Hessian is T w, the gradient (T w) w / 2 and
+        # F itself (T w) w . w / 6, each exact over the integers
+        hessian = [[sum(map(mul, tij, w)) for tij in ti] for ti in third]
+        grad = [sum(map(mul, row, w)) // 2 for row in hessian]
+        if residue(sum(map(mul, grad, w)) // 3, q):
             raise ConsistencyError(f"assembled point {pt} does not lie on the fourfold")
-        for v, g in grads.items():
-            if g.evaluate(pt.coords):
+        for v, g in zip(VARS_XU, grad):
+            if residue(g, q):
                 raise ConsistencyError(f"assembled point {pt} is not singular (dF/d{v} != 0)")
         # the quadratic part of F in the chart of pt's leading coordinate x_k
         # is half the Hessian block off row and column k; Euler's relation
         # H(pt) pt = 2 grad F(pt) = 0 makes that block zero exactly when the
         # whole Hessian is (char != 2)
-        if not any(h.evaluate(pt.coords) for h in hessian):
+        if not any(residue(h, q) for row in hessian for h in row):
             all_double = False
     smooth = not vertices and not embedded_b and classification.s_c_certified and b_complete
     return SingularLocusX(
-        cone_vertices=sorted_points(vertices),
-        base_points=sorted_points(embedded_b),
+        cone_vertices=sorted_points(pt for pt, _ in vertices),
+        base_points=sorted_points(pt for pt, _ in embedded_b),
         all_double=all_double,
         smooth=smooth,
         base_complete=b_complete,
     )
+
+
+def _third_derivatives(F: MultiPoly) -> list:
+    """T[i][j][k], the third partial of the cubic form F in x_i, x_j, x_k
+    (in x1..x3, u1..u3), over F's cleared integer terms: a term c z^e gives
+    c prod(e_m!) at every ordering of the multiset e."""
+    T = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for e, c in _cleared(F)[0].items():
+        value = c * math.prod(map(math.factorial, e))
+        for i, j, k in set(permutations([m for m, a in enumerate(e) for _ in range(a)])):
+            T[i][j][k] = value
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +381,7 @@ def _pencil(rows: list, f: list, q: int) -> list:
     2^(k-1) in absolute value, so the results unpack as digits in [-2^(k-1), 2^(k-1))."""
     k, out = 4 * q.bit_length() + 16, []
     r1, r2, r3 = ([sum(c << (k * i) for i, c in enumerate(e)) for e in row] for row in rows)
-    c23, c31, c12 = _cross(r2, r3), _cross(r3, r1), _cross(r1, r2)
+    c23, c31, c12 = cross(r2, r3), cross(r3, r1), cross(r1, r2)
     delta = sum(a * c for a, c in zip(r1, c23))
     num = [-(r1[3] * x + r2[3] * y + r3[3] * z) for x, y, z in zip(c23, c31, c12)]
     phi = 2 * delta * sum(c << (k * i) for i, c in enumerate(f)) + sum(r[3] * n for r, n in zip((r1, r2, r3), num))
@@ -380,10 +392,6 @@ def _pencil(rows: list, f: list, q: int) -> list:
             digits.append((c - (1 << (k - 1))) % q)
         out.append(trim(digits))
     return out
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def _solve_singular_mod(rows: list[list[int]], q: int):
@@ -484,30 +492,26 @@ def _cross_ok(pairs: list) -> bool:
     """
     seen: set = set()
     for pair in pairs:
-        keys = _line_keys(pair)
-        if not seen.isdisjoint(keys):
+        if not seen.isdisjoint(pair.lines):
             return False
-        seen |= keys
+        seen |= pair.lines
     return True
 
 
-def _line_keys(pair: PlanePair) -> set:
-    """Keys of a couple's lines inside P: two couples share a line exactly
-    when they share a key.  A line over the base field, normalized to lead
-    with 1, is its own key: the one line when alpha and beta have dependent
-    u-parts, both lines of a base-field split otherwise.  Two conjugate lines
-    share one key, their normalized product: a couple holding one of them
-    holds the other too, since a quadratic extension holding the lines of
-    both couples has a single conjugation."""
-    au, bu = pair.alpha[:3], pair.beta[:3]
-    if not any(_cross(au, bu)):
-        return {_normalized(au if any(au) else bu)}
-    if pair.root is not None:
-        return {_normalized([x + s * y for x, y in zip(au, bu)]) for s in (pair.root, -pair.root)}
+def _line_keys(au, bu, disc: int, root, q: int) -> frozenset:
+    """Keys of a couple's lines inside P, from the integer u-parts au, bu of
+    alpha and beta of `split_rank2_fiber`, disc, and root, a square root of
+    disc in the base field or None: two couples share a line exactly when
+    they share a key.  A line over the base field is its own key as a
+    `primitive` vector (over Q with a positive lead, over F_q with lead 1):
+    the one line when au and bu are dependent, both lines au +- s bu of a
+    base-field split otherwise.  Two conjugate lines share one key, their
+    primitive product: a couple holding one of them holds the other too,
+    since a quadratic extension holding the lines of both couples has a
+    single conjugation."""
+    if not any(residue(c, q) for c in cross(au, bu)):
+        return frozenset({primitive(au if any(residue(c, q) for c in au) else bu, q)})
+    if root is not None:
+        return frozenset(primitive([x + s * y for x, y in zip(au, bu)], q) for s in (int(root), -int(root)))
     entries = combinations_with_replacement(range(3), 2)
-    return {_normalized([au[i] * au[j] - pair.disc * bu[i] * bu[j] for i, j in entries])}
-
-
-def _normalized(v) -> tuple:
-    lead = next(c for c in v if c)
-    return tuple(c / lead for c in v)
+    return frozenset({primitive([au[i] * au[j] - disc * bu[i] * bu[j] for i, j in entries], q)})

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import int_det_bareiss
+from .algebra import int_rank_det
 from .errors import InputError, Rejection
 
 # pairwise products underlying the Gram pattern
@@ -53,7 +53,7 @@ def ns2_gram(m: int) -> Ns2Report:
                 gram[i][j] = WITHIN_COUPLE
             else:
                 gram[i][j] = ACROSS_COUPLES
-    det = int_det_bareiss(gram)
+    det = int_rank_det(gram)[1]
     return Ns2Report(
         m=m,
         class_count=2 * m + 1,

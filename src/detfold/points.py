@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .errors import InputError
 
 SPACE_DIMS = {"x": 3, "u": 3, "p5": 6}
@@ -30,6 +32,15 @@ class ProjPoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
+
+    def ints(self) -> tuple:
+        """(n, den): over Q the primitive integer vector n = den * coords, den
+        the lcm of the denominators (the lead coordinate is 1); over F_q the
+        residues and 1."""
+        if self.field.char:
+            return tuple(c.v for c in self.coords), 1
+        den = math.lcm(*(c.denominator for c in self.coords))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coords), den
 
     def sort_key(self):
         return tuple(self.field.sort_key(c) for c in self.coords)

@@ -25,16 +25,27 @@ solver, which took its eliminants, fibres and gcds as lists of fractions.  `sylv
 same determinant for univariate integer lists, by Gauss-Jordan over Q.
 `term_polar_matrix` is the former read of a fiber's polar matrix, term by
 term off F, which the cached forms of `SymDetRep.fiber_forms` replaced.
+
+`_echelon`, `matrix_rank` and `kernel_rank_det` (Gauss-Jordan on field
+elements) and the `field_` routines are the former per-point path, which
+the integer vector of each point replaced: the node test
+(`field_is_node`), the fiber's Gram matrix, rank and kernel
+(`field_gram_rank_kernel`), the split of a rank-2 fiber into a
+`FieldPlanePair`, its check against F (`_field_verify_pair`) and the keys
+of its lines (`_field_line_keys`, `field_cross_ok`).  `pair_ints` takes a
+couple's base-field data to the integers `fourfold._verify_pair` and
+`fourfold._line_keys` take.
 """
 
+import math
 import random
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 from detfold.algebra import QQ, VARS_X, MultiPoly, resultant, unipoly
-from detfold.algebra.linalg import _echelon, _kernel_basis
 from detfold.curves import PlaneSolutions, _to_unicoeffs
 from detfold.detrep import _expected_degree, validate_rep
-from detfold.errors import InputError, Rejection
+from detfold.errors import ConsistencyError, InputError, Rejection
 from detfold.points import ProjPoint, p2_lines, sorted_points
 
 
@@ -360,3 +371,294 @@ def reference_is_reduced(h):
     g1 = bivar_gcd(chart, chart.diff("x1"))
     g2 = bivar_gcd(g1, chart.diff("x2"))
     return g2.degree() == 0
+
+
+# ---------------------------------------------------------------------------
+# The former per-point path on field elements
+# ---------------------------------------------------------------------------
+
+
+def _echelon(rows: list[list], ncols: int, field):
+    """Gauss-Jordan elimination shared by the routines below.
+
+    Returns the reduced rows, the (row, column) of each pivot in order, and
+    the product of the pivots signed by the row swaps (the determinant when
+    the matrix is square of full rank).
+    """
+    m = [[field.coerce(c) for c in row] for row in rows]
+    det = field.one()
+    pivots: list[tuple[int, int]] = []
+    for col in range(ncols):
+        prow = len(pivots)
+        if prow == len(m):
+            break
+        sel = next((r for r in range(prow, len(m)) if m[r][col]), None)
+        if sel is None:
+            continue
+        if sel != prow:
+            m[prow], m[sel] = m[sel], m[prow]
+            det = -det
+        pv = m[prow][col]
+        det = det * pv
+        inv = field.one() / pv
+        m[prow] = [c * inv for c in m[prow]]
+        for r in range(len(m)):
+            if r != prow and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[prow])]
+        pivots.append((prow, col))
+    return m, pivots, det
+
+
+def matrix_rank(rows: list[list], field) -> int:
+    """Rank of an arbitrary (possibly rectangular) matrix."""
+    if not rows:
+        return 0
+    return len(_echelon(rows, len(rows[0]), field)[1])
+
+
+def _kernel_basis(m: list[list], pivots: list, ncols: int, field) -> list[list]:
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for r, pc in pivots:
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def kernel_rank_det(rows: list[list], field) -> tuple[int, object, list[list]]:
+    """Rank, determinant and reduced-echelon kernel basis of a square matrix.
+
+    The kernel basis is deterministic: one vector per free column, unit entry
+    at the free column, pivot entries back-substituted.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InputError("kernel_rank_det expects a square matrix")
+    m, pivots, det = _echelon(rows, n, field)
+    rank = len(pivots)
+    return rank, det if rank == n else field.zero(), _kernel_basis(m, pivots, n, field)
+
+
+def field_node_partials(h: MultiPoly) -> tuple:
+    """The gradient of h and its Hessian entries h_ij (i <= j), keyed by (i, j),
+    derived once for node tests at many points."""
+    grad = [h.diff(v) for v in VARS_X]
+    hess = {(i, j): grad[i].diff(VARS_X[j]) for i in range(3) for j in range(i, 3)}
+    return grad, hess
+
+
+def field_is_node(h: MultiPoly, p: ProjPoint, partials=None) -> bool:
+    """True iff the curve has an ordinary double point (node) at p.
+
+    In the chart where p's leading coordinate x_k is 1, the quadratic part of
+    h at p is half the Hessian block on the two other coordinates i, j, so p
+    is a node exactly when h_ij^2 - h_ii h_jj != 0 there (char != 2).
+    `partials` is `node_partials(h)` when the caller tests many points.
+    """
+    grad, hess = partials or field_node_partials(h)
+    if h.evaluate(p.coords) or any(g.evaluate(p.coords) for g in grad):
+        raise Rejection(f"point {p} is not a singular point of the curve")
+    k = next(i for i, c in enumerate(p.coords) if c)
+    i, j = (m for m in range(3) if m != k)
+    hii, hij, hjj = (hess[key].evaluate(p.coords) for key in ((i, i), (i, j), (j, j)))
+    return bool(hij * hij - hii * hjj)
+
+
+def field_gram_rank_kernel(rep, p: ProjPoint):
+    """Gram matrix of the fiber quadric Q_p in coordinates (u1,u2,u3,t), read
+    off the symmetric rep on and above the diagonal, with rank, det and kernel."""
+    if p.space != "x":
+        raise Rejection("fiber points live in the plane of the discriminant curve")
+    vals = p.coords
+    upper = {(i, j): rep.entry(i, j).evaluate(vals) for i in range(4) for j in range(i, 4)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
+    rank, det, basis = kernel_rank_det(gram, rep.field)
+    if rank <= 1:
+        raise Rejection(
+            f"fiber Gram matrix at {p} has rank {rank} <= 1; "
+            "not a valid determinantal representation"
+        )
+    return gram, rank, det, basis
+
+
+def field_embed_fiber_vector(p: ProjPoint, vec, field) -> ProjPoint:
+    """Send (u1,u2,u3,t) over p=(a:b:c) to (t*a : t*b : t*c : u1 : u2 : u3)."""
+    u1, u2, u3, t = (field.coerce(v) for v in vec)
+    a, b, c = p.coords
+    return ProjPoint(field, (t * a, t * b, t * c, u1, u2, u3), "p5")
+
+
+def field_fiber_forms(rep) -> dict:
+    """F's forms in x of the u-t monomials z_i z_j, keyed by (i, j), i <= j,
+    z = (u1, u2, u3, t), a square's form doubled: with F(t p, u) = t Q(u, t),
+    the polar matrix of Q at p holds the forms' values at p."""
+    forms: dict = {}
+    for e, c in rep.fourfold.terms.items():
+        i, j = (n for n, k in enumerate(e[3:] + (2 - sum(e[3:]),)) for _ in range(k))
+        forms.setdefault((i, j), {})[e[:3]] = c + c if i == j else c
+    return {ij: MultiPoly(rep.field, VARS_X, terms) for ij, terms in forms.items()}
+
+
+@dataclass(frozen=True)
+class FieldPlanePair:
+    """The couple of planes over p: the hyperplanes (alpha +- s beta) . (u, t)
+    = 0 of the fiber 3-space span(P, p), the points (t p, u), with s^2 =
+    disc.  alpha, beta and disc lie in the base field; root is s when disc
+    is a square there, else None and the planes are conjugate over the
+    quadratic extension by sqrt(disc)."""
+
+    point: ProjPoint
+    alpha: tuple
+    beta: tuple
+    disc: object
+    root: object | None
+    degenerate: bool = False  # one member is the projection plane P itself
+
+
+def field_split_rank2_fiber(rep, p: ProjPoint, gram=None) -> FieldPlanePair:
+    """Write the rank-2 fiber quadric over p as a product of two planes.
+
+    The planes split over the base field when the reduced binary form's
+    discriminant is a square, otherwise over the quadratic extension by that
+    discriminant; either way the couple is kept as base-field data.  It is
+    verified to lie on the fourfold by `_verify_pair`.  `gram` is the fiber's
+    Gram matrix when the classification already holds it.
+    """
+    if gram is None:
+        gram, rank, _det, _kern = field_gram_rank_kernel(rep, p)
+        if rank != 2:
+            raise Rejection(f"fiber at {p} has rank {rank}, not 2; no couple of planes there")
+
+    i, j = _nonsingular_principal_pair(gram)
+    # Q(v) = L(v)^T A2^{-1} L(v) with L = rows i, j of the Gram matrix and
+    # A2^{-1} = [[a, b], [b, c]], so Q = a z1^2 + 2b z1 z2 + c z2^2 in z = L v
+    det2 = gram[i][i] * gram[j][j] - gram[i][j] * gram[j][i]
+    a, b, c = gram[j][j] / det2, -gram[i][j] / det2, gram[i][i] / det2
+    li, lj = gram[i], gram[j]
+    if not a:  # z1 and z2 change roles
+        a, c, li, lj = c, a, lj, li
+    disc = b * b - a * c
+    if a:
+        # a Q = (a z1 + b z2)^2 - disc z2^2
+        alpha = tuple(x + b / a * y for x, y in zip(li, lj))
+        beta = tuple(-y / a for y in lj)
+    else:
+        # Q = 2b z1 z2 and disc = b^2: alpha +- b beta are z1 and z2
+        alpha = tuple((x + y) / 2 for x, y in zip(li, lj))
+        beta = tuple((x - y) / (2 * b) for x, y in zip(li, lj))
+    # with an identically-zero conic block the fiber quadric contains P
+    # itself; flag the pair instead of treating it as an internal error
+    pair = FieldPlanePair(
+        point=p,
+        alpha=alpha,
+        beta=beta,
+        disc=disc,
+        root=rep.field.sqrt(disc),
+        degenerate=not any(x for row in gram[:3] for x in row[:3]),
+    )
+    _field_verify_pair(pair, rep)
+    return pair
+
+
+def _nonsingular_principal_pair(gram):
+    for i in range(4):
+        for j in range(i + 1, 4):
+            d = gram[i][i] * gram[j][j] - gram[i][j] * gram[j][i]
+            if d:
+                return (i, j)
+    raise ConsistencyError("rank-2 symmetric matrix without invertible principal 2x2 block")
+
+
+def _field_verify_pair(pair, rep) -> None:
+    """Both planes of a couple lie on the fourfold and meet in a line.
+
+    The planes lie in span(P, p), the points (t p, u), where F(t p, u) =
+    t Q(u, t) because F vanishes on P.  With v = (u, t) their product is
+    (alpha . v)^2 - disc (beta . v)^2, so both lie on the fourfold when Q is
+    a nonzero multiple of it: when the polar matrix of Q, read off F at p,
+    is a nonzero multiple of 2 (alpha alpha^T - disc beta beta^T).  The two
+    planes are distinct, so meet in a line, exactly when disc != 0 and
+    alpha, beta are independent.
+    """
+    p, alpha, beta, disc = pair.point, pair.alpha, pair.beta, pair.disc
+    if not disc or matrix_rank([list(alpha), list(beta)], p.field) < 2:
+        raise ConsistencyError("planes of a couple must meet along a line")
+    polar = _field_polar_matrix(rep, p)
+    upper = [(k, l) for k in range(4) for l in range(k, 4)]  # both matrices are symmetric
+    planes = {(k, l): alpha[k] * alpha[l] - disc * beta[k] * beta[l] for k, l in upper}
+    lead, pivot = next((polar[k][l], planes[k, l]) for k, l in upper if planes[k, l])
+    if not lead or any(polar[k][l] * pivot != planes[k, l] * lead for k, l in upper):
+        raise ConsistencyError(f"claimed plane over {p} is not inside the fourfold")
+
+
+def _field_polar_matrix(rep, p: ProjPoint) -> list:
+    """The 4x4 symmetric matrix of 2 B, B the polar form of Q with
+    F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t): the forms of
+    `field_fiber_forms` at p, in the base field."""
+    vals = {ij: form.evaluate(p.coords) for ij, form in field_fiber_forms(rep).items()}
+    zero = p.field.zero()
+    return [[vals.get((min(i, j), max(i, j)), zero) for j in range(4)] for i in range(4)]
+
+
+def field_cross_ok(pairs: list) -> bool:
+    """Planes from distinct couples meet in single points.
+
+    The planes over two distinct points lie in span(P, p) and span(P, p'),
+    which meet exactly in P.  Inside P a plane is the line of its form's
+    u-part, and two cross planes meet in one point unless those lines
+    coincide.  So no key of `_line_keys` may occur for two couples.
+    """
+    seen: set = set()
+    for pair in pairs:
+        keys = _field_line_keys(pair)
+        if not seen.isdisjoint(keys):
+            return False
+        seen |= keys
+    return True
+
+
+def _field_line_keys(pair) -> set:
+    """Keys of a couple's lines inside P: two couples share a line exactly
+    when they share a key.  A line over the base field, normalized to lead
+    with 1, is its own key: the one line when alpha and beta have dependent
+    u-parts, both lines of a base-field split otherwise.  Two conjugate lines
+    share one key, their normalized product: a couple holding one of them
+    holds the other too, since a quadratic extension holding the lines of
+    both couples has a single conjugation."""
+    au, bu = pair.alpha[:3], pair.beta[:3]
+    if not any(_field_cross(au, bu)):
+        return {_normalized(au if any(au) else bu)}
+    if pair.root is not None:
+        return {_normalized([x + s * y for x, y in zip(au, bu)]) for s in (pair.root, -pair.root)}
+    entries = combinations_with_replacement(range(3), 2)
+    return {_normalized([au[i] * au[j] - pair.disc * bu[i] * bu[j] for i, j in entries])}
+
+
+def _normalized(v) -> tuple:
+    lead = next(c for c in v if c)
+    return tuple(c / lead for c in v)
+
+
+def _field_cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def pair_ints(pair):
+    """(alpha, beta, disc) of a couple in integers at the integer vector
+    n = den p of its point, as `fourfold._verify_pair` and `_line_keys` take
+    them: S alpha and S beta, S = diag(1, 1, 1, den), each cleared of
+    denominators, and disc rescaled so that the planes
+    (alpha +- sqrt(disc) beta) . v = 0 stay the same."""
+    if pair.point.field.char:
+        return [int(c) for c in pair.alpha], [int(c) for c in pair.beta], int(pair.disc)
+    den = pair.point.ints()[1]
+    a, b = ([*v[:3], v[3] * den] for v in (pair.alpha, pair.beta))
+    la, lb = (math.lcm(*(c.denominator for c in v)) for v in (a, b))
+    dn, dd = pair.disc.numerator, pair.disc.denominator
+    return [int(c * la * lb * dd) for c in a], [int(c * la * lb) for c in b], dn * dd

@@ -9,7 +9,7 @@ import random
 import time
 from itertools import combinations
 
-from detfold.algebra import QQ, PrimeField, VARS_X, matrix_rank
+from detfold.algebra import QQ, PrimeField, VARS_X
 from detfold.cli import main as cli_main
 from detfold.detrep import reduce_rep
 from detfold.errors import Rejection, ToolError
@@ -22,7 +22,7 @@ from detfold.fourfold import (
 from detfold.lattice import ns2_gram
 from detfold.points import ProjPoint
 from detfold.spin import build_dual_graph, graph_stats, spin_subsets, theta_counts
-from reference import plane_forms, plane_span
+from reference import matrix_rank, plane_forms, plane_span
 
 
 def _passline(n, label, t0):
@@ -232,7 +232,7 @@ def test_criterion_9_rank_stratification():
             reps.append((0, 0, 1))
             for coords in reps:
                 pt = ProjPoint(gf, coords, "x")
-                _, rank, _, _ = gram_rank_kernel(rep, pt)
+                _, rank, _ = gram_rank_kernel(rep, pt)
                 assert rank >= 2
                 if rep.sextic.evaluate(pt.coords):
                     assert rank == 4

@@ -10,11 +10,17 @@ family members and on random reps.  `_conic_common_factor`, the former
 shared-component test of the base locus, is the reference for its rank test
 too.
 
-`fourfold._verify_pair` checks a couple (alpha, beta, disc) against the
-polar matrix of the fiber quadric; it must refuse perturbed alpha and beta,
+`fourfold._verify_pair` checks a couple (alpha, beta, disc), in integers at
+the integer vector of its point (`reference.pair_ints`), against the polar
+matrix of the fiber quadric; it must refuse perturbed alpha and beta,
 and on random reps F must be a nonzero multiple of
 t ((alpha . v)^2 - disc (beta . v)^2) on the whole fiber span, for couples
 split over the base field and over its quadratic extension alike.
+
+The per-point path on integer vectors (`is_node`, `gram_rank_kernel`,
+`split_rank2_fiber`, `_verify_pair`, `_line_keys`) must give the verdicts of
+the field-object path kept in `reference`, on random reps over F_q and on
+rational reps whose points and entries have large denominators.
 """
 
 import io
@@ -26,24 +32,28 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, matrix_rank, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
+from detfold.algebra.multipoly import _cleared, form_values
 from detfold.cli import main as cli_main
-from detfold.detrep import reduce_rep, validate_rep
+from detfold.curves import SingClassification, is_node, singular_points
+from detfold.detrep import UPPER, embed_fiber_vector, gram_rank_kernel, reduce_rep, validate_rep
 from detfold.errors import ConsistencyError, Rejection
 from detfold.examples import build_example
 from detfold.fourfold import (
     PlanePair,
     _cross_ok,
-    _fiber_polar_matrix,
+    _line_keys,
     _verify_pair,
     base_locus,
     couples_and_intersections,
     net_conics,
+    singular_locus_X,
     split_rank2_fiber,
 )
-from detfold.points import ProjPoint
+from detfold.points import ProjPoint, sorted_points
 from detfold.repfile import parse_rep_file
-from reference import bivar_gcd, dense_rep, plane_forms, plane_span, term_polar_matrix
+import reference as ref
+from reference import bivar_gcd, dense_rep, matrix_rank, pair_ints, plane_forms, plane_span, term_polar_matrix
 from test_oracle import random_reps
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -91,15 +101,27 @@ def reference_cross_check(rep, pa, pb, field):
 
 
 def _pair(base, point, alpha, beta, disc):
-    """The couple over `point` with the planes (alpha +- sqrt(disc) beta) . (u, t) = 0."""
+    """The couple over `point` with the planes (alpha +- sqrt(disc) beta) . (u, t) = 0,
+    its lines keyed by `_line_keys` on its integers; with both u-parts zero
+    (both planes are P, draws the tests drop) it has no lines."""
     disc = base.coerce(disc)
-    return PlanePair(
+    pair = PlanePair(
         point=ProjPoint(base, point, "x"),
         alpha=tuple(map(base.coerce, alpha)),
         beta=tuple(map(base.coerce, beta)),
         disc=disc,
         root=base.sqrt(disc),
+        lines=frozenset(),
     )
+    a, b, d = pair_ints(pair)
+    if not any(pair.alpha[:3]) and not any(pair.beta[:3]):
+        return pair
+    return replace(pair, lines=_line_keys(a[:3], b[:3], d, base.sqrt(base.from_int(d)), base.char))
+
+
+def _verify(pair, rep):
+    """`_verify_pair` on a couple given by base-field data."""
+    _verify_pair(rep, pair.point, *pair_ints(pair))
 
 
 class TestLineBranches:
@@ -130,6 +152,13 @@ class TestLineBranches:
         # sqrt 8 = 2 sqrt 2, so u1 + (sqrt 8 / 2) u2 = u1 + sqrt 2 u2
         pa = _pair(QQ, (0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), 2)
         pb = _pair(QQ, (0, 1, 0), (1, 0, 0, 0), (0, Fraction(1, 2), 0, 0), 8)
+        assert not _cross_ok([pa, pb])
+
+    def test_one_line_written_with_opposite_signs(self):
+        # u1 + u2 = 0 is a line of the split u1 +- u2 over (0:0:1) and the
+        # double line of (-2 u1 - 2 u2) +- sqrt 2 t over (0:1:0)
+        pa = _pair(QQ, (0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), 1)
+        pb = _pair(QQ, (0, 1, 0), (-2, -2, 0, 0), (0, 0, 0, 1), 2)
         assert not _cross_ok([pa, pb])
 
     def test_irrational_lines_over_sqrt2_and_sqrt3_meet_in_points(self):
@@ -272,7 +301,7 @@ def test_perturbed_plane_refused(which):
     rep, point = _COUPLES[which]()
     pair = split_rank2_fiber(rep, ProjPoint(rep.field, point, "x"))
     assert (pair.root is None) == (which == "Q(i)")
-    _verify_pair(pair, rep)  # the split itself passes
+    _verify(pair, rep)  # the split itself passes
     # each entry of alpha, then of beta: the u-part, then the t-part; a move
     # that leaves alpha and beta dependent fails the line test instead
     for name in ("alpha", "beta"):
@@ -283,17 +312,17 @@ def test_perturbed_plane_refused(which):
             dependent = matrix_rank([list(moved.alpha), list(moved.beta)], rep.field) < 2
             message = "meet along a line" if dependent else "not inside the fourfold"
             with pytest.raises(ConsistencyError, match=message):
-                _verify_pair(moved, rep)
+                _verify(moved, rep)
     if pair.root is not None:
         # the first plane replaced by P, t = 0: its product with the second
         # plane is not the fiber quadric (conjugate planes are P together)
         first, second = plane_forms(pair)
         with pytest.raises(ConsistencyError, match="not inside the fourfold"):
-            _verify_pair(_with_forms(pair, [0, 0, 0, first[3]], second), rep)
+            _verify(_with_forms(pair, [0, 0, 0, first[3]], second), rep)
     with pytest.raises(ConsistencyError, match="meet along a line"):
-        _verify_pair(replace(pair, beta=pair.alpha), rep)
+        _verify(replace(pair, beta=pair.alpha), rep)
     with pytest.raises(ConsistencyError, match="meet along a line"):
-        _verify_pair(replace(pair, disc=rep.field.zero()), rep)
+        _verify(replace(pair, disc=rep.field.zero()), rep)
 
 
 def test_plane_with_isotropic_basis_refused():
@@ -304,7 +333,7 @@ def test_plane_with_isotropic_basis_refused():
     pair = split_rank2_fiber(rep, ProjPoint(rep.field, (1, 0, 0), "x"))
     bad = [rep.field.from_int(c) for c in (1, 0, 2, 12)]
     with pytest.raises(ConsistencyError, match="not inside the fourfold"):
-        _verify_pair(_with_forms(pair, bad, plane_forms(pair)[1]), rep)
+        _verify(_with_forms(pair, bad, plane_forms(pair)[1]), rep)
 
 
 @pytest.mark.parametrize("field,rc", [(None, 0), ("fp:31", 0), ("fp:37", 1)])
@@ -325,16 +354,17 @@ def test_degenerate_couple_has_p_as_a_plane():
     pair = split_rank2_fiber(rep, ProjPoint(rep.field, (0, 0, 1), "x"))
     assert pair.degenerate and pair.root is not None
     assert [not any(form[:3]) for form in plane_forms(pair)].count(True) == 1
-    _verify_pair(pair, rep)
+    _verify(pair, rep)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(13)], ids=str)
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
 @given(data=st.data())
 def test_polar_matrix_matches_term_by_term_read(field, data):
-    # the ten forms of F, grouped once per rep, read the polar matrix at any
-    # point exactly as F's terms do one at a time; over Q at points with
-    # denominators, on dense reps
+    # the ten forms of F, grouped once per rep and taken at the integer
+    # vector n = den p, read c den S (the polar matrix) S, S = diag(1, 1, 1,
+    # den) and c F's denominator: divided back, exactly as F's terms read it
+    # at p one at a time; over Q at points with denominators, on dense reps
     if field == QQ:
         rep = dense_rep(data.draw(st.integers(0, 2**16)), 5)
         coord = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -343,7 +373,11 @@ def test_polar_matrix_matches_term_by_term_read(field, data):
         coord = st.integers(0, field.q - 1)
     coords = data.draw(st.tuples(coord, coord, coord).filter(any))
     point = ProjPoint(field, coords, "x")
-    assert _fiber_polar_matrix(rep, point) == term_polar_matrix(rep.fourfold, point)
+    n, den = point.ints()
+    polar = dict(zip(UPPER, form_values(rep.fiber_forms, n, field.char)))
+    c, s = _cleared(rep.fourfold)[1] * den, (1, 1, 1, den)
+    read = [[field.from_int(polar[min(k, l), max(k, l)]) / (c * s[k] * s[l]) for l in range(4)] for k in range(4)]
+    assert read == term_polar_matrix(rep.fourfold, point)
 
 
 @st.composite
@@ -470,3 +504,111 @@ def test_base_locus_share_test_matches_gcd(q, data):
     except Rejection as e:
         shares = "shares a component" in str(e)
     assert shares == (g.degree() > 0)
+
+
+# ---------------------------------------------------------------------------
+# The per-point path against the field-object reference
+# ---------------------------------------------------------------------------
+
+
+def _outcome(f):
+    """f()'s result, or the kind and message of the Rejection or
+    ConsistencyError it raises."""
+    try:
+        return f()
+    except (Rejection, ConsistencyError) as e:
+        return type(e).__name__, str(e)
+
+
+@st.composite
+def scaled_ex42ii_reps(draw):
+    """ex42ii with three random lines, so that its nodes have denominators;
+    moved to P^T M P for P = [[I, w], [0, 1]], w three random linear forms,
+    which keeps the sextic and D but gives each cone vertex (-t w(p), t) a
+    nonzero u-part; and scaled to D M D for a diagonal D of fractions with
+    denominators up to 10^6, so that the entries have denominators too."""
+    coeff = st.integers(-9, 9)
+    lines = {key: "{}*x1 + {}*x2 + {}*x3".format(*(draw(coeff) for _ in range(3))) for key in ("l4", "l5", "l6")}
+    try:
+        rep = build_example("ex42ii", lines).rep
+    except Rejection:
+        assume(False)
+    xs = [MultiPoly.variable(QQ, VARS_X, v) for v in VARS_X]
+    w = [sum((x.scale(draw(coeff)) for x in xs), MultiPoly.zero(QQ, VARS_X)) for _ in range(3)]
+    m = [list(row) for row in rep.entries]
+    lw = [sum((m[i][k] * w[k] for k in range(3)), m[i][3]) for i in range(3)]  # L w + q
+    corner = sum((w[i] * (lw[i] + m[i][3]) for i in range(3)), m[3][3])  # w^T L w + 2 q . w + f
+    for i in range(3):
+        m[i][3] = m[3][i] = lw[i]
+    m[3][3] = corner
+    scale = st.builds(Fraction, st.integers(1, 10**6).map(lambda n: n * draw(st.sampled_from([1, -1]))), st.integers(1, 10**6))
+    d = [draw(scale) for _ in range(4)]
+    entries = [[m[i][j].scale(d[i] * d[j]) for j in range(4)] for i in range(4)]
+    try:
+        return validate_rep(entries, QQ, rep.components)
+    except Rejection:  # a quadric or the corner cancelled to a lower degree
+        assume(False)
+
+
+def _compare_per_point(rep):
+    """Node verdicts, fiber ranks, on_d, cone vertices, couples (how many,
+    root is None, degenerate) and the cross verdict of the integer path equal
+    those of the field-object reference, or both raise the same message."""
+    field, sextic = rep.field, rep.sextic
+    points = singular_points(sextic, rep.components).points
+    classification = _outcome(lambda: rep.classification)
+    new_pairs, ref_pairs, ref_vertices = [], [], []
+    for p in points:
+        assert _outcome(lambda: is_node(sextic, p)) == _outcome(lambda: ref.field_is_node(sextic, p))
+        new = _outcome(lambda: gram_rank_kernel(rep, p))
+        old = _outcome(lambda: ref.field_gram_rank_kernel(rep, p))
+        if isinstance(old[0], str):
+            assert new == old
+            continue
+        (_, rank, kernel), (_, ref_rank, _, basis) = new, old
+        assert rank == ref_rank
+        vertex = ProjPoint(field, embed_fiber_vector(p, kernel), "p5") if rank == 3 else None
+        ref_vertex = ref.field_embed_fiber_vector(p, basis[0], field) if rank == 3 else None
+        assert vertex == ref_vertex
+        on_d = not rep.d_cubic.evaluate(p.coords)
+        if isinstance(classification, SingClassification):
+            assert {r.point: r.on_d for r in classification.records}[p] == on_d
+        if rank == 3 and not on_d:
+            ref_vertices.append(ref_vertex)
+        if rank == 2:
+            pair = _outcome(lambda: split_rank2_fiber(rep, p))
+            ref_pair = _outcome(lambda: ref.field_split_rank2_fiber(rep, p))
+            if isinstance(ref_pair, tuple):
+                assert pair == ref_pair
+                continue
+            assert ((pair.root is None), pair.degenerate) == ((ref_pair.root is None), ref_pair.degenerate)
+            new_pairs.append(pair)
+            ref_pairs.append(ref_pair)
+    assert _cross_ok([pr for pr in new_pairs if not pr.degenerate]) == ref.field_cross_ok(
+        [pr for pr in ref_pairs if not pr.degenerate]
+    )
+    if isinstance(classification, SingClassification):
+        couples = _outcome(lambda: couples_and_intersections(rep))
+        if isinstance(couples, tuple):  # a rank-2 fiber refused: the reference refused it too
+            assert len(ref_pairs) < sum(r.rank == 2 for r in classification.records)
+        else:
+            assert len(couples.pairs) == len(ref_pairs)
+            assert couples.cross_ok == ref.field_cross_ok([pr for pr in ref_pairs if not pr.degenerate])
+        locus = _outcome(lambda: singular_locus_X(rep))
+        if not isinstance(locus, tuple):
+            assert locus.cone_vertices == sorted_points(ref_vertices)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_integer_path_equals_field_reference_over_fq(q, data):
+    field = PrimeField(q)
+    rep = data.draw(reps_with_a_rank2_fiber(field, second=True) if data.draw(st.booleans()) else random_reps(field))
+    _compare_per_point(rep)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(rep=scaled_ex42ii_reps())
+def test_integer_path_equals_field_reference_over_q(rep):
+    _compare_per_point(rep)

@@ -452,7 +452,7 @@ class TestRankStratification:
             }
             for coords in p2_reps(q):
                 pt = ProjPoint(gf, coords, "x")
-                _, rank, _, _ = gram_rank_kernel(rep, pt)
+                _, rank, _ = gram_rank_kernel(rep, pt)
                 on_curve = not rep.sextic.evaluate(pt.coords)
                 if not on_curve:
                     assert rank == 4

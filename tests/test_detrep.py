@@ -1,10 +1,14 @@
+import math
 import random
+from pathlib import Path
 
 import pytest
 
 import detfold.detrep as detrep
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
+from detfold.algebra.multipoly import _cleared
 from detfold.detrep import (
+    UPPER,
     embed_fiber_vector,
     gram_rank_kernel,
     reduce_rep,
@@ -17,7 +21,7 @@ from detfold.fourfold import brute_force_oracle, couples_and_intersections, orac
 from detfold.points import ProjPoint
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import p2_reps, plane_forms, plane_span
+from reference import kernel_rank_det, p2_reps, plane_forms, plane_span
 
 
 def _p(s, f=QQ):
@@ -163,22 +167,50 @@ class TestDeterminantOnce:
         assert reduce_rep(rep, PrimeField(13)) is reduce_rep(rep, PrimeField(13))
 
 
+def _gram_at(rep, p):
+    """The Gram matrix at p in the base field, with its rank and det: the
+    integer matrix of `gram_rank_kernel`, c den S G S at n = den p, divided
+    back by c den S_ii S_jj."""
+    gram = gram_rank_kernel(rep, p)[0]
+    den = p.ints()[1]
+    c = math.lcm(*(_cleared(rep.entry(i, j))[1] for i, j in UPPER)) * den
+    s = (1, 1, 1, den)
+    g = [[rep.field.from_int(gram[i][j]) / (c * s[i] * s[j]) for j in range(4)] for i in range(4)]
+    rank, det, _ = kernel_rank_det(g, rep.field)
+    return g, rank, det
+
+
 class TestFiberGram:
     def test_prop44_rank2_point(self):
         ex = build_example("prop44")
-        g = gram_rank_kernel(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))[0]
+        g = _gram_at(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))[0]
         assert g == [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
 
     def test_prop44_off_curve(self):
         ex = build_example("prop44")
-        _, rank, det, _ = gram_rank_kernel(ex.rep, ProjPoint(QQ, (1, 1, 1), "x"))
+        _, rank, det = _gram_at(ex.rep, ProjPoint(QQ, (1, 1, 1), "x"))
         assert rank == 4 and det == -3
 
     def test_ex42ii_rank3_point(self):
         ex = build_example("ex42ii")
-        g, rank, _, basis = gram_rank_kernel(ex.rep, ProjPoint(QQ, (1, -2, 1), "x"))
+        g, rank, kernel = gram_rank_kernel(ex.rep, ProjPoint(QQ, (1, -2, 1), "x"))
         assert rank == 3
-        assert basis == [[0, 0, 0, 1]]
+        assert [list(kernel)] == [[0, 0, 0, 1]]
+
+    def test_integer_gram_is_scaled_at_points_with_denominators(self):
+        # ex42ii_wide has nodes such as (1 : 11/13 : 19/13), with den = 13:
+        # the integer matrix there is c den S G(p) S, so its rank is G(p)'s
+        # and the rank-3 kernel of G(p) is S v for v its own kernel
+        rep = parse_rep_file((Path(__file__).parent / "golden" / "ex42ii_wide.rep").read_text())
+        points = [p for p in rep.classification.sing_c if p.ints()[1] > 1]
+        assert points
+        for p in points:
+            g, rank, _ = _gram_at(rep, p)
+            gram, rank_n, kernel = gram_rank_kernel(rep, p)
+            assert rank == rank_n
+            assert (kernel is None) == (rank == 2)
+            if kernel is not None:
+                assert all(not sum(a * b for a, b in zip(row, kernel)) for row in g)
 
     def test_det_commutes_with_evaluation(self):
         rng = random.Random(2)
@@ -191,7 +223,7 @@ class TestFiberGram:
                 if not any(coords):
                     continue
                 p = ProjPoint(gf, coords, "x")
-                _, _, det, _ = gram_rank_kernel(reduce_rep(ex.rep, gf), p)
+                _, _, det = _gram_at(reduce_rep(ex.rep, gf), p)
                 assert det == sext.evaluate(p.coords)
 
     def test_conic_block_matches_d_cubic(self):
@@ -202,7 +234,7 @@ class TestFiberGram:
             if not any(coords):
                 continue
             p = ProjPoint(QQ, coords, "x")
-            g = gram_rank_kernel(ex.rep, p)[0]
+            g = _gram_at(ex.rep, p)[0]
             block = [row[:3] for row in g[:3]]
             det3 = (
                 block[0][0] * (block[1][1] * block[2][2] - block[1][2] * block[2][1])
@@ -213,8 +245,11 @@ class TestFiberGram:
 
     def test_embed_fiber_vector(self):
         p = ProjPoint(QQ, (1, -2, 1), "x")
-        v = embed_fiber_vector(p, (0, 0, 0, 1), QQ)
+        v = ProjPoint(QQ, embed_fiber_vector(p, (0, 0, 0, 1)), "p5")
         assert v == ProjPoint(QQ, (1, -2, 1, 0, 0, 0), "p5")
+        # over (2 : 1 : 3), n = (2, 1, 3), den = 2: (t p, u) = (t/2) (n, 2u / t)
+        p = ProjPoint(QQ, (2, 1, 3), "x")
+        assert ProjPoint(QQ, embed_fiber_vector(p, (1, 0, 0, 2)), "p5") == ProjPoint(QQ, (2, 1, 3, 1, 0, 0), "p5")
 
 
 class TestVanishesOnPlane:

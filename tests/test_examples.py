@@ -127,6 +127,15 @@ def test_wide_denominators_rep_matches_goldens():
     _assert_golden(report, "ex42ii_wide.rational")
 
 
+def test_wide_denominators_rep_matches_fp29_goldens():
+    # the same rep over F_29, where the nodes' denominators become residues:
+    # 15 nodes, 12 couples, 3 of them off D
+    report = analyze(parse_rep_file((GOLDEN / "ex42ii_wide.rep").read_text()), PrimeField(29))
+    flat = (GOLDEN / "ex42ii_wide.fp29.flat").read_text()
+    assert "sing_c_count = 15\n" in flat and "couples = 12\n" in flat and "s_c_count = 3\n" in flat
+    _assert_golden(report, "ex42ii_wide.fp29")
+
+
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_default_params_echo_the_defaults(name):
     # rebuilding from the echoed parameters keeps the pinned highlights

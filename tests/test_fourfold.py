@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, matrix_rank, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
 from detfold.detrep import reduce_rep, validate_rep
 from detfold.errors import InputError, Rejection
 from detfold.examples import build_example
@@ -15,7 +15,7 @@ from detfold.fourfold import (
     split_rank2_fiber,
 )
 from detfold.points import ProjPoint
-from reference import plane_forms, plane_span
+from reference import matrix_rank, plane_forms, plane_span
 
 
 def _p(s, f=QQ):
@@ -27,8 +27,8 @@ class TestSplit:
         ex = build_example("prop44")
         pair = split_rank2_fiber(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))
         assert pair.root is not None
-        # the fiber forms (a1, a2, a3, b): the planes u3 = +-t
-        forms = {tuple(str(c) for c in form) for form in plane_forms(pair)}
+        # the fiber forms (a1, a2, a3, b), each scaled to lead with 1: the planes u3 = +-t
+        forms = {tuple(str(c / next(x for x in form if x)) for c in form) for form in plane_forms(pair)}
         assert forms == {("0", "0", "1", "1"), ("0", "0", "1", "-1")}
 
     def test_prop44_split_010(self):

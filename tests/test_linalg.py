@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from detfold.algebra import QQ, PrimeField, int_det_bareiss, kernel_rank_det, matrix_rank
-from reference import nullspace
+from detfold.algebra import QQ, PrimeField, int_rank_det
+from reference import kernel_rank_det, matrix_rank, nullspace
 
 
 def test_kernel_examples():
@@ -68,6 +68,23 @@ def test_int_det_bareiss_matches_fraction_elimination():
     for _ in range(40):
         n = rng.choice((2, 3, 4, 5))
         m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        d1 = int_det_bareiss(m)
+        d1 = int_rank_det(m)[1]
         _, d2, _ = kernel_rank_det([[Fraction(c) for c in row] for row in m], QQ)
         assert Fraction(d1) == d2
+
+
+def test_int_rank_det_matches_field_elimination():
+    # products of random n x r and r x m integer matrices, so that low ranks
+    # and columns without a pivot occur, over Q and mod 7 and 13: the same
+    # rank, and for a square matrix the same determinant
+    rng = random.Random(5)
+    for q, field in ((0, QQ), (7, PrimeField(7)), (13, PrimeField(13))):
+        for _ in range(80):
+            n, m, r = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
+            a = [[rng.randint(-20, 20) for _ in range(r)] for _ in range(n)]
+            b = [[rng.randint(-20, 20) for _ in range(m)] for _ in range(r)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if r else [0] * m for row in a]
+            rank, det = int_rank_det(rows, q)
+            assert rank == matrix_rank([[field.from_int(c) for c in row] for row in rows], field)
+            if n == m:
+                assert field.from_int(det) == kernel_rank_det([[field.from_int(c) for c in row] for row in rows], field)[1]

@@ -262,10 +262,10 @@ class TestCli:
     def test_lattice_couples_limit_exit_code(self, monkeypatch):
         import detfold.lattice as lattice
 
-        def no_det(gram):
+        def no_det(gram, q=0):
             raise AssertionError(f"{len(gram)}x{len(gram)} determinant taken over the limit")
 
-        monkeypatch.setattr(lattice, "int_det_bareiss", no_det)
+        monkeypatch.setattr(lattice, "int_rank_det", no_det)
         rc, out = run_cli("lattice", "--couples", "16")
         assert rc == 3 and "at most 15" in out
 
