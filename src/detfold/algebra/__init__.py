@@ -1,4 +1,4 @@
-from .fields import QQ, FpElt, PrimeField, RationalField, field_from_name, is_prime, residue
+from .fields import QQ, PrimeField, RationalField, field_from_name, is_prime, residue
 from .linalg import cross, int_rank_det, primitive
 from .multipoly import VARS_X, VARS_XU, MultiPoly, poly_matrix_det, resultant, resultant_vanishes
 from .parser import PolyParseError, parse_poly
@@ -6,7 +6,6 @@ from . import unipoly
 
 __all__ = [
     "QQ",
-    "FpElt",
     "PrimeField",
     "RationalField",
     "field_from_name",

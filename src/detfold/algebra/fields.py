@@ -1,9 +1,10 @@
 """Exact scalar fields: rationals and prime fields F_q.
 
 Rationals are plain ``fractions.Fraction`` (always reduced, positive
-denominator).  Prime-field elements are small wrapper objects supporting the
-usual operators, so polynomial and matrix code is generic in the field.  No
-floating point anywhere.
+denominator).  Prime-field elements are plain ``int`` residues in [0, q):
+sums, differences and products are reduced mod q by whoever builds a result
+from them (``MultiPoly`` on construction), and each field divides by its
+``div``.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ class RationalField:
             return Fraction(x)
         raise InputError(f"cannot coerce {x!r} into the rational field")
 
+    def div(self, a: Fraction, b: Fraction) -> Fraction:
+        return a / b
+
     def sqrt(self, a: Fraction):
         """Exact square root, or None when a is not a square."""
         if a < 0:
@@ -126,99 +130,6 @@ def _isqrt_exact(n: int):
 QQ = RationalField()
 
 
-class FpElt:
-    """Element of a prime field, normalized residue in [0, q)."""
-
-    __slots__ = ("v", "field")
-
-    def __init__(self, v: int, field: "PrimeField"):
-        self.v = v % field.q
-        self.field = field
-
-    def _lift(self, other):
-        if isinstance(other, FpElt):
-            if other.field.q != self.field.q:
-                raise InputError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return FpElt(other, self.field)
-        if isinstance(other, Fraction):
-            return self.field.coerce(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = other if type(other) is FpElt and other.field is self.field else self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElt(self.v + o.v, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = other if type(other) is FpElt and other.field is self.field else self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElt(self.v - o.v, self.field)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElt(o.v - self.v, self.field)
-
-    def __mul__(self, other):
-        o = other if type(other) is FpElt and other.field is self.field else self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElt(self.v * o.v, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElt(-self.v, self.field)
-
-    def __truediv__(self, other):
-        o = other if type(other) is FpElt and other.field is self.field else self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FpElt(pow(self.v, e, self.field.q), self.field)
-
-    def inverse(self) -> "FpElt":
-        if self.v == 0:
-            raise ZeroDivisionError("inverse of 0 in prime field")
-        return FpElt(pow(self.v, self.field.q - 2, self.field.q), self.field)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __int__(self):
-        return self.v
-
-    def __eq__(self, other):
-        if isinstance(other, FpElt):
-            return self.v == other.v and self.field.q == other.field.q
-        if isinstance(other, int):
-            return self.v == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.field.q))
-
-    def __repr__(self):
-        return f"{self.v}"
-
-
 class PrimeField:
     """F_q for a prime q < 2^31 (q > 2 so quadratic forms behave)."""
 
@@ -231,33 +142,33 @@ class PrimeField:
         self.char = q
         self.name = f"fp:{q}"
 
-    def zero(self) -> FpElt:
-        return FpElt(0, self)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> FpElt:
-        return FpElt(1, self)
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, n: int) -> FpElt:
-        return FpElt(n, self)
+    def from_int(self, n: int) -> int:
+        return n % self.q
 
-    def coerce(self, x):
-        if isinstance(x, FpElt):
-            if x.field.q != self.q:
-                raise InputError("mixed prime fields")
-            return x
+    def coerce(self, x) -> int:
         if isinstance(x, int):
-            return FpElt(x, self)
+            return x % self.q
         if isinstance(x, Fraction):
             if x.denominator % self.q == 0:
                 raise Rejection(f"denominator of {x} vanishes mod {self.q}")
-            return FpElt(x.numerator, self) / FpElt(x.denominator, self)
+            return self.div(x.numerator, x.denominator)
         raise InputError(f"cannot coerce {x!r} into F_{self.q}")
 
-    def sqrt(self, a: FpElt):
+    def div(self, a: int, b: int) -> int:
+        """a / b, for residues or integers with b a unit mod q."""
+        return a * pow(b, -1, self.q) % self.q
+
+    def sqrt(self, a: int):
         """Tonelli-Shanks; returns the smaller-residue root, or None."""
-        v, q = a.v % self.q, self.q
+        v, q = a % self.q, self.q
         if v == 0:
-            return self.zero()
+            return 0
         if pow(v, (q - 1) // 2, q) != 1:
             return None
         if q % 4 == 3:
@@ -287,14 +198,13 @@ class PrimeField:
                 b = b * gs * gs % q
                 g = gs * gs % q
                 r_exp = m
-        r = min(r, q - r)
-        return FpElt(r, self)
+        return min(r, q - r)
 
-    def sort_key(self, a: FpElt):
-        return (a.v,)
+    def sort_key(self, a: int):
+        return (a,)
 
-    def format(self, a: FpElt) -> str:
-        return str(a.v)
+    def format(self, a: int) -> str:
+        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.q == self.q

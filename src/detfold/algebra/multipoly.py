@@ -1,6 +1,8 @@
 """Sparse multivariate polynomials over an exact field.
 
-Terms live in a dict mapping exponent tuples to nonzero coefficients.  The
+Terms live in a dict mapping exponent tuples to nonzero coefficients:
+Fractions over Q, residues in [0, q) over F_q, to which every coefficient is
+reduced on construction, so arithmetic may hand in unreduced integers.  The
 printing order is graded lexicographic (total degree first, then x1 > x2 > ...)
 so output is deterministic.
 """
@@ -26,7 +28,11 @@ class MultiPoly:
     def __init__(self, field, vars: tuple, terms: dict):
         self.field = field
         self.vars = vars
-        self.terms = {e: c for e, c in terms.items() if c}
+        q = field.char
+        if q:
+            self.terms = {e: r for e, c in terms.items() if (r := c % q)}
+        else:
+            self.terms = {e: c for e, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -171,7 +177,7 @@ class MultiPoly:
             terms = [(tuple((i, k) for i, k in enumerate(e) if k), c, top - sum(e)) for e, c in cleared.items()]
             self._ints = terms, scale, top
         if field.char:
-            den, xs = 1, [v.v for v in vals]
+            den, xs = 1, vals
         else:
             den = math.lcm(*(v.denominator for v in vals))
             xs = [v.numerator * (den // v.denominator) for v in vals]
@@ -226,7 +232,7 @@ class MultiPoly:
             qe = tuple(a - b for a, b in zip(re_, de))
             if any(k < 0 for k in qe):
                 return None
-            qc = rc / dc
+            qc = self.field.div(rc, dc)
             qterm = MultiPoly(self.field, self.vars, {qe: qc})
             out = out + qterm
             rem = rem - qterm * divisor
@@ -313,7 +319,7 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
             e = [0] * len(f.vars)
             for j in others:
                 texp, e[j] = divmod(texp, base)
-            terms[tuple(e)] = Fraction(c, scale) if field == QQ else field.from_int(c)
+            terms[tuple(e)] = Fraction(c, scale) if field == QQ else c
     return MultiPoly(field, f.vars, terms)
 
 
@@ -400,7 +406,7 @@ def _cleared(p: MultiPoly) -> tuple[dict, int]:
     """Integer terms of den * p and den: over Q den is the lcm of p's
     denominators, over F_q the terms are the residues and den is 1."""
     if isinstance(p.field, PrimeField):
-        return {e: c.v for e, c in p.terms.items()}, 1
+        return dict(p.terms), 1
     if p.field != QQ:
         raise InputError(f"no integer lift of coefficients in {p.field!r}")
     # pairwise, not by a star-call, which would build a tuple of all the denominators

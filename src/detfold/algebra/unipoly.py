@@ -1,7 +1,7 @@
-"""Dense univariate polynomial helpers over an exact field.
+"""Dense univariate polynomials as integer or residue lists.
 
 Polynomials are lists of coefficients in ascending degree with no trailing
-zeros.  Includes gcd / squarefree machinery and complete rational-root
+zeros.  Includes modular gcds, resultants and complete rational-root
 extraction by p-adic lifting.
 """
 
@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from ..errors import InputError
-from .fields import QQ, is_prime, word_primes
+from .fields import is_prime, word_primes
 
 
 def trim(p: list) -> list:
@@ -23,22 +23,6 @@ def trim(p: list) -> list:
 
 def deg(p: list) -> int:
     return len(p) - 1
-
-
-def monic(p: list) -> list:
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def gcd_poly(p: list, q: list, field) -> list:
-    """Monic gcd, in plain integers: over F_q Euclid on residues, over Q
-    `gcd_int` of the primitive integer parts."""
-    if field != QQ:
-        a, b = ([field.coerce(c).v for c in x] for x in (p, q))
-        return [field.from_int(c) for c in gcd_mod(a, b, field.q)]
-    return monic([Fraction(c) for c in gcd_int(_integral(p), _integral(q))])
 
 
 def gcd_int(a: list[int], b: list[int]) -> list[int]:
@@ -170,17 +154,6 @@ def _quotient(a: list[int], d: list[int]) -> list[int] | None:
             return None
         r[k : k + n] = [x - quo[k] * y for x, y in zip(r[k : k + n], d)]
     return None if any(r) else quo
-
-
-def derivative(p: list, field) -> list:
-    return trim([p[i] * field.from_int(i) for i in range(1, len(p))])
-
-
-def is_squarefree(p: list, field) -> bool:
-    if not p:
-        return False
-    g = gcd_poly(p, derivative(p, field), field)
-    return deg(g) <= 0
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def _plane_solutions_fq(polys, field) -> PlaneSolutions:
             if not alive:
                 break
         found += [(a, b, t) for t in alive]
-    pts = [ProjPoint(field, tuple(field.from_int(c) for c in rep), "x") for rep in found]
+    pts = [ProjPoint(field, rep, "x") for rep in found]
     return PlaneSolutions(sorted_points(pts))
 
 
@@ -84,7 +84,7 @@ def _pack_lines(p: MultiPoly, q: int, w: int) -> tuple:
     out = ({}, {})
     for (i, j, k), c in p.terms.items():
         for part in out[bool(i):]:
-            part.setdefault(j, [0] * len(cols))[k] += c.v
+            part.setdefault(j, [0] * len(cols))[k] += c
     return tuple([(j, sum(c % q * col for c, col in zip(row, cols))) for j, row in part.items()] for part in out)
 
 

@@ -163,7 +163,7 @@ def _proportional(a: MultiPoly, b: MultiPoly) -> bool:
     eb, cb = b.lead()
     if ea != eb:
         return False
-    return a.scale(cb / ca) == b
+    return a.scale(a.field.div(cb, ca)) == b
 
 
 def reduce_rep(rep: SymDetRep, field) -> SymDetRep:

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .algebra import MultiPoly, PrimeField, QQ, VARS_X, int_rank_det, parse_poly, poly_matrix_det
 from .algebra.multipoly import _cleared
-from .algebra.unipoly import is_squarefree
+from .algebra.unipoly import _integral, gcd_int
 from .curves import _to_unicoeffs, is_reduced_curve, singular_points
 from .detrep import SymDetRep, validate_rep, vanishes_on_plane
 from .errors import InputError, Rejection
@@ -53,9 +53,9 @@ def _zero(fld=QQ) -> MultiPoly:
     return MultiPoly.zero(fld, VARS_X)
 
 
-def _line_meets_cubic_transversally(f: MultiPoly, line_var: int, fld) -> None:
-    """f restricted to {x_i = 0} must be squarefree and avoid the two
-    coordinate points on that line (so the sextic stays nodal there)."""
+def _line_meets_cubic_transversally(f: MultiPoly, line_var: int) -> None:
+    """f, a cubic over Q, restricted to {x_i = 0} must be squarefree and avoid
+    the two coordinate points on that line (so the sextic stays nodal there)."""
     name = VARS_X[line_var]
     restricted = f.substitute({name: 0})
     others = [i for i in range(3) if i != line_var]
@@ -67,10 +67,11 @@ def _line_meets_cubic_transversally(f: MultiPoly, line_var: int, fld) -> None:
                 f"cubic passes through the coordinate point with {VARS_X[k]}=1 "
                 f"on the line {name}=0; intersection points must avoid the nodes"
             )
-    # binary form in the remaining variables -> univariate squarefree test
+    # binary form in the remaining variables -> univariate squarefree test:
+    # its cleared integer list c is squarefree when gcd(c, c') is constant
     uni = restricted.substitute({VARS_X[others[1]]: 1})
-    coeffs = _to_unicoeffs(uni, VARS_X[others[0]])
-    if len(coeffs) < 2 or not is_squarefree(coeffs, fld):
+    c = _integral(_to_unicoeffs(uni, VARS_X[others[0]]))
+    if len(c) < 2 or len(gcd_int(c, [i * a for i, a in enumerate(c)][1:])) > 1:
         raise Rejection(
             f"cubic is tangent to the line {name}=0 (or misses it); "
             "nine distinct intersection points are required"
@@ -88,7 +89,7 @@ def _build_ex42i(params: dict) -> NamedExample:
     if f.is_zero or f.degree() != 3:
         raise Rejection("parameter f must be a nonzero cubic")
     for i in range(3):
-        _line_meets_cubic_transversally(f, i, fld)
+        _line_meets_cubic_transversally(f, i)
     z = _zero()
     x1, x2, x3 = _p("x1"), _p("x2"), _p("x3")
     rep = validate_rep(
@@ -188,7 +189,7 @@ def _build_prop44(params: dict) -> NamedExample:
     if not scan.complete:
         raise Rejection("smoothness of the cubic built from A could not be certified")
     for i in range(3):
-        _line_meets_cubic_transversally(f_a, i, fld)
+        _line_meets_cubic_transversally(f_a, i)
     z = _zero()
     rep = validate_rep([[x[0], z, z, z], [z, x[1], z, z], [z, z, x[2], z], [z, z, z, -f_a]], fld, x + [-f_a])
     # section plane u_i = sum_j a_ij x_j lies on the fourfold identically
@@ -343,7 +344,7 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
     n = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
     w = pow(n, (q - 1) // 8, q)
     omega = fld.from_int(min(pow(w, k, q) for k in (1, 3, 5, 7)))
-    i_elt = omega * omega
+    i_elt = omega * omega % q
     x1 = MultiPoly.variable(fld, VARS_X, "x1")
     x2 = MultiPoly.variable(fld, VARS_X, "x2")
     x3 = MultiPoly.variable(fld, VARS_X, "x3")
@@ -381,7 +382,7 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
                 "smooth": (True, "derived"),
             }
         },
-        extra={"omega": omega.v, "i": i_elt.v},
+        extra={"omega": omega, "i": i_elt},
         notes=[
             "the eighth root is chosen so that omega^2 equals the fourth root i; "
             "the opposite sign makes the determinant identity fail"

@@ -289,7 +289,7 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     for p in [F] + [F.diff(v) for v in VARS_XU]:
         split: dict = {}
         for e, c in p.terms.items():
-            split.setdefault(e[3:], []).append((c.v, x_index.setdefault(e[:3], len(x_index))))
+            split.setdefault(e[3:], []).append((c, x_index.setdefault(e[:3], len(x_index))))
         polys.append(split)
     if any(sum(eu) > 1 for p in polys[4:] for eu in p):
         raise ConsistencyError("a u-partial of the fourfold is not affine-linear in u")
@@ -368,7 +368,7 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
         if tested > ORACLE_BUDGET:
             raise InputError(over_budget)
 
-    pts = [ProjPoint(gf, [gf.from_int(c) for c in coords], "p5") for coords in found]
+    pts = [ProjPoint(gf, coords, "p5") for coords in found]
     return sorted_points(pts)
 
 

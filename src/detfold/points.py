@@ -25,7 +25,7 @@ class ProjPoint:
         lead = next((c for c in coords if c), None)
         if lead is None:
             raise InputError("(0:...:0) is not a projective point")
-        coords = tuple(c / lead for c in coords)
+        coords = tuple(field.div(c, lead) for c in coords)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "field", field)
@@ -36,9 +36,9 @@ class ProjPoint:
     def ints(self) -> tuple:
         """(n, den): over Q the primitive integer vector n = den * coords, den
         the lcm of the denominators (the lead coordinate is 1); over F_q the
-        residues and 1."""
+        coordinates themselves, residues, and 1."""
         if self.field.char:
-            return tuple(c.v for c in self.coords), 1
+            return self.coords, 1
         den = math.lcm(*(c.denominator for c in self.coords))
         return tuple(c.numerator * (den // c.denominator) for c in self.coords), den
 
@@ -48,7 +48,7 @@ class ProjPoint:
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return self.space == other.space and self.coords == other.coords
+        return self.space == other.space and self.coords == other.coords and self.field == other.field
 
     def __hash__(self):
         return hash((self.space, self.coords))

@@ -44,6 +44,8 @@ class DualGraph:
 
 
 def geometric_genus(d: int, nodes: int) -> int:
+    if nodes < 0:
+        raise InputError(f"a component cannot have {nodes} nodes; node counts are nonnegative")
     g = (d - 1) * (d - 2) // 2 - nodes
     if g < 0:
         raise Rejection(f"degree-{d} component cannot have {nodes} nodes")
@@ -58,9 +60,7 @@ def build_dual_graph(config: Config) -> DualGraph:
     before any work, since subset searches grow as C(nodes, k)."""
     if not config:
         raise Rejection("empty configuration")
-    total_degree = sum(d for d, _ in config)
-    if total_degree != 6:
-        raise InputError(f"configuration has total degree {total_degree}; only plane sextics are supported")
+    _check_sextic(sum(d for d, _ in config))
     for d, n in config:
         geometric_genus(d, n)  # validates the node count
     cross = []
@@ -76,6 +76,11 @@ def build_dual_graph(config: Config) -> DualGraph:
     if pa != 10:
         raise Rejection(f"genus bookkeeping failed: expected arithmetic genus 10, got {pa}")
     return g
+
+
+def _check_sextic(total_degree: int) -> None:
+    if total_degree != 6:
+        raise InputError(f"configuration has total degree {total_degree}; only plane sextics are supported")
 
 
 def graph_stats(g: DualGraph) -> tuple[bool, int]:
@@ -278,7 +283,9 @@ _KIND_DEGREES = {
 
 
 def parse_config(text: str) -> Config:
-    out: Config = []
+    """The configuration of `text`; its total degree is checked before the
+    list is built, so a huge component count is refused, not allocated."""
+    parts = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -307,5 +314,6 @@ def parse_config(text: str) -> Config:
             raise InputError(f"unknown component kind {name!r}")
         if count < 1:
             raise InputError("component count must be positive")
-        out.extend([(_KIND_DEGREES[singular], nodes)] * count)
-    return out
+        parts.append((_KIND_DEGREES[singular], nodes, count))
+    _check_sextic(sum(d * count for d, _, count in parts))
+    return [(d, nodes) for d, nodes, count in parts for _ in range(count)]

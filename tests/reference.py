@@ -26,6 +26,14 @@ same determinant for univariate integer lists, by Gauss-Jordan over Q.
 `term_polar_matrix` is the former read of a fiber's polar matrix, term by
 term off F, which the cached forms of `SymDetRep.fiber_forms` replaced.
 
+`monic`, `gcd_poly`, `derivative` and `is_squarefree` are the former
+univariate routines on field elements that detfold no longer needs.
+
+Over F_q these references compute with `Residue`, an int in [0, q) whose
+operators stay in F_q; `elt` takes a value of detfold's field, a plain
+residue over F_q or a Fraction over Q, to a field element here.  A
+`Residue` is an int, so detfold takes it back as the residue it is.
+
 `_echelon`, `matrix_rank` and `kernel_rank_det` (Gauss-Jordan on field
 elements) and the `field_` routines are the former per-point path, which
 the integer vector of each point replaced: the node test
@@ -40,13 +48,86 @@ couple's base-field data to the integers `fourfold._verify_pair` and
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from operator import index
 
 from detfold.algebra import QQ, VARS_X, MultiPoly, resultant, unipoly
 from detfold.curves import PlaneSolutions, _to_unicoeffs
 from detfold.detrep import _expected_degree, validate_rep
 from detfold.errors import ConsistencyError, InputError, Rejection
 from detfold.points import ProjPoint, p2_lines, sorted_points
+
+
+class Residue(int):
+    """An element of F_q: a residue in [0, q) whose arithmetic with integers
+    and other residues is reduced mod q, with division by the inverse."""
+
+    def __new__(cls, v, q):
+        self = super().__new__(cls, v % q)
+        self.q = q
+        return self
+
+    def __add__(self, o):
+        return Residue(int(self) + index(o), self.q)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return Residue(int(self) - index(o), self.q)
+
+    def __rsub__(self, o):
+        return Residue(index(o) - int(self), self.q)
+
+    def __mul__(self, o):
+        return Residue(int(self) * index(o), self.q)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Residue(-int(self), self.q)
+
+    def __truediv__(self, o):
+        return Residue(int(self) * pow(index(o), -1, self.q), self.q)
+
+    def __rtruediv__(self, o):
+        return Residue(index(o) * pow(int(self), -1, self.q), self.q)
+
+    def __pow__(self, e):
+        return Residue(pow(int(self), e, self.q), self.q)
+
+
+def elt(field, x):
+    """x as an element of field here: a `Residue` over F_q, a Fraction over Q."""
+    x = field.coerce(x)
+    return Residue(x, field.char) if field.char else x
+
+
+def monic(p: list) -> list:
+    if not p:
+        return p
+    lead = p[-1]
+    return [c / lead for c in p]
+
+
+def gcd_poly(p: list, q: list, field) -> list:
+    """Monic gcd, in plain integers: over F_q Euclid on residues, over Q
+    `gcd_int` of the primitive integer parts."""
+    if field.char:
+        a, b = ([field.coerce(c) for c in x] for x in (p, q))
+        return [elt(field, c) for c in unipoly.gcd_mod(a, b, field.char)]
+    return monic([Fraction(c) for c in unipoly.gcd_int(unipoly._integral(p), unipoly._integral(q))])
+
+
+def derivative(p: list, field) -> list:
+    return unipoly.trim([p[i] * elt(field, i) for i in range(1, len(p))])
+
+
+def is_squarefree(p: list, field) -> bool:
+    if not p:
+        return False
+    g = gcd_poly(p, derivative(p, field), field)
+    return unipoly.deg(g) <= 0
 
 
 def dense_rep(seed, height):
@@ -74,22 +155,22 @@ def p2_reps(q):
 
 def euclid_gcd(p, q, field):
     """Monic gcd of two univariates by Euclid on field elements."""
-    a, b = unipoly.trim(list(p)), unipoly.trim(list(q))
+    a, b = ([elt(field, c) for c in unipoly.trim(list(x))] for x in (p, q))
     while b:
         _, r = divmod_poly(a, b, field)
         a, b = b, r
-    return unipoly.monic(a)
+    return monic(a)
 
 
 def divmod_poly(p, d, field):
     """Quotient and remainder of univariates by long division over field."""
-    d = unipoly.trim(list(d))
+    d = [elt(field, c) for c in unipoly.trim(list(d))]
     if not d:
         raise ZeroDivisionError("univariate division by zero")
-    r = unipoly.trim(list(p))
+    r = [elt(field, c) for c in unipoly.trim(list(p))]
     if len(r) < len(d):
         return [], r
-    q = [field.zero()] * (len(r) - len(d) + 1)
+    q = [elt(field, 0)] * (len(r) - len(d) + 1)
     dl = d[-1]
     while r and len(r) >= len(d):
         if not r[-1]:
@@ -108,13 +189,13 @@ def squarefree_part(p, field):
     """p divided by gcd(p, p'); same roots, all simple (char 0 or char > deg)."""
     if not p:
         return p
-    g = unipoly.gcd_poly(p, unipoly.derivative(p, field), field)
+    g = gcd_poly(p, derivative(p, field), field)
     if unipoly.deg(g) <= 0:
-        return unipoly.monic(list(p))
+        return monic([elt(field, c) for c in p])
     q, r = divmod_poly(p, g, field)
     if r:
         raise InputError("squarefree division not exact")
-    return unipoly.monic(q)
+    return monic(q)
 
 
 def _fraction_common_roots(unis: list) -> tuple[dict, int]:
@@ -122,7 +203,7 @@ def _fraction_common_roots(unis: list) -> tuple[dict, int]:
     over Q, and the degree of the gcd's part without rational roots."""
     g = unis[0]
     for u in unis[1:]:
-        g = unipoly.gcd_poly(g, u, QQ)
+        g = gcd_poly(g, u, QQ)
     if unipoly.deg(g) == 0:
         return {}, 0
     return unipoly.rational_roots(g)
@@ -187,10 +268,10 @@ def fraction_plane_solutions_qq(polys, field) -> PlaneSolutions:
 
 def term_evaluate(f, values):
     """Value of f at a point, one field product at a time."""
-    vals = [f.field.coerce(v) for v in values]
-    total = f.field.zero()
+    vals = [elt(f.field, v) for v in values]
+    total = elt(f.field, 0)
     for e, c in f.terms.items():
-        t = c
+        t = elt(f.field, c)
         for v, k in zip(vals, e):
             for _ in range(k):
                 t = t * v
@@ -202,9 +283,10 @@ def term_polar_matrix(F, p):
     """The 4x4 symmetric matrix of 2 B, B the polar form of Q with
     F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t); read off F at
     p in the base field."""
-    zero = p.field.zero()
+    zero = elt(p.field, 0)
     polar = [[zero] * 4 for _ in range(4)]
     for e, c in F.terms.items():
+        c = elt(p.field, c)
         for x, k in zip(p.coords, e[:3]):
             if k:
                 c = c * x**k
@@ -270,7 +352,7 @@ def plane_span(point, form, field):
     """Three vectors spanning the plane of fiber form (a1, a2, a3, b) over
     the point p: the kernel of a . u + b t on (u1, u2, u3, t), embedded in
     P^5 by (u, t) -> (t p, u)."""
-    p = [field.coerce(c) for c in point.coords]
+    p = [elt(field, c) for c in point.coords]
     return [[t * c for c in p] + u for *u, t in nullspace([list(form)], 4, field)]
 
 
@@ -289,7 +371,7 @@ def _bivar_content_pp(p, main, aux):
     for c in coeffs_in(p, main):
         u = _to_unicoeffs(c, aux)
         if u:
-            cont = unipoly.gcd_poly(cont, u, p.field) if cont else unipoly.monic(list(u))
+            cont = gcd_poly(cont, u, p.field) if cont else monic([elt(p.field, c) for c in u])
     return cont
 
 
@@ -333,14 +415,14 @@ def bivar_gcd(f, g, main="x1", aux="x2"):
     if g.is_zero:
         return f
     if not f.involves(main) and not g.involves(main):
-        a = unipoly.gcd_poly(_to_unicoeffs(f, aux), _to_unicoeffs(g, aux), field)
+        a = gcd_poly(_to_unicoeffs(f, aux), _to_unicoeffs(g, aux), field)
         return _uni_to_poly(a, aux, field)
     if not f.involves(main) or not g.involves(main):
         free, other = (f, g) if not f.involves(main) else (g, f)
-        a = unipoly.gcd_poly(_to_unicoeffs(free, aux), _bivar_content_pp(other, main, aux), field)
+        a = gcd_poly(_to_unicoeffs(free, aux), _bivar_content_pp(other, main, aux), field)
         return _uni_to_poly(a, aux, field)
 
-    ccont = unipoly.gcd_poly(_bivar_content_pp(f, main, aux), _bivar_content_pp(g, main, aux), field)
+    ccont = gcd_poly(_bivar_content_pp(f, main, aux), _bivar_content_pp(g, main, aux), field)
     a, b = f, g
     if a.degree_in(main) < b.degree_in(main):
         a, b = b, a
@@ -385,8 +467,8 @@ def _echelon(rows: list[list], ncols: int, field):
     the product of the pivots signed by the row swaps (the determinant when
     the matrix is square of full rank).
     """
-    m = [[field.coerce(c) for c in row] for row in rows]
-    det = field.one()
+    m = [[elt(field, c) for c in row] for row in rows]
+    det = elt(field, 1)
     pivots: list[tuple[int, int]] = []
     for col in range(ncols):
         prow = len(pivots)
@@ -400,7 +482,7 @@ def _echelon(rows: list[list], ncols: int, field):
             det = -det
         pv = m[prow][col]
         det = det * pv
-        inv = field.one() / pv
+        inv = elt(field, 1) / pv
         m[prow] = [c * inv for c in m[prow]]
         for r in range(len(m)):
             if r != prow and m[r][col]:
@@ -423,8 +505,8 @@ def _kernel_basis(m: list[list], pivots: list, ncols: int, field) -> list[list]:
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
+        v = [elt(field, 0)] * ncols
+        v[fc] = elt(field, 1)
         for r, pc in pivots:
             v[pc] = -m[r][fc]
         basis.append(v)
@@ -442,7 +524,7 @@ def kernel_rank_det(rows: list[list], field) -> tuple[int, object, list[list]]:
         raise InputError("kernel_rank_det expects a square matrix")
     m, pivots, det = _echelon(rows, n, field)
     rank = len(pivots)
-    return rank, det if rank == n else field.zero(), _kernel_basis(m, pivots, n, field)
+    return rank, det if rank == n else elt(field, 0), _kernel_basis(m, pivots, n, field)
 
 
 def field_node_partials(h: MultiPoly) -> tuple:
@@ -466,7 +548,7 @@ def field_is_node(h: MultiPoly, p: ProjPoint, partials=None) -> bool:
         raise Rejection(f"point {p} is not a singular point of the curve")
     k = next(i for i, c in enumerate(p.coords) if c)
     i, j = (m for m in range(3) if m != k)
-    hii, hij, hjj = (hess[key].evaluate(p.coords) for key in ((i, i), (i, j), (j, j)))
+    hii, hij, hjj = (elt(h.field, hess[key].evaluate(p.coords)) for key in ((i, i), (i, j), (j, j)))
     return bool(hij * hij - hii * hjj)
 
 
@@ -476,7 +558,7 @@ def field_gram_rank_kernel(rep, p: ProjPoint):
     if p.space != "x":
         raise Rejection("fiber points live in the plane of the discriminant curve")
     vals = p.coords
-    upper = {(i, j): rep.entry(i, j).evaluate(vals) for i in range(4) for j in range(i, 4)}
+    upper = {(i, j): elt(rep.field, rep.entry(i, j).evaluate(vals)) for i in range(4) for j in range(i, 4)}
     gram = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
     rank, det, basis = kernel_rank_det(gram, rep.field)
     if rank <= 1:
@@ -601,8 +683,8 @@ def _field_polar_matrix(rep, p: ProjPoint) -> list:
     """The 4x4 symmetric matrix of 2 B, B the polar form of Q with
     F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t): the forms of
     `field_fiber_forms` at p, in the base field."""
-    vals = {ij: form.evaluate(p.coords) for ij, form in field_fiber_forms(rep).items()}
-    zero = p.field.zero()
+    vals = {ij: elt(p.field, form.evaluate(p.coords)) for ij, form in field_fiber_forms(rep).items()}
+    zero = elt(p.field, 0)
     return [[vals.get((min(i, j), max(i, j)), zero) for j in range(4)] for i in range(4)]
 
 

@@ -53,7 +53,7 @@ from detfold.fourfold import (
 from detfold.points import ProjPoint, sorted_points
 from detfold.repfile import parse_rep_file
 import reference as ref
-from reference import bivar_gcd, dense_rep, matrix_rank, pair_ints, plane_forms, plane_span, term_polar_matrix
+from reference import bivar_gcd, dense_rep, elt, matrix_rank, pair_ints, plane_forms, plane_span, term_polar_matrix
 from test_oracle import random_reps
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -193,10 +193,9 @@ def test_cross_verdict_covers_every_pair_of_couples():
 def _lines_over_fq2(pair, q, n):
     """The u-lines alpha_u +- s beta_u of a couple over F_q, s^2 = disc, with
     entries (a, b) = a + b sqrt(n) of F_q^2 for a fixed non-square n."""
-    root = pair.root.v if pair.root is not None else None
-    s = (root, 0) if root is not None else (0, next(k for k in range(1, q) if k * k * n % q == pair.disc.v))
+    s = (pair.root, 0) if pair.root is not None else (0, next(k for k in range(1, q) if k * k * n % q == pair.disc))
     return [
-        [((a.v + sign * s[0] * b.v) % q, sign * s[1] * b.v % q) for a, b in zip(pair.alpha[:3], pair.beta[:3])]
+        [((a + sign * s[0] * b) % q, sign * s[1] * b % q) for a, b in zip(pair.alpha[:3], pair.beta[:3])]
         for sign in (1, -1)
     ]
 
@@ -231,7 +230,7 @@ def test_line_keys_match_lines_over_fq2(q, data):
             disc * k * k,
         )
     elif how == "one line" and first.root is not None:
-        line, other = plane_forms(first)[0], [gf.from_int(c) for c in data.draw(vec)]
+        line, other = plane_forms(first)[0], [elt(gf, c) for c in data.draw(vec)]
         second = ([(x + y) / 2 for x, y in zip(line, other)], [(x - y) / 2 for x, y in zip(line, other)], 1)
     else:
         second = (data.draw(vec), data.draw(vec), data.draw(unit))
@@ -376,7 +375,7 @@ def test_polar_matrix_matches_term_by_term_read(field, data):
     n, den = point.ints()
     polar = dict(zip(UPPER, form_values(rep.fiber_forms, n, field.char)))
     c, s = _cleared(rep.fourfold)[1] * den, (1, 1, 1, den)
-    read = [[field.from_int(polar[min(k, l), max(k, l)]) / (c * s[k] * s[l]) for l in range(4)] for k in range(4)]
+    read = [[elt(field, polar[min(k, l), max(k, l)]) / (c * s[k] * s[l]) for l in range(4)] for k in range(4)]
     assert read == term_polar_matrix(rep.fourfold, point)
 
 
@@ -431,10 +430,9 @@ def test_couple_planes_lie_on_the_fourfold(q, data):
         pairs = couples_and_intersections(rep).pairs
     except Rejection:
         assume(False)
-    terms = [(e, c.v) for e, c in rep.fourfold.terms.items()]
+    terms = list(rep.fourfold.terms.items())
     for pair in pairs:
-        p = [c.v for c in pair.point.coords]
-        alpha, beta = ([c.v for c in vec] for vec in (pair.alpha, pair.beta))
+        p, alpha, beta = pair.point.coords, pair.alpha, pair.beta
         values = []
         for v in product(range(q), repeat=4):
             *u, t = v
@@ -445,7 +443,7 @@ def test_couple_planes_lie_on_the_fourfold(q, data):
                     c *= x**k
                 lhs += c
             a, b = (sum(x * y for x, y in zip(vec, v)) for vec in (alpha, beta))
-            values.append((lhs % q, t * (a * a - pair.disc.v * b * b) % q))
+            values.append((lhs % q, t * (a * a - pair.disc * b * b) % q))
         lead, pivot = next((lhs, rhs) for lhs, rhs in values if rhs)
         assert lead, pair.point
         assert all(lhs * pivot % q == rhs * lead % q for lhs, rhs in values), pair.point

@@ -312,7 +312,7 @@ class TestScanKernel:
             for a, b in ((1, data.draw(st.integers(0, q - 1))), (1, q - 1), (0, 1), (0, 0)):
                 uni = [0] * 7
                 for (i, j, k), c in form.terms.items():
-                    uni[k] += c.v * a**i * b**j
+                    uni[k] += c * a**i * b**j
                 values = lanes(sum(pow(b, j, q) * P for j, P in packed[a]), q, w)
                 assert [values[t] % q for t in range(q)] == [horner_mod(uni, t, q) for t in range(q)]
 
@@ -340,7 +340,7 @@ class TestScanKernel:
         field = PrimeField(q)
         reps = list(p2_reps(q))
         assert len(set(reps)) == len(reps) == q * q + q + 1
-        assert all(tuple(c.v for c in ProjPoint(field, r, "x").coords) == r for r in reps)
+        assert all(ProjPoint(field, r, "x").coords == r for r in reps)
         every = {ProjPoint(field, v, "x") for v in product(range(q), repeat=3) if any(v)}
         assert every == {ProjPoint(field, r, "x") for r in reps}
 

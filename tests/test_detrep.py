@@ -21,7 +21,7 @@ from detfold.fourfold import brute_force_oracle, couples_and_intersections, orac
 from detfold.points import ProjPoint
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import kernel_rank_det, p2_reps, plane_forms, plane_span
+from reference import elt, kernel_rank_det, p2_reps, plane_forms, plane_span
 
 
 def _p(s, f=QQ):
@@ -175,7 +175,7 @@ def _gram_at(rep, p):
     den = p.ints()[1]
     c = math.lcm(*(_cleared(rep.entry(i, j))[1] for i, j in UPPER)) * den
     s = (1, 1, 1, den)
-    g = [[rep.field.from_int(gram[i][j]) / (c * s[i] * s[j]) for j in range(4)] for i in range(4)]
+    g = [[elt(rep.field, gram[i][j]) / (c * s[i] * s[j]) for j in range(4)] for i in range(4)]
     rank, det, _ = kernel_rank_det(g, rep.field)
     return g, rank, det
 

@@ -243,8 +243,12 @@ class TestResultant:
 
     def test_field_without_integer_lift_rejected(self):
         # coefficients that are neither rationals nor residues mod q, here
-        # opaque symbols, have no integer lift for the Sylvester determinant
-        f = MultiPoly(object(), VARS_X, {(1, 0, 0): "a", (0, 1, 0): "b"})
+        # opaque symbols of a characteristic-0 field other than Q, have no
+        # integer lift for the Sylvester determinant
+        class Symbols:
+            char = 0
+
+        f = MultiPoly(Symbols(), VARS_X, {(1, 0, 0): "a", (0, 1, 0): "b"})
         with pytest.raises(InputError):
             resultant(f, f, "x1")
 
@@ -320,6 +324,38 @@ def _polys(draw, field, coeffs, homogeneous, degrees=(2, 3)):
         e = (a, b, degree - a - b) if homogeneous else (a, b, 0)
         terms[e] = field.coerce(draw(coeffs))
     return MultiPoly(field, VARS_X, terms)
+
+
+class TestResidues:
+    @pytest.mark.parametrize("q", [3, 13, 2**31 - 1])
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_elements_are_plain_residues(self, q, data):
+        # over F_q every coefficient of a built polynomial is an int in
+        # [1, q), whatever integers went in, a value is an int in [0, q), and
+        # a point's coordinates are ints in [0, q) leading with 1; points
+        # with equal integer coordinates over different fields are unequal
+        field = PrimeField(q)
+        big = st.integers(-(2**70), 2**70)
+        f, g = (data.draw(_polys(field, big, True)) for _ in range(2))
+        assume(f.involves("x1") and g.involves("x1"))
+        c = data.draw(big)
+        h = data.draw(_polys(QQ, st.builds(Fraction, big, st.sampled_from([1, 2, 4])), True))
+        raw = MultiPoly(field, VARS_X, {(1, 1, 0): c, (0, 0, 2): q, (2, 0, 0): -1})
+        built = [f + g, f - g, f * g, f**3, f.scale(c), f.diff("x1"), g.diff("x3"), h.map_field(field),
+                 resultant(f, g, "x1"), raw]
+        for p in built:
+            assert all(type(k) is int and 0 < k < q for k in p.terms.values()), p
+        coords = data.draw(st.tuples(big, big, big).filter(lambda v: any(x % q for x in v)))
+        value = f.evaluate(coords)
+        assert type(value) is int and 0 <= value < q
+        point = ProjPoint(field, coords, "x")
+        assert all(type(x) is int and 0 <= x < q for x in point.coords)
+        assert next(x for x in point.coords if x) == 1
+        small = (1,) + data.draw(st.tuples(st.integers(0, 6), st.integers(0, 6)))
+        over = [ProjPoint(f, small, "x") for f in (PrimeField(7), PrimeField(11), QQ)]
+        assert over[0].coords == over[1].coords == over[2].coords == small
+        assert over[0] != over[1] and over[0] != over[2] and over[1] != over[2]
 
 
 class TestMisc:

@@ -46,7 +46,7 @@ def reference_scan(rep, q):
             at_x: dict = {}  # u-exponent -> coefficient once x is substituted
             for e, c in p.terms.items():
                 key = e[3:]
-                at_x[key] = at_x.get(key, 0) + c.v * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]
+                at_x[key] = at_x.get(key, 0) + c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]
             vals = [0] * len(us)
             for (a, b, d), c in at_x.items():
                 if c % q:
@@ -255,7 +255,7 @@ def test_pencil_matches_each_stratum(q, data):
         out = [0] * 4
         for e, c in p.terms.items():
             if e[3:] == u_exp:
-                out[e[2]] += c.v * a ** e[0] * b ** e[1]
+                out[e[2]] += c * a ** e[0] * b ** e[1]
         return out
 
     for (a, b), ts in p2_lines(q):
@@ -263,8 +263,8 @@ def test_pencil_matches_each_stratum(q, data):
         delta, phi, *num = fourfold._pencil(rows, on_line(F, a, b, (0, 0, 0)), q)
         for t in ts:
             x = (a, b, t)
-            at0 = [g.evaluate(x + (0, 0, 0)).v for g in grads]
-            A = [[g.evaluate(x + e).v - c for e in units[:3]] for g, c in zip(grads, at0)]
+            at0 = [g.evaluate(x + (0, 0, 0)) for g in grads]
+            A = [[g.evaluate(x + e) - c for e in units[:3]] for g, c in zip(grads, at0)]
             det = sum(A[0][i] * A[1][(i + 1) % 3] * A[2][(i + 2) % 3] for i in range(3))
             det -= sum(A[0][i] * A[1][(i + 2) % 3] * A[2][(i + 1) % 3] for i in range(3))
             assert horner_mod(delta, t, q) == det % q
@@ -273,7 +273,7 @@ def test_pencil_matches_each_stratum(q, data):
                     u for u in product(range(q), repeat=3)
                     if not any((sum(a * x for a, x in zip(row, u)) + c) % q for row, c in zip(A, at0))
                 )
-                assert horner_mod(phi, t, q) == 2 * det * F.evaluate(x + tuple(u0)).v % q
+                assert horner_mod(phi, t, q) == 2 * det * F.evaluate(x + tuple(u0)) % q
                 assert [horner_mod(n, t, q) for n in num] == [det * u % q for u in u0]
 
 

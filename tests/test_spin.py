@@ -1,12 +1,15 @@
+import io
 import random
 
 import pytest
 
+from detfold.cli import main
 from detfold.errors import InputError, Rejection
 from detfold.spin import (
     DualGraph,
     build_dual_graph,
     config_predicates,
+    geometric_genus,
     graph_stats,
     parse_config,
     spin_subsets,
@@ -81,8 +84,6 @@ class TestDualGraph:
 
     def test_genus_bookkeeping_identity(self):
         # for general-position sextic configurations the bookkeeping gives 10
-        from detfold.spin import geometric_genus
-
         for cfg in TEN_COUPLE_CONFIGS.values():
             g = build_dual_graph(cfg)
             pa = sum(geometric_genus(d, n) for d, n in cfg) + g.total_edges() - (len(cfg) - 1)
@@ -189,3 +190,22 @@ class TestConfigLanguage:
             parse_config("lines=0")
         with pytest.raises(InputError):
             parse_config("line:knots=2")
+
+    def test_negative_node_count_refused(self):
+        # a sextic with -1 nodes would report total_nodes = -1 and b1 = -1
+        with pytest.raises(InputError):
+            geometric_genus(6, -1)
+        with pytest.raises(InputError):
+            build_dual_graph(parse_config("sextic=1:nodes=-1"))
+        out = io.StringIO()
+        assert main(["spin", "--config", "sextic=1:nodes=-1"], out=out) == 3
+        assert out.getvalue().startswith("error: ")
+
+    def test_huge_count_refused_before_the_list_is_built(self):
+        # a list of 10^18 components cannot be allocated; the total degree
+        # is checked first
+        with pytest.raises(InputError, match="total degree 1000000000000000000;"):
+            parse_config("lines=1000000000000000000")
+        out = io.StringIO()
+        assert main(["spin", "--config", "lines=1000000000000000000"], out=out) == 3
+        assert "configuration has total degree" in out.getvalue()

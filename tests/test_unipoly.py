@@ -11,17 +11,14 @@ from detfold.algebra import QQ, PrimeField
 from detfold.algebra.fields import word_primes
 from detfold.algebra.unipoly import (
     gcd_int,
-    gcd_poly,
     horner_mod,
-    is_squarefree,
     lanes,
-    monic,
     power_columns,
     rational_roots,
     resultant_int,
     trim,
 )
-from reference import divmod_poly, euclid_gcd, squarefree_part, sylvester_det
+from reference import divmod_poly, euclid_gcd, gcd_poly, is_squarefree, monic, squarefree_part, sylvester_det
 
 
 def test_rational_roots_examples():
