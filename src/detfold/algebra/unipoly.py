@@ -2,7 +2,8 @@
 
 Polynomials are lists of coefficients in ascending degree with no trailing
 zeros.  Includes modular gcds, resultants and complete rational-root
-extraction by p-adic lifting.
+extraction by p-adic lifting, and the packed kernel that evaluates forms on
+the lines of P^2(F_q) (`pack_lines`, `common_zeros`).
 """
 
 from __future__ import annotations
@@ -250,6 +251,48 @@ def lanes(v: int, q: int, w: int):
     """The lanes t = 0..q-1 of a nonnegative combination v of `power_columns`
     of width w, 32 or 64 bits, as an array of integers."""
     return memoryview(v.to_bytes(q * w // 8, sys.byteorder)).cast("I" if w == 32 else "Q")
+
+
+def lane_width(q: int, d: int) -> int:
+    """The lane width of `pack_lines` for forms of degree <= d: 32 bits while
+    a lane's bound (d+1)^2 (q-1)^3 stays below 2^32, else 64."""
+    return 32 if (d + 1) ** 2 * (q - 1) ** 3 < 2**32 else 64
+
+
+def pack_lines(p, q: int, w: int) -> tuple:
+    """The form p (a `MultiPoly` in three variables) on the lines (a : b : t),
+    a = 0 and a = 1: lists of (j, P_j) with p(a, b, t) = sum_j b^j P_j(t), P_j
+    packed by residue coefficients as its values at t = 0..q-1 in lanes of w
+    bits (Kronecker substitution).  A lane of a combination holds at most
+    (d+1)^2 (q-1)^3, d = deg p."""
+    cols = power_columns(q, w, (p.degree() or 0) + 1)
+    out = ({}, {})
+    for (i, j, k), c in p.terms.items():
+        for part in out[bool(i):]:
+            part.setdefault(j, [0] * len(cols))[k] += c
+    return tuple([(j, sum(c % q * col for c, col in zip(row, cols))) for j, row in part.items()] for part in out)
+
+
+def line_lanes(packed: tuple, a: int, b: int, q: int, w: int):
+    """The values at t = 0..q-1 of a `pack_lines` form on the line (a : b : t),
+    as lanes: one combination of its packed parts."""
+    return lanes(sum(pow(b, j, q) * P for j, P in packed[a]), q, w)
+
+
+def common_zeros(systems: list, lines, q: int, w: int) -> list:
+    """The points (a, b, t) of `lines`, pairs ((a, b), ts), where every
+    `pack_lines` form of systems vanishes; a later form is combined only
+    while some t of the line is alive."""
+    found = []
+    for (a, b), ts in lines:
+        alive = ts
+        for packed in systems:
+            values = line_lanes(packed, a, b, q, w)
+            alive = [t for t in alive if not values[t] % q]
+            if not alive:
+                break
+        found += [(a, b, t) for t in alive]
+    return found
 
 
 def _reconstruct(r: int, mod: int, a_bound: int, b_bound: int) -> Fraction | None:

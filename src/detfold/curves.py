@@ -54,38 +54,14 @@ def plane_solutions(polys: list[MultiPoly], field) -> PlaneSolutions:
 def _plane_solutions_fq(polys, field) -> PlaneSolutions:
     """Exhaustive scan of P^2(F_q) in plain integers, one line at a time: a
     polynomial's values on a line are one integer combination of its packed
-    forms (`_pack_lines`), and a later polynomial is combined only while some
-    t of the line is alive."""
+    forms (`unipoly.pack_lines`, `unipoly.common_zeros`)."""
     q = field.q
     if q * q + q + 1 > P2_SCAN_BUDGET:
         raise InputError(f"scan budget exceeded: P^2(F_{q}) has {q * q + q + 1} points > {P2_SCAN_BUDGET}")
-    d = max(p.degree() for p in polys)
-    w = 32 if (d + 1) ** 2 * (q - 1) ** 3 < 2**32 else 64
-    systems = [_pack_lines(p, q, w) for p in polys]
-    found = []
-    for (a, b), ts in p2_lines(q):
-        alive = ts
-        for packed in systems:
-            values = unipoly.lanes(sum(pow(b, j, q) * P for j, P in packed[a]), q, w)
-            alive = [t for t in alive if not values[t] % q]
-            if not alive:
-                break
-        found += [(a, b, t) for t in alive]
-    pts = [ProjPoint(field, rep, "x") for rep in found]
+    w = unipoly.lane_width(q, max(p.degree() for p in polys))
+    systems = [unipoly.pack_lines(p, q, w) for p in polys]
+    pts = [ProjPoint(field, rep, "x") for rep in unipoly.common_zeros(systems, p2_lines(q), q, w)]
     return PlaneSolutions(sorted_points(pts))
-
-
-def _pack_lines(p: MultiPoly, q: int, w: int) -> tuple:
-    """p on the lines (a : b : t), a = 0 and a = 1: lists of (j, P_j) with
-    p(a, b, t) = sum_j b^j P_j(t), P_j packed by residue coefficients as its
-    values at t = 0..q-1 in lanes of w bits (Kronecker substitution).  A lane
-    of a combination holds at most (d+1)^2 (q-1)^3, d = deg p, below 2^w."""
-    cols = unipoly.power_columns(q, w, p.degree() + 1)
-    out = ({}, {})
-    for (i, j, k), c in p.terms.items():
-        for part in out[bool(i):]:
-            part.setdefault(j, [0] * len(cols))[k] += c
-    return tuple([(j, sum(c % q * col for c, col in zip(row, cols))) for j, row in part.items()] for part in out)
 
 
 def _to_unicoeffs(p: MultiPoly, var: str) -> list:

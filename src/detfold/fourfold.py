@@ -11,8 +11,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from operator import mul
 
 from .algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, cross, int_rank_det, primitive, residue
-from .algebra.multipoly import _cleared, form_values
-from .algebra.unipoly import gcd_mod, horner_mod, lanes, power_columns, trim
+from .algebra.multipoly import _cleared, dense, form_values
+from .algebra.unipoly import common_zeros, gcd_mod, horner_mod, lane_width, lanes, line_lanes, pack_lines
 from .curves import plane_solutions
 from .detrep import UPPER, SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
 from .errors import ConsistencyError, InputError, Rejection
@@ -255,27 +255,28 @@ def _third_derivatives(F: MultiPoly) -> list:
 def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     """All points of P^5(F_q) where the fourfold and its six partials vanish.
 
-    Works stratum by stratum in the x-part.  On x = 0 (the plane P) the
-    points of P^2(F_q) in u are scanned one line (a : b : t) at a time: the
-    common zeros of the conics left there are the roots in t of their gcd,
-    so a line is tested by Horner only when that gcd is nonconstant.  Over
-    each other x-point the three u-partials of F are affine-linear in u,
-    rows [A | b] with F = f + b.u + u.Au/2; per line (a : b : t) of strata,
-    `_pencil` gives Delta = det A, N = -adj(A) b and Phi = 2 Delta f + b.N in
-    t, and the power columns t^k mod q their values at every t in one
-    integer each, in 32-bit lanes (a lane holds at most 7 (q-1)^2, below 2^32
-    for every q the budget admits).  Only the t with Delta(t) Phi(t) = 0 are
-    visited.  Where Delta(t) != 0 the one solution u0 = N(t)/Delta(t) has
-    Phi(t) = 2 Delta(t) F(x, u0) = 0; where Delta(t) = 0 the rows at t are
-    solved by `_solve_singular_mod`, and F is the constant F(x, u0) = f +
-    b.u0/2 on u0 + span(kernel), where its u-gradient vanishes, so (q odd)
-    the stratum is skipped when 2f + b.u0 != 0.  Every candidate left is
-    tested against F and all six partials, each fixed at x when a candidate
-    first reaches it.  Uses F and its partials alone, never the fiber theory
-    the assembly rests on.  Returns canonically sorted points.  The points of
-    P, the strata and the candidates together may not exceed ORACLE_BUDGET:
-    the first two are counted before any work, a stratum's candidates as they
-    accrue, those of the strata skipped for Phi(t) != 0 once per line.
+    Works stratum by stratum in the x-part.  The three u-partials of F are
+    affine-linear in u, rows [A | b] of forms in x with F = f + b.u + u.Au/2,
+    so `_cramer_forms` builds Delta = det A, N = -adj(A) b and Phi = 2 Delta
+    f + b.N once per call.  Delta and Phi are packed once (`pack_lines`), so
+    on each line (a : b : t) of strata their values at every t are one
+    combination of power columns each, and only the t with Delta(t) Phi(t) =
+    0 are visited.  Where Delta(x) != 0 the one solution u0 = N(x)/Delta(x)
+    has Phi(x) = 2 Delta(x) F(x, u0) = 0.  Where Delta(x) = 0 the rows at x
+    are solved by `_solve_singular_mod`; F is the constant F(x, u0) = f +
+    b.u0/2 on u0 + span(kernel), where its u-gradient vanishes, so (q odd) the
+    stratum is skipped when 2f + b.u0 != 0.  Otherwise, for each point u0 of
+    the coset's other directions, the line u0 + s v along its last kernel
+    vector v keeps only the common roots in s of the three x-partials
+    (`_coset_roots`).  Every candidate left is tested against the
+    x-partials, F and the u-partials, each fixed at x when a candidate first
+    reaches it.  The conics left on the plane P (x = 0) are scanned line by
+    line with the same kernel.  Uses F and its partials alone, never the
+    fiber theory the assembly rests on.  Returns canonically sorted points.
+    The points of P, the strata and the candidates together may not exceed
+    ORACLE_BUDGET: the first two are counted before any work, a stratum's
+    q^(3 - rank) candidates as they accrue, those of the strata skipped for
+    Phi(t) != 0 once per line.
     """
     tested = 2 * (q * q + q + 1)
     over_budget = f"enumeration budget exceeded: the oracle over F_{q} tests more than {ORACLE_BUDGET} points"
@@ -283,74 +284,58 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
         raise InputError(over_budget)
     gf = PrimeField(q)
     F = reduce_rep(rep, gf).fourfold
-    # F, its x-partials, then its u-partials, each as {u-exponent:
-    # [(coefficient, index of the x-exponent in x_index), ...]} over the integers
-    polys, x_index = [], {}
-    for p in [F] + [F.diff(v) for v in VARS_XU]:
-        split: dict = {}
+    # the x-partials of F, F, then its u-partials, in the order candidates are
+    # tested, each as {u-exponent: the terms of its form in x}
+    split = []
+    for p in [F.diff(v) for v in VARS_X] + [F] + [F.diff(v) for v in VARS_XU[3:]]:
+        parts: dict = {}
         for e, c in p.terms.items():
-            split.setdefault(e[3:], []).append((c, x_index.setdefault(e[:3], len(x_index))))
-        polys.append(split)
-    if any(sum(eu) > 1 for p in polys[4:] for eu in p):
+            parts.setdefault(e[3:], {})[e[:3]] = c
+        split.append(parts)
+    if any(sum(eu) > 1 for p in split[4:] for eu in p):
         raise ConsistencyError("a u-partial of the fourfold is not affine-linear in u")
-    if any(sum(eu) > 2 for eu in polys[0]):
+    if any(sum(eu) > 2 for eu in split[3]):
         raise ConsistencyError("the fourfold has a term of u-degree above 2")
-    u_rows = [[p.get(e, []) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))] for p in polys[4:]]  # [A | b]
+    polys = [(list(p), [dense(t, sum(next(iter(t)))) for t in p.values()]) for p in split]
+    # [A | b] row by row, then f: forms in x of degrees 1, 2 and 3
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+    entries = [p.get(e, {}) for p in split[4:] for e in units] + [split[3].get((0, 0, 0), {})]
+    # the rows and f at x as the 64-bit lanes of one sum of products (values < 10 q^4)
+    stack = [(e, sum(t.get(e, 0) << 64 * k for k, t in enumerate(entries))) for e in {e for t in entries for e in t}]
+    xs = [MultiPoly(gf, VARS_X, t) for t in entries]
+    delta, phi, num = _cramer_forms([xs[0:4], xs[4:8], xs[8:12]], xs[12])
+    num_forms = [dense(n.terms, 4) for n in num]
+    w = lane_width(q, 6)  # Phi is a sextic
+    packed_delta, packed_phi = pack_lines(delta, q, w), pack_lines(phi, q, w)
 
-    def values(p, mono):
-        # the u-coefficients of p with x fixed, mod q
-        return [sum(c * mono[i] for c, i in terms) % q for terms in p.values()]
-
-    def singular_at(mono, fixed, u):
-        # F and its six partials vanish at (x, u); each polynomial is fixed at
-        # x, into `fixed`, when a candidate first reaches it
+    def value(x, fixed, n, u):
+        # polynomial n at (x, u), each fixed at x, into `fixed`, when first needed
+        while len(fixed) <= n:
+            eus, forms = polys[len(fixed)]
+            fixed.append(list(zip(eus, form_values(forms, x, q))))
         u1, u2, u3 = u
-        for n, p in enumerate(polys):
-            if n == len(fixed):
-                fixed.append(list(zip(p, values(p, mono))))
-            if sum(c * u1 ** e[0] * u2 ** e[1] * u3 ** e[2] for e, c in fixed[n]) % q:
-                return False
-        return True
+        return sum(c * u1 ** e[0] * u2 ** e[1] * u3 ** e[2] for e, c in fixed[n]) % q
 
-    def on_line(terms, at):
-        # ascending t-coefficients, mod q, of sum c x^e on the line (a : b : t)
-        out = [0] * 4  # F is a cubic
-        for c, i in terms:
-            w, k = at[i]
-            out[k] += c * w
-        return trim([c % q for c in out])
-
-    cols = power_columns(q, 32, 7)
-    on_p = [[(c, e) for e, c in zip(p, values(p, [int(not any(e)) for e in x_index])) if c] for p in polys]
-    on_p = [p for p in on_p if p]
-    found = []
-    for (a, b), ts in p2_lines(q):
-        at = {e: (a ** e[0] * b ** e[1], e[2]) for p in on_p for _, e in p}
-        forms = [on_line(p, at) for p in on_p]
-        common = []
-        for s in forms:
-            common = gcd_mod(common, s, q)
-            if len(common) == 1:
-                break
-        else:  # the gcd is nonconstant, or zero when every form vanishes on the line
-            found += [(0, 0, 0, a, b, t) for t in ts if not any(horner_mod(s, t, q) for s in forms)]
+    # on P, x = 0, F and its u-partials vanish (F contains P); the conics left
+    # are the x-partials' terms free of x, as forms in u
+    on_p = [{eu: t[(0, 0, 0)] for eu, t in p.items() if (0, 0, 0) in t} for p in split[:3]]
+    on_p = [pack_lines(MultiPoly(gf, VARS_X, conic), q, w) for conic in on_p]
+    found = [(0, 0, 0) + u for u in common_zeros(on_p, p2_lines(q), q, w)]
 
     for (a, b), ts in p2_lines(q):
-        at = [(a**i * b**j, k) for i, j, k in x_index]
-        rows = [[on_line(terms, at) for terms in row] for row in u_rows]
-        f = on_line(polys[0].get((0, 0, 0), []), at)
-        delta, phi, *num = _pencil(rows, f, q)
-        dl, pl = (lanes(sum(c * col for c, col in zip(s, cols)), q, 32) for s in (delta, phi))
+        dl, pl = line_lanes(packed_delta, a, b, q, w), line_lanes(packed_phi, a, b, q, w)
         hits = [t for t in ts if not dl[t] * pl[t] % q]
         tested += len(ts) - len(hits)  # full-rank strata skipped for Phi(t) != 0
         for t in hits:
+            x = (a, b, t)
             det = dl[t] % q
             if det:
                 inv = pow(det, -1, q)
-                base, kernel = [horner_mod(n, t, q) * inv % q for n in num], []
+                base, kernel = [n * inv % q for n in form_values(num_forms, x, q)], []
             else:
-                at_t = [[horner_mod(e, t, q) for e in row] for row in rows]
-                solved = _solve_singular_mod(at_t, q)
+                *at_x, f0 = [v % q for v in lanes(sum(c * a**i * b**j * t**k for (i, j, k), c in stack), 13, 64)]
+                rows = [at_x[0:4], at_x[4:8], at_x[8:12]]
+                solved = _solve_singular_mod(rows, q)
                 if solved is None:
                     continue
                 base, kernel = solved
@@ -358,13 +343,17 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
             if tested > ORACLE_BUDGET:
                 raise InputError(over_budget)
             # 2 F(x, u0) = 2 f + b.u0, as A u0 = -b
-            if kernel and (2 * horner_mod(f, t, q) + sum(r[3] * u for r, u in zip(at_t, base))) % q:
+            if kernel and (2 * f0 + sum(r[3] * u for r, u in zip(rows, base))) % q:
                 continue
-            mono, fixed = [w * t**k for w, k in at], []
-            for ks in product(range(q), repeat=len(kernel)):
-                u = tuple((c + sum(s * k[i] for s, k in zip(ks, kernel))) % q for i, c in enumerate(base))
-                if singular_at(mono, fixed, u):
-                    found.append((a, b, t) + u)
+            fixed, cands = [], [] if kernel else [base]
+            if kernel:
+                *outer, v = kernel
+                for ks in product(range(q), repeat=len(outer)):
+                    u0 = [(c + sum(s * k[i] for s, k in zip(ks, outer))) % q for i, c in enumerate(base)]
+                    line = [[(c + s * d) % q for c, d in zip(u0, v)] for s in (0, 1, -1)]
+                    roots = _coset_roots(((value(x, fixed, n, u) for u in line) for n in range(3)), q)
+                    cands += [[(c + s * d) % q for c, d in zip(u0, v)] for s in roots]
+            found += [x + tuple(u) for u in cands if not any(value(x, fixed, n, u) for n in range(7))]
         if tested > ORACLE_BUDGET:
             raise InputError(over_budget)
 
@@ -372,26 +361,28 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     return sorted_points(pts)
 
 
-def _pencil(rows: list, f: list, q: int) -> list:
-    """[Delta, Phi, N1, N2, N3] as residue lists mod q: Delta = det A, N =
-    -adj(A) b and Phi = 2 Delta f + b.N for rows [A | b] and f of ascending
-    residue lists of degree <= 3 in t.  Each list is packed as its value at
-    t = 2^k, so the cross products (the columns of adj(A)) and all after them
-    are integer arithmetic; every coefficient of Phi is below 30 (4q)^4 <
-    2^(k-1) in absolute value, so the results unpack as digits in [-2^(k-1), 2^(k-1))."""
-    k, out = 4 * q.bit_length() + 16, []
-    r1, r2, r3 = ([sum(c << (k * i) for i, c in enumerate(e)) for e in row] for row in rows)
+def _cramer_forms(rows: list, f: MultiPoly) -> tuple:
+    """(Delta, Phi, N) for rows [A | b] and f of forms in x: Delta = det A, N =
+    -adj(A) b, so that A N = -Delta b, and Phi = 2 Delta f + b.N, which is
+    2 Delta F(x, u0) where u0 = N/Delta.  The columns of adj(A) are the cross
+    products of the rows."""
+    r1, r2, r3 = rows
     c23, c31, c12 = cross(r2, r3), cross(r3, r1), cross(r1, r2)
-    delta = sum(a * c for a, c in zip(r1, c23))
+    delta = r1[0] * c23[0] + r1[1] * c23[1] + r1[2] * c23[2]
     num = [-(r1[3] * x + r2[3] * y + r3[3] * z) for x, y, z in zip(c23, c31, c12)]
-    phi = 2 * delta * sum(c << (k * i) for i, c in enumerate(f)) + sum(r[3] * n for r, n in zip((r1, r2, r3), num))
-    for v in (delta, phi, *num):
-        digits = []
-        while v:
-            v, c = divmod(v + (1 << (k - 1)), 1 << k)
-            digits.append((c - (1 << (k - 1))) % q)
-        out.append(trim(digits))
-    return out
+    return delta, delta * f * 2 + r1[3] * num[0] + r2[3] * num[1] + r3[3] * num[2], num
+
+
+def _coset_roots(quadratics, q: int) -> list[int]:
+    """The common roots s in F_q of quadratics in s, each given by its values
+    at s = 0, 1, -1 (q odd): those of their gcd, none when it is constant and
+    every s when it is zero."""
+    g, half = [], (q + 1) // 2
+    for g0, g1, gm in quadratics:
+        g = gcd_mod(g, [g0, (g1 - gm) * half, (g1 + gm) * half - g0], q)
+        if len(g) == 1:
+            return []
+    return [-g[0] % q] if len(g) == 2 else [s for s in range(q) if not horner_mod(g, s, q)]
 
 
 def _solve_singular_mod(rows: list[list[int]], q: int):

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
-from detfold.algebra.unipoly import horner_mod, lanes
 from detfold.curves import (
     _certify_s_c,
-    _pack_lines,
     _plane_solutions_qq,
     is_node,
     is_reduced_curve,
@@ -293,28 +291,6 @@ class TestScanKernel:
             assert len(got.points) <= 1
         if kind == "whole-line":
             assert len(got.points) >= q + 1
-
-    @pytest.mark.parametrize("q", [3, 443, 449, 997])
-    @settings(derandomize=True, database=None, max_examples=5, deadline=None)
-    @given(data=st.data())
-    def test_packed_lines_match_horner(self, q, data):
-        # a sextic's lanes are 32 bits wide up to q = 443 and 64 bits from
-        # q = 449; every lane is congruent to the form's value on its line,
-        # for a drawn form and for every monomial of degree <= 6 with
-        # coefficient q - 1, where several terms share a power of x2 and of x3
-        field = PrimeField(q)
-        w = 32 if q <= 443 else 64
-        drawn = _form(data.draw, field, data.draw(st.integers(1, 6)))
-        assume(not drawn.is_zero)
-        full = MultiPoly(field, VARS_X, {e: field.from_int(-1) for e in product(range(7), repeat=3) if sum(e) <= 6})
-        for form in (drawn, full):
-            packed = _pack_lines(form, q, w)
-            for a, b in ((1, data.draw(st.integers(0, q - 1))), (1, q - 1), (0, 1), (0, 0)):
-                uni = [0] * 7
-                for (i, j, k), c in form.terms.items():
-                    uni[k] += c * a**i * b**j
-                values = lanes(sum(pow(b, j, q) * P for j, P in packed[a]), q, w)
-                assert [values[t] % q for t in range(q)] == [horner_mod(uni, t, q) for t in range(q)]
 
     def test_six_lines_need_64_bit_lanes(self):
         # six lines with large residue coefficients: at q = 997 their product

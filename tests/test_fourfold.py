@@ -197,11 +197,19 @@ class TestOracle:
 
     def test_budget_counts_candidates(self, monkeypatch):
         # diag(x1, x1, x1, x2^3 + x3^3): every stratum with x1 = 0 has rank 0,
-        # and its q^3 candidates are refused before any is tested
+        # and its q^3 candidates are refused before any is tested.  Such a
+        # stratum enumerates the q^2 points of its two outer kernel
+        # directions, and each line along the third is cut by a gcd
         import detfold.fourfold as fourfold
 
-        def no_cube(*args, repeat=1):
-            if repeat == 3:
+        repeats = []
+
+        def recording(*args, repeat=1):
+            repeats.append(repeat)
+            return product(*args, repeat=repeat)
+
+        def no_plane(*args, repeat=1):
+            if repeat == 2:
                 raise AssertionError("a rank-0 stratum enumerated over budget")
             return product(*args, repeat=repeat)
 
@@ -210,8 +218,10 @@ class TestOracle:
         rep = validate_rep([[x1, z, z, z], [z, x1, z, z], [z, z, x1, z], [z, z, z, _p("x2^3 + x3^3")]], QQ)
         # at q = 13 they fit, 2 * 183 + 169 + 14 * 13^3 <= 10^5: the 14 points
         # of u1^2 + u2^2 + u3^2 = 0 in P, and (1:0:0:0:0:0)
+        monkeypatch.setattr(fourfold, "product", recording)
         assert len(brute_force_oracle(rep, 13)) == 15
-        monkeypatch.setattr(fourfold, "product", no_cube)
+        assert 2 in repeats  # the enumeration the guard below watches
+        monkeypatch.setattr(fourfold, "product", no_plane)
         with pytest.raises(InputError, match="budget"):
             brute_force_oracle(rep, 61)
 

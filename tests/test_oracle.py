@@ -2,30 +2,32 @@
 
 `reference_scan` tests every canonical representative of P^5(F_q) against F
 and its six partials, stratum by stratum in the x-part, without solving
-anything.  `brute_force_oracle` solves the u-partials instead, once per line
-of strata where their determinant is nonzero and per stratum where it is
-zero; the two must return the same points.  On random reps the oracle must also
-agree with the singular locus assembled from the structure theory.
+anything.  `brute_force_oracle` solves the u-partials instead: where their
+determinant is nonzero from the forms Delta, N and Phi that it builds once per
+call, where it is zero stratum by stratum, cutting each coset of solutions
+by the gcd of the x-partials along a line; the two must return the same
+points.  On random reps the oracle must also agree with the singular locus
+assembled from the structure theory.
 """
 
 import io
 import sys
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import detfold.fourfold as fourfold
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, is_prime, parse_poly
-from detfold.algebra.unipoly import horner_mod
 from detfold.cli import main
 from detfold.detrep import SymDetRep, reduce_rep, validate_rep
 from detfold.errors import ConsistencyError, InputError, Rejection
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.fourfold import brute_force_oracle, oracle_matches_assembly
-from detfold.points import ProjPoint, p2_lines, sorted_points
-from reference import p2_reps
+from detfold.points import ProjPoint, sorted_points
+from reference import gcd_poly, p2_reps
 
 GOLDEN = Path(__file__).parent / "golden"
 RATIONAL_EXAMPLES = ["ex42i", "ex42ii", "ex43_quartic_two_lines", "ex43_quintic_line", "rmk31", "prop44"]
@@ -75,13 +77,13 @@ def test_low_rank_strata_match_reference(monkeypatch):
     ]
     rep = validate_rep([[parse_poly(s, VARS_X, gf) for s in row] for row in entries], gf)
     # per x-stratum: None for an inconsistent system, else its kernel
-    # dimension.  Full-rank strata, Delta(t) != 0 on their line's pencil,
-    # never reach _solve_singular_mod, so each line's Delta is recorded too
+    # dimension.  Full-rank strata, Delta(x) != 0, never reach
+    # _solve_singular_mod, so the Delta form the oracle builds is recorded too
     sizes, deltas = [], []
-    pencil, solve = fourfold._pencil, fourfold._solve_singular_mod
+    cramer, solve = fourfold._cramer_forms, fourfold._solve_singular_mod
 
-    def recording_pencil(rows, f, q):
-        out = pencil(rows, f, q)
+    def recording_cramer(rows, f):
+        out = cramer(rows, f)
         deltas.append(out[0])
         return out
 
@@ -90,15 +92,63 @@ def test_low_rank_strata_match_reference(monkeypatch):
         sizes.append(None if out is None else len(out[1]))
         return out
 
-    monkeypatch.setattr(fourfold, "_pencil", recording_pencil)
+    monkeypatch.setattr(fourfold, "_cramer_forms", recording_cramer)
     monkeypatch.setattr(fourfold, "_solve_singular_mod", recording_solve)
     got = brute_force_oracle(rep, 7)
-    for delta, (_, ts) in zip(deltas, p2_lines(7), strict=True):
-        sizes += [0 for t in ts if horner_mod(delta, t, 7)]
+    (delta,) = deltas  # built once per call
+    sizes += [0 for x in p2_reps(7) if delta.evaluate(x)]
     assert len(sizes) == 7 * 7 + 7 + 1  # each stratum x != 0 exactly once
     assert {None, 0, 1, 2} <= set(sizes)
     assert got == reference_scan(rep, 7)
     assert got  # the scan finds singular points, not just agreement on none
+
+
+# reps with singular strata of every kernel dimension: on diag(x1, x1, x1)
+# every stratum with x1 = 0 has rank 0, kernel dimension 3; the rank-1 block
+# [[x1, 0, x2], [0, x3, 0], [x2, 0, 0]] has rank 2 on the lines x2 = 0 and
+# x3 = 0 of strata, kernel dimension 1, and rank 1 at (1:0:0) and (0:0:1),
+# kernel dimension 2
+LOW_RANK_REPS = {
+    "rank-0": [["x1", "0", "0", "0"], ["0", "x1", "0", "0"], ["0", "0", "x1", "0"], ["0", "0", "0", "x2^3 + x3^3"]],
+    "rank-1-block": [["x1", "0", "x2", "-x1*x3"], ["0", "x3", "0", "0"], ["x2", "0", "0", "0"], ["-x1*x3", "0", "0", "x1^3"]],
+}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_coset_gcd_matches_reference(q, monkeypatch):
+    # each line u0 + s v of a surviving coset keeps the common roots in s of
+    # the three x-partials, quadratics given by their values at s = 0, 1, -1
+    # (at q = 3 the whole field).  Their gcd is constant (the line is
+    # skipped), linear, or zero (every s is a candidate), and each outcome
+    # occurs here, as does each kernel dimension
+    kernels, degrees = set(), set()
+    solve, roots = fourfold._solve_singular_mod, fourfold._coset_roots
+    half = pow(2, -1, q)
+
+    def recording_solve(rows, q):
+        out = solve(rows, q)
+        if out is not None:
+            kernels.add(len(out[1]))
+        return out
+
+    def recording_roots(quadratics, q):
+        values = [list(v) for v in quadratics]
+        coeffs = [[g0, (g1 - gm) * half % q, ((g1 + gm) * half - g0) % q] for g0, g1, gm in values]
+        g = []
+        for c in coeffs:
+            g = gcd_poly(g, c, PrimeField(q))
+        degrees.add(len(g) - 1)  # -1 for the zero gcd
+        out = roots(values, q)
+        assert out == [s for s in range(q) if not any(sum(k * s**i for i, k in enumerate(c)) % q for c in coeffs)]
+        return out
+
+    monkeypatch.setattr(fourfold, "_solve_singular_mod", recording_solve)
+    monkeypatch.setattr(fourfold, "_coset_roots", recording_roots)
+    for rows in LOW_RANK_REPS.values():
+        rep = validate_rep([[parse_poly(s, VARS_X, QQ) for s in row] for row in rows], QQ)
+        assert brute_force_oracle(rep, q) == reference_scan(rep, q)
+    assert {1, 2, 3} <= kernels
+    assert {-1, 0, 1} <= degrees
 
 
 def test_solver_solutions():
@@ -243,38 +293,31 @@ def test_random_reps_match_reference(q, data):
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
 @given(data=st.data())
 def test_pencil_matches_each_stratum(q, data):
-    # on every line (a : b : t), Delta(t) is det A of the stratum's rows
-    # [A | b], read off F by evaluation alone, and where it is nonzero
-    # Phi(t) = 2 Delta(t) F(x, u0) and N(t) = Delta(t) u0, u0 the solution
+    # the forms the oracle builds once per call: at every stratum x, Delta(x)
+    # is det A of the stratum's rows [A | b], read off F by evaluation alone,
+    # and where it is nonzero Phi(x) = 2 Delta(x) F(x, u0) and N(x) = Delta(x)
+    # u0, u0 the solution
     rep = data.draw(random_reps(PrimeField(q)))
     F = rep.fourfold
     grads = [F.diff(v) for v in VARS_XU[3:]]
-    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
-
-    def on_line(p, a, b, u_exp):
-        out = [0] * 4
-        for e, c in p.terms.items():
-            if e[3:] == u_exp:
-                out[e[2]] += c * a ** e[0] * b ** e[1]
-        return out
-
-    for (a, b), ts in p2_lines(q):
-        rows = [[on_line(g, a, b, e) for e in units] for g in grads]
-        delta, phi, *num = fourfold._pencil(rows, on_line(F, a, b, (0, 0, 0)), q)
-        for t in ts:
-            x = (a, b, t)
-            at0 = [g.evaluate(x + (0, 0, 0)) for g in grads]
-            A = [[g.evaluate(x + e) - c for e in units[:3]] for g, c in zip(grads, at0)]
-            det = sum(A[0][i] * A[1][(i + 1) % 3] * A[2][(i + 2) % 3] for i in range(3))
-            det -= sum(A[0][i] * A[1][(i + 2) % 3] * A[2][(i + 1) % 3] for i in range(3))
-            assert horner_mod(delta, t, q) == det % q
-            if det % q:
-                u0 = next(
-                    u for u in product(range(q), repeat=3)
-                    if not any((sum(a * x for a, x in zip(row, u)) + c) % q for row, c in zip(A, at0))
-                )
-                assert horner_mod(phi, t, q) == 2 * det * F.evaluate(x + tuple(u0)) % q
-                assert [horner_mod(n, t, q) for n in num] == [det * u % q for u in u0]
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    built, cramer = [], fourfold._cramer_forms
+    with mock.patch.object(fourfold, "_cramer_forms", lambda rows, f: built.append(cramer(rows, f)) or built[-1]):
+        brute_force_oracle(rep, q)
+    ((delta, phi, num),) = built
+    for x in p2_reps(q):
+        at0 = [g.evaluate(x + (0, 0, 0)) for g in grads]
+        A = [[g.evaluate(x + e) - c for e in units] for g, c in zip(grads, at0)]
+        det = sum(A[0][i] * A[1][(i + 1) % 3] * A[2][(i + 2) % 3] for i in range(3))
+        det -= sum(A[0][i] * A[1][(i + 2) % 3] * A[2][(i + 1) % 3] for i in range(3))
+        assert delta.evaluate(x) == det % q
+        if det % q:
+            u0 = next(
+                u for u in product(range(q), repeat=3)
+                if not any((sum(a * ui for a, ui in zip(row, u)) + c) % q for row, c in zip(A, at0))
+            )
+            assert phi.evaluate(x) == 2 * det * F.evaluate(x + tuple(u0)) % q
+            assert [n.evaluate(x) for n in num] == [det * u % q for u in u0]
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])

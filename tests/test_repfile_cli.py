@@ -221,11 +221,12 @@ class TestCli:
         assert rc == 3 and "scan budget exceeded" in out
 
     def test_oracle_budget_exit_code(self, tmp_path, monkeypatch):
-        # the strata with x1 = 0 have rank 0 and q^3 candidates each
+        # the strata with x1 = 0 have rank 0 and q^3 candidates each; such a
+        # stratum enumerates the q^2 points of its two outer kernel directions
         import detfold.fourfold as fourfold
 
-        def no_cube(*args, repeat=1):
-            if repeat == 3:
+        def no_plane(*args, repeat=1):
+            if repeat == 2:
                 raise AssertionError("a rank-0 stratum enumerated over budget")
             return product(*args, repeat=repeat)
 
@@ -233,7 +234,7 @@ class TestCli:
             "field rational\nvars x1 x2 x3\n"
             "row 0: x1, 0, 0, 0\nrow 1: 0, x1, 0, 0\nrow 2: 0, 0, x1, 0\nrow 3: 0, 0, 0, x2^3 + x3^3\n"
         )
-        monkeypatch.setattr(fourfold, "product", no_cube)
+        monkeypatch.setattr(fourfold, "product", no_plane)
         rc, out = run_cli("oracle", str(tmp_path / "r.rep"), "--prime", "61")
         assert rc == 3 and "enumeration budget exceeded" in out
 

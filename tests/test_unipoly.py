@@ -2,23 +2,28 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from detfold.algebra import QQ, PrimeField
+from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X
 from detfold.algebra.fields import word_primes
 from detfold.algebra.unipoly import (
     gcd_int,
     horner_mod,
+    lane_width,
     lanes,
+    line_lanes,
+    pack_lines,
     power_columns,
     rational_roots,
     resultant_int,
     trim,
 )
 from reference import divmod_poly, euclid_gcd, gcd_poly, is_squarefree, monic, squarefree_part, sylvester_det
+from test_curves import _form
 
 
 def test_rational_roots_examples():
@@ -267,6 +272,30 @@ def test_lanes_match_horner(w, q, data):
     s = data.draw(st.one_of(st.just([(q - 1) ** 2] * 7), st.lists(st.integers(0, (q - 1) ** 2), max_size=7)))
     values = lanes(sum(c * col for c, col in zip(s, power_columns(q, w, 7))), q, w)
     assert [values[t] % q for t in range(q)] == [horner_mod(s, t, q) for t in range(q)]
+
+
+@pytest.mark.parametrize("q", [3, 443, 449, 997])
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(data=st.data())
+def test_packed_lines_match_horner(q, data):
+    # a sextic's lanes are 32 bits wide up to q = 443 and 64 bits from
+    # q = 449; every lane is congruent to the form's value on its line,
+    # for a drawn form and for every monomial of degree <= 6 with
+    # coefficient q - 1, where several terms share a power of x2 and of x3
+    field = PrimeField(q)
+    w = lane_width(q, 6)
+    assert w == (32 if q <= 443 else 64)
+    drawn = _form(data.draw, field, data.draw(st.integers(1, 6)))
+    assume(not drawn.is_zero)
+    full = MultiPoly(field, VARS_X, {e: field.from_int(-1) for e in product(range(7), repeat=3) if sum(e) <= 6})
+    for form in (drawn, full):
+        packed = pack_lines(form, q, w)
+        for a, b in ((1, data.draw(st.integers(0, q - 1))), (1, q - 1), (0, 1), (0, 0)):
+            uni = [0] * 7
+            for (i, j, k), c in form.terms.items():
+                uni[k] += c * a**i * b**j
+            values = line_lanes(packed, a, b, q, w)
+            assert [values[t] % q for t in range(q)] == [horner_mod(uni, t, q) for t in range(q)]
 
 
 # (t - 2) times cofactors of degrees 4 and 3: the PRS reaches the common
