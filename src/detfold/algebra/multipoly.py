@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from ..errors import DegenerateResultant, InputError
 from .fields import QQ, PrimeField, residue, word_primes
@@ -108,18 +108,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return MultiPoly(self.field, self.vars, out)
+        return MultiPoly(self.field, self.vars, mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -272,94 +261,116 @@ def _grlex_key(e: tuple):
     return (sum(e), tuple(-k for k in reversed(e)))
 
 
+def mul_terms(a: dict, b: dict, q: int = 0) -> dict:
+    """The product of two term dicts (exponent tuple -> coefficient), without
+    its zero terms, each coefficient reduced mod q over F_q (q > 0)."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    if q:
+        return {e: r for e, c in out.items() if (r := c % q)}
+    return {e: c for e, c in out.items() if c}
+
+
 def poly_matrix_det(entries: list) -> MultiPoly:
-    """Determinant of a small square matrix of polynomials (cofactor expansion)."""
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
+    """Determinant of a small square matrix of polynomials: the cofactor
+    expansion of the entries' integer terms (`_cleared`) at one common
+    denominator c, divided by c^n once over Q."""
     first = entries[0][0]
-    field, vars = first.field, first.vars
-    total = MultiPoly.zero(field, vars)
-    for j in range(n):
-        if entries[0][j].is_zero:
-            continue
-        minor = [[entries[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        sub = poly_matrix_det(minor)
-        term = entries[0][j] * sub
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    cleared = [[_cleared(p) for p in row] for row in entries]
+    c = math.lcm(*(den for row in cleared for _, den in row))
+    det = _det_terms([[{e: v * (c // den) for e, v in t.items()} for t, den in row] for row in cleared])
+    if not first.field.char:
+        scale = c ** len(entries)
+        det = {e: Fraction(v, scale) for e, v in det.items()}
+    return MultiPoly(first.field, first.vars, det)
 
 
-def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant of f and g with respect to var.
+def _det_terms(rows: list) -> dict:
+    """The determinant of a square matrix of integer term dicts, by cofactor
+    expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total: dict = {}
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = _det_terms([row[:j] + row[j + 1 :] for row in rows[1:]])
+            for e, v in mul_terms(a, minor).items():
+                total[e] = total.get(e, 0) + (-v if j % 2 else v)
+    return {e: v for e, v in total.items() if v}
 
-    The result is a polynomial free of var; it vanishes identically iff f and
-    g share a factor involving var.  Computed in one big-integer pass by
+
+def resultant(f: dict, g: dict, i: int) -> dict:
+    """Sylvester resultant, with respect to x_i, of two polynomials given by
+    integer terms (exponent tuple -> int), as integer terms.
+
+    The result is free of x_i; it vanishes identically iff f and g share a
+    factor involving x_i.  Over F_q the residues are taken as integers and
+    the result is reduced by the caller.  Computed in one big-integer pass by
     Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
-    Algebra, 8.4): the packed terms of `_packed` of every power of var are
+    Algebra, 8.4): the packed terms of `_packed` of every power of x_i are
     summed at t = 2^k, `resultant_int` runs the subresultant PRS on the two
-    integer polynomials in var, and the coefficients are read off as signed
+    integer polynomials in x_i, and the coefficients are read off as signed
     base-2^k digits.  k exceeds the bit length of B = 2 |f|_1^n |g|_1^m
-    (1-norms of the integer coefficients, m and n the degrees in var), the
-    row-sum bound on every Sylvester minor, so both leads stay nonzero at 2^k,
-    every division of the PRS exact in Z[t] stays exact there, and the digits
-    are unique.
+    (1-norms of the coefficients, m and n the degrees in x_i), the row-sum
+    bound on every Sylvester minor, so both leads stay nonzero at 2^k, every
+    division of the PRS exact in Z[t] stays exact there, and the digits are
+    unique.
     """
-    fp, gp, top, scale, others, base = _packed(f, g, var)
+    fp, gp, top, others, base = _packed(f, g, i)
     n1, n2 = (sum(abs(c) for pairs in p for _, c in pairs) for p in (fp, gp))
     k = (2 * n1 ** (len(gp) - 1) * n2 ** (len(fp) - 1)).bit_length() + 1
     r = resultant_int(*([sum(c << k * t for t, c in pairs) for pairs in p] for p in (fp, gp)))
-    field, terms, mask, half = f.field, {}, (1 << k) - 1, 1 << (k - 1)
+    terms, mask, half, width = {}, (1 << k) - 1, 1 << (k - 1), len(next(iter(f)))
     for texp in range(top + 1):
         c = r & mask
         if c >= half:  # the digit is signed, in (-2^(k-1), 2^(k-1))
             c -= 1 << k
         r = (r - c) >> k
         if c:
-            e = [0] * len(f.vars)
+            e = [0] * width
             for j in others:
                 texp, e[j] = divmod(texp, base)
-            terms[tuple(e)] = Fraction(c, scale) if field == QQ else c
-    return MultiPoly(field, f.vars, terms)
+            terms[tuple(e)] = c
+    return terms
 
 
-def resultant_vanishes(f: MultiPoly, g: MultiPoly, var: str) -> bool:
-    """resultant(f, g, var).is_zero, from values of the packed determinant
-    mod q over F_q, mod the first word prime over Q, at t = 0, 1, ... for at
-    most min(N + 1, prime) points: a nonzero value proves the resultant
-    nonzero, and over F_q with q > N all-zero values prove it zero."""
-    fp, gp, top, *_ = _packed(f, g, var)
-    prime = f.field.q if isinstance(f.field, PrimeField) else next(word_primes())
+def resultant_vanishes(f: dict, g: dict, i: int, q: int = 0) -> bool:
+    """Whether `resultant(f, g, i)` vanishes over Q (q = 0) or mod the prime
+    q, from values of the packed determinant mod q over F_q, mod the first
+    word prime over Q, at t = 0, 1, ... for at most min(N + 1, prime) points:
+    a nonzero value proves the resultant nonzero, and over F_q with q > N
+    all-zero values prove it zero."""
+    fp, gp, top, *_ = _packed(f, g, i)
+    prime = q or next(word_primes())
     fc, gc = ([_residues(pairs, prime) for pairs in p] for p in (fp, gp))
     if any(_packed_value(fc, gc, t, prime) for t in range(min(top + 1, prime))):
         return False
-    return (isinstance(f.field, PrimeField) and prime > top) or resultant(f, g, var).is_zero
+    return (bool(q) and prime > top) or not any(residue(c, q) for c in resultant(f, g, i).values())
 
 
-def _packed(f: MultiPoly, g: MultiPoly, var: str):
-    """(fp, gp, N, scale, others, base): the terms of the coefficients of
-    var^0..var^m in f and var^0..var^n in g, cleared by `_cleared`, as
-    (t-exponent, integer) pairs, with the variables at the indices `others`
-    packed into t by Kronecker substitution with base D+1, D = deg f * deg g,
-    which bounds every exponent of the resultant; its t-degree bound N; and
-    the divisor of the cleared resultant."""
-    if f.is_zero or g.is_zero:
+def _packed(f: dict, g: dict, i: int):
+    """(fp, gp, N, others, base): the coefficients of x_i^0..x_i^m in f and
+    x_i^0..x_i^n in g, as (t-exponent, integer) pairs, with the variables at
+    the indices `others` packed into t by Kronecker substitution with base
+    D+1, D = deg f * deg g, which bounds every exponent of the resultant; and
+    its t-degree bound N."""
+    if not f or not g:
         raise InputError("resultant of the zero polynomial")
-    m, n = f.degree_in(var), g.degree_in(var)
+    m, n = max(e[i] for e in f), max(e[i] for e in g)
     if m <= 0 or n <= 0:
-        raise DegenerateResultant(f"input free of {var}: degrees ({m}, {n})")
-    f._check(g)
-    (fi, sf), (gi, sg) = _cleared(f), _cleared(g)
-    iv = f.vars.index(var)
-    others = [j for j in range(len(f.vars)) if j != iv and any(e[j] for e in (*fi, *gi))]
-    base = f.degree() * g.degree() + 1
+        raise DegenerateResultant(f"input free of variable {i}: degrees ({m}, {n})")
+    others = [j for j in range(len(next(iter(f)))) if j != i and (any(e[j] for e in f) or any(e[j] for e in g))]
+    base = max(map(sum, f)) * max(map(sum, g)) + 1
     top = (base - 1) * base ** (len(others) - 1) if others else 0
     weights = [(j, base**k) for k, j in enumerate(others)]
     fp, gp = ([[] for _ in range(d + 1)] for d in (m, n))
-    for terms, out in ((fi, fp), (gi, gp)):
+    for terms, out in ((f, fp), (g, gp)):
         for e, c in terms.items():
-            out[e[iv]].append((sum(e[j] * w for j, w in weights), c))
-    return fp, gp, top, sf**n * sg**m, others, base
+            out[e[i]].append((sum(e[j] * w for j, w in weights), c))
+    return fp, gp, top, others, base
 
 
 def _residues(pairs: list, prime: int) -> list:

@@ -7,10 +7,15 @@ Grammar (whitespace-insensitive, implicit multiplication forbidden):
     factor  := rational | variable ['^' posint] | '(' expr ')'
     rational:= int ['/' posint]
 
-Errors carry the offset of the offending token.  An integer literal may have
-at most MAX_LITERAL_DIGITS digits and parentheses may nest at most
-MAX_NESTING deep, so that no input reaches the interpreter's own limits on
-integer conversion and recursion.
+Each sub-expression is a plain term dict (exponent tuple -> coefficient):
+an int, or over Q a `Fraction` where a literal has '/', and over F_q a
+residue, every sum and product reduced mod q.  A literal is taken into the
+field where it is read, `x^k` is one monomial, and one `MultiPoly` is built
+at the end.  Errors carry the offset of the offending token.  An integer
+literal may have at most MAX_LITERAL_DIGITS digits, parentheses may nest at
+most MAX_NESTING deep, and a product or power may have degree at most
+MAX_DEGREE, so that no input reaches the interpreter's own limits on
+integer conversion and recursion, or makes a product of many factors.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import InputError
-from .multipoly import MultiPoly
+from .fields import residue
+from .multipoly import MultiPoly, mul_terms
 
 
 class PolyParseError(InputError):
@@ -30,6 +36,7 @@ class PolyParseError(InputError):
 _TOK_OPS = set("+-*/^()")
 MAX_LITERAL_DIGITS = 4000
 MAX_NESTING = 100
+MAX_DEGREE = 12
 
 
 def _tokenize(text: str):
@@ -72,6 +79,7 @@ class _Parser:
         self.depth = 0  # parentheses open at the current token
         self.vars = vars
         self.field = field
+        self.q = field.char
 
     def peek(self):
         return self.toks[self.pos]
@@ -88,30 +96,39 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise PolyParseError(f"trailing input {tok[1]!r}", tok[2])
-        return p
+        if not self.q:
+            p = {e: Fraction(c) for e, c in p.items()}
+        return MultiPoly(self.field, self.vars, p)
 
-    def expr(self) -> MultiPoly:
-        negate = False
+    def expr(self) -> dict:
+        sign = 1
         if self.peek()[0] == "-":
             self.take()
-            negate = True
-        p = self.term()
-        if negate:
-            p = -p
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            t = self.term()
-            p = p + t if op == "+" else p - t
-        return p
+            sign = -1
+        p: dict = {}
+        while True:
+            for e, c in self.term().items():
+                s = residue(p.get(e, 0) + sign * c, self.q)
+                if s:
+                    p[e] = s
+                else:
+                    p.pop(e, None)
+            if self.peek()[0] not in ("+", "-"):
+                return p
+            sign = 1 if self.take()[0] == "+" else -1
 
-    def term(self) -> MultiPoly:
+    def term(self) -> dict:
         p = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            p = p * self.factor()
+            pos = self.take()[2]
+            f = self.factor()
+            # a product of nonzero polynomials has the sum of their degrees
+            if p and f and max(map(sum, p)) + max(map(sum, f)) > MAX_DEGREE:
+                raise PolyParseError(f"degree higher than {MAX_DEGREE}", pos)
+            p = mul_terms(p, f, self.q)
         return p
 
-    def factor(self) -> MultiPoly:
+    def factor(self) -> dict:
         kind, text, pos = self.peek()
         if kind == "(":
             if self.depth == MAX_NESTING:
@@ -129,31 +146,32 @@ class _Parser:
                 self.take()
                 negate = not negate
             p = self.factor()
-            return -p if negate else p
+            return {e: residue(-c, self.q) for e, c in p.items()} if negate else p
         if kind == "int":
             self.take()
-            num = int(text)
+            value = int(text)
             if self.peek()[0] == "/":
                 self.take()
                 dk, dt, dp = self.take()
                 if dk != "int" or int(dt) <= 0:
                     raise PolyParseError("denominator must be a positive integer", dp)
-                value = Fraction(num, int(dt))
-            else:
-                value = Fraction(num)
-            return MultiPoly.constant(self.field, self.vars, self.field.coerce(value))
+                value = self.field.coerce(Fraction(value, int(dt)))
+            value = residue(value, self.q)
+            return {(0,) * len(self.vars): value} if value else {}
         if kind == "name":
             self.take()
             if text not in self.vars:
                 raise PolyParseError(f"unknown variable {text!r}", pos)
-            p = MultiPoly.variable(self.field, self.vars, text)
+            k = 1
             if self.peek()[0] == "^":
-                self.take()
+                hat = self.take()[2]
                 ek, et, ep = self.take()
                 if ek != "int" or int(et) <= 0:
                     raise PolyParseError("exponent must be a positive integer", ep)
-                p = p ** int(et)
-            return p
+                k = int(et)
+                if k > MAX_DEGREE:
+                    raise PolyParseError(f"degree higher than {MAX_DEGREE}", hat)
+            return {tuple(k if v == text else 0 for v in self.vars): 1}
         raise PolyParseError(f"expected a factor, found {text!r}" if text else "unexpected end of input", pos)
 
 

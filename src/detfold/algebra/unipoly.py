@@ -26,30 +26,34 @@ def deg(p: list) -> int:
     return len(p) - 1
 
 
-def gcd_int(a: list[int], b: list[int]) -> list[int]:
+def gcd_int(*polys: list[int]) -> list[int]:
     """The primitive gcd in Z[t] of trimmed integer lists, by Brown's modular
-    method (J. ACM 18, 1971; MCA ch. 6) on the primitive parts a, b, with
-    lead = gcd(lc a, lc b).  The monic gcds mod word primes not dividing
-    lead, scaled by lead, are combined by CRT into the symmetric range; an
-    image of higher degree than the lowest seen comes from an unlucky prime
-    and is skipped, one of lower degree restarts the CRT.  The primitive part
-    of the candidate is the gcd once it divides a and b exactly."""
-    a, b = _primitive(a), _primitive(b)
-    if not a or not b:
-        return a or b
-    lead = math.gcd(a[-1], b[-1])
+    method (J. ACM 18, 1971; MCA ch. 6) on their nonzero primitive parts,
+    with lead the gcd of their leading coefficients.  The monic gcds mod word
+    primes not dividing lead, scaled by lead, are combined by CRT into the
+    symmetric range; an image of higher degree than the lowest seen comes
+    from an unlucky prime and is skipped, one of lower degree restarts the
+    CRT.  The primitive part of the candidate is the gcd once it divides
+    every list exactly."""
+    polys = [p for p in map(_primitive, polys) if p]
+    if len(polys) < 2:
+        return polys[0] if polys else []
+    lead = math.gcd(*(p[-1] for p in polys))
     acc, mod = [], 1
     for prime in word_primes():
         if not lead % prime:
             continue
-        image = [lead * c % prime for c in gcd_mod(a, b, prime)]
-        if len(image) == 1:
-            return [1]
+        image = polys[0]
+        for p in polys[1:]:
+            image = gcd_mod(image, p, prime)
+            if len(image) == 1:
+                return [1]
+        image = [lead * c % prime for c in image]
         if acc and len(image) > len(acc):
             continue
         acc, mod = (crt(acc, mod, image, prime), mod * prime) if len(image) == len(acc) else (image, prime)
         cand = _primitive([symmetric(c, mod) for c in acc])
-        if _quotient(a, cand) is not None and _quotient(b, cand) is not None:
+        if all(_quotient(p, cand) is not None for p in polys):
             return cand
 
 

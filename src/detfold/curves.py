@@ -99,41 +99,40 @@ def _in_x(terms: dict, v: int, n: int = 1, d: int = 1) -> list[int]:
 def _common_roots(unis: list) -> tuple[dict, int]:
     """Rational roots, with multiplicities, of the gcd of nonzero integer
     lists, and the degree of the gcd's part without rational roots."""
-    g = unis[0]
-    for u in unis[1:]:
-        g = unipoly.gcd_int(g, u)
+    g = unipoly.gcd_int(*unis)
     if len(g) == 1:
         return {}, 0
     return unipoly.rational_roots(g)
 
 
 def _plane_solutions_qq(polys, field) -> PlaneSolutions:
-    """Rational solutions, in integers: in the chart x3 = 1 the roots of the
-    eliminants in x1 (the polynomials free of x2 and resultants in x2, each
-    cleared of denominators), then over each root n/d the roots in x2 of the
-    fibres d^D p(n/d, x2, 1), D = deg_x1 p; on the line x3 = 0 the point
-    (1:0:0) and the roots in x1 in the chart x2 = 1.  Each candidate is
-    tested against every polynomial."""
-    pts: set = set()
+    """Rational solutions, on the polynomials' cleared integer terms
+    (`_cleared`).  In the chart x3 = 1 (`_rekeyed`) the eliminants in x1 are
+    the integer lists of the polynomials free of x2 and of resultants in x2
+    (`resultant`, until there are three eliminants); over each root n/d of
+    their gcd the points are the roots in x2 of the gcd of the nonzero
+    fibres d^D p(n/d, x2, 1), D = deg_x1 p.  On the line x3 = 0 they are the
+    roots in x1 of the gcd of the polynomials at x2 = 1, and (1:0:0) when
+    each polynomial's value there, the sum of its terms in x1 alone, is 0.
+    Every point but (1:0:0) is a root of every nonzero fibre or line
+    polynomial, and a zero one vanishes there, so it is a common zero by
+    construction and is not tested again."""
+    pts = []
     unresolved = 0
     one, zero = field.one(), field.zero()
-
-    def keep(cand):
-        if all(not p.evaluate(cand) for p in polys):
-            pts.add(ProjPoint(field, cand, "x"))
+    ints = [_cleared(p)[0] for p in polys]
 
     # chart x3 = 1
-    aff = [MultiPoly(field, p.vars, _rekeyed(p.terms, 2)) for p in polys]
-    aff = [(p, _cleared(p)[0]) for p in aff if not p.is_zero]
-    if not any(p.degree() == 0 for p, _ in aff):
-        with_x2 = [p for p, _ in aff if p.involves("x2")]
-        elim = [_in_x(ints, 0) for p, ints in aff if not p.involves("x2")]
+    aff = [_rekeyed(t, 2) for t in ints]
+    if not any(set(t) == {(0, 0, 0)} for t in aff):
+        with_x2 = [t for t in aff if any(e[1] for e in t)]
+        elim = [_in_x(t, 0) for t in aff if not any(e[1] for e in t)]
         for f, g in combinations(with_x2, 2):
             if len(elim) >= 3:
                 break
-            r = resultant(f, g, "x2")
-            if not r.is_zero:
-                elim.append(_in_x(_cleared(r)[0], 0))
+            r = resultant(f, g, 1)
+            if r:
+                elim.append(_in_x(r, 0))
         if not elim:
             raise Rejection(
                 "elimination degenerated: every eliminant vanished "
@@ -143,26 +142,23 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
         unresolved += cof
         for a in roots:
             # the polynomials free of x2 are eliminants and vanish at a
-            fibre = [_in_x(ints, 1, a.numerator, a.denominator) for _, ints in aff]
-            fibre = [u for u in fibre if u]
+            fibre = [u for u in (_in_x(t, 1, a.numerator, a.denominator) for t in aff) if u]
             if not fibre:
                 raise Rejection("solution set contains a vertical line (positive-dimensional)")
             broots, cof = _common_roots(fibre)
             unresolved += cof
-            for b in broots:
-                keep((a, b, one))
+            pts += [ProjPoint(field, (a, b, one), "x") for b in broots]
 
     # line x3 = 0
-    line = [{e: c for e, c in _cleared(p)[0].items() if not e[2]} for p in polys]
-    line = [ints for ints in line if ints]
+    line = [t for t in ({e: c for e, c in t.items() if not e[2]} for t in ints) if t]
     if not line:
         raise Rejection("system vanishes identically on the line x3=0 (positive-dimensional)")
-    if not any(set(ints) == {(0, 0, 0)} for ints in line):
-        keep((one, zero, zero))
-        roots, cof = _common_roots([_in_x(ints, 0) for ints in line])
+    if not any(set(t) == {(0, 0, 0)} for t in line):
+        if not any(sum(c for e, c in t.items() if not e[1]) for t in line):
+            pts.append(ProjPoint(field, (one, zero, zero), "x"))
+        roots, cof = _common_roots([_in_x(t, 0) for t in line])
         unresolved += cof
-        for r in roots:
-            keep((r, one, zero))
+        pts += [ProjPoint(field, (r, one, zero), "x") for r in roots]
     return PlaneSolutions(sorted_points(pts), unresolved)
 
 
@@ -187,7 +183,8 @@ def is_reduced_curve(h: MultiPoly) -> bool:
     deg h >= 3 char.  Below that bound, which every sextic over Q or F_q with
     q odd meets, the test is exact; at or above it InputError is raised.
     The contents are gcds of the cleared integer terms (`gcd_int` over Q,
-    `gcd_mod` over F_q); a content c is squarefree when gcd(c, c') is 1.
+    `gcd_mod` over F_q), and the resultants are tested on them too; a
+    content c is squarefree when gcd(c, c') is 1.
     """
     if h.is_zero:
         return False
@@ -206,14 +203,14 @@ def is_reduced_curve(h: MultiPoly) -> bool:
             content = gcd(content, [row.get(a, 0) for a in range(max(row) + 1)])
         if len(gcd(content, [a * c for a, c in enumerate(content)][1:])) > 1:
             return False
-    for k, xk in enumerate(VARS_X):
-        chart = MultiPoly(field, h.vars, _rekeyed(h.terms, (k + 1) % 3))
-        dk = chart.diff(xk)
-        if dk.is_zero:
-            if not chart.involves(xk):
+    for k in range(3):
+        chart = _rekeyed(ints, (k + 1) % 3)
+        dk = {e: r for e, c in _partial(chart, k).items() if (r := residue(c, field.char))}
+        if not dk:
+            if not any(e[k] for e in chart):
                 return True  # h is free of x_k
             continue  # h_k = 0: h itself is the shared factor
-        if not dk.involves(xk) or not resultant_vanishes(chart, dk, xk):
+        if not any(e[k] for e in dk) or not resultant_vanishes(chart, dk, k, field.char):
             return True
     return False
 

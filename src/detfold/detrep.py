@@ -63,20 +63,18 @@ class SymDetRep:
     @cached_property
     def fourfold(self) -> MultiPoly:
         """F = u^T L u + 2 q . u + f in x and u, from the linear block L, the
-        quadrics q of the last column and the corner cubic f."""
-        field = self.field
-        F = MultiPoly.zero(field, VARS_XU)
-        u = [MultiPoly.variable(field, VARS_XU, n) for n in ("u1", "u2", "u3")]
-        for i in range(3):
-            for j in range(3):
-                lij = _lift_x(self.entry(i, j), field)
-                if not lij.is_zero:
-                    F = F + lij * u[i] * u[j]
-        for k in range(3):
-            qk = _lift_x(self.entry(k, 3), field)
-            if not qk.is_zero:
-                F = F + qk.scale(2) * u[k]
-        F = F + _lift_x(self.cubic_corner(), field)
+        quadrics q of the last column and the corner cubic f: F = z^T M z at
+        z = (u1, u2, u3, 1), so entry (i, j) gives its terms times z_i z_j
+        and no term needs a product; for i != j the entries (i, j) and
+        (j, i) meet on one monomial."""
+        terms: dict = {}
+        for i in range(4):
+            for j in range(4):
+                u = tuple((i == k) + (j == k) for k in range(3))
+                for e, c in self.entry(i, j).terms.items():
+                    e += u
+                    terms[e] = terms[e] + c if e in terms else c
+        F = MultiPoly(self.field, VARS_XU, terms)
         _check_fourfold_shape(F, self)
         return F
 
@@ -178,10 +176,6 @@ def reduce_rep(rep: SymDetRep, field) -> SymDetRep:
         entries = [[rep.entry(i, j).map_field(field) for j in range(4)] for i in range(4)]
         rep.reductions[field] = validate_rep(entries, field)
     return rep.reductions[field]
-
-
-def _lift_x(p: MultiPoly, field) -> MultiPoly:
-    return MultiPoly(field, VARS_XU, {e + (0, 0, 0): c for e, c in p.terms.items()})
 
 
 def _check_fourfold_shape(F: MultiPoly, rep: SymDetRep) -> None:

@@ -29,6 +29,11 @@ term off F, which the cached forms of `SymDetRep.fiber_forms` replaced.
 `monic`, `gcd_poly`, `derivative` and `is_squarefree` are the former
 univariate routines on field elements that detfold no longer needs.
 
+`poly_resultant` and `poly_resultant_vanishes` take `resultant` and
+`resultant_vanishes`, which work on integer terms, to polynomials over
+their field.  `ReferenceParser` and `reference_parse_poly` are the former
+parser, which built every sub-expression as a `MultiPoly`.
+
 Over F_q these references compute with `Residue`, an int in [0, q) whose
 operators stay in F_q; `elt` takes a value of detfold's field, a plain
 residue over F_q or a Fraction over Q, to a field element here.  A
@@ -52,7 +57,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import index
 
-from detfold.algebra import QQ, VARS_X, MultiPoly, resultant, unipoly
+from detfold.algebra import QQ, VARS_X, MultiPoly, resultant, resultant_vanishes, unipoly
+from detfold.algebra.multipoly import _cleared
+from detfold.algebra.parser import MAX_NESTING, PolyParseError, _tokenize
 from detfold.curves import PlaneSolutions, _to_unicoeffs
 from detfold.detrep import _expected_degree, validate_rep
 from detfold.errors import ConsistencyError, InputError, Rejection
@@ -231,7 +238,7 @@ def fraction_plane_solutions_qq(polys, field) -> PlaneSolutions:
         for f, g in combinations(with_x2, 2):
             if len(elim) >= 3:
                 break
-            r = resultant(f, g, "x2")
+            r = poly_resultant(f, g, "x2")
             if not r.is_zero:
                 elim.append(_to_unicoeffs(r, "x1"))
         if not elim:
@@ -295,6 +302,24 @@ def term_polar_matrix(F, p):
         polar[i][j] = polar[i][j] + c
         polar[j][i] = polar[j][i] + c
     return polar
+
+
+def poly_resultant(f, g, var):
+    """`resultant` on two polynomials: the resultant in var of their cleared
+    integer terms divided by sf^n sg^m, sf and sg their denominators and m, n
+    their degrees in var, in their ring."""
+    f._check(g)
+    (fi, sf), (gi, sg) = _cleared(f), _cleared(g)
+    i = f.vars.index(var)
+    r = resultant(fi, gi, i)
+    scale = sf ** g.degree_in(var) * sg ** f.degree_in(var)
+    return MultiPoly(f.field, f.vars, r if f.field.char else {e: Fraction(c, scale) for e, c in r.items()})
+
+
+def poly_resultant_vanishes(f, g, var):
+    """`resultant_vanishes` on two polynomials, over their field."""
+    f._check(g)
+    return resultant_vanishes(_cleared(f)[0], _cleared(g)[0], f.vars.index(var), f.field.char)
 
 
 def bareiss_resultant(f, g, var):
@@ -744,3 +769,126 @@ def pair_ints(pair):
     la, lb = (math.lcm(*(c.denominator for c in v)) for v in (a, b))
     dn, dd = pair.disc.numerator, pair.disc.denominator
     return [int(c * la * lb * dd) for c in a], [int(c * la * lb) for c in b], dn * dd
+
+
+class ReferenceParser:
+    """The former parser: every sub-expression a `MultiPoly`, built by its
+    ring operations, with products taken term by term on field elements
+    (`elt`) and `x^k` by repeated squaring.  It shares the tokenizer and the
+    messages of `detfold.algebra.parser` and has no degree limit."""
+
+    def __init__(self, text: str, vars: tuple, field):
+        self.toks = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        self.vars = vars
+        self.field = field
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def take(self, kind=None):
+        tok = self.toks[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise PolyParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def parse(self) -> MultiPoly:
+        p = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise PolyParseError(f"trailing input {tok[1]!r}", tok[2])
+        return p
+
+    def expr(self) -> MultiPoly:
+        negate = False
+        if self.peek()[0] == "-":
+            self.take()
+            negate = True
+        p = self.term()
+        if negate:
+            p = -p
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            t = self.term()
+            p = p + t if op == "+" else p - t
+        return p
+
+    def term(self) -> MultiPoly:
+        p = self.factor()
+        while self.peek()[0] == "*":
+            self.take()
+            p = self.mul(p, self.factor())
+        return p
+
+    def mul(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+        out = MultiPoly.zero(self.field, self.vars)
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                c = elt(self.field, c1) * elt(self.field, c2)
+                out = out + MultiPoly(self.field, self.vars, {e: c})
+        return out
+
+    def power(self, p: MultiPoly, n: int) -> MultiPoly:
+        out = MultiPoly.constant(self.field, self.vars, 1)
+        while n:
+            if n & 1:
+                out = self.mul(out, p)
+            p = self.mul(p, p)
+            n >>= 1
+        return out
+
+    def factor(self) -> MultiPoly:
+        kind, text, pos = self.peek()
+        if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.take()
+            self.depth += 1
+            p = self.expr()
+            self.take(")")
+            self.depth -= 1
+            return p
+        if kind == "-":
+            negate = False
+            while self.peek()[0] == "-":
+                self.take()
+                negate = not negate
+            p = self.factor()
+            return -p if negate else p
+        if kind == "int":
+            self.take()
+            num = int(text)
+            if self.peek()[0] == "/":
+                self.take()
+                dk, dt, dp = self.take()
+                if dk != "int" or int(dt) <= 0:
+                    raise PolyParseError("denominator must be a positive integer", dp)
+                value = Fraction(num, int(dt))
+            else:
+                value = Fraction(num)
+            return MultiPoly.constant(self.field, self.vars, self.field.coerce(value))
+        if kind == "name":
+            self.take()
+            if text not in self.vars:
+                raise PolyParseError(f"unknown variable {text!r}", pos)
+            p = MultiPoly.variable(self.field, self.vars, text)
+            if self.peek()[0] == "^":
+                self.take()
+                ek, et, ep = self.take()
+                if ek != "int" or int(et) <= 0:
+                    raise PolyParseError("exponent must be a positive integer", ep)
+                p = self.power(p, int(et))
+            return p
+        raise PolyParseError(f"expected a factor, found {text!r}" if text else "unexpected end of input", pos)
+
+
+def reference_parse_poly(text: str, vars: tuple, field) -> MultiPoly:
+    """`parse_poly` by `ReferenceParser`, with the same homogeneity check."""
+    p = ReferenceParser(text, vars, field).parse()
+    if not p.is_homogeneous():
+        degs = sorted({sum(e) for e in p.terms})
+        raise InputError(f"polynomial is not homogeneous (term degrees {degs}): {text!r}")
+    return p

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
+from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, int_rank_det, parse_poly
+from detfold.algebra.multipoly import monomials
 from detfold.curves import (
     _certify_s_c,
     _plane_solutions_qq,
@@ -15,12 +16,14 @@ from detfold.curves import (
     plane_solutions,
     singular_points,
 )
-from detfold.detrep import gram_rank_kernel, reduce_rep
+from detfold.detrep import _expected_degree, gram_rank_kernel, reduce_rep, validate_rep
 from detfold.errors import InputError, Rejection
 from detfold.examples import build_example
+from detfold.fourfold import net_conics
 from detfold.points import ProjPoint, sorted_points
 from detfold.spin import config_predicates, geometric_genus
 from reference import bivar_gcd, fraction_plane_solutions_qq, p2_reps, reference_is_reduced
+from test_couples import scaled_ex42ii_reps
 from test_oracle import random_reps
 
 
@@ -173,6 +176,44 @@ class TestRationalSolver:
         assert set(sol.points) == {ProjPoint(QQ, cross(a, b), "x") for a in f for b in g}
         assert sol.unresolved == 0
 
+    @pytest.mark.parametrize(
+        "system, points",
+        [
+            # (1:0:0) a common zero, next to points in the chart and on x3 = 0
+            (["x2*(x1 - x2)", "x3*(x1 + x3)"], [(1, 0, 0), (-1, 0, 1), (1, 1, 0), (1, 1, -1)]),
+            # (1:0:0) a zero of the first polynomial only
+            (["x2*x3", "x1^2 - x2^2 - x3^2"], [(1, 0, 1), (-1, 0, 1), (1, 1, 0), (-1, 1, 0)]),
+            # the first polynomial vanishes on the whole line x3 = 0
+            (["x3*(x1 - x2)", "x1^2 - 4*x2^2"], [(0, 0, 1), (2, 1, 0), (-2, 1, 0)]),
+            # the first polynomial vanishes on the fibre x1 = 2 of the chart
+            (["(x1 - 2*x3)*x2", "x2^2 - 4*x3^2 + (x1 - 2*x3)*x3"], [(2, 2, 1), (2, -2, 1), (1, 0, 0), (6, 0, 1)]),
+        ],
+        ids=["100-common", "100-not-common", "line-x3", "fibre"],
+    )
+    def test_pinned_systems(self, system, points):
+        polys = [_p(s) for s in system]
+        expected = {ProjPoint(QQ, pt, "x") for pt in points}
+        assert all(not f.evaluate(p.coords) for f in polys for p in expected)
+        sol = plane_solutions(polys, QQ)
+        assert set(sol.points) == expected and len(sol.points) == len(expected)
+        assert sol.unresolved == 0
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_solutions_are_common_zeros(self, data):
+        # every point the rational solver returns, from the chart or from the
+        # line x3 = 0, is a zero of every polynomial of the system: the
+        # singular-point system of a random rep's sextic and its net of conics
+        rep = data.draw(st.one_of(reps_with_base_points(), scaled_ex42ii_reps()))
+        h = rep.sextic
+        for system in ([h] + [h.diff(v) for v in VARS_X], net_conics(rep)):
+            try:
+                sol = plane_solutions(system, QQ)
+            except Rejection:
+                continue
+            for p in sol.points:
+                assert not any(f.evaluate(p.coords) for f in system), p
+
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(data=st.data())
     def test_integer_solver_equals_fraction_reference(self, data):
@@ -195,6 +236,33 @@ class TestRationalSolver:
             return [p.coords for p in sol.points], sol.unresolved
 
         assert solve(_plane_solutions_qq) == solve(fraction_plane_solutions_qq)
+
+
+@st.composite
+def reps_with_base_points(draw):
+    """A rep over Q whose linear block is the sum of x_k A^T S_k A, S_k the
+    matrix of the form u_i u_j, {i, j, k} = {1, 2, 3}, for a random
+    invertible A: its net of conics is the conics through the three points
+    A^-1 e_i.  The quadrics and the corner cubic have coefficients that are
+    mostly 0; matrices validate_rep rejects are dropped."""
+    a = [[draw(st.integers(-3, 3)) for _ in range(3)] for _ in range(3)]
+    assume(int_rank_det(a)[1])
+    m = [[None] * 4 for _ in range(4)]
+    for r in range(3):
+        for c in range(r, 3):
+            terms = {}
+            for k in range(3):
+                i, j = (t for t in range(3) if t != k)
+                terms[tuple(int(t == k) for t in range(3))] = QQ.coerce(a[i][r] * a[j][c] + a[j][r] * a[i][c])
+            m[r][c] = m[c][r] = MultiPoly(QQ, VARS_X, terms)
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+    for i in range(4):
+        d = _expected_degree(i, 3)
+        m[i][3] = m[3][i] = MultiPoly(QQ, VARS_X, {e: QQ.coerce(draw(coeff)) for e in monomials(d)})
+    try:
+        return validate_rep(m, QQ)
+    except Rejection:
+        assume(False)
 
 
 def reference_solutions(polys, field):

@@ -6,14 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from detfold.algebra import QQ, PrimeField, VARS_X, field_from_name, resultant
+from detfold.algebra import QQ, PrimeField, VARS_X, field_from_name
 from detfold.algebra.fields import is_prime
 from detfold.curves import singular_points
 from detfold.errors import InputError, Rejection, ToolError
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import coeffs_in, dense_rep
+from reference import coeffs_in, dense_rep, poly_resultant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,8 +35,8 @@ def _smoothness_certificate(fa):
             return None
         cert *= int(lead.terms[(0, 0, 0)])
     try:
-        r1 = resultant(g[0], g[1], "x1")
-        r2 = resultant(g[0], g[2], "x1")
+        r1 = poly_resultant(g[0], g[1], "x1")
+        r2 = poly_resultant(g[0], g[2], "x1")
     except ToolError:
         return None
     for r in (r1, r2):
@@ -46,7 +46,7 @@ def _smoothness_certificate(fa):
         if len(lead.terms) != 1:
             return None
         cert *= int(Fraction(next(iter(lead.terms.values()))))
-    final = resultant(r1, r2, "x2")
+    final = poly_resultant(r1, r2, "x2")
     if final.is_zero or len(final.terms) != 1:
         return None
     cert *= int(Fraction(next(iter(final.terms.values()))))

@@ -11,13 +11,18 @@ from detfold.algebra import (
     VARS_X,
     VARS_XU,
     parse_poly,
-    resultant,
-    resultant_vanishes,
 )
-from detfold.algebra.parser import MAX_LITERAL_DIGITS, MAX_NESTING, PolyParseError
-from detfold.errors import DegenerateResultant, InputError
+from detfold.algebra.parser import MAX_DEGREE, MAX_LITERAL_DIGITS, MAX_NESTING, PolyParseError, _Parser
+from detfold.errors import DegenerateResultant, InputError, ToolError
 from detfold.points import ProjPoint
-from reference import bareiss_resultant, term_evaluate
+from reference import (
+    ReferenceParser,
+    bareiss_resultant,
+    poly_resultant,
+    poly_resultant_vanishes,
+    reference_parse_poly,
+    term_evaluate,
+)
 
 
 class TestParser:
@@ -71,6 +76,62 @@ class TestParser:
         with pytest.raises(PolyParseError, match=f"longer than {d} digits .at position 5"):
             parse_poly("x1 + " + "9" * (d + 1) + "*x1", VARS_X, QQ)
 
+    def test_degree_limit(self):
+        # a product or power may reach MAX_DEGREE; one more is a parse error at
+        # its operator, raised before the product is formed; only nonzero
+        # terms count, so a product with zero has no degree
+        d = MAX_DEGREE
+        assert d >= 9  # the degree-9 curves of the squarefree tests parse
+        assert parse_poly(f"x1^{d}", VARS_X, QQ).degree() == d
+        with pytest.raises(PolyParseError, match=f"degree higher than {d} .at position 2."):
+            parse_poly(f"x1^{d + 1}", VARS_X, QQ)
+        with pytest.raises(PolyParseError, match="degree higher than"):
+            parse_poly("x1^" + "9" * 4000, VARS_X, QQ)
+        line = "(x1 + 2*x2 + 3*x3)"
+        assert parse_poly("*".join([line] * d), VARS_X, QQ).degree() == d
+        with pytest.raises(PolyParseError, match=f"degree higher than {d} .at position {d * len(line) + d - 1}."):
+            parse_poly("*".join([line] * (d + 1)), VARS_X, QQ)
+        assert parse_poly(f"x1^{d - 6}*x2^6", VARS_X, QQ).degree() == d
+        with pytest.raises(PolyParseError, match=f"at position {len(str(d - 5)) + 3}."):
+            parse_poly(f"x1^{d - 5}*x2^6", VARS_X, QQ)
+        assert parse_poly(f"0*x1^{d}*x2", VARS_X, QQ).is_zero
+        assert parse_poly(f"(x1 - x1)*x2^{d}*x3", VARS_X, QQ).is_zero
+        # over F_7 the literal 7 is zero where it is read, and so is a sum
+        # 3 + 4 where it is formed
+        assert parse_poly(f"7*x1^{d}*x2", VARS_X, PrimeField(7)).is_zero
+        assert parse_poly(f"(3*x1^{d} + 4*x1^{d})*x2", VARS_X, PrimeField(7)).is_zero
+        with pytest.raises(PolyParseError, match="degree higher than"):
+            parse_poly(f"7*x1^{d}*x2", VARS_X, QQ)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7), PrimeField(2147483647)],
+                             ids=["qq", "f3", "f7", "f2^31-1"])
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference_parser(self, field, data):
+        # expressions with sums, products, nested parentheses, runs of unary
+        # minus, fractions (some with denominators that vanish mod q) and
+        # powers, of degree at most MAX_DEGREE, some with one inserted token
+        # that makes them malformed: the term-dict parser and the former one
+        # give equal polynomials with equal coefficient types, or the same
+        # error and message
+        vars = data.draw(st.sampled_from([VARS_X, VARS_XU]))
+        text, _ = data.draw(_expressions(vars, MAX_DEGREE, 0))
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(["+", ")", "/", "^", "x4", "/0", "^0", "-"])) + text[at:]
+
+        def outcome(parse):
+            try:
+                p = parse()
+            except ToolError as e:
+                return type(e).__name__, str(e)
+            return p.terms, {e: type(c) for e, c in p.terms.items()}
+
+        assert outcome(lambda: _Parser(text, vars, field).parse()) == outcome(
+            lambda: ReferenceParser(text, vars, field).parse())
+        assert outcome(lambda: parse_poly(text, vars, field)) == outcome(
+            lambda: reference_parse_poly(text, vars, field))
+
     def test_sign_runs_fold(self):
         # a run of unary minus signs of any length folds to its parity
         x1 = parse_poly("x1", VARS_X, QQ)
@@ -91,6 +152,40 @@ class TestParser:
             if f.is_zero:
                 continue
             assert parse_poly(str(f), VARS_X, QQ) == f
+
+
+@st.composite
+def _expressions(draw, vars, budget, depth):
+    """(text, bound): a sum of one to three products of one to three factors
+    in vars, and a bound on its degree of at most budget, the sum of each
+    product's factor bounds.  A factor is a literal, a fraction, a variable
+    with an optional power, or, inside fewer than three open parentheses, a
+    parenthesized expression, each after a run of zero to three minus signs."""
+    terms, bound = [], 0
+    for k in range(draw(st.integers(1, 3))):
+        factors, used = [], 0
+        for _ in range(draw(st.integers(1, 3))):
+            kinds = ["int", "fraction"] + (["variable"] if used < budget else [])
+            kinds += ["parentheses"] if depth < 3 else []
+            kind = draw(st.sampled_from(kinds))
+            text = "-" * draw(st.integers(0, 3))
+            if kind == "int":
+                text += str(draw(st.one_of(st.integers(0, 20), st.integers(0, 10**30))))
+            elif kind == "fraction":
+                text += f"{draw(st.integers(0, 50))}/{draw(st.integers(1, 15))}"
+            elif kind == "variable":
+                power = draw(st.integers(1, budget - used))
+                text += draw(st.sampled_from(vars)) + (f"^{power}" if power > 1 or draw(st.booleans()) else "")
+                used += power
+            else:
+                inner, d = draw(_expressions(vars, budget - used, depth + 1))
+                text += f"({inner})"
+                used += d
+            factors.append(text)
+        sign = draw(st.sampled_from(["", "-"] if k == 0 else [" + ", " - ", " - -"]))
+        terms.append(sign + draw(st.sampled_from(["*", " * "])).join(factors))
+        bound = max(bound, used)
+    return "".join(terms), bound
 
 
 def _random_homogeneous(rng, field, degree, vars=VARS_X):
@@ -193,7 +288,7 @@ class TestResultant:
     def test_common_factor_gives_zero(self):
         f = parse_poly("x1^2 - x2^2", VARS_X, QQ)
         g = parse_poly("x1 - x2", VARS_X, QQ)
-        assert resultant(f, g, "x1").is_zero
+        assert poly_resultant(f, g, "x1").is_zero
 
     def test_three_by_three_sylvester(self):
         # oracle: explicit 3x3 determinant of the Sylvester matrix
@@ -202,20 +297,20 @@ class TestResultant:
         g = parse_poly("x1 - x2", VARS_X, QQ)
         x2 = parse_poly("x2", VARS_X, QQ)
         expected = (-x2) * (-x2) - (x2 * x2).scale(-1)
-        assert resultant(f, g, "x1") == expected
+        assert poly_resultant(f, g, "x1") == expected
         assert expected == parse_poly("2*x2^2", VARS_X, QQ)
 
     def test_two_by_two_sylvester(self):
         # oracle: det [[x2, 0], [1, x2]] = x2^2 (rows of f = x1*x2, then g = x1 + x2)
         f = parse_poly("x1*x2", VARS_X, QQ)
         g = parse_poly("x1 + x2", VARS_X, QQ)
-        assert resultant(f, g, "x1") == parse_poly("x2^2", VARS_X, QQ)
+        assert poly_resultant(f, g, "x1") == parse_poly("x2^2", VARS_X, QQ)
 
     def test_degenerate_signalled(self):
         f = parse_poly("x2^2", VARS_X, QQ)
         g = parse_poly("x1 + x2", VARS_X, QQ)
         with pytest.raises(DegenerateResultant):
-            resultant(f, g, "x1")
+            poly_resultant(f, g, "x1")
 
     def test_planted_common_factor_property(self):
         gf = PrimeField(13)
@@ -229,14 +324,14 @@ class TestResultant:
             if not (common.involves("x1") and a.involves("x1") and b.involves("x1")):
                 continue
             f, g = common * a, common * b
-            assert resultant(f, g, "x1").is_zero
+            assert poly_resultant(f, g, "x1").is_zero
         hits = 0
         for _ in range(25):
             f = _random_homogeneous(rng, gf, 2)
             g = _random_homogeneous(rng, gf, 2)
             if f.is_zero or g.is_zero or not (f.involves("x1") and g.involves("x1")):
                 continue
-            r = resultant(f, g, "x1")
+            r = poly_resultant(f, g, "x1")
             if not r.is_zero:
                 hits += 1
         assert hits > 0  # generic pairs are coprime
@@ -250,7 +345,7 @@ class TestResultant:
 
         f = MultiPoly(Symbols(), VARS_X, {(1, 0, 0): "a", (0, 1, 0): "b"})
         with pytest.raises(InputError):
-            resultant(f, f, "x1")
+            poly_resultant(f, f, "x1")
 
     @pytest.mark.parametrize("case", ["qq", "f13", "homogeneous", "lead_vanishes", "big", "gaps", "wide"])
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -278,8 +373,8 @@ class TestResultant:
             k = data.draw(st.integers(0, max(top + 1, f.degree()) * g.degree()))
             lead = MultiPoly.variable(QQ, VARS_X, "x1") - MultiPoly.constant(QQ, VARS_X, k)
             f = lead * MultiPoly.variable(QQ, VARS_X, "x2") ** top + f
-            assert resultant(g, f, var) == bareiss_resultant(g, f, var)
-        assert resultant(f, g, var) == bareiss_resultant(f, g, var)
+            assert poly_resultant(g, f, var) == bareiss_resultant(g, f, var)
+        assert poly_resultant(f, g, var) == bareiss_resultant(f, g, var)
 
 
     @pytest.mark.parametrize("q", [None, 3, 5, 7], ids=["qq", "f3", "f5", "f7"])
@@ -300,7 +395,7 @@ class TestResultant:
             common = MultiPoly(field, VARS_X, {(1, 0, 0): c[0], (0, 1, 0): c[1], (0, 0, 1): c[2] if homogeneous else 0})
             f, g = common * f, common * g
         assume(f.involves(var) and g.involves(var))
-        assert resultant_vanishes(f, g, var) == resultant(f, g, var).is_zero
+        assert poly_resultant_vanishes(f, g, var) == poly_resultant(f, g, var).is_zero
 
     def test_vanishing_test_falls_back_when_the_word_prime_divides(self):
         # Res_x2(x2 + p x1, x2) = -p x1 is zero mod p = 2^61 - 1 at every t
@@ -308,8 +403,8 @@ class TestResultant:
         p = 2**61 - 1
         f = parse_poly(f"x2 + {p}*x1", VARS_X, QQ)
         g = parse_poly("x2", VARS_X, QQ)
-        assert resultant(f, g, "x2") == parse_poly(f"{-p}*x1", VARS_X, QQ)
-        assert not resultant_vanishes(f, g, "x2")
+        assert poly_resultant(f, g, "x2") == parse_poly(f"{-p}*x1", VARS_X, QQ)
+        assert not poly_resultant_vanishes(f, g, "x2")
 
 
 @st.composite
@@ -343,7 +438,7 @@ class TestResidues:
         h = data.draw(_polys(QQ, st.builds(Fraction, big, st.sampled_from([1, 2, 4])), True))
         raw = MultiPoly(field, VARS_X, {(1, 1, 0): c, (0, 0, 2): q, (2, 0, 0): -1})
         built = [f + g, f - g, f * g, f**3, f.scale(c), f.diff("x1"), g.diff("x3"), h.map_field(field),
-                 resultant(f, g, "x1"), raw]
+                 poly_resultant(f, g, "x1"), raw]
         for p in built:
             assert all(type(k) is int and 0 < k < q for k in p.terms.values()), p
         coords = data.draw(st.tuples(big, big, big).filter(lambda v: any(x % q for x in v)))

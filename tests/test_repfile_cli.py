@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -173,6 +174,18 @@ class TestCli:
                        f"row 2: 0, 0, x3, 0\nrow 3: 0, 0, 0, {entry}\n")
         got = run_cli("analyze", str(rep), "--field", "fp:7")
         assert got[0] == rc and got[1].startswith(message)
+
+    def test_long_product_exits_quickly(self, tmp_path):
+        # without the degree limit 200 linear factors are multiplied out,
+        # in time about cubic in their number, before the entry is refused;
+        # with it the 13th factor is refused at its product
+        rep = tmp_path / "r.rep"
+        rep.write_text("field rational\nvars x1 x2 x3\nrow 0: x1, 0, 0, 0\nrow 1: 0, x2, 0, 0\n"
+                       "row 2: 0, 0, x3, 0\nrow 3: 0, 0, 0, " + "*".join(["(x1+2*x2+3*x3)"] * 200) + "\n")
+        start = time.perf_counter()
+        rc, out = run_cli("analyze", str(rep))
+        assert rc == 3 and out.startswith("error: line 6, entry 4: degree higher than 12 (at position 179)")
+        assert time.perf_counter() - start < 1
 
     def test_usage_error(self):
         rc, _ = run_cli("analyze")

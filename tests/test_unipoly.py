@@ -210,23 +210,31 @@ _huge_ints = st.integers(-(2**140), 2**140)
     common=st.lists(st.one_of(_ints, _huge_ints), min_size=1, max_size=4),
     a=st.lists(_ints, min_size=1, max_size=5),
     b=st.lists(_ints, min_size=1, max_size=5),
+    third=st.lists(_ints, min_size=1, max_size=5),
     scale=st.integers(1, 12),
 )
-def test_gcd_int_equals_euclid_up_to_a_scalar(common, a, b, scale):
+def test_gcd_int_equals_euclid_up_to_a_scalar(common, a, b, third, scale):
     # integer products with a planted common factor, one of them scaled so
     # that it is not primitive: the gcd is primitive, and it is Euclid's
-    # monic gcd over Q times a rational scalar
+    # monic gcd over Q times a rational scalar; so is the gcd of three lists,
+    # the third possibly zero, against Euclid folded over them
     p, q = trim([scale * int(c) for c in _mul(common, a)]), [int(c) for c in _mul(common, b)]
     assume(p and q)
     g = gcd_int(p, q)
     assert math.gcd(*g) == 1
-    assert monic([Fraction(c) for c in g]) == euclid_gcd([Fraction(c) for c in p], [Fraction(c) for c in q], QQ)
+    want = euclid_gcd([Fraction(c) for c in p], [Fraction(c) for c in q], QQ)
+    assert monic([Fraction(c) for c in g]) == want
+    r = trim([int(x) for x in _mul(common, third)])
+    g = gcd_int(p, r, q)
+    assert math.gcd(*g) == 1
+    assert monic([Fraction(c) for c in g]) == (euclid_gcd(want, [Fraction(c) for c in r], QQ) if r else want)
 
 
 def test_gcd_int_of_coprime_and_zero_lists():
     assert gcd_int([-1, 1], [2, 1]) == [1]
     assert gcd_int([], [6, -4]) == [3, -2]
     assert gcd_int([4, 2], []) == [2, 1]
+    assert gcd_int([-1, 1], [], [2, 1]) == [1] and gcd_int([], [6, -4], []) == [3, -2]
 
 
 @pytest.mark.parametrize("prime", [3, 13, 2**31 - 1])
