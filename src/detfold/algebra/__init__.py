@@ -1,6 +1,6 @@
 from .fields import QQ, PrimeField, RationalField, field_from_name, is_prime, residue
 from .linalg import cross, int_rank_det, primitive
-from .multipoly import VARS_X, VARS_XU, MultiPoly, poly_matrix_det, resultant, resultant_vanishes
+from .multipoly import VARS_X, VARS_XU, MultiPoly, resultant, resultant_vanishes
 from .parser import PolyParseError, parse_poly
 from . import unipoly
 
@@ -17,7 +17,6 @@ __all__ = [
     "VARS_X",
     "VARS_XU",
     "MultiPoly",
-    "poly_matrix_det",
     "resultant",
     "resultant_vanishes",
     "PolyParseError",

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from operator import add, mul
 
 from ..errors import DegenerateResultant, InputError
-from .fields import QQ, PrimeField, residue, word_primes
+from .fields import residue, word_primes
 from .unipoly import horner_mod, resultant_int, resultant_mod
 
 VARS_X = ("x1", "x2", "x3")
@@ -23,16 +22,12 @@ VARS_XU = ("x1", "x2", "x3", "u1", "u2", "u3")
 
 
 class MultiPoly:
-    __slots__ = ("field", "vars", "terms", "_ints")  # _ints: evaluate's cache
+    __slots__ = ("field", "vars", "terms")
 
     def __init__(self, field, vars: tuple, terms: dict):
         self.field = field
         self.vars = vars
-        q = field.char
-        if q:
-            self.terms = {e: r for e, c in terms.items() if (r := c % q)}
-        else:
-            self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = residues(terms, field.char)
 
     # -- constructors -------------------------------------------------------
 
@@ -75,10 +70,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(e[i] for e in self.terms)
-
-    def involves(self, var: str) -> bool:
-        i = self.vars.index(var)
-        return any(e[i] > 0 for e in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -139,43 +130,7 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
-    # -- calculus and evaluation ----------------------------------------------
-
-    def diff(self, var: str) -> "MultiPoly":
-        # distinct terms have distinct derivatives; zero ones are dropped by __init__
-        i = self.vars.index(var)
-        out = {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]}
-        return MultiPoly(self.field, self.vars, out)
-
-    def evaluate(self, values) -> object:
-        """Value at a coordinate tuple (scalars of this field or coercible), in
-        plain integers: over Q the point and the coefficients are cleared of
-        denominators and the sum, homogenized by powers of the point's
-        denominator, is divided once; over F_q the sum is of residues."""
-        if len(values) != len(self.vars):
-            raise InputError(
-                f"dimension mismatch: {len(self.vars)} variables, {len(values)} coordinates"
-            )
-        field = self.field
-        vals = [field.coerce(v) for v in values]
-        try:
-            terms, scale, top = self._ints
-        except AttributeError:
-            cleared, scale = _cleared(self)
-            top = self.degree() or 0
-            terms = [(tuple((i, k) for i, k in enumerate(e) if k), c, top - sum(e)) for e, c in cleared.items()]
-            self._ints = terms, scale, top
-        if field.char:
-            den, xs = 1, vals
-        else:
-            den = math.lcm(*(v.denominator for v in vals))
-            xs = [v.numerator * (den // v.denominator) for v in vals]
-        total = 0
-        for powers, c, gap in terms:
-            for i, k in powers:
-                c *= xs[i] ** k
-            total += c * den**gap if den != 1 else c
-        return field.from_int(total) if field.char else Fraction(total, scale * den**top)
+    # -- substitution ---------------------------------------------------------
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Substitute scalars for variables (var name -> scalar of this field
@@ -191,15 +146,6 @@ class MultiPoly:
             e = tuple(e)
             out[e] = out.get(e, self.field.zero()) + c
         return MultiPoly(self.field, self.vars, out)
-
-    def map_field(self, field) -> "MultiPoly":
-        """Move coefficients into another field via coercion (e.g. reduce mod q)."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            nc = field.coerce(c)
-            if nc:
-                out[e] = nc
-        return MultiPoly(field, self.vars, out)
 
     # -- division ---------------------------------------------------------
 
@@ -269,37 +215,34 @@ def mul_terms(a: dict, b: dict, q: int = 0) -> dict:
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
             out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-    if q:
-        return {e: r for e, c in out.items() if (r := c % q)}
-    return {e: c for e, c in out.items() if c}
+    return residues(out, q)
 
 
-def poly_matrix_det(entries: list) -> MultiPoly:
-    """Determinant of a small square matrix of polynomials: the cofactor
-    expansion of the entries' integer terms (`_cleared`) at one common
-    denominator c, divided by c^n once over Q."""
-    first = entries[0][0]
-    cleared = [[_cleared(p) for p in row] for row in entries]
-    c = math.lcm(*(den for row in cleared for _, den in row))
-    det = _det_terms([[{e: v * (c // den) for e, v in t.items()} for t, den in row] for row in cleared])
-    if not first.field.char:
-        scale = c ** len(entries)
-        det = {e: Fraction(v, scale) for e, v in det.items()}
-    return MultiPoly(first.field, first.vars, det)
-
-
-def _det_terms(rows: list) -> dict:
+def det_terms(rows: list, q: int = 0) -> dict:
     """The determinant of a square matrix of integer term dicts, by cofactor
-    expansion along the first row."""
+    expansion along the first row, its coefficients reduced mod q over F_q
+    (q > 0)."""
     if len(rows) == 1:
-        return rows[0][0]
+        return residues(rows[0][0], q)
     total: dict = {}
     for j, a in enumerate(rows[0]):
         if a:
-            minor = _det_terms([row[:j] + row[j + 1 :] for row in rows[1:]])
+            minor = det_terms([row[:j] + row[j + 1 :] for row in rows[1:]])
             for e, v in mul_terms(a, minor).items():
                 total[e] = total.get(e, 0) + (-v if j % 2 else v)
-    return {e: v for e, v in total.items() if v}
+    return residues(total, q)
+
+
+def diff_terms(terms: dict, i: int, q: int = 0) -> dict:
+    """The partial derivative in the i-th variable of integer terms, reduced
+    mod q over F_q (q > 0)."""
+    return residues({e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}, q)
+
+
+def residues(terms: dict, q: int) -> dict:
+    """The terms with nonzero coefficients in characteristic q: residues mod
+    q over F_q, the coefficients themselves over Q (q = 0)."""
+    return {e: r for e, c in terms.items() if (r := residue(c, q))}
 
 
 def resultant(f: dict, g: dict, i: int) -> dict:
@@ -413,13 +356,11 @@ def form_values(forms: list, n, q: int = 0) -> list[int]:
     return out
 
 
-def _cleared(p: MultiPoly) -> tuple[dict, int]:
-    """Integer terms of den * p and den: over Q den is the lcm of p's
-    denominators, over F_q the terms are the residues and den is 1."""
-    if isinstance(p.field, PrimeField):
-        return dict(p.terms), 1
-    if p.field != QQ:
-        raise InputError(f"no integer lift of coefficients in {p.field!r}")
+def clear_denominators(polys: list) -> tuple[list[dict], int]:
+    """The integer terms of c p for each polynomial p, and c: over Q the lcm
+    of all their denominators, over F_q 1, the terms their residues."""
+    if any(p.field.char for p in polys):
+        return [dict(p.terms) for p in polys], 1
     # pairwise, not by a star-call, which would build a tuple of all the denominators
-    den = functools.reduce(math.lcm, (c.denominator for c in p.terms.values()), 1)
-    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+    c = functools.reduce(math.lcm, (v.denominator for p in polys for v in p.terms.values()), 1)
+    return [{e: v.numerator * (c // v.denominator) for e, v in p.terms.items()} for p in polys], c

@@ -263,15 +263,15 @@ def lane_width(q: int, d: int) -> int:
     return 32 if (d + 1) ** 2 * (q - 1) ** 3 < 2**32 else 64
 
 
-def pack_lines(p, q: int, w: int) -> tuple:
-    """The form p (a `MultiPoly` in three variables) on the lines (a : b : t),
-    a = 0 and a = 1: lists of (j, P_j) with p(a, b, t) = sum_j b^j P_j(t), P_j
-    packed by residue coefficients as its values at t = 0..q-1 in lanes of w
-    bits (Kronecker substitution).  A lane of a combination holds at most
-    (d+1)^2 (q-1)^3, d = deg p."""
-    cols = power_columns(q, w, (p.degree() or 0) + 1)
+def pack_lines(p: dict, q: int, w: int) -> tuple:
+    """The form p, given by integer terms in three variables, on the lines
+    (a : b : t), a = 0 and a = 1: lists of (j, P_j) with p(a, b, t) =
+    sum_j b^j P_j(t), P_j packed by residue coefficients as its values at
+    t = 0..q-1 in lanes of w bits (Kronecker substitution).  A lane of a
+    combination holds at most (d+1)^2 (q-1)^3, d = deg p."""
+    cols = power_columns(q, w, max(map(sum, p), default=0) + 1)
     out = ({}, {})
-    for (i, j, k), c in p.terms.items():
+    for (i, j, k), c in p.items():
         for part in out[bool(i):]:
             part.setdefault(j, [0] * len(cols))[k] += c
     return tuple([(j, sum(c % q * col for c, col in zip(row, cols))) for j, row in part.items()] for part in out)

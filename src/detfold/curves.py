@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .algebra import MultiPoly, PrimeField, VARS_X, residue, resultant, resultant_vanishes, unipoly
-from .algebra.multipoly import _cleared, dense, form_values
+from .algebra import MultiPoly, PrimeField, residue, resultant, resultant_vanishes, unipoly
+from .algebra.multipoly import clear_denominators, dense, diff_terms, form_values
 from .detrep import SymDetRep, gram_rank_kernel
 from .errors import ConsistencyError, InputError, Rejection
 from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
@@ -32,20 +32,20 @@ class PlaneSolutions:
         return not self.unresolved
 
 
-def plane_solutions(polys: list[MultiPoly], field) -> PlaneSolutions:
-    """Common zeros in P^2 of homogeneous polynomials over field.
+def plane_solutions(polys: list[dict], field) -> PlaneSolutions:
+    """Common zeros in P^2 over field of forms given by integer terms
+    (residues over F_q).
 
     Over a prime field the scan is exhaustive and always complete.  Over the
     rationals, resultant elimination finds every rational solution; genuinely
     irrational solutions are tallied in `unresolved`, which flips `complete`.
     A positive-dimensional solution set raises Rejection.
     """
-    polys = [p for p in polys if not p.is_zero]
+    polys = [p for p in polys if p]
     if not polys:
         raise Rejection("empty system: solution set is the whole plane")
-    for p in polys:
-        if p.degree() == 0:
-            return PlaneSolutions([])
+    if not all(map(_degree, polys)):  # a nonzero constant has no zeros
+        return PlaneSolutions([])
     if isinstance(field, PrimeField):
         return _plane_solutions_fq(polys, field)
     return _plane_solutions_qq(polys, field)
@@ -58,10 +58,22 @@ def _plane_solutions_fq(polys, field) -> PlaneSolutions:
     q = field.q
     if q * q + q + 1 > P2_SCAN_BUDGET:
         raise InputError(f"scan budget exceeded: P^2(F_{q}) has {q * q + q + 1} points > {P2_SCAN_BUDGET}")
-    w = unipoly.lane_width(q, max(p.degree() for p in polys))
+    w = unipoly.lane_width(q, max(map(_degree, polys)))
     systems = [unipoly.pack_lines(p, q, w) for p in polys]
     pts = [ProjPoint(field, rep, "x") for rep in unipoly.common_zeros(systems, p2_lines(q), q, w)]
     return PlaneSolutions(sorted_points(pts))
+
+
+def _degree(terms: dict) -> int:
+    """The degree of a nonzero form given by its terms."""
+    return max(map(sum, terms))
+
+
+def curve_terms(polys: list) -> list[dict]:
+    """The integer terms of curves a builder supplies, its checks' curves or
+    a factorization, at one common denominator: only their zero sets are
+    read."""
+    return clear_denominators(polys)[0]
 
 
 def _to_unicoeffs(p: MultiPoly, var: str) -> list:
@@ -106,12 +118,12 @@ def _common_roots(unis: list) -> tuple[dict, int]:
 
 
 def _plane_solutions_qq(polys, field) -> PlaneSolutions:
-    """Rational solutions, on the polynomials' cleared integer terms
-    (`_cleared`).  In the chart x3 = 1 (`_rekeyed`) the eliminants in x1 are
-    the integer lists of the polynomials free of x2 and of resultants in x2
-    (`resultant`, until there are three eliminants); over each root n/d of
-    their gcd the points are the roots in x2 of the gcd of the nonzero
-    fibres d^D p(n/d, x2, 1), D = deg_x1 p.  On the line x3 = 0 they are the
+    """Rational solutions, on the polynomials' integer terms.  In the chart
+    x3 = 1 (`_rekeyed`) the eliminants in x1 are the integer lists of the
+    polynomials free of x2 and of resultants in x2 (`resultant`, until
+    there are three eliminants); over each root n/d of their gcd the points
+    are the roots in x2 of the gcd of the nonzero fibres d^D p(n/d, x2, 1),
+    D = deg_x1 p.  On the line x3 = 0 they are the
     roots in x1 of the gcd of the polynomials at x2 = 1, and (1:0:0) when
     each polynomial's value there, the sum of its terms in x1 alone, is 0.
     Every point but (1:0:0) is a root of every nonzero fibre or line
@@ -120,10 +132,9 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
     pts = []
     unresolved = 0
     one, zero = field.one(), field.zero()
-    ints = [_cleared(p)[0] for p in polys]
 
     # chart x3 = 1
-    aff = [_rekeyed(t, 2) for t in ints]
+    aff = [_rekeyed(t, 2) for t in polys]
     if not any(set(t) == {(0, 0, 0)} for t in aff):
         with_x2 = [t for t in aff if any(e[1] for e in t)]
         elim = [_in_x(t, 0) for t in aff if not any(e[1] for e in t)]
@@ -150,7 +161,7 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
             pts += [ProjPoint(field, (a, b, one), "x") for b in broots]
 
     # line x3 = 0
-    line = [t for t in ({e: c for e, c in t.items() if not e[2]} for t in ints) if t]
+    line = [t for t in ({e: c for e, c in t.items() if not e[2]} for t in polys) if t]
     if not line:
         raise Rejection("system vanishes identically on the line x3=0 (positive-dimensional)")
     if not any(set(t) == {(0, 0, 0)} for t in line):
@@ -167,8 +178,9 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
 # ---------------------------------------------------------------------------
 
 
-def is_reduced_curve(h: MultiPoly) -> bool:
-    """Squarefree test for a plane curve form h over Q or F_q, deg h < 3 char.
+def is_reduced_curve(h: dict, field) -> bool:
+    """Squarefree test for a plane curve form h over Q or F_q, given by
+    integer terms (residues over F_q), deg h < 3 char.
 
     A square factor g^2 of h is found by the variables g involves.  When g is
     free of x_k, g^2 divides the content of h as a polynomial in x_k, taken
@@ -182,21 +194,19 @@ def is_reduced_curve(h: MultiPoly) -> bool:
     has both partials zero, so all three resultants vanish only when
     deg h >= 3 char.  Below that bound, which every sextic over Q or F_q with
     q odd meets, the test is exact; at or above it InputError is raised.
-    The contents are gcds of the cleared integer terms (`gcd_int` over Q,
-    `gcd_mod` over F_q), and the resultants are tested on them too; a
-    content c is squarefree when gcd(c, c') is 1.
+    The contents are gcds of the integer terms (`gcd_int` over Q, `gcd_mod`
+    over F_q), and the resultants are tested on them too; a content c is
+    squarefree when gcd(c, c') is 1.
     """
-    if h.is_zero:
+    if not h:
         return False
-    field = h.field
-    if field.char and h.degree() >= 3 * field.char:
-        raise InputError(f"squarefree test needs degree < 3 * {field.char}, got {h.degree()}")
-    ints = _cleared(h)[0]
+    if field.char and _degree(h) >= 3 * field.char:
+        raise InputError(f"squarefree test needs degree < 3 * {field.char}, got {_degree(h)}")
     gcd = (lambda a, b: unipoly.gcd_mod(a, b, field.q)) if field.char else unipoly.gcd_int
     for k in range(3):
         i = (k + 1) % 3
         coeffs: dict = {}
-        for e, c in ints.items():
+        for e, c in h.items():
             coeffs.setdefault(e[k], {})[e[i]] = c
         content: list = []
         for row in coeffs.values():
@@ -204,8 +214,8 @@ def is_reduced_curve(h: MultiPoly) -> bool:
         if len(gcd(content, [a * c for a, c in enumerate(content)][1:])) > 1:
             return False
     for k in range(3):
-        chart = _rekeyed(ints, (k + 1) % 3)
-        dk = {e: r for e, c in _partial(chart, k).items() if (r := residue(c, field.char))}
+        chart = _rekeyed(h, (k + 1) % 3)
+        dk = diff_terms(chart, k, field.char)
         if not dk:
             if not any(e[k] for e in chart):
                 return True  # h is free of x_k
@@ -220,34 +230,34 @@ def is_reduced_curve(h: MultiPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def singular_points(h: MultiPoly, components: tuple | None = None) -> PlaneSolutions:
-    """Singular points of a reduced plane curve h over its own field; given a
-    factorization of h, validated by the caller, one system of components at
-    a time."""
-    field = h.field
-    if not is_reduced_curve(h):
+def singular_points(h: dict, field, components: tuple | None = None) -> PlaneSolutions:
+    """Singular points over field of a reduced plane curve h given by integer
+    terms (residues over F_q); given a factorization of h into polynomials,
+    validated by the caller, one system of components at a time."""
+    if not is_reduced_curve(h, field):
         raise Rejection("curve is not reduced (square factor detected)")
     if components is not None:
-        return _singular_points_factored(components, field)
-    grads = [h.diff(v) for v in VARS_X]
-    sol = plane_solutions([h] + grads, field)
+        return _singular_points_factored(curve_terms(components), field)
+    q = field.char
+    sol = plane_solutions([h] + [diff_terms(h, i, q) for i in range(3)], field)
+    form = [dense(h, _degree(h))]
     for p in sol.points:
-        if h.evaluate(p.coords):
+        if form_values(form, p.ints()[0], q)[0]:
             raise ConsistencyError(f"claimed singular point {p} is not on the curve")
     return sol
 
 
 def _singular_points_factored(comps, field) -> PlaneSolutions:
-    """The meets of each pair of components and the singular points of each
-    component; `unresolved_in` records which of these systems left
-    solutions unresolved, by their component indices."""
+    """The meets of each pair of components, given by integer terms, and the
+    singular points of each component; `unresolved_in` records which of
+    these systems left solutions unresolved, by their component indices."""
     pts: set = set()
     unresolved = 0
     unresolved_in = []
     for i, ci in enumerate(comps):
         systems = [((i, j), [ci, comps[j]]) for j in range(i + 1, len(comps))]
-        if ci.degree() != 1:  # a line has no singular points of its own
-            systems.append(((i,), [ci] + [ci.diff(v) for v in VARS_X]))
+        if _degree(ci) != 1:  # a line has no singular points of its own
+            systems.append(((i,), [ci] + [diff_terms(ci, k, field.char) for k in range(3)]))
         for idx, system in systems:
             sol = plane_solutions(system, field)
             pts.update(sol.points)
@@ -261,21 +271,18 @@ def _singular_points_factored(comps, field) -> PlaneSolutions:
 HESSIAN = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def node_partials(h: MultiPoly) -> list:
+def node_partials(h: dict) -> list:
     """h, its gradient and its Hessian entries (`HESSIAN`) as `dense` forms
-    of h's cleared integer terms, derived once for node tests at many points."""
-    terms, d = _cleared(h)[0], h.degree()
-    grad = [_partial(terms, i) for i in range(3)]
-    hess = [_partial(grad[i], j) for i, j in HESSIAN]
-    return [dense(terms, d)] + [dense(g, d - 1) for g in grad] + [dense(t, d - 2) for t in hess]
+    of h's integer terms, derived once for node tests at many points."""
+    d = _degree(h)
+    grad = [diff_terms(h, i) for i in range(3)]
+    hess = [diff_terms(grad[i], j) for i, j in HESSIAN]
+    return [dense(h, d)] + [dense(g, d - 1) for g in grad] + [dense(t, d - 2) for t in hess]
 
 
-def _partial(terms: dict, i: int) -> dict:
-    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
-
-
-def is_node(h: MultiPoly, p: ProjPoint, partials=None) -> bool:
-    """True iff the curve has an ordinary double point (node) at p.
+def is_node(h: dict, p: ProjPoint, partials=None) -> bool:
+    """True iff the curve of integer terms h has an ordinary double point
+    (node) at p.
 
     In the chart where p's leading coordinate x_k is 1, the quadratic part of
     h at p is half the Hessian block on the two other coordinates i, j, so p
@@ -285,7 +292,7 @@ def is_node(h: MultiPoly, p: ProjPoint, partials=None) -> bool:
     unchanged.  `partials` is `node_partials(h)` when the caller tests many
     points.
     """
-    q = h.field.char
+    q = p.field.char
     n = p.ints()[0]
     value, *grad_hess = form_values(partials or node_partials(h), n, q)
     if value or any(grad_hess[:3]):
@@ -339,13 +346,12 @@ def classify_singularities(rep: SymDetRep) -> SingClassification:
     """Locate Sing(C), certify nodality, and split into the rank/D strata,
     over the rep's field and with the factorization it carries, if any."""
     field = rep.field
-    sextic = rep.sextic
-    d_cubic = rep.d_cubic
-    scan = singular_points(sextic, rep.components)
+    sextic = rep.sextic_terms
+    scan = singular_points(sextic, field, rep.components)
 
     records = []
     partials = node_partials(sextic)
-    d_form = [dense(_cleared(d_cubic)[0], 3)]
+    d_form = [dense(rep.d_terms, 3)]
     for p in scan.points:
         if not is_node(sextic, p, partials):
             raise Rejection(f"singular point {p} is not a node; the sextic is not nodal")
@@ -363,7 +369,7 @@ def classify_singularities(rep: SymDetRep) -> SingClassification:
     s_c_certified = scan.complete
     notes = []
     if not scan.complete and rep.components is not None:
-        s_c_certified = _certify_s_c(scan.unresolved_in, rep.components, d_cubic)
+        s_c_certified = _certify_s_c(scan.unresolved_in, rep.components, rep.d_cubic)
         if s_c_certified:
             notes.append("unlisted singular points certified to lie on D by divisibility")
     if not scan.complete:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .algebra import MultiPoly, VARS_X, VARS_XU, cross, int_rank_det, poly_matrix_det, primitive, residue
-from .algebra.multipoly import _cleared, dense, form_values
-from .errors import ConsistencyError, InputError, Rejection
+from .algebra import MultiPoly, VARS_X, VARS_XU, cross, int_rank_det, primitive, residue
+from .algebra.multipoly import clear_denominators, dense, det_terms, form_values, residues
+from .errors import InputError, Rejection
 from .points import ProjPoint
 
 # the places (i, j), i <= j, on and above the diagonal of a symmetric 4x4 matrix
@@ -38,65 +39,79 @@ class SymDetRep:
     entries: tuple  # 4x4 tuple of tuples of MultiPoly in x1,x2,x3
     # factorization of the sextic, multiplicity 1 each; set by validate_rep
     components: tuple | None = dc_field(default=None, compare=False)
+    # the entries at `UPPER` as the integer terms of c M (residues over F_q),
+    # and c, the lcm of their denominators (1 over F_q); set by validate_rep
+    upper: tuple = dc_field(default=(), compare=False, repr=False)
+    den: int = dc_field(default=1, compare=False, repr=False)
     # field -> this rep reduced into it, kept by reduce_rep
     reductions: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i][j]
 
-    def linear_block(self) -> list[list[MultiPoly]]:
-        return [[self.entries[i][j] for j in range(3)] for i in range(3)]
+    def _block(self, n: int) -> list:
+        """The upper-left n x n block of c M as integer terms."""
+        return [[self.upper[UPPER.index((min(i, j), max(i, j)))] for j in range(n)] for i in range(n)]
 
-    def cubic_corner(self) -> MultiPoly:
-        return self.entries[3][3]
+    def _poly(self, terms: dict, n: int, vars: tuple = VARS_X) -> MultiPoly:
+        """The polynomial over the rep's field whose c^n multiple has these
+        integer terms."""
+        s = self.den**n
+        return MultiPoly(self.field, vars, terms if s == 1 else {e: Fraction(v, s) for e, v in terms.items()})
+
+    @cached_property
+    def sextic_terms(self) -> dict:
+        """det(c M) = c^4 det M, degree 6 in x, as integer terms (residues
+        over F_q); expanded once, by `validate_rep`."""
+        return det_terms(self._block(4), self.field.char)
 
     @cached_property
     def sextic(self) -> MultiPoly:
-        """det M, degree 6 in x; expanded once, by `validate_rep`."""
-        return poly_matrix_det([list(row) for row in self.entries])
+        """det M, the discriminant sextic."""
+        return self._poly(self.sextic_terms, 4)
+
+    @cached_property
+    def d_terms(self) -> dict:
+        """c^3 D as integer terms, D the cubic det of the linear 3x3 block."""
+        return det_terms(self._block(3), self.field.char)
 
     @cached_property
     def d_cubic(self) -> MultiPoly:
-        """The cubic D, det of the linear 3x3 block."""
-        return poly_matrix_det(self.linear_block())
+        """The cubic D."""
+        return self._poly(self.d_terms, 3)
+
+    @cached_property
+    def fourfold_terms(self) -> dict:
+        """c F as integer terms in x and u (residues over F_q), F = u^T L u +
+        2 q . u + f from the linear block L, the quadrics q of the last
+        column and the corner cubic f: F = z^T M z at z = (u1, u2, u3, 1), so
+        entry (i, j), i <= j, gives its terms times z_i z_j, doubled for
+        i != j, and no term needs a product."""
+        terms: dict = {}
+        for (i, j), t in zip(UPPER, self.upper):
+            u = tuple((i == k) + (j == k) for k in range(3))
+            for e, c in t.items():
+                terms[e + u] = c if i == j else 2 * c
+        return residues(terms, self.field.char)
 
     @cached_property
     def fourfold(self) -> MultiPoly:
-        """F = u^T L u + 2 q . u + f in x and u, from the linear block L, the
-        quadrics q of the last column and the corner cubic f: F = z^T M z at
-        z = (u1, u2, u3, 1), so entry (i, j) gives its terms times z_i z_j
-        and no term needs a product; for i != j the entries (i, j) and
-        (j, i) meet on one monomial."""
-        terms: dict = {}
-        for i in range(4):
-            for j in range(4):
-                u = tuple((i == k) + (j == k) for k in range(3))
-                for e, c in self.entry(i, j).terms.items():
-                    e += u
-                    terms[e] = terms[e] + c if e in terms else c
-        F = MultiPoly(self.field, VARS_XU, terms)
-        _check_fourfold_shape(F, self)
-        return F
+        """The fourfold F, in x1..x3, u1..u3."""
+        return self._poly(self.fourfold_terms, 1, VARS_XU)
 
     @cached_property
     def gram_forms(self) -> list:
-        """The entries at `UPPER` as `dense` forms of c M, c the lcm of their
-        denominators (their residues over F_q)."""
-        cleared = [_cleared(self.entry(i, j)) for i, j in UPPER]
-        c = math.lcm(*(den for _, den in cleared))
-        return [
-            dense({e: v * (c // den) for e, v in terms.items()}, _expected_degree(*ij))
-            for ij, (terms, den) in zip(UPPER, cleared)
-        ]
+        """The entries of c M at `UPPER` as `dense` forms."""
+        return [dense(t, _expected_degree(*ij)) for ij, t in zip(UPPER, self.upper)]
 
     @cached_property
     def fiber_forms(self) -> list:
         """F's forms in x of the u-t monomials z_i z_j, (i, j) in `UPPER`,
-        z = (u1, u2, u3, t), a square's form doubled, as `dense` forms of F's
-        cleared integer terms: with F(t p, u) = t Q(u, t), their values at p
-        are the polar matrix of Q up to F's denominator."""
+        z = (u1, u2, u3, t), a square's form doubled, as `dense` forms of the
+        integer terms of c F: with F(t p, u) = t Q(u, t), their values at p
+        are the polar matrix of Q up to the factor c."""
         forms: dict = {ij: {} for ij in UPPER}
-        for e, c in _cleared(self.fourfold)[0].items():
+        for e, c in self.fourfold_terms.items():
             i, j = (n for n, k in enumerate(e[3:] + (2 - sum(e[3:]),)) for _ in range(k))
             forms[i, j][e[:3]] = 2 * c if i == j else c
         return [dense(forms[ij], _expected_degree(*ij)) for ij in UPPER]
@@ -138,8 +153,9 @@ def validate_rep(entries, field, components: tuple | list | None = None) -> SymD
                 )
     if components is not None:
         components = tuple(components)
-    rep = SymDetRep(field, tuple(tuple(row) for row in entries), components)
-    if rep.sextic.is_zero:
+    upper, den = clear_denominators([entries[i][j] for i, j in UPPER])
+    rep = SymDetRep(field, tuple(tuple(row) for row in entries), components, tuple(upper), den)
+    if not rep.sextic_terms:
         raise Rejection("determinant vanishes identically; the discriminant sextic is not a curve")
     if components is not None:
         prod = MultiPoly.constant(field, VARS_X, 1)
@@ -166,26 +182,24 @@ def _proportional(a: MultiPoly, b: MultiPoly) -> bool:
 
 def reduce_rep(rep: SymDetRep, field) -> SymDetRep:
     """The representation over `field`: rep itself when it already lies there,
-    otherwise its entries mapped into `field` and validated again, once per
-    field.  The factorization stays behind: the F_q scan needs none."""
+    otherwise, once per field, its integer terms reduced mod q and divided by
+    c there, and validated again.  When q divides c the first coefficient
+    whose denominator q divides is refused, as `PrimeField.coerce` refuses
+    it.  The factorization stays behind: the F_q scan needs none."""
     if rep.field == field:
         return rep
     if rep.field.char:
         raise InputError(f"a representation over {rep.field.name} can only be analysed over {rep.field.name}")
     if field not in rep.reductions:
-        entries = [[rep.entry(i, j).map_field(field) for j in range(4)] for i in range(4)]
+        if not rep.den % field.q:  # coerce refuses the first coefficient it cannot reduce
+            for i, j in UPPER:
+                for c in rep.entry(i, j).terms.values():
+                    field.coerce(c)
+        inv = pow(rep.den, -1, field.q)
+        upper = {ij: MultiPoly(field, VARS_X, {e: c * inv for e, c in t.items()}) for ij, t in zip(UPPER, rep.upper)}
+        entries = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
         rep.reductions[field] = validate_rep(entries, field)
     return rep.reductions[field]
-
-
-def _check_fourfold_shape(F: MultiPoly, rep: SymDetRep) -> None:
-    # F restricted to the plane x=0 must vanish; restricted to u=0 it is f.
-    for e in F.terms:
-        if e[0] + e[1] + e[2] == 0:
-            raise ConsistencyError("fourfold equation does not contain the plane x1=x2=x3=0")
-    u_free = {e[:3]: c for e, c in F.terms.items() if e[3] + e[4] + e[5] == 0}
-    if u_free != rep.cubic_corner().terms:
-        raise ConsistencyError("fourfold equation does not restrict to the corner cubic on u=0")
 
 
 def gram_rank_kernel(rep: SymDetRep, p: ProjPoint):
@@ -223,18 +237,23 @@ def gram_rank_kernel(rep: SymDetRep, p: ProjPoint):
     return gram, rank, kernel
 
 
-def vanishes_on_plane(F: MultiPoly, basis: list) -> bool:
-    """True when the cubic form F (in x1..x3, u1..u3) vanishes on the plane
-    of P^5 spanned by three vectors b1, b2, b3, checked at the ten points
-    i b1 + j b2 + k b3 with i + j + k = 3.  Exact when 2 and 3 are
-    invertible: as a polynomial in (i, j), with k = 3 - i - j, F on the plane
-    has degree 3 and the four distinct roots i = 0..3 on the line j = 0, so j
-    divides it, and the quotient vanishes at the six points with j >= 1,
-    where the same argument runs one degree lower."""
+def vanishes_on_plane(F: dict, basis: list, q: int = 0) -> bool:
+    """True when the cubic form F, given by integer terms in x1..x3, u1..u3
+    (residues over F_q, q > 0), vanishes on the plane of P^5 spanned by three
+    vectors b1, b2, b3 (of integers or fractions), checked at the ten points
+    i b1 + j b2 + k b3 with i + j + k = 3, each cleared of denominators.
+    Exact when 2 and 3 are invertible: as a polynomial in (i, j), with
+    k = 3 - i - j, F on the plane has degree 3 and the four distinct roots
+    i = 0..3 on the line j = 0, so j divides it, and the quotient vanishes
+    at the six points with j >= 1, where the same argument runs one degree
+    lower."""
     for i in range(4):
         for j in range(4 - i):
             k = 3 - i - j
-            if F.evaluate([i * a + j * b + k * c for a, b, c in zip(*basis)]):
+            v = [i * a + j * b + k * c for a, b, c in zip(*basis)]
+            den = math.lcm(*(x.denominator for x in v))
+            n = [x.numerator * (den // x.denominator) for x in v]
+            if residue(sum(c * math.prod(map(pow, n, e)) for e, c in F.items()), q):
                 return False
     return True
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from .algebra import MultiPoly, PrimeField, QQ, VARS_X, int_rank_det, parse_poly, poly_matrix_det
-from .algebra.multipoly import _cleared
+from .algebra import MultiPoly, PrimeField, QQ, VARS_X, cross, parse_poly
 from .algebra.unipoly import _integral, gcd_int
-from .curves import _to_unicoeffs, is_reduced_curve, singular_points
+from .curves import _to_unicoeffs, curve_terms, is_reduced_curve, singular_points
 from .detrep import SymDetRep, validate_rep, vanishes_on_plane
 from .errors import InputError, Rejection
 
@@ -60,9 +60,7 @@ def _line_meets_cubic_transversally(f: MultiPoly, line_var: int) -> None:
     restricted = f.substitute({name: 0})
     others = [i for i in range(3) if i != line_var]
     for k in others:
-        pt = [0, 0, 0]
-        pt[k] = 1
-        if not f.evaluate(tuple(pt)):
+        if not f.terms.get(tuple(3 * (i == k) for i in range(3))):  # f at the point x_k = 1
             raise Rejection(
                 f"cubic passes through the coordinate point with {VARS_X[k]}=1 "
                 f"on the line {name}=0; intersection points must avoid the nodes"
@@ -141,8 +139,8 @@ def _build_ex42ii(params: dict) -> NamedExample:
             raise Rejection("every component of this example must be a line")
     # general position: six distinct lines, no three concurrent
     for a, b, c in combinations(all_lines, 3):
-        rows = [[_cleared(p)[0].get(tuple(1 if i == k else 0 for i in range(3)), 0) for k in range(3)] for p in (a, b, c)]
-        if not int_rank_det(rows)[1]:
+        rows = [[p.terms.get(tuple(1 if i == k else 0 for i in range(3)), 0) for k in range(3)] for p in (a, b, c)]
+        if not sum(map(mul, rows[0], cross(rows[1], rows[2]))):
             raise Rejection("three of the six lines are concurrent; not in general position")
     z = _zero()
     corner = lines[0] * lines[1] * lines[2]
@@ -183,7 +181,7 @@ def _build_prop44(params: dict) -> NamedExample:
         raise Rejection("the cubic built from A vanishes identically")
     # membership: the cubic must be smooth and meet the coordinate triangle
     # transversally away from its vertices
-    scan = singular_points(f_a)
+    scan = singular_points(curve_terms([f_a])[0], fld)
     if scan.points:
         raise Rejection(f"the cubic built from A is singular at {scan.points[0]}")
     if not scan.complete:
@@ -234,7 +232,7 @@ def _verify_section_plane(rep: SymDetRep, rows) -> None:
         [fld.one() if k == j else fld.zero() for k in range(3)] + [rows[i][j] for i in range(3)]
         for j in range(3)
     ]
-    if not vanishes_on_plane(rep.fourfold, basis):
+    if not vanishes_on_plane(rep.fourfold_terms, basis):
         raise Rejection("section plane is not contained in the fourfold")
 
 
@@ -243,7 +241,7 @@ def _build_ex43_quartic(params: dict) -> NamedExample:
     vals = {k: _p(v) for k, v in params.items()}
     l1, l2, l11, q1, f = vals["l1"], vals["l2"], vals["l11"], vals["q1"], vals["f"]
     quartic = l11 * f - q1 * q1
-    if quartic.is_zero or not is_reduced_curve(quartic):
+    if quartic.is_zero or not is_reduced_curve(curve_terms([quartic])[0], fld):
         raise Rejection("the 2x2 block does not define a reduced quartic")
     z = _zero()
     rep = validate_rep([[l1, z, z, z], [z, l2, z, z], [z, z, l11, q1], [z, z, q1, f]], fld, [l1, l2, quartic])
@@ -285,13 +283,9 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
     fld = QQ
     vals = {k: _p(v) for k, v in params.items()}
     l1 = vals["l1"]
-    block = [
-        [vals["l11"], vals["l12"], vals["q1"]],
-        [vals["l12"], vals["l22"], vals["q2"]],
-        [vals["q1"], vals["q2"], vals["f"]],
-    ]
-    quintic = poly_matrix_det(block)
-    if quintic.is_zero or not is_reduced_curve(quintic):
+    a, b, c, d, e, f = (vals[k] for k in ("l11", "l12", "q1", "l22", "q2", "f"))
+    quintic = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)  # det of the 3x3 block
+    if quintic.is_zero or not is_reduced_curve(curve_terms([quintic])[0], fld):
         raise Rejection("the 3x3 block does not define a reduced quintic")
     z = _zero()
     rep = validate_rep(

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import mul
 
-from .algebra import MultiPoly, PrimeField, VARS_X, VARS_XU, cross, int_rank_det, primitive, residue
-from .algebra.multipoly import _cleared, dense, form_values
+from .algebra import PrimeField, VARS_XU, cross, int_rank_det, primitive, residue
+from .algebra.multipoly import dense, det_terms, diff_terms, form_values, residues
 from .algebra.unipoly import common_zeros, gcd_mod, horner_mod, lane_width, lanes, line_lanes, pack_lines
 from .curves import plane_solutions
 from .detrep import UPPER, SymDetRep, embed_fiber_vector, gram_rank_kernel, reduce_rep
@@ -123,21 +123,20 @@ def _verify_pair(rep: SymDetRep, p: ProjPoint, alpha, beta, disc: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def net_conics(rep: SymDetRep) -> list[MultiPoly]:
-    """The three conics u^T G(e_k) u spanning the net, with u1, u2, u3 named
-    x1, x2, x3 so that `plane_solutions` takes them."""
-    field = rep.field
+def net_conics(rep: SymDetRep) -> list[dict]:
+    """The three conics u^T G(e_k) u spanning the net, as the integer terms
+    of c times them (residues over F_q), with u1, u2, u3 read as x1, x2, x3
+    so that `plane_solutions` takes them: entry (i, j) of the linear block,
+    i <= j, gives its x_k coefficient to u_i u_j, doubled for i != j."""
     out = []
     for k in range(3):
         unit = tuple(int(t == k) for t in range(3))
-        terms: dict = {}
-        for i in range(3):
-            for j in range(3):
-                cof = rep.entry(i, j).terms.get(unit)
-                if cof:
-                    e = tuple((t == i) + (t == j) for t in range(3))
-                    terms[e] = terms.get(e, field.zero()) + cof
-        out.append(MultiPoly(field, VARS_X, terms))
+        terms = {
+            tuple((m == i) + (m == j) for m in range(3)): t[unit] if i == j else 2 * t[unit]
+            for (i, j), t in zip(UPPER, rep.upper)
+            if j < 3 and unit in t
+        }
+        out.append(residues(terms, rep.field.char))
     return out
 
 
@@ -146,14 +145,13 @@ def base_locus(rep: SymDetRep):
     field = rep.field
     if rep.d_cubic.is_zero:
         raise Rejection("the cubic D vanishes identically; the net of conics is degenerate")
-    conics = [c for c in net_conics(rep) if not c.is_zero]
+    conics = [c for c in net_conics(rep) if c]
     if len(conics) < 2:
         raise Rejection("net of conics is degenerate: base locus is not finite")
     # D != 0, so not every conic of the net is singular and the conics share
     # no line; they share a component only when all are multiples of one conic
-    cleared = [_cleared(c)[0] for c in conics]
-    monos = sorted({e for terms in cleared for e in terms})
-    if int_rank_det([[terms.get(e, 0) for e in monos] for terms in cleared], field.char)[0] < 2:
+    monos = sorted({e for terms in conics for e in terms})
+    if int_rank_det([[terms.get(e, 0) for e in monos] for terms in conics], field.char)[0] < 2:
         raise Rejection("net of conics shares a component: base locus is one-dimensional")
     sol = plane_solutions(conics, field)
     pts = [ProjPoint(field, p.coords, "u") for p in sol.points]
@@ -208,7 +206,7 @@ def singular_locus_X(rep: SymDetRep) -> SingularLocusX:
     ]
     all_double = True
     if vertices or embedded_b:
-        third = _third_derivatives(rep.fourfold)
+        third = _third_derivatives(rep.fourfold_terms)
     for pt, w in vertices + embedded_b:
         # Euler's relation: the Hessian is T w, the gradient (T w) w / 2 and
         # F itself (T w) w . w / 6, each exact over the integers
@@ -235,12 +233,12 @@ def singular_locus_X(rep: SymDetRep) -> SingularLocusX:
     )
 
 
-def _third_derivatives(F: MultiPoly) -> list:
+def _third_derivatives(F: dict) -> list:
     """T[i][j][k], the third partial of the cubic form F in x_i, x_j, x_k
-    (in x1..x3, u1..u3), over F's cleared integer terms: a term c z^e gives
+    (in x1..x3, u1..u3), over F's integer terms: a term c z^e gives
     c prod(e_m!) at every ordering of the multiset e."""
     T = [[[0] * 6 for _ in range(6)] for _ in range(6)]
-    for e, c in _cleared(F)[0].items():
+    for e, c in F.items():
         value = c * math.prod(map(math.factorial, e))
         for i, j, k in set(permutations([m for m, a in enumerate(e) for _ in range(a)])):
             T[i][j][k] = value
@@ -260,12 +258,14 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     so `_cramer_forms` builds Delta = det A, N = -adj(A) b and Phi = 2 Delta
     f + b.N once per call.  Delta and Phi are packed once (`pack_lines`), so
     on each line (a : b : t) of strata their values at every t are one
-    combination of power columns each, and only the t with Delta(t) Phi(t) =
-    0 are visited.  Where Delta(x) != 0 the one solution u0 = N(x)/Delta(x)
-    has Phi(x) = 2 Delta(x) F(x, u0) = 0.  Where Delta(x) = 0 the rows at x
-    are solved by `_solve_singular_mod`; F is the constant F(x, u0) = f +
-    b.u0/2 on u0 + span(kernel), where its u-gradient vanishes, so (q odd) the
-    stratum is skipped when 2f + b.u0 != 0.  Otherwise, for each point u0 of
+    combination of power columns each, and only the t where Phi(t) = 0 are
+    visited.  A stratum x with Phi(x) != 0 holds no point: where Delta(x) !=
+    0 the one solution u0 = N(x)/Delta(x) has Phi(x) = 2 Delta(x) F(x, u0),
+    and where Delta(x) = 0 and A u0 = -b is solvable, Phi(x) = -b.adj(A) b =
+    -u0.A adj(A) A u0 = 0.  Where Delta(x) = 0 the rows at x are solved by
+    `_solve_singular_mod`; F is the constant F(x, u0) = f + b.u0/2 on u0 +
+    span(kernel), where its u-gradient vanishes, so (q odd) the stratum is
+    skipped when 2f + b.u0 != 0.  Otherwise, for each point u0 of
     the coset's other directions, the line u0 + s v along its last kernel
     vector v keeps only the common roots in s of the three x-partials
     (`_coset_roots`).  Every candidate left is tested against the
@@ -275,21 +275,21 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     fiber theory the assembly rests on.  Returns canonically sorted points.
     The points of P, the strata and the candidates together may not exceed
     ORACLE_BUDGET: the first two are counted before any work, a stratum's
-    q^(3 - rank) candidates as they accrue, those of the strata skipped for
-    Phi(t) != 0 once per line.
+    q^(3 - rank) candidates as they accrue, the one candidate of each
+    full-rank stratum skipped for Phi(t) != 0 once per line.
     """
     tested = 2 * (q * q + q + 1)
     over_budget = f"enumeration budget exceeded: the oracle over F_{q} tests more than {ORACLE_BUDGET} points"
     if tested > ORACLE_BUDGET:
         raise InputError(over_budget)
     gf = PrimeField(q)
-    F = reduce_rep(rep, gf).fourfold
+    F = reduce_rep(rep, gf).fourfold_terms
     # the x-partials of F, F, then its u-partials, in the order candidates are
     # tested, each as {u-exponent: the terms of its form in x}
     split = []
-    for p in [F.diff(v) for v in VARS_X] + [F] + [F.diff(v) for v in VARS_XU[3:]]:
+    for p in [diff_terms(F, i, q) for i in range(3)] + [F] + [diff_terms(F, i, q) for i in range(3, 6)]:
         parts: dict = {}
-        for e, c in p.terms.items():
+        for e, c in p.items():
             parts.setdefault(e[3:], {})[e[:3]] = c
         split.append(parts)
     if any(sum(eu) > 1 for p in split[4:] for eu in p):
@@ -302,9 +302,8 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     entries = [p.get(e, {}) for p in split[4:] for e in units] + [split[3].get((0, 0, 0), {})]
     # the rows and f at x as the 64-bit lanes of one sum of products (values < 10 q^4)
     stack = [(e, sum(t.get(e, 0) << 64 * k for k, t in enumerate(entries))) for e in {e for t in entries for e in t}]
-    xs = [MultiPoly(gf, VARS_X, t) for t in entries]
-    delta, phi, num = _cramer_forms([xs[0:4], xs[4:8], xs[8:12]], xs[12])
-    num_forms = [dense(n.terms, 4) for n in num]
+    delta, phi, num = _cramer_forms([entries[0:4], entries[4:8], entries[8:12]], entries[12], q)
+    num_forms = [dense(n, 4) for n in num]
     w = lane_width(q, 6)  # Phi is a sextic
     packed_delta, packed_phi = pack_lines(delta, q, w), pack_lines(phi, q, w)
 
@@ -319,13 +318,13 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     # on P, x = 0, F and its u-partials vanish (F contains P); the conics left
     # are the x-partials' terms free of x, as forms in u
     on_p = [{eu: t[(0, 0, 0)] for eu, t in p.items() if (0, 0, 0) in t} for p in split[:3]]
-    on_p = [pack_lines(MultiPoly(gf, VARS_X, conic), q, w) for conic in on_p]
+    on_p = [pack_lines(conic, q, w) for conic in on_p]
     found = [(0, 0, 0) + u for u in common_zeros(on_p, p2_lines(q), q, w)]
 
     for (a, b), ts in p2_lines(q):
         dl, pl = line_lanes(packed_delta, a, b, q, w), line_lanes(packed_phi, a, b, q, w)
-        hits = [t for t in ts if not dl[t] * pl[t] % q]
-        tested += len(ts) - len(hits)  # full-rank strata skipped for Phi(t) != 0
+        hits = [t for t in ts if not pl[t] % q]
+        tested += sum(1 for t in ts if pl[t] % q and dl[t] % q)  # full-rank strata skipped
         for t in hits:
             x = (a, b, t)
             det = dl[t] % q
@@ -361,16 +360,17 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     return sorted_points(pts)
 
 
-def _cramer_forms(rows: list, f: MultiPoly) -> tuple:
-    """(Delta, Phi, N) for rows [A | b] and f of forms in x: Delta = det A, N =
-    -adj(A) b, so that A N = -Delta b, and Phi = 2 Delta f + b.N, which is
-    2 Delta F(x, u0) where u0 = N/Delta.  The columns of adj(A) are the cross
-    products of the rows."""
-    r1, r2, r3 = rows
-    c23, c31, c12 = cross(r2, r3), cross(r3, r1), cross(r1, r2)
-    delta = r1[0] * c23[0] + r1[1] * c23[1] + r1[2] * c23[2]
-    num = [-(r1[3] * x + r2[3] * y + r3[3] * z) for x, y, z in zip(c23, c31, c12)]
-    return delta, delta * f * 2 + r1[3] * num[0] + r2[3] * num[1] + r3[3] * num[2], num
+def _cramer_forms(rows: list, f: dict, q: int) -> tuple:
+    """(Delta, Phi, N) for rows [A | b] and f of forms in x, as residue terms
+    mod q: Delta = det A, N = -adj(A) b, so that A N = -Delta b, and Phi =
+    2 Delta f + b.N, which is 2 Delta F(x, u0) where u0 = N/Delta.  By
+    Cramer's rule N_k is minus det A with its column k replaced by b, and
+    Phi is the determinant of A bordered by b and 2 f."""
+    a = [row[:3] for row in rows]
+    b = [row[3] for row in rows]
+    num = [det_terms([r[:k] + [c] + r[k + 1 :] for r, c in zip(a, b)], q) for k in range(3)]
+    bordered = [r + [c] for r, c in zip(a, b)] + [b + [{e: 2 * c for e, c in f.items()}]]
+    return det_terms(a, q), det_terms(bordered, q), [{e: -c % q for e, c in n.items()} for n in num]
 
 
 def _coset_roots(quadratics, q: int) -> list[int]:

@@ -34,6 +34,12 @@ univariate routines on field elements that detfold no longer needs.
 their field.  `ReferenceParser` and `reference_parse_poly` are the former
 parser, which built every sub-expression as a `MultiPoly`.
 
+`ints` clears a polynomial of denominators, for the detfold routines that
+take integer terms.  `evaluate`, `diff`, `involves` and `map_field` are the
+former `MultiPoly` methods for values at points, partials, the variables a
+polynomial involves and reduction mod q, which detfold no longer needs: it
+reads the integer terms its representation holds.
+
 Over F_q these references compute with `Residue`, an int in [0, q) whose
 operators stay in F_q; `elt` takes a value of detfold's field, a plain
 residue over F_q or a Fraction over Q, to a field element here.  A
@@ -57,8 +63,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import index
 
-from detfold.algebra import QQ, VARS_X, MultiPoly, resultant, resultant_vanishes, unipoly
-from detfold.algebra.multipoly import _cleared
+from detfold.algebra import QQ, PrimeField, VARS_X, MultiPoly, resultant, resultant_vanishes, unipoly
 from detfold.algebra.parser import MAX_NESTING, PolyParseError, _tokenize
 from detfold.curves import PlaneSolutions, _to_unicoeffs
 from detfold.detrep import _expected_degree, validate_rep
@@ -160,6 +165,59 @@ def p2_reps(q):
             yield (a, b, t)
 
 
+def ints(p):
+    """The integer terms of den * p, den the lcm of p's denominators over Q;
+    over F_q its residues."""
+    return _cleared(p)[0]
+
+
+def _cleared(p):
+    """(integer terms of den * p, den): over Q den is the lcm of p's
+    denominators, over F_q the terms are the residues and den is 1."""
+    if isinstance(p.field, PrimeField):
+        return dict(p.terms), 1
+    if p.field != QQ:
+        raise InputError(f"no integer lift of coefficients in {p.field!r}")
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+
+
+def evaluate(p, values):
+    """The value of p at a coordinate tuple (scalars of its field or
+    coercible): over Q the point and the coefficients are cleared of
+    denominators and the sum, homogenized by powers of the point's
+    denominator, is divided once; over F_q the sum is of residues."""
+    if len(values) != len(p.vars):
+        raise InputError(f"dimension mismatch: {len(p.vars)} variables, {len(values)} coordinates")
+    field = p.field
+    vals = [field.coerce(v) for v in values]
+    terms, scale = _cleared(p)
+    top = p.degree() or 0
+    if field.char:
+        den, xs = 1, vals
+    else:
+        den = math.lcm(*(v.denominator for v in vals))
+        xs = [v.numerator * (den // v.denominator) for v in vals]
+    total = sum(c * math.prod(map(pow, xs, e)) * den ** (top - sum(e)) for e, c in terms.items())
+    return field.from_int(total) if field.char else Fraction(total, scale * den**top)
+
+
+def diff(p, var):
+    """The partial derivative of p in var, in p's ring."""
+    i = p.vars.index(var)
+    return MultiPoly(p.field, p.vars, {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.terms.items() if e[i]})
+
+
+def involves(p, var) -> bool:
+    i = p.vars.index(var)
+    return any(e[i] for e in p.terms)
+
+
+def map_field(p, field):
+    """p with its coefficients coerced into field (reduced mod q)."""
+    return MultiPoly(field, p.vars, {e: field.coerce(c) for e, c in p.terms.items()})
+
+
 def euclid_gcd(p, q, field):
     """Monic gcd of two univariates by Euclid on field elements."""
     a, b = ([elt(field, c) for c in unipoly.trim(list(x))] for x in (p, q))
@@ -226,15 +284,15 @@ def fraction_plane_solutions_qq(polys, field) -> PlaneSolutions:
     one, zero = field.one(), field.zero()
 
     def keep(cand):
-        if all(not p.evaluate(cand) for p in polys):
+        if all(not evaluate(p, cand) for p in polys):
             pts.add(ProjPoint(field, cand, "x"))
 
     # chart x3 = 1
     aff = [p.substitute({"x3": 1}) for p in polys]
     aff = [p for p in aff if not p.is_zero]
     if not any(p.degree() == 0 for p in aff):
-        with_x2 = [p for p in aff if p.involves("x2")]
-        elim = [_to_unicoeffs(p, "x1") for p in aff if not p.involves("x2")]
+        with_x2 = [p for p in aff if involves(p, "x2")]
+        elim = [_to_unicoeffs(p, "x1") for p in aff if not involves(p, "x2")]
         for f, g in combinations(with_x2, 2):
             if len(elim) >= 3:
                 break
@@ -439,11 +497,11 @@ def bivar_gcd(f, g, main="x1", aux="x2"):
         return g
     if g.is_zero:
         return f
-    if not f.involves(main) and not g.involves(main):
+    if not involves(f, main) and not involves(g, main):
         a = gcd_poly(_to_unicoeffs(f, aux), _to_unicoeffs(g, aux), field)
         return _uni_to_poly(a, aux, field)
-    if not f.involves(main) or not g.involves(main):
-        free, other = (f, g) if not f.involves(main) else (g, f)
+    if not involves(f, main) or not involves(g, main):
+        free, other = (f, g) if not involves(f, main) else (g, f)
         a = gcd_poly(_to_unicoeffs(free, aux), _bivar_content_pp(other, main, aux), field)
         return _uni_to_poly(a, aux, field)
 
@@ -453,12 +511,12 @@ def bivar_gcd(f, g, main="x1", aux="x2"):
         a, b = b, a
     a = _primitive_in(a, main, aux)
     b = _primitive_in(b, main, aux)
-    while not b.is_zero and b.involves(main):
+    while not b.is_zero and involves(b, main):
         r = _pseudo_rem(a, b, main)
         a, b = b, _primitive_in(r, main, aux) if not r.is_zero else r
     if b.is_zero:
         gc = a
-    elif not b.involves(main):
+    elif not involves(b, main):
         # a nonzero remainder free of main kills any main-dependent common part
         gc = MultiPoly.constant(field, f.vars, 1)
     else:
@@ -475,8 +533,8 @@ def reference_is_reduced(h):
     chart = h.substitute({"x3": 1})
     if chart.degree() == 0:
         return True  # h = c * x3^(0 or 1)
-    g1 = bivar_gcd(chart, chart.diff("x1"))
-    g2 = bivar_gcd(g1, chart.diff("x2"))
+    g1 = bivar_gcd(chart, diff(chart, "x1"))
+    g2 = bivar_gcd(g1, diff(chart, "x2"))
     return g2.degree() == 0
 
 
@@ -555,8 +613,8 @@ def kernel_rank_det(rows: list[list], field) -> tuple[int, object, list[list]]:
 def field_node_partials(h: MultiPoly) -> tuple:
     """The gradient of h and its Hessian entries h_ij (i <= j), keyed by (i, j),
     derived once for node tests at many points."""
-    grad = [h.diff(v) for v in VARS_X]
-    hess = {(i, j): grad[i].diff(VARS_X[j]) for i in range(3) for j in range(i, 3)}
+    grad = [diff(h, v) for v in VARS_X]
+    hess = {(i, j): diff(grad[i], VARS_X[j]) for i in range(3) for j in range(i, 3)}
     return grad, hess
 
 
@@ -569,11 +627,11 @@ def field_is_node(h: MultiPoly, p: ProjPoint, partials=None) -> bool:
     `partials` is `node_partials(h)` when the caller tests many points.
     """
     grad, hess = partials or field_node_partials(h)
-    if h.evaluate(p.coords) or any(g.evaluate(p.coords) for g in grad):
+    if evaluate(h, p.coords) or any(evaluate(g, p.coords) for g in grad):
         raise Rejection(f"point {p} is not a singular point of the curve")
     k = next(i for i, c in enumerate(p.coords) if c)
     i, j = (m for m in range(3) if m != k)
-    hii, hij, hjj = (elt(h.field, hess[key].evaluate(p.coords)) for key in ((i, i), (i, j), (j, j)))
+    hii, hij, hjj = (elt(h.field, evaluate(hess[key], p.coords)) for key in ((i, i), (i, j), (j, j)))
     return bool(hij * hij - hii * hjj)
 
 
@@ -583,7 +641,7 @@ def field_gram_rank_kernel(rep, p: ProjPoint):
     if p.space != "x":
         raise Rejection("fiber points live in the plane of the discriminant curve")
     vals = p.coords
-    upper = {(i, j): elt(rep.field, rep.entry(i, j).evaluate(vals)) for i in range(4) for j in range(i, 4)}
+    upper = {(i, j): elt(rep.field, evaluate(rep.entry(i, j), vals)) for i in range(4) for j in range(i, 4)}
     gram = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
     rank, det, basis = kernel_rank_det(gram, rep.field)
     if rank <= 1:
@@ -708,7 +766,7 @@ def _field_polar_matrix(rep, p: ProjPoint) -> list:
     """The 4x4 symmetric matrix of 2 B, B the polar form of Q with
     F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t): the forms of
     `field_fiber_forms` at p, in the base field."""
-    vals = {ij: elt(p.field, form.evaluate(p.coords)) for ij, form in field_fiber_forms(rep).items()}
+    vals = {ij: elt(p.field, evaluate(form, p.coords)) for ij, form in field_fiber_forms(rep).items()}
     zero = elt(p.field, 0)
     return [[vals.get((min(i, j), max(i, j)), zero) for j in range(4)] for i in range(4)]
 

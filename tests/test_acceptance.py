@@ -22,7 +22,7 @@ from detfold.fourfold import (
 from detfold.lattice import ns2_gram
 from detfold.points import ProjPoint
 from detfold.spin import build_dual_graph, graph_stats, spin_subsets, theta_counts
-from reference import matrix_rank, plane_forms, plane_span
+from reference import evaluate, matrix_rank, plane_forms, plane_span
 
 
 def _passline(n, label, t0):
@@ -226,7 +226,7 @@ def test_criterion_9_rank_stratification():
         for q in ex.compatible_primes:
             gf = PrimeField(q)
             rep = reduce_rep(ex.rep, gf)
-            sing = {p.coords for p in singular_points(rep.sextic).points}
+            sing = {p.coords for p in singular_points(rep.sextic_terms, gf).points}
             reps = [(1, b, c) for b in range(q) for c in range(q)]
             reps += [(0, 1, c) for c in range(q)]
             reps.append((0, 0, 1))
@@ -234,7 +234,7 @@ def test_criterion_9_rank_stratification():
                 pt = ProjPoint(gf, coords, "x")
                 _, rank, _ = gram_rank_kernel(rep, pt)
                 assert rank >= 2
-                if rep.sextic.evaluate(pt.coords):
+                if evaluate(rep.sextic, pt.coords):
                     assert rank == 4
                 elif pt.coords in sing:
                     assert rank in (2, 3)

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
-from detfold.algebra.multipoly import _cleared, form_values
+from detfold.algebra.multipoly import form_values
 from detfold.cli import main as cli_main
 from detfold.curves import SingClassification, is_node, singular_points
 from detfold.detrep import UPPER, embed_fiber_vector, gram_rank_kernel, reduce_rep, validate_rep
@@ -53,7 +53,7 @@ from detfold.fourfold import (
 from detfold.points import ProjPoint, sorted_points
 from detfold.repfile import parse_rep_file
 import reference as ref
-from reference import bivar_gcd, dense_rep, elt, matrix_rank, pair_ints, plane_forms, plane_span, term_polar_matrix
+from reference import bivar_gcd, dense_rep, elt, evaluate, matrix_rank, pair_ints, plane_forms, plane_span, term_polar_matrix
 from test_oracle import random_reps
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,7 +76,7 @@ def _restricted_conic(rep, p):
     terms: dict = {}
     for i in range(3):
         for j in range(3):
-            v = rep.entry(i, j).evaluate(p.coords)
+            v = evaluate(rep.entry(i, j), p.coords)
             if not v:
                 continue
             e = [0, 0, 0]
@@ -362,7 +362,7 @@ def test_degenerate_couple_has_p_as_a_plane():
 def test_polar_matrix_matches_term_by_term_read(field, data):
     # the ten forms of F, grouped once per rep and taken at the integer
     # vector n = den p, read c den S (the polar matrix) S, S = diag(1, 1, 1,
-    # den) and c F's denominator: divided back, exactly as F's terms read it
+    # den) and c the rep's common denominator: divided back, exactly as F's terms read it
     # at p one at a time; over Q at points with denominators, on dense reps
     if field == QQ:
         rep = dense_rep(data.draw(st.integers(0, 2**16)), 5)
@@ -374,7 +374,7 @@ def test_polar_matrix_matches_term_by_term_read(field, data):
     point = ProjPoint(field, coords, "x")
     n, den = point.ints()
     polar = dict(zip(UPPER, form_values(rep.fiber_forms, n, field.char)))
-    c, s = _cleared(rep.fourfold)[1] * den, (1, 1, 1, den)
+    c, s = rep.den * den, (1, 1, 1, den)
     read = [[elt(field, polar[min(k, l), max(k, l)]) / (c * s[k] * s[l]) for l in range(4)] for k in range(4)]
     assert read == term_polar_matrix(rep.fourfold, point)
 
@@ -491,7 +491,7 @@ def test_base_locus_share_test_matches_gcd(q, data):
             rep = validate_rep(entries, field)
         except Rejection:
             assume(False)
-    conics = [c for c in net_conics(rep) if not c.is_zero]
+    conics = [MultiPoly(field, VARS_X, c) for c in net_conics(rep) if c]
     assume(not rep.d_cubic.is_zero and len(conics) >= 2)
     g = conics[0]
     for c in conics[1:]:
@@ -553,11 +553,11 @@ def _compare_per_point(rep):
     root is None, degenerate) and the cross verdict of the integer path equal
     those of the field-object reference, or both raise the same message."""
     field, sextic = rep.field, rep.sextic
-    points = singular_points(sextic, rep.components).points
+    points = singular_points(rep.sextic_terms, field, rep.components).points
     classification = _outcome(lambda: rep.classification)
     new_pairs, ref_pairs, ref_vertices = [], [], []
     for p in points:
-        assert _outcome(lambda: is_node(sextic, p)) == _outcome(lambda: ref.field_is_node(sextic, p))
+        assert _outcome(lambda: is_node(rep.sextic_terms, p)) == _outcome(lambda: ref.field_is_node(sextic, p))
         new = _outcome(lambda: gram_rank_kernel(rep, p))
         old = _outcome(lambda: ref.field_gram_rank_kernel(rep, p))
         if isinstance(old[0], str):
@@ -568,7 +568,7 @@ def _compare_per_point(rep):
         vertex = ProjPoint(field, embed_fiber_vector(p, kernel), "p5") if rank == 3 else None
         ref_vertex = ref.field_embed_fiber_vector(p, basis[0], field) if rank == 3 else None
         assert vertex == ref_vertex
-        on_d = not rep.d_cubic.evaluate(p.coords)
+        on_d = not evaluate(rep.d_cubic, p.coords)
         if isinstance(classification, SingClassification):
             assert {r.point: r.on_d for r in classification.records}[p] == on_d
         if rank == 3 and not on_d:

@@ -1,14 +1,12 @@
-import math
 import random
 from pathlib import Path
 
 import pytest
 
+import detfold.curves as curves
 import detfold.detrep as detrep
 from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
-from detfold.algebra.multipoly import _cleared
 from detfold.detrep import (
-    UPPER,
     embed_fiber_vector,
     gram_rank_kernel,
     reduce_rep,
@@ -21,7 +19,7 @@ from detfold.fourfold import brute_force_oracle, couples_and_intersections, orac
 from detfold.points import ProjPoint
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import elt, kernel_rank_det, p2_reps, plane_forms, plane_span
+from reference import elt, evaluate, ints, kernel_rank_det, map_field, p2_reps, plane_forms, plane_span
 
 
 def _p(s, f=QQ):
@@ -122,7 +120,7 @@ class TestDerived:
             for e in ex.rep.fourfold.terms:
                 assert e[0] + e[1] + e[2] > 0  # vanishes on the plane x=0
             corner = {e[:3]: c for e, c in ex.rep.fourfold.terms.items() if sum(e[3:]) == 0}
-            assert corner == ex.rep.cubic_corner().terms
+            assert corner == ex.rep.entry(3, 3).terms
 
 
 class TestDeterminantOnce:
@@ -132,13 +130,13 @@ class TestDeterminantOnce:
     @pytest.fixture
     def sizes(self, monkeypatch):
         sizes = []
-        det = detrep.poly_matrix_det
+        det = detrep.det_terms
 
-        def counting(rows):
+        def counting(rows, q):
             sizes.append(len(rows))
-            return det(rows)
+            return det(rows, q)
 
-        monkeypatch.setattr(detrep, "poly_matrix_det", counting)
+        monkeypatch.setattr(detrep, "det_terms", counting)
         return sizes
 
     def test_analyze_own_field(self, sizes):
@@ -167,13 +165,49 @@ class TestDeterminantOnce:
         assert reduce_rep(rep, PrimeField(13)) is reduce_rep(rep, PrimeField(13))
 
 
+class TestClearedOnce:
+    """A rep clears its entries of denominators once per field, when it is
+    validated (over F_q the reduction takes its integer terms mod q); every
+    consumer reads those integer terms.  `clear_denominators` has two
+    callers: the rep's validation and `curves.curve_terms`, which a named
+    example's builder and factorization use."""
+
+    @pytest.fixture
+    def fields(self, monkeypatch):
+        fields = []
+        for module in (detrep, curves):
+            def counting(polys, clear=module.clear_denominators):
+                fields.append(polys[0].field)
+                return clear(polys)
+
+            monkeypatch.setattr(module, "clear_denominators", counting)
+        return fields
+
+    @pytest.mark.parametrize("name", ["ex42i", "ex42ii", "ex43_quartic_two_lines", "ex43_quintic_line", "rmk31", "prop44"])
+    def test_once_per_field_for_an_emitted_file(self, name, fields, monkeypatch):
+        text = write_rep_file(build_example(name).rep)
+        fields.clear()
+        analyze(parse_rep_file(text))
+        assert fields == [QQ]
+        fields.clear()
+        analyze(parse_rep_file(text), PrimeField(7))
+        assert fields == [QQ, PrimeField(7)]
+        rep = parse_rep_file(text)
+        products = []
+        mul = MultiPoly.__mul__
+        monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+        fields.clear()
+        brute_force_oracle(rep, 29)
+        assert fields == [PrimeField(29)] and not products
+
+
 def _gram_at(rep, p):
     """The Gram matrix at p in the base field, with its rank and det: the
     integer matrix of `gram_rank_kernel`, c den S G S at n = den p, divided
     back by c den S_ii S_jj."""
     gram = gram_rank_kernel(rep, p)[0]
     den = p.ints()[1]
-    c = math.lcm(*(_cleared(rep.entry(i, j))[1] for i, j in UPPER)) * den
+    c = rep.den * den
     s = (1, 1, 1, den)
     g = [[elt(rep.field, gram[i][j]) / (c * s[i] * s[j]) for j in range(4)] for i in range(4)]
     rank, det, _ = kernel_rank_det(g, rep.field)
@@ -217,14 +251,14 @@ class TestFiberGram:
         gf = PrimeField(11)
         for name in ("ex42ii", "prop44"):
             ex = build_example(name)
-            sext = ex.rep.sextic.map_field(gf)
+            sext = map_field(ex.rep.sextic, gf)
             for _ in range(100):
                 coords = tuple(gf.from_int(rng.randrange(11)) for _ in range(3))
                 if not any(coords):
                     continue
                 p = ProjPoint(gf, coords, "x")
                 _, _, det = _gram_at(reduce_rep(ex.rep, gf), p)
-                assert det == sext.evaluate(p.coords)
+                assert det == evaluate(sext, p.coords)
 
     def test_conic_block_matches_d_cubic(self):
         ex = build_example("ex42ii")
@@ -241,7 +275,7 @@ class TestFiberGram:
                 - block[0][1] * (block[1][0] * block[2][2] - block[1][2] * block[2][0])
                 + block[0][2] * (block[1][0] * block[2][1] - block[1][1] * block[2][0])
             )
-            assert det3 == ex.rep.d_cubic.evaluate(p.coords)
+            assert det3 == evaluate(ex.rep.d_cubic, p.coords)
 
     def test_embed_fiber_vector(self):
         p = ProjPoint(QQ, (1, -2, 1), "x")
@@ -262,7 +296,7 @@ class TestVanishesOnPlane:
         gf = PrimeField(13)
         ex = build_example("prop44")
         rep = reduce_rep(ex.rep, gf)
-        F = rep.fourfold
+        F = rep.fourfold_terms
         on_x = [self.SECTION, [[0, 0, 0] + row for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]]
         for pair in couples_and_intersections(rep).pairs:
             if pair.root is not None:
@@ -277,9 +311,9 @@ class TestVanishesOnPlane:
         for basis in planes:
             basis = [[gf.coerce(c) for c in v] for v in basis]
             exhaustive = all(
-                not F.evaluate([sum(k * v[i] for k, v in zip(c, basis)) for i in range(6)]) for c in p2_reps(13)
+                not evaluate(rep.fourfold, [sum(k * v[i] for k, v in zip(c, basis)) for i in range(6)]) for c in p2_reps(13)
             )
-            assert vanishes_on_plane(F, basis) == exhaustive
+            assert vanishes_on_plane(F, basis, 13) == exhaustive
             verdicts.append(exhaustive)
         assert verdicts[: len(on_x)] == [True] * len(on_x) and False in verdicts
 
@@ -295,10 +329,10 @@ class TestVanishesOnPlane:
             for x, top in zip(xs, point):
                 for a in range(top):
                     F = F * (x.scale(3) - s.scale(a))
-            assert not vanishes_on_plane(F, basis), point
+            assert not vanishes_on_plane(ints(F), basis), point
 
     def test_section_plane_over_q(self):
-        F = build_example("prop44").rep.fourfold
+        F = build_example("prop44").rep.fourfold_terms
         assert vanishes_on_plane(F, self.SECTION)
         moved = [row[:] for row in self.SECTION]
         moved[2][3] = 1  # u1 = x1 + x3 on the third vector

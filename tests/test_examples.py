@@ -13,7 +13,7 @@ from detfold.errors import InputError, Rejection, ToolError
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import coeffs_in, dense_rep, poly_resultant
+from reference import coeffs_in, dense_rep, diff, evaluate, involves, ints, map_field, poly_resultant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,8 +25,8 @@ def _smoothness_certificate(fa):
     leading coefficients guarding degree drops, and a witness value at the
     point the eliminants cannot see.  None when the construction degenerates.
     """
-    g = [fa.diff(v) for v in VARS_X]
-    if any(p.is_zero or not p.involves("x1") for p in g):
+    g = [diff(fa, v) for v in VARS_X]
+    if any(p.is_zero or not involves(p, "x1") for p in g):
         return None
     cert = 1
     for p in g:
@@ -40,7 +40,7 @@ def _smoothness_certificate(fa):
     except ToolError:
         return None
     for r in (r1, r2):
-        if r.is_zero or not r.involves("x2"):
+        if r.is_zero or not involves(r, "x2"):
             return None
         lead = coeffs_in(r, "x2")[r.degree_in("x2")]
         if len(lead.terms) != 1:
@@ -50,7 +50,7 @@ def _smoothness_certificate(fa):
     if final.is_zero or len(final.terms) != 1:
         return None
     cert *= int(Fraction(next(iter(final.terms.values()))))
-    corner = next((int(Fraction(p.evaluate((1, 0, 0)))) for p in g if p.evaluate((1, 0, 0))), None)
+    corner = next((int(Fraction(evaluate(p, (1, 0, 0)))) for p in g if evaluate(p, (1, 0, 0))), None)
     if corner is None:
         return None
     cert *= corner
@@ -188,7 +188,7 @@ class TestProp44Membership:
                 if cert % q == 0:
                     continue
                 gf = PrimeField(q)
-                scan = singular_points(fa.map_field(gf))
+                scan = singular_points(ints(map_field(fa, gf)), gf)
                 assert scan.points == [], f"A={spec} mod {q}"
                 valid_prime_checks += 1
         assert checked == 50

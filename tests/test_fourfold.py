@@ -15,7 +15,7 @@ from detfold.fourfold import (
     split_rank2_fiber,
 )
 from detfold.points import ProjPoint
-from reference import matrix_rank, plane_forms, plane_span
+from reference import evaluate, matrix_rank, plane_forms, plane_span
 
 
 def _p(s, f=QQ):
@@ -69,7 +69,7 @@ class TestSplit:
         F = ex.rep.fourfold
         for form in plane_forms(pair):
             for vec in plane_span(pair.point, form, QQ):
-                assert not F.evaluate(vec)
+                assert not evaluate(F, vec)
 
 
 class TestBaseLocus:

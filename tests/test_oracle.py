@@ -27,7 +27,7 @@ from detfold.errors import ConsistencyError, InputError, Rejection
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.fourfold import brute_force_oracle, oracle_matches_assembly
 from detfold.points import ProjPoint, sorted_points
-from reference import gcd_poly, p2_reps
+from reference import diff, evaluate, gcd_poly, p2_reps
 
 GOLDEN = Path(__file__).parent / "golden"
 RATIONAL_EXAMPLES = ["ex42i", "ex42ii", "ex43_quartic_two_lines", "ex43_quintic_line", "rmk31", "prop44"]
@@ -39,7 +39,7 @@ def reference_scan(rep, q):
     gf = PrimeField(q)
     F = reduce_rep(rep, gf).fourfold
     # fewest terms first: the cheapest filters shrink the candidates soonest
-    polys = sorted([F] + [F.diff(v) for v in VARS_XU], key=lambda p: len(p.terms))
+    polys = sorted([F] + [diff(F, v) for v in VARS_XU], key=lambda p: len(p.terms))
     cube = list(product(range(q), repeat=3))
     found = []
     for x in [(0, 0, 0)] + list(p2_reps(q)):
@@ -78,13 +78,15 @@ def test_low_rank_strata_match_reference(monkeypatch):
     rep = validate_rep([[parse_poly(s, VARS_X, gf) for s in row] for row in entries], gf)
     # per x-stratum: None for an inconsistent system, else its kernel
     # dimension.  Full-rank strata, Delta(x) != 0, never reach
-    # _solve_singular_mod, so the Delta form the oracle builds is recorded too
-    sizes, deltas = [], []
+    # _solve_singular_mod, nor do the strata with Delta(x) = 0 and
+    # Phi(x) != 0, which hold no solution, so the Delta and Phi forms the
+    # oracle builds are recorded too
+    sizes, pencils = [], []
     cramer, solve = fourfold._cramer_forms, fourfold._solve_singular_mod
 
-    def recording_cramer(rows, f):
-        out = cramer(rows, f)
-        deltas.append(out[0])
+    def recording_cramer(rows, f, q):
+        out = cramer(rows, f, q)
+        pencils.append([MultiPoly(gf, VARS_X, t) for t in out[:2]])
         return out
 
     def recording_solve(rows, q):
@@ -95,9 +97,10 @@ def test_low_rank_strata_match_reference(monkeypatch):
     monkeypatch.setattr(fourfold, "_cramer_forms", recording_cramer)
     monkeypatch.setattr(fourfold, "_solve_singular_mod", recording_solve)
     got = brute_force_oracle(rep, 7)
-    (delta,) = deltas  # built once per call
-    sizes += [0 for x in p2_reps(7) if delta.evaluate(x)]
-    assert len(sizes) == 7 * 7 + 7 + 1  # each stratum x != 0 exactly once
+    ((delta, phi),) = pencils  # built once per call
+    sizes += [0 for x in p2_reps(7) if evaluate(delta, x)]
+    unsolvable = [x for x in p2_reps(7) if not evaluate(delta, x) and evaluate(phi, x)]
+    assert len(sizes) + len(unsolvable) == 7 * 7 + 7 + 1  # each stratum x != 0 exactly once
     assert {None, 0, 1, 2} <= set(sizes)
     assert got == reference_scan(rep, 7)
     assert got  # the scan finds singular points, not just agreement on none
@@ -245,13 +248,12 @@ def test_plane_scan_matches_reference(kind, q):
 def test_nonlinear_u_partial_rejected(monkeypatch):
     # the oracle reads F as given: a u-partial of u-degree 2 is refused
     rep = build_example("ex42i").rep
-    fourfold_of = SymDetRep.fourfold.func
+    terms_of = SymDetRep.fourfold_terms.func
 
     def with_u1_cubed(rep):
-        u1 = MultiPoly.variable(rep.field, VARS_XU, "u1")
-        return fourfold_of(rep) + u1 * u1 * u1
+        return {**terms_of(rep), (0, 0, 0, 3, 0, 0): 1}
 
-    monkeypatch.setattr(SymDetRep, "fourfold", property(with_u1_cubed))
+    monkeypatch.setattr(SymDetRep, "fourfold_terms", property(with_u1_cubed))
     with pytest.raises(ConsistencyError, match="affine-linear"):
         brute_force_oracle(rep, 7)
     # mod 3 the u-partials of u1^3 vanish and stay affine-linear, but F would
@@ -299,25 +301,26 @@ def test_pencil_matches_each_stratum(q, data):
     # u0, u0 the solution
     rep = data.draw(random_reps(PrimeField(q)))
     F = rep.fourfold
-    grads = [F.diff(v) for v in VARS_XU[3:]]
+    grads = [diff(F, v) for v in VARS_XU[3:]]
     units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     built, cramer = [], fourfold._cramer_forms
-    with mock.patch.object(fourfold, "_cramer_forms", lambda rows, f: built.append(cramer(rows, f)) or built[-1]):
+    with mock.patch.object(fourfold, "_cramer_forms", lambda *args: built.append(cramer(*args)) or built[-1]):
         brute_force_oracle(rep, q)
     ((delta, phi, num),) = built
+    delta, phi, *num = (MultiPoly(rep.field, VARS_X, t) for t in [delta, phi] + num)
     for x in p2_reps(q):
-        at0 = [g.evaluate(x + (0, 0, 0)) for g in grads]
-        A = [[g.evaluate(x + e) - c for e in units] for g, c in zip(grads, at0)]
+        at0 = [evaluate(g, x + (0, 0, 0)) for g in grads]
+        A = [[evaluate(g, x + e) - c for e in units] for g, c in zip(grads, at0)]
         det = sum(A[0][i] * A[1][(i + 1) % 3] * A[2][(i + 2) % 3] for i in range(3))
         det -= sum(A[0][i] * A[1][(i + 2) % 3] * A[2][(i + 1) % 3] for i in range(3))
-        assert delta.evaluate(x) == det % q
+        assert evaluate(delta, x) == det % q
         if det % q:
             u0 = next(
                 u for u in product(range(q), repeat=3)
                 if not any((sum(a * ui for a, ui in zip(row, u)) + c) % q for row, c in zip(A, at0))
             )
-            assert phi.evaluate(x) == 2 * det * F.evaluate(x + tuple(u0)) % q
-            assert [n.evaluate(x) for n in num] == [det * u % q for u in u0]
+            assert evaluate(phi, x) == 2 * det * evaluate(F, x + tuple(u0)) % q
+            assert [evaluate(n, x) for n in num] == [det * u % q for u in u0]
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
@@ -384,14 +387,35 @@ def test_oracle_cli_matches_golden_with_quadric_column():
     assert out.getvalue() == (GOLDEN / "quadric_column.oracle29.flat").read_text()
 
 
+# the (example, prime) pairs up to 103 whose reduction the assembly rejects
+REJECTED_UP_TO_103 = {
+    ("ex42i", 3),
+    ("ex42ii", 3), ("ex42ii", 5),
+    ("ex43_quartic_two_lines", 3), ("ex43_quartic_two_lines", 23), ("ex43_quartic_two_lines", 59),
+    ("ex43_quintic_line", 3), ("ex43_quintic_line", 5), ("ex43_quintic_line", 41), ("ex43_quintic_line", 71),
+    ("rmk31", 3), ("rmk31", 101),
+    ("prop44", 3),
+}
+
+
 def test_rational_examples_within_budget_up_to_103():
     # README, "Scan budgets": the oracle stays within ORACLE_BUDGET for every
-    # rational named example at each prime up to 103; ex42ii and prop44 pass
-    # it at 107, ex43_quartic_two_lines at 113
+    # rational named example at each prime up to 103, and agrees there with
+    # the assembled Sing(X) unless the assembly rejects the reduction (the
+    # oracle's scan still runs for those pairs); ex42ii and prop44 pass the
+    # budget at 107, ex43_quartic_two_lines at 113
+    rejected = set()
     for name in RATIONAL_EXAMPLES:
         rep = build_example(name).rep
         for q in filter(is_prime, range(3, 104)):
-            brute_force_oracle(rep, q)
+            try:
+                same, oracle, assembled = oracle_matches_assembly(rep, q)
+            except Rejection:
+                rejected.add((name, q))
+                brute_force_oracle(rep, q)
+                continue
+            assert same, (name, q, oracle, assembled)
+    assert rejected == REJECTED_UP_TO_103
     for name, q in [("ex42ii", 107), ("prop44", 107), ("ex43_quartic_two_lines", 113)]:
         with pytest.raises(InputError, match="enumeration budget exceeded"):
             brute_force_oracle(build_example(name).rep, q)

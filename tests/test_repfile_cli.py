@@ -137,6 +137,22 @@ class TestCli:
         assert rc == 1
         assert "rejected" in out and "node" in out
 
+    @pytest.mark.parametrize("args", [("analyze", "--field", "fp:7"), ("oracle", "--prime", "7")], ids=["analyze", "oracle"])
+    def test_bad_reduction_exit_code(self, tmp_path, args):
+        # q = 7 divides the common denominator 49 of the entries: the first
+        # coefficient whose denominator it divides, in row order, is refused
+        bad = tmp_path / "sevenths.rep"
+        bad.write_text(
+            "field rational\nvars x1 x2 x3\n"
+            "row 0: 1/7*x1, 0, 0, 0\n"
+            "row 1: 0, x2, 0, 0\n"
+            "row 2: 0, 0, x3, 0\n"
+            "row 3: 0, 0, 0, x1^3 + 1/49*x2^3 + x3^3\n"
+        )
+        rc, out = run_cli(args[0], str(bad), *args[1:])
+        assert rc == 1
+        assert out == "rejected: denominator of 1/7 vanishes mod 7\n"
+
     def test_asymmetric_exit_code(self, tmp_path):
         bad = tmp_path / "asym.rep"
         bad.write_text(

@@ -297,7 +297,7 @@ def test_packed_lines_match_horner(q, data):
     assume(not drawn.is_zero)
     full = MultiPoly(field, VARS_X, {e: field.from_int(-1) for e in product(range(7), repeat=3) if sum(e) <= 6})
     for form in (drawn, full):
-        packed = pack_lines(form, q, w)
+        packed = pack_lines(form.terms, q, w)
         for a, b in ((1, data.draw(st.integers(0, q - 1))), (1, q - 1), (0, 1), (0, 0)):
             uni = [0] * 7
             for (i, j, k), c in form.terms.items():
