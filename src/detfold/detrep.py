@@ -36,18 +36,18 @@ def _expected_degree(i: int, j: int) -> int:
 @dataclass(frozen=True)
 class SymDetRep:
     field: object
-    entries: tuple  # 4x4 tuple of tuples of MultiPoly in x1,x2,x3
+    # the entries at `UPPER` as the integer terms of c M (residues over F_q),
+    # and c, the lcm of their denominators (1 over F_q)
+    upper: tuple
+    den: int = 1
     # factorization of the sextic, multiplicity 1 each; set by validate_rep
     components: tuple | None = dc_field(default=None, compare=False)
-    # the entries at `UPPER` as the integer terms of c M (residues over F_q),
-    # and c, the lcm of their denominators (1 over F_q); set by validate_rep
-    upper: tuple = dc_field(default=(), compare=False, repr=False)
-    den: int = dc_field(default=1, compare=False, repr=False)
     # field -> this rep reduced into it, kept by reduce_rep
     reductions: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def entry(self, i: int, j: int) -> MultiPoly:
-        return self.entries[i][j]
+        """Entry (i, j) of M: its integer terms in c M divided by c."""
+        return self._poly(self.upper[UPPER.index((min(i, j), max(i, j)))], 1)
 
     def _block(self, n: int) -> list:
         """The upper-left n x n block of c M as integer terms."""
@@ -105,18 +105,6 @@ class SymDetRep:
         return [dense(t, _expected_degree(*ij)) for ij, t in zip(UPPER, self.upper)]
 
     @cached_property
-    def fiber_forms(self) -> list:
-        """F's forms in x of the u-t monomials z_i z_j, (i, j) in `UPPER`,
-        z = (u1, u2, u3, t), a square's form doubled, as `dense` forms of the
-        integer terms of c F: with F(t p, u) = t Q(u, t), their values at p
-        are the polar matrix of Q up to the factor c."""
-        forms: dict = {ij: {} for ij in UPPER}
-        for e, c in self.fourfold_terms.items():
-            i, j = (n for n, k in enumerate(e[3:] + (2 - sum(e[3:]),)) for _ in range(k))
-            forms[i, j][e[:3]] = 2 * c if i == j else c
-        return [dense(forms[ij], _expected_degree(*ij)) for ij in UPPER]
-
-    @cached_property
     def classification(self):
         """The singularity classification of the sextic over the rep's field."""
         from .curves import classify_singularities
@@ -154,9 +142,7 @@ def validate_rep(entries, field, components: tuple | list | None = None) -> SymD
     if components is not None:
         components = tuple(components)
     upper, den = clear_denominators([entries[i][j] for i, j in UPPER])
-    rep = SymDetRep(field, tuple(tuple(row) for row in entries), components, tuple(upper), den)
-    if not rep.sextic_terms:
-        raise Rejection("determinant vanishes identically; the discriminant sextic is not a curve")
+    rep = _curve(SymDetRep(field, tuple(upper), den, components))
     if components is not None:
         prod = MultiPoly.constant(field, VARS_X, 1)
         for c in components:
@@ -180,25 +166,34 @@ def _proportional(a: MultiPoly, b: MultiPoly) -> bool:
     return a.scale(a.field.div(cb, ca)) == b
 
 
+def _curve(rep: SymDetRep) -> SymDetRep:
+    if not rep.sextic_terms:
+        raise Rejection("determinant vanishes identically; the discriminant sextic is not a curve")
+    return rep
+
+
 def reduce_rep(rep: SymDetRep, field) -> SymDetRep:
     """The representation over `field`: rep itself when it already lies there,
     otherwise, once per field, its integer terms reduced mod q and divided by
-    c there, and validated again.  When q divides c the first coefficient
-    whose denominator q divides is refused, as `PrimeField.coerce` refuses
-    it.  The factorization stays behind: the F_q scan needs none."""
+    c there.  When q divides c the first coefficient whose denominator q
+    divides is refused, as `PrimeField.coerce` refuses it.  The reduction
+    needs none of `validate_rep`'s shape checks: a form reduced mod q keeps
+    its degree or vanishes, and `UPPER` makes it symmetric; only its
+    determinant may vanish.  The factorization stays behind: the F_q scan
+    needs none."""
     if rep.field == field:
         return rep
     if rep.field.char:
         raise InputError(f"a representation over {rep.field.name} can only be analysed over {rep.field.name}")
     if field not in rep.reductions:
-        if not rep.den % field.q:  # coerce refuses the first coefficient it cannot reduce
-            for i, j in UPPER:
-                for c in rep.entry(i, j).terms.values():
-                    field.coerce(c)
-        inv = pow(rep.den, -1, field.q)
-        upper = {ij: MultiPoly(field, VARS_X, {e: c * inv for e, c in t.items()}) for ij, t in zip(UPPER, rep.upper)}
-        entries = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
-        rep.reductions[field] = validate_rep(entries, field)
+        q = field.q
+        if not rep.den % q:  # coerce refuses the first coefficient it cannot reduce
+            for t in rep.upper:
+                for c in t.values():
+                    field.coerce(Fraction(c, rep.den))
+        inv = pow(rep.den, -1, q)
+        upper = tuple(residues({e: c * inv for e, c in t.items()}, q) for t in rep.upper)
+        rep.reductions[field] = _curve(SymDetRep(field, upper))
     return rep.reductions[field]
 
 

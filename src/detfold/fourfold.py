@@ -101,8 +101,8 @@ def _verify_pair(rep: SymDetRep, p: ProjPoint, alpha, beta, disc: int) -> None:
     The planes lie in span(P, p), the points (t p, u), where F(t p, u) =
     t Q(u, t) because F vanishes on P.  With v = (u, t) their product is
     (alpha . v)^2 - disc (beta . v)^2, so both lie on the fourfold when Q is
-    a nonzero multiple of it: when the polar matrix of Q, read off F's forms
-    at n (`SymDetRep.fiber_forms`), is a nonzero multiple of
+    a nonzero multiple of it: when the Gram matrix of Q, read off the
+    entries' forms at n (`SymDetRep.gram_forms`), is a nonzero multiple of
     alpha alpha^T - disc beta beta^T, compared cross-multiplied.  The two
     planes are distinct, so meet in a line, exactly when disc != 0 and some
     2x2 minor of alpha and beta is nonzero.
@@ -111,10 +111,10 @@ def _verify_pair(rep: SymDetRep, p: ProjPoint, alpha, beta, disc: int) -> None:
     minors = (alpha[k] * beta[l] - alpha[l] * beta[k] for k, l in combinations(range(4), 2))
     if not residue(disc, q) or not any(residue(m, q) for m in minors):
         raise ConsistencyError("planes of a couple must meet along a line")
-    polar = form_values(rep.fiber_forms, p.ints()[0], q)  # both matrices are symmetric: UPPER
+    gram = form_values(rep.gram_forms, p.ints()[0], q)  # both matrices are symmetric: UPPER
     planes = [residue(alpha[k] * alpha[l] - disc * beta[k] * beta[l], q) for k, l in UPPER]
-    lead, pivot = next((x, y) for x, y in zip(polar, planes) if y)
-    if not lead or any(residue(x * pivot - y * lead, q) for x, y in zip(polar, planes)):
+    lead, pivot = next((x, y) for x, y in zip(gram, planes) if y)
+    if not lead or any(residue(x * pivot - y * lead, q) for x, y in zip(gram, planes)):
         raise ConsistencyError(f"claimed plane over {p} is not inside the fourfold")
 
 

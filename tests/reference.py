@@ -24,7 +24,7 @@ elements, and `fraction_plane_solutions_qq` is the former rational plane
 solver, which took its eliminants, fibres and gcds as lists of fractions.  `sylvester_det` is the
 same determinant for univariate integer lists, by Gauss-Jordan over Q.
 `term_polar_matrix` is the former read of a fiber's polar matrix, term by
-term off F, which the cached forms of `SymDetRep.fiber_forms` replaced.
+term off F, independently of M; `SymDetRep.gram_forms` at p give half of it.
 
 `monic`, `gcd_poly`, `derivative` and `is_squarefree` are the former
 univariate routines on field elements that detfold no longer needs.

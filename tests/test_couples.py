@@ -360,10 +360,11 @@ def test_degenerate_couple_has_p_as_a_plane():
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
 @given(data=st.data())
 def test_polar_matrix_matches_term_by_term_read(field, data):
-    # the ten forms of F, grouped once per rep and taken at the integer
-    # vector n = den p, read c den S (the polar matrix) S, S = diag(1, 1, 1,
-    # den) and c the rep's common denominator: divided back, exactly as F's terms read it
-    # at p one at a time; over Q at points with denominators, on dense reps
+    # the ten Gram forms taken at the integer vector n = den p read c den S
+    # G S, S = diag(1, 1, 1, den), c the rep's common denominator and G the
+    # Gram matrix at p: divided back and doubled, exactly the polar matrix
+    # that F's terms read at p one at a time, independently of M; over Q at
+    # points with denominators, on dense reps
     if field == QQ:
         rep = dense_rep(data.draw(st.integers(0, 2**16)), 5)
         coord = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -373,9 +374,9 @@ def test_polar_matrix_matches_term_by_term_read(field, data):
     coords = data.draw(st.tuples(coord, coord, coord).filter(any))
     point = ProjPoint(field, coords, "x")
     n, den = point.ints()
-    polar = dict(zip(UPPER, form_values(rep.fiber_forms, n, field.char)))
+    gram = dict(zip(UPPER, form_values(rep.gram_forms, n, field.char)))
     c, s = rep.den * den, (1, 1, 1, den)
-    read = [[elt(field, polar[min(k, l), max(k, l)]) / (c * s[k] * s[l]) for l in range(4)] for k in range(4)]
+    read = [[2 * elt(field, gram[min(k, l), max(k, l)]) / (c * s[k] * s[l]) for l in range(4)] for k in range(4)]
     assert read == term_polar_matrix(rep.fourfold, point)
 
 
@@ -400,7 +401,7 @@ def reps_with_a_rank2_fiber(draw, field, second=False):
             v, w = (draw(vec) for _ in range(2))
             a, b = (draw(st.integers(1, q - 1)) for _ in range(2))
         fibers.append((1, v, w, a, b))
-    entries = [list(row) for row in rep.entries]
+    entries = [[rep.entry(i, j) for j in range(4)] for i in range(4)]
     for k, v, w, a, b in fibers:
         for i in range(4):
             for j in range(4):
@@ -481,7 +482,7 @@ def test_base_locus_share_test_matches_gcd(q, data):
         l = [field.from_int(c) for c in data.draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=3))]
         s = data.draw(st.lists(st.integers(0, q - 1), min_size=6, max_size=6))
         sym = [[s[0], s[1], s[2]], [s[1], s[3], s[4]], [s[2], s[4], s[5]]]
-        entries = [list(row) for row in rep.entries]
+        entries = [[rep.entry(i, j) for j in range(4)] for i in range(4)]
         for i in range(3):
             for j in range(3):
                 entries[i][j] = MultiPoly(
@@ -533,7 +534,7 @@ def scaled_ex42ii_reps(draw):
         assume(False)
     xs = [MultiPoly.variable(QQ, VARS_X, v) for v in VARS_X]
     w = [sum((x.scale(draw(coeff)) for x in xs), MultiPoly.zero(QQ, VARS_X)) for _ in range(3)]
-    m = [list(row) for row in rep.entries]
+    m = [[rep.entry(i, j) for j in range(4)] for i in range(4)]
     lw = [sum((m[i][k] * w[k] for k in range(3)), m[i][3]) for i in range(3)]  # L w + q
     corner = sum((w[i] * (lw[i] + m[i][3]) for i in range(3)), m[3][3])  # w^T L w + 2 q . w + f
     for i in range(3):

@@ -73,15 +73,19 @@ def _assert_golden(report, stem):
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_expected_highlights_reproduce(name):
     ex = build_example(name)
+    file_rep = parse_rep_file(write_rep_file(ex.rep))
     for field_name, table in ex.expected.items():
         field = field_from_name(field_name)
         report = analyze(ex.rep, field)
         actual = report.to_json_dict()
         for key, (want, _source) in table.items():
             assert actual[key] == want, f"{name} over {field_name}: {key}"
-        _assert_golden(report, f"{name}.{field_name.replace(':', '')}")
+        stem = f"{name}.{field_name.replace(':', '')}"
+        _assert_golden(report, stem)
+        if field.char:  # the scan needs no factorization, so the emitted file reads the same
+            _assert_golden(analyze(file_rep, field), stem)
     # the emitted file over its own field, without a factorization: the CLI path
-    _assert_golden(analyze(parse_rep_file(write_rep_file(ex.rep))), f"{name}.file")
+    _assert_golden(analyze(file_rep), f"{name}.file")
 
 
 def test_emitted_file_at_a_prime_with_64_bit_lanes():
@@ -111,7 +115,10 @@ def test_big_coefficient_rep_matches_goldens():
     c = 10**300
     text = (GOLDEN / "diag_c300.rep").read_text()
     assert f"row 3: 0, 0, 0, {c}*x1^3 + x2^3 + x3^3" in text
-    _assert_golden(analyze(parse_rep_file(text)), "diag_c300.rational")
+    start = time.perf_counter()
+    report = analyze(parse_rep_file(text))
+    assert time.perf_counter() - start < 30.0
+    _assert_golden(report, "diag_c300.rational")
 
 
 def test_wide_denominators_rep_matches_goldens():
@@ -121,7 +128,9 @@ def test_wide_denominators_rep_matches_goldens():
     # scaled by powers of d = 13, 19 and 23
     text = (GOLDEN / "ex42ii_wide.rep").read_text()
     assert "row 3: 0, 0, 0, 30*x1^3 - 19*x1^2*x2 - 110*x1*x2^2" in text
+    start = time.perf_counter()
     report = analyze(parse_rep_file(text))
+    assert time.perf_counter() - start < 30.0
     flat = (GOLDEN / "ex42ii_wide.rational.flat").read_text()
     assert "(1:11/13:19/13)" in flat and "(1:11/41:-23/41)" in flat and "s_c_count = 3\n" in flat
     _assert_golden(report, "ex42ii_wide.rational")
@@ -130,7 +139,9 @@ def test_wide_denominators_rep_matches_goldens():
 def test_wide_denominators_rep_matches_fp29_goldens():
     # the same rep over F_29, where the nodes' denominators become residues:
     # 15 nodes, 12 couples, 3 of them off D
+    start = time.perf_counter()
     report = analyze(parse_rep_file((GOLDEN / "ex42ii_wide.rep").read_text()), PrimeField(29))
+    assert time.perf_counter() - start < 30.0
     flat = (GOLDEN / "ex42ii_wide.fp29.flat").read_text()
     assert "sing_c_count = 15\n" in flat and "couples = 12\n" in flat and "s_c_count = 3\n" in flat
     _assert_golden(report, "ex42ii_wide.fp29")

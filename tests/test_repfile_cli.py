@@ -11,7 +11,7 @@ import pytest
 
 from detfold.cli import main
 from detfold.errors import InputError
-from detfold.examples import build_example
+from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.repfile import parse_rep_file, write_rep_file
 from reference import dense_rep
 
@@ -93,9 +93,10 @@ class TestCli:
         assert "oracle_count = 3" in out
 
     def test_example_command_checks(self):
-        rc, out = run_cli("example", "ex42ii")
-        assert rc == 0
-        assert "all_expected_reproduced = true" in out
+        # each named example exits non-zero when a pinned highlight does not reproduce
+        for name in EXAMPLE_NAMES:
+            rc, out = run_cli("example", name)
+            assert rc == 0 and "all_expected_reproduced = true" in out, name
 
     @pytest.mark.parametrize(
         "name, param",
@@ -104,8 +105,12 @@ class TestCli:
             ("rmk31", "f=x1^3 + 2*x2^3 + 5*x3^3"),
             # general position over Q, but x1, l4 and l6 meet in one point mod 11
             ("ex42ii", "l4=x1 + x2 + 8*x3"),
+            ("ex42ii", "l4=2*x1 + 3*x2 + 5*x3"),
+            ("prop44", "A=1,1,0,0,1,0,0,0,2"),
+            ("rmk31", "f=x1^3 + 2*x2^3 + 3*x3^3 + x1*x2*x3"),
+            ("ex43_fermat", "q=41"),
         ],
-        ids=["ex42i", "rmk31", "ex42ii"],
+        ids=["ex42i", "rmk31", "ex42ii", "ex42ii-l4", "prop44", "rmk31-xyz", "ex43_fermat"],
     )
     def test_example_with_a_non_default_cubic(self, name, param):
         # the pinned highlights belong to the default member alone
@@ -153,6 +158,27 @@ class TestCli:
         assert rc == 1
         assert out == "rejected: denominator of 1/7 vanishes mod 7\n"
 
+    @pytest.mark.parametrize(
+        "args, rc",
+        [(("analyze",), 0), (("analyze", "--field", "fp:7"), 1), (("oracle", "--prime", "7"), 1)],
+        ids=["analyze", "analyze-fp7", "oracle-7"],
+    )
+    def test_sextic_vanishing_mod_q_exit_code(self, tmp_path, args, rc):
+        # the sextic 7 x1 x2 x3 (x1^3 + x2^3 + x3^3) is a curve over Q and
+        # vanishes identically mod 7: the reduction refuses it
+        rep = tmp_path / "sevens.rep"
+        rep.write_text(
+            "field rational\nvars x1 x2 x3\n"
+            "row 0: x1, 0, 0, 0\n"
+            "row 1: 0, x2, 0, 0\n"
+            "row 2: 0, 0, x3, 0\n"
+            "row 3: 0, 0, 0, 7*x1^3 + 7*x2^3 + 7*x3^3\n"
+        )
+        got, out = run_cli(args[0], str(rep), *args[1:])
+        assert got == rc
+        if rc:
+            assert out == "rejected: determinant vanishes identically; the discriminant sextic is not a curve\n"
+
     def test_asymmetric_exit_code(self, tmp_path):
         bad = tmp_path / "asym.rep"
         bad.write_text(
@@ -184,12 +210,17 @@ class TestCli:
     def test_parser_limits_exit_code(self, tmp_path, entry, rc, message):
         # entries that once overflowed the interpreter's recursion or
         # int-conversion limits: a parse error naming line and entry, or, for
-        # a run of signs, folded and analysed
+        # a run of signs, folded to the plain entry's whole report, over Q too
+        head = "field rational\nvars x1 x2 x3\nrow 0: x1, 0, 0, 0\nrow 1: 0, x2, 0, 0\nrow 2: 0, 0, x3, 0\nrow 3: 0, 0, 0, "
         rep = tmp_path / "r.rep"
-        rep.write_text("field rational\nvars x1 x2 x3\nrow 0: x1, 0, 0, 0\nrow 1: 0, x2, 0, 0\n"
-                       f"row 2: 0, 0, x3, 0\nrow 3: 0, 0, 0, {entry}\n")
+        rep.write_text(head + entry + "\n")
         got = run_cli("analyze", str(rep), "--field", "fp:7")
         assert got[0] == rc and got[1].startswith(message)
+        if rc == 0:
+            plain = tmp_path / "plain.rep"
+            plain.write_text(head + "x1^3 + x2^3 + x3^3\n")
+            for field in ("fp:7", "rational"):
+                assert run_cli("analyze", str(rep), "--field", field) == run_cli("analyze", str(plain), "--field", field)
 
     def test_long_product_exits_quickly(self, tmp_path):
         # without the degree limit 200 linear factors are multiplied out,
