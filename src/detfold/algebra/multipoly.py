@@ -1,10 +1,15 @@
-"""Sparse multivariate polynomials over an exact field.
+"""Polynomial arithmetic on integer terms, and `MultiPoly`, the polynomial
+read from text and printed.
 
-Terms live in a dict mapping exponent tuples to nonzero coefficients:
-Fractions over Q, residues in [0, q) over F_q, to which every coefficient is
-reduced on construction, so arithmetic may hand in unreduced integers.  The
-printing order is graded lexicographic (total degree first, then x1 > x2 > ...)
-so output is deterministic.
+Every computation takes term dicts mapping exponent tuples to coefficients,
+integers (residues over F_q) wherever a representation is analysed:
+`mul_terms`, `det_terms`, `diff_terms`, `resultant` and the `dense` forms
+evaluated by `form_values`.  A `MultiPoly`
+holds such a dict in a field, with Fractions over Q and residues in [0, q)
+over F_q, to which every coefficient is reduced on construction.  The parser
+builds one, `validate_rep` checks an entry's degree on it, and the report
+prints it in graded lexicographic order (total degree first, then
+x1 > x2 > ...), so output is deterministic.
 """
 
 from __future__ import annotations
@@ -29,26 +34,6 @@ class MultiPoly:
         self.vars = vars
         self.terms = residues(terms, field.char)
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, field, vars) -> "MultiPoly":
-        return cls(field, vars, {})
-
-    @classmethod
-    def constant(cls, field, vars, c) -> "MultiPoly":
-        c = field.coerce(c)
-        return cls(field, vars, {(0,) * len(vars): c} if c else {})
-
-    @classmethod
-    def variable(cls, field, vars, name: str) -> "MultiPoly":
-        if name not in vars:
-            raise InputError(f"unknown variable {name!r}")
-        e = tuple(1 if v == name else 0 for v in vars)
-        return cls(field, vars, {e: field.one()})
-
-    # -- basic structure -----------------------------------------------------
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -65,115 +50,10 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) == 1
 
-    def degree_in(self, var: str) -> int:
-        i = self.vars.index(var)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "MultiPoly"):
-        if self.vars != other.vars or self.field != other.field:
-            raise InputError("polynomial ring mismatch")
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return MultiPoly(self.field, self.vars, terms)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.field, self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return self.scale(other)
-        self._check(other)
-        return MultiPoly(self.field, self.vars, mul_terms(self.terms, other.terms))
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "MultiPoly":
-        c = self.field.coerce(c)
-        if not c:
-            return MultiPoly.zero(self.field, self.vars)
-        return MultiPoly(self.field, self.vars, {e: k * c for e, k in self.terms.items()})
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise InputError("negative polynomial power")
-        out = MultiPoly.constant(self.field, self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.vars == other.vars and self.field == other.field and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
-    # -- substitution ---------------------------------------------------------
-
-    def substitute(self, mapping: dict) -> "MultiPoly":
-        """Substitute scalars for variables (var name -> scalar of this field
-        or coercible); the result lies in the same ring."""
-        subs = [(self.vars.index(v), self.field.coerce(c)) for v, c in mapping.items()]
-        out: dict = {}
-        for e, c in self.terms.items():
-            e = list(e)
-            for i, s in subs:
-                if e[i]:
-                    c = c * s ** e[i]
-                    e[i] = 0
-            e = tuple(e)
-            out[e] = out.get(e, self.field.zero()) + c
-        return MultiPoly(self.field, self.vars, out)
-
-    # -- division ---------------------------------------------------------
-
-    def lead(self):
-        """(exponent, coefficient) of the graded-lex leading term."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
-
-    def try_divide(self, divisor: "MultiPoly"):
-        """Exact quotient self/divisor, or None if division is not exact."""
-        self._check(divisor)
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = self
-        out = MultiPoly.zero(self.field, self.vars)
-        de, dc = divisor.lead()
-        while not rem.is_zero:
-            re_, rc = rem.lead()
-            qe = tuple(a - b for a, b in zip(re_, de))
-            if any(k < 0 for k in qe):
-                return None
-            qc = self.field.div(rc, dc)
-            qterm = MultiPoly(self.field, self.vars, {qe: qc})
-            out = out + qterm
-            rem = rem - qterm * divisor
-        return out
-
-    # -- printing --------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .algebra import MultiPoly, PrimeField, residue, resultant, resultant_vanishes, unipoly
-from .algebra.multipoly import clear_denominators, dense, diff_terms, form_values
+from .algebra import PrimeField, int_rank_det, residue, resultant, resultant_vanishes, unipoly
+from .algebra.multipoly import clear_denominators, dense, diff_terms, form_values, monomials, mul_terms
 from .detrep import SymDetRep, gram_rank_kernel
 from .errors import ConsistencyError, InputError, Rejection
 from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
@@ -70,20 +70,10 @@ def _degree(terms: dict) -> int:
 
 
 def curve_terms(polys: list) -> list[dict]:
-    """The integer terms of curves a builder supplies, its checks' curves or
-    a factorization, at one common denominator: only their zero sets are
-    read."""
+    """The integer terms of a builder's polynomials at one common
+    denominator, for checks that read them up to a scalar: their zero sets,
+    and the determinant of a block of them."""
     return clear_denominators(polys)[0]
-
-
-def _to_unicoeffs(p: MultiPoly, var: str) -> list:
-    idx = p.vars.index(var)
-    out = [p.field.zero()] * (p.degree_in(var) + 1 if not p.is_zero else 0)
-    for e, c in p.terms.items():
-        if any(k > 0 for i, k in enumerate(e) if i != idx):
-            raise InputError(f"polynomial not univariate in {var}")
-        out[e[idx]] = c
-    return unipoly.trim(out)
 
 
 def _rekeyed(terms: dict, k: int) -> dict:
@@ -232,12 +222,13 @@ def is_reduced_curve(h: dict, field) -> bool:
 
 def singular_points(h: dict, field, components: tuple | None = None) -> PlaneSolutions:
     """Singular points over field of a reduced plane curve h given by integer
-    terms (residues over F_q); given a factorization of h into polynomials,
-    validated by the caller, one system of components at a time."""
+    terms (residues over F_q); given a factorization of h by the integer
+    terms of its components, validated by the caller, one system of
+    components at a time."""
     if not is_reduced_curve(h, field):
         raise Rejection("curve is not reduced (square factor detected)")
     if components is not None:
-        return _singular_points_factored(curve_terms(components), field)
+        return _singular_points_factored(components, field)
     q = field.char
     sol = plane_solutions([h] + [diff_terms(h, i, q) for i in range(3)], field)
     form = [dense(h, _degree(h))]
@@ -369,7 +360,7 @@ def classify_singularities(rep: SymDetRep) -> SingClassification:
     s_c_certified = scan.complete
     notes = []
     if not scan.complete and rep.components is not None:
-        s_c_certified = _certify_s_c(scan.unresolved_in, rep.components, rep.d_cubic)
+        s_c_certified = _certify_s_c(scan.unresolved_in, rep.components, rep.d_terms)
         if s_c_certified:
             notes.append("unlisted singular points certified to lie on D by divisibility")
     if not scan.complete:
@@ -384,13 +375,22 @@ def classify_singularities(rep: SymDetRep) -> SingClassification:
     )
 
 
-def _certify_s_c(unresolved_in, comps, dc) -> bool:
+def _certify_s_c(unresolved_in, comps, d_terms) -> bool:
     """True when every potentially-missing singular point provably lies on D.
 
     Sufficient condition per factored system that left solutions unresolved
     (a pair of components or one component's internal locus, given by its
-    component indices): one involved component divides the cubic D, so its
-    whole zero set is on D.
+    component indices): one involved component c divides the cubic D, so its
+    whole zero set is on D.  Components and D are given by integer terms over
+    Q.  For D != 0, c divides D exactly when D lies in the span of the forms
+    c m, m the monomials of degree deg D - deg c: those are independent, so
+    D adds no rank to them.
     """
-    divides = [dc.is_zero or dc.try_divide(c) is not None for c in comps]
+    if not d_terms:
+        return True
+    d = _degree(d_terms)
+    divides = []
+    for c in comps:
+        rows = [mul_terms(c, {m: 1}) for m in monomials(d - _degree(c))] + [d_terms]
+        divides.append(int_rank_det([dense(t, d)[1] for t in rows])[0] < len(rows))
     return all(any(divides[i] for i in idx) for idx in unresolved_in)

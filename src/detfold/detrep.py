@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations
 from operator import mul
 
 from .algebra import MultiPoly, VARS_X, VARS_XU, cross, int_rank_det, primitive, residue
-from .algebra.multipoly import clear_denominators, dense, det_terms, form_values, residues
+from .algebra.multipoly import clear_denominators, dense, det_terms, form_values, mul_terms, residues
 from .errors import InputError, Rejection
 from .points import ProjPoint
 
@@ -40,7 +41,8 @@ class SymDetRep:
     # and c, the lcm of their denominators (1 over F_q)
     upper: tuple
     den: int = 1
-    # factorization of the sextic, multiplicity 1 each; set by validate_rep
+    # factorization of the sextic, multiplicity 1 each, as integer terms at
+    # a common denominator of their own; set by validate_rep
     components: tuple | None = dc_field(default=None, compare=False)
     # field -> this rep reduced into it, kept by reduce_rep
     reductions: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
@@ -115,7 +117,8 @@ class SymDetRep:
 def validate_rep(entries, field, components: tuple | list | None = None) -> SymDetRep:
     """Check symmetry, the (1,1,1;2;3) degree profile, and det != 0; a
     factorization of the sextic, when given, must multiply out to it up to
-    a scalar and have no two proportional components."""
+    a scalar and have no two proportional components, both checked on the
+    components' integer terms, which the rep keeps."""
     if len(entries) != 4 or any(len(r) != 4 for r in entries):
         raise Rejection("matrix must be 4x4")
     for i in range(4):
@@ -139,31 +142,24 @@ def validate_rep(entries, field, components: tuple | list | None = None) -> SymD
                 raise Rejection(
                     f"matrix is not symmetric: entry ({i+1},{j+1}) differs from ({j+1},{i+1})"
                 )
-    if components is not None:
-        components = tuple(components)
     upper, den = clear_denominators([entries[i][j] for i, j in UPPER])
-    rep = _curve(SymDetRep(field, tuple(upper), den, components))
-    if components is not None:
-        prod = MultiPoly.constant(field, VARS_X, 1)
-        for c in components:
-            prod = prod * c
-        if not _proportional(prod, rep.sextic):
+    # each component is cleared apart from the entries, so den stays their lcm
+    comps = None if components is None else tuple(clear_denominators(list(components))[0])
+    rep = _curve(SymDetRep(field, tuple(upper), den, comps))
+    if comps is not None:
+        q = field.char
+        prod = reduce(lambda a, b: mul_terms(a, b, q), comps, {(0, 0, 0): 1})
+        # a pair of forms is proportional when both have the same monomials
+        # and their coefficient rows have rank at most 1
+        proportional = [
+            a.keys() == b.keys() and int_rank_det([list(a.values()), [b[e] for e in a]], q)[0] <= 1
+            for a, b in [(prod, rep.sextic_terms), *combinations(comps, 2)]
+        ]
+        if not proportional[0]:
             raise Rejection("component product does not equal the curve equation")
-        for i, a in enumerate(components):
-            for b in components[i + 1 :]:
-                if _proportional(a, b):
-                    raise Rejection("repeated component; curve is not reduced")
+        if any(proportional[1:]):
+            raise Rejection("repeated component; curve is not reduced")
     return rep
-
-
-def _proportional(a: MultiPoly, b: MultiPoly) -> bool:
-    if a.is_zero or b.is_zero:
-        return a.is_zero and b.is_zero
-    ea, ca = a.lead()
-    eb, cb = b.lead()
-    if ea != eb:
-        return False
-    return a.scale(a.field.div(cb, ca)) == b
 
 
 def _curve(rep: SymDetRep) -> SymDetRep:

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 
 from .algebra import MultiPoly, PrimeField, QQ, VARS_X, cross, parse_poly
+from .algebra.multipoly import det_terms, mul_terms
 from .algebra.unipoly import _integral, gcd_int
-from .curves import _to_unicoeffs, curve_terms, is_reduced_curve, singular_points
+from .curves import curve_terms, is_reduced_curve, singular_points
 from .detrep import SymDetRep, validate_rep, vanishes_on_plane
-from .errors import InputError, Rejection
+from .errors import ConsistencyError, InputError, Rejection
 
 EXAMPLE_NAMES = (
     "ex42i",
@@ -49,15 +50,10 @@ def _p(text: str, fld=QQ) -> MultiPoly:
     return parse_poly(text, VARS_X, fld)
 
 
-def _zero(fld=QQ) -> MultiPoly:
-    return MultiPoly.zero(fld, VARS_X)
-
-
 def _line_meets_cubic_transversally(f: MultiPoly, line_var: int) -> None:
     """f, a cubic over Q, restricted to {x_i = 0} must be squarefree and avoid
     the two coordinate points on that line (so the sextic stays nodal there)."""
     name = VARS_X[line_var]
-    restricted = f.substitute({name: 0})
     others = [i for i in range(3) if i != line_var]
     for k in others:
         if not f.terms.get(tuple(3 * (i == k) for i in range(3))):  # f at the point x_k = 1
@@ -65,10 +61,14 @@ def _line_meets_cubic_transversally(f: MultiPoly, line_var: int) -> None:
                 f"cubic passes through the coordinate point with {VARS_X[k]}=1 "
                 f"on the line {name}=0; intersection points must avoid the nodes"
             )
-    # binary form in the remaining variables -> univariate squarefree test:
-    # its cleared integer list c is squarefree when gcd(c, c') is constant
-    uni = restricted.substitute({VARS_X[others[1]]: 1})
-    c = _integral(_to_unicoeffs(uni, VARS_X[others[0]]))
+    # the binary form f(x_i = 0) at x_b = 1, b = others[1], as a list in
+    # x_a, a = others[0]; its cleared integer list c is squarefree when
+    # gcd(c, c') is constant
+    uni = [0] * 4
+    for e, k in f.terms.items():
+        if not e[line_var]:
+            uni[e[others[0]]] = k
+    c = _integral(uni)
     if len(c) < 2 or len(gcd_int(c, [i * a for i, a in enumerate(c)][1:])) > 1:
         raise Rejection(
             f"cubic is tangent to the line {name}=0 (or misses it); "
@@ -88,7 +88,7 @@ def _build_ex42i(params: dict) -> NamedExample:
         raise Rejection("parameter f must be a nonzero cubic")
     for i in range(3):
         _line_meets_cubic_transversally(f, i)
-    z = _zero()
+    z = _p("0")
     x1, x2, x3 = _p("x1"), _p("x2"), _p("x3")
     rep = validate_rep(
         [[z, x1, x2, z], [x1, z, x3, z], [x2, x3, z, z], [z, z, z, f]], fld, [x1, x2, x3, f]
@@ -142,8 +142,8 @@ def _build_ex42ii(params: dict) -> NamedExample:
         rows = [[p.terms.get(tuple(1 if i == k else 0 for i in range(3)), 0) for k in range(3)] for p in (a, b, c)]
         if not sum(map(mul, rows[0], cross(rows[1], rows[2]))):
             raise Rejection("three of the six lines are concurrent; not in general position")
-    z = _zero()
-    corner = lines[0] * lines[1] * lines[2]
+    z = _p("0")
+    corner = MultiPoly(fld, VARS_X, mul_terms(mul_terms(lines[0].terms, lines[1].terms), lines[2].terms))
     rep = validate_rep([[x1, z, z, z], [z, x2, z, z], [z, z, x3, z], [z, z, z, corner]], fld, all_lines)
     counts = {
         "sing_c_count": (15, "derived"),
@@ -170,26 +170,25 @@ def _build_prop44(params: dict) -> NamedExample:
         raise InputError("parameter A needs nine comma-separated entries")
     rows = [vals[0:3], vals[3:6], vals[6:9]]
     x = [_p(v) for v in VARS_X]
-    f_a = _zero()
-    for i in range(3):
-        row_form = _zero()
-        for j in range(3):
-            if rows[i][j]:
-                row_form = row_form + x[j].scale(rows[i][j])
-        f_a = f_a + row_form * row_form * x[i]
-    if f_a.is_zero:
+    # the corner -f_a, f_a = sum_i (sum_j a_ij x_j)^2 x_i, term by term
+    terms: dict = {}
+    for i, j, k in product(range(3), repeat=3):
+        e = tuple((i == t) + (j == t) + (k == t) for t in range(3))
+        terms[e] = terms.get(e, 0) - rows[i][j] * rows[i][k]
+    corner = MultiPoly(fld, VARS_X, terms)
+    if corner.is_zero:
         raise Rejection("the cubic built from A vanishes identically")
     # membership: the cubic must be smooth and meet the coordinate triangle
     # transversally away from its vertices
-    scan = singular_points(curve_terms([f_a])[0], fld)
+    scan = singular_points(curve_terms([corner])[0], fld)
     if scan.points:
         raise Rejection(f"the cubic built from A is singular at {scan.points[0]}")
     if not scan.complete:
         raise Rejection("smoothness of the cubic built from A could not be certified")
     for i in range(3):
-        _line_meets_cubic_transversally(f_a, i)
-    z = _zero()
-    rep = validate_rep([[x[0], z, z, z], [z, x[1], z, z], [z, z, x[2], z], [z, z, z, -f_a]], fld, x + [-f_a])
+        _line_meets_cubic_transversally(corner, i)
+    z = _p("0")
+    rep = validate_rep([[x[0], z, z, z], [z, x[1], z, z], [z, z, x[2], z], [z, z, z, corner]], fld, x + [corner])
     # section plane u_i = sum_j a_ij x_j lies on the fourfold identically
     section = [
         tuple([-rows[i][j] for j in range(3)] + [1 if t == i else 0 for t in range(3)])
@@ -240,11 +239,14 @@ def _build_ex43_quartic(params: dict) -> NamedExample:
     fld = QQ
     vals = {k: _p(v) for k, v in params.items()}
     l1, l2, l11, q1, f = vals["l1"], vals["l2"], vals["l11"], vals["q1"], vals["f"]
-    quartic = l11 * f - q1 * q1
-    if quartic.is_zero or not is_reduced_curve(curve_terms([quartic])[0], fld):
+    a, b, c = curve_terms([l11, q1, f])
+    quartic = det_terms([[a, b], [b, c]])  # l11 f - q1^2, up to a scalar
+    if not quartic or not is_reduced_curve(quartic, fld):
         raise Rejection("the 2x2 block does not define a reduced quartic")
-    z = _zero()
-    rep = validate_rep([[l1, z, z, z], [z, l2, z, z], [z, z, l11, q1], [z, z, q1, f]], fld, [l1, l2, quartic])
+    z = _p("0")
+    rep = validate_rep(
+        [[l1, z, z, z], [z, l2, z, z], [z, z, l11, q1], [z, z, q1, f]], fld, [l1, l2, MultiPoly(fld, VARS_X, quartic)]
+    )
     return NamedExample(
         name="ex43_quartic_two_lines",
         rep=rep,
@@ -283,11 +285,11 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
     fld = QQ
     vals = {k: _p(v) for k, v in params.items()}
     l1 = vals["l1"]
-    a, b, c, d, e, f = (vals[k] for k in ("l11", "l12", "q1", "l22", "q2", "f"))
-    quintic = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)  # det of the 3x3 block
-    if quintic.is_zero or not is_reduced_curve(curve_terms([quintic])[0], fld):
+    a, b, c, d, e, f = curve_terms([vals[k] for k in ("l11", "l12", "q1", "l22", "q2", "f")])
+    quintic = det_terms([[a, b, c], [b, d, e], [c, e, f]])  # det of the 3x3 block, up to a scalar
+    if not quintic or not is_reduced_curve(quintic, fld):
         raise Rejection("the 3x3 block does not define a reduced quintic")
-    z = _zero()
+    z = _p("0")
     rep = validate_rep(
         [
             [l1, z, z, z],
@@ -296,7 +298,7 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
             [z, vals["q1"], vals["q2"], vals["f"]],
         ],
         fld,
-        [l1, quintic],
+        [l1, MultiPoly(fld, VARS_X, quintic)],
     )
     counts = {
         "sing_c_count": (3, "derived"),
@@ -339,23 +341,19 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
     w = pow(n, (q - 1) // 8, q)
     omega = fld.from_int(min(pow(w, k, q) for k in (1, 3, 5, 7)))
     i_elt = omega * omega % q
-    x1 = MultiPoly.variable(fld, VARS_X, "x1")
-    x2 = MultiPoly.variable(fld, VARS_X, "x2")
-    x3 = MultiPoly.variable(fld, VARS_X, "x3")
-    z = MultiPoly.zero(fld, VARS_X)
-    m33 = -(x1 - x2.scale(omega))
-    m44 = (x1 + x2.scale(omega)) * (x1 * x1 + (x2 * x2).scale(i_elt))
+    z, x3sq = _p("0", fld), _p("x3^2", fld)
+    m33 = _p(f"-x1 + {omega}*x2", fld)
+    m44 = _p(f"(x1 + {omega}*x2)*(x1^2 + {i_elt}*x2^2)", fld)
     rep = validate_rep(
         [
-            [-x1, z, z, z],
-            [z, x1 + x2, z, z],
-            [z, z, m33, x3 * x3],
-            [z, z, x3 * x3, m44],
+            [_p("-x1", fld), z, z, z],
+            [z, _p("x1 + x2", fld), z, z],
+            [z, z, m33, x3sq],
+            [z, z, x3sq, m44],
         ],
         fld,
     )
-    quartic = x1**4 + x2**4 + x3**4
-    if rep.sextic != x1 * (x1 + x2) * quartic:
+    if rep.sextic != _p("x1*(x1 + x2)*(x1^4 + x2^4 + x3^4)", fld):
         raise Rejection(
             "root selection failed: the determinant is not the product of the "
             "two lines and the diagonal quartic"
@@ -389,20 +387,21 @@ def _build_rmk31(params: dict) -> NamedExample:
     f = _p(params["f"])
     if f.is_zero or f.degree() != 3:
         raise Rejection("parameter f must be a nonzero cubic")
-    z = _zero()
-    x1, x2, x3 = _p("x1"), _p("x2"), _p("x3")
+    z = _p("0")
+    x1, x2 = _p("x1"), _p("x2")
     nodal_cubic = _p("x2^2*x3 - x1^3 - x1^2*x3")
     rep = validate_rep(
         [
             [z, x1, x2, z],
-            [x1, -x3, z, z],
-            [x2, z, x1 + x3, z],
+            [x1, _p("-x3"), z, z],
+            [x2, z, _p("x1 + x3"), z],
             [z, z, z, f],
         ],
         fld,
         [nodal_cubic, f],
     )
-    assert rep.d_cubic == nodal_cubic
+    if rep.d_cubic != nodal_cubic:
+        raise ConsistencyError(f"the linear block's determinant is {rep.d_cubic}, not {nodal_cubic}")
     expected = {
         "rational": {
             "b_count": (1, "derived"),

@@ -143,7 +143,7 @@ def net_conics(rep: SymDetRep) -> list[dict]:
 def base_locus(rep: SymDetRep):
     """Common zeros in P of the net of conics; at most 3 points for valid input."""
     field = rep.field
-    if rep.d_cubic.is_zero:
+    if not rep.d_terms:
         raise Rejection("the cubic D vanishes identically; the net of conics is degenerate")
     conics = [c for c in net_conics(rep) if c]
     if len(conics) < 2:

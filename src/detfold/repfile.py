@@ -8,6 +8,10 @@ Format (whitespace-insensitive inside expressions, '#' starts a comment):
     row 1: 0, x2, 0, 0
     row 2: 0, 0, x3, 0
     row 3: 0, 0, 0, x1^3 + x2^3 + x3^3
+
+A line's first word names its directive exactly: `field` and `vars` each
+appear once, before the rows, and each row index 0-3 once.  Any other
+word, or a repeated directive, is refused with the line's number.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ def parse_rep_file(text: str) -> SymDetRep:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("field"):
+        word = line.split()[0]
+        if (word == "field" and field is not None) or (word == "vars" and vars_seen):
+            raise InputError(f"line {lineno}: repeated '{word}' declaration")
+        if word == "field":
             parts = line.split()
             if parts[1:] == ["rational"]:
                 field = QQ
@@ -37,11 +44,11 @@ def parse_rep_file(text: str) -> SymDetRep:
                     raise InputError(f"line {lineno}: bad prime {parts[2]!r}") from None
             else:
                 raise InputError(f"line {lineno}: expected 'field rational' or 'field fp Q'")
-        elif line.startswith("vars"):
+        elif word == "vars":
             if line.split() != ["vars", "x1", "x2", "x3"]:
                 raise InputError(f"line {lineno}: expected 'vars x1 x2 x3'")
             vars_seen = True
-        elif line.startswith("row"):
+        elif word == "row":
             if field is None or not vars_seen:
                 raise InputError(f"line {lineno}: field and vars must come before rows")
             head, _, body = line.partition(":")
@@ -65,7 +72,7 @@ def parse_rep_file(text: str) -> SymDetRep:
                     raise InputError(f"line {lineno}, entry {col + 1}: {e}") from None
             rows[idx] = entries
         else:
-            raise InputError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
+            raise InputError(f"line {lineno}: unrecognized directive {word!r}")
     if field is None:
         raise InputError("missing 'field' declaration")
     if not vars_seen:

@@ -40,6 +40,14 @@ former `MultiPoly` methods for values at points, partials, the variables a
 polynomial involves and reduction mod q, which detfold no longer needs: it
 reads the integer terms its representation holds.
 
+`Poly` is a `MultiPoly` with the former ring operations: the constructors
+`zero`, `constant` and `variable`, `+`, `-`, `*`, `**` and `scale`.
+`degree_in`, `substitute`, `lead` and `try_divide` are the former methods
+that went with them, and `_to_unicoeffs` the former coefficient list of a
+univariate polynomial.  detfold builds its polynomials through the parser
+or from integer terms, and its factorization checks multiply and divide
+integer terms; the references and the tests build theirs with these.
+
 Over F_q these references compute with `Residue`, an int in [0, q) whose
 operators stay in F_q; `elt` takes a value of detfold's field, a plain
 residue over F_q or a Fraction over Q, to a field element here.  A
@@ -64,8 +72,9 @@ from itertools import combinations, combinations_with_replacement
 from operator import index
 
 from detfold.algebra import QQ, PrimeField, VARS_X, MultiPoly, resultant, resultant_vanishes, unipoly
+from detfold.algebra.multipoly import _grlex_key, mul_terms
 from detfold.algebra.parser import MAX_NESTING, PolyParseError, _tokenize
-from detfold.curves import PlaneSolutions, _to_unicoeffs
+from detfold.curves import PlaneSolutions
 from detfold.detrep import _expected_degree, validate_rep
 from detfold.errors import ConsistencyError, InputError, Rejection
 from detfold.points import ProjPoint, p2_lines, sorted_points
@@ -115,6 +124,144 @@ def elt(field, x):
     return Residue(x, field.char) if field.char else x
 
 
+class Poly(MultiPoly):
+    """A `MultiPoly` with the ring operations detfold no longer needs: sums,
+    differences, products, powers and scalar multiples, each a `Poly`, for
+    the references and for building test polynomials.  A plain `MultiPoly`
+    (parsed, or read off a rep) may be the other operand; `Poly.of` takes one
+    in."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, p) -> "Poly":
+        return cls(p.field, p.vars, p.terms)
+
+    @classmethod
+    def zero(cls, field, vars) -> "Poly":
+        return cls(field, vars, {})
+
+    @classmethod
+    def constant(cls, field, vars, c) -> "Poly":
+        c = field.coerce(c)
+        return cls(field, vars, {(0,) * len(vars): c} if c else {})
+
+    @classmethod
+    def variable(cls, field, vars, name: str) -> "Poly":
+        if name not in vars:
+            raise InputError(f"unknown variable {name!r}")
+        return cls(field, vars, {tuple(1 if v == name else 0 for v in vars): field.one()})
+
+    def __add__(self, other) -> "Poly":
+        _check(self, other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms[e] + c if e in terms else c
+        return Poly(self.field, self.vars, terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Poly":
+        return self + (-Poly.of(other))
+
+    def __rsub__(self, other) -> "Poly":
+        return -(self - other)
+
+    def __neg__(self) -> "Poly":
+        return Poly(self.field, self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other) -> "Poly":
+        if not isinstance(other, MultiPoly):
+            return self.scale(other)
+        _check(self, other)
+        return Poly(self.field, self.vars, mul_terms(self.terms, other.terms))
+
+    __rmul__ = __mul__
+
+    def scale(self, c) -> "Poly":
+        c = self.field.coerce(c)
+        return Poly(self.field, self.vars, {e: k * c for e, k in self.terms.items()} if c else {})
+
+    def __pow__(self, n: int) -> "Poly":
+        if n < 0:
+            raise InputError("negative polynomial power")
+        out = Poly.constant(self.field, self.vars, 1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __hash__(self):
+        return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+
+
+def _check(a, b):
+    if a.vars != b.vars or a.field != b.field:
+        raise InputError("polynomial ring mismatch")
+
+
+def degree_in(p, var: str) -> int:
+    """The degree of p in var; -1 for the zero polynomial."""
+    i = p.vars.index(var)
+    return max((e[i] for e in p.terms), default=-1)
+
+
+def substitute(p, mapping: dict) -> Poly:
+    """p with scalars (of its field or coercible) put for variables (var
+    name -> scalar), in the same ring."""
+    subs = [(p.vars.index(v), p.field.coerce(c)) for v, c in mapping.items()]
+    out: dict = {}
+    for e, c in p.terms.items():
+        e = list(e)
+        for i, s in subs:
+            if e[i]:
+                c = c * s ** e[i]
+                e[i] = 0
+        e = tuple(e)
+        out[e] = out.get(e, p.field.zero()) + c
+    return Poly(p.field, p.vars, out)
+
+
+def lead(p):
+    """(exponent, coefficient) of the graded-lex leading term."""
+    e = max(p.terms, key=_grlex_key)
+    return e, p.terms[e]
+
+
+def try_divide(p, divisor):
+    """The exact quotient p / divisor, or None if division is not exact."""
+    _check(p, divisor)
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = Poly.of(p)
+    out = Poly.zero(p.field, p.vars)
+    de, dc = lead(divisor)
+    while not rem.is_zero:
+        re_, rc = lead(rem)
+        qe = tuple(a - b for a, b in zip(re_, de))
+        if any(k < 0 for k in qe):
+            return None
+        qterm = Poly(p.field, p.vars, {qe: p.field.div(rc, dc)})
+        out = out + qterm
+        rem = rem - qterm * divisor
+    return out
+
+
+def _to_unicoeffs(p, var: str) -> list:
+    """The coefficient list in var of a polynomial free of every other
+    variable."""
+    idx = p.vars.index(var)
+    out = [p.field.zero()] * (degree_in(p, var) + 1)
+    for e, c in p.terms.items():
+        if any(k > 0 for i, k in enumerate(e) if i != idx):
+            raise InputError(f"polynomial not univariate in {var}")
+        out[e[idx]] = c
+    return unipoly.trim(out)
+
+
 def monic(p: list) -> list:
     if not p:
         return p
@@ -153,7 +300,7 @@ def dense_rep(seed, height):
             d = _expected_degree(i, j)
             terms = {(a, b, d - a - b): QQ.from_int(rng.randint(-height, height))
                      for a in range(d, -1, -1) for b in range(d - a, -1, -1)}
-            rows[i][j] = rows[j][i] = MultiPoly(QQ, VARS_X, terms)
+            rows[i][j] = rows[j][i] = Poly(QQ, VARS_X, terms)
     return validate_rep(rows, QQ)
 
 
@@ -205,7 +352,7 @@ def evaluate(p, values):
 def diff(p, var):
     """The partial derivative of p in var, in p's ring."""
     i = p.vars.index(var)
-    return MultiPoly(p.field, p.vars, {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.terms.items() if e[i]})
+    return Poly(p.field, p.vars, {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.terms.items() if e[i]})
 
 
 def involves(p, var) -> bool:
@@ -215,7 +362,7 @@ def involves(p, var) -> bool:
 
 def map_field(p, field):
     """p with its coefficients coerced into field (reduced mod q)."""
-    return MultiPoly(field, p.vars, {e: field.coerce(c) for e, c in p.terms.items()})
+    return Poly(field, p.vars, {e: field.coerce(c) for e, c in p.terms.items()})
 
 
 def euclid_gcd(p, q, field):
@@ -288,7 +435,7 @@ def fraction_plane_solutions_qq(polys, field) -> PlaneSolutions:
             pts.add(ProjPoint(field, cand, "x"))
 
     # chart x3 = 1
-    aff = [p.substitute({"x3": 1}) for p in polys]
+    aff = [substitute(p, {"x3": 1}) for p in polys]
     aff = [p for p in aff if not p.is_zero]
     if not any(p.degree() == 0 for p in aff):
         with_x2 = [p for p in aff if involves(p, "x2")]
@@ -308,7 +455,7 @@ def fraction_plane_solutions_qq(polys, field) -> PlaneSolutions:
         unresolved += cof
         for a in roots:
             # the polynomials free of x2 are eliminants and vanish at a
-            fibre = [_to_unicoeffs(p.substitute({"x1": a}), "x2") for p in aff]
+            fibre = [_to_unicoeffs(substitute(p, {"x1": a}), "x2") for p in aff]
             fibre = [u for u in fibre if u]
             if not fibre:
                 raise Rejection("solution set contains a vertical line (positive-dimensional)")
@@ -318,13 +465,13 @@ def fraction_plane_solutions_qq(polys, field) -> PlaneSolutions:
                 keep((a, b, one))
 
     # line x3 = 0
-    line = [p.substitute({"x3": 0}) for p in polys]
+    line = [substitute(p, {"x3": 0}) for p in polys]
     line = [p for p in line if not p.is_zero]
     if not line:
         raise Rejection("system vanishes identically on the line x3=0 (positive-dimensional)")
     if not any(p.degree() == 0 for p in line):
         keep((one, zero, zero))
-        roots, cof = _fraction_common_roots([_to_unicoeffs(p.substitute({"x2": 1}), "x1") for p in line])
+        roots, cof = _fraction_common_roots([_to_unicoeffs(substitute(p, {"x2": 1}), "x1") for p in line])
         unresolved += cof
         for r in roots:
             keep((r, one, zero))
@@ -366,32 +513,32 @@ def poly_resultant(f, g, var):
     """`resultant` on two polynomials: the resultant in var of their cleared
     integer terms divided by sf^n sg^m, sf and sg their denominators and m, n
     their degrees in var, in their ring."""
-    f._check(g)
+    _check(f, g)
     (fi, sf), (gi, sg) = _cleared(f), _cleared(g)
     i = f.vars.index(var)
     r = resultant(fi, gi, i)
-    scale = sf ** g.degree_in(var) * sg ** f.degree_in(var)
-    return MultiPoly(f.field, f.vars, r if f.field.char else {e: Fraction(c, scale) for e, c in r.items()})
+    scale = sf ** degree_in(g, var) * sg ** degree_in(f, var)
+    return Poly(f.field, f.vars, r if f.field.char else {e: Fraction(c, scale) for e, c in r.items()})
 
 
 def poly_resultant_vanishes(f, g, var):
     """`resultant_vanishes` on two polynomials, over their field."""
-    f._check(g)
+    _check(f, g)
     return resultant_vanishes(_cleared(f)[0], _cleared(g)[0], f.vars.index(var), f.field.char)
 
 
 def bareiss_resultant(f, g, var):
     """Sylvester determinant of f and g in var over the polynomial ring,
     fraction-free (Bareiss)."""
-    m, n = f.degree_in(var), g.degree_in(var)
-    zero = MultiPoly.zero(f.field, f.vars)
+    m, n = degree_in(f, var), degree_in(g, var)
+    zero = Poly.zero(f.field, f.vars)
     rows = []
     for p, copies in ((f, n), (g, m)):
         lead_first = list(reversed(coeffs_in(p, var)))
         for i in range(copies):
             rows.append([zero] * i + lead_first + [zero] * (copies - 1 - i))
     size = m + n
-    sign, prev = 1, MultiPoly.constant(f.field, f.vars, 1)
+    sign, prev = 1, Poly.constant(f.field, f.vars, 1)
     for k in range(size - 1):
         if rows[k][k].is_zero:
             sel = next((i for i in range(k + 1, size) if not rows[i][k].is_zero), None)
@@ -401,7 +548,7 @@ def bareiss_resultant(f, g, var):
             sign = -sign
         for i in range(k + 1, size):
             for j in range(k + 1, size):
-                q = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]).try_divide(prev)
+                q = try_divide(rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j], prev)
                 assert q is not None, "non-exact Bareiss division"
                 rows[i][j] = q
             rows[i][k] = zero
@@ -442,10 +589,10 @@ def plane_span(point, form, field):
 def coeffs_in(p, var):
     """Coefficients (as MultiPoly in the same ring) of powers of var, ascending."""
     i = p.vars.index(var)
-    buckets = [dict() for _ in range(max(p.degree_in(var), 0) + 1)]
+    buckets = [dict() for _ in range(max(degree_in(p, var), 0) + 1)]
     for e, c in p.terms.items():
         buckets[e[i]][e[:i] + (0,) + e[i + 1 :]] = c
-    return [MultiPoly(p.field, p.vars, b) for b in buckets]
+    return [Poly(p.field, p.vars, b) for b in buckets]
 
 
 def _bivar_content_pp(p, main, aux):
@@ -466,26 +613,26 @@ def _uni_to_poly(u, var, field):
             e = [0, 0, 0]
             e[idx] = k
             terms[tuple(e)] = c
-    return MultiPoly(field, VARS_X, terms)
+    return Poly(field, VARS_X, terms)
 
 
 def _primitive_in(p, main, aux):
     cont = _bivar_content_pp(p, main, aux)
     if unipoly.deg(cont) <= 0:
         return p
-    q = p.try_divide(_uni_to_poly(cont, aux, p.field))
+    q = try_divide(p, _uni_to_poly(cont, aux, p.field))
     assert q is not None, "content division failed"
     return q
 
 
 def _pseudo_rem(f, g, main):
-    dg = g.degree_in(main)
+    dg = degree_in(g, main)
     lead_g = coeffs_in(g, main)[dg]
     r = f
-    while not r.is_zero and r.degree_in(main) >= dg:
-        dr = r.degree_in(main)
+    while not r.is_zero and degree_in(r, main) >= dg:
+        dr = degree_in(r, main)
         lead_r = coeffs_in(r, main)[dr]
-        shift = MultiPoly.variable(r.field, r.vars, main) ** (dr - dg)
+        shift = Poly.variable(r.field, r.vars, main) ** (dr - dg)
         r = r * lead_g - g * shift * lead_r
     return r
 
@@ -507,7 +654,7 @@ def bivar_gcd(f, g, main="x1", aux="x2"):
 
     ccont = gcd_poly(_bivar_content_pp(f, main, aux), _bivar_content_pp(g, main, aux), field)
     a, b = f, g
-    if a.degree_in(main) < b.degree_in(main):
+    if degree_in(a, main) < degree_in(b, main):
         a, b = b, a
     a = _primitive_in(a, main, aux)
     b = _primitive_in(b, main, aux)
@@ -518,7 +665,7 @@ def bivar_gcd(f, g, main="x1", aux="x2"):
         gc = a
     elif not involves(b, main):
         # a nonzero remainder free of main kills any main-dependent common part
-        gc = MultiPoly.constant(field, f.vars, 1)
+        gc = Poly.constant(field, f.vars, 1)
     else:
         gc = b
     return gc * _uni_to_poly(ccont if ccont else [field.one()], aux, field)
@@ -530,7 +677,7 @@ def reference_is_reduced(h):
         return False
     if min(e[2] for e in h.terms) >= 2:
         return False
-    chart = h.substitute({"x3": 1})
+    chart = substitute(h, {"x3": 1})
     if chart.degree() == 0:
         return True  # h = c * x3^(0 or 1)
     g1 = bivar_gcd(chart, diff(chart, "x1"))
@@ -667,7 +814,7 @@ def field_fiber_forms(rep) -> dict:
     for e, c in rep.fourfold.terms.items():
         i, j = (n for n, k in enumerate(e[3:] + (2 - sum(e[3:]),)) for _ in range(k))
         forms.setdefault((i, j), {})[e[:3]] = c + c if i == j else c
-    return {ij: MultiPoly(rep.field, VARS_X, terms) for ij, terms in forms.items()}
+    return {ij: Poly(rep.field, VARS_X, terms) for ij, terms in forms.items()}
 
 
 @dataclass(frozen=True)
@@ -881,16 +1028,16 @@ class ReferenceParser:
         return p
 
     def mul(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
-        out = MultiPoly.zero(self.field, self.vars)
+        out = Poly.zero(self.field, self.vars)
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 c = elt(self.field, c1) * elt(self.field, c2)
-                out = out + MultiPoly(self.field, self.vars, {e: c})
+                out = out + Poly(self.field, self.vars, {e: c})
         return out
 
     def power(self, p: MultiPoly, n: int) -> MultiPoly:
-        out = MultiPoly.constant(self.field, self.vars, 1)
+        out = Poly.constant(self.field, self.vars, 1)
         while n:
             if n & 1:
                 out = self.mul(out, p)
@@ -927,12 +1074,12 @@ class ReferenceParser:
                 value = Fraction(num, int(dt))
             else:
                 value = Fraction(num)
-            return MultiPoly.constant(self.field, self.vars, self.field.coerce(value))
+            return Poly.constant(self.field, self.vars, self.field.coerce(value))
         if kind == "name":
             self.take()
             if text not in self.vars:
                 raise PolyParseError(f"unknown variable {text!r}", pos)
-            p = MultiPoly.variable(self.field, self.vars, text)
+            p = Poly.variable(self.field, self.vars, text)
             if self.peek()[0] == "^":
                 self.take()
                 ek, et, ep = self.take()

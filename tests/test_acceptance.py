@@ -21,8 +21,10 @@ from detfold.fourfold import (
 )
 from detfold.lattice import ns2_gram
 from detfold.points import ProjPoint
+from detfold.report import analyze
 from detfold.spin import build_dual_graph, graph_stats, spin_subsets, theta_counts
 from reference import evaluate, matrix_rank, plane_forms, plane_span
+from test_examples import _assert_golden
 
 
 def _passline(n, label, t0):
@@ -74,6 +76,16 @@ def test_criterion_3_prop44_smooth():
     assert rpt.class_count == 25
     assert len(rpt.gram) == 14 and rpt.det != 0
     assert rpt.rank == rpt.rank_lower_bound == 14
+    # a member whose entries and components carry denominators (den = 100):
+    # over Q its 9 singular points off the rational ones are certified to
+    # lie on D by divisibility, so it is smooth; the report is pinned
+    member = build_example("prop44", {"A": "1,-1/2,0,0,1,1/5,0,0,3"}).rep
+    assert member.den == 100
+    report = analyze(member)
+    data = report.to_json_dict()
+    assert data["smooth"] and data["s_c_certified"] and (data["sing_c_count"], data["sing_c_unresolved"]) == (3, 9)
+    assert "unlisted singular points certified to lie on D by divisibility" in data["notes"]
+    _assert_golden(report, "prop44_fractional.rational")
     _passline(3, "prop44 smoothness, oracle, and lattice data", t0)
 
 

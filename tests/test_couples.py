@@ -53,7 +53,7 @@ from detfold.fourfold import (
 from detfold.points import ProjPoint, sorted_points
 from detfold.repfile import parse_rep_file
 import reference as ref
-from reference import bivar_gcd, dense_rep, elt, evaluate, matrix_rank, pair_ints, plane_forms, plane_span, term_polar_matrix
+from reference import Poly, bivar_gcd, dense_rep, elt, evaluate, matrix_rank, pair_ints, plane_forms, plane_span, substitute, term_polar_matrix, try_divide
 from test_oracle import random_reps
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,10 +63,10 @@ def _conic_common_factor(a, b, field):
     """Common factor of two conics: their bivariate gcd in the chart x3 = 1,
     or x3 when it divides both."""
     ax, bx = (MultiPoly(field, VARS_X, dict(c.terms)) for c in (a, b))
-    g = bivar_gcd(ax.substitute({"x3": 1}), bx.substitute({"x3": 1}))
+    g = bivar_gcd(substitute(ax, {"x3": 1}), substitute(bx, {"x3": 1}))
     if g.degree() == 0:
-        x3 = MultiPoly.variable(field, VARS_X, "x3")
-        if ax.try_divide(x3) is not None and bx.try_divide(x3) is not None:
+        x3 = Poly.variable(field, VARS_X, "x3")
+        if try_divide(ax, x3) is not None and try_divide(bx, x3) is not None:
             return x3
     return g
 
@@ -274,8 +274,8 @@ def test_line_test_matches_reference(name, params, field):
 def _conjugate_split_rep():
     # diag(x1, x2, x3, f) with f(0,0,1) = 1: over (0:0:1) the fiber form is
     # u3^2 + t^2, which splits over Q(i) only
-    z = MultiPoly.zero(QQ, VARS_X)
-    x1, x2, x3 = (MultiPoly.variable(QQ, VARS_X, v) for v in VARS_X)
+    z = Poly.zero(QQ, VARS_X)
+    x1, x2, x3 = (Poly.variable(QQ, VARS_X, v) for v in VARS_X)
     f = parse_poly("x1^3 + x2^3 + x3^3", VARS_X, QQ)
     return validate_rep([[x1, z, z, z], [z, x2, z, z], [z, z, x3, z], [z, z, z, f]], QQ)
 
@@ -532,9 +532,9 @@ def scaled_ex42ii_reps(draw):
         rep = build_example("ex42ii", lines).rep
     except Rejection:
         assume(False)
-    xs = [MultiPoly.variable(QQ, VARS_X, v) for v in VARS_X]
-    w = [sum((x.scale(draw(coeff)) for x in xs), MultiPoly.zero(QQ, VARS_X)) for _ in range(3)]
-    m = [[rep.entry(i, j) for j in range(4)] for i in range(4)]
+    xs = [Poly.variable(QQ, VARS_X, v) for v in VARS_X]
+    w = [sum((x.scale(draw(coeff)) for x in xs), Poly.zero(QQ, VARS_X)) for _ in range(3)]
+    m = [[Poly.of(rep.entry(i, j)) for j in range(4)] for i in range(4)]
     lw = [sum((m[i][k] * w[k] for k in range(3)), m[i][3]) for i in range(3)]  # L w + q
     corner = sum((w[i] * (lw[i] + m[i][3]) for i in range(3)), m[3][3])  # w^T L w + 2 q . w + f
     for i in range(3):
@@ -544,7 +544,7 @@ def scaled_ex42ii_reps(draw):
     d = [draw(scale) for _ in range(4)]
     entries = [[m[i][j].scale(d[i] * d[j]) for j in range(4)] for i in range(4)]
     try:
-        return validate_rep(entries, QQ, rep.components)
+        return validate_rep(entries, QQ, [Poly(QQ, VARS_X, c) for c in rep.components])
     except Rejection:  # a quadric or the corner cancelled to a lower degree
         assume(False)
 

@@ -5,7 +5,7 @@ import pytest
 
 import detfold.curves as curves
 import detfold.detrep as detrep
-from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, parse_poly
+from detfold.algebra import QQ, PrimeField, VARS_X, VARS_XU, parse_poly
 from detfold.detrep import (
     embed_fiber_vector,
     gram_rank_kernel,
@@ -19,15 +19,15 @@ from detfold.fourfold import brute_force_oracle, couples_and_intersections, orac
 from detfold.points import ProjPoint
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import elt, evaluate, ints, kernel_rank_det, map_field, p2_reps, plane_forms, plane_span
+from reference import Poly, elt, evaluate, ints, kernel_rank_det, map_field, p2_reps, plane_forms, plane_span
 
 
 def _p(s, f=QQ):
-    return parse_poly(s, VARS_X, f)
+    return Poly.of(parse_poly(s, VARS_X, f))
 
 
 def _z(f=QQ):
-    return MultiPoly.zero(f, VARS_X)
+    return Poly.zero(f, VARS_X)
 
 
 def _diag(*entries):
@@ -87,7 +87,7 @@ class TestDerived:
 
         F = parse_poly("x1*u1^2 + x2*u2^2 + x3*u3^2", VARS_XU, QQ)
         corner = l4 * l5 * l6
-        lifted = MultiPoly(QQ, VARS_XU, {e + (0, 0, 0): c for e, c in corner.terms.items()})
+        lifted = Poly(QQ, VARS_XU, {e + (0, 0, 0): c for e, c in corner.terms.items()})
         assert ex.rep.fourfold == F + lifted
 
     def test_ex42i_equations(self):
@@ -169,8 +169,10 @@ class TestClearedOnce:
     """A rep clears its entries of denominators once, when it is validated;
     its reduction mod q takes those integer terms mod q and clears nothing,
     and every consumer reads the integer terms.  `clear_denominators` has
-    two callers: the rep's validation and `curves.curve_terms`, which a
-    named example's builder and factorization use."""
+    two callers: the rep's validation, which clears a factorization apart
+    from the entries, and `curves.curve_terms`, which a named example's
+    builder uses.  The oracle clears nothing, and no `MultiPoly` has a
+    product to take."""
 
     @pytest.fixture
     def fields(self, monkeypatch):
@@ -184,7 +186,7 @@ class TestClearedOnce:
         return fields
 
     @pytest.mark.parametrize("name", ["ex42i", "ex42ii", "ex43_quartic_two_lines", "ex43_quintic_line", "rmk31", "prop44"])
-    def test_once_per_field_for_an_emitted_file(self, name, fields, monkeypatch):
+    def test_once_per_field_for_an_emitted_file(self, name, fields):
         text = write_rep_file(build_example(name).rep)
         fields.clear()
         analyze(parse_rep_file(text))
@@ -193,12 +195,9 @@ class TestClearedOnce:
         analyze(parse_rep_file(text), PrimeField(7))
         assert fields == [QQ]
         rep = parse_rep_file(text)
-        products = []
-        mul = MultiPoly.__mul__
-        monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
         fields.clear()
         brute_force_oracle(rep, 29)
-        assert fields == [] and not products
+        assert fields == []
 
 
 def _gram_at(rep, p):
@@ -321,11 +320,11 @@ class TestVanishesOnPlane:
         # on the plane x-space, spanned by e_x1, e_x2, e_x3, the cubic
         # prod_{a < i0} (3 x1 - a s) prod_{b < j0} (3 x2 - b s) prod_{c < k0} (3 x3 - c s),
         # s = x1 + x2 + x3, vanishes at every point i + j + k = 3 but (i0, j0, k0)
-        xs = [MultiPoly.variable(QQ, VARS_XU, v) for v in VARS_X]
+        xs = [Poly.variable(QQ, VARS_XU, v) for v in VARS_X]
         s = xs[0] + xs[1] + xs[2]
         basis = [[1 if i == j else 0 for i in range(6)] for j in range(3)]
         for point in ((i, j, 3 - i - j) for i in range(4) for j in range(4 - i)):
-            F = MultiPoly.constant(QQ, VARS_XU, 1)
+            F = Poly.constant(QQ, VARS_XU, 1)
             for x, top in zip(xs, point):
                 for a in range(top):
                     F = F * (x.scale(3) - s.scale(a))

@@ -13,7 +13,7 @@ from detfold.errors import InputError, Rejection, ToolError
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import coeffs_in, dense_rep, diff, evaluate, involves, ints, map_field, poly_resultant
+from reference import Poly, coeffs_in, degree_in, dense_rep, diff, evaluate, involves, ints, map_field, poly_resultant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -30,7 +30,7 @@ def _smoothness_certificate(fa):
         return None
     cert = 1
     for p in g:
-        lead = coeffs_in(p, "x1")[p.degree_in("x1")]
+        lead = coeffs_in(p, "x1")[degree_in(p, "x1")]
         if len(lead.terms) != 1 or (0, 0, 0) not in lead.terms:
             return None
         cert *= int(lead.terms[(0, 0, 0)])
@@ -42,7 +42,7 @@ def _smoothness_certificate(fa):
     for r in (r1, r2):
         if r.is_zero or not involves(r, "x2"):
             return None
-        lead = coeffs_in(r, "x2")[r.degree_in("x2")]
+        lead = coeffs_in(r, "x2")[degree_in(r, "x2")]
         if len(lead.terms) != 1:
             return None
         cert *= int(Fraction(next(iter(lead.terms.values()))))
@@ -191,7 +191,7 @@ class TestProp44Membership:
             except Rejection:
                 continue
             checked += 1
-            fa = (-1) * ex.rep.components[3]
+            fa = (-1) * Poly.of(ex.rep.entry(3, 3))
             cert = _smoothness_certificate(fa)
             if cert is None:
                 continue

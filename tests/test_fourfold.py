@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, parse_poly
+from detfold.algebra import QQ, PrimeField, VARS_X, parse_poly
 from detfold.detrep import reduce_rep, validate_rep
 from detfold.errors import InputError, Rejection
 from detfold.examples import build_example
@@ -15,7 +15,7 @@ from detfold.fourfold import (
     split_rank2_fiber,
 )
 from detfold.points import ProjPoint
-from reference import evaluate, matrix_rank, plane_forms, plane_span
+from reference import Poly, evaluate, matrix_rank, plane_forms, plane_span
 
 
 def _p(s, f=QQ):
@@ -42,7 +42,7 @@ class TestSplit:
 
     def test_conjugate_split(self):
         # diag(x1, x2, x3, f) with f(0,0,1) = 1: fiber form u3^2 + t^2 over (0:0:1)
-        z = MultiPoly.zero(QQ, VARS_X)
+        z = Poly.zero(QQ, VARS_X)
         rep = validate_rep(
             [
                 [_p("x1"), z, z, z],
@@ -95,7 +95,7 @@ class TestBaseLocus:
 
     def test_degenerate_net_rejected(self):
         # det M = -x1*x2*x3^4 is nonzero but det G vanishes identically
-        z = MultiPoly.zero(QQ, VARS_X)
+        z = Poly.zero(QQ, VARS_X)
         rep = validate_rep(
             [
                 [_p("x1"), z, z, z],
@@ -123,7 +123,7 @@ class TestBaseLocus:
     def test_shared_component_rejected(self):
         # D = (x1 + x2)^3 is nonzero, and the net's two nonzero conics are
         # both u1^2 + u2^2 + u3^2
-        z = MultiPoly.zero(QQ, VARS_X)
+        z = Poly.zero(QQ, VARS_X)
         l = _p("x1 + x2")
         rep = validate_rep(
             [[l, z, z, z], [z, l, z, z], [z, z, l, z], [z, z, z, _p("x1^3 + x2^3 + x3^3")]],
@@ -213,7 +213,7 @@ class TestOracle:
                 raise AssertionError("a rank-0 stratum enumerated over budget")
             return product(*args, repeat=repeat)
 
-        z = MultiPoly.zero(QQ, VARS_X)
+        z = Poly.zero(QQ, VARS_X)
         x1 = _p("x1")
         rep = validate_rep([[x1, z, z, z], [z, x1, z, z], [z, z, x1, z], [z, z, z, _p("x2^3 + x3^3")]], QQ)
         # at q = 13 they fit, 2 * 183 + 169 + 14 * 13^3 <= 10^5: the 14 points

@@ -323,7 +323,7 @@ def test_pencil_matches_each_stratum(q, data):
             assert [evaluate(n, x) for n in num] == [det * u % q for u in u0]
 
 
-@pytest.mark.parametrize("q", [5, 7, 11])
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(data=st.data())
 def test_random_reps_oracle_matches_assembly(q, data):

@@ -16,6 +16,10 @@ from detfold.repfile import parse_rep_file, write_rep_file
 from reference import dense_rep
 
 
+# the rows of diag(x1, x2, x3, x1^3 + x2^3 + x3^3), lines 3 to 6 of a file
+ROWS = "row 0: x1, 0, 0, 0\nrow 1: 0, x2, 0, 0\nrow 2: 0, 0, x3, 0\nrow 3: 0, 0, 0, x1^3 + x2^3 + x3^3\n"
+
+
 def run_cli(*args):
     buf = io.StringIO()
     rc = main(list(args), out=buf)
@@ -50,9 +54,26 @@ row 3: 0, 0, 0, x1^3 + x2^3 + 7*x3^3
         with pytest.raises(InputError, match="line 3"):
             parse_rep_file("field rational\nvars x1 x2 x3\nrow 0: x1, 0, 0\n")
 
-    def test_unknown_directive(self):
-        with pytest.raises(InputError, match="unrecognized"):
-            parse_rep_file("field rational\nvars x1 x2 x3\nfrob 1\n")
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("field rational\nvars x1 x2 x3\nfrob 1\n", "line 3: unrecognized directive 'frob'"),
+            ("fieldset rational\nvars x1 x2 x3\n" + ROWS, "line 1: unrecognized directive 'fieldset'"),
+            ("field rational\nvars x1 x2 x3\nrowboat " + ROWS[4:], "line 3: unrecognized directive 'rowboat'"),
+            ("field rational\nvars x1 x2 x3\n" + ROWS + "field fp 7\n", "line 7: repeated 'field' declaration"),
+            ("field rational\nvars x1 x2 x3\nvars x1 x2 x3\n" + ROWS, "line 3: repeated 'vars' declaration"),
+        ],
+        ids=["frob", "fieldset", "rowboat", "field-after-rows", "vars-twice"],
+    )
+    def test_unknown_directive(self, text, message, tmp_path):
+        # a directive is its line's first word, matched exactly, and field
+        # and vars are declared once: anything else is a usage error (exit
+        # 3) naming the line, not a prefix match or a rejection of the matrix
+        with pytest.raises(InputError, match=message):
+            parse_rep_file(text)
+        path = tmp_path / "bad.rep"
+        path.write_text(text)
+        assert run_cli("analyze", str(path)) == (3, f"error: {message}\n")
 
     def test_missing_rows(self):
         with pytest.raises(InputError, match="missing rows"):
