@@ -1,14 +1,12 @@
-from .fields import QQ, PrimeField, RationalField, field_from_name, is_prime, residue
+from .fields import field_from_name, field_name, is_prime, residue
 from .linalg import cross, int_rank_det, primitive
-from .multipoly import VARS_X, VARS_XU, MultiPoly, resultant, resultant_vanishes
+from .multipoly import VARS_X, VARS_XU, format_terms, resultant, resultant_vanishes
 from .parser import PolyParseError, parse_poly
 from . import unipoly
 
 __all__ = [
-    "QQ",
-    "PrimeField",
-    "RationalField",
     "field_from_name",
+    "field_name",
     "is_prime",
     "residue",
     "cross",
@@ -16,7 +14,7 @@ __all__ = [
     "primitive",
     "VARS_X",
     "VARS_XU",
-    "MultiPoly",
+    "format_terms",
     "resultant",
     "resultant_vanishes",
     "PolyParseError",

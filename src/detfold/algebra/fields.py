@@ -1,10 +1,11 @@
-"""Exact scalar fields: rationals and prime fields F_q.
+"""The fields Q and F_q, each given by its characteristic q: 0 for Q, the
+prime otherwise.
 
-Rationals are plain ``fractions.Fraction`` (always reduced, positive
-denominator).  Prime-field elements are plain ``int`` residues in [0, q):
-sums, differences and products are reduced mod q by whoever builds a result
-from them (``MultiPoly`` on construction), and each field divides by its
-``div``.  No floating point anywhere.
+Rationals are plain ``fractions.Fraction`` or ``int`` values, prime-field
+elements plain ``int`` residues in [0, q), reduced mod q by whoever builds a
+result from them (`residue`).  This module holds what the characteristic
+alone does not say: primality, square roots, the reduction of a fraction mod
+q and the printing of long coefficients.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -62,168 +63,98 @@ def residue(v: int, q: int) -> int:
     return v % q if q else v
 
 
-class RationalField:
-    """The field of exact rationals; elements are fractions.Fraction."""
-
-    char = 0
-    name = "rational"
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise InputError(f"cannot coerce {x!r} into the rational field")
-
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        return a / b
-
-    def sqrt(self, a: Fraction):
-        """Exact square root, or None when a is not a square."""
-        if a < 0:
-            return None
-        num, den = a.numerator, a.denominator
-        rn = _isqrt_exact(num)
-        rd = _isqrt_exact(den)
-        if rn is None or rd is None:
-            return None
-        return Fraction(rn, rd)
-
-    def sort_key(self, a: Fraction):
-        return (a.numerator, a.denominator)
-
-    def format(self, a: Fraction) -> str:
-        try:
-            return str(a)
-        except ValueError:
-            # int -> str refuses more digits than the interpreter's limit
-            # (4300 by default); Decimal converts integers of any size
-            num = str(Decimal(a.numerator))
-            return num if a.denominator == 1 else f"{num}/{Decimal(a.denominator)}"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational-field")
-
-    def __repr__(self):
-        return "QQ"
+def sqrt_mod(a: int, q: int):
+    """A square root of a mod the odd prime q by Tonelli-Shanks: the smaller
+    residue of the two, or None when a is not a square."""
+    v = a % q
+    if v == 0:
+        return 0
+    if pow(v, (q - 1) // 2, q) != 1:
+        return None
+    if q % 4 == 3:
+        r = pow(v, (q + 1) // 4, q)
+    else:
+        s, e = q - 1, 0
+        while s % 2 == 0:
+            s //= 2
+            e += 1
+        n = 2
+        while pow(n, (q - 1) // 2, q) != q - 1:
+            n += 1
+        x = pow(v, (s + 1) // 2, q)
+        b = pow(v, s, q)
+        g = pow(n, s, q)
+        r_exp = e
+        while True:
+            t, m = b, 0
+            while t != 1:
+                t = t * t % q
+                m += 1
+            if m == 0:
+                r = x
+                break
+            gs = pow(g, 2 ** (r_exp - m - 1), q)
+            x = x * gs % q
+            b = b * gs * gs % q
+            g = gs * gs % q
+            r_exp = m
+    return min(r, q - r)
 
 
-def _isqrt_exact(n: int):
+def isqrt_exact(n: int):
+    """The square root of the integer n over Q, or None when n is not a square."""
     import math
 
+    if n < 0:
+        return None
     r = math.isqrt(n)
     return r if r * r == n else None
 
 
-QQ = RationalField()
+def format_coeff(c, den: int = 1) -> str:
+    """c / den, for an int or Fraction c, as text, also past the
+    interpreter's int -> str digit limit (4300 by default), where Decimal
+    converts integers of any size."""
+    if den != 1:
+        c = Fraction(c, den)
+    try:
+        return str(c)
+    except ValueError:
+        num = str(Decimal(c.numerator))
+        return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
 
 
-class PrimeField:
-    """F_q for a prime q < 2^31 (q > 2 so quadratic forms behave)."""
-
-    def __init__(self, q: int):
-        if not isinstance(q, int) or q >= 2**31 or not is_prime(q):
-            raise InputError(f"field modulus must be a prime below 2^31, got {q}")
-        if q == 2:
-            raise Rejection("characteristic 2 is unsupported (symmetric forms degenerate)")
-        self.q = q
-        self.char = q
-        self.name = f"fp:{q}"
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def from_int(self, n: int) -> int:
-        return n % self.q
-
-    def coerce(self, x) -> int:
-        if isinstance(x, int):
-            return x % self.q
-        if isinstance(x, Fraction):
-            if x.denominator % self.q == 0:
-                raise Rejection(f"denominator of {x} vanishes mod {self.q}")
-            return self.div(x.numerator, x.denominator)
-        raise InputError(f"cannot coerce {x!r} into F_{self.q}")
-
-    def div(self, a: int, b: int) -> int:
-        """a / b, for residues or integers with b a unit mod q."""
-        return a * pow(b, -1, self.q) % self.q
-
-    def sqrt(self, a: int):
-        """Tonelli-Shanks; returns the smaller-residue root, or None."""
-        v, q = a % self.q, self.q
-        if v == 0:
-            return 0
-        if pow(v, (q - 1) // 2, q) != 1:
-            return None
-        if q % 4 == 3:
-            r = pow(v, (q + 1) // 4, q)
-        else:
-            s, e = q - 1, 0
-            while s % 2 == 0:
-                s //= 2
-                e += 1
-            n = 2
-            while pow(n, (q - 1) // 2, q) != q - 1:
-                n += 1
-            x = pow(v, (s + 1) // 2, q)
-            b = pow(v, s, q)
-            g = pow(n, s, q)
-            r_exp = e
-            while True:
-                t, m = b, 0
-                while t != 1:
-                    t = t * t % q
-                    m += 1
-                if m == 0:
-                    r = x
-                    break
-                gs = pow(g, 2 ** (r_exp - m - 1), q)
-                x = x * gs % q
-                b = b * gs * gs % q
-                g = gs * gs % q
-                r_exp = m
-        return min(r, q - r)
-
-    def sort_key(self, a: int):
-        return (a,)
-
-    def format(self, a: int) -> str:
-        return str(a)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("prime-field", self.q))
-
-    def __repr__(self):
-        return f"GF({self.q})"
+def fraction_mod(x: Fraction, q: int) -> int:
+    """The rational x as a residue mod the prime q; refused when q divides
+    its denominator."""
+    if x.denominator % q == 0:
+        raise Rejection(f"denominator of {x} vanishes mod {q}")
+    return x.numerator * pow(x.denominator, -1, q) % q
 
 
-def field_from_name(name: str):
-    """Parse 'rational' or 'fp:Q' into a field object."""
+def checked_prime(q: int) -> int:
+    """q, the characteristic of F_q: a prime below 2^31, and odd so that
+    quadratic forms behave."""
+    if not isinstance(q, int) or q >= 2**31 or not is_prime(q):
+        raise InputError(f"field modulus must be a prime below 2^31, got {q}")
+    if q == 2:
+        raise Rejection("characteristic 2 is unsupported (symmetric forms degenerate)")
+    return q
+
+
+def field_name(q: int) -> str:
+    """The name of the field of characteristic q: 'rational' or 'fp:Q'."""
+    return f"fp:{q}" if q else "rational"
+
+
+def field_from_name(name: str) -> int:
+    """The characteristic of the field named 'rational' (0) or 'fp:Q' (Q)."""
     if name == "rational":
-        return QQ
+        return 0
     if name.startswith("fp:"):
         try:
             q = int(name[3:])
         except ValueError:
             raise InputError(f"bad field spec {name!r}") from None
-        return PrimeField(q)
+        return checked_prime(q)
     raise InputError(f"unknown field {name!r} (expected 'rational' or 'fp:Q')")

@@ -1,15 +1,11 @@
-"""Polynomial arithmetic on integer terms, and `MultiPoly`, the polynomial
-read from text and printed.
+"""Polynomial arithmetic on term dicts.
 
-Every computation takes term dicts mapping exponent tuples to coefficients,
-integers (residues over F_q) wherever a representation is analysed:
+A polynomial is a dict mapping exponent tuples to nonzero coefficients in
+the field of characteristic q: Fractions or ints over Q (q = 0), residues in
+[0, q) over F_q.  The parser returns one, and every computation takes them,
+with integer coefficients wherever a representation is analysed:
 `mul_terms`, `det_terms`, `diff_terms`, `resultant` and the `dense` forms
-evaluated by `form_values`.  A `MultiPoly`
-holds such a dict in a field, with Fractions over Q and residues in [0, q)
-over F_q, to which every coefficient is reduced on construction.  The parser
-builds one, `validate_rep` checks an entry's degree on it, and the report
-prints it in graded lexicographic order (total degree first, then
-x1 > x2 > ...), so output is deterministic.
+evaluated by `form_values`.  `format_terms` prints one.
 """
 
 from __future__ import annotations
@@ -19,72 +15,46 @@ import math
 from operator import add, mul
 
 from ..errors import DegenerateResultant, InputError
-from .fields import residue, word_primes
+from .fields import format_coeff, residue, word_primes
 from .unipoly import horner_mod, resultant_int, resultant_mod
 
 VARS_X = ("x1", "x2", "x3")
 VARS_XU = ("x1", "x2", "x3", "u1", "u2", "u3")
 
 
-class MultiPoly:
-    __slots__ = ("field", "vars", "terms")
-
-    def __init__(self, field, vars: tuple, terms: dict):
-        self.field = field
-        self.vars = vars
-        self.terms = residues(terms, field.char)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self):
-        """Total degree; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        return len(degs) == 1
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.field == other.field and self.terms == other.terms
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-        parts = []
-        for idx, (e, c) in enumerate(items):
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k > 0
-            )
-            cs = self.field.format(c)
-            neg = cs.startswith("-")
-            mag = cs[1:] if neg else cs
-            if mono and mag == "1":
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = mag
-            if idx == 0:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"MultiPoly({self})"
+def format_terms(terms: dict, vars: tuple, den: int = 1) -> str:
+    """The polynomial with these terms, each coefficient divided by den, as
+    text in graded lexicographic order (total degree first, then
+    x1 > x2 > ...), so output is deterministic."""
+    if not terms:
+        return "0"
+    items = sorted(terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+    parts = []
+    for idx, (e, c) in enumerate(items):
+        mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(vars, e) if k > 0)
+        cs = format_coeff(c, den)
+        neg = cs.startswith("-")
+        mag = cs[1:] if neg else cs
+        if mono and mag == "1":
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = mag
+        if idx == 0:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts)
 
 
 def _grlex_key(e: tuple):
     return (sum(e), tuple(-k for k in reversed(e)))
+
+
+def degree(terms: dict) -> int:
+    """The degree of a nonzero form given by its terms."""
+    return max(map(sum, terms))
 
 
 def mul_terms(a: dict, b: dict, q: int = 0) -> dict:
@@ -236,11 +206,11 @@ def form_values(forms: list, n, q: int = 0) -> list[int]:
     return out
 
 
-def clear_denominators(polys: list) -> tuple[list[dict], int]:
+def clear_denominators(polys: list, q: int = 0) -> tuple[list[dict], int]:
     """The integer terms of c p for each polynomial p, and c: over Q the lcm
     of all their denominators, over F_q 1, the terms their residues."""
-    if any(p.field.char for p in polys):
-        return [dict(p.terms) for p in polys], 1
+    if q:
+        return [residues(p, q) for p in polys], 1
     # pairwise, not by a star-call, which would build a tuple of all the denominators
-    c = functools.reduce(math.lcm, (v.denominator for p in polys for v in p.terms.values()), 1)
-    return [{e: v.numerator * (c // v.denominator) for e, v in p.terms.items()} for p in polys], c
+    c = functools.reduce(math.lcm, (v.denominator for p in polys for v in p.values()), 1)
+    return [{e: v.numerator * (c // v.denominator) for e, v in p.items()} for p in polys], c

@@ -9,13 +9,15 @@ Grammar (whitespace-insensitive, implicit multiplication forbidden):
 
 Each sub-expression is a plain term dict (exponent tuple -> coefficient):
 an int, or over Q a `Fraction` where a literal has '/', and over F_q a
-residue, every sum and product reduced mod q.  A literal is taken into the
-field where it is read, `x^k` is one monomial, and one `MultiPoly` is built
-at the end.  Errors carry the offset of the offending token.  An integer
-literal may have at most MAX_LITERAL_DIGITS digits, parentheses may nest at
-most MAX_NESTING deep, and a product or power may have degree at most
-MAX_DEGREE, so that no input reaches the interpreter's own limits on
-integer conversion and recursion, or makes a product of many factors.
+residue, every sum and product reduced mod q, q the field's characteristic
+(0 for Q).  A literal is taken into the field where it is read, `x^k` is one
+monomial, and the whole expression is returned as a term dict, with
+Fraction coefficients over Q.  Errors carry the offset of the offending
+token.  An integer literal may have at most MAX_LITERAL_DIGITS digits
+(decimal digits only), parentheses may nest at most MAX_NESTING deep, and a
+product or power may have degree at most MAX_DEGREE, so that no input
+reaches the interpreter's own limits on integer conversion and recursion,
+or makes a product of many factors.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import InputError
-from .fields import residue
-from .multipoly import MultiPoly, mul_terms
+from .fields import fraction_mod, residue
+from .multipoly import mul_terms
 
 
 class PolyParseError(InputError):
@@ -51,9 +53,9 @@ def _tokenize(text: str):
             toks.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # not isdigit, which takes digits such as '²' that int() refuses
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_LITERAL_DIGITS:
                 raise PolyParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", i)
@@ -73,13 +75,12 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, vars: tuple, field):
+    def __init__(self, text: str, vars: tuple, q: int):
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0  # parentheses open at the current token
         self.vars = vars
-        self.field = field
-        self.q = field.char
+        self.q = q
 
     def peek(self):
         return self.toks[self.pos]
@@ -91,14 +92,12 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> MultiPoly:
+    def parse(self) -> dict:
         p = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise PolyParseError(f"trailing input {tok[1]!r}", tok[2])
-        if not self.q:
-            p = {e: Fraction(c) for e, c in p.items()}
-        return MultiPoly(self.field, self.vars, p)
+        return p if self.q else {e: Fraction(c) for e, c in p.items()}
 
     def expr(self) -> dict:
         sign = 1
@@ -155,7 +154,9 @@ class _Parser:
                 dk, dt, dp = self.take()
                 if dk != "int" or int(dt) <= 0:
                     raise PolyParseError("denominator must be a positive integer", dp)
-                value = self.field.coerce(Fraction(value, int(dt)))
+                value = Fraction(value, int(dt))
+                if self.q:
+                    value = fraction_mod(value, self.q)
             value = residue(value, self.q)
             return {(0,) * len(self.vars): value} if value else {}
         if kind == "name":
@@ -175,10 +176,11 @@ class _Parser:
         raise PolyParseError(f"expected a factor, found {text!r}" if text else "unexpected end of input", pos)
 
 
-def parse_poly(text: str, vars: tuple, field) -> MultiPoly:
-    """Parse text into a polynomial; reject one whose terms differ in degree."""
-    p = _Parser(text, vars, field).parse()
-    if not p.is_homogeneous():
-        degs = sorted({sum(e) for e in p.terms})
+def parse_poly(text: str, vars: tuple, q: int = 0) -> dict:
+    """Parse text into the terms of a polynomial in characteristic q; reject
+    one whose terms differ in degree."""
+    p = _Parser(text, vars, q).parse()
+    degs = sorted({sum(e) for e in p})
+    if len(degs) > 1:
         raise InputError(f"polynomial is not homogeneous (term degrees {degs}): {text!r}")
     return p

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .algebra import PrimeField, int_rank_det, residue, resultant, resultant_vanishes, unipoly
-from .algebra.multipoly import clear_denominators, dense, diff_terms, form_values, monomials, mul_terms
+from .algebra import field_name, int_rank_det, residue, resultant, resultant_vanishes, unipoly
+from .algebra.multipoly import clear_denominators, degree, dense, diff_terms, form_values, monomials, mul_terms
 from .detrep import SymDetRep, gram_rank_kernel
 from .errors import ConsistencyError, InputError, Rejection
 from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
@@ -32,9 +32,9 @@ class PlaneSolutions:
         return not self.unresolved
 
 
-def plane_solutions(polys: list[dict], field) -> PlaneSolutions:
-    """Common zeros in P^2 over field of forms given by integer terms
-    (residues over F_q).
+def plane_solutions(polys: list[dict], q: int) -> PlaneSolutions:
+    """Common zeros in P^2 over the field of characteristic q of forms given
+    by integer terms (residues over F_q).
 
     Over a prime field the scan is exhaustive and always complete.  Over the
     rationals, resultant elimination finds every rational solution; genuinely
@@ -44,33 +44,25 @@ def plane_solutions(polys: list[dict], field) -> PlaneSolutions:
     polys = [p for p in polys if p]
     if not polys:
         raise Rejection("empty system: solution set is the whole plane")
-    if not all(map(_degree, polys)):  # a nonzero constant has no zeros
+    if not all(map(degree, polys)):  # a nonzero constant has no zeros
         return PlaneSolutions([])
-    if isinstance(field, PrimeField):
-        return _plane_solutions_fq(polys, field)
-    return _plane_solutions_qq(polys, field)
+    return _plane_solutions_fq(polys, q) if q else _plane_solutions_qq(polys)
 
 
-def _plane_solutions_fq(polys, field) -> PlaneSolutions:
+def _plane_solutions_fq(polys, q: int) -> PlaneSolutions:
     """Exhaustive scan of P^2(F_q) in plain integers, one line at a time: a
     polynomial's values on a line are one integer combination of its packed
     forms (`unipoly.pack_lines`, `unipoly.common_zeros`)."""
-    q = field.q
     if q * q + q + 1 > P2_SCAN_BUDGET:
         raise InputError(f"scan budget exceeded: P^2(F_{q}) has {q * q + q + 1} points > {P2_SCAN_BUDGET}")
-    w = unipoly.lane_width(q, max(map(_degree, polys)))
+    w = unipoly.lane_width(q, max(map(degree, polys)))
     systems = [unipoly.pack_lines(p, q, w) for p in polys]
-    pts = [ProjPoint(field, rep, "x") for rep in unipoly.common_zeros(systems, p2_lines(q), q, w)]
+    pts = [ProjPoint(q, rep, "x") for rep in unipoly.common_zeros(systems, p2_lines(q), q, w)]
     return PlaneSolutions(sorted_points(pts))
 
 
-def _degree(terms: dict) -> int:
-    """The degree of a nonzero form given by its terms."""
-    return max(map(sum, terms))
-
-
 def curve_terms(polys: list) -> list[dict]:
-    """The integer terms of a builder's polynomials at one common
+    """The integer terms of a builder's polynomials over Q at one common
     denominator, for checks that read them up to a scalar: their zero sets,
     and the determinant of a block of them."""
     return clear_denominators(polys)[0]
@@ -107,7 +99,7 @@ def _common_roots(unis: list) -> tuple[dict, int]:
     return unipoly.rational_roots(g)
 
 
-def _plane_solutions_qq(polys, field) -> PlaneSolutions:
+def _plane_solutions_qq(polys) -> PlaneSolutions:
     """Rational solutions, on the polynomials' integer terms.  In the chart
     x3 = 1 (`_rekeyed`) the eliminants in x1 are the integer lists of the
     polynomials free of x2 and of resultants in x2 (`resultant`, until
@@ -121,7 +113,6 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
     construction and is not tested again."""
     pts = []
     unresolved = 0
-    one, zero = field.one(), field.zero()
 
     # chart x3 = 1
     aff = [_rekeyed(t, 2) for t in polys]
@@ -148,7 +139,7 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
                 raise Rejection("solution set contains a vertical line (positive-dimensional)")
             broots, cof = _common_roots(fibre)
             unresolved += cof
-            pts += [ProjPoint(field, (a, b, one), "x") for b in broots]
+            pts += [ProjPoint(0, (a, b, 1), "x") for b in broots]
 
     # line x3 = 0
     line = [t for t in ({e: c for e, c in t.items() if not e[2]} for t in polys) if t]
@@ -156,10 +147,10 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
         raise Rejection("system vanishes identically on the line x3=0 (positive-dimensional)")
     if not any(set(t) == {(0, 0, 0)} for t in line):
         if not any(sum(c for e, c in t.items() if not e[1]) for t in line):
-            pts.append(ProjPoint(field, (one, zero, zero), "x"))
+            pts.append(ProjPoint(0, (1, 0, 0), "x"))
         roots, cof = _common_roots([_in_x(t, 0) for t in line])
         unresolved += cof
-        pts += [ProjPoint(field, (r, one, zero), "x") for r in roots]
+        pts += [ProjPoint(0, (r, 1, 0), "x") for r in roots]
     return PlaneSolutions(sorted_points(pts), unresolved)
 
 
@@ -168,9 +159,9 @@ def _plane_solutions_qq(polys, field) -> PlaneSolutions:
 # ---------------------------------------------------------------------------
 
 
-def is_reduced_curve(h: dict, field) -> bool:
+def is_reduced_curve(h: dict, q: int) -> bool:
     """Squarefree test for a plane curve form h over Q or F_q, given by
-    integer terms (residues over F_q), deg h < 3 char.
+    integer terms (residues over F_q), deg h < 3 q over F_q.
 
     A square factor g^2 of h is found by the variables g involves.  When g is
     free of x_k, g^2 divides the content of h as a polynomial in x_k, taken
@@ -190,9 +181,9 @@ def is_reduced_curve(h: dict, field) -> bool:
     """
     if not h:
         return False
-    if field.char and _degree(h) >= 3 * field.char:
-        raise InputError(f"squarefree test needs degree < 3 * {field.char}, got {_degree(h)}")
-    gcd = (lambda a, b: unipoly.gcd_mod(a, b, field.q)) if field.char else unipoly.gcd_int
+    if q and degree(h) >= 3 * q:
+        raise InputError(f"squarefree test needs degree < 3 * {q}, got {degree(h)}")
+    gcd = (lambda a, b: unipoly.gcd_mod(a, b, q)) if q else unipoly.gcd_int
     for k in range(3):
         i = (k + 1) % 3
         coeffs: dict = {}
@@ -205,12 +196,12 @@ def is_reduced_curve(h: dict, field) -> bool:
             return False
     for k in range(3):
         chart = _rekeyed(h, (k + 1) % 3)
-        dk = diff_terms(chart, k, field.char)
+        dk = diff_terms(chart, k, q)
         if not dk:
             if not any(e[k] for e in chart):
                 return True  # h is free of x_k
             continue  # h_k = 0: h itself is the shared factor
-        if not any(e[k] for e in dk) or not resultant_vanishes(chart, dk, k, field.char):
+        if not any(e[k] for e in dk) or not resultant_vanishes(chart, dk, k, q):
             return True
     return False
 
@@ -220,25 +211,24 @@ def is_reduced_curve(h: dict, field) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def singular_points(h: dict, field, components: tuple | None = None) -> PlaneSolutions:
-    """Singular points over field of a reduced plane curve h given by integer
-    terms (residues over F_q); given a factorization of h by the integer
-    terms of its components, validated by the caller, one system of
-    components at a time."""
-    if not is_reduced_curve(h, field):
+def singular_points(h: dict, q: int, components: tuple | None = None) -> PlaneSolutions:
+    """Singular points over the field of characteristic q of a reduced plane
+    curve h given by integer terms (residues over F_q); given a factorization
+    of h by the integer terms of its components, validated by the caller,
+    one system of components at a time."""
+    if not is_reduced_curve(h, q):
         raise Rejection("curve is not reduced (square factor detected)")
     if components is not None:
-        return _singular_points_factored(components, field)
-    q = field.char
-    sol = plane_solutions([h] + [diff_terms(h, i, q) for i in range(3)], field)
-    form = [dense(h, _degree(h))]
+        return _singular_points_factored(components, q)
+    sol = plane_solutions([h] + [diff_terms(h, i, q) for i in range(3)], q)
+    form = [dense(h, degree(h))]
     for p in sol.points:
         if form_values(form, p.ints()[0], q)[0]:
             raise ConsistencyError(f"claimed singular point {p} is not on the curve")
     return sol
 
 
-def _singular_points_factored(comps, field) -> PlaneSolutions:
+def _singular_points_factored(comps, q: int) -> PlaneSolutions:
     """The meets of each pair of components, given by integer terms, and the
     singular points of each component; `unresolved_in` records which of
     these systems left solutions unresolved, by their component indices."""
@@ -247,10 +237,10 @@ def _singular_points_factored(comps, field) -> PlaneSolutions:
     unresolved_in = []
     for i, ci in enumerate(comps):
         systems = [((i, j), [ci, comps[j]]) for j in range(i + 1, len(comps))]
-        if _degree(ci) != 1:  # a line has no singular points of its own
-            systems.append(((i,), [ci] + [diff_terms(ci, k, field.char) for k in range(3)]))
+        if degree(ci) != 1:  # a line has no singular points of its own
+            systems.append(((i,), [ci] + [diff_terms(ci, k, q) for k in range(3)]))
         for idx, system in systems:
-            sol = plane_solutions(system, field)
+            sol = plane_solutions(system, q)
             pts.update(sol.points)
             unresolved += sol.unresolved
             if sol.unresolved:
@@ -265,7 +255,7 @@ HESSIAN = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 def node_partials(h: dict) -> list:
     """h, its gradient and its Hessian entries (`HESSIAN`) as `dense` forms
     of h's integer terms, derived once for node tests at many points."""
-    d = _degree(h)
+    d = degree(h)
     grad = [diff_terms(h, i) for i in range(3)]
     hess = [diff_terms(grad[i], j) for i, j in HESSIAN]
     return [dense(h, d)] + [dense(g, d - 1) for g in grad] + [dense(t, d - 2) for t in hess]
@@ -283,7 +273,7 @@ def is_node(h: dict, p: ProjPoint, partials=None) -> bool:
     unchanged.  `partials` is `node_partials(h)` when the caller tests many
     points.
     """
-    q = p.field.char
+    q = p.q
     n = p.ints()[0]
     value, *grad_hess = form_values(partials or node_partials(h), n, q)
     if value or any(grad_hess[:3]):
@@ -336,9 +326,9 @@ class SingClassification:
 def classify_singularities(rep: SymDetRep) -> SingClassification:
     """Locate Sing(C), certify nodality, and split into the rank/D strata,
     over the rep's field and with the factorization it carries, if any."""
-    field = rep.field
+    q = rep.q
     sextic = rep.sextic_terms
-    scan = singular_points(sextic, field, rep.components)
+    scan = singular_points(sextic, q, rep.components)
 
     records = []
     partials = node_partials(sextic)
@@ -349,7 +339,7 @@ def classify_singularities(rep: SymDetRep) -> SingClassification:
         gram, rank, kernel = gram_rank_kernel(rep, p)
         if rank == 4:
             raise ConsistencyError(f"full-rank fiber at claimed singular point {p}")
-        on_d = not form_values(d_form, p.ints()[0], field.char)[0]
+        on_d = not form_values(d_form, p.ints()[0], q)[0]
         if rank == 2 and not on_d:
             raise ConsistencyError(
                 f"rank-2 fiber at {p} must lie on the cubic D (minors all vanish)"
@@ -364,7 +354,7 @@ def classify_singularities(rep: SymDetRep) -> SingClassification:
         if s_c_certified:
             notes.append("unlisted singular points certified to lie on D by divisibility")
     if not scan.complete:
-        notes.append(f"singular-point list incomplete over {field.name}: "
+        notes.append(f"singular-point list incomplete over {field_name(q)}: "
                      f"{scan.unresolved} solutions live in extensions")
     return SingClassification(
         records=records,
@@ -388,9 +378,9 @@ def _certify_s_c(unresolved_in, comps, d_terms) -> bool:
     """
     if not d_terms:
         return True
-    d = _degree(d_terms)
+    d = degree(d_terms)
     divides = []
     for c in comps:
-        rows = [mul_terms(c, {m: 1}) for m in monomials(d - _degree(c))] + [d_terms]
+        rows = [mul_terms(c, {m: 1}) for m in monomials(d - degree(c))] + [d_terms]
         divides.append(int_rank_det([dense(t, d)[1] for t in rows])[0] < len(rows))
     return all(any(divides[i] for i in idx) for idx in unresolved_in)

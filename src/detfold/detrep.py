@@ -16,8 +16,9 @@ from functools import cached_property, reduce
 from itertools import combinations
 from operator import mul
 
-from .algebra import MultiPoly, VARS_X, VARS_XU, cross, int_rank_det, primitive, residue
-from .algebra.multipoly import clear_denominators, dense, det_terms, form_values, mul_terms, residues
+from .algebra import cross, field_name, int_rank_det, primitive, residue
+from .algebra.fields import fraction_mod
+from .algebra.multipoly import clear_denominators, degree, dense, det_terms, form_values, mul_terms, residues
 from .errors import InputError, Rejection
 from .points import ProjPoint
 
@@ -36,7 +37,7 @@ def _expected_degree(i: int, j: int) -> int:
 
 @dataclass(frozen=True)
 class SymDetRep:
-    field: object
+    q: int  # the characteristic of the rep's field: 0 for Q, the prime for F_q
     # the entries at `UPPER` as the integer terms of c M (residues over F_q),
     # and c, the lcm of their denominators (1 over F_q)
     upper: tuple
@@ -44,43 +45,27 @@ class SymDetRep:
     # factorization of the sextic, multiplicity 1 each, as integer terms at
     # a common denominator of their own; set by validate_rep
     components: tuple | None = dc_field(default=None, compare=False)
-    # field -> this rep reduced into it, kept by reduce_rep
+    # characteristic -> this rep reduced into it, kept by reduce_rep
     reductions: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def entry(self, i: int, j: int) -> MultiPoly:
-        """Entry (i, j) of M: its integer terms in c M divided by c."""
-        return self._poly(self.upper[UPPER.index((min(i, j), max(i, j)))], 1)
+    def entry(self, i: int, j: int) -> dict:
+        """The integer terms of entry (i, j) of c M."""
+        return self.upper[UPPER.index((min(i, j), max(i, j)))]
 
     def _block(self, n: int) -> list:
         """The upper-left n x n block of c M as integer terms."""
-        return [[self.upper[UPPER.index((min(i, j), max(i, j)))] for j in range(n)] for i in range(n)]
-
-    def _poly(self, terms: dict, n: int, vars: tuple = VARS_X) -> MultiPoly:
-        """The polynomial over the rep's field whose c^n multiple has these
-        integer terms."""
-        s = self.den**n
-        return MultiPoly(self.field, vars, terms if s == 1 else {e: Fraction(v, s) for e, v in terms.items()})
+        return [[self.entry(i, j) for j in range(n)] for i in range(n)]
 
     @cached_property
     def sextic_terms(self) -> dict:
         """det(c M) = c^4 det M, degree 6 in x, as integer terms (residues
         over F_q); expanded once, by `validate_rep`."""
-        return det_terms(self._block(4), self.field.char)
-
-    @cached_property
-    def sextic(self) -> MultiPoly:
-        """det M, the discriminant sextic."""
-        return self._poly(self.sextic_terms, 4)
+        return det_terms(self._block(4), self.q)
 
     @cached_property
     def d_terms(self) -> dict:
         """c^3 D as integer terms, D the cubic det of the linear 3x3 block."""
-        return det_terms(self._block(3), self.field.char)
-
-    @cached_property
-    def d_cubic(self) -> MultiPoly:
-        """The cubic D."""
-        return self._poly(self.d_terms, 3)
+        return det_terms(self._block(3), self.q)
 
     @cached_property
     def fourfold_terms(self) -> dict:
@@ -94,12 +79,7 @@ class SymDetRep:
             u = tuple((i == k) + (j == k) for k in range(3))
             for e, c in t.items():
                 terms[e + u] = c if i == j else 2 * c
-        return residues(terms, self.field.char)
-
-    @cached_property
-    def fourfold(self) -> MultiPoly:
-        """The fourfold F, in x1..x3, u1..u3."""
-        return self._poly(self.fourfold_terms, 1, VARS_XU)
+        return residues(terms, self.q)
 
     @cached_property
     def gram_forms(self) -> list:
@@ -114,8 +94,9 @@ class SymDetRep:
         return classify_singularities(self)
 
 
-def validate_rep(entries, field, components: tuple | list | None = None) -> SymDetRep:
-    """Check symmetry, the (1,1,1;2;3) degree profile, and det != 0; a
+def validate_rep(entries, q: int, components: tuple | list | None = None) -> SymDetRep:
+    """Check symmetry, the (1,1,1;2;3) degree profile, and det != 0 of a
+    matrix of term dicts in x1, x2, x3 over the field of characteristic q; a
     factorization of the sextic, when given, must multiply out to it up to
     a scalar and have no two proportional components, both checked on the
     components' integer terms, which the rep keeps."""
@@ -124,17 +105,13 @@ def validate_rep(entries, field, components: tuple | list | None = None) -> SymD
     for i in range(4):
         for j in range(4):
             e = entries[i][j]
-            if e.vars != VARS_X:
-                raise Rejection(f"entry ({i+1},{j+1}) must be a polynomial in x1,x2,x3")
-            if e.field != field:
-                raise Rejection(f"entry ({i+1},{j+1}) lies in the wrong field")
-            if not e.is_zero:
-                if not e.is_homogeneous():
+            if e:
+                if len({sum(m) for m in e}) > 1:
                     raise Rejection(f"entry ({i+1},{j+1}) is not homogeneous")
                 want = _expected_degree(i, j)
-                if e.degree() != want:
+                if degree(e) != want:
                     raise Rejection(
-                        f"entry ({i+1},{j+1}) has degree {e.degree()}, expected {want}"
+                        f"entry ({i+1},{j+1}) has degree {degree(e)}, expected {want}"
                     )
     for i in range(4):
         for j in range(i + 1, 4):
@@ -142,12 +119,11 @@ def validate_rep(entries, field, components: tuple | list | None = None) -> SymD
                 raise Rejection(
                     f"matrix is not symmetric: entry ({i+1},{j+1}) differs from ({j+1},{i+1})"
                 )
-    upper, den = clear_denominators([entries[i][j] for i, j in UPPER])
+    upper, den = clear_denominators([entries[i][j] for i, j in UPPER], q)
     # each component is cleared apart from the entries, so den stays their lcm
-    comps = None if components is None else tuple(clear_denominators(list(components))[0])
-    rep = _curve(SymDetRep(field, tuple(upper), den, comps))
+    comps = None if components is None else tuple(clear_denominators(list(components), q)[0])
+    rep = _curve(SymDetRep(q, tuple(upper), den, comps))
     if comps is not None:
-        q = field.char
         prod = reduce(lambda a, b: mul_terms(a, b, q), comps, {(0, 0, 0): 1})
         # a pair of forms is proportional when both have the same monomials
         # and their coefficient rows have rank at most 1
@@ -168,29 +144,29 @@ def _curve(rep: SymDetRep) -> SymDetRep:
     return rep
 
 
-def reduce_rep(rep: SymDetRep, field) -> SymDetRep:
-    """The representation over `field`: rep itself when it already lies there,
-    otherwise, once per field, its integer terms reduced mod q and divided by
-    c there.  When q divides c the first coefficient whose denominator q
-    divides is refused, as `PrimeField.coerce` refuses it.  The reduction
-    needs none of `validate_rep`'s shape checks: a form reduced mod q keeps
-    its degree or vanishes, and `UPPER` makes it symmetric; only its
-    determinant may vanish.  The factorization stays behind: the F_q scan
-    needs none."""
-    if rep.field == field:
+def reduce_rep(rep: SymDetRep, q: int) -> SymDetRep:
+    """The representation over the field of characteristic q: rep itself when
+    it already lies there, otherwise, once per prime q, its integer terms
+    reduced mod q and divided by c there.  When q divides c the first
+    coefficient whose denominator q divides is refused, as `fraction_mod`
+    refuses it.  The reduction needs none of `validate_rep`'s shape checks: a
+    form reduced mod q keeps its degree or vanishes, and `UPPER` makes it
+    symmetric; only its determinant may vanish.  The factorization stays
+    behind: the F_q scan needs none."""
+    if rep.q == q:
         return rep
-    if rep.field.char:
-        raise InputError(f"a representation over {rep.field.name} can only be analysed over {rep.field.name}")
-    if field not in rep.reductions:
-        q = field.q
-        if not rep.den % q:  # coerce refuses the first coefficient it cannot reduce
+    if rep.q:
+        name = field_name(rep.q)
+        raise InputError(f"a representation over {name} can only be analysed over {name}")
+    if q not in rep.reductions:
+        if not rep.den % q:  # refuse the first coefficient that cannot be reduced
             for t in rep.upper:
                 for c in t.values():
-                    field.coerce(Fraction(c, rep.den))
+                    fraction_mod(Fraction(c, rep.den), q)
         inv = pow(rep.den, -1, q)
         upper = tuple(residues({e: c * inv for e, c in t.items()}, q) for t in rep.upper)
-        rep.reductions[field] = _curve(SymDetRep(field, upper))
-    return rep.reductions[field]
+        rep.reductions[q] = _curve(SymDetRep(q, upper))
+    return rep.reductions[q]
 
 
 def gram_rank_kernel(rep: SymDetRep, p: ProjPoint):
@@ -202,7 +178,7 @@ def gram_rank_kernel(rep: SymDetRep, p: ProjPoint):
     kernel v gives G's kernel S v, returned `primitive`."""
     if p.space != "x":
         raise Rejection("fiber points live in the plane of the discriminant curve")
-    q = rep.field.char
+    q = rep.q
     n, den = p.ints()
     upper = dict(zip(UPPER, form_values(rep.gram_forms, n, q)))
     gram = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]

@@ -17,8 +17,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
-from .algebra import MultiPoly, PrimeField, QQ, VARS_X, cross, parse_poly
-from .algebra.multipoly import det_terms, mul_terms
+from .algebra import VARS_X, cross, format_terms, parse_poly
+from .algebra.fields import checked_prime
+from .algebra.multipoly import degree, det_terms, mul_terms
 from .algebra.unipoly import _integral, gcd_int
 from .curves import curve_terms, is_reduced_curve, singular_points
 from .detrep import SymDetRep, validate_rep, vanishes_on_plane
@@ -46,17 +47,17 @@ class NamedExample:
     notes: list = dc_field(default_factory=list)
 
 
-def _p(text: str, fld=QQ) -> MultiPoly:
-    return parse_poly(text, VARS_X, fld)
+def _p(text: str, q: int = 0) -> dict:
+    return parse_poly(text, VARS_X, q)
 
 
-def _line_meets_cubic_transversally(f: MultiPoly, line_var: int) -> None:
+def _line_meets_cubic_transversally(f: dict, line_var: int) -> None:
     """f, a cubic over Q, restricted to {x_i = 0} must be squarefree and avoid
     the two coordinate points on that line (so the sextic stays nodal there)."""
     name = VARS_X[line_var]
     others = [i for i in range(3) if i != line_var]
     for k in others:
-        if not f.terms.get(tuple(3 * (i == k) for i in range(3))):  # f at the point x_k = 1
+        if not f.get(tuple(3 * (i == k) for i in range(3))):  # f at the point x_k = 1
             raise Rejection(
                 f"cubic passes through the coordinate point with {VARS_X[k]}=1 "
                 f"on the line {name}=0; intersection points must avoid the nodes"
@@ -65,7 +66,7 @@ def _line_meets_cubic_transversally(f: MultiPoly, line_var: int) -> None:
     # x_a, a = others[0]; its cleared integer list c is squarefree when
     # gcd(c, c') is constant
     uni = [0] * 4
-    for e, k in f.terms.items():
+    for e, k in f.items():
         if not e[line_var]:
             uni[e[others[0]]] = k
     c = _integral(uni)
@@ -82,16 +83,15 @@ def _line_meets_cubic_transversally(f: MultiPoly, line_var: int) -> None:
 
 
 def _build_ex42i(params: dict) -> NamedExample:
-    fld = QQ
     f = _p(params["f"])
-    if f.is_zero or f.degree() != 3:
+    if not f or degree(f) != 3:
         raise Rejection("parameter f must be a nonzero cubic")
     for i in range(3):
         _line_meets_cubic_transversally(f, i)
     z = _p("0")
     x1, x2, x3 = _p("x1"), _p("x2"), _p("x3")
     rep = validate_rep(
-        [[z, x1, x2, z], [x1, z, x3, z], [x2, x3, z, z], [z, z, z, f]], fld, [x1, x2, x3, f]
+        [[z, x1, x2, z], [x1, z, x3, z], [x2, x3, z, z], [z, z, z, f]], 0, [x1, x2, x3, f]
     )
     counts = {
         "sing_c_count": (12, "derived"),
@@ -105,7 +105,7 @@ def _build_ex42i(params: dict) -> NamedExample:
     return NamedExample(
         name="ex42i",
         rep=rep,
-        params={"f": str(f)},
+        params={"f": format_terms(f, VARS_X)},
         compatible_primes=(7, 11, 13),
         expected={
             "rational": {
@@ -130,21 +130,20 @@ def _build_ex42i(params: dict) -> NamedExample:
 
 
 def _build_ex42ii(params: dict) -> NamedExample:
-    fld = QQ
     lines = [_p(params[key]) for key in ("l4", "l5", "l6")]
     x1, x2, x3 = _p("x1"), _p("x2"), _p("x3")
     all_lines = [x1, x2, x3] + lines
     for ln in all_lines:
-        if ln.is_zero or ln.degree() != 1:
+        if not ln or degree(ln) != 1:
             raise Rejection("every component of this example must be a line")
     # general position: six distinct lines, no three concurrent
     for a, b, c in combinations(all_lines, 3):
-        rows = [[p.terms.get(tuple(1 if i == k else 0 for i in range(3)), 0) for k in range(3)] for p in (a, b, c)]
+        rows = [[p.get(tuple(1 if i == k else 0 for i in range(3)), 0) for k in range(3)] for p in (a, b, c)]
         if not sum(map(mul, rows[0], cross(rows[1], rows[2]))):
             raise Rejection("three of the six lines are concurrent; not in general position")
     z = _p("0")
-    corner = MultiPoly(fld, VARS_X, mul_terms(mul_terms(lines[0].terms, lines[1].terms), lines[2].terms))
-    rep = validate_rep([[x1, z, z, z], [z, x2, z, z], [z, z, x3, z], [z, z, z, corner]], fld, all_lines)
+    corner = mul_terms(mul_terms(lines[0], lines[1]), lines[2])
+    rep = validate_rep([[x1, z, z, z], [z, x2, z, z], [z, z, x3, z], [z, z, z, corner]], 0, all_lines)
     counts = {
         "sing_c_count": (15, "derived"),
         "s_theta_count": (12, "reference"),
@@ -157,14 +156,13 @@ def _build_ex42ii(params: dict) -> NamedExample:
     return NamedExample(
         name="ex42ii",
         rep=rep,
-        params={"l4": str(lines[0]), "l5": str(lines[1]), "l6": str(lines[2])},
+        params={k: format_terms(ln, VARS_X) for k, ln in zip(("l4", "l5", "l6"), lines)},
         compatible_primes=(7, 11, 13),
         expected=dict.fromkeys(("rational", "fp:7", "fp:11", "fp:13"), counts),
     )
 
 
 def _build_prop44(params: dict) -> NamedExample:
-    fld = QQ
     vals = [_number("prop44", "A", part, Fraction) for part in params["A"].split(",")]
     if len(vals) != 9:
         raise InputError("parameter A needs nine comma-separated entries")
@@ -175,12 +173,12 @@ def _build_prop44(params: dict) -> NamedExample:
     for i, j, k in product(range(3), repeat=3):
         e = tuple((i == t) + (j == t) + (k == t) for t in range(3))
         terms[e] = terms.get(e, 0) - rows[i][j] * rows[i][k]
-    corner = MultiPoly(fld, VARS_X, terms)
-    if corner.is_zero:
+    corner = {e: c for e, c in terms.items() if c}
+    if not corner:
         raise Rejection("the cubic built from A vanishes identically")
     # membership: the cubic must be smooth and meet the coordinate triangle
     # transversally away from its vertices
-    scan = singular_points(curve_terms([corner])[0], fld)
+    scan = singular_points(curve_terms([corner])[0], 0)
     if scan.points:
         raise Rejection(f"the cubic built from A is singular at {scan.points[0]}")
     if not scan.complete:
@@ -188,7 +186,7 @@ def _build_prop44(params: dict) -> NamedExample:
     for i in range(3):
         _line_meets_cubic_transversally(corner, i)
     z = _p("0")
-    rep = validate_rep([[x[0], z, z, z], [z, x[1], z, z], [z, z, x[2], z], [z, z, z, corner]], fld, x + [corner])
+    rep = validate_rep([[x[0], z, z, z], [z, x[1], z, z], [z, z, x[2], z], [z, z, z, corner]], 0, x + [corner])
     # section plane u_i = sum_j a_ij x_j lies on the fourfold identically
     section = [
         tuple([-rows[i][j] for j in range(3)] + [1 if t == i else 0 for t in range(3)])
@@ -226,31 +224,26 @@ def _build_prop44(params: dict) -> NamedExample:
 
 def _verify_section_plane(rep: SymDetRep, rows) -> None:
     # the plane is spanned by e_{x_j} + sum_i a_ij e_{u_i}, j = 1, 2, 3
-    fld = rep.field
-    basis = [
-        [fld.one() if k == j else fld.zero() for k in range(3)] + [rows[i][j] for i in range(3)]
-        for j in range(3)
-    ]
+    basis = [[int(k == j) for k in range(3)] + [rows[i][j] for i in range(3)] for j in range(3)]
     if not vanishes_on_plane(rep.fourfold_terms, basis):
         raise Rejection("section plane is not contained in the fourfold")
 
 
 def _build_ex43_quartic(params: dict) -> NamedExample:
-    fld = QQ
     vals = {k: _p(v) for k, v in params.items()}
     l1, l2, l11, q1, f = vals["l1"], vals["l2"], vals["l11"], vals["q1"], vals["f"]
     a, b, c = curve_terms([l11, q1, f])
     quartic = det_terms([[a, b], [b, c]])  # l11 f - q1^2, up to a scalar
-    if not quartic or not is_reduced_curve(quartic, fld):
+    if not quartic or not is_reduced_curve(quartic, 0):
         raise Rejection("the 2x2 block does not define a reduced quartic")
     z = _p("0")
     rep = validate_rep(
-        [[l1, z, z, z], [z, l2, z, z], [z, z, l11, q1], [z, z, q1, f]], fld, [l1, l2, MultiPoly(fld, VARS_X, quartic)]
+        [[l1, z, z, z], [z, l2, z, z], [z, z, l11, q1], [z, z, q1, f]], 0, [l1, l2, quartic]
     )
     return NamedExample(
         name="ex43_quartic_two_lines",
         rep=rep,
-        params={k: str(v) for k, v in vals.items()},
+        params={k: format_terms(v, VARS_X) for k, v in vals.items()},
         compatible_primes=(7, 11, 13),
         expected={
             "rational": {
@@ -282,12 +275,11 @@ def _build_ex43_quartic(params: dict) -> NamedExample:
 
 
 def _build_ex43_quintic(params: dict) -> NamedExample:
-    fld = QQ
     vals = {k: _p(v) for k, v in params.items()}
     l1 = vals["l1"]
     a, b, c, d, e, f = curve_terms([vals[k] for k in ("l11", "l12", "q1", "l22", "q2", "f")])
     quintic = det_terms([[a, b, c], [b, d, e], [c, e, f]])  # det of the 3x3 block, up to a scalar
-    if not quintic or not is_reduced_curve(quintic, fld):
+    if not quintic or not is_reduced_curve(quintic, 0):
         raise Rejection("the 3x3 block does not define a reduced quintic")
     z = _p("0")
     rep = validate_rep(
@@ -297,8 +289,8 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
             [z, vals["l12"], vals["l22"], vals["q2"]],
             [z, vals["q1"], vals["q2"], vals["f"]],
         ],
-        fld,
-        [l1, MultiPoly(fld, VARS_X, quintic)],
+        0,
+        [l1, quintic],
     )
     counts = {
         "sing_c_count": (3, "derived"),
@@ -310,7 +302,7 @@ def _build_ex43_quintic(params: dict) -> NamedExample:
     return NamedExample(
         name="ex43_quintic_line",
         rep=rep,
-        params={k: str(v) for k, v in vals.items()},
+        params={k: format_terms(v, VARS_X) for k, v in vals.items()},
         compatible_primes=(7, 11, 13),
         expected={
             "rational": {
@@ -334,26 +326,26 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
             f"this example needs a prime with q = 1 (mod 8) so that fourth and "
             f"eighth roots of -1 exist; got {q}"
         )
-    fld = PrimeField(q)
+    checked_prime(q)
     # w = n^((q-1)/8) for a non-residue n has w^4 = -1; the four roots of
     # x^4 = -1 are its odd powers, and omega is the least of them
     n = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
     w = pow(n, (q - 1) // 8, q)
-    omega = fld.from_int(min(pow(w, k, q) for k in (1, 3, 5, 7)))
+    omega = min(pow(w, k, q) for k in (1, 3, 5, 7))
     i_elt = omega * omega % q
-    z, x3sq = _p("0", fld), _p("x3^2", fld)
-    m33 = _p(f"-x1 + {omega}*x2", fld)
-    m44 = _p(f"(x1 + {omega}*x2)*(x1^2 + {i_elt}*x2^2)", fld)
+    z, x3sq = _p("0", q), _p("x3^2", q)
+    m33 = _p(f"-x1 + {omega}*x2", q)
+    m44 = _p(f"(x1 + {omega}*x2)*(x1^2 + {i_elt}*x2^2)", q)
     rep = validate_rep(
         [
-            [_p("-x1", fld), z, z, z],
-            [z, _p("x1 + x2", fld), z, z],
+            [_p("-x1", q), z, z, z],
+            [z, _p("x1 + x2", q), z, z],
             [z, z, m33, x3sq],
             [z, z, x3sq, m44],
         ],
-        fld,
+        q,
     )
-    if rep.sextic != _p("x1*(x1 + x2)*(x1^4 + x2^4 + x3^4)", fld):
+    if rep.sextic_terms != _p("x1*(x1 + x2)*(x1^4 + x2^4 + x3^4)", q):
         raise Rejection(
             "root selection failed: the determinant is not the product of the "
             "two lines and the diagonal quartic"
@@ -383,9 +375,8 @@ def _build_ex43_fermat(params: dict) -> NamedExample:
 
 
 def _build_rmk31(params: dict) -> NamedExample:
-    fld = QQ
     f = _p(params["f"])
-    if f.is_zero or f.degree() != 3:
+    if not f or degree(f) != 3:
         raise Rejection("parameter f must be a nonzero cubic")
     z = _p("0")
     x1, x2 = _p("x1"), _p("x2")
@@ -397,11 +388,13 @@ def _build_rmk31(params: dict) -> NamedExample:
             [x2, z, _p("x1 + x3"), z],
             [z, z, z, f],
         ],
-        fld,
+        0,
         [nodal_cubic, f],
     )
-    if rep.d_cubic != nodal_cubic:
-        raise ConsistencyError(f"the linear block's determinant is {rep.d_cubic}, not {nodal_cubic}")
+    # c^3 D against c^3 times the nodal cubic, c the entries' common denominator
+    if rep.d_terms != {e: v * rep.den**3 for e, v in nodal_cubic.items()}:
+        d, want = format_terms(rep.d_terms, VARS_X, rep.den**3), format_terms(nodal_cubic, VARS_X)
+        raise ConsistencyError(f"the linear block's determinant is {d}, not {want}")
     expected = {
         "rational": {
             "b_count": (1, "derived"),
@@ -429,7 +422,7 @@ def _build_rmk31(params: dict) -> NamedExample:
     return NamedExample(
         name="rmk31",
         rep=rep,
-        params={"f": str(f)},
+        params={"f": format_terms(f, VARS_X)},
         compatible_primes=(7, 11, 13),
         expected=expected,
         notes=[

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import mul
 
-from .algebra import PrimeField, VARS_XU, cross, int_rank_det, primitive, residue
+from .algebra import VARS_XU, cross, int_rank_det, primitive, residue
+from .algebra.fields import checked_prime, isqrt_exact, sqrt_mod
 from .algebra.multipoly import dense, det_terms, diff_terms, form_values, residues
 from .algebra.unipoly import common_zeros, gcd_mod, horner_mod, lane_width, lanes, line_lanes, pack_lines
 from .curves import plane_solutions
@@ -57,7 +58,7 @@ def split_rank2_fiber(rep: SymDetRep, p: ProjPoint, gram=None) -> PlanePair:
     diag(den, den, den, 1) and kept as base-field data.  `gram` is G when
     the classification already holds it.
     """
-    field, q = rep.field, rep.field.char
+    q = rep.q
     if gram is None:
         gram, rank, _kernel = gram_rank_kernel(rep, p)
         if rank != 2:
@@ -77,16 +78,16 @@ def split_rank2_fiber(rep: SymDetRep, p: ProjPoint, gram=None) -> PlanePair:
         # z1 z2 = ((z1 + z2)^2 - (z1 - z2)^2) / 4
         alpha, beta, disc = [x + y for x, y in zip(li, lj)], [x - y for x, y in zip(li, lj)], 1
     _verify_pair(rep, p, alpha, beta, disc)
-    root = field.sqrt(field.from_int(disc))
+    root = sqrt_mod(disc, q) if q else isqrt_exact(disc)
     den = p.ints()[1]
-    at_p = [tuple(map(field.from_int, (den * v[0], den * v[1], den * v[2], v[3]))) for v in (alpha, beta)]
+    at_p = [tuple(residue(x, q) for x in (den * v[0], den * v[1], den * v[2], v[3])) for v in (alpha, beta)]
     # with an identically-zero conic block the fiber quadric contains P
     # itself; flag the pair instead of treating it as an internal error
     return PlanePair(
         point=p,
         alpha=at_p[0],
         beta=at_p[1],
-        disc=field.from_int(disc),
+        disc=residue(disc, q),
         root=root,
         lines=_line_keys(alpha[:3], beta[:3], disc, root, q),
         degenerate=not any(x for row in gram[:3] for x in row[:3]),
@@ -107,7 +108,7 @@ def _verify_pair(rep: SymDetRep, p: ProjPoint, alpha, beta, disc: int) -> None:
     planes are distinct, so meet in a line, exactly when disc != 0 and some
     2x2 minor of alpha and beta is nonzero.
     """
-    q = rep.field.char
+    q = rep.q
     minors = (alpha[k] * beta[l] - alpha[l] * beta[k] for k, l in combinations(range(4), 2))
     if not residue(disc, q) or not any(residue(m, q) for m in minors):
         raise ConsistencyError("planes of a couple must meet along a line")
@@ -136,13 +137,13 @@ def net_conics(rep: SymDetRep) -> list[dict]:
             for (i, j), t in zip(UPPER, rep.upper)
             if j < 3 and unit in t
         }
-        out.append(residues(terms, rep.field.char))
+        out.append(residues(terms, rep.q))
     return out
 
 
 def base_locus(rep: SymDetRep):
     """Common zeros in P of the net of conics; at most 3 points for valid input."""
-    field = rep.field
+    q = rep.q
     if not rep.d_terms:
         raise Rejection("the cubic D vanishes identically; the net of conics is degenerate")
     conics = [c for c in net_conics(rep) if c]
@@ -151,15 +152,15 @@ def base_locus(rep: SymDetRep):
     # D != 0, so not every conic of the net is singular and the conics share
     # no line; they share a component only when all are multiples of one conic
     monos = sorted({e for terms in conics for e in terms})
-    if int_rank_det([[terms.get(e, 0) for e in monos] for terms in conics], field.char)[0] < 2:
+    if int_rank_det([[terms.get(e, 0) for e in monos] for terms in conics], q)[0] < 2:
         raise Rejection("net of conics shares a component: base locus is one-dimensional")
-    sol = plane_solutions(conics, field)
-    pts = [ProjPoint(field, p.coords, "u") for p in sol.points]
+    sol = plane_solutions(conics, q)
+    pts = [ProjPoint(q, p.coords, "u") for p in sol.points]
     if len(pts) > 3:
         raise Rejection(
             f"base locus has {len(pts)} points; a valid associated pair allows at most 3"
         )
-    if len(pts) == 3 and not int_rank_det([p.ints()[0] for p in pts], field.char)[1]:
+    if len(pts) == 3 and not int_rank_det([p.ints()[0] for p in pts], q)[1]:
         raise Rejection("three collinear base points; not a valid associated pair")
     return pts, sol.complete
 
@@ -186,7 +187,7 @@ def singular_locus_X(rep: SymDetRep) -> SingularLocusX:
     """Sing(X) of the fourfold over the rep's field, assembled from the cone
     vertices over s_c and the base points of the net of conics.  Each point
     is tested on its integer vector w by `_third_derivatives`."""
-    field, q = rep.field, rep.field.char
+    q = rep.q
     classification = rep.classification
     vertices = []
     for record in classification.records:
@@ -199,11 +200,9 @@ def singular_locus_X(rep: SymDetRep) -> SingularLocusX:
         w = embed_fiber_vector(record.point, record.kernel)
         if not any(residue(c, q) for c in w[:3]):
             raise ConsistencyError(f"cone vertex over {record.point} sits inside P")
-        vertices.append((ProjPoint(field, w, "p5"), w))
+        vertices.append((ProjPoint(q, w, "p5"), w))
     bpts, b_complete = base_locus(rep)
-    embedded_b = [
-        (ProjPoint(field, (field.zero(),) * 3 + p.coords, "p5"), (0, 0, 0) + p.ints()[0]) for p in bpts
-    ]
+    embedded_b = [(ProjPoint(q, (0, 0, 0) + p.coords, "p5"), (0, 0, 0) + p.ints()[0]) for p in bpts]
     all_double = True
     if vertices or embedded_b:
         third = _third_derivatives(rep.fourfold_terms)
@@ -282,8 +281,7 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
     over_budget = f"enumeration budget exceeded: the oracle over F_{q} tests more than {ORACLE_BUDGET} points"
     if tested > ORACLE_BUDGET:
         raise InputError(over_budget)
-    gf = PrimeField(q)
-    F = reduce_rep(rep, gf).fourfold_terms
+    F = reduce_rep(rep, checked_prime(q)).fourfold_terms
     # the x-partials of F, F, then its u-partials, in the order candidates are
     # tested, each as {u-exponent: the terms of its form in x}
     split = []
@@ -356,7 +354,7 @@ def brute_force_oracle(rep: SymDetRep, q: int) -> list[ProjPoint]:
         if tested > ORACLE_BUDGET:
             raise InputError(over_budget)
 
-    pts = [ProjPoint(gf, coords, "p5") for coords in found]
+    pts = [ProjPoint(q, coords, "p5") for coords in found]
     return sorted_points(pts)
 
 
@@ -429,7 +427,7 @@ def _solve_singular_mod(rows: list[list[int]], q: int):
 
 def assembly_points_mod_q(rep: SymDetRep, q: int) -> list[ProjPoint]:
     """Sing(X)(F_q) assembled from the rank stratification, for oracle comparison."""
-    return singular_locus_X(reduce_rep(rep, PrimeField(q))).points
+    return singular_locus_X(reduce_rep(rep, checked_prime(q))).points
 
 
 def oracle_matches_assembly(rep: SymDetRep, q: int) -> tuple[bool, list, list]:

@@ -3,32 +3,40 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+from .algebra.fields import format_coeff, fraction_mod
 from .errors import InputError
 
 SPACE_DIMS = {"x": 3, "u": 3, "p5": 6}
 
 
 class ProjPoint:
-    """Immutable projective point over a fixed field, canonically scaled."""
+    """Immutable projective point over the field of characteristic q,
+    canonically scaled: Fraction coordinates over Q, residues over F_q."""
 
-    __slots__ = ("coords", "space", "field")
+    __slots__ = ("coords", "space", "q")
 
-    def __init__(self, field, coords, space: str):
+    def __init__(self, q: int, coords, space: str):
         if space not in SPACE_DIMS:
             raise InputError(f"unknown ambient space {space!r}")
-        coords = tuple(field.coerce(c) for c in coords)
         if len(coords) != SPACE_DIMS[space]:
             raise InputError(
                 f"point in {space} needs {SPACE_DIMS[space]} coordinates, got {len(coords)}"
             )
+        if q:
+            coords = tuple(c % q if isinstance(c, int) else fraction_mod(c, q) for c in coords)
         lead = next((c for c in coords if c), None)
         if lead is None:
             raise InputError("(0:...:0) is not a projective point")
-        coords = tuple(field.div(c, lead) for c in coords)
+        if q:
+            inv = pow(lead, -1, q)
+            coords = tuple(c * inv % q for c in coords)
+        else:
+            coords = tuple(Fraction(c, lead) for c in coords)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "q", q)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -37,24 +45,26 @@ class ProjPoint:
         """(n, den): over Q the primitive integer vector n = den * coords, den
         the lcm of the denominators (the lead coordinate is 1); over F_q the
         coordinates themselves, residues, and 1."""
-        if self.field.char:
+        if self.q:
             return self.coords, 1
         den = math.lcm(*(c.denominator for c in self.coords))
         return tuple(c.numerator * (den // c.denominator) for c in self.coords), den
 
     def sort_key(self):
-        return tuple(self.field.sort_key(c) for c in self.coords)
+        """Over Q each coordinate's (numerator, denominator), which orders
+        the tuples, not the values, and so fixes the printed order."""
+        return self.coords if self.q else tuple((c.numerator, c.denominator) for c in self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return self.space == other.space and self.coords == other.coords and self.field == other.field
+        return self.space == other.space and self.coords == other.coords and self.q == other.q
 
     def __hash__(self):
         return hash((self.space, self.coords))
 
     def __str__(self):
-        return "(" + ":".join(self.field.format(c) for c in self.coords) + ")"
+        return "(" + ":".join(map(format_coeff, self.coords)) + ")"
 
     def __repr__(self):
         return f"ProjPoint{self}"

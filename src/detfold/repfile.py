@@ -16,14 +16,15 @@ word, or a repeated directive, is refused with the line's number.
 
 from __future__ import annotations
 
-from .algebra import PrimeField, QQ, VARS_X, parse_poly
+from .algebra import VARS_X, format_terms, parse_poly
+from .algebra.fields import checked_prime
 from .algebra.parser import PolyParseError
 from .detrep import SymDetRep, validate_rep
 from .errors import InputError
 
 
 def parse_rep_file(text: str) -> SymDetRep:
-    field = None
+    q = None  # the characteristic the file declares
     vars_seen = False
     rows: dict[int, list] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -31,15 +32,15 @@ def parse_rep_file(text: str) -> SymDetRep:
         if not line:
             continue
         word = line.split()[0]
-        if (word == "field" and field is not None) or (word == "vars" and vars_seen):
+        if (word == "field" and q is not None) or (word == "vars" and vars_seen):
             raise InputError(f"line {lineno}: repeated '{word}' declaration")
         if word == "field":
             parts = line.split()
             if parts[1:] == ["rational"]:
-                field = QQ
+                q = 0
             elif len(parts) == 3 and parts[1] == "fp":
                 try:
-                    field = PrimeField(int(parts[2]))
+                    q = checked_prime(int(parts[2]))
                 except ValueError:
                     raise InputError(f"line {lineno}: bad prime {parts[2]!r}") from None
             else:
@@ -49,7 +50,7 @@ def parse_rep_file(text: str) -> SymDetRep:
                 raise InputError(f"line {lineno}: expected 'vars x1 x2 x3'")
             vars_seen = True
         elif word == "row":
-            if field is None or not vars_seen:
+            if q is None or not vars_seen:
                 raise InputError(f"line {lineno}: field and vars must come before rows")
             head, _, body = line.partition(":")
             parts = head.split()
@@ -67,30 +68,25 @@ def parse_rep_file(text: str) -> SymDetRep:
             entries = []
             for col, expr in enumerate(exprs):
                 try:
-                    entries.append(parse_poly(expr.strip(), VARS_X, field))
+                    entries.append(parse_poly(expr.strip(), VARS_X, q))
                 except PolyParseError as e:
                     raise InputError(f"line {lineno}, entry {col + 1}: {e}") from None
             rows[idx] = entries
         else:
             raise InputError(f"line {lineno}: unrecognized directive {word!r}")
-    if field is None:
+    if q is None:
         raise InputError("missing 'field' declaration")
     if not vars_seen:
         raise InputError("missing 'vars' declaration")
     missing = [i for i in range(4) if i not in rows]
     if missing:
         raise InputError(f"missing rows: {missing}")
-    return validate_rep([rows[i] for i in range(4)], field)
+    return validate_rep([rows[i] for i in range(4)], q)
 
 
 def write_rep_file(rep: SymDetRep) -> str:
-    lines = []
-    if isinstance(rep.field, PrimeField):
-        lines.append(f"field fp {rep.field.q}")
-    else:
-        lines.append("field rational")
-    lines.append("vars x1 x2 x3")
+    lines = [f"field fp {rep.q}" if rep.q else "field rational", "vars x1 x2 x3"]
     for i in range(4):
-        entries = ", ".join(str(rep.entry(i, j)) for j in range(4))
+        entries = ", ".join(format_terms(rep.entry(i, j), VARS_X, rep.den) for j in range(4))
         lines.append(f"row {i}: {entries}")
     return "\n".join(lines) + "\n"

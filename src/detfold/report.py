@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import VARS_X, VARS_XU, field_name, format_terms
 from .detrep import SymDetRep, reduce_rep
 from .fourfold import couples_and_intersections, singular_locus_X
 from .lattice import Ns2Report, ns2_gram
@@ -33,9 +34,10 @@ def _flat(v) -> str:
     return str(v)
 
 
-def analyze(rep: SymDetRep, field=None) -> AnalysisReport:
-    """Run the whole pipeline over the requested field (default: the rep's own)."""
-    rep = reduce_rep(rep, rep.field if field is None else field)
+def analyze(rep: SymDetRep, q: int | None = None) -> AnalysisReport:
+    """Run the whole pipeline over the field of characteristic q (default:
+    the rep's own)."""
+    rep = reduce_rep(rep, rep.q if q is None else q)
     classification = rep.classification
     locus = singular_locus_X(rep)
     couples = couples_and_intersections(rep)
@@ -45,10 +47,10 @@ def analyze(rep: SymDetRep, field=None) -> AnalysisReport:
     if not classification.complete:
         notes.append("counts over this field are lower bounds; run a finite-field analysis for completeness")
     rows = [
-        ("field", rep.field.name),
-        ("sextic", str(rep.sextic)),
-        ("d_cubic", str(rep.d_cubic)),
-        ("fourfold", str(rep.fourfold)),
+        ("field", field_name(rep.q)),
+        ("sextic", format_terms(rep.sextic_terms, VARS_X, rep.den**4)),
+        ("d_cubic", format_terms(rep.d_terms, VARS_X, rep.den**3)),
+        ("fourfold", format_terms(rep.fourfold_terms, VARS_XU, rep.den)),
         ("sing_c_count", len(classification.sing_c)),
         ("sing_c_complete", classification.complete),
         ("sing_c_unresolved", classification.unresolved),

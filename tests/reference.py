@@ -32,26 +32,31 @@ univariate routines on field elements that detfold no longer needs.
 `poly_resultant` and `poly_resultant_vanishes` take `resultant` and
 `resultant_vanishes`, which work on integer terms, to polynomials over
 their field.  `ReferenceParser` and `reference_parse_poly` are the former
-parser, which built every sub-expression as a `MultiPoly`.
+parser, which built every sub-expression as a polynomial.
 
 `ints` clears a polynomial of denominators, for the detfold routines that
 take integer terms.  `evaluate`, `diff`, `involves` and `map_field` are the
-former `MultiPoly` methods for values at points, partials, the variables a
+former polynomial methods for values at points, partials, the variables a
 polynomial involves and reduction mod q, which detfold no longer needs: it
 reads the integer terms its representation holds.
 
-`Poly` is a `MultiPoly` with the former ring operations: the constructors
+`Poly` is a term dict over the field of characteristic q (0 for Q), the
+former polynomial class, with its ring operations: the constructors
 `zero`, `constant` and `variable`, `+`, `-`, `*`, `**` and `scale`.
 `degree_in`, `substitute`, `lead` and `try_divide` are the former methods
 that went with them, and `_to_unicoeffs` the former coefficient list of a
 univariate polynomial.  detfold builds its polynomials through the parser
 or from integer terms, and its factorization checks multiply and divide
 integer terms; the references and the tests build theirs with these.
+`parse` reads one from text, and `rep_entry`, `rep_sextic`, `rep_d_cubic`
+and `rep_fourfold` read M's entries, det M, D and F off a representation,
+which holds their integer terms.
 
 Over F_q these references compute with `Residue`, an int in [0, q) whose
-operators stay in F_q; `elt` takes a value of detfold's field, a plain
-residue over F_q or a Fraction over Q, to a field element here.  A
-`Residue` is an int, so detfold takes it back as the residue it is.
+operators stay in F_q; `coerce` takes an int or Fraction into the field of
+characteristic q, a plain residue over F_q or a Fraction over Q, and `elt`
+to a field element here.  A `Residue` is an int, so detfold takes it back
+as the residue it is.  `field_sqrt` is the former square root in a field.
 
 `_echelon`, `matrix_rank` and `kernel_rank_det` (Gauss-Jordan on field
 elements) and the `field_` routines are the former per-point path, which
@@ -71,8 +76,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import index
 
-from detfold.algebra import QQ, PrimeField, VARS_X, MultiPoly, resultant, resultant_vanishes, unipoly
-from detfold.algebra.multipoly import _grlex_key, mul_terms
+from detfold.algebra import VARS_X, VARS_XU, format_terms, parse_poly, resultant, resultant_vanishes, unipoly
+from detfold.algebra.fields import fraction_mod, isqrt_exact, sqrt_mod
+from detfold.algebra.multipoly import _grlex_key, mul_terms, residues
 from detfold.algebra.parser import MAX_NESTING, PolyParseError, _tokenize
 from detfold.curves import PlaneSolutions
 from detfold.detrep import _expected_degree, validate_rep
@@ -118,74 +124,129 @@ class Residue(int):
         return Residue(pow(int(self), e, self.q), self.q)
 
 
-def elt(field, x):
-    """x as an element of field here: a `Residue` over F_q, a Fraction over Q."""
-    x = field.coerce(x)
-    return Residue(x, field.char) if field.char else x
+def coerce(q, x):
+    """x in the field of characteristic q: a Fraction over Q, a plain
+    residue over F_q, where a fraction is reduced by `fraction_mod`."""
+    if not isinstance(x, (int, Fraction)):
+        raise InputError(f"cannot coerce {x!r} into the field of characteristic {q}")
+    if not q:
+        return Fraction(x)
+    return x % q if isinstance(x, int) else fraction_mod(x, q)
 
 
-class Poly(MultiPoly):
-    """A `MultiPoly` with the ring operations detfold no longer needs: sums,
-    differences, products, powers and scalar multiples, each a `Poly`, for
-    the references and for building test polynomials.  A plain `MultiPoly`
-    (parsed, or read off a rep) may be the other operand; `Poly.of` takes one
-    in."""
+def elt(q, x):
+    """x as an element of the field of characteristic q here: a `Residue`
+    over F_q, a Fraction over Q."""
+    x = coerce(q, x)
+    return Residue(x, q) if q else x
 
-    __slots__ = ()
+
+def field_sqrt(q, a):
+    """A square root of a in the field of characteristic q, or None: over Q
+    of a Fraction, from its numerator and denominator."""
+    if q:
+        return sqrt_mod(a, q)
+    a = Fraction(a)
+    rn, rd = isqrt_exact(a.numerator), isqrt_exact(a.denominator)
+    return None if rn is None or rd is None else Fraction(rn, rd)
+
+
+class Poly(dict):
+    """A polynomial over the field of characteristic q (0 for Q): its term
+    dict in `vars`, each coefficient reduced mod q on construction
+    (`residues`), so that detfold takes it wherever it takes terms.  It
+    knows its degree, equality and printed form, and has the ring operations
+    detfold no longer needs: sums, differences, products, powers and scalar
+    multiples, each a `Poly`, for the references and for building test
+    polynomials."""
+
+    __slots__ = ("q", "vars")
+
+    def __init__(self, q, vars, terms):
+        super().__init__(residues(terms, q))
+        self.q, self.vars = q, vars
 
     @classmethod
-    def of(cls, p) -> "Poly":
-        return cls(p.field, p.vars, p.terms)
+    def zero(cls, q, vars) -> "Poly":
+        return cls(q, vars, {})
 
     @classmethod
-    def zero(cls, field, vars) -> "Poly":
-        return cls(field, vars, {})
+    def constant(cls, q, vars, c) -> "Poly":
+        return cls(q, vars, {(0,) * len(vars): coerce(q, c)})
 
     @classmethod
-    def constant(cls, field, vars, c) -> "Poly":
-        c = field.coerce(c)
-        return cls(field, vars, {(0,) * len(vars): c} if c else {})
-
-    @classmethod
-    def variable(cls, field, vars, name: str) -> "Poly":
+    def variable(cls, q, vars, name: str) -> "Poly":
         if name not in vars:
             raise InputError(f"unknown variable {name!r}")
-        return cls(field, vars, {tuple(1 if v == name else 0 for v in vars): field.one()})
+        return cls(q, vars, {tuple(1 if v == name else 0 for v in vars): coerce(q, 1)})
+
+    @property
+    def terms(self) -> dict:
+        return self
+
+    @property
+    def is_zero(self) -> bool:
+        return not self
+
+    def degree(self):
+        """Total degree; None for the zero polynomial."""
+        return max(map(sum, self)) if self else None
+
+    def is_homogeneous(self) -> bool:
+        return len({sum(e) for e in self}) <= 1
+
+    def __eq__(self, other):
+        if isinstance(other, Poly) and (self.vars, self.q) != (other.vars, other.q):
+            return False
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash((self.vars, tuple(sorted(self.items()))))
+
+    def __str__(self) -> str:
+        return format_terms(self, self.vars)
+
+    def __repr__(self):
+        return f"Poly({self})"
 
     def __add__(self, other) -> "Poly":
         _check(self, other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        terms = dict(self)
+        for e, c in other.items():
             terms[e] = terms[e] + c if e in terms else c
-        return Poly(self.field, self.vars, terms)
+        return Poly(self.q, self.vars, terms)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        return self + (-Poly.of(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
         return -(self - other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly(self.q, self.vars, {e: -c for e, c in self.items()})
 
     def __mul__(self, other) -> "Poly":
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, Poly):
             return self.scale(other)
         _check(self, other)
-        return Poly(self.field, self.vars, mul_terms(self.terms, other.terms))
+        return Poly(self.q, self.vars, mul_terms(self, other))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = self.field.coerce(c)
-        return Poly(self.field, self.vars, {e: k * c for e, k in self.terms.items()} if c else {})
+        c = coerce(self.q, c)
+        return Poly(self.q, self.vars, {e: k * c for e, k in self.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise InputError("negative polynomial power")
-        out = Poly.constant(self.field, self.vars, 1)
+        out = Poly.constant(self.q, self.vars, 1)
         base = self
         while n:
             if n & 1:
@@ -194,13 +255,42 @@ class Poly(MultiPoly):
             n >>= 1
         return out
 
-    def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
 
 def _check(a, b):
-    if a.vars != b.vars or a.field != b.field:
+    if not isinstance(b, Poly) or a.vars != b.vars or a.q != b.q:
         raise InputError("polynomial ring mismatch")
+
+
+def parse(text: str, q: int = 0, vars: tuple = VARS_X) -> Poly:
+    """`parse_poly` of text over the field of characteristic q, as a `Poly`."""
+    return Poly(q, vars, parse_poly(text, vars, q))
+
+
+def scaled(rep, terms: dict, n: int, vars: tuple = VARS_X) -> Poly:
+    """The polynomial over the rep's field whose c^n multiple has these
+    integer terms, c the rep's common denominator."""
+    s = rep.den**n
+    return Poly(rep.q, vars, terms if s == 1 else {e: Fraction(v, s) for e, v in terms.items()})
+
+
+def rep_entry(rep, i, j) -> Poly:
+    """Entry (i, j) of the rep's matrix M."""
+    return scaled(rep, rep.entry(i, j), 1)
+
+
+def rep_sextic(rep) -> Poly:
+    """det M, the discriminant sextic."""
+    return scaled(rep, rep.sextic_terms, 4)
+
+
+def rep_d_cubic(rep) -> Poly:
+    """The cubic D, det of the linear 3x3 block of M."""
+    return scaled(rep, rep.d_terms, 3)
+
+
+def rep_fourfold(rep) -> Poly:
+    """The fourfold F, in x1..x3, u1..u3."""
+    return scaled(rep, rep.fourfold_terms, 1, VARS_XU)
 
 
 def degree_in(p, var: str) -> int:
@@ -212,7 +302,7 @@ def degree_in(p, var: str) -> int:
 def substitute(p, mapping: dict) -> Poly:
     """p with scalars (of its field or coercible) put for variables (var
     name -> scalar), in the same ring."""
-    subs = [(p.vars.index(v), p.field.coerce(c)) for v, c in mapping.items()]
+    subs = [(p.vars.index(v), coerce(p.q, c)) for v, c in mapping.items()]
     out: dict = {}
     for e, c in p.terms.items():
         e = list(e)
@@ -221,8 +311,8 @@ def substitute(p, mapping: dict) -> Poly:
                 c = c * s ** e[i]
                 e[i] = 0
         e = tuple(e)
-        out[e] = out.get(e, p.field.zero()) + c
-    return Poly(p.field, p.vars, out)
+        out[e] = out.get(e, 0) + c
+    return Poly(p.q, p.vars, out)
 
 
 def lead(p):
@@ -236,15 +326,15 @@ def try_divide(p, divisor):
     _check(p, divisor)
     if divisor.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = Poly.of(p)
-    out = Poly.zero(p.field, p.vars)
+    rem = Poly(p.q, p.vars, p)
+    out = Poly.zero(p.q, p.vars)
     de, dc = lead(divisor)
     while not rem.is_zero:
         re_, rc = lead(rem)
         qe = tuple(a - b for a, b in zip(re_, de))
         if any(k < 0 for k in qe):
             return None
-        qterm = Poly(p.field, p.vars, {qe: p.field.div(rc, dc)})
+        qterm = Poly(p.q, p.vars, {qe: elt(p.q, rc) / elt(p.q, dc)})
         out = out + qterm
         rem = rem - qterm * divisor
     return out
@@ -254,7 +344,7 @@ def _to_unicoeffs(p, var: str) -> list:
     """The coefficient list in var of a polynomial free of every other
     variable."""
     idx = p.vars.index(var)
-    out = [p.field.zero()] * (degree_in(p, var) + 1)
+    out = [coerce(p.q, 0)] * (degree_in(p, var) + 1)
     for e, c in p.terms.items():
         if any(k > 0 for i, k in enumerate(e) if i != idx):
             raise InputError(f"polynomial not univariate in {var}")
@@ -272,9 +362,9 @@ def monic(p: list) -> list:
 def gcd_poly(p: list, q: list, field) -> list:
     """Monic gcd, in plain integers: over F_q Euclid on residues, over Q
     `gcd_int` of the primitive integer parts."""
-    if field.char:
-        a, b = ([field.coerce(c) for c in x] for x in (p, q))
-        return [elt(field, c) for c in unipoly.gcd_mod(a, b, field.char)]
+    if field:
+        a, b = ([coerce(field, c) for c in x] for x in (p, q))
+        return [elt(field, c) for c in unipoly.gcd_mod(a, b, field)]
     return monic([Fraction(c) for c in unipoly.gcd_int(unipoly._integral(p), unipoly._integral(q))])
 
 
@@ -298,10 +388,10 @@ def dense_rep(seed, height):
     for i in range(4):
         for j in range(i, 4):
             d = _expected_degree(i, j)
-            terms = {(a, b, d - a - b): QQ.from_int(rng.randint(-height, height))
+            terms = {(a, b, d - a - b): Fraction(rng.randint(-height, height))
                      for a in range(d, -1, -1) for b in range(d - a, -1, -1)}
-            rows[i][j] = rows[j][i] = Poly(QQ, VARS_X, terms)
-    return validate_rep(rows, QQ)
+            rows[i][j] = rows[j][i] = Poly(0, VARS_X, terms)
+    return validate_rep(rows, 0)
 
 
 def p2_reps(q):
@@ -321,10 +411,10 @@ def ints(p):
 def _cleared(p):
     """(integer terms of den * p, den): over Q den is the lcm of p's
     denominators, over F_q the terms are the residues and den is 1."""
-    if isinstance(p.field, PrimeField):
+    if p.q:
         return dict(p.terms), 1
-    if p.field != QQ:
-        raise InputError(f"no integer lift of coefficients in {p.field!r}")
+    if not all(isinstance(c, (int, Fraction)) for c in p.values()):
+        raise InputError("no integer lift of coefficients that are not rationals")
     den = math.lcm(*(c.denominator for c in p.terms.values()))
     return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
 
@@ -336,23 +426,23 @@ def evaluate(p, values):
     denominator, is divided once; over F_q the sum is of residues."""
     if len(values) != len(p.vars):
         raise InputError(f"dimension mismatch: {len(p.vars)} variables, {len(values)} coordinates")
-    field = p.field
-    vals = [field.coerce(v) for v in values]
+    q = p.q
+    vals = [coerce(q, v) for v in values]
     terms, scale = _cleared(p)
     top = p.degree() or 0
-    if field.char:
+    if q:
         den, xs = 1, vals
     else:
         den = math.lcm(*(v.denominator for v in vals))
         xs = [v.numerator * (den // v.denominator) for v in vals]
     total = sum(c * math.prod(map(pow, xs, e)) * den ** (top - sum(e)) for e, c in terms.items())
-    return field.from_int(total) if field.char else Fraction(total, scale * den**top)
+    return total % q if q else Fraction(total, scale * den**top)
 
 
 def diff(p, var):
     """The partial derivative of p in var, in p's ring."""
     i = p.vars.index(var)
-    return Poly(p.field, p.vars, {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.terms.items() if e[i]})
+    return Poly(p.q, p.vars, {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.terms.items() if e[i]})
 
 
 def involves(p, var) -> bool:
@@ -362,7 +452,7 @@ def involves(p, var) -> bool:
 
 def map_field(p, field):
     """p with its coefficients coerced into field (reduced mod q)."""
-    return Poly(field, p.vars, {e: field.coerce(c) for e, c in p.terms.items()})
+    return Poly(field, p.vars, {e: coerce(field, c) for e, c in p.terms.items()})
 
 
 def euclid_gcd(p, q, field):
@@ -415,24 +505,24 @@ def _fraction_common_roots(unis: list) -> tuple[dict, int]:
     over Q, and the degree of the gcd's part without rational roots."""
     g = unis[0]
     for u in unis[1:]:
-        g = gcd_poly(g, u, QQ)
+        g = gcd_poly(g, u, 0)
     if unipoly.deg(g) == 0:
         return {}, 0
     return unipoly.rational_roots(g)
 
 
-def fraction_plane_solutions_qq(polys, field) -> PlaneSolutions:
+def fraction_plane_solutions_qq(polys) -> PlaneSolutions:
     """Rational solutions: in the chart x3 = 1 the roots of the eliminants in
     x1, then over each root the roots in x2 of the fibre; on the line x3 = 0
     the point (1:0:0) and the roots in x1 in the chart x2 = 1.  Each candidate
     is tested against every polynomial."""
     pts: set = set()
     unresolved = 0
-    one, zero = field.one(), field.zero()
+    one, zero = Fraction(1), Fraction(0)
 
     def keep(cand):
         if all(not evaluate(p, cand) for p in polys):
-            pts.add(ProjPoint(field, cand, "x"))
+            pts.add(ProjPoint(0, cand, "x"))
 
     # chart x3 = 1
     aff = [substitute(p, {"x3": 1}) for p in polys]
@@ -480,10 +570,10 @@ def fraction_plane_solutions_qq(polys, field) -> PlaneSolutions:
 
 def term_evaluate(f, values):
     """Value of f at a point, one field product at a time."""
-    vals = [elt(f.field, v) for v in values]
-    total = elt(f.field, 0)
+    vals = [elt(f.q, v) for v in values]
+    total = elt(f.q, 0)
     for e, c in f.terms.items():
-        t = elt(f.field, c)
+        t = elt(f.q, c)
         for v, k in zip(vals, e):
             for _ in range(k):
                 t = t * v
@@ -495,10 +585,10 @@ def term_polar_matrix(F, p):
     """The 4x4 symmetric matrix of 2 B, B the polar form of Q with
     F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t); read off F at
     p in the base field."""
-    zero = elt(p.field, 0)
+    zero = elt(p.q, 0)
     polar = [[zero] * 4 for _ in range(4)]
     for e, c in F.terms.items():
-        c = elt(p.field, c)
+        c = elt(p.q, c)
         for x, k in zip(p.coords, e[:3]):
             if k:
                 c = c * x**k
@@ -518,27 +608,27 @@ def poly_resultant(f, g, var):
     i = f.vars.index(var)
     r = resultant(fi, gi, i)
     scale = sf ** degree_in(g, var) * sg ** degree_in(f, var)
-    return Poly(f.field, f.vars, r if f.field.char else {e: Fraction(c, scale) for e, c in r.items()})
+    return Poly(f.q, f.vars, r if f.q else {e: Fraction(c, scale) for e, c in r.items()})
 
 
 def poly_resultant_vanishes(f, g, var):
     """`resultant_vanishes` on two polynomials, over their field."""
     _check(f, g)
-    return resultant_vanishes(_cleared(f)[0], _cleared(g)[0], f.vars.index(var), f.field.char)
+    return resultant_vanishes(_cleared(f)[0], _cleared(g)[0], f.vars.index(var), f.q)
 
 
 def bareiss_resultant(f, g, var):
     """Sylvester determinant of f and g in var over the polynomial ring,
     fraction-free (Bareiss)."""
     m, n = degree_in(f, var), degree_in(g, var)
-    zero = Poly.zero(f.field, f.vars)
+    zero = Poly.zero(f.q, f.vars)
     rows = []
     for p, copies in ((f, n), (g, m)):
         lead_first = list(reversed(coeffs_in(p, var)))
         for i in range(copies):
             rows.append([zero] * i + lead_first + [zero] * (copies - 1 - i))
     size = m + n
-    sign, prev = 1, Poly.constant(f.field, f.vars, 1)
+    sign, prev = 1, Poly.constant(f.q, f.vars, 1)
     for k in range(size - 1):
         if rows[k][k].is_zero:
             sel = next((i for i in range(k + 1, size) if not rows[i][k].is_zero), None)
@@ -562,7 +652,7 @@ def sylvester_det(a, b):
     m, n = len(a) - 1, len(b) - 1
     rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
-    _, pivots, det = _echelon(rows, m + n, QQ)
+    _, pivots, det = _echelon(rows, m + n, 0)
     return det if len(pivots) == m + n else 0
 
 
@@ -587,12 +677,12 @@ def plane_span(point, form, field):
 
 
 def coeffs_in(p, var):
-    """Coefficients (as MultiPoly in the same ring) of powers of var, ascending."""
+    """Coefficients (as Poly in the same ring) of powers of var, ascending."""
     i = p.vars.index(var)
     buckets = [dict() for _ in range(max(degree_in(p, var), 0) + 1)]
     for e, c in p.terms.items():
         buckets[e[i]][e[:i] + (0,) + e[i + 1 :]] = c
-    return [Poly(p.field, p.vars, b) for b in buckets]
+    return [Poly(p.q, p.vars, b) for b in buckets]
 
 
 def _bivar_content_pp(p, main, aux):
@@ -601,7 +691,7 @@ def _bivar_content_pp(p, main, aux):
     for c in coeffs_in(p, main):
         u = _to_unicoeffs(c, aux)
         if u:
-            cont = gcd_poly(cont, u, p.field) if cont else monic([elt(p.field, c) for c in u])
+            cont = gcd_poly(cont, u, p.q) if cont else monic([elt(p.q, c) for c in u])
     return cont
 
 
@@ -620,7 +710,7 @@ def _primitive_in(p, main, aux):
     cont = _bivar_content_pp(p, main, aux)
     if unipoly.deg(cont) <= 0:
         return p
-    q = try_divide(p, _uni_to_poly(cont, aux, p.field))
+    q = try_divide(p, _uni_to_poly(cont, aux, p.q))
     assert q is not None, "content division failed"
     return q
 
@@ -632,14 +722,14 @@ def _pseudo_rem(f, g, main):
     while not r.is_zero and degree_in(r, main) >= dg:
         dr = degree_in(r, main)
         lead_r = coeffs_in(r, main)[dr]
-        shift = Poly.variable(r.field, r.vars, main) ** (dr - dg)
+        shift = Poly.variable(r.q, r.vars, main) ** (dr - dg)
         r = r * lead_g - g * shift * lead_r
     return r
 
 
 def bivar_gcd(f, g, main="x1", aux="x2"):
     """GCD of two bivariate polynomials (x3-free) via a primitive PRS."""
-    field = f.field
+    field = f.q
     if f.is_zero:
         return g
     if g.is_zero:
@@ -668,7 +758,7 @@ def bivar_gcd(f, g, main="x1", aux="x2"):
         gc = Poly.constant(field, f.vars, 1)
     else:
         gc = b
-    return gc * _uni_to_poly(ccont if ccont else [field.one()], aux, field)
+    return gc * _uni_to_poly(ccont if ccont else [coerce(field, 1)], aux, field)
 
 
 def reference_is_reduced(h):
@@ -757,7 +847,7 @@ def kernel_rank_det(rows: list[list], field) -> tuple[int, object, list[list]]:
     return rank, det if rank == n else elt(field, 0), _kernel_basis(m, pivots, n, field)
 
 
-def field_node_partials(h: MultiPoly) -> tuple:
+def field_node_partials(h: Poly) -> tuple:
     """The gradient of h and its Hessian entries h_ij (i <= j), keyed by (i, j),
     derived once for node tests at many points."""
     grad = [diff(h, v) for v in VARS_X]
@@ -765,7 +855,7 @@ def field_node_partials(h: MultiPoly) -> tuple:
     return grad, hess
 
 
-def field_is_node(h: MultiPoly, p: ProjPoint, partials=None) -> bool:
+def field_is_node(h: Poly, p: ProjPoint, partials=None) -> bool:
     """True iff the curve has an ordinary double point (node) at p.
 
     In the chart where p's leading coordinate x_k is 1, the quadratic part of
@@ -778,7 +868,7 @@ def field_is_node(h: MultiPoly, p: ProjPoint, partials=None) -> bool:
         raise Rejection(f"point {p} is not a singular point of the curve")
     k = next(i for i, c in enumerate(p.coords) if c)
     i, j = (m for m in range(3) if m != k)
-    hii, hij, hjj = (elt(h.field, evaluate(hess[key], p.coords)) for key in ((i, i), (i, j), (j, j)))
+    hii, hij, hjj = (elt(h.q, evaluate(hess[key], p.coords)) for key in ((i, i), (i, j), (j, j)))
     return bool(hij * hij - hii * hjj)
 
 
@@ -788,9 +878,9 @@ def field_gram_rank_kernel(rep, p: ProjPoint):
     if p.space != "x":
         raise Rejection("fiber points live in the plane of the discriminant curve")
     vals = p.coords
-    upper = {(i, j): elt(rep.field, evaluate(rep.entry(i, j), vals)) for i in range(4) for j in range(i, 4)}
+    upper = {(i, j): elt(rep.q, evaluate(rep_entry(rep, i, j), vals)) for i in range(4) for j in range(i, 4)}
     gram = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
-    rank, det, basis = kernel_rank_det(gram, rep.field)
+    rank, det, basis = kernel_rank_det(gram, rep.q)
     if rank <= 1:
         raise Rejection(
             f"fiber Gram matrix at {p} has rank {rank} <= 1; "
@@ -801,7 +891,7 @@ def field_gram_rank_kernel(rep, p: ProjPoint):
 
 def field_embed_fiber_vector(p: ProjPoint, vec, field) -> ProjPoint:
     """Send (u1,u2,u3,t) over p=(a:b:c) to (t*a : t*b : t*c : u1 : u2 : u3)."""
-    u1, u2, u3, t = (field.coerce(v) for v in vec)
+    u1, u2, u3, t = (coerce(field, v) for v in vec)
     a, b, c = p.coords
     return ProjPoint(field, (t * a, t * b, t * c, u1, u2, u3), "p5")
 
@@ -811,10 +901,10 @@ def field_fiber_forms(rep) -> dict:
     z = (u1, u2, u3, t), a square's form doubled: with F(t p, u) = t Q(u, t),
     the polar matrix of Q at p holds the forms' values at p."""
     forms: dict = {}
-    for e, c in rep.fourfold.terms.items():
+    for e, c in rep_fourfold(rep).items():
         i, j = (n for n, k in enumerate(e[3:] + (2 - sum(e[3:]),)) for _ in range(k))
         forms.setdefault((i, j), {})[e[:3]] = c + c if i == j else c
-    return {ij: Poly(rep.field, VARS_X, terms) for ij, terms in forms.items()}
+    return {ij: Poly(rep.q, VARS_X, terms) for ij, terms in forms.items()}
 
 
 @dataclass(frozen=True)
@@ -871,7 +961,7 @@ def field_split_rank2_fiber(rep, p: ProjPoint, gram=None) -> FieldPlanePair:
         alpha=alpha,
         beta=beta,
         disc=disc,
-        root=rep.field.sqrt(disc),
+        root=field_sqrt(rep.q, disc),
         degenerate=not any(x for row in gram[:3] for x in row[:3]),
     )
     _field_verify_pair(pair, rep)
@@ -899,7 +989,7 @@ def _field_verify_pair(pair, rep) -> None:
     alpha, beta are independent.
     """
     p, alpha, beta, disc = pair.point, pair.alpha, pair.beta, pair.disc
-    if not disc or matrix_rank([list(alpha), list(beta)], p.field) < 2:
+    if not disc or matrix_rank([list(alpha), list(beta)], p.q) < 2:
         raise ConsistencyError("planes of a couple must meet along a line")
     polar = _field_polar_matrix(rep, p)
     upper = [(k, l) for k in range(4) for l in range(k, 4)]  # both matrices are symmetric
@@ -913,8 +1003,8 @@ def _field_polar_matrix(rep, p: ProjPoint) -> list:
     """The 4x4 symmetric matrix of 2 B, B the polar form of Q with
     F(t p, u) = t Q(u, t), in the coordinates (u1, u2, u3, t): the forms of
     `field_fiber_forms` at p, in the base field."""
-    vals = {ij: elt(p.field, evaluate(form, p.coords)) for ij, form in field_fiber_forms(rep).items()}
-    zero = elt(p.field, 0)
+    vals = {ij: elt(p.q, evaluate(form, p.coords)) for ij, form in field_fiber_forms(rep).items()}
+    zero = elt(p.q, 0)
     return [[vals.get((min(i, j), max(i, j)), zero) for j in range(4)] for i in range(4)]
 
 
@@ -967,7 +1057,7 @@ def pair_ints(pair):
     them: S alpha and S beta, S = diag(1, 1, 1, den), each cleared of
     denominators, and disc rescaled so that the planes
     (alpha +- sqrt(disc) beta) . v = 0 stay the same."""
-    if pair.point.field.char:
+    if pair.point.q:
         return [int(c) for c in pair.alpha], [int(c) for c in pair.beta], int(pair.disc)
     den = pair.point.ints()[1]
     a, b = ([*v[:3], v[3] * den] for v in (pair.alpha, pair.beta))
@@ -977,17 +1067,17 @@ def pair_ints(pair):
 
 
 class ReferenceParser:
-    """The former parser: every sub-expression a `MultiPoly`, built by its
+    """The former parser: every sub-expression a `Poly`, built by its
     ring operations, with products taken term by term on field elements
     (`elt`) and `x^k` by repeated squaring.  It shares the tokenizer and the
     messages of `detfold.algebra.parser` and has no degree limit."""
 
-    def __init__(self, text: str, vars: tuple, field):
+    def __init__(self, text: str, vars: tuple, q: int):
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.vars = vars
-        self.field = field
+        self.q = q
 
     def peek(self):
         return self.toks[self.pos]
@@ -999,14 +1089,14 @@ class ReferenceParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> MultiPoly:
+    def parse(self) -> Poly:
         p = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise PolyParseError(f"trailing input {tok[1]!r}", tok[2])
         return p
 
-    def expr(self) -> MultiPoly:
+    def expr(self) -> Poly:
         negate = False
         if self.peek()[0] == "-":
             self.take()
@@ -1020,24 +1110,24 @@ class ReferenceParser:
             p = p + t if op == "+" else p - t
         return p
 
-    def term(self) -> MultiPoly:
+    def term(self) -> Poly:
         p = self.factor()
         while self.peek()[0] == "*":
             self.take()
             p = self.mul(p, self.factor())
         return p
 
-    def mul(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
-        out = Poly.zero(self.field, self.vars)
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        out = Poly.zero(self.q, self.vars)
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                c = elt(self.field, c1) * elt(self.field, c2)
-                out = out + Poly(self.field, self.vars, {e: c})
+                c = elt(self.q, c1) * elt(self.q, c2)
+                out = out + Poly(self.q, self.vars, {e: c})
         return out
 
-    def power(self, p: MultiPoly, n: int) -> MultiPoly:
-        out = Poly.constant(self.field, self.vars, 1)
+    def power(self, p: Poly, n: int) -> Poly:
+        out = Poly.constant(self.q, self.vars, 1)
         while n:
             if n & 1:
                 out = self.mul(out, p)
@@ -1045,7 +1135,7 @@ class ReferenceParser:
             n >>= 1
         return out
 
-    def factor(self) -> MultiPoly:
+    def factor(self) -> Poly:
         kind, text, pos = self.peek()
         if kind == "(":
             if self.depth == MAX_NESTING:
@@ -1074,12 +1164,12 @@ class ReferenceParser:
                 value = Fraction(num, int(dt))
             else:
                 value = Fraction(num)
-            return Poly.constant(self.field, self.vars, self.field.coerce(value))
+            return Poly.constant(self.q, self.vars, value)
         if kind == "name":
             self.take()
             if text not in self.vars:
                 raise PolyParseError(f"unknown variable {text!r}", pos)
-            p = Poly.variable(self.field, self.vars, text)
+            p = Poly.variable(self.q, self.vars, text)
             if self.peek()[0] == "^":
                 self.take()
                 ek, et, ep = self.take()
@@ -1090,9 +1180,9 @@ class ReferenceParser:
         raise PolyParseError(f"expected a factor, found {text!r}" if text else "unexpected end of input", pos)
 
 
-def reference_parse_poly(text: str, vars: tuple, field) -> MultiPoly:
+def reference_parse_poly(text: str, vars: tuple, q: int) -> Poly:
     """`parse_poly` by `ReferenceParser`, with the same homogeneity check."""
-    p = ReferenceParser(text, vars, field).parse()
+    p = ReferenceParser(text, vars, q).parse()
     if not p.is_homogeneous():
         degs = sorted({sum(e) for e in p.terms})
         raise InputError(f"polynomial is not homogeneous (term degrees {degs}): {text!r}")

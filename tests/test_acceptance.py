@@ -9,7 +9,7 @@ import random
 import time
 from itertools import combinations
 
-from detfold.algebra import QQ, PrimeField, VARS_X
+from detfold.algebra import VARS_X
 from detfold.cli import main as cli_main
 from detfold.detrep import reduce_rep
 from detfold.errors import Rejection, ToolError
@@ -23,7 +23,7 @@ from detfold.lattice import ns2_gram
 from detfold.points import ProjPoint
 from detfold.report import analyze
 from detfold.spin import build_dual_graph, graph_stats, spin_subsets, theta_counts
-from reference import evaluate, matrix_rank, plane_forms, plane_span
+from reference import evaluate, matrix_rank, plane_forms, plane_span, rep_sextic
 from test_examples import _assert_golden
 
 
@@ -36,7 +36,7 @@ def test_criterion_1_ex42i_base_locus():
     ex = build_example("ex42i")
     locus = singular_locus_X(ex.rep)
     expected_b = {
-        ProjPoint(QQ, t, "p5").coords
+        ProjPoint(0, t, "p5").coords
         for t in ((0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
     }
     assert {p.coords for p in locus.base_points} == expected_b
@@ -54,7 +54,7 @@ def test_criterion_2_ex42ii_cone_vertices():
     cl = ex.rep.classification
     assert len(cl.s_theta_tilde) == 12 and len(cl.sing_c) == 15
     expected = {
-        ProjPoint(QQ, t, "p5").coords
+        ProjPoint(0, t, "p5").coords
         for t in ((1, -2, 1, 0, 0, 0), (1, 1, -2, 0, 0, 0), (-5, 1, 1, 0, 0, 0))
     }
     assert {p.coords for p in locus.points} == expected
@@ -70,7 +70,7 @@ def test_criterion_3_prop44_smooth():
     for q in (13, 7):
         ok, oracle, assembled = oracle_matches_assembly(ex.rep, q)
         assert ok and oracle == [] and assembled == []
-        cl = reduce_rep(ex.rep, PrimeField(q)).classification
+        cl = reduce_rep(ex.rep, q).classification
         assert len(cl.s_theta) == 12
     rpt = ns2_gram(12)
     assert rpt.class_count == 25
@@ -147,7 +147,7 @@ def test_criterion_5_bound_suite():
         used_q = None
         for q in (7, 11, 13, 17, 19, 23):
             try:
-                rep = reduce_rep(ex.rep, PrimeField(q))
+                rep = reduce_rep(ex.rep, q)
                 locus = singular_locus_X(rep)
                 used_q = q
                 break
@@ -172,7 +172,7 @@ def test_criterion_5_bound_suite():
 def test_criterion_6_couples_suite():
     t0 = time.time()
     ex = build_example("prop44")
-    gf = PrimeField(13)
+    gf = 13
     rpt = couples_and_intersections(reduce_rep(ex.rep, gf))
     assert len(rpt.pairs) == 12
     assert all(not pr.degenerate for pr in rpt.pairs)
@@ -236,17 +236,16 @@ def test_criterion_9_rank_stratification():
     for name in EXAMPLE_NAMES:
         ex = build_example(name)
         for q in ex.compatible_primes:
-            gf = PrimeField(q)
-            rep = reduce_rep(ex.rep, gf)
-            sing = {p.coords for p in singular_points(rep.sextic_terms, gf).points}
+            rep = reduce_rep(ex.rep, q)
+            sing = {p.coords for p in singular_points(rep.sextic_terms, q).points}
             reps = [(1, b, c) for b in range(q) for c in range(q)]
             reps += [(0, 1, c) for c in range(q)]
             reps.append((0, 0, 1))
             for coords in reps:
-                pt = ProjPoint(gf, coords, "x")
+                pt = ProjPoint(q, coords, "x")
                 _, rank, _ = gram_rank_kernel(rep, pt)
                 assert rank >= 2
-                if evaluate(rep.sextic, pt.coords):
+                if evaluate(rep_sextic(rep), pt.coords):
                     assert rank == 4
                 elif pt.coords in sing:
                     assert rank in (2, 3)

@@ -5,7 +5,7 @@ import pytest
 
 import detfold.curves as curves
 import detfold.detrep as detrep
-from detfold.algebra import QQ, PrimeField, VARS_X, VARS_XU, parse_poly
+from detfold.algebra import VARS_X, VARS_XU, parse_poly
 from detfold.detrep import (
     embed_fiber_vector,
     gram_rank_kernel,
@@ -19,14 +19,14 @@ from detfold.fourfold import brute_force_oracle, couples_and_intersections, orac
 from detfold.points import ProjPoint
 from detfold.repfile import parse_rep_file, write_rep_file
 from detfold.report import analyze
-from reference import Poly, elt, evaluate, ints, kernel_rank_det, map_field, p2_reps, plane_forms, plane_span
+from reference import Poly, coerce, elt, evaluate, ints, kernel_rank_det, map_field, p2_reps, parse, plane_forms, plane_span, rep_d_cubic, rep_entry, rep_fourfold, rep_sextic
 
 
-def _p(s, f=QQ):
-    return Poly.of(parse_poly(s, VARS_X, f))
+def _p(s, f=0):
+    return parse(s, f)
 
 
-def _z(f=QQ):
+def _z(f=0):
     return Poly.zero(f, VARS_X)
 
 
@@ -42,25 +42,25 @@ def _diag(*entries):
 class TestValidate:
     def test_diagonal_line_product_valid(self):
         rep = build_example("ex42ii").rep
-        assert rep.entry(3, 3).degree() == 3
+        assert rep_entry(rep, 3, 3).degree() == 3
 
     def test_asymmetry_rejected(self):
         z = _z()
         m = [[z, _p("x1"), z, z], [_p("x2"), z, z, z], [z, z, _p("x3"), z], [z, z, z, _p("x1^3")]]
         with pytest.raises(Rejection, match="symmetric"):
-            validate_rep(m, QQ)
+            validate_rep(m, 0)
 
     def test_zero_determinant_rejected(self):
         with pytest.raises(Rejection, match="determinant"):
-            validate_rep(_diag(_p("x1"), _p("x2"), _p("x3"), _z()), QQ)
+            validate_rep(_diag(_p("x1"), _p("x2"), _p("x3"), _z()), 0)
 
     def test_degree_profile_rejected(self):
         bad = _diag(_p("x1^2"), _p("x2"), _p("x3"), _p("x1^3"))
         with pytest.raises(Rejection, match="degree"):
-            validate_rep(bad, QQ)
+            validate_rep(bad, 0)
         bad2 = _diag(_p("x1"), _p("x2"), _p("x3"), _p("x1"))
         with pytest.raises(Rejection, match="degree"):
-            validate_rep(bad2, QQ)
+            validate_rep(bad2, 0)
 
     @pytest.mark.parametrize(
         "components,message",
@@ -74,53 +74,53 @@ class TestValidate:
         # the sextic is x1^2 x2 x3 (x2^2 + x3^2)
         m = _diag(_p("x1"), _p("x2"), _p("x3"), _p("x1*x2^2 + x1*x3^2"))
         with pytest.raises(Rejection, match=message):
-            validate_rep(m, QQ, [_p(c) for c in components])
+            validate_rep(m, 0, [_p(c) for c in components])
 
 
 class TestDerived:
     def test_ex42ii_equations(self):
         ex = build_example("ex42ii")
         l4, l5, l6 = (_p(t) for t in ("x1 + x2 + x3", "x1 + 2*x2 + 3*x3", "x1 + 3*x2 + 2*x3"))
-        assert ex.rep.sextic == _p("x1") * _p("x2") * _p("x3") * l4 * l5 * l6
-        assert ex.rep.d_cubic == _p("x1*x2*x3")
+        assert rep_sextic(ex.rep) == _p("x1") * _p("x2") * _p("x3") * l4 * l5 * l6
+        assert rep_d_cubic(ex.rep) == _p("x1*x2*x3")
         from detfold.algebra import VARS_XU
 
-        F = parse_poly("x1*u1^2 + x2*u2^2 + x3*u3^2", VARS_XU, QQ)
+        F = parse("x1*u1^2 + x2*u2^2 + x3*u3^2", 0, VARS_XU)
         corner = l4 * l5 * l6
-        lifted = Poly(QQ, VARS_XU, {e + (0, 0, 0): c for e, c in corner.terms.items()})
-        assert ex.rep.fourfold == F + lifted
+        lifted = Poly(0, VARS_XU, {e + (0, 0, 0): c for e, c in corner.terms.items()})
+        assert rep_fourfold(ex.rep) == F + lifted
 
     def test_ex42i_equations(self):
         ex = build_example("ex42i")
         f = _p("x1^3 + x2^3 + x3^3")
-        assert ex.rep.sextic == (_p("x1*x2*x3") * f).scale(2)
-        assert ex.rep.d_cubic == _p("2*x1*x2*x3")
+        assert rep_sextic(ex.rep) == (_p("x1*x2*x3") * f).scale(2)
+        assert rep_d_cubic(ex.rep) == _p("2*x1*x2*x3")
         from detfold.algebra import VARS_XU
 
         expected = parse_poly(
-            "2*x1*u1*u2 + 2*x2*u1*u3 + 2*x3*u2*u3 + x1^3 + x2^3 + x3^3", VARS_XU, QQ
+            "2*x1*u1*u2 + 2*x2*u1*u3 + 2*x3*u2*u3 + x1^3 + x2^3 + x3^3", VARS_XU, 0
         )
-        assert ex.rep.fourfold == expected
+        assert rep_fourfold(ex.rep) == expected
 
     def test_prop44_equations(self):
         ex = build_example("prop44")
         f = _p("x1^3 + x2^3 + x3^3")
-        assert ex.rep.sextic == -(_p("x1*x2*x3") * f)
-        assert ex.rep.d_cubic == _p("x1*x2*x3")
+        assert rep_sextic(ex.rep) == -(_p("x1*x2*x3") * f)
+        assert rep_d_cubic(ex.rep) == _p("x1*x2*x3")
         from detfold.algebra import VARS_XU
 
         expected = parse_poly(
-            "x1*u1^2 + x2*u2^2 + x3*u3^2 - x1^3 - x2^3 - x3^3", VARS_XU, QQ
+            "x1*u1^2 + x2*u2^2 + x3*u3^2 - x1^3 - x2^3 - x3^3", VARS_XU, 0
         )
-        assert ex.rep.fourfold == expected
+        assert rep_fourfold(ex.rep) == expected
 
     def test_plane_and_corner_restrictions(self):
         for name in ("ex42i", "ex42ii", "prop44", "rmk31"):
             ex = build_example(name)
-            for e in ex.rep.fourfold.terms:
+            for e in rep_fourfold(ex.rep).terms:
                 assert e[0] + e[1] + e[2] > 0  # vanishes on the plane x=0
-            corner = {e[:3]: c for e, c in ex.rep.fourfold.terms.items() if sum(e[3:]) == 0}
-            assert corner == ex.rep.entry(3, 3).terms
+            corner = {e[:3]: c for e, c in rep_fourfold(ex.rep).terms.items() if sum(e[3:]) == 0}
+            assert corner == rep_entry(ex.rep, 3, 3).terms
 
 
 class TestDeterminantOnce:
@@ -148,7 +148,7 @@ class TestDeterminantOnce:
     def test_analyze_reduced_field(self, sizes):
         rep = build_example("ex42ii").rep
         sizes.clear()
-        analyze(rep, PrimeField(13))
+        analyze(rep, 13)
         assert sizes.count(4) == 1
 
     def test_oracle_builds_no_d(self, sizes):
@@ -162,7 +162,7 @@ class TestDeterminantOnce:
         sizes.clear()
         assert oracle_matches_assembly(rep, 13)[0]
         assert sizes.count(4) == 1
-        assert reduce_rep(rep, PrimeField(13)) is reduce_rep(rep, PrimeField(13))
+        assert reduce_rep(rep, 13) is reduce_rep(rep, 13)
 
 
 class TestClearedOnce:
@@ -171,16 +171,16 @@ class TestClearedOnce:
     and every consumer reads the integer terms.  `clear_denominators` has
     two callers: the rep's validation, which clears a factorization apart
     from the entries, and `curves.curve_terms`, which a named example's
-    builder uses.  The oracle clears nothing, and no `MultiPoly` has a
-    product to take."""
+    builder uses.  The oracle clears nothing.  Each call is recorded by
+    the characteristic it clears in."""
 
     @pytest.fixture
     def fields(self, monkeypatch):
         fields = []
         for module in (detrep, curves):
-            def counting(polys, clear=module.clear_denominators):
-                fields.append(polys[0].field)
-                return clear(polys)
+            def counting(polys, q=0, clear=module.clear_denominators):
+                fields.append(q)
+                return clear(polys, q)
 
             monkeypatch.setattr(module, "clear_denominators", counting)
         return fields
@@ -190,10 +190,10 @@ class TestClearedOnce:
         text = write_rep_file(build_example(name).rep)
         fields.clear()
         analyze(parse_rep_file(text))
-        assert fields == [QQ]
+        assert fields == [0]
         fields.clear()
-        analyze(parse_rep_file(text), PrimeField(7))
-        assert fields == [QQ]
+        analyze(parse_rep_file(text), 7)
+        assert fields == [0]
         rep = parse_rep_file(text)
         fields.clear()
         brute_force_oracle(rep, 29)
@@ -208,25 +208,25 @@ def _gram_at(rep, p):
     den = p.ints()[1]
     c = rep.den * den
     s = (1, 1, 1, den)
-    g = [[elt(rep.field, gram[i][j]) / (c * s[i] * s[j]) for j in range(4)] for i in range(4)]
-    rank, det, _ = kernel_rank_det(g, rep.field)
+    g = [[elt(rep.q, gram[i][j]) / (c * s[i] * s[j]) for j in range(4)] for i in range(4)]
+    rank, det, _ = kernel_rank_det(g, rep.q)
     return g, rank, det
 
 
 class TestFiberGram:
     def test_prop44_rank2_point(self):
         ex = build_example("prop44")
-        g = _gram_at(ex.rep, ProjPoint(QQ, (0, 0, 1), "x"))[0]
+        g = _gram_at(ex.rep, ProjPoint(0, (0, 0, 1), "x"))[0]
         assert g == [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
 
     def test_prop44_off_curve(self):
         ex = build_example("prop44")
-        _, rank, det = _gram_at(ex.rep, ProjPoint(QQ, (1, 1, 1), "x"))
+        _, rank, det = _gram_at(ex.rep, ProjPoint(0, (1, 1, 1), "x"))
         assert rank == 4 and det == -3
 
     def test_ex42ii_rank3_point(self):
         ex = build_example("ex42ii")
-        g, rank, kernel = gram_rank_kernel(ex.rep, ProjPoint(QQ, (1, -2, 1), "x"))
+        g, rank, kernel = gram_rank_kernel(ex.rep, ProjPoint(0, (1, -2, 1), "x"))
         assert rank == 3
         assert [list(kernel)] == [[0, 0, 0, 1]]
 
@@ -247,12 +247,12 @@ class TestFiberGram:
 
     def test_det_commutes_with_evaluation(self):
         rng = random.Random(2)
-        gf = PrimeField(11)
+        gf = 11
         for name in ("ex42ii", "prop44"):
             ex = build_example(name)
-            sext = map_field(ex.rep.sextic, gf)
+            sext = map_field(rep_sextic(ex.rep), gf)
             for _ in range(100):
-                coords = tuple(gf.from_int(rng.randrange(11)) for _ in range(3))
+                coords = tuple(coerce(gf, rng.randrange(11)) for _ in range(3))
                 if not any(coords):
                     continue
                 p = ProjPoint(gf, coords, "x")
@@ -266,7 +266,7 @@ class TestFiberGram:
             coords = tuple(rng.randrange(-5, 6) for _ in range(3))
             if not any(coords):
                 continue
-            p = ProjPoint(QQ, coords, "x")
+            p = ProjPoint(0, coords, "x")
             g = _gram_at(ex.rep, p)[0]
             block = [row[:3] for row in g[:3]]
             det3 = (
@@ -274,15 +274,15 @@ class TestFiberGram:
                 - block[0][1] * (block[1][0] * block[2][2] - block[1][2] * block[2][0])
                 + block[0][2] * (block[1][0] * block[2][1] - block[1][1] * block[2][0])
             )
-            assert det3 == evaluate(ex.rep.d_cubic, p.coords)
+            assert det3 == evaluate(rep_d_cubic(ex.rep), p.coords)
 
     def test_embed_fiber_vector(self):
-        p = ProjPoint(QQ, (1, -2, 1), "x")
-        v = ProjPoint(QQ, embed_fiber_vector(p, (0, 0, 0, 1)), "p5")
-        assert v == ProjPoint(QQ, (1, -2, 1, 0, 0, 0), "p5")
+        p = ProjPoint(0, (1, -2, 1), "x")
+        v = ProjPoint(0, embed_fiber_vector(p, (0, 0, 0, 1)), "p5")
+        assert v == ProjPoint(0, (1, -2, 1, 0, 0, 0), "p5")
         # over (2 : 1 : 3), n = (2, 1, 3), den = 2: (t p, u) = (t/2) (n, 2u / t)
-        p = ProjPoint(QQ, (2, 1, 3), "x")
-        assert ProjPoint(QQ, embed_fiber_vector(p, (1, 0, 0, 2)), "p5") == ProjPoint(QQ, (2, 1, 3, 1, 0, 0), "p5")
+        p = ProjPoint(0, (2, 1, 3), "x")
+        assert ProjPoint(0, embed_fiber_vector(p, (1, 0, 0, 2)), "p5") == ProjPoint(0, (2, 1, 3, 1, 0, 0), "p5")
 
 
 class TestVanishesOnPlane:
@@ -292,7 +292,7 @@ class TestVanishesOnPlane:
     def test_agrees_with_exhaustive_scan(self):
         # over F_13 a nonzero plane cubic has at most 3*13 + 1 of the 183
         # points of its plane, so testing every point is exact
-        gf = PrimeField(13)
+        gf = 13
         ex = build_example("prop44")
         rep = reduce_rep(ex.rep, gf)
         F = rep.fourfold_terms
@@ -308,9 +308,9 @@ class TestVanishesOnPlane:
             planes.append(moved)
         verdicts = []
         for basis in planes:
-            basis = [[gf.coerce(c) for c in v] for v in basis]
+            basis = [[coerce(gf, c) for c in v] for v in basis]
             exhaustive = all(
-                not evaluate(rep.fourfold, [sum(k * v[i] for k, v in zip(c, basis)) for i in range(6)]) for c in p2_reps(13)
+                not evaluate(rep_fourfold(rep), [sum(k * v[i] for k, v in zip(c, basis)) for i in range(6)]) for c in p2_reps(13)
             )
             assert vanishes_on_plane(F, basis, 13) == exhaustive
             verdicts.append(exhaustive)
@@ -320,11 +320,11 @@ class TestVanishesOnPlane:
         # on the plane x-space, spanned by e_x1, e_x2, e_x3, the cubic
         # prod_{a < i0} (3 x1 - a s) prod_{b < j0} (3 x2 - b s) prod_{c < k0} (3 x3 - c s),
         # s = x1 + x2 + x3, vanishes at every point i + j + k = 3 but (i0, j0, k0)
-        xs = [Poly.variable(QQ, VARS_XU, v) for v in VARS_X]
+        xs = [Poly.variable(0, VARS_XU, v) for v in VARS_X]
         s = xs[0] + xs[1] + xs[2]
         basis = [[1 if i == j else 0 for i in range(6)] for j in range(3)]
         for point in ((i, j, 3 - i - j) for i in range(4) for j in range(4 - i)):
-            F = Poly.constant(QQ, VARS_XU, 1)
+            F = Poly.constant(0, VARS_XU, 1)
             for x, top in zip(xs, point):
                 for a in range(top):
                     F = F * (x.scale(3) - s.scale(a))

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from detfold.algebra import QQ, PrimeField, is_prime
+from detfold.algebra import field_from_name, is_prime
+from detfold.algebra.fields import checked_prime, format_coeff, fraction_mod, isqrt_exact, sqrt_mod
 from detfold.errors import InputError, Rejection
 
 
@@ -15,25 +16,30 @@ def test_is_prime_small():
 
 def test_prime_field_requires_prime():
     with pytest.raises(InputError):
-        PrimeField(15)
+        checked_prime(15)
     with pytest.raises(InputError):
-        PrimeField(2**31 + 11)
+        checked_prime(2**31 + 11)
     with pytest.raises(Rejection):
-        PrimeField(2)
+        checked_prime(2)
+    assert checked_prime(2**31 - 1) == 2**31 - 1
+    # a field is named by its characteristic, with the same refusals
+    assert [field_from_name(n) for n in ("rational", "fp:7")] == [0, 7]
+    with pytest.raises(InputError):
+        field_from_name("fp:15")
+    with pytest.raises(Rejection):
+        field_from_name("fp:2")
 
 
 @pytest.mark.parametrize("q", [3, 7, 13, 10007])
 def test_field_axioms_fp(q):
-    gf = PrimeField(q)
+    # division mod q is the reduction of the fraction a b / b
     rng = random.Random(q)
     for _ in range(200):
-        a = gf.from_int(rng.randrange(q))
-        b = gf.from_int(rng.randrange(1, q))
-        assert gf.div(a * b, b) == a
-        assert gf.from_int(a + (-a)) == gf.zero()
-        assert gf.from_int(a * gf.one()) == a
-        assert gf.from_int((a + b) - b) == a
-        assert type(a) is int and 0 <= a < q
+        a = rng.randrange(q)
+        b = rng.randrange(1, q)
+        assert fraction_mod(Fraction(a * b, b), q) == a
+        assert fraction_mod(Fraction(a, b), q) * b % q == a
+        assert type(fraction_mod(Fraction(a, b), q)) is int and 0 <= fraction_mod(Fraction(a, b), q) < q
 
 
 def test_field_axioms_rationals():
@@ -49,30 +55,35 @@ def test_field_axioms_rationals():
 
 @pytest.mark.parametrize("q", [7, 13, 17, 101, 2147483647])
 def test_fp_sqrt(q):
-    gf = PrimeField(q)
     rng = random.Random(q)
     for _ in range(50):
-        a = gf.from_int(rng.randrange(q))
-        r = gf.sqrt(a)
+        a = rng.randrange(q)
+        r = sqrt_mod(a, q)
         if r is not None:
-            assert r * r % q == a
+            assert r * r % q == a and r <= q - r
     # every square has a root found
     for v in range(min(q, 60)):
-        a = gf.from_int(v)
-        sq = a * a % q
-        r = gf.sqrt(sq)
+        sq = v * v % q
+        r = sqrt_mod(sq, q)
         assert r is not None and r * r % q == sq
 
 
 def test_rational_sqrt():
-    assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert QQ.sqrt(Fraction(2)) is None
-    assert QQ.sqrt(Fraction(-1)) is None
-    assert QQ.sqrt(Fraction(0)) == 0
+    assert isqrt_exact(9) == 3
+    assert isqrt_exact(2) is None
+    assert isqrt_exact(-1) is None
+    assert isqrt_exact(0) == 0
+    assert isqrt_exact(10**40) == 10**20
 
 
 def test_fp_fraction_coercion():
-    gf = PrimeField(7)
-    assert gf.coerce(Fraction(1, 2)) == gf.from_int(4)
-    with pytest.raises(Rejection):
-        gf.coerce(Fraction(1, 7))
+    assert fraction_mod(Fraction(1, 2), 7) == 4
+    with pytest.raises(Rejection, match="denominator of 1/7 vanishes mod 7"):
+        fraction_mod(Fraction(1, 7), 7)
+
+
+def test_coefficient_printing():
+    assert [format_coeff(c) for c in (3, Fraction(-3, 4), Fraction(6, 3))] == ["3", "-3/4", "2"]
+    assert format_coeff(3, 6) == "1/2"
+    # past the int -> str digit limit (4300 by default) a coefficient still prints, exactly
+    assert format_coeff(Fraction(-(10**4999), 7)) == "-1" + "0" * 4999 + "/7"

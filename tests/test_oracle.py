@@ -20,14 +20,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import detfold.fourfold as fourfold
-from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X, VARS_XU, is_prime, parse_poly
+from detfold.algebra import VARS_X, VARS_XU, is_prime
 from detfold.cli import main
 from detfold.detrep import SymDetRep, reduce_rep, validate_rep
 from detfold.errors import ConsistencyError, InputError, Rejection
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.fourfold import brute_force_oracle, oracle_matches_assembly
 from detfold.points import ProjPoint, sorted_points
-from reference import diff, evaluate, gcd_poly, p2_reps
+from reference import Poly, coerce, diff, evaluate, gcd_poly, p2_reps, parse, rep_fourfold
 
 GOLDEN = Path(__file__).parent / "golden"
 RATIONAL_EXAMPLES = ["ex42i", "ex42ii", "ex43_quartic_two_lines", "ex43_quintic_line", "rmk31", "prop44"]
@@ -36,8 +36,7 @@ RATIONAL_EXAMPLES = ["ex42i", "ex42ii", "ex43_quartic_two_lines", "ex43_quintic_
 def reference_scan(rep, q):
     """Every point of P^5(F_q) where F and its six partials vanish, found by
     evaluating them at all (q^6-1)/(q-1) canonical representatives."""
-    gf = PrimeField(q)
-    F = reduce_rep(rep, gf).fourfold
+    F = rep_fourfold(reduce_rep(rep, q))
     # fewest terms first: the cheapest filters shrink the candidates soonest
     polys = sorted([F] + [diff(F, v) for v in VARS_XU], key=lambda p: len(p.terms))
     cube = list(product(range(q), repeat=3))
@@ -55,7 +54,7 @@ def reference_scan(rep, q):
                     vals = [v + c * u1**a * u2**b * u3**d for v, (u1, u2, u3) in zip(vals, us)]
             us = [u for u, v in zip(us, vals) if v % q == 0]
         found += [x + u for u in us]
-    return sorted_points(ProjPoint(gf, [gf.from_int(c) for c in pt], "p5") for pt in found)
+    return sorted_points(ProjPoint(q, [coerce(q, c) for c in pt], "p5") for pt in found)
 
 
 def test_named_examples_match_reference():
@@ -68,14 +67,14 @@ def test_named_examples_match_reference():
 def test_low_rank_strata_match_reference(monkeypatch):
     # conic block diag(x1, x2, x3): rank 1 over the coordinate points, rank 2
     # on the coordinate lines, so the u-systems have q and q^2 solutions
-    gf = PrimeField(7)
+    gf = 7
     entries = [
         ["x1", "0", "0", "0"],
         ["0", "x2", "0", "x2*x3"],
         ["0", "0", "x3", "x1^2"],
         ["0", "x2*x3", "x1^2", "x1*x2*x3"],
     ]
-    rep = validate_rep([[parse_poly(s, VARS_X, gf) for s in row] for row in entries], gf)
+    rep = validate_rep([[parse(s, gf) for s in row] for row in entries], gf)
     # per x-stratum: None for an inconsistent system, else its kernel
     # dimension.  Full-rank strata, Delta(x) != 0, never reach
     # _solve_singular_mod, nor do the strata with Delta(x) = 0 and
@@ -86,7 +85,7 @@ def test_low_rank_strata_match_reference(monkeypatch):
 
     def recording_cramer(rows, f, q):
         out = cramer(rows, f, q)
-        pencils.append([MultiPoly(gf, VARS_X, t) for t in out[:2]])
+        pencils.append([Poly(gf, VARS_X, t) for t in out[:2]])
         return out
 
     def recording_solve(rows, q):
@@ -139,7 +138,7 @@ def test_coset_gcd_matches_reference(q, monkeypatch):
         coeffs = [[g0, (g1 - gm) * half % q, ((g1 + gm) * half - g0) % q] for g0, g1, gm in values]
         g = []
         for c in coeffs:
-            g = gcd_poly(g, c, PrimeField(q))
+            g = gcd_poly(g, c, q)
         degrees.add(len(g) - 1)  # -1 for the zero gcd
         out = roots(values, q)
         assert out == [s for s in range(q) if not any(sum(k * s**i for i, k in enumerate(c)) % q for c in coeffs)]
@@ -148,7 +147,7 @@ def test_coset_gcd_matches_reference(q, monkeypatch):
     monkeypatch.setattr(fourfold, "_solve_singular_mod", recording_solve)
     monkeypatch.setattr(fourfold, "_coset_roots", recording_roots)
     for rows in LOW_RANK_REPS.values():
-        rep = validate_rep([[parse_poly(s, VARS_X, QQ) for s in row] for row in rows], QQ)
+        rep = validate_rep([[parse(s) for s in row] for row in rows], 0)
         assert brute_force_oracle(rep, q) == reference_scan(rep, q)
     assert {1, 2, 3} <= kernels
     assert {-1, 0, 1} <= degrees
@@ -234,15 +233,14 @@ def test_plane_scan_matches_reference(kind, q):
     # the gcd of the conics on a line of P is zero on the shared line and
     # nonconstant on the line (1 : 1 : t) through an isolated base point
     rows = P_CONICS[kind] + [[row[3] for row in P_CONICS[kind]] + ["x1^3 + x2^3 + x3^3"]]
-    rep = validate_rep([[parse_poly(s, VARS_X, QQ) for s in row] for row in rows], QQ)
+    rep = validate_rep([[parse(s) for s in row] for row in rows], 0)
     got = brute_force_oracle(rep, q)
     assert got == reference_scan(rep, q)
     on_p = {p.coords[3:] for p in got if not any(p.coords[:3])}
-    gf = PrimeField(q)
     if kind == "shared-line":
         assert len(on_p) == q + 1
     else:
-        assert on_p == {tuple(gf.from_int(c) for c in u) for u in [(1, 1, 0), (1, -1, 2), (1, -1, -2)]}
+        assert on_p == {tuple(coerce(q, c) for c in u) for u in [(1, 1, 0), (1, -1, 2), (1, -1, -2)]}
 
 
 def test_nonlinear_u_partial_rejected(monkeypatch):
@@ -264,8 +262,8 @@ def test_nonlinear_u_partial_rejected(monkeypatch):
 
 def _forms(draw, field, degree):
     mons = [e for e in product(range(degree + 1), repeat=3) if sum(e) == degree]
-    coeffs = draw(st.lists(st.integers(0, field.q - 1), min_size=len(mons), max_size=len(mons)))
-    return MultiPoly(field, VARS_X, {e: field.from_int(c) for e, c in zip(mons, coeffs)})
+    coeffs = draw(st.lists(st.integers(0, field - 1), min_size=len(mons), max_size=len(mons)))
+    return Poly(field, VARS_X, {e: coerce(field, c) for e, c in zip(mons, coeffs)})
 
 
 @st.composite
@@ -287,7 +285,7 @@ def random_reps(draw, field):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_random_reps_match_reference(q, data):
-    rep = data.draw(random_reps(PrimeField(q)))
+    rep = data.draw(random_reps(q))
     assert brute_force_oracle(rep, q) == reference_scan(rep, q)
 
 
@@ -299,15 +297,15 @@ def test_pencil_matches_each_stratum(q, data):
     # is det A of the stratum's rows [A | b], read off F by evaluation alone,
     # and where it is nonzero Phi(x) = 2 Delta(x) F(x, u0) and N(x) = Delta(x)
     # u0, u0 the solution
-    rep = data.draw(random_reps(PrimeField(q)))
-    F = rep.fourfold
+    rep = data.draw(random_reps(q))
+    F = rep_fourfold(rep)
     grads = [diff(F, v) for v in VARS_XU[3:]]
     units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     built, cramer = [], fourfold._cramer_forms
     with mock.patch.object(fourfold, "_cramer_forms", lambda *args: built.append(cramer(*args)) or built[-1]):
         brute_force_oracle(rep, q)
     ((delta, phi, num),) = built
-    delta, phi, *num = (MultiPoly(rep.field, VARS_X, t) for t in [delta, phi] + num)
+    delta, phi, *num = (Poly(rep.q, VARS_X, t) for t in [delta, phi] + num)
     for x in p2_reps(q):
         at0 = [evaluate(g, x + (0, 0, 0)) for g in grads]
         A = [[evaluate(g, x + e) - c for e in units] for g, c in zip(grads, at0)]
@@ -331,7 +329,7 @@ def test_random_reps_oracle_matches_assembly(q, data):
     # s_c, plus the base points of the net) against the exhaustive oracle.
     # analyze rejects a rep exactly when the assembly does: the stages after
     # it (couples, lattice) raise no Rejection
-    rep = data.draw(random_reps(PrimeField(q)))
+    rep = data.draw(random_reps(q))
     try:
         ok, oracle, assembled = oracle_matches_assembly(rep, q)
     except Rejection:

@@ -13,7 +13,7 @@ from detfold.cli import main
 from detfold.errors import InputError
 from detfold.examples import EXAMPLE_NAMES, build_example
 from detfold.repfile import parse_rep_file, write_rep_file
-from reference import dense_rep
+from reference import dense_rep, rep_entry
 
 
 # the rows of diag(x1, x2, x3, x1^3 + x2^3 + x3^3), lines 3 to 6 of a file
@@ -33,7 +33,7 @@ class TestRepFile:
             text = write_rep_file(ex.rep)
             rep2 = parse_rep_file(text)
             assert all(
-                rep2.entry(i, j) == ex.rep.entry(i, j) for i in range(4) for j in range(4)
+                rep_entry(rep2, i, j) == rep_entry(ex.rep, i, j) for i in range(4) for j in range(4)
             ), name
             assert write_rep_file(rep2) == text
 
@@ -48,7 +48,7 @@ row 1: 0, x2, 0, 0
 row 3: 0, 0, 0, x1^3 + x2^3 + 7*x3^3
 """
         rep = parse_rep_file(text)
-        assert str(rep.entry(3, 3)) == "x1^3 + x2^3 + 7*x3^3"
+        assert str(rep_entry(rep, 3, 3)) == "x1^3 + x2^3 + 7*x3^3"
 
     def test_error_reports_line(self):
         with pytest.raises(InputError, match="line 3"):
@@ -85,7 +85,7 @@ row 3: 0, 0, 0, x1^3 + x2^3 + 7*x3^3
             for i in range(3)
         ) + "\nrow 3: 0, 0, 0, x1^3 + 5*x2^3 + x3^3\n"
         rep = parse_rep_file(text)
-        assert rep.field.q == 13
+        assert rep.q == 13
 
 
 class TestCli:
@@ -117,7 +117,8 @@ class TestCli:
         # each named example exits non-zero when a pinned highlight does not reproduce
         for name in EXAMPLE_NAMES:
             rc, out = run_cli("example", name)
-            assert rc == 0 and "all_expected_reproduced = true" in out, name
+            checks = out.count("\ncheck ")
+            assert rc == 0 and checks and out.endswith(f"\nchecks_run = {checks}\nall_expected_reproduced = true\n"), name
 
     @pytest.mark.parametrize(
         "name, param",
@@ -134,9 +135,10 @@ class TestCli:
         ids=["ex42i", "rmk31", "ex42ii", "ex42ii-l4", "prop44", "rmk31-xyz", "ex43_fermat"],
     )
     def test_example_with_a_non_default_cubic(self, name, param):
-        # the pinned highlights belong to the default member alone
+        # the pinned highlights belong to the default member alone: none is
+        # checked, and nothing claims they reproduced
         rc, out = run_cli("example", name, "--param", param)
-        assert rc == 0 and "all_expected_reproduced = true" in out
+        assert rc == 0 and out.endswith("\nchecks_run = 0\n") and "all_expected_reproduced" not in out
 
     def test_spin_command(self):
         rc, out = run_cli("spin", "--config", "lines=6", "--k", "10")
@@ -225,8 +227,10 @@ class TestCli:
             ("(" * 330 + "x1^3 + x2^3 + x3^3" + ")" * 330, 3, "error: line 6, entry 4: parentheses nested deeper than 100"),
             ("1" * 5000 + "*x1^3 + x2^3 + x3^3", 3, "error: line 6, entry 4: integer literal longer than 4000 digits"),
             ("-" * 3000 + "x1^3 + x2^3 + x3^3", 0, "field = fp:7\n"),
+            # '²' is a digit to str.isdigit, but not a decimal that int() reads
+            ("x1^3 + x2^3 + x3^²", 3, "error: line 6, entry 4: unexpected character '²' (at position 17)"),
         ],
-        ids=["deep-parentheses", "long-literal", "sign-run"],
+        ids=["deep-parentheses", "long-literal", "sign-run", "superscript"],
     )
     def test_parser_limits_exit_code(self, tmp_path, entry, rc, message):
         # entries that once overflowed the interpreter's recursion or
@@ -275,9 +279,15 @@ class TestCli:
         rc, out = run_cli("example", name, "--param", param)
         assert rc == 3 and out.startswith("error: ") and accepted in out
 
-    def test_missing_file(self):
-        rc, out = run_cli("analyze", "/nonexistent/file.rep")
-        assert rc == 3
+    def test_missing_file(self, tmp_path):
+        # a missing file, a directory and a file that is not UTF-8 are usage
+        # errors, for every command that reads a file
+        latin1 = tmp_path / "latin1.rep"
+        latin1.write_bytes("field rational # caf\xe9\n".encode("latin-1"))
+        for path in ("/nonexistent/file.rep", str(tmp_path), str(latin1)):
+            for args in (("analyze", path), ("oracle", path, "--prime", "7")):
+                rc, out = run_cli(*args)
+                assert rc == 3 and out.startswith("error: "), (args, out)
 
     @pytest.mark.parametrize(
         "args",

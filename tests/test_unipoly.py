@@ -8,7 +8,7 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from detfold.algebra import QQ, MultiPoly, PrimeField, VARS_X
+from detfold.algebra import VARS_X
 from detfold.algebra.fields import word_primes
 from detfold.algebra.unipoly import (
     gcd_int,
@@ -22,7 +22,7 @@ from detfold.algebra.unipoly import (
     resultant_int,
     trim,
 )
-from reference import divmod_poly, euclid_gcd, gcd_poly, is_squarefree, monic, squarefree_part, sylvester_det
+from reference import Poly, coerce, divmod_poly, euclid_gcd, gcd_poly, is_squarefree, monic, squarefree_part, sylvester_det
 from test_curves import _form
 
 
@@ -65,7 +65,7 @@ def test_rational_roots_random_planted():
 
 
 def test_gcd_and_squarefree():
-    f = QQ
+    f = 0
     # (t-1)^2 (t+2)
     p = [Fraction(2), Fraction(-3), Fraction(0), Fraction(1)]
     assert not is_squarefree(p, f)
@@ -82,7 +82,7 @@ def test_gcd_and_squarefree():
 
 def test_divmod_property():
     rng = random.Random(4)
-    f = QQ
+    f = 0
     for _ in range(40):
         p = [Fraction(rng.randrange(-9, 10)) for _ in range(rng.randrange(1, 7))]
         d = [Fraction(rng.randrange(-9, 10)) for _ in range(rng.randrange(1, 4))]
@@ -154,7 +154,7 @@ def _small_reference_roots(coeffs):
     candidates = {Fraction(0)} | {Fraction(sign * a, b) for a in divisors[0] for b in divisors[1] for sign in (1, -1)}
     for r in candidates:
         while len(poly) > 1:
-            quo, rem = divmod_poly(poly, [-r, Fraction(1)], QQ)
+            quo, rem = divmod_poly(poly, [-r, Fraction(1)], 0)
             if rem:
                 break
             poly = quo
@@ -195,10 +195,10 @@ def test_gcd_over_q_equals_euclid(common, a, b):
     # a planted common factor whose coefficients may exceed 2^130, so the
     # scaled images need several 61-bit primes before the candidate divides
     p, q = _mul(common, a), _mul(common, b)
-    g = gcd_poly(p, q, QQ)
-    assert g == euclid_gcd(p, q, QQ)
+    g = gcd_poly(p, q, 0)
+    assert g == euclid_gcd(p, q, 0)
     if p and q:
-        assert not divmod_poly(g, monic(trim(list(common))), QQ)[1]
+        assert not divmod_poly(g, monic(trim(list(common))), 0)[1]
 
 
 _ints = st.integers(-50, 50)
@@ -222,12 +222,12 @@ def test_gcd_int_equals_euclid_up_to_a_scalar(common, a, b, third, scale):
     assume(p and q)
     g = gcd_int(p, q)
     assert math.gcd(*g) == 1
-    want = euclid_gcd([Fraction(c) for c in p], [Fraction(c) for c in q], QQ)
+    want = euclid_gcd([Fraction(c) for c in p], [Fraction(c) for c in q], 0)
     assert monic([Fraction(c) for c in g]) == want
     r = trim([int(x) for x in _mul(common, third)])
     g = gcd_int(p, r, q)
     assert math.gcd(*g) == 1
-    assert monic([Fraction(c) for c in g]) == (euclid_gcd(want, [Fraction(c) for c in r], QQ) if r else want)
+    assert monic([Fraction(c) for c in g]) == (euclid_gcd(want, [Fraction(c) for c in r], 0) if r else want)
 
 
 def test_gcd_int_of_coprime_and_zero_lists():
@@ -241,11 +241,10 @@ def test_gcd_int_of_coprime_and_zero_lists():
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_gcd_over_fp_equals_euclid(prime, data):
-    field = PrimeField(prime)
-    elts = st.integers(0, prime - 1).map(field.from_int)
+    elts = st.integers(0, prime - 1).map(lambda c: coerce(prime, c))
     common, a, b = (data.draw(st.lists(elts, min_size=1, max_size=n)) for n in (4, 5, 5))
     p, q = (_mul(common, x) for x in (a, b))
-    assert gcd_poly(p, q, field) == euclid_gcd(p, q, field)
+    assert gcd_poly(p, q, prime) == euclid_gcd(p, q, prime)
 
 
 def test_gcd_over_q_past_a_bad_and_an_unlucky_prime():
@@ -253,20 +252,20 @@ def test_gcd_over_q_past_a_bad_and_an_unlucky_prime():
     # the leading coefficients are multiples of the first prime, which is skipped
     p = _mul([Fraction(3), Fraction(big)], [Fraction(1), Fraction(2 * big)])
     q = _mul([Fraction(3), Fraction(big)], [Fraction(5), Fraction(big)])
-    assert gcd_poly(p, q, QQ) == euclid_gcd(p, q, QQ) == [Fraction(3, big), Fraction(1)]
+    assert gcd_poly(p, q, 0) == euclid_gcd(p, q, 0) == [Fraction(3, big), Fraction(1)]
     # (t + 2)(t - 1) and (t + 2)(t - 1 - big) share t - 1 mod the first prime
     # only: its image has degree 2, the next prime's degree 1 restarts the CRT
     p = _mul([Fraction(2), Fraction(1)], [Fraction(-1), Fraction(1)])
     q = _mul([Fraction(2), Fraction(1)], [Fraction(-1 - big), Fraction(1)])
-    assert gcd_poly(p, q, QQ) == [Fraction(2), Fraction(1)]
-    assert gcd_poly([Fraction(-1), Fraction(1)], [Fraction(-1 - big), Fraction(1)], QQ) == [Fraction(1)]
+    assert gcd_poly(p, q, 0) == [Fraction(2), Fraction(1)]
+    assert gcd_poly([Fraction(-1), Fraction(1)], [Fraction(-1 - big), Fraction(1)], 0) == [Fraction(1)]
     # t + 2^100 needs two primes; the second prime of the source is unlucky
     # for the cofactors t - 1 and t - 1 - second, so its image is skipped
     second = next(p for i, p in enumerate(word_primes()) if i == 1)
     common = [Fraction(2**100), Fraction(1)]
     p = _mul(common, [Fraction(-1), Fraction(1)])
     q = _mul(common, [Fraction(-1 - second), Fraction(1)])
-    assert gcd_poly(p, q, QQ) == common
+    assert gcd_poly(p, q, 0) == common
 
 
 @pytest.mark.parametrize(("w", "q"), [(32, 3), (32, 29), (32, 223), (64, 449), (64, 997)])
@@ -290,12 +289,11 @@ def test_packed_lines_match_horner(q, data):
     # q = 449; every lane is congruent to the form's value on its line,
     # for a drawn form and for every monomial of degree <= 6 with
     # coefficient q - 1, where several terms share a power of x2 and of x3
-    field = PrimeField(q)
     w = lane_width(q, 6)
     assert w == (32 if q <= 443 else 64)
-    drawn = _form(data.draw, field, data.draw(st.integers(1, 6)))
+    drawn = _form(data.draw, q, data.draw(st.integers(1, 6)))
     assume(not drawn.is_zero)
-    full = MultiPoly(field, VARS_X, {e: field.from_int(-1) for e in product(range(7), repeat=3) if sum(e) <= 6})
+    full = Poly(q, VARS_X, {e: coerce(q, -1) for e in product(range(7), repeat=3) if sum(e) <= 6})
     for form in (drawn, full):
         packed = pack_lines(form.terms, q, w)
         for a, b in ((1, data.draw(st.integers(0, q - 1))), (1, q - 1), (0, 1), (0, 0)):
