@@ -132,6 +132,15 @@ def fraction_mod(x: Fraction, q: int) -> int:
     return x.numerator * pow(x.denominator, -1, q) % q
 
 
+def decimal(text: str) -> int:
+    """The integer written in text with ASCII decimal digits alone.  Anything
+    else raises ValueError, also what int() reads: a sign, spaces,
+    underscores, or the digits of other scripts."""
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"not a decimal numeral: {text!r}")
+    return int(text)
+
+
 def checked_prime(q: int) -> int:
     """q, the characteristic of F_q: a prime below 2^31, and odd so that
     quadratic forms behave."""
@@ -153,7 +162,7 @@ def field_from_name(name: str) -> int:
         return 0
     if name.startswith("fp:"):
         try:
-            q = int(name[3:])
+            q = decimal(name[3:])
         except ValueError:
             raise InputError(f"bad field spec {name!r}") from None
         return checked_prime(q)

@@ -14,10 +14,10 @@ residue, every sum and product reduced mod q, q the field's characteristic
 monomial, and the whole expression is returned as a term dict, with
 Fraction coefficients over Q.  Errors carry the offset of the offending
 token.  An integer literal may have at most MAX_LITERAL_DIGITS digits
-(decimal digits only), parentheses may nest at most MAX_NESTING deep, and a
-product or power may have degree at most MAX_DEGREE, so that no input
-reaches the interpreter's own limits on integer conversion and recursion,
-or makes a product of many factors.
+(ASCII decimal digits only), parentheses may nest at most MAX_NESTING
+deep, and a product or power may have degree at most MAX_DEGREE, so that
+no input reaches the interpreter's own limits on integer conversion and
+recursion, or makes a product of many factors.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ class PolyParseError(InputError):
 
 
 _TOK_OPS = set("+-*/^()")
+_DIGITS = set("0123456789")
 MAX_LITERAL_DIGITS = 4000
 MAX_NESTING = 100
 MAX_DEGREE = 12
@@ -53,9 +54,9 @@ def _tokenize(text: str):
             toks.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdecimal():  # not isdigit, which takes digits such as '²' that int() refuses
+        if ch in _DIGITS:  # not isdecimal, which takes the digits of other scripts, such as '٢'
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j - i > MAX_LITERAL_DIGITS:
                 raise PolyParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", i)

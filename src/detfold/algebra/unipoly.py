@@ -2,8 +2,10 @@
 
 Polynomials are lists of coefficients in ascending degree with no trailing
 zeros.  Includes modular gcds, resultants and complete rational-root
-extraction by p-adic lifting, and the packed kernel that evaluates forms on
-the lines of P^2(F_q) (`pack_lines`, `common_zeros`).
+extraction by p-adic lifting, and packed evaluation at every t in F_q from
+shared power columns (`power_columns`, `lanes`): the root finder of the
+plane solver over F_q (`roots_mod`), and the kernel with which the oracle
+evaluates forms on the lines of P^2(F_q) (`pack_lines`, `common_zeros`).
 """
 
 from __future__ import annotations
@@ -255,6 +257,19 @@ def lanes(v: int, q: int, w: int):
     """The lanes t = 0..q-1 of a nonnegative combination v of `power_columns`
     of width w, 32 or 64 bits, as an array of integers."""
     return memoryview(v.to_bytes(q * w // 8, sys.byteorder)).cast("I" if w == 32 else "Q")
+
+
+def roots_mod(p: list[int], q: int) -> list[int]:
+    """The roots t in F_q of a residue list p, ascending, from one packed
+    evaluation: the combination of `power_columns` by p's coefficients holds
+    p(t) in lane t, at most len(p) (q-1)^2, so lanes of 32 bits serve while
+    that stays below 2^32 and 64 bits above (q <= 997 at any degree the
+    solver meets)."""
+    if len(p) == 1:
+        return []
+    w = 32 if len(p) * (q - 1) ** 2 < 2**32 else 64
+    values = lanes(sum(c * col for c, col in zip(p, power_columns(q, w, len(p)))), q, w)
+    return [t for t in range(q) if not values[t] % q]
 
 
 def lane_width(q: int, d: int) -> int:

@@ -2,7 +2,7 @@
 
 Subcommands: analyze, oracle, example, spin, lattice.  Exit codes:
 0 success, 1 mathematical rejection, 2 internal-consistency failure,
-3 usage or parse error.
+3 usage or parse error, 141 output pipe closed by its reader.
 """
 
 from __future__ import annotations
@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
 from .algebra import field_from_name
+from .algebra.fields import decimal
 from .errors import ConsistencyError, InputError, Rejection, ToolError
 from .examples import EXAMPLE_NAMES, build_example
 from .fourfold import assembly_points_mod_q, brute_force_oracle
@@ -21,12 +23,12 @@ from .lattice import ns2_gram
 from .points import format_points
 from .repfile import parse_rep_file, write_rep_file
 from .report import analyze
-from .spin import build_dual_graph, config_predicates, graph_stats, parse_config, spin_subsets, theta_counts
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INCONSISTENT = 2
 EXIT_USAGE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 def _emit(lines, out):
@@ -102,6 +104,8 @@ def _cmd_example(args, out) -> int:
 
 
 def _cmd_spin(args, out) -> int:
+    from .spin import build_dual_graph, config_predicates, graph_stats, parse_config, spin_subsets, theta_counts
+
     config = parse_config(args.config)
     graph = build_dual_graph(config)
     is_even, b1 = graph_stats(graph)
@@ -150,6 +154,14 @@ def _cmd_lattice(args, out) -> int:
     return EXIT_OK
 
 
+def _prime(text: str) -> int:
+    """The value of --prime, in ASCII decimal digits alone."""
+    try:
+        return decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad prime {text!r}") from None
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -168,7 +180,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="exhaustive finite-field check of the singular locus")
     o.add_argument("file")
-    o.add_argument("--prime", type=int, required=True)
+    o.add_argument("--prime", type=_prime, required=True)
     o.set_defaults(func=_cmd_oracle)
 
     e = sub.add_parser("example", help="build a named example and check its expected values")
@@ -191,6 +203,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
+    try:
+        rc = _run(argv, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader of out has gone (`detfold analyze FILE | head -1`):
+        # write nothing more, and point stdout at devnull so that the
+        # interpreter's last flush at exit has somewhere to go
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return rc
+
+
+def _run(argv, out) -> int:
     ap = make_parser()
     try:
         args = ap.parse_args(argv)
@@ -204,6 +230,8 @@ def main(argv=None, out=None) -> int:
     except ConsistencyError as e:
         print(f"inconsistent: {e}", file=out)
         return EXIT_INCONSISTENT
+    except BrokenPipeError:
+        raise  # not an input error: `main` ends quietly
     except (InputError, OSError, UnicodeDecodeError) as e:
         # a file that is missing, a directory, unreadable or not UTF-8 is a usage error
         print(f"error: {e}", file=out)

@@ -1,19 +1,20 @@
 """Singularity analysis of plane curves: locating singular points over the
-rationals (resultant elimination) or a prime field (exhaustive scan),
-certifying nodes, and classifying the singular points of a discriminant
-sextic by fiber rank and membership in the auxiliary cubic D.
+rationals or a prime field by one resultant elimination, certifying nodes,
+and classifying the singular points of a discriminant sextic by fiber rank
+and membership in the auxiliary cubic D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from itertools import combinations
 
 from .algebra import field_name, int_rank_det, residue, resultant, resultant_vanishes, unipoly
-from .algebra.multipoly import clear_denominators, degree, dense, diff_terms, form_values, monomials, mul_terms
+from .algebra.multipoly import clear_denominators, degree, dense, diff_terms, form_values, monomials, mul_terms, residues
 from .detrep import SymDetRep, gram_rank_kernel
 from .errors import ConsistencyError, InputError, Rejection
-from .points import P2_SCAN_BUDGET, ProjPoint, p2_lines, sorted_points
+from .points import P2_SCAN_BUDGET, ProjPoint, sorted_points
 
 # ---------------------------------------------------------------------------
 # Solving small homogeneous systems on the projective plane
@@ -34,31 +35,67 @@ class PlaneSolutions:
 
 def plane_solutions(polys: list[dict], q: int) -> PlaneSolutions:
     """Common zeros in P^2 over the field of characteristic q of forms given
-    by integer terms (residues over F_q).
+    by integer terms (residues over F_q), by elimination.
 
-    Over a prime field the scan is exhaustive and always complete.  Over the
-    rationals, resultant elimination finds every rational solution; genuinely
-    irrational solutions are tallied in `unresolved`, which flips `complete`.
-    A positive-dimensional solution set raises Rejection.
+    In the chart x3 = 1 (`_rekeyed`) the eliminants in x1 are the lists of
+    the polynomials free of x2 and of resultants in x2 (`resultant`, until
+    there are three); over each root n/d of their gcd the points are the
+    roots in x2 of the gcd of the nonzero fibres d^D p(n/d, x2, 1),
+    D = deg_x1 p.  On the line x3 = 0 they are the roots in x1 of the gcd of
+    the polynomials at x2 = 1, and (1:0:0) when each polynomial's value
+    there, the sum of its terms in x1 alone, is 0.  Every point but (1:0:0)
+    is a root of every nonzero fibre or line polynomial, and a zero one
+    vanishes there, so it is a common zero by construction and is not
+    tested again.
+
+    Over F_q every list is reduced mod q, each gcd is taken mod q, the roots
+    of a univariate come from one packed evaluation (`unipoly.roots_mod`) and
+    those of no nonzero list are all of F_q, so the solutions are complete.
+    Over the rationals every rational solution is found; genuinely irrational
+    solutions are tallied in `unresolved`, which flips `complete`, and a
+    positive-dimensional solution set raises Rejection.
     """
     polys = [p for p in polys if p]
     if not polys:
         raise Rejection("empty system: solution set is the whole plane")
     if not all(map(degree, polys)):  # a nonzero constant has no zeros
         return PlaneSolutions([])
-    return _plane_solutions_fq(polys, q) if q else _plane_solutions_qq(polys)
-
-
-def _plane_solutions_fq(polys, q: int) -> PlaneSolutions:
-    """Exhaustive scan of P^2(F_q) in plain integers, one line at a time: a
-    polynomial's values on a line are one integer combination of its packed
-    forms (`unipoly.pack_lines`, `unipoly.common_zeros`)."""
     if q * q + q + 1 > P2_SCAN_BUDGET:
         raise InputError(f"scan budget exceeded: P^2(F_{q}) has {q * q + q + 1} points > {P2_SCAN_BUDGET}")
-    w = unipoly.lane_width(q, max(map(degree, polys)))
-    systems = [unipoly.pack_lines(p, q, w) for p in polys]
-    pts = [ProjPoint(q, rep, "x") for rep in unipoly.common_zeros(systems, p2_lines(q), q, w)]
-    return PlaneSolutions(sorted_points(pts))
+    pts = []
+    unresolved = 0
+
+    # chart x3 = 1
+    aff = [_rekeyed(t, 2) for t in polys]
+    if not any(set(t) == {(0, 0, 0)} for t in aff):
+        with_x2 = [t for t in aff if any(e[1] for e in t)]
+        elim = [_in_x(t, 0, q) for t in aff if not any(e[1] for e in t)]
+        for f, g in combinations(with_x2, 2):
+            if len(elim) >= 3:
+                break
+            r = residues(resultant(f, g, 1), q)
+            if r:
+                elim.append(_in_x(r, 0, q))
+        roots, cof = _common_roots(elim, q, "elimination degenerated: every eliminant vanished "
+                                   "(curve not reduced or solution set positive-dimensional)")
+        unresolved += cof
+        for a in roots:
+            # the polynomials free of x2 are eliminants and vanish at a
+            fibre = [u for u in (_in_x(t, 1, q, a.numerator, a.denominator) for t in aff) if u]
+            broots, cof = _common_roots(fibre, q, "solution set contains a vertical line (positive-dimensional)")
+            unresolved += cof
+            pts += [ProjPoint(q, (a, b, 1), "x") for b in broots]
+
+    # line x3 = 0
+    line = [t for t in ({e: c for e, c in t.items() if not e[2]} for t in polys) if t]
+    if not any(set(t) == {(0, 0, 0)} for t in line):
+        if not any(residue(sum(c for e, c in t.items() if not e[1]), q) for t in line):
+            pts.append(ProjPoint(q, (1, 0, 0), "x"))
+        roots, cof = _common_roots([_in_x(t, 0, q) for t in line], q,
+                                   "system vanishes identically on the line x3=0 (positive-dimensional)")
+        unresolved += cof
+        pts += [ProjPoint(q, (r, 1, 0), "x") for r in roots]
+    return PlaneSolutions(sorted_points(pts), unresolved)
 
 
 def curve_terms(polys: list) -> list[dict]:
@@ -78,80 +115,33 @@ def _rekeyed(terms: dict, k: int) -> dict:
     return out
 
 
-def _in_x(terms: dict, v: int, n: int = 1, d: int = 1) -> list[int]:
-    """The integer list in x_v, v = 0 or 1, of d^D p at x_w = n/d, w = 1 - v,
-    D = deg_{x_w} p, for the integer terms of p, the exponent of x3 ignored:
-    each c x_v^j x_w^i contributes c n^i d^(D-i) to x_v^j."""
+def _in_x(terms: dict, v: int, q: int, n: int = 1, d: int = 1) -> list[int]:
+    """The list in x_v, v = 0 or 1, of d^D p at x_w = n/d, w = 1 - v,
+    D = deg_{x_w} p, for the integer terms of p, the exponent of x3 ignored,
+    in characteristic q: each c x_v^j x_w^i contributes c n^i d^(D-i) to
+    x_v^j."""
     w = 1 - v
     top = max(e[w] for e in terms)
     out = [0] * (max(e[v] for e in terms) + 1)
     for e, c in terms.items():
         out[e[v]] += c * n ** e[w] * d ** (top - e[w])
-    return unipoly.trim(out)
+    return unipoly.trim([residue(c, q) for c in out])
 
 
-def _common_roots(unis: list) -> tuple[dict, int]:
-    """Rational roots, with multiplicities, of the gcd of nonzero integer
-    lists, and the degree of the gcd's part without rational roots."""
+def _common_roots(unis: list, q: int, degenerate: str) -> tuple:
+    """The roots in the field of characteristic q of the gcd of nonzero
+    lists, and the degree of the gcd's part without roots there: over Q the
+    rational roots with multiplicities (`rational_roots`), over F_q the
+    roots mod q, all of F_q when there is no list.  Over Q no list raises
+    Rejection with the message `degenerate`."""
+    if not unis:
+        if not q:
+            raise Rejection(degenerate)
+        return range(q), 0
+    if q:
+        return unipoly.roots_mod(reduce(lambda a, b: unipoly.gcd_mod(a, b, q), unis), q), 0
     g = unipoly.gcd_int(*unis)
-    if len(g) == 1:
-        return {}, 0
-    return unipoly.rational_roots(g)
-
-
-def _plane_solutions_qq(polys) -> PlaneSolutions:
-    """Rational solutions, on the polynomials' integer terms.  In the chart
-    x3 = 1 (`_rekeyed`) the eliminants in x1 are the integer lists of the
-    polynomials free of x2 and of resultants in x2 (`resultant`, until
-    there are three eliminants); over each root n/d of their gcd the points
-    are the roots in x2 of the gcd of the nonzero fibres d^D p(n/d, x2, 1),
-    D = deg_x1 p.  On the line x3 = 0 they are the
-    roots in x1 of the gcd of the polynomials at x2 = 1, and (1:0:0) when
-    each polynomial's value there, the sum of its terms in x1 alone, is 0.
-    Every point but (1:0:0) is a root of every nonzero fibre or line
-    polynomial, and a zero one vanishes there, so it is a common zero by
-    construction and is not tested again."""
-    pts = []
-    unresolved = 0
-
-    # chart x3 = 1
-    aff = [_rekeyed(t, 2) for t in polys]
-    if not any(set(t) == {(0, 0, 0)} for t in aff):
-        with_x2 = [t for t in aff if any(e[1] for e in t)]
-        elim = [_in_x(t, 0) for t in aff if not any(e[1] for e in t)]
-        for f, g in combinations(with_x2, 2):
-            if len(elim) >= 3:
-                break
-            r = resultant(f, g, 1)
-            if r:
-                elim.append(_in_x(r, 0))
-        if not elim:
-            raise Rejection(
-                "elimination degenerated: every eliminant vanished "
-                "(curve not reduced or solution set positive-dimensional)"
-            )
-        roots, cof = _common_roots(elim)
-        unresolved += cof
-        for a in roots:
-            # the polynomials free of x2 are eliminants and vanish at a
-            fibre = [u for u in (_in_x(t, 1, a.numerator, a.denominator) for t in aff) if u]
-            if not fibre:
-                raise Rejection("solution set contains a vertical line (positive-dimensional)")
-            broots, cof = _common_roots(fibre)
-            unresolved += cof
-            pts += [ProjPoint(0, (a, b, 1), "x") for b in broots]
-
-    # line x3 = 0
-    line = [t for t in ({e: c for e, c in t.items() if not e[2]} for t in polys) if t]
-    if not line:
-        raise Rejection("system vanishes identically on the line x3=0 (positive-dimensional)")
-    if not any(set(t) == {(0, 0, 0)} for t in line):
-        if not any(sum(c for e, c in t.items() if not e[1]) for t in line):
-            pts.append(ProjPoint(0, (1, 0, 0), "x"))
-        roots, cof = _common_roots([_in_x(t, 0) for t in line])
-        unresolved += cof
-        pts += [ProjPoint(0, (r, 1, 0), "x") for r in roots]
-    return PlaneSolutions(sorted_points(pts), unresolved)
+    return unipoly.rational_roots(g) if len(g) > 1 else ({}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +203,20 @@ def is_reduced_curve(h: dict, q: int) -> bool:
 
 def singular_points(h: dict, q: int, components: tuple | None = None) -> PlaneSolutions:
     """Singular points over the field of characteristic q of a reduced plane
-    curve h given by integer terms (residues over F_q); given a factorization
-    of h by the integer terms of its components, validated by the caller,
-    one system of components at a time."""
+    curve h given by integer terms (residues over F_q), the common zeros of
+    h and its partials (`plane_solutions`); given a factorization of h by the
+    integer terms of its components, validated by the caller, one system of
+    components at a time.  Over F_q the partials alone make the system when
+    q does not divide d = deg h, as for the sextic when q > 3: by Euler's
+    relation d h = sum x_i h_i, h vanishes where they do.  Over Q, where the
+    unresolved count depends on the eliminants, and otherwise the system
+    keeps h."""
     if not is_reduced_curve(h, q):
         raise Rejection("curve is not reduced (square factor detected)")
     if components is not None:
         return _singular_points_factored(components, q)
-    sol = plane_solutions([h] + [diff_terms(h, i, q) for i in range(3)], q)
+    partials = [diff_terms(h, i, q) for i in range(3)]
+    sol = plane_solutions(partials if q and degree(h) % q else [h] + partials, q)
     form = [dense(h, degree(h))]
     for p in sol.points:
         if form_values(form, p.ints()[0], q)[0]:

@@ -79,10 +79,10 @@ def format_points(points) -> str:
     return "; ".join(str(p) for p in pts) if pts else "-"
 
 
-# Budgets of the exhaustive F_q scans.  Over budget a scan raises InputError
-# (exit 3): a P^2 scan before it starts, the oracle as soon as its count of
-# points to test passes the budget.
-P2_SCAN_BUDGET = 10**6  # points of P^2(F_q) one plane-solution scan visits: q <= 997
+# Budgets of the finite-field searches.  Over budget they raise InputError
+# (exit 3): the plane solver before it starts, the oracle as soon as its
+# count of points to test passes the budget.
+P2_SCAN_BUDGET = 10**6  # points of P^2(F_q) the plane solver accepts: q <= 997
 ORACLE_BUDGET = 10**5  # points the fourfold oracle tests: q <= 181 when every stratum has full rank
 
 

@@ -17,7 +17,7 @@ word, or a repeated directive, is refused with the line's number.
 from __future__ import annotations
 
 from .algebra import VARS_X, format_terms, parse_poly
-from .algebra.fields import checked_prime
+from .algebra.fields import checked_prime, decimal
 from .algebra.parser import PolyParseError
 from .detrep import SymDetRep, validate_rep
 from .errors import InputError
@@ -40,7 +40,7 @@ def parse_rep_file(text: str) -> SymDetRep:
                 q = 0
             elif len(parts) == 3 and parts[1] == "fp":
                 try:
-                    q = checked_prime(int(parts[2]))
+                    q = checked_prime(decimal(parts[2]))
                 except ValueError:
                     raise InputError(f"line {lineno}: bad prime {parts[2]!r}") from None
             else:
@@ -57,7 +57,7 @@ def parse_rep_file(text: str) -> SymDetRep:
             if len(parts) != 2 or not body:
                 raise InputError(f"line {lineno}: expected 'row I: e, e, e, e'")
             try:
-                idx = int(parts[1])
+                idx = decimal(parts[1])
             except ValueError:
                 raise InputError(f"line {lineno}: bad row index {parts[1]!r}") from None
             if idx not in range(4) or idx in rows:

@@ -10,7 +10,6 @@ from detfold.algebra import VARS_X, field_name, int_rank_det
 from detfold.algebra.multipoly import monomials
 from detfold.curves import (
     _certify_s_c,
-    _plane_solutions_qq,
     is_node,
     is_reduced_curve,
     plane_solutions,
@@ -239,7 +238,7 @@ class TestRationalSolver:
                 return str(e)
             return [p.coords for p in sol.points], sol.unresolved
 
-        assert solve(_plane_solutions_qq, list(map(ints, polys))) == solve(fraction_plane_solutions_qq, polys)
+        assert solve(lambda system: plane_solutions(system, 0), list(map(ints, polys))) == solve(fraction_plane_solutions_qq, polys)
 
 
 @st.composite
@@ -334,7 +333,18 @@ def systems_on_a_line(draw, field):
     return [l * _form(draw, field, draw(st.integers(0, 3))) for _ in range(draw(st.integers(1, 3)))]
 
 
+@st.composite
+def systems_sharing_pairwise(draw, field):
+    """A*B, A*C and B*C for random lines or conics A, B and C: every pairwise
+    resultant vanishes, while the zeros, the meets of two of A, B and C, stay
+    finite unless two of them share a component."""
+    a, b, c = (_form(draw, field, draw(st.integers(1, 2))) for _ in range(3))
+    assume(not (a.is_zero or b.is_zero or c.is_zero))
+    return [a * b, a * c, b * c]
+
+
 SYSTEMS = {
+    "pairwise": systems_sharing_pairwise,
     "random": random_systems,
     "x1-line": systems_on_x1_line,
     "point-001": systems_at_001,
@@ -344,7 +354,8 @@ SYSTEMS = {
 
 
 class TestScanKernel:
-    """The plain-integer scan of P^2(F_q) against the reference `evaluate`."""
+    """The plane solver over F_q against a scan of P^2(F_q) by the reference
+    `evaluate`."""
 
     @pytest.mark.parametrize("kind", sorted(SYSTEMS))
     @pytest.mark.parametrize("q", [5, 7, 11])
@@ -363,11 +374,27 @@ class TestScanKernel:
         if kind == "whole-line":
             assert len(got.points) >= q + 1
 
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_singular_points_match_reference_scan(self, q, data):
+        # over F_q the sextic's singular points are solved from its partials
+        # alone when q > 3 (Euler's relation) and with h itself at q = 3: both
+        # give the common zeros of h and its partials
+        h = rep_sextic(data.draw(random_reps(q)))
+        system = [h] + [diff(h, v) for v in VARS_X]
+        if not reference_is_reduced(h):
+            with pytest.raises(Rejection, match="not reduced"):
+                singular_points(ints(h), q)
+        else:
+            assert singular_points(ints(h), q).points == reference_solutions(system, q)
+
     def test_six_lines_need_64_bit_lanes(self):
-        # six lines with large residue coefficients: at q = 997 their product
-        # takes values beyond 2^32 on some lines of the scan (lanes of 32 bits
-        # would lose 165 of its points), and its zeros are the 6 (q + 1) - 15
-        # points of the six lines, each line parametrized by two of its points
+        # six lines with large residue coefficients at q = 997, where a scan
+        # of P^2 by the line kernel (`unipoly.pack_lines`) needs lanes of 64
+        # bits: their product alone has no eliminant, so every x1 of the
+        # chart is a root, and its zeros are the 6 (q + 1) - 15 points of
+        # the six lines, each line parametrized by two of its points
         q = 997
         rng = random.Random(0)
         lines = [[rng.randrange(1, q) for _ in range(3)] for _ in range(6)]
@@ -382,7 +409,8 @@ class TestScanKernel:
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_p2_reps_cover_the_plane(self, q):
-        # the enumeration both scans walk: each point of P^2(F_q) once, canonically scaled
+        # the enumeration the oracle and the reference scans walk: each point
+        # of P^2(F_q) once, canonically scaled
         reps = list(p2_reps(q))
         assert len(set(reps)) == len(reps) == q * q + q + 1
         assert all(ProjPoint(q, r, "x").coords == r for r in reps)

@@ -62,13 +62,18 @@ row 3: 0, 0, 0, x1^3 + x2^3 + 7*x3^3
             ("field rational\nvars x1 x2 x3\nrowboat " + ROWS[4:], "line 3: unrecognized directive 'rowboat'"),
             ("field rational\nvars x1 x2 x3\n" + ROWS + "field fp 7\n", "line 7: repeated 'field' declaration"),
             ("field rational\nvars x1 x2 x3\nvars x1 x2 x3\n" + ROWS, "line 3: repeated 'vars' declaration"),
+            # the numbers of a directive are ASCII decimal digits alone, not
+            # whatever int() reads
+            ("field fp 1_9\nvars x1 x2 x3\n" + ROWS, "line 1: bad prime '1_9'"),
+            ("field rational\nvars x1 x2 x3\nrow \u0662: 0, 0, x3, 0\n" + ROWS, "line 3: bad row index '\u0662'"),
         ],
-        ids=["frob", "fieldset", "rowboat", "field-after-rows", "vars-twice"],
+        ids=["frob", "fieldset", "rowboat", "field-after-rows", "vars-twice", "prime-underscore", "row-arabic-indic"],
     )
     def test_unknown_directive(self, text, message, tmp_path):
         # a directive is its line's first word, matched exactly, and field
-        # and vars are declared once: anything else is a usage error (exit
-        # 3) naming the line, not a prefix match or a rejection of the matrix
+        # and vars are declared once: anything else, or a malformed number,
+        # is a usage error (exit 3) naming the line, not a prefix match or a
+        # rejection of the matrix
         with pytest.raises(InputError, match=message):
             parse_rep_file(text)
         path = tmp_path / "bad.rep"
@@ -229,8 +234,10 @@ class TestCli:
             ("-" * 3000 + "x1^3 + x2^3 + x3^3", 0, "field = fp:7\n"),
             # '²' is a digit to str.isdigit, but not a decimal that int() reads
             ("x1^3 + x2^3 + x3^²", 3, "error: line 6, entry 4: unexpected character '²' (at position 17)"),
+            # '\u0662' is a decimal to str.isdecimal and int(), but not an ASCII digit
+            ("x1^3 + x2^3 + \u0662*x3^3", 3, "error: line 6, entry 4: unexpected character '\u0662' (at position 14)"),
         ],
-        ids=["deep-parentheses", "long-literal", "sign-run", "superscript"],
+        ids=["deep-parentheses", "long-literal", "sign-run", "superscript", "arabic-indic"],
     )
     def test_parser_limits_exit_code(self, tmp_path, entry, rc, message):
         # entries that once overflowed the interpreter's recursion or
@@ -290,24 +297,38 @@ class TestCli:
                 assert rc == 3 and out.startswith("error: "), (args, out)
 
     @pytest.mark.parametrize(
-        "args",
-        [("analyze", "--field", "fp:3"), ("analyze", "--field", "rational"), ("oracle", "--prime", "3")],
-        ids=["analyze-fp3", "analyze-rational", "oracle-3"],
+        "args, message",
+        [
+            (("analyze", "--field", "fp:3"), "a representation over fp:17 can only be analysed over fp:17"),
+            (("analyze", "--field", "rational"), "a representation over fp:17 can only be analysed over fp:17"),
+            (("oracle", "--prime", "3"), "a representation over fp:17 can only be analysed over fp:17"),
+            # --field fp:Q and --prime take ASCII decimal digits alone, not
+            # whatever int() reads
+            (("analyze", "--field", "fp:1_7"), "error: bad field spec 'fp:1_7'\n"),
+            (("analyze", "--field", "fp:+17"), "error: bad field spec 'fp:+17'\n"),
+            (("analyze", "--field", "fp: 17"), "error: bad field spec 'fp: 17'\n"),
+            (("oracle", "--prime", "1_7"), "argument --prime: bad prime '1_7'\n"),
+            (("oracle", "--prime", " 17"), "argument --prime: bad prime ' 17'\n"),
+        ],
+        ids=["analyze-fp3", "analyze-rational", "oracle-3", "field-underscore", "field-sign", "field-space",
+             "prime-underscore", "prime-space"],
     )
-    def test_foreign_field_exit_code(self, tmp_path, args):
+    def test_foreign_field_exit_code(self, tmp_path, capsys, args, message):
         rep = str(tmp_path / "f.rep")
         run_cli("example", "ex43_fermat", "--emit", rep)
+        capsys.readouterr()
         rc, out = run_cli(args[0], rep, *args[1:])
-        assert rc == 3 and "a representation over fp:17 can only be analysed over fp:17" in out
+        assert rc == 3 and message in (out or capsys.readouterr().err)
 
     def test_scan_budget_exit_code(self, tmp_path, monkeypatch):
+        # the budget is checked before the solver takes its first resultant
         import detfold.curves as curves
 
-        def no_scan(q):
-            raise AssertionError(f"P^2(F_{q}) scanned over budget")
+        def no_scan(*args):
+            raise AssertionError("plane solved over budget")
 
         run_cli("example", "prop44", "--emit", str(tmp_path / "p.rep"))
-        monkeypatch.setattr(curves, "p2_lines", no_scan)
+        monkeypatch.setattr(curves, "resultant", no_scan)
         rc, out = run_cli("analyze", str(tmp_path / "p.rep"), "--field", "fp:1009")
         assert rc == 3 and "scan budget exceeded" in out
 
@@ -394,6 +415,54 @@ class TestCli:
         res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
+
+    def test_cli_import_leaves_spin_out(self):
+        # only the spin subcommand imports its module, so analyze and oracle
+        # never compile or load it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "import sys, detfold.cli; print('detfold.spin' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("args", [("analyze",), ("analyze", "--json"), ("analyze", "--field", "fp:4")],
+                             ids=["report", "json", "error-line"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, args):
+        # a reader that goes away, as in `detfold analyze FILE | head -1`:
+        # the pipe's read end is closed before the process starts, so every
+        # write to stdout fails; it ends with exit 141 and no traceback
+        rep = tmp_path / "a.rep"
+        rep.write_text(write_rep_file(build_example("ex42ii").rep))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = subprocess.run([sys.executable, "-m", "detfold.cli", args[0], str(rep), *args[1:]],
+                                 env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (res.returncode, res.stderr) == (141, "")
+
+    def test_analyze_walks_no_line_of_the_plane(self, tmp_path, monkeypatch):
+        # `points.p2_lines`, wrapped wherever a detfold module holds it: the
+        # oracle walks P^2(F_q) line by line, analyze solves by elimination
+        import detfold.points as points
+
+        calls = []
+        original = points.p2_lines
+
+        def counted(q):
+            calls.append(q)
+            return original(q)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("detfold") and getattr(module, "p2_lines", None) is original:
+                monkeypatch.setattr(module, "p2_lines", counted)
+        rep = str(tmp_path / "p.rep")
+        run_cli("example", "prop44", "--emit", rep)
+        assert run_cli("analyze", rep, "--field", "fp:13")[0] == 0 and not calls
+        assert run_cli("oracle", rep, "--prime", "13")[0] == 0 and calls
 
     def test_oracle_mismatch_exit_code(self, tmp_path, monkeypatch):
         import detfold.cli as cli_mod
